@@ -40,9 +40,10 @@ print(f"  it satisfies {coefficient(expr, f_alice, f_bob)} of the 72 terms")
 
 print("\nFull histogram over all 3**16 = 43 046 721 configurations (case I):")
 start = time.perf_counter()
-hist = classical_histogram(expr, n_jobs=1)
-seconds = time.perf_counter() - start
-print(f"  scanned in {seconds:.2f} s single-threaded")
+hist = classical_histogram(expr)
+ms = (time.perf_counter() - start) * 1e3
+print(f"  counted in {ms:.0f} ms: the expression is S4-invariant, so one Alice tuple")
+print("  per S4 orbit (306 of 3^8 = 6561) is scanned, weighted by its orbit size")
 print("    c   configurations   reference")
 for c in range(0, 17):
     if c == 0:

@@ -9,21 +9,31 @@ the largest number of terms a single deterministic configuration
 The scan is separable: settings on Bob's side decouple once Alice's tuple
 is fixed.  For every Alice tuple the table M[t][b] counts the terms with
 Bob setting t and outcome b that Alice already satisfies; the coefficient
-of a full configuration is then a sum of eight lookups, and the per-tuple
-maximum is the sum of per-setting maxima.  The full histogram costs one
-(3**8 x 24) by (24 x 3**8) product, evaluated in chunks of Alice tuples
-that may run in parallel and are merged by summation.
+of a full configuration is then a sum of eight lookups, the per-tuple
+maximum is the sum of per-setting maxima, and the per-tuple histogram is
+the product over Bob's settings of the polynomials sum_b x**M[t][b].
+
+The scan is also symmetry-reduced.  Each element of S4 permutes the
+orbit labels and maps measurement bases onto bases, so it permutes Alice
+tuples; the 3**8 tuples fall into 306 orbits.  When the term set of an
+8-setting, 3-outcome expression maps onto itself under every element
+(true of every `bell_terms` output), the per-tuple maximum and histogram
+are constant on each orbit, and one representative per orbit, weighted by
+the orbit size, stands for all of its tuples.  The orbit table is built
+on first use.  Any other expression takes the full scan over every tuple,
+which also serves the tests as the reference.  `optimal_classical_strategy`
+always scans every tuple, because it breaks ties over all of them.
 """
 
 import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
 
+from .context import standard_context
 from .orbit import Orbit, OrbitPair
 
 __all__ = [
@@ -33,6 +43,7 @@ __all__ = [
     "bell_terms",
     "classical_max",
     "classical_histogram",
+    "multiset_maxima",
     "optimal_classical_strategy",
     "coefficient",
     "configuration_index",
@@ -146,15 +157,73 @@ def _profiles(n_settings, n_outcomes=3):
     return arr
 
 
-@lru_cache(maxsize=8)
-def _onehot_profiles(n_settings, n_outcomes=3):
-    prof = _profiles(n_settings, n_outcomes)
-    n = len(prof)
-    onehot = np.zeros((n, n_settings * n_outcomes), dtype=np.float32)
-    for t in range(n_settings):
-        onehot[np.arange(n), t * n_outcomes + prof[:, t]] = 1.0
-    onehot.setflags(write=False)
-    return onehot
+class _AliceOrbits(NamedTuple):
+    """The S4 action on orbit labels and its orbits on Alice tuples."""
+
+    label_action: np.ndarray  # [g, k]: image under element g of label k = 3 (s - 1) + a
+    representatives: np.ndarray  # smallest tuple index of each orbit, ascending
+    sizes: np.ndarray  # number of tuples in each orbit
+
+
+@lru_cache(maxsize=1)
+def _alice_orbits():
+    """Orbits of Alice's 3**8 tuples under S4 acting on the standard orbit labels.
+
+    The label action comes from the group product on element indices, the
+    exact route `bell_terms` takes.  An element g maps basis s onto basis
+    g.s, so it carries a tuple f to the tuple with outcome g.(s, f(s)) on
+    that basis.  Built on first use rather than with the context.
+    """
+    orbit = standard_context().orbit
+    n_settings = len(orbit.triples)
+    product = orbit.group.product_table
+    action = np.empty((orbit.group.order, 3 * n_settings), dtype=np.int64)
+    for v in orbit.vectors:
+        for g in range(orbit.group.order):
+            s, a = orbit.label_of_element(int(product[g, v.element]))
+            action[g, 3 * (v.basis - 1) + v.outcome] = 3 * (s - 1) + a
+    bases = action // 3
+    if (bases != bases[:, ::3].repeat(3, axis=1)).any():
+        raise RuntimeError("a group element does not map measurement bases onto bases")
+    action.setflags(write=False)
+
+    # A tuple's index in _profiles order is the sum over its labels (s, a)
+    # of a * 3**(n_settings - s); the orbit's smallest index names it.
+    k = np.arange(3 * n_settings)
+    place_value = (k % 3) * 3 ** (n_settings - 1 - k // 3)
+    prof = _profiles(n_settings)
+    labels = 3 * np.arange(n_settings) + prof
+    smallest = np.arange(len(prof))
+    for g_action in action:
+        np.minimum(smallest, place_value[g_action][labels].sum(axis=1), out=smallest)
+    representatives = np.flatnonzero(smallest == np.arange(len(prof)))
+    sizes = np.bincount(smallest)[representatives]
+    return _AliceOrbits(action, representatives, sizes)
+
+
+def _is_invariant(expr: BellExpression) -> bool:
+    """True when every S4 element maps the term set onto itself.
+
+    Only 3-outcome expressions over the eight orbit bases can pass.
+    """
+    action = _alice_orbits().label_action
+    if expr.n_outcomes != 3 or 3 * expr.n_settings != action.shape[1]:
+        return False
+    f = _satisfaction_table(expr.terms, expr.n_settings).reshape(action.shape[1], -1)
+    return bool((f[action[:, :, None], action[:, None, :]] == f).all())
+
+
+def _alice_rows(expr: BellExpression):
+    """Alice tuples to scan and the number of tuples each one stands for.
+
+    One representative per S4 orbit for an invariant expression, otherwise
+    every tuple with weight one.
+    """
+    if _is_invariant(expr):
+        orbits = _alice_orbits()
+        return orbits.representatives, orbits.sizes
+    n = expr.n_outcomes ** expr.n_settings
+    return np.arange(n), np.ones(n, dtype=np.int64)
 
 
 def _satisfaction_table(terms, n_settings, n_outcomes=3):
@@ -165,44 +234,53 @@ def _satisfaction_table(terms, n_settings, n_outcomes=3):
     return table
 
 
-def _per_alice_tables(terms, n_settings, n_outcomes=3):
-    """M[i, t, b]: terms with Bob pair (t, b) satisfied by Alice tuple i."""
+def _per_alice_tables(terms, n_settings, n_outcomes=3, rows=slice(None)):
+    """M[i, t, b]: terms with Bob pair (t, b) satisfied by Alice tuple rows[i]."""
     table = _satisfaction_table(terms, n_settings, n_outcomes)
-    prof = _profiles(n_settings, n_outcomes)
+    prof = _profiles(n_settings, n_outcomes)[rows]
     m = np.zeros((len(prof), n_settings, n_outcomes), dtype=np.int16)
     for s in range(n_settings):
         m += table[s][prof[:, s]]
     return m
 
 
-def _max_coefficient(terms, n_settings, n_outcomes=3):
-    m = _per_alice_tables(terms, n_settings, n_outcomes)
-    return int(m.max(axis=2).sum(axis=1).max())
+def _bob_maxima(m):
+    """Maximum over the last (outcome) axis of per-Alice tables.
+
+    Taken as elementwise maxima of the outcome slices, which is many times
+    faster than a reduction along an axis of length three.
+    """
+    return reduce(np.maximum, np.moveaxis(m, -1, 0))
 
 
-def _histogram_counts(terms, n_settings, n_outcomes=3, chunk_size=729, n_jobs=1):
-    m = _per_alice_tables(terms, n_settings, n_outcomes)
-    flat = m.reshape(len(m), n_settings * n_outcomes)
-    onehot = _onehot_profiles(n_settings, n_outcomes)
+def _max_coefficient(terms, n_settings, n_outcomes=3, rows=slice(None)):
+    m = _per_alice_tables(terms, n_settings, n_outcomes, rows)
+    return int(_bob_maxima(m).sum(axis=1).max())
+
+
+def _histogram_counts(terms, n_settings, n_outcomes=3, rows=slice(None), weights=None):
+    """Configurations per coefficient, over the Alice tuples `rows`.
+
+    Row i's counts are the coefficients of prod_t sum_b x**M[i, t, b]; the
+    rows are summed with `weights` (default one each).
+    """
+    m = _per_alice_tables(terms, n_settings, n_outcomes, rows)
     n_terms = len(terms)
-
-    def one_chunk(lo):
-        block = flat[lo:lo + chunk_size].astype(np.float32) @ onehot.T
-        return np.bincount(
-            block.astype(np.int64).ravel(), minlength=n_terms + 1
+    width = n_terms + 1
+    # No coefficient exceeds n_terms, so shifting within `width` columns
+    # never drops a count.
+    poly = np.zeros((len(m), width), dtype=np.int64)
+    poly[:, 0] = 1
+    shifted = width + np.arange(width)
+    for t in range(n_settings):
+        padded = np.concatenate([np.zeros_like(poly), poly], axis=1)
+        poly = sum(
+            np.take_along_axis(padded, shifted - m[:, t, b, None], axis=1)
+            for b in range(n_outcomes)
         )
+    counts = poly.sum(axis=0) if weights is None else weights @ poly
 
-    starts = range(0, len(flat), chunk_size)
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            parts = list(pool.map(one_chunk, starts))
-    else:
-        parts = [one_chunk(lo) for lo in starts]
-    counts = np.zeros(n_terms + 1, dtype=np.int64)
-    for part in parts:
-        counts += part
-
-    fast_max = int(m.max(axis=2).sum(axis=1).max()) if n_terms else 0
+    fast_max = int(_bob_maxima(m).sum(axis=1).max()) if n_terms else 0
     hist_max = int(np.flatnonzero(counts)[-1]) if counts.any() else 0
     if fast_max != hist_max:
         raise RuntimeError(
@@ -215,23 +293,24 @@ def classical_max(expr: BellExpression) -> int:
     """Largest number of terms any deterministic configuration satisfies.
 
     Uses the separable fast path: per Alice tuple, Bob's settings decouple
-    and contribute their per-setting maxima.
+    and contribute their per-setting maxima.  Only one Alice tuple per S4
+    orbit is scanned when the expression is invariant.
     """
     if not expr.terms:
         return 0
-    return _max_coefficient(expr.terms, expr.n_settings, expr.n_outcomes)
+    rows, _ = _alice_rows(expr)
+    return _max_coefficient(expr.terms, expr.n_settings, expr.n_outcomes, rows)
 
 
-def classical_histogram(expr: BellExpression, chunk_size=729, n_jobs=1) -> StrategyHistogram:
+def classical_histogram(expr: BellExpression) -> StrategyHistogram:
     """Coefficient histogram over all deterministic configurations.
 
-    `chunk_size` groups Alice tuples into independent work items; with
-    `n_jobs` > 1 the chunks run on a thread pool (the heavy lifting is a
-    matrix product that releases the GIL).  The merged result does not
-    depend on chunking or scheduling.
+    For an invariant expression each S4-orbit representative's counts are
+    weighted by its orbit size; the counts are integer-exact either way.
     """
+    rows, weights = _alice_rows(expr)
     counts = _histogram_counts(
-        expr.terms, expr.n_settings, expr.n_outcomes, chunk_size, n_jobs
+        expr.terms, expr.n_settings, expr.n_outcomes, rows, weights
     )
     c_max = int(np.flatnonzero(counts)[-1]) if counts.any() else 0
     return StrategyHistogram(
@@ -240,6 +319,32 @@ def classical_histogram(expr: BellExpression, chunk_size=729, n_jobs=1) -> Strat
         n_terms=len(expr.terms),
         n_settings=expr.n_settings,
     )
+
+
+def multiset_maxima(exprs, size):
+    """Classical maxima of the unions of every `size`-multiset of `exprs`.
+
+    Multisets come in `itertools.combinations_with_replacement` order over
+    `exprs`, and a term counts once for each member that holds it.  The
+    expressions must share their numbers of settings and outcomes.
+    Per-Alice tables add over members, so each table is built once, and
+    every prefix of a multiset is completed by all its possible last
+    members at once.
+    """
+    n_settings, n_outcomes = exprs[0].n_settings, exprs[0].n_outcomes
+    if all(_is_invariant(expr) for expr in exprs):
+        rows = _alice_orbits().representatives
+    else:
+        rows = slice(None)
+    tables = np.stack(
+        [_per_alice_tables(e.terms, n_settings, n_outcomes, rows) for e in exprs]
+    )
+    maxima = []
+    for prefix in itertools.combinations_with_replacement(range(len(exprs)), size - 1):
+        base = tables[list(prefix)].sum(axis=0, dtype=tables.dtype)
+        totals = base + tables[prefix[-1] if prefix else 0:]
+        maxima += _bob_maxima(totals).sum(axis=2).max(axis=1).tolist()
+    return maxima
 
 
 def optimal_classical_strategy(expr: BellExpression):

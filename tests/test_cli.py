@@ -146,6 +146,13 @@ def test_scan_phi_override():
     assert "x28:x28" in out
 
 
+def test_scan_rejects_negative_top(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["scan", "--orbits", "1", "--top", "-20"])
+    assert err.value.code == 2
+    assert "--top" in capsys.readouterr().err
+
+
 def test_scan_three_orbits_contains_cases():
     code, out = run_cli(["scan", "--orbits", "3", "--top", "2600"])
     assert code == 0
@@ -160,8 +167,8 @@ def test_scan_three_orbits_contains_cases():
 
 def test_verify_deterministic_and_reports_known_mismatch():
     lines_a, lines_b = [], []
-    ok_a = run_verification(jobs=1, echo=lines_a.append)
-    ok_b = run_verification(jobs=3, echo=lines_b.append)
+    ok_a = run_verification(echo=lines_a.append)
+    ok_b = run_verification(echo=lines_b.append)
     assert lines_a == lines_b
     assert ok_a is False and ok_b is False
     failures = [line for line in lines_a if line.startswith("FAIL")]
@@ -172,6 +179,6 @@ def test_verify_deterministic_and_reports_known_mismatch():
 
 
 def test_verify_command_exit_code():
-    code, out = run_cli(["verify", "--jobs", "2"])
+    code, out = run_cli(["verify"])
     assert code == 1
     assert "18/19 checks passed" in out
