@@ -25,7 +25,7 @@ phi = ctx.orbit.coords(1, 0)
 psi = ctx.orbit.coords(4, 1)
 print("\nOne orbit pair, x01:x14.  The summed projector operator has trace 24")
 x = build_x_operator(phi, psi, ctx.product)
-print(f"  trace: {np.trace(x.matrix):.6f}")
+print(f"  trace: {np.trace(x):.6f}")
 
 table = eigenvalues_isotypic(phi, psi, ctx.decomposition)
 print("  componentwise eigenvalues (group order / dim * squared projection):")

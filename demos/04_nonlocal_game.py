@@ -39,7 +39,7 @@ best = evaluate_strategy(f_alice, f_bob, table)
 print(f"\nThe optimal deterministic strategy wins {best} = {float(best):.4f},")
 print("and no classical strategy can do better.")
 
-value = game_values(expr, pairs, ctx.orbit, ctx.product, ctx.decomposition)
+value = game_values(expr, ctx)
 print(f"\nSharing the top eigenstate of the summed operator instead wins")
 print(f"  {value.quantum:.6f}  (vs classical {float(value.classical):.6f})")
 print(f"violation: {value.violation}, gap {value.gap:.6f}")

@@ -41,17 +41,13 @@ from .orbit import (
 from .permgroup import (
     GroupTable,
     Permutation,
-    compose,
-    cycle_type,
     generate_group,
     parse_cycles,
-    sign,
     symmetric_group,
 )
 from .quantum import (
     EIG_TOL,
     SumSpectrum,
-    XOperator,
     build_x_operator,
     eigenvalues_direct,
     eigenvalues_isotypic,

@@ -16,17 +16,16 @@ the product over Bob's settings of the polynomials sum_b x**M[t][b].
 The scan is also symmetry-reduced.  Each element of S4 permutes the
 orbit labels and maps measurement bases onto bases, so it permutes Alice
 tuples; the 3**8 tuples fall into 306 orbits.  When the term set of an
-8-setting, 3-outcome expression maps onto itself under every element
-(true of every `bell_terms` output), the per-tuple maximum and histogram
-are constant on each orbit, and one representative per orbit, weighted by
-the orbit size, stands for all of its tuples.  The orbit table is built
+8-setting expression maps onto itself under every element (true of every
+`bell_terms` output), the per-tuple maximum and histogram are constant on
+each orbit, and one representative per orbit, weighted by the orbit size,
+stands for all of its tuples.  The orbit table is built
 on first use.  Any other expression takes the full scan over every tuple,
 which also serves the tests as the reference.  `optimal_classical_strategy`
 always scans every tuple, because it breaks ties over all of them.
 """
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import NamedTuple
@@ -51,6 +50,9 @@ __all__ = [
     "histogram_csv",
 ]
 
+# Outcomes per setting: one per vector of an orthonormal basis of R^3.
+N_OUTCOMES = 3
+
 
 class Term(NamedTuple):
     """One probability term P(a_s = a, b_t = b)."""
@@ -68,7 +70,6 @@ class BellExpression:
     terms: tuple
     pairs: tuple = ()
     n_settings: int = 8
-    n_outcomes: int = 3
 
     def __post_init__(self):
         terms = tuple(Term(*t) for t in self.terms)
@@ -76,7 +77,7 @@ class BellExpression:
         for term in terms:
             if not (1 <= term.s <= self.n_settings and 1 <= term.t <= self.n_settings):
                 raise ValueError(f"setting out of range in {term}")
-            if not (0 <= term.a < self.n_outcomes and 0 <= term.b < self.n_outcomes):
+            if not (0 <= term.a < N_OUTCOMES and 0 <= term.b < N_OUTCOMES):
                 raise ValueError(f"outcome out of range in {term}")
         if len(set(terms)) != len(terms):
             seen = set()
@@ -119,7 +120,6 @@ class StrategyHistogram:
     counts: dict  # c -> number of configurations, complete over 0..n_terms
     c_max: int
     n_terms: int
-    n_settings: int
 
     def total(self):
         return sum(self.counts.values())
@@ -135,9 +135,6 @@ class StrategyHistogram:
             "total": self.total(),
         }
 
-    def to_json(self):
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2)
-
 
 def histogram_csv(hist: StrategyHistogram) -> str:
     """CSV rows "c,count" for c = 1..20 (or further when c_max exceeds 20)."""
@@ -148,10 +145,10 @@ def histogram_csv(hist: StrategyHistogram) -> str:
 
 
 @lru_cache(maxsize=8)
-def _profiles(n_settings, n_outcomes=3):
+def _profiles(n_settings):
     """All outcome tuples of one party, in lexicographic order."""
     arr = np.array(
-        list(itertools.product(range(n_outcomes), repeat=n_settings)), dtype=np.int8
+        list(itertools.product(range(N_OUTCOMES), repeat=n_settings)), dtype=np.int8
     )
     arr.setflags(write=False)
     return arr
@@ -204,10 +201,10 @@ def _alice_orbits():
 def _is_invariant(expr: BellExpression) -> bool:
     """True when every S4 element maps the term set onto itself.
 
-    Only 3-outcome expressions over the eight orbit bases can pass.
+    Only expressions over the eight orbit bases can pass.
     """
     action = _alice_orbits().label_action
-    if expr.n_outcomes != 3 or 3 * expr.n_settings != action.shape[1]:
+    if 3 * expr.n_settings != action.shape[1]:
         return False
     f = _satisfaction_table(expr.terms, expr.n_settings).reshape(action.shape[1], -1)
     return bool((f[action[:, :, None], action[:, None, :]] == f).all())
@@ -222,23 +219,23 @@ def _alice_rows(expr: BellExpression):
     if _is_invariant(expr):
         orbits = _alice_orbits()
         return orbits.representatives, orbits.sizes
-    n = expr.n_outcomes ** expr.n_settings
+    n = N_OUTCOMES ** expr.n_settings
     return np.arange(n), np.ones(n, dtype=np.int64)
 
 
-def _satisfaction_table(terms, n_settings, n_outcomes=3):
+def _satisfaction_table(terms, n_settings):
     """F[s-1, a, t-1, b] = multiplicity of the term (s, a, t, b)."""
-    table = np.zeros((n_settings, n_outcomes, n_settings, n_outcomes), dtype=np.int16)
+    table = np.zeros((n_settings, N_OUTCOMES, n_settings, N_OUTCOMES), dtype=np.int16)
     for s, a, t, b in terms:
         table[s - 1, a, t - 1, b] += 1
     return table
 
 
-def _per_alice_tables(terms, n_settings, n_outcomes=3, rows=slice(None)):
+def _per_alice_tables(terms, n_settings, rows=slice(None)):
     """M[i, t, b]: terms with Bob pair (t, b) satisfied by Alice tuple rows[i]."""
-    table = _satisfaction_table(terms, n_settings, n_outcomes)
-    prof = _profiles(n_settings, n_outcomes)[rows]
-    m = np.zeros((len(prof), n_settings, n_outcomes), dtype=np.int16)
+    table = _satisfaction_table(terms, n_settings)
+    prof = _profiles(n_settings)[rows]
+    m = np.zeros((len(prof), n_settings, N_OUTCOMES), dtype=np.int16)
     for s in range(n_settings):
         m += table[s][prof[:, s]]
     return m
@@ -253,18 +250,18 @@ def _bob_maxima(m):
     return reduce(np.maximum, np.moveaxis(m, -1, 0))
 
 
-def _max_coefficient(terms, n_settings, n_outcomes=3, rows=slice(None)):
-    m = _per_alice_tables(terms, n_settings, n_outcomes, rows)
+def _max_coefficient(terms, n_settings, rows=slice(None)):
+    m = _per_alice_tables(terms, n_settings, rows)
     return int(_bob_maxima(m).sum(axis=1).max())
 
 
-def _histogram_counts(terms, n_settings, n_outcomes=3, rows=slice(None), weights=None):
+def _histogram_counts(terms, n_settings, rows=slice(None), weights=None):
     """Configurations per coefficient, over the Alice tuples `rows`.
 
     Row i's counts are the coefficients of prod_t sum_b x**M[i, t, b]; the
     rows are summed with `weights` (default one each).
     """
-    m = _per_alice_tables(terms, n_settings, n_outcomes, rows)
+    m = _per_alice_tables(terms, n_settings, rows)
     n_terms = len(terms)
     width = n_terms + 1
     # No coefficient exceeds n_terms, so shifting within `width` columns
@@ -276,7 +273,7 @@ def _histogram_counts(terms, n_settings, n_outcomes=3, rows=slice(None), weights
         padded = np.concatenate([np.zeros_like(poly), poly], axis=1)
         poly = sum(
             np.take_along_axis(padded, shifted - m[:, t, b, None], axis=1)
-            for b in range(n_outcomes)
+            for b in range(N_OUTCOMES)
         )
     counts = poly.sum(axis=0) if weights is None else weights @ poly
 
@@ -299,7 +296,7 @@ def classical_max(expr: BellExpression) -> int:
     if not expr.terms:
         return 0
     rows, _ = _alice_rows(expr)
-    return _max_coefficient(expr.terms, expr.n_settings, expr.n_outcomes, rows)
+    return _max_coefficient(expr.terms, expr.n_settings, rows)
 
 
 def classical_histogram(expr: BellExpression) -> StrategyHistogram:
@@ -309,15 +306,12 @@ def classical_histogram(expr: BellExpression) -> StrategyHistogram:
     weighted by its orbit size; the counts are integer-exact either way.
     """
     rows, weights = _alice_rows(expr)
-    counts = _histogram_counts(
-        expr.terms, expr.n_settings, expr.n_outcomes, rows, weights
-    )
+    counts = _histogram_counts(expr.terms, expr.n_settings, rows, weights)
     c_max = int(np.flatnonzero(counts)[-1]) if counts.any() else 0
     return StrategyHistogram(
         counts={c: int(counts[c]) for c in range(len(counts))},
         c_max=c_max,
         n_terms=len(expr.terms),
-        n_settings=expr.n_settings,
     )
 
 
@@ -326,18 +320,18 @@ def multiset_maxima(exprs, size):
 
     Multisets come in `itertools.combinations_with_replacement` order over
     `exprs`, and a term counts once for each member that holds it.  The
-    expressions must share their numbers of settings and outcomes.
+    expressions must share their number of settings.
     Per-Alice tables add over members, so each table is built once, and
     every prefix of a multiset is completed by all its possible last
     members at once.
     """
-    n_settings, n_outcomes = exprs[0].n_settings, exprs[0].n_outcomes
+    n_settings = exprs[0].n_settings
     if all(_is_invariant(expr) for expr in exprs):
         rows = _alice_orbits().representatives
     else:
         rows = slice(None)
     tables = np.stack(
-        [_per_alice_tables(e.terms, n_settings, n_outcomes, rows) for e in exprs]
+        [_per_alice_tables(e.terms, n_settings, rows) for e in exprs]
     )
     maxima = []
     for prefix in itertools.combinations_with_replacement(range(len(exprs)), size - 1):
@@ -358,10 +352,10 @@ def optimal_classical_strategy(expr: BellExpression):
     n = expr.n_settings
     if not expr.terms:
         return (0,) * n, (0,) * n
-    m = _per_alice_tables(expr.terms, n, expr.n_outcomes)
+    m = _per_alice_tables(expr.terms, n)
     scores = m.max(axis=2).sum(axis=1)
     best = int(np.argmax(scores))
-    f_alice = tuple(int(x) for x in _profiles(n, expr.n_outcomes)[best])
+    f_alice = tuple(int(x) for x in _profiles(n)[best])
     f_bob = tuple(int(x) for x in np.argmax(m[best], axis=1))
     return f_alice, f_bob
 
@@ -375,21 +369,21 @@ def coefficient(expr: BellExpression, f_alice, f_bob) -> int:
     )
 
 
-def configuration_index(f_alice, f_bob, n_outcomes=3) -> int:
+def configuration_index(f_alice, f_bob) -> int:
     """Base-3 encoding of a configuration: Alice digits first, little-endian
     in the setting index, Bob digits above them."""
     idx = 0
     for k, a in enumerate(f_alice):
-        idx += int(a) * n_outcomes ** k
+        idx += int(a) * N_OUTCOMES ** k
     shift = len(f_alice)
     for k, b in enumerate(f_bob):
-        idx += int(b) * n_outcomes ** (shift + k)
+        idx += int(b) * N_OUTCOMES ** (shift + k)
     return idx
 
 
-def configuration_from_index(index, n_settings, n_outcomes=3):
+def configuration_from_index(index, n_settings):
     digits = []
     for _ in range(2 * n_settings):
-        digits.append(index % n_outcomes)
-        index //= n_outcomes
+        digits.append(index % N_OUTCOMES)
+        index //= N_OUTCOMES
     return tuple(digits[:n_settings]), tuple(digits[n_settings:])

@@ -60,7 +60,7 @@ class PairSpecError(ValueError):
         self.position = position
 
 
-_LABEL_RE = re.compile(r"x(\d)(\d)")
+_LABEL_RE = re.compile(r"x([0-9])([0-9])")
 
 
 def _parse_label(token, position):
@@ -165,17 +165,12 @@ def run_verification(echo=print):
         )
 
         worst = 0.0
-        for pair in pairs:
+        for pair, table in zip(pairs, spectrum.per_pair):
             phi = ctx.orbit.coords(*pair.alice)
             psi = ctx.orbit.coords(*pair.bob)
             direct, _ = eigenvalues_direct(build_x_operator(phi, psi, ctx.product))
             expected = sorted(
-                (
-                    value
-                    for label, value in eigenvalues_isotypic(phi, psi, ctx.decomposition)
-                    for _ in range(ctx.decomposition.component(label).dim)
-                ),
-                reverse=True,
+                (value for _, dim, value in table for _ in range(dim)), reverse=True
             )
             worst = max(worst, float(np.abs(direct - np.array(expected)).max()))
         check(
@@ -185,7 +180,7 @@ def run_verification(echo=print):
         )
 
         expr = bell_terms(pairs, ctx.orbit)
-        case_exprs[name] = (pairs, expr)
+        case_exprs[name] = expr
         cmax = classical_max(expr)
         check(
             f"case {name}: classical bound",
@@ -194,7 +189,7 @@ def run_verification(echo=print):
         )
 
     for name in tables.CASE_NAMES:
-        _, expr = case_exprs[name]
+        expr = case_exprs[name]
         hist = classical_histogram(expr)
         ref = tables.REF_COEFFICIENT_COUNTS[name]
         rows_ok = all(hist.counts.get(c, 0) == ref[c - 1] for c in range(1, 21))
@@ -209,7 +204,7 @@ def run_verification(echo=print):
             f"mass checks {'pass' if mass_ok else 'FAIL'}",
         )
 
-    pairs_i, expr_i = case_exprs["I"]
+    expr_i = case_exprs["I"]
     table = winning_table(expr_i)
     check(
         "case I: winning table",
@@ -217,7 +212,7 @@ def run_verification(echo=print):
         f"{len(table.entries)} settings pairs, "
         f"uniform triple structure: {table.has_uniform_triple_structure()}",
     )
-    value = game_values(expr_i, pairs_i, ctx.orbit, ctx.product, ctx.decomposition)
+    value = game_values(expr_i, ctx)
     ok = value.classical == Fraction(16, 64) and abs(
         value.quantum - tables.REF_QUANTUM_WIN_I
     ) <= 1e-4
@@ -248,7 +243,7 @@ def _analysis(pairs, with_histogram):
     expr = bell_terms(pairs, ctx.orbit)
     cmax = classical_max(expr)
     table = winning_table(expr)
-    value = game_values(expr, pairs, ctx.orbit, ctx.product, ctx.decomposition)
+    value = game_values(expr, ctx)
     hist = classical_histogram(expr) if with_histogram else None
     return spectrum, expr, cmax, table, value, hist
 
@@ -336,7 +331,7 @@ def _cmd_game(args):
     ctx = standard_context()
     expr = bell_terms(pairs, ctx.orbit)
     table = winning_table(expr)
-    value = game_values(expr, pairs, ctx.orbit, ctx.product, ctx.decomposition)
+    value = game_values(expr, ctx)
     print(table.render_text(), end="")
     print(f"classical value: {value.classical} = {float(value.classical):.4f}")
     print(f"quantum value:   {value.quantum:.4f}")

@@ -8,14 +8,12 @@ bound, and the best quantum strategy (measuring a shared eigenstate of the
 summed orbit operator) wins lambda_max / 64.
 """
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .classical import BellExpression, classical_max
-from .orbit import Orbit
+from .context import Context
 from .quantum import max_eigenvalue_sum
-from .representation import IsotypicDecomposition, Representation
 
 __all__ = [
     "WinningTable",
@@ -70,9 +68,6 @@ class WinningTable:
             for (s, t), pairs in self.entries.items()
         }
 
-    def to_json(self):
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2)
-
 
 def winning_table(expr: BellExpression) -> WinningTable:
     """Group the expression's terms by settings pair."""
@@ -99,13 +94,15 @@ class GameValue:
         return self.quantum - float(self.classical)
 
 
-def game_values(expr: BellExpression, pairs, orbit: Orbit,
-                product: Representation,
-                decomposition: IsotypicDecomposition) -> GameValue:
-    """Classical and quantum winning probabilities of the expression's game."""
+def game_values(expr: BellExpression, ctx: Context) -> GameValue:
+    """Classical and quantum winning probabilities of the expression's game.
+
+    The quantum value comes from the orbit pairs the expression was built
+    from, `expr.pairs`.
+    """
     denominator = expr.n_settings ** 2
     classical = Fraction(classical_max(expr), denominator)
-    spectrum = max_eigenvalue_sum(pairs, orbit, product, decomposition)
+    spectrum = max_eigenvalue_sum(expr.pairs, ctx.orbit, ctx.product, ctx.decomposition)
     return GameValue(classical, spectrum.lambda_max / denominator)
 
 

@@ -107,9 +107,6 @@ class Orbit:
     def _by_element(self):
         return {v.element: v for v in self.vectors}
 
-    def vector(self, basis, outcome):
-        return self._by_label[(basis, outcome)]
-
     def coords(self, basis, outcome):
         return self._by_label[(basis, outcome)].coords
 
@@ -146,11 +143,11 @@ def orbit_to_json(orbit: Orbit) -> str:
     return json.dumps(orbit.as_dict(), sort_keys=True, indent=2)
 
 
-def partition_into_bases(vectors, ortho_tol=EPS):
+def partition_into_bases(vectors):
     """Split distinct unit vectors into mutually orthogonal triples.
 
     Builds the orthogonality graph (edges between vectors whose dot product
-    vanishes to within `ortho_tol`) and searches for exact covers by
+    vanishes to within EPS) and searches for exact covers by
     triangles, always branching on the lowest-index uncovered vector so the
     enumeration order is deterministic.  Returns the lexicographically
     first cover together with the total number of covers found.
@@ -171,7 +168,7 @@ def partition_into_bases(vectors, ortho_tol=EPS):
                 raise ValueError(f"vectors {a} and {b} coincide")
 
     orthogonal = [
-        {b for b in range(n) if b != a and abs(gram[a, b]) < ortho_tol}
+        {b for b in range(n) if b != a and abs(gram[a, b]) < EPS}
         for a in range(n)
     ]
     triangles = [

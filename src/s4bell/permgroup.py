@@ -16,11 +16,8 @@ import numpy as np
 __all__ = [
     "Permutation",
     "GroupTable",
-    "compose",
     "generate_group",
     "symmetric_group",
-    "sign",
-    "cycle_type",
     "parse_cycles",
 ]
 
@@ -106,26 +103,13 @@ class Permutation:
         return cls(tuple(images))
 
 
-def compose(p, q):
-    """(p o q)(k) = p(q(k)); both factors must share the same degree."""
-    return p * q
-
-
-def sign(p):
-    return p.sign()
-
-
-def cycle_type(p):
-    return p.cycle_type()
-
-
 @dataclass(frozen=True)
 class GroupTable:
     """All elements of a finite permutation group, in canonical order.
 
     The canonical order is lexicographic on one-line images, which places
-    the identity at index 0.  Multiplication and inversion are precomputed
-    as index tables.
+    the identity at index 0.  Multiplication is precomputed as an index
+    table.
     """
 
     elements: tuple
@@ -164,12 +148,6 @@ class GroupTable:
         for i, p in enumerate(self.elements):
             for j, q in enumerate(self.elements):
                 table[i, j] = self._index[p * q]
-        table.setflags(write=False)
-        return table
-
-    @cached_property
-    def inverse_table(self):
-        table = np.array([self._index[p.inverse()] for p in self.elements])
         table.setflags(write=False)
         return table
 

@@ -18,7 +18,6 @@ summed matrix; componentwise sums are reported alongside but never used as
 a shortcut for the maximum.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -29,7 +28,6 @@ from .representation import EPS, IsotypicDecomposition, Representation
 
 __all__ = [
     "EIG_TOL",
-    "XOperator",
     "build_x_operator",
     "jacobi_eigh",
     "eigenvalues_direct",
@@ -40,56 +38,52 @@ __all__ = [
 
 # Tolerance for agreement between independently computed eigenvalues.
 EIG_TOL = 1e-6
+# Jacobi stops once the off-diagonal norm is below JACOBI_TOL times the
+# matrix norm; MAX_SWEEPS is far more than the quadratic convergence ever
+# needs at these sizes.
+JACOBI_TOL = 1e-12
+MAX_SWEEPS = 100
 
 
-@dataclass(frozen=True)
-class XOperator:
-    """A summed projector operator together with the pairs that produced it."""
-
-    matrix: np.ndarray
-    pairs: tuple = ()
-
-    def __post_init__(self):
-        arr = np.array(self.matrix, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
-        if np.abs(arr - arr.T).max() > EPS:
-            raise ValueError("operator must be symmetric")
-
-
-def build_x_operator(phi, psi, product: Representation,
-                     pairs=()) -> XOperator:
-    """Sum of rank-one projectors onto the orbit of phi (x) psi."""
+def build_x_operator(phi, psi, product: Representation) -> np.ndarray:
+    """Sum of rank-one projectors onto the orbit of phi (x) psi, read-only."""
     w0 = np.kron(np.asarray(phi, dtype=float), np.asarray(psi, dtype=float))
     x = np.zeros((len(w0), len(w0)))
     for k in range(product.group.order):
         w = product[k] @ w0
         x += np.outer(w, w)
-    return XOperator(x, tuple(pairs))
+    x.setflags(write=False)
+    return x
 
 
-def jacobi_eigh(matrix, tol=1e-12, max_sweeps=100):
+def jacobi_eigh(matrix):
     """Eigen-decomposition of a real symmetric matrix by cyclic Jacobi sweeps.
 
     Rotations run over the strict upper triangle in row order until the
-    off-diagonal Frobenius norm drops below `tol` relative to the matrix
-    norm (capped at `max_sweeps` sweeps, far more than the quadratic
-    convergence ever needs at these sizes).
+    off-diagonal Frobenius norm drops below JACOBI_TOL relative to the
+    matrix norm, for at most MAX_SWEEPS sweeps.  Every matrix diagonalized
+    in the package passes here, so this is where input is checked: a
+    matrix that is not square, not finite or not symmetric to within EPS
+    raises ValueError.
 
     Returns (eigenvalues descending, eigenvectors as matching columns).
     """
     a = np.array(matrix, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("square matrix required")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix must be finite")
+    if (np.abs(a - a.T) > EPS).any():
+        raise ValueError("matrix must be symmetric")
+    n = a.shape[0]
     v = np.eye(n)
     scale = max(1.0, float(np.linalg.norm(a)))
 
     def offnorm():
         return math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
 
-    for _ in range(max_sweeps):
-        if offnorm() <= tol * scale:
+    for _ in range(MAX_SWEEPS):
+        if offnorm() <= JACOBI_TOL * scale:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -102,30 +96,21 @@ def jacobi_eigh(matrix, tol=1e-12, max_sweeps=100):
                 t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
                 c = 1.0 / math.hypot(1.0, t)
                 s = t * c
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                vec_p, vec_q = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-    if offnorm() > tol * scale:
+                # Columns of a, then rows of a (columns of the view a.T),
+                # then the accumulated eigenvectors.
+                for m in (a, a.T, v):
+                    col_p, col_q = m[:, p].copy(), m[:, q].copy()
+                    m[:, p] = c * col_p - s * col_q
+                    m[:, q] = s * col_p + c * col_q
+    if offnorm() > JACOBI_TOL * scale:
         raise RuntimeError("Jacobi iteration did not converge")
     order = np.argsort(np.diag(a))[::-1]
     return np.diag(a)[order].copy(), v[:, order].copy()
 
 
-def eigenvalues_direct(operator):
-    """All eigenvalues of a symmetric operator, sorted descending.
-
-    Accepts an XOperator or a plain symmetric matrix.  Returns the
-    eigenvalue array together with the eigenvector of the largest one.
-    """
-    matrix = operator.matrix if isinstance(operator, XOperator) else np.asarray(operator, dtype=float)
-    if np.abs(matrix - matrix.T).max() > EPS:
-        raise ValueError("operator must be symmetric")
+def eigenvalues_direct(matrix):
+    """All eigenvalues of a symmetric matrix, sorted descending, together
+    with the eigenvector of the largest one."""
     values, vectors = jacobi_eigh(matrix)
     return values, vectors[:, 0]
 
@@ -167,9 +152,6 @@ class SumSpectrum:
             ],
         }
 
-    def to_json(self):
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2)
-
 
 def max_eigenvalue_sum(pairs, orbit: Orbit, product: Representation,
                        decomposition: IsotypicDecomposition) -> SumSpectrum:
@@ -187,7 +169,7 @@ def max_eigenvalue_sum(pairs, orbit: Orbit, product: Representation,
     for pair in pairs:
         phi = orbit.coords(*pair.alice)
         psi = orbit.coords(*pair.bob)
-        total += build_x_operator(phi, psi, product).matrix
+        total += build_x_operator(phi, psi, product)
         table = tuple(
             (label, decomposition.component(label).dim, value)
             for label, value in eigenvalues_isotypic(phi, psi, decomposition)

@@ -176,9 +176,6 @@ class IsotypicDecomposition:
     def projector(self, label):
         return self.component(label).projector
 
-    def project(self, label, vec):
-        return self.projector(label) @ np.asarray(vec, dtype=float)
-
 
 def isotypic_projectors(product: Representation,
                         standard: Representation) -> IsotypicDecomposition:

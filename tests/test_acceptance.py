@@ -194,7 +194,7 @@ def test_criterion_6_game(ctx, case_pairs):
         problems.append("winning table differs from the reference")
     if len(table.entries) != 24 or not all(len(v) == 3 for v in table.entries.values()):
         problems.append("winning table shape is not 24 rows of 3 pairs")
-    value = game_values(expr, pairs, ctx.orbit, ctx.product, ctx.decomposition)
+    value = game_values(expr, ctx)
     if value.classical != Fraction(16, 64):
         problems.append(f"classical value {value.classical} != 16/64")
     if abs(value.quantum - 0.2514) > 1e-4:

@@ -49,6 +49,16 @@ def test_parse_rejects_garbage():
         parse_pair_spec("hello")
 
 
+def test_parse_rejects_non_ascii_digits(capsys):
+    # Arabic-Indic digits zero, one, four: "x01:x14" in another script.
+    spec = "x\u0660\u0661:x\u0661\u0664"
+    with pytest.raises(PairSpecError) as err:
+        parse_pair_spec(spec)
+    assert err.value.position == 0
+    assert main(["game", "--pairs", spec]) == 2
+    assert "position 0" in capsys.readouterr().err
+
+
 def test_malformed_spec_exits_2(capsys):
     code = main(["analyze", "--pairs", "x31:x14"])
     assert code == 2

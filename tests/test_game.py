@@ -43,8 +43,8 @@ def test_uniform_triple_structure_reported(case_data):
 
 
 def test_game_values_case1(ctx, case_data):
-    pairs, expr, _ = case_data["I"]
-    value = game_values(expr, pairs, ctx.orbit, ctx.product, ctx.decomposition)
+    _, expr, _ = case_data["I"]
+    value = game_values(expr, ctx)
     assert value.classical == Fraction(16, 64)
     assert abs(value.quantum - 0.2514) <= 1e-4
     assert value.violation
@@ -52,7 +52,7 @@ def test_game_values_case1(ctx, case_data):
 
 def test_game_values_case2(ctx, case_data):
     pairs, expr, _ = case_data["II"]
-    value = game_values(expr, pairs, ctx.orbit, ctx.product, ctx.decomposition)
+    value = game_values(expr, ctx)
     spectrum = max_eigenvalue_sum(pairs, ctx.orbit, ctx.product, ctx.decomposition)
     assert value.classical == Fraction(18, 64)
     assert value.quantum == spectrum.lambda_max / 64

@@ -7,7 +7,6 @@ import pytest
 from conftest import random_unit
 from s4bell import tables
 from s4bell.quantum import (
-    XOperator,
     build_x_operator,
     eigenvalues_direct,
     eigenvalues_isotypic,
@@ -44,12 +43,12 @@ def test_trace_is_group_order(orbit, product):
     phi = orbit.coords(1, 0)
     psi = orbit.coords(4, 1)
     x = build_x_operator(phi, psi, product)
-    assert abs(np.trace(x.matrix) - 24.0) < 1e-9
+    assert abs(np.trace(x) - 24.0) < 1e-9
 
 
 def test_x_commutes_with_product_rep(product, rng):
     phi, psi = random_unit(rng), random_unit(rng)
-    x = build_x_operator(phi, psi, product).matrix
+    x = build_x_operator(phi, psi, product)
     for k in range(0, 24, 3):
         m = product[k]
         assert np.abs(x @ m - m @ x).max() < 1e-9
@@ -100,7 +99,7 @@ def test_isotypic_matches_direct_random_pairs(product, decomposition, rng):
             reverse=True,
         )
         assert np.abs(direct - np.array(expected)).max() < 1e-6
-        assert np.abs(x.matrix @ top - direct[0] * top).max() < 1e-6
+        assert np.abs(x @ top - direct[0] * top).max() < 1e-6
 
 
 def test_reference_scalar_values(orbit, decomposition, case_pairs):
@@ -169,18 +168,23 @@ def test_jacobi_zero_matrix():
     assert np.array_equal(values, np.zeros(9))
 
 
-def test_direct_rejects_nonsymmetric():
+def _bad_matrix(kind):
     bad = np.eye(9)
-    bad[0, 1] = 1e-3
-    with pytest.raises(ValueError):
-        eigenvalues_direct(bad)
+    if kind == "nonsymmetric":
+        bad[0, 1] = 1e-3
+    elif kind == "nan":
+        bad[:] = np.nan
+    else:
+        bad[0, 0], bad[4, 4] = np.inf, -np.inf
+    return bad
 
 
-def test_xoperator_rejects_nonsymmetric():
-    bad = np.eye(9)
-    bad[0, 1] = 1e-3
+@pytest.mark.parametrize("kind", ["nonsymmetric", "nan", "inf"])
+@pytest.mark.parametrize("solve", [jacobi_eigh, eigenvalues_direct],
+                         ids=["jacobi_eigh", "eigenvalues_direct"])
+def test_direct_rejects_nonsymmetric(solve, kind):
     with pytest.raises(ValueError):
-        XOperator(bad)
+        solve(_bad_matrix(kind))
 
 
 def test_sum_requires_pairs(orbit, product, decomposition):
