@@ -38,7 +38,7 @@ print(f"  scalar closed form 8 (phi . psi)^2 = {8 * float(phi @ psi) ** 2:.4f}")
 print("\nThe three built-in cases sum three such operators each:")
 for name in tables.CASE_NAMES:
     pairs = [OrbitPair(*p) for p in tables.CASE_PAIRS[name]]
-    spectrum = max_eigenvalue_sum(pairs, ctx.orbit, ctx.product, ctx.decomposition)
+    spectrum = max_eigenvalue_sum(pairs, ctx)
     scalars = [dict((lab, v) for lab, _, v in t)["D0"] for t in spectrum.per_pair]
     print(f"  case {name}: scalar eigenvalues "
           + " + ".join(f"{s:.4f}" for s in scalars)

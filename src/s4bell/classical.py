@@ -91,26 +91,19 @@ class BellExpression:
 def bell_terms(pairs, orbit: Orbit) -> BellExpression:
     """Expand labeled orbit pairs into their probability terms.
 
-    For each pair and each group element g, the images of the two seeds are
-    located in the labeled orbit, giving one term per (pair, element) in
-    canonical order.  Locating images uses the group product on recorded
-    element indices, which is exact.  Duplicate terms across pairs raise
-    ValueError.
+    For each pair and each group element g, the images of the two seeds
+    are read from the orbit's label action, giving one term per
+    (pair, element) in canonical order.  Duplicate terms across pairs
+    raise ValueError.
     """
     pairs = tuple(p if isinstance(p, OrbitPair) else OrbitPair(*p) for p in pairs)
-    product = orbit.group.product_table
+    labels = [v.label for v in orbit.vectors]
     terms = []
     for pair in pairs:
-        h_alice = orbit.element_of(*pair.alice)
-        h_bob = orbit.element_of(*pair.bob)
-        for g in range(orbit.group.order):
-            try:
-                s, a = orbit.label_of_element(int(product[g, h_alice]))
-                t, b = orbit.label_of_element(int(product[g, h_bob]))
-            except KeyError as exc:  # cannot happen for a full labeled orbit
-                raise RuntimeError(f"orbit lookup miss for element {exc}") from exc
-            terms.append(Term(s, a, t, b))
-    return BellExpression(tuple(terms), pairs, n_settings=len(orbit.triples))
+        alice = orbit.label_action[:, labels.index(pair.alice)]
+        bob = orbit.label_action[:, labels.index(pair.bob)]
+        terms += [Term(*labels[k], *labels[m]) for k, m in zip(alice, bob)]
+    return BellExpression(tuple(terms), pairs, n_settings=len(labels) // N_OUTCOMES)
 
 
 @dataclass(frozen=True)
@@ -155,9 +148,8 @@ def _profiles(n_settings):
 
 
 class _AliceOrbits(NamedTuple):
-    """The S4 action on orbit labels and its orbits on Alice tuples."""
+    """The orbits of S4 on Alice tuples."""
 
-    label_action: np.ndarray  # [g, k]: image under element g of label k = 3 (s - 1) + a
     representatives: np.ndarray  # smallest tuple index of each orbit, ascending
     sizes: np.ndarray  # number of tuples in each orbit
 
@@ -166,23 +158,15 @@ class _AliceOrbits(NamedTuple):
 def _alice_orbits():
     """Orbits of Alice's 3**8 tuples under S4 acting on the standard orbit labels.
 
-    The label action comes from the group product on element indices, the
-    exact route `bell_terms` takes.  An element g maps basis s onto basis
-    g.s, so it carries a tuple f to the tuple with outcome g.(s, f(s)) on
-    that basis.  Built on first use rather than with the context.
+    An element g maps basis s onto basis g.s, so it carries a tuple f to
+    the tuple with outcome g.(s, f(s)) on that basis.  Built on first use
+    rather than with the context.
     """
-    orbit = standard_context().orbit
-    n_settings = len(orbit.triples)
-    product = orbit.group.product_table
-    action = np.empty((orbit.group.order, 3 * n_settings), dtype=np.int64)
-    for v in orbit.vectors:
-        for g in range(orbit.group.order):
-            s, a = orbit.label_of_element(int(product[g, v.element]))
-            action[g, 3 * (v.basis - 1) + v.outcome] = 3 * (s - 1) + a
+    action = standard_context().orbit.label_action
+    n_settings = action.shape[1] // N_OUTCOMES
     bases = action // 3
     if (bases != bases[:, ::3].repeat(3, axis=1)).any():
         raise RuntimeError("a group element does not map measurement bases onto bases")
-    action.setflags(write=False)
 
     # A tuple's index in _profiles order is the sum over its labels (s, a)
     # of a * 3**(n_settings - s); the orbit's smallest index names it.
@@ -195,7 +179,7 @@ def _alice_orbits():
         np.minimum(smallest, place_value[g_action][labels].sum(axis=1), out=smallest)
     representatives = np.flatnonzero(smallest == np.arange(len(prof)))
     sizes = np.bincount(smallest)[representatives]
-    return _AliceOrbits(action, representatives, sizes)
+    return _AliceOrbits(representatives, sizes)
 
 
 def _is_invariant(expr: BellExpression) -> bool:
@@ -203,7 +187,7 @@ def _is_invariant(expr: BellExpression) -> bool:
 
     Only expressions over the eight orbit bases can pass.
     """
-    action = _alice_orbits().label_action
+    action = standard_context().orbit.label_action
     if 3 * expr.n_settings != action.shape[1]:
         return False
     f = _satisfaction_table(expr.terms, expr.n_settings).reshape(action.shape[1], -1)

@@ -17,7 +17,8 @@ basis 1.  Human-readable output rounds eigenvalues to two decimals; JSON
 output keeps full precision and sorted keys so that re-serializing a
 parsed report is byte-identical.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
+error (an internal cross-check failed).
 """
 
 import argparse
@@ -53,10 +54,11 @@ __all__ = ["main", "parse_pair_spec", "PairSpecError", "run_verification"]
 
 
 class PairSpecError(ValueError):
-    """A pair spec failed to parse; carries the offending position."""
+    """A pair spec failed to parse; carries the reason and the offending position."""
 
-    def __init__(self, message, position):
-        super().__init__(f"position {position}: {message}")
+    def __init__(self, reason, position):
+        super().__init__(f"position {position}: {reason}")
+        self.reason = reason
         self.position = position
 
 
@@ -145,7 +147,7 @@ def run_verification(echo=print):
     case_exprs = {}
     for name in tables.CASE_NAMES:
         pairs = tuple(OrbitPair(*p) for p in tables.CASE_PAIRS[name])
-        spectrum = max_eigenvalue_sum(pairs, ctx.orbit, ctx.product, ctx.decomposition)
+        spectrum = max_eigenvalue_sum(pairs, ctx)
 
         scalars = [dict((lab, val) for lab, _, val in t)["D0"] for t in spectrum.per_pair]
         refs = tables.REF_SCALAR_EIGENVALUES[name]
@@ -239,7 +241,7 @@ def _cmd_verify(args):
 
 def _analysis(pairs, with_histogram):
     ctx = standard_context()
-    spectrum = max_eigenvalue_sum(pairs, ctx.orbit, ctx.product, ctx.decomposition)
+    spectrum = max_eigenvalue_sum(pairs, ctx)
     expr = bell_terms(pairs, ctx.orbit)
     cmax = classical_max(expr)
     table = winning_table(expr)
@@ -345,7 +347,7 @@ def _cmd_game(args):
 
 def _cmd_scan(args):
     ctx = standard_context()
-    alice = _parse_label(args.phi, 0) if args.phi else (1, 0)
+    alice = args.phi
     phi = ctx.orbit.coords(*alice)
     labels = all_labels()
 
@@ -412,6 +414,13 @@ def _cmd_orbits(args):
 # entry point
 # ---------------------------------------------------------------------------
 
+def _label_argument(text):
+    try:
+        return _parse_label(text, 0)
+    except PairSpecError as exc:
+        raise argparse.ArgumentTypeError(exc.reason) from exc
+
+
 def _non_negative_int(text):
     value = int(text)
     if value < 0:
@@ -443,7 +452,9 @@ def build_parser():
     p_scan = sub.add_parser("scan", help="rank Bob label choices by violation gap")
     p_scan.add_argument("--orbits", type=int, required=True, choices=(1, 2, 3))
     p_scan.add_argument("--top", type=_non_negative_int, default=10)
-    p_scan.add_argument("--phi", default=None, help="Alice label, default x01")
+    p_scan.add_argument(
+        "--phi", type=_label_argument, default="x01", help="Alice label, default x01"
+    )
     p_scan.set_defaults(func=_cmd_scan)
 
     p_orbits = sub.add_parser("orbits", help="print the labeled reference orbit")
@@ -462,12 +473,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PairSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -102,7 +102,7 @@ def game_values(expr: BellExpression, ctx: Context) -> GameValue:
     """
     denominator = expr.n_settings ** 2
     classical = Fraction(classical_max(expr), denominator)
-    spectrum = max_eigenvalue_sum(expr.pairs, ctx.orbit, ctx.product, ctx.decomposition)
+    spectrum = max_eigenvalue_sum(expr.pairs, ctx)
     return GameValue(classical, spectrum.lambda_max / denominator)
 
 

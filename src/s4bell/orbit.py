@@ -86,11 +86,11 @@ class OrbitVector:
 
 @dataclass(frozen=True)
 class Orbit:
-    """A labeled orbit: vectors sorted by (basis, outcome), triples by basis."""
+    """A labeled orbit: vectors sorted by (basis, outcome), so position k
+    holds label (k // 3 + 1, k % 3)."""
 
     seed: np.ndarray
     vectors: tuple
-    triples: tuple
     group: GroupTable
     partition_count: int = 1
 
@@ -104,17 +104,24 @@ class Orbit:
         return {v.label: v for v in self.vectors}
 
     @cached_property
-    def _by_element(self):
-        return {v.element: v for v in self.vectors}
+    def label_action(self):
+        """[g, k]: position in `vectors` of the image of vectors[k] under element g.
+
+        Read off the group product on element indices, which is exact.
+        Read-only.
+        """
+        elements = [v.element for v in self.vectors]
+        position = np.empty(self.group.order, dtype=np.int64)
+        position[elements] = np.arange(len(elements))
+        action = position[self.group.product_table[:, elements]]
+        action.setflags(write=False)
+        return action
 
     def coords(self, basis, outcome):
         return self._by_label[(basis, outcome)].coords
 
     def element_of(self, basis, outcome):
         return self._by_label[(basis, outcome)].element
-
-    def label_of_element(self, element):
-        return self._by_element[element].label
 
     def label_of_coords(self, coords):
         """Label of the orbit vector within MATCH_TOL of `coords`."""
@@ -204,6 +211,17 @@ def partition_into_bases(vectors):
     return tuple(best), len(covers)
 
 
+def _distinct_images(rep: Representation, seed):
+    """(coords, element index) of each distinct image of `seed` (within
+    MATCH_TOL), in group-element order; the first occurrence wins."""
+    images = []
+    for k in range(rep.group.order):
+        w = rep[k] @ seed
+        if not any(np.linalg.norm(w - u) < MATCH_TOL for u, _ in images):
+            images.append((w, k))
+    return images
+
+
 def generate_orbit(rep: Representation, seed) -> Orbit:
     """Apply every group element to a unit seed and label the orbit.
 
@@ -220,11 +238,7 @@ def generate_orbit(rep: Representation, seed) -> Orbit:
     seed = np.asarray(seed, dtype=float)
     if abs(np.linalg.norm(seed) - 1.0) > 1e-9:
         raise ValueError("seed must be a unit vector")
-    reps = []  # (coords, element index), first occurrence wins
-    for k in range(rep.group.order):
-        w = rep[k] @ seed
-        if not any(np.linalg.norm(w - u) < MATCH_TOL for u, _ in reps):
-            reps.append((w, k))
+    reps = _distinct_images(rep, seed)
     if len(reps) < rep.group.order:
         raise DegenerateOrbitError(len(reps))
 
@@ -234,11 +248,7 @@ def generate_orbit(rep: Representation, seed) -> Orbit:
         for alpha, idx in enumerate(tri):
             coords, element = reps[idx]
             vectors.append(OrbitVector(coords, element, pos + 1, alpha))
-    n_triples = len(triples)
-    index_triples = tuple(
-        (3 * i, 3 * i + 1, 3 * i + 2) for i in range(n_triples)
-    )
-    return Orbit(seed, tuple(vectors), index_triples, rep.group, count)
+    return Orbit(seed, tuple(vectors), rep.group, count)
 
 
 def match_reference_labels(orbit: Orbit) -> Orbit:
@@ -270,11 +280,7 @@ def match_reference_labels(orbit: Orbit) -> Orbit:
         ),
         key=lambda v: v.label,
     )
-    n_triples = len(orbit.triples)
-    index_triples = tuple((3 * i, 3 * i + 1, 3 * i + 2) for i in range(n_triples))
-    return Orbit(
-        orbit.seed, tuple(relabeled), index_triples, orbit.group, orbit.partition_count
-    )
+    return Orbit(orbit.seed, tuple(relabeled), orbit.group, orbit.partition_count)
 
 
 def tetrahedron_orbit(rep: Representation) -> np.ndarray:
@@ -285,12 +291,7 @@ def tetrahedron_orbit(rep: Representation) -> np.ndarray:
     """
     seed = np.zeros(rep.dim)
     seed[0] = 1.0
-    out = []
-    for k in range(rep.group.order):
-        w = rep[k] @ seed
-        if not any(np.linalg.norm(w - u) < MATCH_TOL for u in out):
-            out.append(w)
-    arr = np.array(out)
+    arr = np.array([w for w, _ in _distinct_images(rep, seed)])
     arr.setflags(write=False)
     return arr
 

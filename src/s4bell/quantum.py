@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .orbit import Orbit, OrbitPair
+from .context import Context
+from .orbit import OrbitPair
 from .representation import EPS, IsotypicDecomposition, Representation
 
 __all__ = [
@@ -153,8 +154,7 @@ class SumSpectrum:
         }
 
 
-def max_eigenvalue_sum(pairs, orbit: Orbit, product: Representation,
-                       decomposition: IsotypicDecomposition) -> SumSpectrum:
+def max_eigenvalue_sum(pairs, ctx: Context) -> SumSpectrum:
     """Assemble the summed operator for labeled orbit pairs and diagonalize it.
 
     The componentwise sums of the per-pair eigenvalues must reappear in the
@@ -164,15 +164,15 @@ def max_eigenvalue_sum(pairs, orbit: Orbit, product: Representation,
     pairs = tuple(p if isinstance(p, OrbitPair) else OrbitPair(*p) for p in pairs)
     if not pairs:
         raise ValueError("need at least one orbit pair")
-    total = np.zeros((product.dim, product.dim))
+    total = np.zeros((ctx.product.dim, ctx.product.dim))
     per_pair = []
     for pair in pairs:
-        phi = orbit.coords(*pair.alice)
-        psi = orbit.coords(*pair.bob)
-        total += build_x_operator(phi, psi, product)
+        phi = ctx.orbit.coords(*pair.alice)
+        psi = ctx.orbit.coords(*pair.bob)
+        total += build_x_operator(phi, psi, ctx.product)
         table = tuple(
-            (label, decomposition.component(label).dim, value)
-            for label, value in eigenvalues_isotypic(phi, psi, decomposition)
+            (label, ctx.decomposition.component(label).dim, value)
+            for label, value in eigenvalues_isotypic(phi, psi, ctx.decomposition)
         )
         per_pair.append(table)
 

@@ -188,10 +188,9 @@ def isotypic_projectors(product: Representation,
     """
     group = product.group
     chi_std = character(standard)
-    sign_of = {ct: group[idx[0]].sign() for ct, idx in group.conjugacy_classes.items()}
     chi = {
         "D": chi_std,
-        "Dt": {ct: sign_of[ct] * chi_std[ct] for ct in chi_std},
+        "Dt": character(alternating_twist(standard)),
         "D0": {ct: 1.0 for ct in chi_std},
     }
     chi["D2"] = {

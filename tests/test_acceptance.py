@@ -66,7 +66,7 @@ def test_criterion_2_quantum_bounds(ctx, case_pairs):
     start = time.perf_counter()
     agreement = 0.0
     for name, pairs in case_pairs.items():
-        spectrum = max_eigenvalue_sum(pairs, ctx.orbit, ctx.product, ctx.decomposition)
+        spectrum = max_eigenvalue_sum(pairs, ctx)
         scalars = [dict((lab, v) for lab, _, v in t)["D0"] for t in spectrum.per_pair]
         for k, (got, ref) in enumerate(zip(scalars, tables.REF_SCALAR_EIGENVALUES[name])):
             if abs(got - ref) > 0.01:

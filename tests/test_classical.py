@@ -222,12 +222,14 @@ def test_optimal_strategy_lex_tiebreak():
     assert coefficient(expr, f_alice, f_bob) == 1
 
 
-def test_configuration_encoding_roundtrip(rng):
-    for _ in range(20):
-        f_alice = tuple(int(x) for x in rng.integers(0, 3, 8))
-        f_bob = tuple(int(x) for x in rng.integers(0, 3, 8))
-        idx = configuration_index(f_alice, f_bob)
-        assert configuration_from_index(idx, 8) == (f_alice, f_bob)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.tuples(*[st.integers(0, 2)] * n), st.tuples(*[st.integers(0, 2)] * n)
+)))
+def test_configuration_encoding_roundtrip(config):
+    f_alice, f_bob = config
+    idx = configuration_index(f_alice, f_bob)
+    assert 0 <= idx < 3 ** (2 * len(f_alice))
+    assert configuration_from_index(idx, len(f_alice)) == (f_alice, f_bob)
     # little-endian in the setting index, Alice digits low
     assert configuration_index((1,) + (0,) * 7, (0,) * 8) == 1
     assert configuration_index((0,) * 8, (1,) + (0,) * 7) == 3 ** 8

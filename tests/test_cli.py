@@ -3,9 +3,14 @@ import json
 from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from s4bell import cli
 from s4bell.cli import PairSpecError, main, parse_pair_spec, run_verification
-from s4bell.orbit import OrbitPair
+from s4bell.orbit import OrbitPair, all_labels
+
+LABELS = [f"x{outcome}{basis}" for basis, outcome in all_labels()]
 
 
 def run_cli(argv):
@@ -49,6 +54,28 @@ def test_parse_rejects_garbage():
         parse_pair_spec("hello")
 
 
+@given(
+    chunks=st.lists(st.tuples(st.sampled_from(LABELS), st.sampled_from(LABELS)),
+                    min_size=1, max_size=4),
+    where=st.data(),
+    bad=st.sampled_from(["x31", "x09", "x00", "y01", "x0", "x012", "X01", "x\u0660\u0661"]),
+    pad=st.sampled_from(["", " ", "  "]),
+)
+def test_parse_error_reports_offset_of_bad_label(chunks, where, bad, pad):
+    chunk = where.draw(st.integers(0, len(chunks) - 1))
+    side = where.draw(st.integers(0, 1))
+    tokens = [list(pair) for pair in chunks]
+    tokens[chunk][side] = pad + bad
+    spec = ",".join(f"{left}:{right}" for left, right in tokens)
+    offset = sum(len(left) + len(right) + 2 for left, right in tokens[:chunk])
+    if side:
+        offset += len(tokens[chunk][0]) + 1
+    with pytest.raises(PairSpecError) as err:
+        parse_pair_spec(spec)
+    assert err.value.position == offset + len(pad)
+    assert spec[err.value.position:].startswith(bad)
+
+
 def test_parse_rejects_non_ascii_digits(capsys):
     # Arabic-Indic digits zero, one, four: "x01:x14" in another script.
     spec = "x\u0660\u0661:x\u0661\u0664"
@@ -57,12 +84,33 @@ def test_parse_rejects_non_ascii_digits(capsys):
     assert err.value.position == 0
     assert main(["game", "--pairs", spec]) == 2
     assert "position 0" in capsys.readouterr().err
+    # a single label given to --phi is rejected by argparse, with no position
+    with pytest.raises(SystemExit) as exit_err:
+        main(["scan", "--orbits", "1", "--phi", "x\u0660\u0661"])
+    assert exit_err.value.code == 2
+    assert (
+        "argument --phi: expected a label like x01, got 'x\u0660\u0661'"
+        in capsys.readouterr().err
+    )
 
 
 def test_malformed_spec_exits_2(capsys):
     code = main(["analyze", "--pairs", "x31:x14"])
     assert code == 2
     assert "outcome 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target, argv", [
+    ("max_eigenvalue_sum", ["analyze", "--pairs", "x01:x14"]),
+    ("classical_histogram", ["verify"]),
+], ids=["analyze", "verify"])
+def test_internal_error_exits_3(monkeypatch, capsys, target, argv):
+    def fail(*args, **kwargs):
+        raise RuntimeError("cross-check failed")
+
+    monkeypatch.setattr(cli, target, fail)
+    assert main(argv) == 3
+    assert "internal error: cross-check failed" in capsys.readouterr().err
 
 
 def test_usage_error_exits_2():

@@ -53,7 +53,7 @@ def test_game_values_case1(ctx, case_data):
 def test_game_values_case2(ctx, case_data):
     pairs, expr, _ = case_data["II"]
     value = game_values(expr, ctx)
-    spectrum = max_eigenvalue_sum(pairs, ctx.orbit, ctx.product, ctx.decomposition)
+    spectrum = max_eigenvalue_sum(pairs, ctx)
     assert value.classical == Fraction(18, 64)
     assert value.quantum == spectrum.lambda_max / 64
     assert abs(value.quantum - 18.5138 / 64) < 1e-4
@@ -103,7 +103,7 @@ def test_quantum_value_consistent_with_term_view(ctx, case_data):
     # rebuild the operator from the term list and take the expectation in
     # the optimal shared state
     for name, (pairs, expr, _) in case_data.items():
-        spectrum = max_eigenvalue_sum(pairs, ctx.orbit, ctx.product, ctx.decomposition)
+        spectrum = max_eigenvalue_sum(pairs, ctx)
         op = np.zeros((9, 9))
         for s, a, t, b in expr.terms:
             w = np.kron(ctx.orbit.coords(s, a), ctx.orbit.coords(t, b))

@@ -71,11 +71,14 @@ def test_triples_are_orthonormal_and_complete(orbit):
 
 def test_group_covariance(orbit, rep, group):
     table = group.product_table
+    labels = [v.label for v in orbit.vectors]
     for g in range(group.order):
-        for v in orbit.vectors[::5]:
+        for k, v in enumerate(orbit.vectors):
             moved = rep[g] @ v.coords
             lab = orbit.label_of_coords(moved)
             assert orbit.element_of(*lab) == table[g, v.element]
+            # the label action (group product route) agrees with geometry
+            assert orbit.label_action[g, k] == labels.index(lab)
 
 
 def test_relabeling_preserves_geometry(orbit, rng):
@@ -104,8 +107,8 @@ def test_mirrored_seed_partitions_but_cannot_match(rep):
     # orthonormal triples but shares no vector with the reference table
     orb = generate_orbit(rep, -tables.CANONICAL_SEED)
     assert len(orb.vectors) == 24
-    for lo, mid, hi in orb.triples:
-        frame = np.array([orb.vectors[k].coords for k in (lo, mid, hi)])
+    for lo in range(0, 24, 3):
+        frame = np.array([v.coords for v in orb.vectors[lo:lo + 3]])
         assert np.abs(frame @ frame.T - np.eye(3)).max() < 1e-9
     with pytest.raises(TableMismatchError):
         match_reference_labels(orb)

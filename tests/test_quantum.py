@@ -126,9 +126,9 @@ def test_case1_second_orbit_max_is_not_scalar(orbit, decomposition, case_pairs):
     assert abs(table["D"] - 4.76) < 0.01
 
 
-def test_summed_operators(orbit, product, decomposition, case_pairs):
+def test_summed_operators(ctx, case_pairs):
     for name, pairs in case_pairs.items():
-        spectrum = max_eigenvalue_sum(pairs, orbit, product, decomposition)
+        spectrum = max_eigenvalue_sum(pairs, ctx)
         assert abs(spectrum.lambda_max - expected_lambda_max(name)) < 1e-9
         assert abs(max(spectrum.component_sums.values()) - spectrum.lambda_max) < 1e-9
         assert abs(spectrum.spectrum.sum() - 72.0) < 1e-9
@@ -140,9 +140,9 @@ def test_summed_operators(orbit, product, decomposition, case_pairs):
         assert np.linalg.norm(v - (u @ v) * u) < 1e-6
 
 
-def test_summed_case_values(orbit, product, decomposition, case_pairs):
+def test_summed_case_values(ctx, case_pairs):
     computed = {
-        name: max_eigenvalue_sum(pairs, orbit, product, decomposition).lambda_max
+        name: max_eigenvalue_sum(pairs, ctx).lambda_max
         for name, pairs in case_pairs.items()
     }
     assert abs(computed["I"] - 16.0930) < 5e-4
@@ -187,12 +187,12 @@ def test_direct_rejects_nonsymmetric(solve, kind):
         solve(_bad_matrix(kind))
 
 
-def test_sum_requires_pairs(orbit, product, decomposition):
+def test_sum_requires_pairs(ctx):
     with pytest.raises(ValueError):
-        max_eigenvalue_sum((), orbit, product, decomposition)
+        max_eigenvalue_sum((), ctx)
 
 
-def test_component_sums_equal_direct_maximum(orbit, product, decomposition, rng):
+def test_component_sums_equal_direct_maximum(ctx, rng):
     # every pair operator is scalar on the same four components, so the
     # summed spectrum is exactly the componentwise sums; repeated labels
     # are allowed here (only term expansion rejects duplicates)
@@ -202,7 +202,7 @@ def test_component_sums_equal_direct_maximum(orbit, product, decomposition, rng)
     for _ in range(20):
         picks = rng.integers(0, 24, 3)
         pairs = [OrbitPair((1, 0), labels[int(k)]) for k in picks]
-        spectrum = max_eigenvalue_sum(pairs, orbit, product, decomposition)
+        spectrum = max_eigenvalue_sum(pairs, ctx)
         assert abs(max(spectrum.component_sums.values()) - spectrum.lambda_max) < 1e-9
 
 
@@ -261,8 +261,7 @@ def test_case_iii_sum_eigenvalue_exact():
     assert abs(float(exact) - tables.SUM_EIGENVALUE_ERRATA["III"]) < 1e-12
 
 
-def test_case_iii_published_sum_is_truncated_entries(orbit, product, decomposition,
-                                                     case_pairs):
+def test_case_iii_published_sum_is_truncated_entries(ctx, orbit, case_pairs):
     # With Alice at x01 the scalar eigenvalue 8 (phi . psi)^2 takes 17
     # distinct values over the 24 Bob labels, and each published case III
     # per-orbit entry is within 0.01 of exactly one of them.  Every Bob
@@ -281,13 +280,13 @@ def test_case_iii_published_sum_is_truncated_entries(orbit, product, decompositi
     published = tables.REF_SUM_EIGENVALUE["III"]
     for bobs in itertools.product(*matches):
         pairs = [OrbitPair((1, 0), bob) for bob in bobs]
-        spectrum = max_eigenvalue_sum(pairs, orbit, product, decomposition)
+        spectrum = max_eigenvalue_sum(pairs, ctx)
         assert spectrum.lambda_max - published > 0.01
 
     # Every other published two-decimal entry is the truncation of the
     # computed value (1e-9 absorbs the rounding of case II's exact 8).
     for name, pairs in case_pairs.items():
-        spectrum = max_eigenvalue_sum(pairs, orbit, product, decomposition)
+        spectrum = max_eigenvalue_sum(pairs, ctx)
         scalars = [dict((lab, v) for lab, _, v in t)["D0"] for t in spectrum.per_pair]
         for got, ref in zip(scalars, tables.REF_SCALAR_EIGENVALUES[name]):
             assert ref - 1e-9 <= got < ref + 0.01
