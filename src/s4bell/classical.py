@@ -21,8 +21,7 @@ tuples; the 3**8 tuples fall into 306 orbits.  When the term set of an
 each orbit, and one representative per orbit, weighted by the orbit size,
 stands for all of its tuples.  The orbit table is built
 on first use.  Any other expression takes the full scan over every tuple,
-which also serves the tests as the reference.  `optimal_classical_strategy`
-always scans every tuple, because it breaks ties over all of them.
+which also serves the tests as the reference.
 """
 
 import itertools
@@ -45,8 +44,6 @@ __all__ = [
     "multiset_maxima",
     "optimal_classical_strategy",
     "coefficient",
-    "configuration_index",
-    "configuration_from_index",
     "histogram_csv",
 ]
 
@@ -164,16 +161,16 @@ def _alice_orbits():
     """
     action = standard_context().orbit.label_action
     n_settings = action.shape[1] // N_OUTCOMES
-    bases = action // 3
-    if (bases != bases[:, ::3].repeat(3, axis=1)).any():
+    bases = action // N_OUTCOMES
+    if (bases != bases[:, ::N_OUTCOMES].repeat(N_OUTCOMES, axis=1)).any():
         raise RuntimeError("a group element does not map measurement bases onto bases")
 
     # A tuple's index in _profiles order is the sum over its labels (s, a)
     # of a * 3**(n_settings - s); the orbit's smallest index names it.
-    k = np.arange(3 * n_settings)
-    place_value = (k % 3) * 3 ** (n_settings - 1 - k // 3)
+    k = np.arange(N_OUTCOMES * n_settings)
+    place_value = (k % N_OUTCOMES) * N_OUTCOMES ** (n_settings - 1 - k // N_OUTCOMES)
     prof = _profiles(n_settings)
-    labels = 3 * np.arange(n_settings) + prof
+    labels = N_OUTCOMES * np.arange(n_settings) + prof
     smallest = np.arange(len(prof))
     for g_action in action:
         np.minimum(smallest, place_value[g_action][labels].sum(axis=1), out=smallest)
@@ -188,22 +185,23 @@ def _is_invariant(expr: BellExpression) -> bool:
     Only expressions over the eight orbit bases can pass.
     """
     action = standard_context().orbit.label_action
-    if 3 * expr.n_settings != action.shape[1]:
+    if N_OUTCOMES * expr.n_settings != action.shape[1]:
         return False
     f = _satisfaction_table(expr.terms, expr.n_settings).reshape(action.shape[1], -1)
     return bool((f[action[:, :, None], action[:, None, :]] == f).all())
 
 
-def _alice_rows(expr: BellExpression):
+def _alice_rows(*exprs: BellExpression):
     """Alice tuples to scan and the number of tuples each one stands for.
 
-    One representative per S4 orbit for an invariant expression, otherwise
-    every tuple with weight one.
+    One representative per S4 orbit, in ascending tuple order, when every
+    expression is invariant; otherwise every tuple with weight one.  The
+    expressions must share their number of settings.
     """
-    if _is_invariant(expr):
+    if all(_is_invariant(expr) for expr in exprs):
         orbits = _alice_orbits()
         return orbits.representatives, orbits.sizes
-    n = N_OUTCOMES ** expr.n_settings
+    n = N_OUTCOMES ** exprs[0].n_settings
     return np.arange(n), np.ones(n, dtype=np.int64)
 
 
@@ -234,9 +232,13 @@ def _bob_maxima(m):
     return reduce(np.maximum, np.moveaxis(m, -1, 0))
 
 
+def _row_maxima(m):
+    """Per Alice row, the best coefficient over Bob's strategies."""
+    return _bob_maxima(m).sum(axis=-1)
+
+
 def _max_coefficient(terms, n_settings, rows=slice(None)):
-    m = _per_alice_tables(terms, n_settings, rows)
-    return int(_bob_maxima(m).sum(axis=1).max())
+    return int(_row_maxima(_per_alice_tables(terms, n_settings, rows)).max())
 
 
 def _histogram_counts(terms, n_settings, rows=slice(None), weights=None):
@@ -246,9 +248,8 @@ def _histogram_counts(terms, n_settings, rows=slice(None), weights=None):
     rows are summed with `weights` (default one each).
     """
     m = _per_alice_tables(terms, n_settings, rows)
-    n_terms = len(terms)
-    width = n_terms + 1
-    # No coefficient exceeds n_terms, so shifting within `width` columns
+    width = len(terms) + 1
+    # No coefficient exceeds len(terms), so shifting within `width` columns
     # never drops a count.
     poly = np.zeros((len(m), width), dtype=np.int64)
     poly[:, 0] = 1
@@ -261,8 +262,8 @@ def _histogram_counts(terms, n_settings, rows=slice(None), weights=None):
         )
     counts = poly.sum(axis=0) if weights is None else weights @ poly
 
-    fast_max = int(_bob_maxima(m).sum(axis=1).max()) if n_terms else 0
-    hist_max = int(np.flatnonzero(counts)[-1]) if counts.any() else 0
+    fast_max = int(_row_maxima(m).max())
+    hist_max = int(np.flatnonzero(counts)[-1])
     if fast_max != hist_max:
         raise RuntimeError(
             f"separable maximum {fast_max} disagrees with histogram {hist_max}"
@@ -277,8 +278,6 @@ def classical_max(expr: BellExpression) -> int:
     and contribute their per-setting maxima.  Only one Alice tuple per S4
     orbit is scanned when the expression is invariant.
     """
-    if not expr.terms:
-        return 0
     rows, _ = _alice_rows(expr)
     return _max_coefficient(expr.terms, expr.n_settings, rows)
 
@@ -291,10 +290,9 @@ def classical_histogram(expr: BellExpression) -> StrategyHistogram:
     """
     rows, weights = _alice_rows(expr)
     counts = _histogram_counts(expr.terms, expr.n_settings, rows, weights)
-    c_max = int(np.flatnonzero(counts)[-1]) if counts.any() else 0
     return StrategyHistogram(
         counts={c: int(counts[c]) for c in range(len(counts))},
-        c_max=c_max,
+        c_max=int(np.flatnonzero(counts)[-1]),
         n_terms=len(expr.terms),
     )
 
@@ -309,11 +307,12 @@ def multiset_maxima(exprs, size):
     every prefix of a multiset is completed by all its possible last
     members at once.
     """
+    if not exprs:
+        raise ValueError("exprs must hold at least one expression")
+    if size < 1:
+        raise ValueError(f"size must be at least 1, got {size}")
     n_settings = exprs[0].n_settings
-    if all(_is_invariant(expr) for expr in exprs):
-        rows = _alice_orbits().representatives
-    else:
-        rows = slice(None)
+    rows, _ = _alice_rows(*exprs)
     tables = np.stack(
         [_per_alice_tables(e.terms, n_settings, rows) for e in exprs]
     )
@@ -321,7 +320,7 @@ def multiset_maxima(exprs, size):
     for prefix in itertools.combinations_with_replacement(range(len(exprs)), size - 1):
         base = tables[list(prefix)].sum(axis=0, dtype=tables.dtype)
         totals = base + tables[prefix[-1] if prefix else 0:]
-        maxima += _bob_maxima(totals).sum(axis=2).max(axis=1).tolist()
+        maxima += _row_maxima(totals).max(axis=1).tolist()
     return maxima
 
 
@@ -331,15 +330,13 @@ def optimal_classical_strategy(expr: BellExpression):
     Ties are broken toward the lexicographically smallest
     (a_1..a_S, b_1..b_S): Alice tuples are scanned in lexicographic order
     and the first maximizer wins, then each of Bob's settings takes its
-    smallest maximizing outcome.
+    smallest maximizing outcome.  The first maximizer of an invariant
+    expression is the smallest tuple of its orbit, so `_alice_rows` holds it.
     """
-    n = expr.n_settings
-    if not expr.terms:
-        return (0,) * n, (0,) * n
-    m = _per_alice_tables(expr.terms, n)
-    scores = m.max(axis=2).sum(axis=1)
-    best = int(np.argmax(scores))
-    f_alice = tuple(int(x) for x in _profiles(n)[best])
+    rows, _ = _alice_rows(expr)
+    m = _per_alice_tables(expr.terms, expr.n_settings, rows)
+    best = int(np.argmax(_row_maxima(m)))
+    f_alice = tuple(int(x) for x in _profiles(expr.n_settings)[rows[best]])
     f_bob = tuple(int(x) for x in np.argmax(m[best], axis=1))
     return f_alice, f_bob
 
@@ -351,23 +348,3 @@ def coefficient(expr: BellExpression, f_alice, f_bob) -> int:
         for s, a, t, b in expr.terms
         if f_alice[s - 1] == a and f_bob[t - 1] == b
     )
-
-
-def configuration_index(f_alice, f_bob) -> int:
-    """Base-3 encoding of a configuration: Alice digits first, little-endian
-    in the setting index, Bob digits above them."""
-    idx = 0
-    for k, a in enumerate(f_alice):
-        idx += int(a) * N_OUTCOMES ** k
-    shift = len(f_alice)
-    for k, b in enumerate(f_bob):
-        idx += int(b) * N_OUTCOMES ** (shift + k)
-    return idx
-
-
-def configuration_from_index(index, n_settings):
-    digits = []
-    for _ in range(2 * n_settings):
-        digits.append(index % N_OUTCOMES)
-        index //= N_OUTCOMES
-    return tuple(digits[:n_settings]), tuple(digits[n_settings:])

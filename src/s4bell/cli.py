@@ -17,6 +17,10 @@ basis 1.  Human-readable output rounds eigenvalues to two decimals; JSON
 output keeps full precision and sorted keys so that re-serializing a
 parsed report is byte-identical.
 
+`scan` ranks multisets of Bob labels, so a spec it prints may repeat a
+label, as in "x01:x14,x01:x14,x01:x18"; a repeated orbit's terms count
+once per copy.  `analyze` and `game` reject such a spec (duplicate term).
+
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
 error (an internal cross-check failed).
 """
@@ -276,32 +280,32 @@ def _zero_snap(x, tol=1e-9):
     return 0.0 if abs(x) < tol else x
 
 
-def _render_analysis_text(pairs, spectrum, cmax, table, value, hist, echo=print):
-    echo("pairs: " + ", ".join(format_pair(p) for p in pairs))
-    echo("")
+def _render_analysis_text(pairs, spectrum, cmax, table, value, hist):
+    print("pairs: " + ", ".join(format_pair(p) for p in pairs))
+    print("")
     labels = [lab for lab, _, _ in spectrum.per_pair[0]]
-    echo("per-orbit eigenvalues (" + ", ".join(labels) + "):")
+    print("per-orbit eigenvalues (" + ", ".join(labels) + "):")
     for pair, tab in zip(pairs, spectrum.per_pair):
         row = "  ".join(f"{_zero_snap(val):5.2f}" for _, _, val in tab)
-        echo(f"  {format_pair(pair)}   {row}")
+        print(f"  {format_pair(pair)}   {row}")
     sums = "  ".join(f"{_zero_snap(spectrum.component_sums[lab]):5.2f}" for lab in labels)
-    echo(f"  component sums    {sums}")
-    echo(f"quantum bound: lambda_max = {spectrum.lambda_max:.2f}")
-    echo(f"classical bound: max coefficient = {cmax}")
-    echo("")
-    echo(f"game value, classical: {cmax}/64 = {cmax / 64:.4f}")
-    echo(f"game value, quantum:   lambda_max/64 = {value.quantum:.4f}")
+    print(f"  component sums    {sums}")
+    print(f"quantum bound: lambda_max = {spectrum.lambda_max:.2f}")
+    print(f"classical bound: max coefficient = {cmax}")
+    print("")
+    print(f"game value, classical: {cmax}/64 = {cmax / 64:.4f}")
+    print(f"game value, quantum:   lambda_max/64 = {value.quantum:.4f}")
     if spectrum.lambda_max > cmax + 1e-9:
-        echo(f"violation: yes (gap {spectrum.lambda_max - cmax:.2f})")
+        print(f"violation: yes (gap {spectrum.lambda_max - cmax:.2f})")
     else:
-        echo("violation: no")
-    echo("")
-    echo(table.render_text())
+        print("violation: no")
+    print("")
+    print(table.render_text())
     if hist is not None:
-        echo("coefficient histogram (c: configurations):")
+        print("coefficient histogram (c: configurations):")
         top = max(20, hist.c_max)
         for c in range(0, top + 1):
-            echo(f"  {c:3d}  {hist.counts.get(c, 0):>10d}")
+            print(f"  {c:3d}  {hist.counts.get(c, 0):>10d}")
 
 
 def _spectrum_csv(pairs, spectrum):
@@ -354,16 +358,14 @@ def _cmd_scan(args):
     # Per Bob label: componentwise eigenvalues and the terms of its orbit
     # pair.  Both are additive over the orbits of a combination, which
     # makes the scan itself cheap.
-    component_order = ctx.decomposition.labels
-    eigs = []
-    for lab in labels:
-        values = dict(eigenvalues_isotypic(phi, ctx.orbit.coords(*lab), ctx.decomposition))
-        eigs.append([values[c] for c in component_order])
-    eigs = np.array(eigs)
+    eigs = np.array([
+        [val for _, val in eigenvalues_isotypic(phi, ctx.orbit.coords(*lab), ctx.decomposition)]
+        for lab in labels
+    ])
     exprs = [bell_terms([OrbitPair(alice, lab)], ctx.orbit) for lab in labels]
 
     combos = list(itertools.combinations_with_replacement(range(len(labels)), args.orbits))
-    sums = np.zeros((len(combos), len(component_order)))
+    sums = np.zeros((len(combos), eigs.shape[1]))
     # Orbit by orbit, in spec order: float addition is not associative.
     for j in range(args.orbits):
         sums += eigs[[combo[j] for combo in combos]]
@@ -376,20 +378,19 @@ def _cmd_scan(args):
 
     rows.sort(key=lambda r: (-r[0], r[3]))
     top = rows[: args.top]
-    echo = print
-    echo(
+    print(
         f"scan over {len(rows)} unordered Bob-label multisets "
         f"(orbits per spec: {args.orbits}, Alice fixed at {format_label(alice)})"
     )
     violations = sum(1 for r in rows if r[0] > 1e-9)
-    echo(f"specs with quantum > classical: {violations}")
-    echo("rank  spec" + " " * (13 * args.orbits - 3) + "quantum  classical  gap")
+    print(f"specs with quantum > classical: {violations}")
+    print("rank  spec" + " " * (13 * args.orbits - 3) + "quantum  classical  gap")
     for rank, (gap, lam, cmax, combo) in enumerate(top, start=1):
         spec = ",".join(
             format_pair(OrbitPair(alice, lab)) for lab in combo
         )
-        shown = 0.0 if abs(gap) < 1e-9 else gap
-        echo(f"{rank:4d}  {spec:<{13 * args.orbits + 1}}  {lam:7.2f}  {cmax:9d}  {shown:+.2f}")
+        gap = _zero_snap(gap)
+        print(f"{rank:4d}  {spec:<{13 * args.orbits + 1}}  {lam:7.2f}  {cmax:9d}  {gap:+.2f}")
     return 0
 
 

@@ -1,7 +1,8 @@
 import itertools
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from reference_terms import CASE_TERMS
@@ -18,8 +19,6 @@ from s4bell.classical import (
     classical_histogram,
     classical_max,
     coefficient,
-    configuration_from_index,
-    configuration_index,
     histogram_csv,
     multiset_maxima,
     optimal_classical_strategy,
@@ -122,6 +121,9 @@ def test_non_invariant_expression_scans_every_alice_tuple(case_exprs):
     rows, weights = _alice_rows(case_exprs["I"])
     assert len(rows) == 306
     assert weights.sum() == 3 ** 8
+    # One non-invariant expression among several sends all of them to the full scan.
+    rows, _ = _alice_rows(case_exprs["I"], friendly, case_exprs["II"])
+    assert len(rows) == 3 ** 8
 
 
 _LABELS = st.tuples(st.integers(1, 8), st.integers(0, 2))
@@ -163,10 +165,19 @@ def test_non_invariant_subset_fails_guard(case_exprs, data):
 def test_multiset_maxima_match_full_scan_of_unions(orbit):
     exprs = [bell_terms([OrbitPair((1, 0), lab)], orbit) for lab in ((4, 1), (7, 0), (5, 1))]
     friendly = BellExpression(((1, 0, 1, 0), (2, 0, 1, 0), (1, 0, 2, 1)))
-    for members in (exprs, exprs[:2] + [friendly]):
-        combos = itertools.combinations_with_replacement(members, 2)
-        expected = [_max_coefficient(a.terms + b.terms, 8) for a, b in combos]
-        assert multiset_maxima(members, 2) == expected
+    # `scan` asks for multisets of one, two and three orbits.
+    for members, size in itertools.product((exprs, exprs[:2] + [friendly]), (1, 2, 3)):
+        combos = itertools.combinations_with_replacement(members, size)
+        expected = [_max_coefficient(sum((e.terms for e in c), ()), 8) for c in combos]
+        assert multiset_maxima(members, size) == expected
+
+
+def test_multiset_maxima_rejects_bad_arguments(case_exprs):
+    with pytest.raises(ValueError, match="exprs"):
+        multiset_maxima([], 1)
+    for size in (0, -1):
+        with pytest.raises(ValueError, match="size"):
+            multiset_maxima([case_exprs["I"]], size)
 
 
 def test_empty_expression():
@@ -222,17 +233,31 @@ def test_optimal_strategy_lex_tiebreak():
     assert coefficient(expr, f_alice, f_bob) == 1
 
 
-@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
-    st.tuples(*[st.integers(0, 2)] * n), st.tuples(*[st.integers(0, 2)] * n)
-)))
-def test_configuration_encoding_roundtrip(config):
-    f_alice, f_bob = config
-    idx = configuration_index(f_alice, f_bob)
-    assert 0 <= idx < 3 ** (2 * len(f_alice))
-    assert configuration_from_index(idx, len(f_alice)) == (f_alice, f_bob)
-    # little-endian in the setting index, Alice digits low
-    assert configuration_index((1,) + (0,) * 7, (0,) * 8) == 1
-    assert configuration_index((0,) * 8, (1,) + (0,) * 7) == 3 ** 8
+def first_optimal_strategy(expr):
+    """Reference: the first Alice tuple, in lexicographic order over all of
+    them, whose best Bob response scores highest; then Bob's smallest best
+    outcome per setting."""
+    n = expr.n_settings
+    alice = np.array(list(itertools.product(range(3), repeat=n)))
+    m = np.zeros((len(alice), n, 3), dtype=int)  # m[i, t-1, b]
+    for s, a, t, b in expr.terms:
+        m[:, t - 1, b] += alice[:, s - 1] == a
+    best = int(np.argmax(m.max(axis=2).sum(axis=1)))
+    return tuple(alice[best].tolist()), tuple(m[best].argmax(axis=1).tolist())
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.builds(OrbitPair, _LABELS, _LABELS), min_size=1, max_size=3, unique=True))
+@example(tables.CASE_PAIRS["I"])
+@example(tables.CASE_PAIRS["II"])
+@example(tables.CASE_PAIRS["III"])
+def test_optimal_strategy_matches_full_scan(pairs):
+    try:
+        expr = bell_terms(pairs, standard_context().orbit)
+    except ValueError:  # two of the pairs expand into the same terms
+        assume(False)
+    assert _is_invariant(expr)
+    assert optimal_classical_strategy(expr) == first_optimal_strategy(expr)
 
 
 def test_histogram_csv_layout(case_exprs):
