@@ -16,7 +16,7 @@ the product over Bob's settings of the polynomials sum_b x**M[t][b].
 The scan is also symmetry-reduced.  Each element of S4 permutes the
 orbit labels and maps measurement bases onto bases, so it permutes Alice
 tuples; the 3**8 tuples fall into 306 orbits.  When the term set of an
-8-setting expression maps onto itself under every element (true of every
+expression maps onto itself under every element (true of every
 `bell_terms` output), the per-tuple maximum and histogram are constant on
 each orbit, and one representative per orbit, weighted by the orbit size,
 stands for all of its tuples.  The orbit table is built
@@ -25,14 +25,16 @@ which also serves the tests as the reference.
 """
 
 import itertools
+import operator
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
 
 from .context import standard_context
-from .orbit import Orbit, OrbitPair
+from .orbit import N_OUTCOMES, N_SETTINGS, Orbit, OrbitPair
+from .permgroup import Permutation
 
 __all__ = [
     "Term",
@@ -46,9 +48,6 @@ __all__ = [
     "coefficient",
     "histogram_csv",
 ]
-
-# Outcomes per setting: one per vector of an orthonormal basis of R^3.
-N_OUTCOMES = 3
 
 
 class Term(NamedTuple):
@@ -66,23 +65,33 @@ class BellExpression:
 
     terms: tuple
     pairs: tuple = ()
-    n_settings: int = 8
 
     def __post_init__(self):
-        terms = tuple(Term(*t) for t in self.terms)
-        object.__setattr__(self, "terms", terms)
-        for term in terms:
-            if not (1 <= term.s <= self.n_settings and 1 <= term.t <= self.n_settings):
+        terms = []
+        for entries in self.terms:
+            try:
+                term = Term(*map(operator.index, entries))
+            except TypeError:
+                raise ValueError(f"term must be four integers, got {entries!r}") from None
+            if not (1 <= term.s <= N_SETTINGS and 1 <= term.t <= N_SETTINGS):
                 raise ValueError(f"setting out of range in {term}")
             if not (0 <= term.a < N_OUTCOMES and 0 <= term.b < N_OUTCOMES):
                 raise ValueError(f"outcome out of range in {term}")
+            terms.append(term)
+        object.__setattr__(self, "terms", tuple(terms))
         if len(set(terms)) != len(terms):
             seen = set()
             dup = next(t for t in terms if t in seen or seen.add(t))
             raise ValueError(f"duplicate term {dup}")
 
-    def __len__(self):
-        return len(self.terms)
+    @cached_property
+    def table(self):
+        """Read-only F[s-1, a, t-1, b] = 1 for each term (s, a, t, b), else 0."""
+        table = np.zeros((N_SETTINGS, N_OUTCOMES) * 2, dtype=np.int16)
+        for s, a, t, b in self.terms:
+            table[s - 1, a, t - 1, b] = 1
+        table.setflags(write=False)
+        return table
 
 
 def bell_terms(pairs, orbit: Orbit) -> BellExpression:
@@ -100,7 +109,7 @@ def bell_terms(pairs, orbit: Orbit) -> BellExpression:
         alice = orbit.label_action[:, labels.index(pair.alice)]
         bob = orbit.label_action[:, labels.index(pair.bob)]
         terms += [Term(*labels[k], *labels[m]) for k, m in zip(alice, bob)]
-    return BellExpression(tuple(terms), pairs, n_settings=len(labels) // N_OUTCOMES)
+    return BellExpression(tuple(terms), pairs)
 
 
 @dataclass(frozen=True)
@@ -134,11 +143,11 @@ def histogram_csv(hist: StrategyHistogram) -> str:
     return "\n".join(lines) + "\n"
 
 
-@lru_cache(maxsize=8)
-def _profiles(n_settings):
+@lru_cache(maxsize=1)
+def _profiles():
     """All outcome tuples of one party, in lexicographic order."""
     arr = np.array(
-        list(itertools.product(range(N_OUTCOMES), repeat=n_settings)), dtype=np.int8
+        list(itertools.product(range(N_OUTCOMES), repeat=N_SETTINGS)), dtype=np.int8
     )
     arr.setflags(write=False)
     return arr
@@ -160,17 +169,16 @@ def _alice_orbits():
     rather than with the context.
     """
     action = standard_context().orbit.label_action
-    n_settings = action.shape[1] // N_OUTCOMES
     bases = action // N_OUTCOMES
     if (bases != bases[:, ::N_OUTCOMES].repeat(N_OUTCOMES, axis=1)).any():
         raise RuntimeError("a group element does not map measurement bases onto bases")
 
     # A tuple's index in _profiles order is the sum over its labels (s, a)
-    # of a * 3**(n_settings - s); the orbit's smallest index names it.
-    k = np.arange(N_OUTCOMES * n_settings)
-    place_value = (k % N_OUTCOMES) * N_OUTCOMES ** (n_settings - 1 - k // N_OUTCOMES)
-    prof = _profiles(n_settings)
-    labels = N_OUTCOMES * np.arange(n_settings) + prof
+    # of a * 3**(8 - s); the orbit's smallest index names it.
+    k = np.arange(N_OUTCOMES * N_SETTINGS)
+    place_value = (k % N_OUTCOMES) * N_OUTCOMES ** (N_SETTINGS - 1 - k // N_OUTCOMES)
+    prof = _profiles()
+    labels = N_OUTCOMES * np.arange(N_SETTINGS) + prof
     smallest = np.arange(len(prof))
     for g_action in action:
         np.minimum(smallest, place_value[g_action][labels].sum(axis=1), out=smallest)
@@ -182,12 +190,13 @@ def _alice_orbits():
 def _is_invariant(expr: BellExpression) -> bool:
     """True when every S4 element maps the term set onto itself.
 
-    Only expressions over the eight orbit bases can pass.
+    Checked on the adjacent transpositions (1 2), (2 3) and (3 4) only:
+    they generate S4, and the label action is a homomorphism.
     """
-    action = standard_context().orbit.label_action
-    if N_OUTCOMES * expr.n_settings != action.shape[1]:
-        return False
-    f = _satisfaction_table(expr.terms, expr.n_settings).reshape(action.shape[1], -1)
+    ctx = standard_context()
+    generators = [Permutation.transposition(i, i + 1, 4) for i in range(3)]
+    action = ctx.orbit.label_action[[ctx.group.index(g) for g in generators]]
+    f = expr.table.reshape(N_SETTINGS * N_OUTCOMES, -1)
     return bool((f[action[:, :, None], action[:, None, :]] == f).all())
 
 
@@ -195,66 +204,52 @@ def _alice_rows(*exprs: BellExpression):
     """Alice tuples to scan and the number of tuples each one stands for.
 
     One representative per S4 orbit, in ascending tuple order, when every
-    expression is invariant; otherwise every tuple with weight one.  The
-    expressions must share their number of settings.
+    expression is invariant; otherwise every tuple with weight one.
     """
     if all(_is_invariant(expr) for expr in exprs):
         orbits = _alice_orbits()
         return orbits.representatives, orbits.sizes
-    n = N_OUTCOMES ** exprs[0].n_settings
+    n = N_OUTCOMES ** N_SETTINGS
     return np.arange(n), np.ones(n, dtype=np.int64)
 
 
-def _satisfaction_table(terms, n_settings):
-    """F[s-1, a, t-1, b] = multiplicity of the term (s, a, t, b)."""
-    table = np.zeros((n_settings, N_OUTCOMES, n_settings, N_OUTCOMES), dtype=np.int16)
-    for s, a, t, b in terms:
-        table[s - 1, a, t - 1, b] += 1
-    return table
-
-
-def _per_alice_tables(terms, n_settings, rows=slice(None)):
+def _per_alice_tables(table, rows=slice(None)):
     """M[i, t, b]: terms with Bob pair (t, b) satisfied by Alice tuple rows[i]."""
-    table = _satisfaction_table(terms, n_settings)
-    prof = _profiles(n_settings)[rows]
-    m = np.zeros((len(prof), n_settings, N_OUTCOMES), dtype=np.int16)
-    for s in range(n_settings):
+    prof = _profiles()[rows]
+    m = np.zeros((len(prof), N_SETTINGS, N_OUTCOMES), dtype=np.int16)
+    for s in range(N_SETTINGS):
         m += table[s][prof[:, s]]
     return m
 
 
-def _bob_maxima(m):
-    """Maximum over the last (outcome) axis of per-Alice tables.
-
-    Taken as elementwise maxima of the outcome slices, which is many times
-    faster than a reduction along an axis of length three.
-    """
-    return reduce(np.maximum, np.moveaxis(m, -1, 0))
-
-
 def _row_maxima(m):
-    """Per Alice row, the best coefficient over Bob's strategies."""
-    return _bob_maxima(m).sum(axis=-1)
+    """Per Alice row, the best coefficient over Bob's strategies.
+
+    Bob's best outcome per setting is taken as elementwise maxima of the
+    outcome slices, many times faster than a reduction along an axis of
+    length three.
+    """
+    return reduce(np.maximum, np.moveaxis(m, -1, 0)).sum(axis=-1)
 
 
-def _max_coefficient(terms, n_settings, rows=slice(None)):
-    return int(_row_maxima(_per_alice_tables(terms, n_settings, rows)).max())
+def _max_coefficient(table, rows=slice(None)):
+    return int(_row_maxima(_per_alice_tables(table, rows)).max())
 
 
-def _histogram_counts(terms, n_settings, rows=slice(None), weights=None):
+def _histogram_counts(table, rows=slice(None), weights=None):
     """Configurations per coefficient, over the Alice tuples `rows`.
 
     Row i's counts are the coefficients of prod_t sum_b x**M[i, t, b]; the
     rows are summed with `weights` (default one each).
     """
-    m = _per_alice_tables(terms, n_settings, rows)
-    width = len(terms) + 1
-    # No coefficient exceeds len(terms), so shifting within `width` columns
-    # never drops a count.
+    m = _per_alice_tables(table, rows)
+    width = int(table.sum()) + 1
+    # No coefficient exceeds the number of terms, table.sum(), so shifting
+    # within `width` columns never drops a count.
     poly = np.zeros((len(m), width), dtype=np.int64)
     poly[:, 0] = 1
     shifted = width + np.arange(width)
-    for t in range(n_settings):
+    for t in range(N_SETTINGS):
         padded = np.concatenate([np.zeros_like(poly), poly], axis=1)
         poly = sum(
             np.take_along_axis(padded, shifted - m[:, t, b, None], axis=1)
@@ -279,7 +274,7 @@ def classical_max(expr: BellExpression) -> int:
     orbit is scanned when the expression is invariant.
     """
     rows, _ = _alice_rows(expr)
-    return _max_coefficient(expr.terms, expr.n_settings, rows)
+    return _max_coefficient(expr.table, rows)
 
 
 def classical_histogram(expr: BellExpression) -> StrategyHistogram:
@@ -289,7 +284,7 @@ def classical_histogram(expr: BellExpression) -> StrategyHistogram:
     weighted by its orbit size; the counts are integer-exact either way.
     """
     rows, weights = _alice_rows(expr)
-    counts = _histogram_counts(expr.terms, expr.n_settings, rows, weights)
+    counts = _histogram_counts(expr.table, rows, weights)
     return StrategyHistogram(
         counts={c: int(counts[c]) for c in range(len(counts))},
         c_max=int(np.flatnonzero(counts)[-1]),
@@ -301,8 +296,7 @@ def multiset_maxima(exprs, size):
     """Classical maxima of the unions of every `size`-multiset of `exprs`.
 
     Multisets come in `itertools.combinations_with_replacement` order over
-    `exprs`, and a term counts once for each member that holds it.  The
-    expressions must share their number of settings.
+    `exprs`, and a term counts once for each member that holds it.
     Per-Alice tables add over members, so each table is built once, and
     every prefix of a multiset is completed by all its possible last
     members at once.
@@ -311,11 +305,8 @@ def multiset_maxima(exprs, size):
         raise ValueError("exprs must hold at least one expression")
     if size < 1:
         raise ValueError(f"size must be at least 1, got {size}")
-    n_settings = exprs[0].n_settings
     rows, _ = _alice_rows(*exprs)
-    tables = np.stack(
-        [_per_alice_tables(e.terms, n_settings, rows) for e in exprs]
-    )
+    tables = np.stack([_per_alice_tables(e.table, rows) for e in exprs])
     maxima = []
     for prefix in itertools.combinations_with_replacement(range(len(exprs)), size - 1):
         base = tables[list(prefix)].sum(axis=0, dtype=tables.dtype)
@@ -334,9 +325,9 @@ def optimal_classical_strategy(expr: BellExpression):
     expression is the smallest tuple of its orbit, so `_alice_rows` holds it.
     """
     rows, _ = _alice_rows(expr)
-    m = _per_alice_tables(expr.terms, expr.n_settings, rows)
+    m = _per_alice_tables(expr.table, rows)
     best = int(np.argmax(_row_maxima(m)))
-    f_alice = tuple(int(x) for x in _profiles(expr.n_settings)[rows[best]])
+    f_alice = tuple(int(x) for x in _profiles()[rows[best]])
     f_bob = tuple(int(x) for x in np.argmax(m[best], axis=1))
     return f_alice, f_bob
 

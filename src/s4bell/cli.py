@@ -21,8 +21,8 @@ parsed report is byte-identical.
 label, as in "x01:x14,x01:x14,x01:x18"; a repeated orbit's terms count
 once per copy.  `analyze` and `game` reject such a spec (duplicate term).
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
-error (an internal cross-check failed).
+Exit codes: 0 success, 1 verification failure, 2 usage error (a malformed
+or term-repeating spec), 3 internal error (a library check failed).
 """
 
 import argparse
@@ -44,7 +44,7 @@ from .classical import (
 )
 from .context import standard_context
 from .game import game_values, winning_table
-from .orbit import OrbitPair, all_labels, orbit_to_json
+from .orbit import N_OUTCOMES, N_SETTINGS, OrbitPair, all_labels, orbit_to_json
 from .quantum import (
     build_x_operator,
     eigenvalues_direct,
@@ -66,6 +66,10 @@ class PairSpecError(ValueError):
         self.position = position
 
 
+class _UsageError(Exception):
+    """The user's input was rejected: exit 2."""
+
+
 _LABEL_RE = re.compile(r"x([0-9])([0-9])")
 
 
@@ -76,10 +80,10 @@ def _parse_label(token, position):
     if not match:
         raise PairSpecError(f"expected a label like x01, got {token!r}", offset)
     alpha, basis = int(match.group(1)), int(match.group(2))
-    if alpha > 2:
-        raise PairSpecError(f"outcome {alpha} out of range 0..2", offset)
-    if not 1 <= basis <= 8:
-        raise PairSpecError(f"basis {basis} out of range 1..8", offset)
+    if alpha >= N_OUTCOMES:
+        raise PairSpecError(f"outcome {alpha} out of range 0..{N_OUTCOMES - 1}", offset)
+    if not 1 <= basis <= N_SETTINGS:
+        raise PairSpecError(f"basis {basis} out of range 1..{N_SETTINGS}", offset)
     return (basis, alpha)
 
 
@@ -98,6 +102,16 @@ def parse_pair_spec(text):
         pairs.append(OrbitPair(alice, bob))
         position += len(chunk) + 1
     return tuple(pairs)
+
+
+def _expression(text):
+    """Parse a pair spec and expand its terms; either failure is bad input,
+    as `bell_terms` rejects parsed (valid) labels only for a repeated term."""
+    try:
+        pairs = parse_pair_spec(text)
+        return pairs, bell_terms(pairs, standard_context().orbit)
+    except ValueError as exc:
+        raise _UsageError(exc) from exc
 
 
 def format_label(label):
@@ -219,7 +233,7 @@ def run_verification(echo=print):
         f"uniform triple structure: {table.has_uniform_triple_structure()}",
     )
     value = game_values(expr_i, ctx)
-    ok = value.classical == Fraction(16, 64) and abs(
+    ok = value.classical == Fraction(16, N_SETTINGS ** 2) and abs(
         value.quantum - tables.REF_QUANTUM_WIN_I
     ) <= 1e-4
     check(
@@ -243,19 +257,18 @@ def _cmd_verify(args):
 # analyze / game
 # ---------------------------------------------------------------------------
 
-def _analysis(pairs, with_histogram):
+def _analysis(pairs, expr, with_histogram):
     ctx = standard_context()
     spectrum = max_eigenvalue_sum(pairs, ctx)
-    expr = bell_terms(pairs, ctx.orbit)
     cmax = classical_max(expr)
     table = winning_table(expr)
     value = game_values(expr, ctx)
     hist = classical_histogram(expr) if with_histogram else None
-    return spectrum, expr, cmax, table, value, hist
+    return spectrum, cmax, table, value, hist
 
 
 def _analysis_report(pairs, spectrum, cmax, table, value, hist):
-    denom = 64
+    denom = N_SETTINGS ** 2
     report = {
         "pairs": [format_pair(p) for p in pairs],
         "quantum": spectrum.as_dict(),
@@ -293,8 +306,9 @@ def _render_analysis_text(pairs, spectrum, cmax, table, value, hist):
     print(f"quantum bound: lambda_max = {spectrum.lambda_max:.2f}")
     print(f"classical bound: max coefficient = {cmax}")
     print("")
-    print(f"game value, classical: {cmax}/64 = {cmax / 64:.4f}")
-    print(f"game value, quantum:   lambda_max/64 = {value.quantum:.4f}")
+    denom = N_SETTINGS ** 2
+    print(f"game value, classical: {cmax}/{denom} = {cmax / denom:.4f}")
+    print(f"game value, quantum:   lambda_max/{denom} = {value.quantum:.4f}")
     if spectrum.lambda_max > cmax + 1e-9:
         print(f"violation: yes (gap {spectrum.lambda_max - cmax:.2f})")
     else:
@@ -317,8 +331,8 @@ def _spectrum_csv(pairs, spectrum):
 
 
 def _cmd_analyze(args):
-    pairs = parse_pair_spec(args.pairs)
-    spectrum, _, cmax, table, value, hist = _analysis(pairs, args.histogram)
+    pairs, expr = _expression(args.pairs)
+    spectrum, cmax, table, value, hist = _analysis(pairs, expr, args.histogram)
     if args.json:
         report = _analysis_report(pairs, spectrum, cmax, table, value, hist)
         print(json.dumps(report, sort_keys=True, indent=2))
@@ -333,11 +347,9 @@ def _cmd_analyze(args):
 
 
 def _cmd_game(args):
-    pairs = parse_pair_spec(args.pairs)
-    ctx = standard_context()
-    expr = bell_terms(pairs, ctx.orbit)
+    _, expr = _expression(args.pairs)
     table = winning_table(expr)
-    value = game_values(expr, ctx)
+    value = game_values(expr, standard_context())
     print(table.render_text(), end="")
     print(f"classical value: {value.classical} = {float(value.classical):.4f}")
     print(f"quantum value:   {value.quantum:.4f}")
@@ -474,10 +486,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

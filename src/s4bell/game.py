@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .classical import BellExpression, classical_max
 from .context import Context
+from .orbit import N_SETTINGS
 from .quantum import max_eigenvalue_sum
 
 __all__ = [
@@ -29,7 +30,6 @@ class WinningTable:
     """Winning answer pairs per settings pair (s, t)."""
 
     entries: dict  # (s, t) -> frozenset of (a, b)
-    n_settings: int = 8
 
     def __post_init__(self):
         entries = {
@@ -74,7 +74,7 @@ def winning_table(expr: BellExpression) -> WinningTable:
     entries = {}
     for s, a, t, b in expr.terms:
         entries.setdefault((s, t), set()).add((a, b))
-    return WinningTable(entries, expr.n_settings)
+    return WinningTable(entries)
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ def game_values(expr: BellExpression, ctx: Context) -> GameValue:
     The quantum value comes from the orbit pairs the expression was built
     from, `expr.pairs`.
     """
-    denominator = expr.n_settings ** 2
+    denominator = N_SETTINGS ** 2
     classical = Fraction(classical_max(expr), denominator)
     spectrum = max_eigenvalue_sum(expr.pairs, ctx)
     return GameValue(classical, spectrum.lambda_max / denominator)
@@ -108,11 +108,11 @@ def game_values(expr: BellExpression, ctx: Context) -> GameValue:
 
 def evaluate_strategy(f_alice, f_bob, table: WinningTable) -> Fraction:
     """Exact winning probability of a deterministic strategy pair."""
-    n = table.n_settings
+    settings = range(1, N_SETTINGS + 1)
     wins = sum(
         1
-        for s in range(1, n + 1)
-        for t in range(1, n + 1)
+        for s in settings
+        for t in settings
         if table.wins(s, t, f_alice[s - 1], f_bob[t - 1])
     )
-    return Fraction(wins, n * n)
+    return Fraction(wins, N_SETTINGS ** 2)

@@ -10,6 +10,7 @@ bundled reference table.
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,6 +22,8 @@ from .representation import EPS, Representation
 
 __all__ = [
     "MATCH_TOL",
+    "N_SETTINGS",
+    "N_OUTCOMES",
     "OrbitPair",
     "OrbitVector",
     "Orbit",
@@ -39,6 +42,11 @@ __all__ = [
 # rounding accumulated by a handful of 3x3 products, far below the minimum
 # true separation in the orbits of interest (about 0.28).
 MATCH_TOL = 1e-7
+
+# The 24 orbit vectors make eight orthonormal bases of R^3: each party has
+# eight measurement settings with three outcomes each.
+N_SETTINGS = 8
+N_OUTCOMES = 3
 
 
 class DegenerateOrbitError(Exception):
@@ -61,10 +69,15 @@ class OrbitPair:
     bob: tuple
 
     def __post_init__(self):
-        for lab in (self.alice, self.bob):
-            i, alpha = lab
-            if not (1 <= i <= 8 and 0 <= alpha <= 2):
+        for side in ("alice", "bob"):
+            lab = getattr(self, side)
+            try:
+                i, alpha = map(operator.index, lab)
+            except (TypeError, ValueError):
+                raise ValueError(f"label must be two integers, got {lab!r}") from None
+            if not (1 <= i <= N_SETTINGS and 0 <= alpha < N_OUTCOMES):
                 raise ValueError(f"label out of range: basis {i}, outcome {alpha}")
+            object.__setattr__(self, side, (i, alpha))
 
 
 @dataclass(frozen=True)
@@ -303,4 +316,4 @@ def canonical_orbit(rep: Representation) -> Orbit:
 
 def all_labels():
     """All 24 (basis, outcome) labels in canonical order."""
-    return tuple(itertools.product(range(1, 9), range(3)))
+    return tuple(itertools.product(range(1, N_SETTINGS + 1), range(N_OUTCOMES)))

@@ -1,12 +1,13 @@
 """Finite permutation groups in one-line notation.
 
 Degree is generic even though the rest of the package only ever feeds S4
-into the representation layer.  Elements are immutable and hashable; a
-generated group keeps its elements sorted lexicographically by their
+into the representation layer.  Elements are immutable and hashable; the
+symmetric group keeps its elements sorted lexicographically by their
 one-line images, which pins down every index used downstream (orbit labels,
 term order, JSON output).
 """
 
+import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -16,7 +17,6 @@ import numpy as np
 __all__ = [
     "Permutation",
     "GroupTable",
-    "generate_group",
     "symmetric_group",
     "parse_cycles",
 ]
@@ -37,9 +37,6 @@ class Permutation:
     @property
     def degree(self):
         return len(self.images)
-
-    def __call__(self, k):
-        return self.images[k]
 
     def __mul__(self, other):
         """Composition acting right to left: (p * q)(k) = p(q(k))."""
@@ -160,41 +157,9 @@ class GroupTable:
         return {ct: tuple(idx) for ct, idx in sorted(classes.items())}
 
 
-def generate_group(generators):
-    """Close a nonempty set of same-degree permutations under composition.
-
-    Finiteness makes the closure a group (inverses are powers), so a plain
-    breadth-first product closure suffices.
-    """
-    generators = list(generators)
-    if not generators:
-        raise ValueError("need at least one generator")
-    degree = generators[0].degree
-    for g in generators:
-        if g.degree != degree:
-            raise ValueError(
-                f"incompatible permutations: degree {g.degree} vs {degree}"
-            )
-    seen = {Permutation.identity(degree)}
-    frontier = list(seen)
-    while frontier:
-        fresh = []
-        for p in frontier:
-            for g in generators:
-                q = g * p
-                if q not in seen:
-                    seen.add(q)
-                    fresh.append(q)
-        frontier = fresh
-    return GroupTable(tuple(sorted(seen, key=lambda p: p.images)))
-
-
 def symmetric_group(degree):
-    """The full symmetric group on `degree` points."""
-    gens = [Permutation.transposition(i, i + 1, degree) for i in range(degree - 1)]
-    if not gens:
-        gens = [Permutation.identity(degree)]
-    return generate_group(gens)
+    """The full symmetric group on `degree` points, in canonical order."""
+    return GroupTable(tuple(map(Permutation, itertools.permutations(range(degree)))))
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

@@ -24,6 +24,7 @@ from s4bell.classical import (
     optimal_classical_strategy,
 )
 from s4bell.orbit import OrbitPair
+from s4bell.permgroup import Permutation
 
 
 @pytest.fixture(scope="module")
@@ -31,17 +32,19 @@ def case_exprs(orbit, case_pairs):
     return {name: bell_terms(pairs, orbit) for name, pairs in case_pairs.items()}
 
 
-def literal_histogram(terms, n_settings):
-    """Independent oracle: score every configuration by direct term scan."""
+def literal_histogram(terms):
+    """Independent oracle for terms on settings 1..3: score every choice of
+    those settings by direct term scan; each stands for the 3**10 choices
+    of the free settings 4..8."""
     counts = {}
-    for config in itertools.product(range(3), repeat=2 * n_settings):
-        f_alice, f_bob = config[:n_settings], config[n_settings:]
+    for config in itertools.product(range(3), repeat=6):
+        f_alice, f_bob = config[:3], config[3:]
         c = sum(
             1
             for s, a, t, b in terms
             if f_alice[s - 1] == a and f_bob[t - 1] == b
         )
-        counts[c] = counts.get(c, 0) + 1
+        counts[c] = counts.get(c, 0) + 3 ** 10
     return counts
 
 
@@ -70,6 +73,13 @@ def test_repeated_pair_raises(orbit):
         bell_terms([pair, pair], orbit)
 
 
+@pytest.mark.parametrize("bad", ["1", 1.5, 1.0])
+def test_non_integer_terms_rejected(bad):
+    for term in ((bad, 0, 1, 0), (1, bad, 1, 0)):
+        with pytest.raises(ValueError, match="integers"):
+            BellExpression((term,))
+
+
 def test_expression_validation():
     with pytest.raises(ValueError):
         BellExpression(((9, 0, 1, 0),))
@@ -96,7 +106,7 @@ def test_histogram_case1(case_exprs):
 
 def full_counts(expr):
     """Histogram from the full scan over every Alice tuple, as a list."""
-    return _histogram_counts(expr.terms, expr.n_settings).tolist()
+    return _histogram_counts(expr.table).tolist()
 
 
 def test_histogram_reduced_matches_full(case_exprs):
@@ -126,6 +136,24 @@ def test_non_invariant_expression_scans_every_alice_tuple(case_exprs):
     assert len(rows) == 3 ** 8
 
 
+@pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
+def test_invariance_needs_every_generator(ctx, pair):
+    # The orbit of one term under two of the adjacent transpositions (1 2),
+    # (2 3), (3 4) is closed under both, but not under the third.
+    generators = [Permutation.transposition(i, i + 1, 4) for i in pair]
+    actions = [ctx.orbit.label_action[ctx.group.index(g)] for g in generators]
+    labels = [v.label for v in ctx.orbit.vectors]
+    positions = {(labels.index((1, 0)), labels.index((4, 1)))}
+    while True:
+        grown = positions | {(a[k], a[m]) for a in actions for k, m in positions}
+        if grown == positions:
+            break
+        positions = grown
+    assert len(positions) in (4, 6)
+    terms = tuple(Term(*labels[k], *labels[m]) for k, m in sorted(positions))
+    assert not _is_invariant(BellExpression(terms))
+
+
 _LABELS = st.tuples(st.integers(1, 8), st.integers(0, 2))
 
 
@@ -137,7 +165,7 @@ def test_reduced_scan_matches_full_on_orbit_pair_unions(pairs):
     except ValueError:  # two of the pairs expand into the same terms
         assume(False)
     assert _is_invariant(expr)
-    assert classical_max(expr) == _max_coefficient(expr.terms, 8)
+    assert classical_max(expr) == _max_coefficient(expr.table)
     hist = classical_histogram(expr)
     assert [hist.counts[c] for c in range(len(hist.counts))] == full_counts(expr)
 
@@ -154,10 +182,11 @@ def test_non_invariant_subset_fails_guard(case_exprs, data):
     subset = tuple(terms[k] for k in sorted(keep))
     assert not _is_invariant(BellExpression(subset))
     small = tuple(t for t in subset if t.s <= 3 and t.t <= 3)
-    reduced = BellExpression(small, n_settings=3)
-    assert not _is_invariant(reduced)
+    reduced = BellExpression(small)
+    # S4 moves every basis, so no nonempty term set on bases 1..3 is invariant.
+    assert _is_invariant(reduced) == (not small)
     hist = classical_histogram(reduced)
-    expected = literal_histogram(small, 3)
+    expected = literal_histogram(small)
     assert {c: n for c, n in hist.counts.items() if n} == expected
     assert classical_max(reduced) == max(expected)
 
@@ -168,7 +197,7 @@ def test_multiset_maxima_match_full_scan_of_unions(orbit):
     # `scan` asks for multisets of one, two and three orbits.
     for members, size in itertools.product((exprs, exprs[:2] + [friendly]), (1, 2, 3)):
         combos = itertools.combinations_with_replacement(members, size)
-        expected = [_max_coefficient(sum((e.terms for e in c), ()), 8) for c in combos]
+        expected = [_max_coefficient(sum(e.table for e in c)) for c in combos]
         assert multiset_maxima(members, size) == expected
 
 
@@ -190,12 +219,12 @@ def test_empty_expression():
 
 
 def test_reduced_instance_oracle(case_exprs):
-    # keep only settings 1..3 on both sides; 3**6 configurations
+    # keep only settings 1..3 on both sides; 3**6 literal configurations
     for name in ("I", "II"):
         terms = [t for t in case_exprs[name].terms if t.s <= 3 and t.t <= 3]
-        reduced = BellExpression(tuple(terms), n_settings=3)
+        reduced = BellExpression(tuple(terms))
         hist = classical_histogram(reduced)
-        expected = literal_histogram(terms, 3)
+        expected = literal_histogram(terms)
         observed = {c: n for c, n in hist.counts.items() if n}
         assert observed == {c: n for c, n in expected.items() if n}
         assert classical_max(reduced) == max(expected)
@@ -237,7 +266,7 @@ def first_optimal_strategy(expr):
     """Reference: the first Alice tuple, in lexicographic order over all of
     them, whose best Bob response scores highest; then Bob's smallest best
     outcome per setting."""
-    n = expr.n_settings
+    n = 8
     alice = np.array(list(itertools.product(range(3), repeat=n)))
     m = np.zeros((len(alice), n, 3), dtype=int)  # m[i, t-1, b]
     for s, a, t, b in expr.terms:

@@ -100,13 +100,14 @@ def test_malformed_spec_exits_2(capsys):
     assert "outcome 3" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("target, argv", [
-    ("max_eigenvalue_sum", ["analyze", "--pairs", "x01:x14"]),
-    ("classical_histogram", ["verify"]),
-], ids=["analyze", "verify"])
-def test_internal_error_exits_3(monkeypatch, capsys, target, argv):
+@pytest.mark.parametrize("target, argv, error", [
+    ("max_eigenvalue_sum", ["analyze", "--pairs", "x01:x14"], RuntimeError),
+    ("classical_histogram", ["verify"], RuntimeError),
+    ("classical_max", ["analyze", "--pairs", "x01:x14"], ValueError),
+], ids=["analyze", "verify", "library_value_error"])
+def test_internal_error_exits_3(monkeypatch, capsys, target, argv, error):
     def fail(*args, **kwargs):
-        raise RuntimeError("cross-check failed")
+        raise error("cross-check failed")
 
     monkeypatch.setattr(cli, target, fail)
     assert main(argv) == 3

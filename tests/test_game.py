@@ -92,7 +92,7 @@ def test_all_zeros_strategy_case1(case_data):
 
 
 def test_empty_table_never_wins(rng):
-    table = WinningTable({}, 8)
+    table = WinningTable({})
     for _ in range(10):
         f_alice = tuple(int(x) for x in rng.integers(0, 3, 8))
         f_bob = tuple(int(x) for x in rng.integers(0, 3, 8))

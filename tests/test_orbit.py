@@ -28,6 +28,15 @@ def test_orbit_pair_label_validation():
         OrbitPair((1, 0), (1, 3))
 
 
+@pytest.mark.parametrize("bad", ["1", 1.5, 1.0])
+def test_non_integer_labels_rejected(bad):
+    from s4bell.orbit import OrbitPair
+
+    for alice, bob in (((bad, 0), (1, 0)), ((1, 0), (1, bad))):
+        with pytest.raises(ValueError, match="integers"):
+            OrbitPair(alice, bob)
+
+
 def test_orbit_reproduces_reference_table(orbit):
     for lab, expected in tables.ORBIT_TABLE.items():
         assert np.abs(orbit.coords(*lab) - expected).max() < 1e-9

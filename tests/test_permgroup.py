@@ -3,7 +3,6 @@ import pytest
 
 from s4bell.permgroup import (
     Permutation,
-    generate_group,
     parse_cycles,
     symmetric_group,
 )
@@ -38,26 +37,6 @@ def test_compose_degree_mismatch():
 def test_invalid_images_rejected():
     with pytest.raises(ValueError):
         Permutation((0, 0, 1, 2))
-
-
-def test_generate_single_involution():
-    assert generate_group([t(0, 1)]).order == 2
-
-
-def test_generate_three_transpositions():
-    group = generate_group([t(0, 1), t(0, 2), t(0, 3)])
-    assert group.order == 24
-
-
-def test_generate_commuting_pair():
-    group = generate_group([t(0, 1), t(2, 3)])
-    assert group.order == 4
-    assert set(group.elements) == {E4, t(0, 1), t(2, 3), t(0, 1) * t(2, 3)}
-
-
-def test_generate_empty_rejected():
-    with pytest.raises(ValueError):
-        generate_group([])
 
 
 def test_elements_sorted_identity_first():
