@@ -28,7 +28,7 @@ for ct, members in group.conjugacy_classes.items():
 rep = build_standard_rep(group)
 swap = Permutation.transposition(0, 1, 4)
 print("\nEach transposition acts as a reflection, for example D(1 2) =")
-print(rep.matrix(swap))
+print(rep[group.index(swap)])
 
 print("\nThe orbit of (1, 0, 0) is degenerate: it has a stabilizer.")
 try:

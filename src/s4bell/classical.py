@@ -187,15 +187,23 @@ def _alice_orbits():
     return _AliceOrbits(representatives, sizes)
 
 
+@lru_cache(maxsize=1)
+def _generator_actions():
+    """Label-action rows of the adjacent transpositions (1 2), (2 3), (3 4)."""
+    ctx = standard_context()
+    generators = [Permutation.transposition(i, i + 1, 4) for i in range(3)]
+    action = ctx.orbit.label_action[[ctx.group.index(g) for g in generators]]
+    action.setflags(write=False)
+    return action
+
+
 def _is_invariant(expr: BellExpression) -> bool:
     """True when every S4 element maps the term set onto itself.
 
     Checked on the adjacent transpositions (1 2), (2 3) and (3 4) only:
     they generate S4, and the label action is a homomorphism.
     """
-    ctx = standard_context()
-    generators = [Permutation.transposition(i, i + 1, 4) for i in range(3)]
-    action = ctx.orbit.label_action[[ctx.group.index(g) for g in generators]]
+    action = _generator_actions()
     f = expr.table.reshape(N_SETTINGS * N_OUTCOMES, -1)
     return bool((f[action[:, :, None], action[:, None, :]] == f).all())
 

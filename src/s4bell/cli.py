@@ -22,7 +22,8 @@ label, as in "x01:x14,x01:x14,x01:x18"; a repeated orbit's terms count
 once per copy.  `analyze` and `game` reject such a spec (duplicate term).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (a malformed
-or term-repeating spec), 3 internal error (a library check failed).
+or term-repeating spec), 3 internal error (building the S4 context or
+another library check failed).
 """
 
 import argparse
@@ -107,9 +108,10 @@ def parse_pair_spec(text):
 def _expression(text):
     """Parse a pair spec and expand its terms; either failure is bad input,
     as `bell_terms` rejects parsed (valid) labels only for a repeated term."""
+    orbit = standard_context().orbit
     try:
         pairs = parse_pair_spec(text)
-        return pairs, bell_terms(pairs, standard_context().orbit)
+        return pairs, bell_terms(pairs, orbit)
     except ValueError as exc:
         raise _UsageError(exc) from exc
 
@@ -280,7 +282,7 @@ def _analysis_report(pairs, spectrum, cmax, table, value, hist):
         },
         "winning_table": table.as_dict(),
         "violation": {
-            "violated": bool(spectrum.lambda_max > cmax + 1e-9),
+            "violated": value.violation,
             "gap": spectrum.lambda_max - cmax,
         },
     }
@@ -309,7 +311,7 @@ def _render_analysis_text(pairs, spectrum, cmax, table, value, hist):
     denom = N_SETTINGS ** 2
     print(f"game value, classical: {cmax}/{denom} = {cmax / denom:.4f}")
     print(f"game value, quantum:   lambda_max/{denom} = {value.quantum:.4f}")
-    if spectrum.lambda_max > cmax + 1e-9:
+    if value.violation:
         print(f"violation: yes (gap {spectrum.lambda_max - cmax:.2f})")
     else:
         print("violation: no")

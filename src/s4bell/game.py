@@ -21,7 +21,6 @@ __all__ = [
     "GameValue",
     "winning_table",
     "game_values",
-    "evaluate_strategy",
 ]
 
 
@@ -30,19 +29,6 @@ class WinningTable:
     """Winning answer pairs per settings pair (s, t)."""
 
     entries: dict  # (s, t) -> frozenset of (a, b)
-
-    def __post_init__(self):
-        entries = {
-            key: frozenset(tuple(p) for p in value)
-            for key, value in self.entries.items()
-        }
-        object.__setattr__(self, "entries", entries)
-
-    def winning_pairs(self, s, t):
-        return self.entries.get((s, t), frozenset())
-
-    def wins(self, s, t, a, b):
-        return (a, b) in self.winning_pairs(s, t)
 
     def has_uniform_triple_structure(self):
         """True when every nonempty entry holds exactly three answer pairs
@@ -74,7 +60,7 @@ def winning_table(expr: BellExpression) -> WinningTable:
     entries = {}
     for s, a, t, b in expr.terms:
         entries.setdefault((s, t), set()).add((a, b))
-    return WinningTable(entries)
+    return WinningTable({key: frozenset(value) for key, value in entries.items()})
 
 
 @dataclass(frozen=True)
@@ -89,10 +75,6 @@ class GameValue:
         # Strict beyond rounding noise; equal-bound games are not violations.
         return self.quantum > float(self.classical) + 1e-9
 
-    @property
-    def gap(self):
-        return self.quantum - float(self.classical)
-
 
 def game_values(expr: BellExpression, ctx: Context) -> GameValue:
     """Classical and quantum winning probabilities of the expression's game.
@@ -104,15 +86,3 @@ def game_values(expr: BellExpression, ctx: Context) -> GameValue:
     classical = Fraction(classical_max(expr), denominator)
     spectrum = max_eigenvalue_sum(expr.pairs, ctx)
     return GameValue(classical, spectrum.lambda_max / denominator)
-
-
-def evaluate_strategy(f_alice, f_bob, table: WinningTable) -> Fraction:
-    """Exact winning probability of a deterministic strategy pair."""
-    settings = range(1, N_SETTINGS + 1)
-    wins = sum(
-        1
-        for s in settings
-        for t in settings
-        if table.wins(s, t, f_alice[s - 1], f_bob[t - 1])
-    )
-    return Fraction(wins, N_SETTINGS ** 2)

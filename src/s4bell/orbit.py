@@ -49,7 +49,7 @@ N_SETTINGS = 8
 N_OUTCOMES = 3
 
 
-class DegenerateOrbitError(Exception):
+class DegenerateOrbitError(ValueError):
     """The seed has a nontrivial stabilizer; carries the actual orbit size."""
 
     def __init__(self, size):
@@ -57,7 +57,7 @@ class DegenerateOrbitError(Exception):
         self.size = size
 
 
-class PartitionError(Exception):
+class PartitionError(ValueError):
     """The orbit does not split into disjoint orthonormal triples."""
 
 

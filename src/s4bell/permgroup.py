@@ -8,7 +8,6 @@ term order, JSON output).
 """
 
 import itertools
-import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,7 +17,6 @@ __all__ = [
     "Permutation",
     "GroupTable",
     "symmetric_group",
-    "parse_cycles",
 ]
 
 
@@ -47,12 +45,6 @@ class Permutation:
                 f"incompatible permutations: degree {self.degree} vs {other.degree}"
             )
         return Permutation(tuple(self.images[j] for j in other.images))
-
-    def inverse(self):
-        inv = [0] * self.degree
-        for k, j in enumerate(self.images):
-            inv[j] = k
-        return Permutation(tuple(inv))
 
     def cycles(self):
         """Disjoint cycles of length >= 2, each starting at its smallest point."""
@@ -87,10 +79,6 @@ class Permutation:
         if not cycles:
             return "e"
         return "".join("(" + " ".join(str(k + 1) for k in c) + ")" for c in cycles)
-
-    @classmethod
-    def identity(cls, degree):
-        return cls(tuple(range(degree)))
 
     @classmethod
     def transposition(cls, i, j, degree):
@@ -160,39 +148,3 @@ class GroupTable:
 def symmetric_group(degree):
     """The full symmetric group on `degree` points, in canonical order."""
     return GroupTable(tuple(map(Permutation, itertools.permutations(range(degree)))))
-
-
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
-
-
-def parse_cycles(text, degree):
-    """Parse cycle notation like "(1 2)(3 4)" with 1-based points.
-
-    Commas are accepted alongside spaces; "e" (or "()") denotes the
-    identity.  Cycles are composed left to right as maps, i.e. the
-    rightmost cycle acts first, which is immaterial for the usual
-    disjoint-cycle input.
-    """
-    stripped = text.strip()
-    if stripped in ("e", "()", ""):
-        return Permutation.identity(degree)
-    if _CYCLE_RE.sub("", stripped).strip():
-        raise ValueError(f"malformed cycle notation: {text!r}")
-    result = Permutation.identity(degree)
-    for body in _CYCLE_RE.findall(stripped):
-        points = [tok for tok in re.split(r"[,\s]+", body.strip()) if tok]
-        if len(points) < 2:
-            raise ValueError(f"cycle needs at least two points: ({body})")
-        try:
-            pts = [int(tok) - 1 for tok in points]
-        except ValueError:
-            raise ValueError(f"non-integer point in cycle: ({body})") from None
-        if any(not 0 <= k < degree for k in pts):
-            raise ValueError(f"point out of range 1..{degree}: ({body})")
-        if len(set(pts)) != len(pts):
-            raise ValueError(f"repeated point in cycle: ({body})")
-        images = list(range(degree))
-        for a, b in zip(pts, pts[1:] + pts[:1]):
-            images[a] = b
-        result = result * Permutation(tuple(images))
-    return result

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tables
-from .permgroup import GroupTable, Permutation
+from .permgroup import GroupTable
 
 __all__ = [
     "EPS",
@@ -44,11 +44,11 @@ __all__ = [
 EPS = 1e-9
 
 
-class RepresentationError(Exception):
+class RepresentationError(RuntimeError):
     """A representation failed one of its defining identities."""
 
 
-class DecompositionError(Exception):
+class DecompositionError(RuntimeError):
     """The isotypic projectors do not have the expected dimensions."""
 
 
@@ -77,12 +77,6 @@ class Representation:
 
     def __getitem__(self, k):
         return self.matrices[k]
-
-    def matrix(self, element):
-        """Matrix of a Permutation or of an element index."""
-        if isinstance(element, Permutation):
-            element = self.group.index(element)
-        return self.matrices[element]
 
 
 def _adjacent_factorization(images):
@@ -122,7 +116,7 @@ def build_standard_rep(group: GroupTable) -> Representation:
 
 def alternating_twist(rep: Representation) -> Representation:
     """Multiply each matrix by the sign of its element."""
-    mats = tuple(p.sign() * rep.matrix(k) for k, p in enumerate(rep.group))
+    mats = tuple(p.sign() * rep[k] for k, p in enumerate(rep.group))
     return Representation(rep.group, mats)
 
 
@@ -163,18 +157,11 @@ class IsotypicDecomposition:
     components: tuple
     group_order: int
 
-    @property
-    def labels(self):
-        return tuple(c.label for c in self.components)
-
     def component(self, label):
         for c in self.components:
             if c.label == label:
                 return c
         raise KeyError(label)
-
-    def projector(self, label):
-        return self.component(label).projector
 
 
 def isotypic_projectors(product: Representation,

@@ -27,7 +27,7 @@ def _locked(rows):
     return arr
 
 
-class TableMismatchError(Exception):
+class TableMismatchError(RuntimeError):
     """A computed object disagrees with a bundled reference table."""
 
 

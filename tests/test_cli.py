@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from s4bell import cli
 from s4bell.cli import PairSpecError, main, parse_pair_spec, run_verification
 from s4bell.orbit import OrbitPair, all_labels
+from s4bell.representation import DecompositionError
 
 LABELS = [f"x{outcome}{basis}" for basis, outcome in all_labels()]
 
@@ -104,7 +105,10 @@ def test_malformed_spec_exits_2(capsys):
     ("max_eigenvalue_sum", ["analyze", "--pairs", "x01:x14"], RuntimeError),
     ("classical_histogram", ["verify"], RuntimeError),
     ("classical_max", ["analyze", "--pairs", "x01:x14"], ValueError),
-], ids=["analyze", "verify", "library_value_error"])
+    ("standard_context", ["analyze", "--pairs", "x01:x14"], ValueError),
+    ("standard_context", ["verify"], DecompositionError),
+], ids=["analyze", "verify", "library_value_error", "context_value_error",
+        "context_decomposition_error"])
 def test_internal_error_exits_3(monkeypatch, capsys, target, argv, error):
     def fail(*args, **kwargs):
         raise error("cross-check failed")
@@ -112,6 +116,17 @@ def test_internal_error_exits_3(monkeypatch, capsys, target, argv, error):
     monkeypatch.setattr(cli, target, fail)
     assert main(argv) == 3
     assert "internal error: cross-check failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", [
+    "x01:x14,x01:x07,x01:x15", "x01:x23,x01:x16,x01:x01", "x01:x25,x01:x14,x01:x18",
+    "x01:x01",
+], ids=["I", "II", "III", "diagonal"])
+def test_analyze_and_game_agree_on_violation(spec):
+    _, out = run_cli(["analyze", "--pairs", spec, "--json"])
+    violated = json.loads(out)["violation"]["violated"]
+    _, out = run_cli(["game", "--pairs", spec])
+    assert f"violation: {'yes' if violated else 'no'}" in out.splitlines()
 
 
 def test_usage_error_exits_2():

@@ -5,7 +5,7 @@ import pytest
 
 from s4bell import tables
 from s4bell.classical import bell_terms, classical_max, coefficient
-from s4bell.game import GameValue, WinningTable, evaluate_strategy, game_values, winning_table
+from s4bell.game import GameValue, game_values, winning_table
 from s4bell.quantum import max_eigenvalue_sum
 
 
@@ -27,8 +27,7 @@ def test_case1_table_matches_reference(case_data):
 
 def test_absent_settings_pair_is_empty(case_data):
     _, _, table = case_data["I"]
-    assert table.winning_pairs(1, 1) == frozenset()
-    assert not table.wins(1, 1, 0, 0)
+    assert (1, 1) not in table.entries
 
 
 def test_uniform_triple_structure_reported(case_data):
@@ -59,44 +58,28 @@ def test_game_values_case2(ctx, case_data):
     assert abs(value.quantum - 18.5138 / 64) < 1e-4
 
 
-def test_strategy_evaluation_matches_coefficient(case_data, rng):
-    _, expr, table = case_data["I"]
-    for _ in range(1000):
-        f_alice = tuple(int(x) for x in rng.integers(0, 3, 8))
-        f_bob = tuple(int(x) for x in rng.integers(0, 3, 8))
-        won = evaluate_strategy(f_alice, f_bob, table)
-        assert won == Fraction(coefficient(expr, f_alice, f_bob), 64)
-
-
 def test_random_strategies_below_optimum(case_data, rng):
     from s4bell.classical import optimal_classical_strategy
 
-    _, expr, table = case_data["I"]
-    bound = Fraction(classical_max(expr), 64)
-    best = Fraction(0)
+    _, expr, _ = case_data["I"]
+    bound = classical_max(expr)
+    best = 0
     for _ in range(1000):
         f_alice = tuple(int(x) for x in rng.integers(0, 3, 8))
         f_bob = tuple(int(x) for x in rng.integers(0, 3, 8))
-        best = max(best, evaluate_strategy(f_alice, f_bob, table))
+        best = max(best, coefficient(expr, f_alice, f_bob))
     assert best <= bound
     f_alice, f_bob = optimal_classical_strategy(expr)
-    assert evaluate_strategy(f_alice, f_bob, table) == bound == Fraction(16, 64)
+    assert coefficient(expr, f_alice, f_bob) == bound == 16
 
 
 def test_all_zeros_strategy_case1(case_data):
     # Table rows containing the answer pair 00: settings pairs
     # 17, 34, 37, 43, 68, 71, 73, 86, i.e. 8 of 64
-    _, _, table = case_data["I"]
+    _, expr, table = case_data["I"]
     zeros = (0,) * 8
-    assert evaluate_strategy(zeros, zeros, table) == Fraction(8, 64)
-
-
-def test_empty_table_never_wins(rng):
-    table = WinningTable({})
-    for _ in range(10):
-        f_alice = tuple(int(x) for x in rng.integers(0, 3, 8))
-        f_bob = tuple(int(x) for x in rng.integers(0, 3, 8))
-        assert evaluate_strategy(f_alice, f_bob, table) == 0
+    assert sum((0, 0) in pairs for pairs in table.entries.values()) == 8
+    assert coefficient(expr, zeros, zeros) == 8
 
 
 def test_quantum_value_consistent_with_term_view(ctx, case_data):

@@ -1,18 +1,14 @@
 import numpy as np
 import pytest
 
-from s4bell.permgroup import (
-    Permutation,
-    parse_cycles,
-    symmetric_group,
-)
+from s4bell.permgroup import Permutation, symmetric_group
 
 
 def t(i, j, n=4):
     return Permutation.transposition(i, j, n)
 
 
-E4 = Permutation.identity(4)
+E4 = Permutation((0, 1, 2, 3))
 
 
 def test_compose_identity():
@@ -83,7 +79,7 @@ def test_cycle_type_examples():
 def test_conjugate_iff_same_cycle_type():
     group = symmetric_group(4)
     for p in group:
-        conjugates = {q * p * q.inverse() for q in group}
+        conjugates = {q * p * Permutation(tuple(np.argsort(q.images))) for q in group}
         assert {c.cycle_type() for c in conjugates} == {p.cycle_type()}
 
 
@@ -95,13 +91,6 @@ def test_associativity_random_triples():
         assert (p * q) * r == p * (q * r)
 
 
-def test_inverse_exhaustive():
-    group = symmetric_group(4)
-    for p in group:
-        assert p * p.inverse() == E4
-        assert p.inverse() * p == E4
-
-
 def test_product_table_consistent():
     group = symmetric_group(4)
     table = group.product_table
@@ -110,28 +99,21 @@ def test_product_table_consistent():
             assert group[table[i, j]] == group[i] * group[j]
 
 
-def test_cycle_string_roundtrip():
-    group = symmetric_group(4)
-    for p in group:
-        assert parse_cycles(p.cycle_string(), 4) == p
+def test_cycle_string_names_each_element():
+    # One element per conjugacy class, then no two elements share a name.
+    examples = {
+        (0, 1, 2, 3): "e",
+        (1, 0, 2, 3): "(1 2)",
+        (1, 0, 3, 2): "(1 2)(3 4)",
+        (1, 2, 0, 3): "(1 2 3)",
+        (1, 2, 3, 0): "(1 2 3 4)",
+    }
+    for images, text in examples.items():
+        assert Permutation(images).cycle_string() == text
+    names = {p.cycle_string() for p in symmetric_group(4)}
+    assert len(names) == 24
 
 
 def test_cycle_string_identity():
     assert E4.cycle_string() == "e"
     assert (t(0, 1) * t(2, 3)).cycle_string() == "(1 2)(3 4)"
-
-
-def test_parse_cycles_forms():
-    assert parse_cycles("(1 2)(3 4)", 4) == t(0, 1) * t(2, 3)
-    assert parse_cycles("(1,2)", 4) == t(0, 1)
-    assert parse_cycles("e", 4) == E4
-    assert parse_cycles("(1 2 3)", 4).images == (1, 2, 0, 3)
-
-
-@pytest.mark.parametrize(
-    "text",
-    ["(1 5)", "(1 2", "(1 1)", "(x 2)", "(1)", "junk"],
-)
-def test_parse_cycles_rejects(text):
-    with pytest.raises(ValueError):
-        parse_cycles(text, 4)

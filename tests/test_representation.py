@@ -29,13 +29,13 @@ def test_identity_is_exact(rep):
 def test_transposition_matrices_match_table(group, rep):
     for (i, j), expected in tables.TRANSPOSITION_MATRICES.items():
         p = Permutation.transposition(i - 1, j - 1, 4)
-        assert np.abs(rep.matrix(p) - expected).max() < 1e-12
+        assert np.abs(rep[group.index(p)] - expected).max() < 1e-12
 
 
 def test_specific_matrices(group, rep):
-    d12 = rep.matrix(Permutation.transposition(0, 1, 4))
+    d12 = rep[group.index(Permutation.transposition(0, 1, 4))]
     assert np.allclose(d12, np.diag([1.0, 1.0, -1.0]), atol=1e-12)
-    d34 = rep.matrix(Permutation.transposition(2, 3, 4))
+    d34 = rep[group.index(Permutation.transposition(2, 3, 4))]
     root8 = np.sqrt(8.0)
     expected = np.array([[-1 / 3, root8 / 3, 0], [root8 / 3, 1 / 3, 0], [0, 0, 1]])
     assert np.allclose(d34, expected, atol=1e-12)
@@ -78,7 +78,7 @@ def test_twist_character_on_four_cycles(group, rep):
     # chi of the twist on a 4-cycle: trace of D there is -1, sign is -1.
     twist = alternating_twist(rep)
     four_cycle = Permutation((1, 2, 3, 0))
-    assert abs(np.trace(rep.matrix(four_cycle)) - (-1.0)) < EPS
+    assert abs(np.trace(rep[group.index(four_cycle)]) - (-1.0)) < EPS
     chi = character(twist)
     assert abs(chi[(4,)] - 1.0) < EPS
 
@@ -145,14 +145,13 @@ def test_projector_algebra(decomposition):
 def test_component_character_orthogonality(group, product, decomposition):
     # The character of each component is tr(P_s M(g)); distinct components
     # must have orthogonal characters over the group.
-    labels = decomposition.labels
     chars = {
-        s: np.array([np.trace(decomposition.projector(s) @ product[k])
-                     for k in range(group.order)])
-        for s in labels
+        c.label: np.array([np.trace(c.projector @ product[k])
+                           for k in range(group.order)])
+        for c in decomposition.components
     }
-    for s in labels:
-        for r in labels:
+    for s in chars:
+        for r in chars:
             ip = float(chars[s] @ chars[r]) / group.order
             assert abs(ip - (1.0 if s == r else 0.0)) < EPS
 
@@ -162,7 +161,7 @@ def test_scalar_projector_closed_form(decomposition):
     # here from the last row of the bundled change of basis
     u = tables.BLOCK_BASIS[8]
     expected = np.outer(u, u)
-    assert np.abs(decomposition.projector("D0") - expected).max() < EPS
+    assert np.abs(decomposition.component("D0").projector - expected).max() < EPS
 
 
 def test_projectors_reject_wrong_product(group, rep):
