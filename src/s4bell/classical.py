@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .context import standard_context
-from .orbit import N_OUTCOMES, N_SETTINGS, Orbit, OrbitPair
+from .orbit import N_OUTCOMES, N_SETTINGS, Orbit, OrbitPair, all_labels
 from .permgroup import Permutation
 
 __all__ = [
@@ -103,7 +103,7 @@ def bell_terms(pairs, orbit: Orbit) -> BellExpression:
     raise ValueError.
     """
     pairs = tuple(p if isinstance(p, OrbitPair) else OrbitPair(*p) for p in pairs)
-    labels = [v.label for v in orbit.vectors]
+    labels = all_labels()
     terms = []
     for pair in pairs:
         alice = orbit.label_action[:, labels.index(pair.alice)]
@@ -221,7 +221,7 @@ def _alice_rows(*exprs: BellExpression):
     return np.arange(n), np.ones(n, dtype=np.int64)
 
 
-def _per_alice_tables(table, rows=slice(None)):
+def _per_alice_tables(table, rows):
     """M[i, t, b]: terms with Bob pair (t, b) satisfied by Alice tuple rows[i]."""
     prof = _profiles()[rows]
     m = np.zeros((len(prof), N_SETTINGS, N_OUTCOMES), dtype=np.int16)
@@ -240,15 +240,15 @@ def _row_maxima(m):
     return reduce(np.maximum, np.moveaxis(m, -1, 0)).sum(axis=-1)
 
 
-def _max_coefficient(table, rows=slice(None)):
+def _max_coefficient(table, rows):
     return int(_row_maxima(_per_alice_tables(table, rows)).max())
 
 
-def _histogram_counts(table, rows=slice(None), weights=None):
+def _histogram_counts(table, rows, weights):
     """Configurations per coefficient, over the Alice tuples `rows`.
 
     Row i's counts are the coefficients of prod_t sum_b x**M[i, t, b]; the
-    rows are summed with `weights` (default one each).
+    rows are summed with `weights`.
     """
     m = _per_alice_tables(table, rows)
     width = int(table.sum()) + 1
@@ -263,7 +263,7 @@ def _histogram_counts(table, rows=slice(None), weights=None):
             np.take_along_axis(padded, shifted - m[:, t, b, None], axis=1)
             for b in range(N_OUTCOMES)
         )
-    counts = poly.sum(axis=0) if weights is None else weights @ poly
+    counts = weights @ poly
 
     fast_max = int(_row_maxima(m).max())
     hist_max = int(np.flatnonzero(counts)[-1])

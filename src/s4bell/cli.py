@@ -47,6 +47,7 @@ from .context import standard_context
 from .game import game_values, winning_table
 from .orbit import N_OUTCOMES, N_SETTINGS, OrbitPair, all_labels, orbit_to_json
 from .quantum import (
+    EIG_TOL,
     build_x_operator,
     eigenvalues_direct,
     eigenvalues_isotypic,
@@ -197,7 +198,7 @@ def run_verification(echo=print):
             worst = max(worst, float(np.abs(direct - np.array(expected)).max()))
         check(
             f"case {name}: componentwise and direct eigenvalues agree",
-            worst < 1e-6,
+            worst < EIG_TOL,
             f"max deviation {worst:.1e}",
         )
 
@@ -262,9 +263,9 @@ def _cmd_verify(args):
 def _analysis(pairs, expr, with_histogram):
     ctx = standard_context()
     spectrum = max_eigenvalue_sum(pairs, ctx)
-    cmax = classical_max(expr)
     table = winning_table(expr)
     value = game_values(expr, ctx)
+    cmax = int(value.classical * N_SETTINGS ** 2)
     hist = classical_histogram(expr) if with_histogram else None
     return spectrum, cmax, table, value, hist
 
@@ -291,8 +292,8 @@ def _analysis_report(pairs, spectrum, cmax, table, value, hist):
     return report
 
 
-def _zero_snap(x, tol=1e-9):
-    return 0.0 if abs(x) < tol else x
+def _zero_snap(x):
+    return 0.0 if abs(x) < 1e-9 else x
 
 
 def _render_analysis_text(pairs, spectrum, cmax, table, value, hist):
@@ -418,10 +419,9 @@ def _cmd_orbits(args):
         print(orbit_to_json(ctx.orbit))
         return 0
     print("label   coordinates" + " " * 27 + "element")
-    for v in ctx.orbit.vectors:
-        coords = ", ".join(f"{x: .6f}" for x in v.coords)
-        name = format_label(v.label)
-        print(f"{name}     ({coords})   {ctx.group[v.element].cycle_string()}")
+    for label, point, element in zip(all_labels(), ctx.orbit.points, ctx.orbit.elements):
+        coords = ", ".join(f"{x: .6f}" for x in point)
+        print(f"{format_label(label)}     ({coords})   {ctx.group[element].cycle_string()}")
     return 0
 
 

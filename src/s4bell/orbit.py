@@ -2,16 +2,16 @@
 
 A generic seed has 24 distinct images which split into eight orthonormal
 triples; each triple is one measurement basis, so an orbit vector carries a
-label (basis i in 1..8, outcome alpha in 0..2).  The triple partition is
-found as an exact cover of the orthogonality graph.  Labels can either be
-assigned canonically (by group-element order) or matched against the
-bundled reference table.
+label (basis i in 1..8, outcome alpha in 0..2) and is stored in the row of
+that label in `all_labels()` order.  The triple partition is an exact cover
+of the orthogonality graph.  Labels follow group-element order or are
+matched against the bundled reference table.
 """
 
 import itertools
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -25,7 +25,6 @@ __all__ = [
     "N_SETTINGS",
     "N_OUTCOMES",
     "OrbitPair",
-    "OrbitVector",
     "Orbit",
     "DegenerateOrbitError",
     "PartitionError",
@@ -81,80 +80,64 @@ class OrbitPair:
 
 
 @dataclass(frozen=True)
-class OrbitVector:
-    coords: np.ndarray
-    element: int  # index into the group's canonical element order
-    basis: int  # 1..8
-    outcome: int  # 0..2
-
-    def __post_init__(self):
-        arr = np.array(self.coords, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "coords", arr)
-
-    @property
-    def label(self):
-        return (self.basis, self.outcome)
-
-
-@dataclass(frozen=True)
 class Orbit:
-    """A labeled orbit: vectors sorted by (basis, outcome), so position k
-    holds label (k // 3 + 1, k % 3)."""
+    """A labeled orbit as read-only arrays in label order.
+
+    Row k of `points` (24, 3) and `elements` (24,) holds label `all_labels()[k]`
+    = (k // 3 + 1, k % 3): the image of `seed` under group element `elements[k]`.
+    """
 
     seed: np.ndarray
-    vectors: tuple
+    points: np.ndarray
+    elements: np.ndarray  # indices into the group's canonical element order
     group: GroupTable
-    partition_count: int = 1
+    partition_count: int  # number of triple partitions the orbit admits
 
     def __post_init__(self):
-        arr = np.array(self.seed, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "seed", arr)
-
-    @cached_property
-    def _by_label(self):
-        return {v.label: v for v in self.vectors}
+        for name in ("seed", "points", "elements"):
+            arr = np.array(getattr(self, name))
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @cached_property
     def label_action(self):
-        """[g, k]: position in `vectors` of the image of vectors[k] under element g.
+        """[g, k]: row of the image of points[k] under element g.
 
         Read off the group product on element indices, which is exact.
         Read-only.
         """
-        elements = [v.element for v in self.vectors]
         position = np.empty(self.group.order, dtype=np.int64)
-        position[elements] = np.arange(len(elements))
-        action = position[self.group.product_table[:, elements]]
+        position[self.elements] = np.arange(len(self.elements))
+        action = position[self.group.product_table[:, self.elements]]
         action.setflags(write=False)
         return action
 
     def coords(self, basis, outcome):
-        return self._by_label[(basis, outcome)].coords
+        return self.points[_row(basis, outcome)]
 
     def element_of(self, basis, outcome):
-        return self._by_label[(basis, outcome)].element
+        return int(self.elements[_row(basis, outcome)])
 
     def label_of_coords(self, coords):
         """Label of the orbit vector within MATCH_TOL of `coords`."""
         coords = np.asarray(coords, dtype=float)
-        for v in self.vectors:
-            if np.linalg.norm(v.coords - coords) < MATCH_TOL:
-                return v.label
-        raise LookupError(f"no orbit vector near {coords}")
+        hits = np.flatnonzero(_close(self.points, coords))
+        if not hits.size:
+            raise LookupError(f"no orbit vector near {coords}")
+        return all_labels()[hits[0]]
 
     def as_dict(self):
+        rows = zip(all_labels(), self.points, self.elements)
         return {
             "seed": [float(x) for x in self.seed],
             "vectors": [
                 {
-                    "i": v.basis,
-                    "alpha": v.outcome,
-                    "element": self.group[v.element].cycle_string(),
-                    "coords": [float(x) for x in v.coords],
+                    "i": basis,
+                    "alpha": outcome,
+                    "element": self.group[element].cycle_string(),
+                    "coords": [float(x) for x in point],
                 }
-                for v in self.vectors
+                for (basis, outcome), point, element in rows
             ],
         }
 
@@ -179,13 +162,12 @@ def partition_into_bases(vectors):
     if n == 0 or n % 3:
         raise PartitionError(f"cannot split {n} vectors into triples")
     norms = np.linalg.norm(arr, axis=1)
-    if np.abs(norms - 1.0).max() > 1e-6:
+    if not np.abs(norms - 1.0).max() <= 1e-6:
         raise ValueError("vectors must be unit length")
     gram = arr @ arr.T
-    for a in range(n):
-        for b in range(a + 1, n):
-            if np.linalg.norm(arr[a] - arr[b]) < MATCH_TOL:
-                raise ValueError(f"vectors {a} and {b} coincide")
+    coincide = np.argwhere(np.triu(_close(arr[:, None], arr), 1))
+    if len(coincide):
+        raise ValueError("vectors {} and {} coincide".format(*coincide[0]))
 
     orthogonal = [
         {b for b in range(n) if b != a and abs(gram[a, b]) < EPS}
@@ -224,15 +206,17 @@ def partition_into_bases(vectors):
     return tuple(best), len(covers)
 
 
+def _close(points, x):
+    """Mask of the rows of `points` within MATCH_TOL of `x`."""
+    return np.linalg.norm(points - x, axis=-1) < MATCH_TOL
+
+
 def _distinct_images(rep: Representation, seed):
-    """(coords, element index) of each distinct image of `seed` (within
+    """(points, element indices) of the distinct images of `seed` (within
     MATCH_TOL), in group-element order; the first occurrence wins."""
-    images = []
-    for k in range(rep.group.order):
-        w = rep[k] @ seed
-        if not any(np.linalg.norm(w - u) < MATCH_TOL for u, _ in images):
-            images.append((w, k))
-    return images
+    images = np.array([rep[k] @ seed for k in range(rep.group.order)])
+    first = [k for k in range(len(images)) if not _close(images[:k], images[k]).any()]
+    return images[first], np.array(first)
 
 
 def generate_orbit(rep: Representation, seed) -> Orbit:
@@ -249,19 +233,15 @@ def generate_orbit(rep: Representation, seed) -> Orbit:
     exists.
     """
     seed = np.asarray(seed, dtype=float)
-    if abs(np.linalg.norm(seed) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(seed) - 1.0) <= 1e-9:
         raise ValueError("seed must be a unit vector")
-    reps = _distinct_images(rep, seed)
-    if len(reps) < rep.group.order:
-        raise DegenerateOrbitError(len(reps))
+    points, elements = _distinct_images(rep, seed)
+    if len(points) < rep.group.order:
+        raise DegenerateOrbitError(len(points))
 
-    triples, count = partition_into_bases([u for u, _ in reps])
-    vectors = []
-    for pos, tri in enumerate(triples):
-        for alpha, idx in enumerate(tri):
-            coords, element = reps[idx]
-            vectors.append(OrbitVector(coords, element, pos + 1, alpha))
-    return Orbit(seed, tuple(vectors), rep.group, count)
+    triples, count = partition_into_bases(points)
+    rows = list(itertools.chain.from_iterable(triples))
+    return Orbit(seed, points[rows], elements[rows], rep.group, count)
 
 
 def match_reference_labels(orbit: Orbit) -> Orbit:
@@ -269,31 +249,22 @@ def match_reference_labels(orbit: Orbit) -> Orbit:
 
     Every orbit vector must sit within MATCH_TOL of exactly one table
     entry and the assignment must be a bijection; otherwise
-    TableMismatchError is raised.
+    TableMismatchError is raised; the rows are then put in table-label order.
     """
-    assignment = {}
-    for v in orbit.vectors:
-        hits = [
-            lab
-            for lab, ref in tables.ORBIT_TABLE.items()
-            if np.linalg.norm(ref - v.coords) < MATCH_TOL
-        ]
+    reference = np.array([tables.ORBIT_TABLE[lab] for lab in all_labels()])
+    matched = []
+    for point, element in zip(orbit.points, orbit.elements):
+        hits = np.flatnonzero(_close(reference, point))
         if len(hits) != 1:
             raise tables.TableMismatchError(
-                f"orbit vector with element {v.element} matches {len(hits)} table entries"
+                f"orbit vector with element {element} matches {len(hits)} table entries"
             )
-        assignment[v.label] = hits[0]
-    if len(set(assignment.values())) != len(orbit.vectors):
+        matched.append(hits[0])
+    if len(set(matched)) != len(orbit.points):
         raise tables.TableMismatchError("table labels not assigned bijectively")
 
-    relabeled = sorted(
-        (
-            OrbitVector(v.coords, v.element, *assignment[v.label])
-            for v in orbit.vectors
-        ),
-        key=lambda v: v.label,
-    )
-    return Orbit(orbit.seed, tuple(relabeled), orbit.group, orbit.partition_count)
+    order = np.argsort(matched)
+    return replace(orbit, points=orbit.points[order], elements=orbit.elements[order])
 
 
 def tetrahedron_orbit(rep: Representation) -> np.ndarray:
@@ -304,9 +275,9 @@ def tetrahedron_orbit(rep: Representation) -> np.ndarray:
     """
     seed = np.zeros(rep.dim)
     seed[0] = 1.0
-    arr = np.array([w for w, _ in _distinct_images(rep, seed)])
-    arr.setflags(write=False)
-    return arr
+    points, _ = _distinct_images(rep, seed)
+    points.setflags(write=False)
+    return points
 
 
 def canonical_orbit(rep: Representation) -> Orbit:
@@ -315,5 +286,12 @@ def canonical_orbit(rep: Representation) -> Orbit:
 
 
 def all_labels():
-    """All 24 (basis, outcome) labels in canonical order."""
+    """All 24 (basis, outcome) labels in canonical order: an orbit's row order."""
     return tuple(itertools.product(range(1, N_SETTINGS + 1), range(N_OUTCOMES)))
+
+
+def _row(basis, outcome):
+    """Row of label (basis, outcome) in an orbit; KeyError when out of range."""
+    if not (1 <= basis <= N_SETTINGS and 0 <= outcome < N_OUTCOMES):
+        raise KeyError((basis, outcome))
+    return (basis - 1) * N_OUTCOMES + outcome

@@ -12,10 +12,11 @@ same spectrum is computed a second, independent way by cyclic Jacobi
 diagonalization of the assembled 9x9 matrix; the two routes cross-check
 each other.
 
-Several orbit pairs are combined by summing their operators.  The maximal
-eigenvalue of the sum is always taken from a direct diagonalization of the
-summed matrix; componentwise sums are reported alongside but never used as
-a shortcut for the maximum.
+Several orbit pairs are combined by summing their operators.  Every pair
+operator is sum_s lambda_s P_s over the same four projectors, so the sum
+has the componentwise sums as eigenvalues and `scan` ranks by the largest.
+`max_eigenvalue_sum` (analyze, game, verify) diagonalizes the summed matrix
+instead and checks that every componentwise sum appears in its spectrum.
 """
 
 import math
@@ -122,6 +123,8 @@ def eigenvalues_isotypic(phi, psi, decomposition: IsotypicDecomposition):
     Returned as (label, eigenvalue) pairs in component order.  The scalar
     component comes out as 8 (phi . psi)^2 for unit inputs.
     """
+    if not np.isfinite([phi, psi]).all():
+        raise ValueError("phi and psi must be finite")
     w = np.kron(np.asarray(phi, dtype=float), np.asarray(psi, dtype=float))
     out = []
     for comp in decomposition.components:

@@ -54,7 +54,7 @@ def test_criterion_1_orbit_reproduction(ctx):
     )
     if deviation > 1e-9:
         problems.append(f"coordinate deviation {deviation:.2e} > 1e-9")
-    if len({v.label for v in orbit.vectors}) != 24:
+    if orbit.points.shape != (24, 3) or len(set(orbit.elements.tolist())) != 24:
         problems.append("labels not bijective")
     if elapsed >= 1.0:
         problems.append(f"took {elapsed:.2f}s >= 1s")

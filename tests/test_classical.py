@@ -23,7 +23,7 @@ from s4bell.classical import (
     multiset_maxima,
     optimal_classical_strategy,
 )
-from s4bell.orbit import OrbitPair
+from s4bell.orbit import OrbitPair, all_labels
 from s4bell.permgroup import Permutation
 
 
@@ -104,9 +104,12 @@ def test_histogram_case1(case_exprs):
     assert hist.counts[0] == 3 ** 16 - sum(tables.REF_COEFFICIENT_COUNTS["I"])
 
 
+ALL_ROWS = np.arange(3 ** 8)
+
+
 def full_counts(expr):
     """Histogram from the full scan over every Alice tuple, as a list."""
-    return _histogram_counts(expr.table).tolist()
+    return _histogram_counts(expr.table, ALL_ROWS, np.ones(3 ** 8, dtype=np.int64)).tolist()
 
 
 def test_histogram_reduced_matches_full(case_exprs):
@@ -142,7 +145,7 @@ def test_invariance_needs_every_generator(ctx, pair):
     # (2 3), (3 4) is closed under both, but not under the third.
     generators = [Permutation.transposition(i, i + 1, 4) for i in pair]
     actions = [ctx.orbit.label_action[ctx.group.index(g)] for g in generators]
-    labels = [v.label for v in ctx.orbit.vectors]
+    labels = all_labels()
     positions = {(labels.index((1, 0)), labels.index((4, 1)))}
     while True:
         grown = positions | {(a[k], a[m]) for a in actions for k, m in positions}
@@ -165,7 +168,7 @@ def test_reduced_scan_matches_full_on_orbit_pair_unions(pairs):
     except ValueError:  # two of the pairs expand into the same terms
         assume(False)
     assert _is_invariant(expr)
-    assert classical_max(expr) == _max_coefficient(expr.table)
+    assert classical_max(expr) == _max_coefficient(expr.table, ALL_ROWS)
     hist = classical_histogram(expr)
     assert [hist.counts[c] for c in range(len(hist.counts))] == full_counts(expr)
 
@@ -197,7 +200,7 @@ def test_multiset_maxima_match_full_scan_of_unions(orbit):
     # `scan` asks for multisets of one, two and three orbits.
     for members, size in itertools.product((exprs, exprs[:2] + [friendly]), (1, 2, 3)):
         combos = itertools.combinations_with_replacement(members, size)
-        expected = [_max_coefficient(sum(e.table for e in c)) for c in combos]
+        expected = [_max_coefficient(sum(e.table for e in c), ALL_ROWS) for c in combos]
         assert multiset_maxima(members, size) == expected
 
 

@@ -7,6 +7,7 @@ from s4bell import tables
 from s4bell.orbit import (
     DegenerateOrbitError,
     PartitionError,
+    all_labels,
     generate_orbit,
     match_reference_labels,
     orbit_to_json,
@@ -42,8 +43,8 @@ def test_orbit_reproduces_reference_table(orbit):
 
 
 def test_labels_bijective(orbit):
-    assert len({v.label for v in orbit.vectors}) == 24
-    assert len({v.element for v in orbit.vectors}) == 24
+    assert orbit.points.shape == (24, 3)
+    assert len(set(orbit.elements.tolist())) == 24
 
 
 def test_specific_labels(orbit):
@@ -52,13 +53,13 @@ def test_specific_labels(orbit):
 
 
 def test_all_unit_norm(orbit):
-    for v in orbit.vectors:
-        assert abs(np.linalg.norm(v.coords) - 1.0) < 1e-12
+    for point in orbit.points:
+        assert abs(np.linalg.norm(point) - 1.0) < 1e-12
 
 
 def test_vectors_are_images_of_seed(orbit, rep):
-    for v in orbit.vectors:
-        assert np.abs(rep[v.element] @ orbit.seed - v.coords).max() < 1e-12
+    for point, element in zip(orbit.points, orbit.elements):
+        assert np.abs(rep[element] @ orbit.seed - point).max() < 1e-12
 
 
 def test_identity_maps_seed_to_itself(orbit):
@@ -79,12 +80,12 @@ def test_triples_are_orthonormal_and_complete(orbit):
 
 def test_group_covariance(orbit, rep, group):
     table = group.product_table
-    labels = [v.label for v in orbit.vectors]
+    labels = all_labels()
     for g in range(group.order):
-        for k, v in enumerate(orbit.vectors):
-            moved = rep[g] @ v.coords
+        for k, (point, element) in enumerate(zip(orbit.points, orbit.elements)):
+            moved = rep[g] @ point
             lab = orbit.label_of_coords(moved)
-            assert orbit.element_of(*lab) == table[g, v.element]
+            assert orbit.element_of(*lab) == table[g, element]
             # the label action (group product route) agrees with geometry
             assert orbit.label_action[g, k] == labels.index(lab)
 
@@ -106,17 +107,18 @@ def test_degenerate_seed_raises(rep):
 
 
 def test_non_unit_seed_rejected(rep):
-    with pytest.raises(ValueError):
-        generate_orbit(rep, np.array([1.0, 1.0, 0.0]))
+    for seed in ([1.0, 1.0, 0.0], [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="unit"):
+            generate_orbit(rep, np.array(seed))
 
 
 def test_mirrored_seed_partitions_but_cannot_match(rep):
     # the antipodal seed gives the mirrored orbit: it still splits into
     # orthonormal triples but shares no vector with the reference table
     orb = generate_orbit(rep, -tables.CANONICAL_SEED)
-    assert len(orb.vectors) == 24
+    assert orb.points.shape == (24, 3)
     for lo in range(0, 24, 3):
-        frame = np.array([v.coords for v in orb.vectors[lo:lo + 3]])
+        frame = orb.points[lo:lo + 3]
         assert np.abs(frame @ frame.T - np.eye(3)).max() < 1e-9
     with pytest.raises(TableMismatchError):
         match_reference_labels(orb)
@@ -138,7 +140,7 @@ def test_partition_single_triple():
 
 
 def test_partition_failure_on_perturbation(orbit):
-    coords = [v.coords.copy() for v in orbit.vectors]
+    coords = orbit.points.copy()
     coords[0] = coords[0] + np.array([1e-3, 0.0, 0.0])
     coords[0] /= np.linalg.norm(coords[0])
     with pytest.raises(PartitionError):
@@ -148,12 +150,13 @@ def test_partition_failure_on_perturbation(orbit):
 def test_partition_rejects_bad_input():
     with pytest.raises(PartitionError):
         partition_into_bases(np.eye(3)[:2])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="vectors 0 and 1 coincide"):
         partition_into_bases([np.array([1.0, 0, 0]), np.array([1.0, 0, 0]),
                               np.array([0.0, 1, 0])])
-    with pytest.raises(ValueError):
-        partition_into_bases([np.array([2.0, 0, 0]), np.array([0.0, 1, 0]),
-                              np.array([0.0, 0, 1])])
+    for bad in (2.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="unit"):
+            partition_into_bases([np.array([bad, 0, 0]), np.array([0.0, 1, 0]),
+                                  np.array([0.0, 0, 1])])
 
 
 def test_tetrahedron(rep):
@@ -175,3 +178,19 @@ def test_orbit_json_export(orbit, group):
     for entry in data["vectors"]:
         element = group[orbit.element_of(entry["i"], entry["alpha"])]
         assert entry["element"] == element.cycle_string()
+
+
+def test_rows_follow_label_order(orbit, rep):
+    seeded = generate_orbit(rep, tables.ORBIT_TABLE[(8, 2)])
+    mirrored = generate_orbit(rep, -tables.CANONICAL_SEED)
+    for orb in (orbit, seeded, mirrored):
+        for arr in (orb.seed, orb.points, orb.elements):
+            assert not arr.flags.writeable
+        for k, lab in enumerate(all_labels()):
+            assert (orb.coords(*lab) == orb.points[k]).all()
+            assert orb.element_of(*lab) == orb.elements[k]
+        for lab in ((0, 0), (9, 0), (1, 3), (1, -1)):
+            with pytest.raises(KeyError):
+                orb.coords(*lab)
+            with pytest.raises(KeyError):
+                orb.element_of(*lab)

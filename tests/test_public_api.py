@@ -9,7 +9,7 @@ PUBLIC_NAMES = [
     "BellExpression", "Context", "DecompositionError", "DegenerateOrbitError",
     "EIG_TOL", "EPS", "GameValue", "GroupTable", "IsotypicComponent",
     "IsotypicDecomposition", "MATCH_TOL", "N_OUTCOMES", "N_SETTINGS", "Orbit",
-    "OrbitPair", "OrbitVector", "PartitionError", "Permutation", "Representation",
+    "OrbitPair", "PartitionError", "Permutation", "Representation",
     "RepresentationError", "StrategyHistogram", "SumSpectrum",
     "TableMismatchError", "Term", "WinningTable", "all_labels",
     "alternating_twist", "bell_terms", "build_standard_rep", "build_x_operator",

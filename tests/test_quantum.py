@@ -187,6 +187,13 @@ def test_direct_rejects_nonsymmetric(solve, kind):
         solve(_bad_matrix(kind))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_isotypic_rejects_non_finite_input(decomposition, bad):
+    for phi, psi in (([bad, 0.0, 0.0], [1.0, 0.0, 0.0]), ([1.0, 0.0, 0.0], [0.0, bad, 0.0])):
+        with pytest.raises(ValueError, match="finite"):
+            eigenvalues_isotypic(phi, psi, decomposition)
+
+
 def test_sum_requires_pairs(ctx):
     with pytest.raises(ValueError):
         max_eigenvalue_sum((), ctx)
