@@ -10,7 +10,9 @@ tensor square, so its spectrum can be written down componentwise:
 with P_s the component projector and d_s the component dimension.  The
 same spectrum is computed a second, independent way by cyclic Jacobi
 diagonalization of the assembled 9x9 matrix; the two routes cross-check
-each other.
+each other.  The Jacobi rotations run on Python floats, in the order and
+with the arithmetic of the former numpy-slice version, so its eigenvalues
+and eigenvectors are unchanged to the last bit.
 
 Several orbit pairs are combined by summing their operators.  Every pair
 operator is sum_s lambda_s P_s over the same four projectors, so the sum
@@ -48,12 +50,13 @@ MAX_SWEEPS = 100
 
 
 def build_x_operator(phi, psi, product: Representation) -> np.ndarray:
-    """Sum of rank-one projectors onto the orbit of phi (x) psi, read-only."""
+    """Sum of rank-one projectors onto the orbit of phi (x) psi, read-only.
+
+    The outer products of the orbit images are added in group order.
+    """
     w0 = np.kron(np.asarray(phi, dtype=float), np.asarray(psi, dtype=float))
-    x = np.zeros((len(w0), len(w0)))
-    for k in range(product.group.order):
-        w = product[k] @ w0
-        x += np.outer(w, w)
+    w = product.matrices @ w0
+    x = np.add.reduce(w[:, :, None] * w[:, None, :], axis=0)
     x.setflags(write=False)
     return x
 
@@ -68,6 +71,14 @@ def jacobi_eigh(matrix):
     matrix that is not square, not finite or not symmetric to within EPS
     raises ValueError.
 
+    The rotations run on Python floats, row lists of the matrix and of the
+    accumulated eigenvectors, because a 9x9 rotation is too small for numpy
+    slices to pay off.  Each element gets the same IEEE operations, in the
+    same order, as a numpy version that rotates columns of the matrix, then
+    its rows, then the columns of the eigenvectors, so the results are
+    bit-identical to it.  Unlike numpy scalars, Python floats overflow to
+    inf without a warning; the rotation angle then comes out as zero.
+
     Returns (eigenvalues descending, eigenvectors as matching columns).
     """
     a = np.array(matrix, dtype=float)
@@ -78,36 +89,46 @@ def jacobi_eigh(matrix):
     if (np.abs(a - a.T) > EPS).any():
         raise ValueError("matrix must be symmetric")
     n = a.shape[0]
-    v = np.eye(n)
+    rows = a.tolist()
+    vecs = np.eye(n).tolist()
     scale = max(1.0, float(np.linalg.norm(a)))
 
     def offnorm():
-        return math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
+        return math.sqrt(2.0 * float(np.sum(np.triu(np.array(rows), 1) ** 2)))
 
     for _ in range(MAX_SWEEPS):
         if offnorm() <= JACOBI_TOL * scale:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
+                apq = rows[p][q]
                 if apq == 0.0:
                     continue
                 # Symmetric Schur rotation annihilating a[p, q], taking the
                 # smaller of the two candidate angles for stability.
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                tau = (rows[q][q] - rows[p][p]) / (2.0 * apq)
                 t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
                 c = 1.0 / math.hypot(1.0, t)
                 s = t * c
-                # Columns of a, then rows of a (columns of the view a.T),
-                # then the accumulated eigenvectors.
-                for m in (a, a.T, v):
-                    col_p, col_q = m[:, p].copy(), m[:, q].copy()
-                    m[:, p] = c * col_p - s * col_q
-                    m[:, q] = s * col_p + c * col_q
+                # Columns p, q of a, then its rows p, q, then columns p, q
+                # of the accumulated eigenvectors.
+                for row in rows:
+                    x, y = row[p], row[q]
+                    row[p] = c * x - s * y
+                    row[q] = s * x + c * y
+                row_p, row_q = rows[p], rows[q]
+                rows[p] = [c * x - s * y for x, y in zip(row_p, row_q)]
+                rows[q] = [s * x + c * y for x, y in zip(row_p, row_q)]
+                for row in vecs:
+                    x, y = row[p], row[q]
+                    row[p] = c * x - s * y
+                    row[q] = s * x + c * y
     if offnorm() > JACOBI_TOL * scale:
         raise RuntimeError("Jacobi iteration did not converge")
-    order = np.argsort(np.diag(a))[::-1]
-    return np.diag(a)[order].copy(), v[:, order].copy()
+    # reshape keeps a 0x0 input two-dimensional for np.diag
+    values = np.diag(np.array(rows).reshape(n, n))
+    order = np.argsort(values)[::-1]
+    return values[order], np.array(vecs).reshape(n, n)[:, order]
 
 
 def eigenvalues_direct(matrix):

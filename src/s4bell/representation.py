@@ -54,26 +54,27 @@ class DecompositionError(RuntimeError):
 
 @dataclass(frozen=True)
 class Representation:
-    """Matrices of a representation, aligned with the group's element order."""
+    """Matrices of a representation, aligned with the group's element order.
+
+    `matrices` is stored as one read-only (order, d, d) array, so a sum over
+    the group can be a single stacked product.
+    """
 
     group: GroupTable
-    matrices: tuple
+    matrices: np.ndarray
 
     def __post_init__(self):
-        mats = []
-        for m in self.matrices:
-            arr = np.array(m, dtype=float)
-            arr.setflags(write=False)
-            mats.append(arr)
-        object.__setattr__(self, "matrices", tuple(mats))
-        if len(self.matrices) != self.group.order:
+        mats = np.array(self.matrices, dtype=float)
+        mats.setflags(write=False)
+        object.__setattr__(self, "matrices", mats)
+        if len(mats) != self.group.order:
             raise ValueError("one matrix per group element required")
-        if not np.array_equal(self.matrices[0], np.eye(self.dim)):
+        if not np.array_equal(mats[0], np.eye(self.dim)):
             raise RepresentationError("identity element must map to the identity matrix")
 
     @property
     def dim(self):
-        return self.matrices[0].shape[0]
+        return self.matrices.shape[1]
 
     def __getitem__(self, k):
         return self.matrices[k]

@@ -1,12 +1,16 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import random_unit
 from s4bell import tables
+from s4bell.orbit import OrbitPair, all_labels
 from s4bell.quantum import (
+    JACOBI_TOL,
+    MAX_SWEEPS,
     build_x_operator,
     eigenvalues_direct,
     eigenvalues_isotypic,
@@ -168,6 +172,118 @@ def test_jacobi_zero_matrix():
     assert np.array_equal(values, np.zeros(9))
 
 
+def slice_jacobi(matrix):
+    """Reference: cyclic Jacobi with each rotation applied as numpy column
+    slices, to the columns of a, then its rows, then the eigenvectors.
+    `jacobi_eigh` must reproduce it bit for bit."""
+    a = np.array(matrix, dtype=float)
+    n = a.shape[0]
+    v = np.eye(n)
+    scale = max(1.0, float(np.linalg.norm(a)))
+
+    def offnorm():
+        return math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
+
+    for _ in range(MAX_SWEEPS):
+        if offnorm() <= JACOBI_TOL * scale:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+                c = 1.0 / math.hypot(1.0, t)
+                s = t * c
+                for m in (a, a.T, v):
+                    col_p, col_q = m[:, p].copy(), m[:, q].copy()
+                    m[:, p] = c * col_p - s * col_q
+                    m[:, q] = s * col_p + c * col_q
+    assert offnorm() <= JACOBI_TOL * scale
+    order = np.argsort(np.diag(a))[::-1]
+    return np.diag(a)[order], v[:, order]
+
+
+def assert_same_as_slice_jacobi(matrix):
+    values, vectors = jacobi_eigh(matrix)
+    ref_values, ref_vectors = slice_jacobi(matrix)
+    assert np.array_equal(values, ref_values)
+    assert np.array_equal(vectors, ref_vectors)
+
+
+def pair_operator_sum(pairs, ctx):
+    # the same accumulation as max_eigenvalue_sum
+    total = np.zeros((9, 9))
+    for pair in pairs:
+        total += build_x_operator(
+            ctx.orbit.coords(*pair.alice), ctx.orbit.coords(*pair.bob), ctx.product
+        )
+    return total
+
+
+def test_jacobi_bit_identical_on_orbit_operators(ctx, case_pairs):
+    labels = all_labels()
+    for alice, bob in itertools.product(labels, labels):
+        assert_same_as_slice_jacobi(pair_operator_sum([OrbitPair(alice, bob)], ctx))
+    for pairs in case_pairs.values():
+        assert_same_as_slice_jacobi(pair_operator_sum(pairs, ctx))
+
+
+def test_jacobi_bit_identical_on_random_pair_sums(ctx, rng):
+    labels = all_labels()
+    for _ in range(60):
+        picks = rng.integers(0, 24, (int(rng.integers(2, 4)), 2))
+        pairs = [OrbitPair(labels[int(i)], labels[int(j)]) for i, j in picks]
+        assert_same_as_slice_jacobi(pair_operator_sum(pairs, ctx))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_jacobi_bit_identical_on_random_symmetric(n, rng):
+    for _ in range(5):
+        a = rng.standard_normal((n, n))
+        assert_same_as_slice_jacobi((a + a.T) / 2)
+
+
+def test_jacobi_bit_identical_when_rotations_are_skipped():
+    # diagonal: no sweep runs; one off-diagonal pair: every other rotation
+    # meets a zero entry and is skipped
+    diagonal = np.diag([3.0, -1.0, 2.0, 0.0, 5.0, -4.0, 1.0, 2.0, -2.0])
+    assert_same_as_slice_jacobi(diagonal)
+    coupled = diagonal.copy()
+    coupled[2, 6] = coupled[6, 2] = 0.75
+    assert_same_as_slice_jacobi(coupled)
+
+
+def test_jacobi_tau_overflow_is_silent():
+    # tau = 1 / 2e-320 overflows on the first rotation: the numpy-scalar
+    # reference warns there, the Python-float solver gives inf silently
+    a = np.array([[0.0, 1e-320, 1.0], [1e-320, 1.0, 0.0], [1.0, 0.0, 2.0]])
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        slice_jacobi(a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, vectors = jacobi_eigh(a)
+    with np.errstate(over="ignore"):
+        ref_values, ref_vectors = slice_jacobi(a)
+    assert np.array_equal(values, ref_values)
+    assert np.array_equal(vectors, ref_vectors)
+
+
+def test_x_operator_bit_identical_to_outer_product_loop(orbit, product):
+    labels = all_labels()
+    for alice, bob in itertools.product(labels, labels):
+        phi, psi = orbit.coords(*alice), orbit.coords(*bob)
+        w0 = np.kron(phi, psi)
+        expected = np.zeros((9, 9))
+        for k in range(24):
+            w = product[k] @ w0
+            expected += np.outer(w, w)
+        x = build_x_operator(phi, psi, product)
+        assert np.array_equal(x, expected)
+        assert np.array_equal(np.signbit(x), np.signbit(expected))
+
+
 def _bad_matrix(kind):
     bad = np.eye(9)
     if kind == "nonsymmetric":
@@ -203,8 +319,6 @@ def test_component_sums_equal_direct_maximum(ctx, rng):
     # every pair operator is scalar on the same four components, so the
     # summed spectrum is exactly the componentwise sums; repeated labels
     # are allowed here (only term expansion rejects duplicates)
-    from s4bell.orbit import OrbitPair, all_labels
-
     labels = all_labels()
     for _ in range(20):
         picks = rng.integers(0, 24, 3)
@@ -274,8 +388,6 @@ def test_case_iii_published_sum_is_truncated_entries(ctx, orbit, case_pairs):
     # per-orbit entry is within 0.01 of exactly one of them.  Every Bob
     # choice matching those entries therefore has the same scalar sum, so
     # no choice of labels reproduces the published 17.38.
-    from s4bell.orbit import OrbitPair, all_labels
-
     phi = orbit.coords(1, 0)
     scalar = {lab: 8.0 * float(phi @ orbit.coords(*lab)) ** 2 for lab in all_labels()}
     distinct = sorted({round(v, 9) for v in scalar.values()})
