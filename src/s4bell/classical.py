@@ -308,18 +308,29 @@ def multiset_maxima(exprs, size):
     Per-Alice tables add over members, so each table is built once, and
     every prefix of a multiset is completed by all its possible last
     members at once.
+
+    The tables form one contiguous int16 array laid out (expr, outcome,
+    setting, row), so outcome slices and setting sums run over contiguous
+    rows, and each prefix sum is added into buffers allocated up front.
+    The sums stay in int16: a row's value is at most N_SETTINGS**2 * size,
+    and a size whose bound exceeds int16 raises ValueError at once.
     """
     if not exprs:
         raise ValueError("exprs must hold at least one expression")
     if size < 1:
         raise ValueError(f"size must be at least 1, got {size}")
+    if N_SETTINGS**2 * size > np.iinfo(np.int16).max:
+        raise ValueError(f"size {size} could overflow the int16 row sums")
     rows, _ = _alice_rows(*exprs)
     tables = np.stack([_per_alice_tables(e.table, rows) for e in exprs])
+    tables = np.ascontiguousarray(tables.transpose(0, 3, 2, 1))
+    totals, best = np.empty_like(tables), np.empty_like(tables[:, 0])
     maxima = []
     for prefix in itertools.combinations_with_replacement(range(len(exprs)), size - 1):
-        base = tables[list(prefix)].sum(axis=0, dtype=tables.dtype)
-        totals = base + tables[prefix[-1] if prefix else 0:]
-        maxima += _row_maxima(totals).max(axis=1).tolist()
+        first = prefix[-1] if prefix else 0
+        np.add(tables[first:], sum(tables[k] for k in prefix), out=totals[first:])
+        np.maximum.reduce(totals[first:], axis=1, out=best[first:])
+        maxima += best[first:].sum(axis=1, dtype=np.int16).max(axis=1).tolist()
     return maxima
 
 

@@ -79,7 +79,7 @@ class OrbitPair:
             object.__setattr__(self, side, (i, alpha))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Orbit:
     """A labeled orbit as read-only arrays in label order.
 

@@ -52,7 +52,7 @@ class DecompositionError(RuntimeError):
     """The isotypic projectors do not have the expected dimensions."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Representation:
     """Matrices of a representation, aligned with the group's element order.
 
@@ -144,7 +144,7 @@ def character(rep: Representation) -> dict:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IsotypicComponent:
     label: str
     dim: int

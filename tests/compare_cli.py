@@ -1,0 +1,107 @@
+"""Compare the CLI output of two source trees, command by command.
+
+    python tests/compare_cli.py OLD_SRC NEW_SRC
+    python tests/compare_cli.py src              # hashes of one tree only
+
+Each SRC is a directory that holds the `s4bell` package, such as the
+`src/` of a second checkout made with `git archive`.  Every command in
+`COMMANDS` runs through `s4bell.cli.main` in one child process per tree,
+with PYTHONPATH set to that tree.  For each command the script prints one
+sha256 of stdout, stderr and the exit code per tree, then "same" or
+"DIFFERS".  It exits 1 when any command differs, else 0.
+
+The command list: `scan --orbits 1|2|3 --top 2600` for every `--phi`
+label, the `scan` commands pinned in tests/golden/, `analyze` as text,
+`--json` and `--csv` on the built-in cases I-III, and `verify`.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+CASES = {
+    "I": "x01:x14,x01:x07,x01:x15",
+    "II": "x01:x23,x01:x16,x01:x01",
+    "III": "x01:x25,x01:x14,x01:x18",
+}
+LABELS = [f"x{a}{s}" for s in range(1, 9) for a in range(3)]
+
+COMMANDS = [
+    ["scan", "--orbits", orbits, "--top", "2600", "--phi", phi]
+    for orbits in ("1", "2", "3")
+    for phi in LABELS
+]
+COMMANDS += [
+    ["scan", "--orbits", orbits, "--top", "50", "--phi", phi]
+    for orbits, phi in (("1", "x01"), ("2", "x01"), ("3", "x01"), ("3", "x12"))
+]
+COMMANDS += [
+    ["analyze", "--pairs", spec, *fmt]
+    for spec in CASES.values()
+    for fmt in ([], ["--json"], ["--csv"])
+]
+COMMANDS += [["verify"]]
+
+
+def _digest(argv):
+    """sha256 of stdout, stderr and exit code of one in-process CLI run."""
+    from s4bell import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    record = json.dumps([out.getvalue(), err.getvalue(), code])
+    return hashlib.sha256(record.encode()).hexdigest()
+
+
+def _child(src):
+    """Print one digest per command, importing s4bell from `src` only."""
+    import s4bell
+
+    origin = Path(s4bell.__file__).resolve()
+    if Path(src).resolve() not in origin.parents:
+        sys.exit(f"s4bell imported from {origin}, not from {src}")
+    for argv in COMMANDS:
+        print(_digest(argv), flush=True)
+
+
+def _digests(src):
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
+    run = subprocess.run(
+        [sys.executable, __file__, "--child", src],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    if run.returncode != 0:
+        sys.exit(f"{src}: {run.stderr.strip()}")
+    return run.stdout.split()
+
+
+def main(trees):
+    if not 1 <= len(trees) <= 2:
+        sys.exit(__doc__)
+    columns = [_digests(src) for src in trees]
+    differ = 0
+    for argv, hashes in zip(COMMANDS, zip(*columns)):
+        verdict = ""
+        if len(hashes) == 2:
+            verdict = "same" if hashes[0] == hashes[1] else "DIFFERS"
+            differ += verdict == "DIFFERS"
+        print(*hashes, verdict, " ".join(argv))
+    if len(trees) == 2:
+        print(f"{len(COMMANDS) - differ} of {len(COMMANDS)} commands identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--child"]:
+        _child(sys.argv[2])
+    else:
+        sys.exit(main(sys.argv[1:]))

@@ -197,8 +197,28 @@ def test_non_invariant_subset_fails_guard(case_exprs, data):
 def test_multiset_maxima_match_full_scan_of_unions(orbit):
     exprs = [bell_terms([OrbitPair((1, 0), lab)], orbit) for lab in ((4, 1), (7, 0), (5, 1))]
     friendly = BellExpression(((1, 0, 1, 0), (2, 0, 1, 0), (1, 0, 2, 1)))
-    # `scan` asks for multisets of one, two and three orbits.
-    for members, size in itertools.product((exprs, exprs[:2] + [friendly]), (1, 2, 3)):
+    # `scan` asks for multisets of one, two and three orbits.  A single
+    # member exercises the last-member-only prefix completion.
+    for members, size in itertools.product(
+        (exprs, exprs[:2] + [friendly], [friendly]), (1, 2, 3, 4)
+    ):
+        combos = itertools.combinations_with_replacement(members, size)
+        expected = [_max_coefficient(sum(e.table for e in c), ALL_ROWS) for c in combos]
+        assert multiset_maxima(members, size) == expected
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_multiset_maxima_match_unions_for_random_members(orbit, size, seed):
+    # Random subsets of the single-pair expressions of one Alice label
+    # other than x01, in random order: one member, whose only prefix
+    # completion is `first == len(exprs) - 1`, and three members.
+    rng = np.random.default_rng(seed)
+    labels = all_labels()
+    alice = labels[rng.integers(1, len(labels))]
+    pool = [bell_terms([OrbitPair(alice, lab)], orbit) for lab in labels]
+    picks = [rng.choice(len(pool), size=n, replace=False) for n in (1, 3)]
+    for members in ([pool[k] for k in pick] for pick in picks):
         combos = itertools.combinations_with_replacement(members, size)
         expected = [_max_coefficient(sum(e.table for e in c), ALL_ROWS) for c in combos]
         assert multiset_maxima(members, size) == expected
@@ -210,6 +230,16 @@ def test_multiset_maxima_rejects_bad_arguments(case_exprs):
     for size in (0, -1):
         with pytest.raises(ValueError, match="size"):
             multiset_maxima([case_exprs["I"]], size)
+
+
+def test_multiset_maxima_rejects_sizes_that_could_overflow(case_exprs):
+    # 64 * 511 fits in int16 and 64 * 512 does not.  The check comes before
+    # any enumeration: 72 members at size 600 are about 1e98 multisets.
+    many = [case_exprs["I"]] * 72
+    for size in (512, 600):
+        with pytest.raises(ValueError, match="int16"):
+            multiset_maxima(many, size)
+    assert multiset_maxima([case_exprs["I"]], 511) == [511 * classical_max(case_exprs["I"])]
 
 
 def test_empty_expression():

@@ -239,6 +239,20 @@ def test_scan_three_orbits_contains_cases():
     assert "+1.39" in case3
 
 
+def test_scan_phi_only_relabels_the_multisets():
+    # The orbit is regular, so fixing Alice at another label permutes the
+    # Bob multisets and leaves the multiset of their values unchanged.
+    values = {}
+    for phi in ("x01", "x12", "x27"):
+        code, out = run_cli(["scan", "--orbits", "3", "--top", "2600", "--phi", phi])
+        assert code == 0
+        lines = out.splitlines()
+        rows = [line.split()[-3:] for line in lines[3:]]
+        assert len(rows) == 2600
+        values[phi] = (lines[1], sorted(rows))
+    assert values["x01"] == values["x12"] == values["x27"]
+
+
 def test_verify_deterministic_and_reports_known_mismatch():
     lines_a, lines_b = [], []
     ok_a = run_verification(echo=lines_a.append)

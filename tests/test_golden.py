@@ -27,9 +27,9 @@ for _name, _spec in CASES.items():
         "analyze", "--pairs", _spec, "--histogram", "--csv"
     ]
     COMMANDS[f"game_{_name}"] = ["game", "--pairs", _spec]
-for _orbits in ("1", "2"):
-    COMMANDS[f"scan_orbits{_orbits}_top50_x01"] = [
-        "scan", "--orbits", _orbits, "--top", "50", "--phi", "x01"
+for _orbits, _phi in (("1", "x01"), ("2", "x01"), ("3", "x01"), ("3", "x12")):
+    COMMANDS[f"scan_orbits{_orbits}_top50_{_phi}"] = [
+        "scan", "--orbits", _orbits, "--top", "50", "--phi", _phi
     ]
 
 

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import random_unit
-from s4bell import tables
+from s4bell import standard_context, tables
 from s4bell.permgroup import Permutation, symmetric_group
 from s4bell.representation import (
     EPS,
@@ -199,3 +201,14 @@ def test_projection_norm_is_basis_free(decomposition, rng):
             block = sum(w[r] ** 2 for r in tables.BLOCK_ROWS[comp.label])
             norm = float(np.dot(comp.projector @ v, comp.projector @ v))
             assert abs(norm - block) < EPS
+
+
+def test_array_holders_hash_and_compare_by_identity(ctx):
+    # Representation, IsotypicComponent and Orbit hold arrays, so they
+    # compare and hash by identity rather than field by field.
+    assert hash(standard_context()) == hash(ctx)
+    for obj in (ctx.rep, ctx.decomposition.components[0], ctx.orbit):
+        hash(obj)
+        assert obj == obj
+        assert obj != dataclasses.replace(obj)
+    hash(ctx.decomposition)
