@@ -42,8 +42,9 @@ print("\nFull histogram over all 3**16 = 43 046 721 configurations (case I):")
 start = time.perf_counter()
 hist = classical_histogram(expr)
 ms = (time.perf_counter() - start) * 1e3
-print(f"  counted in {ms:.0f} ms: the expression is S4-invariant, so one Alice tuple")
-print("  per S4 orbit (306 of 3^8 = 6561) is scanned, weighted by its orbit size")
+print(f"  counted in {ms:.1f} ms: the expression is S4-invariant, so one Alice tuple")
+print("  per S4 orbit (306 of 3^8 = 6561) is scanned, weighted by its orbit size,")
+print("  and Bob's settings 1-4 and 5-8 are enumerated apart (3^4 tuples each)")
 print("    c   configurations   reference")
 for c in range(0, 17):
     if c == 0:

@@ -10,8 +10,9 @@ The scan is separable: settings on Bob's side decouple once Alice's tuple
 is fixed.  For every Alice tuple the table M[t][b] counts the terms with
 Bob setting t and outcome b that Alice already satisfies; the coefficient
 of a full configuration is then a sum of eight lookups, the per-tuple
-maximum is the sum of per-setting maxima, and the per-tuple histogram is
-the product over Bob's settings of the polynomials sum_b x**M[t][b].
+maximum is the sum of per-setting maxima, and the per-tuple histogram
+meets in the middle: Bob's 3**4 outcome tuples on settings 1-4 and on 5-8
+are scored apart, and their score counts combine by one integer product.
 
 The scan is also symmetry-reduced.  Each element of S4 permutes the
 orbit labels and maps measurement bases onto bases, so it permutes Alice
@@ -247,23 +248,25 @@ def _max_coefficient(table, rows):
 def _histogram_counts(table, rows, weights):
     """Configurations per coefficient, over the Alice tuples `rows`.
 
-    Row i's counts are the coefficients of prod_t sum_b x**M[i, t, b]; the
-    rows are summed with `weights`.
+    Meets in the middle: P[i, u] and Q[i, v] count Bob's outcome tuples on
+    settings 1-4 and 5-8 whose M[i, t, b] add up to u and v, so
+    G = (weights P)^T Q counts (u, v) and coefficient c sums G[u, c - u].
     """
     m = _per_alice_tables(table, rows)
-    width = int(table.sum()) + 1
-    # No coefficient exceeds the number of terms, table.sum(), so shifting
-    # within `width` columns never drops a count.
-    poly = np.zeros((len(m), width), dtype=np.int64)
-    poly[:, 0] = 1
-    shifted = width + np.arange(width)
-    for t in range(N_SETTINGS):
-        padded = np.concatenate([np.zeros_like(poly), poly], axis=1)
-        poly = sum(
-            np.take_along_axis(padded, shifted - m[:, t, b, None], axis=1)
-            for b in range(N_OUTCOMES)
-        )
-    counts = weights @ poly
+    bob = _profiles()[: N_OUTCOMES ** (N_SETTINGS // 2), N_SETTINGS // 2 :]
+    halves = []
+    for settings in np.split(np.arange(N_SETTINGS), 2):
+        score = m[:, settings, bob].sum(axis=-1)
+        top = int(score.max()) + 1
+        # One flat bincount: row i's scores fall in bins i*top .. i*top + top - 1.
+        flat = (score + top * np.arange(len(m))[:, None]).ravel()
+        halves.append(np.bincount(flat, minlength=top * len(m)).reshape(-1, top))
+    p, q = halves
+    g = (weights[:, None] * p).T @ q
+    # The two half maxima add up to at most the number of terms,
+    # table.sum(), so every anti-diagonal index fits in the counts.
+    counts = np.zeros(int(table.sum()) + 1, dtype=np.int64)
+    np.add.at(counts, np.add.outer(np.arange(len(g)), np.arange(g.shape[1])), g)
 
     fast_max = int(_row_maxima(m).max())
     hist_max = int(np.flatnonzero(counts)[-1])

@@ -206,7 +206,7 @@ def max_eigenvalue_sum(pairs, ctx: Context) -> SumSpectrum:
         for label, _, value in table:
             sums[label] = sums.get(label, 0.0) + value
     for label, value in sums.items():
-        if np.abs(values - value).min() > EIG_TOL:
+        if not np.abs(values - value).min() <= EIG_TOL:
             raise RuntimeError(
                 f"componentwise sum for {label} ({value:.9f}) missing from spectrum"
             )

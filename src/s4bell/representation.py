@@ -57,7 +57,8 @@ class Representation:
     """Matrices of a representation, aligned with the group's element order.
 
     `matrices` is stored as one read-only (order, d, d) array, so a sum over
-    the group can be a single stacked product.
+    the group can be a single stacked product.  Non-finite entries raise
+    RepresentationError.
     """
 
     group: GroupTable
@@ -69,6 +70,8 @@ class Representation:
         object.__setattr__(self, "matrices", mats)
         if len(mats) != self.group.order:
             raise ValueError("one matrix per group element required")
+        if not np.isfinite(mats).all():
+            raise RepresentationError("matrix entries must be finite")
         if not np.array_equal(mats[0], np.eye(self.dim)):
             raise RepresentationError("identity element must map to the identity matrix")
 
@@ -200,7 +203,7 @@ def isotypic_projectors(product: Representation,
             acc += chi[label][class_of[k]] * product[k]
         proj = (d_s / group.order) * acc
         trace = float(np.trace(proj))
-        if abs(trace - d_s) > EPS:
+        if not abs(trace - d_s) <= EPS:
             raise DecompositionError(
                 f"projector trace for {label} is {trace:.6f}, expected {d_s}"
             )
@@ -215,7 +218,7 @@ def validate_block_basis(decomposition: IsotypicDecomposition) -> dict:
     The bundled matrix must be orthogonal, and conjugating each projector
     by it must give the 0/1 indicator of that component's coordinate block
     (rows grouped 3 + 3 + 2 + 1).  Returns the observed deviations; raises
-    TableMismatchError if any exceeds EPS.
+    TableMismatchError if any exceeds EPS or is NaN.
     """
     basis = tables.BLOCK_BASIS
     report = {"orthogonality": float(np.abs(basis @ basis.T - np.eye(9)).max())}
@@ -225,8 +228,8 @@ def validate_block_basis(decomposition: IsotypicDecomposition) -> dict:
             indicator[r, r] = 1.0
         dev = float(np.abs(basis @ comp.projector @ basis.T - indicator).max())
         report[comp.label] = dev
-    worst = max(report.values())
-    if worst > EPS:
+    worst = float(np.max(list(report.values())))  # NaN if any deviation is NaN
+    if not worst <= EPS:
         raise tables.TableMismatchError(
             f"block basis validation failed, worst deviation {worst:.3e}: {report}"
         )

@@ -12,7 +12,9 @@ sha256 of stdout, stderr and the exit code per tree, then "same" or
 
 The command list: `scan --orbits 1|2|3 --top 2600` for every `--phi`
 label, the `scan` commands pinned in tests/golden/, `analyze` as text,
-`--json` and `--csv` on the built-in cases I-III, and `verify`.
+`--json` and `--csv` on the built-in cases I-III, the same three forms of
+`analyze --histogram` on cases I-III, the one-pair spec `x01:x14` and the
+24-pair spec `x01:x01,x01:x11,...,x01:x28`, and `verify`.
 """
 
 import contextlib
@@ -43,6 +45,12 @@ COMMANDS += [
 COMMANDS += [
     ["analyze", "--pairs", spec, *fmt]
     for spec in CASES.values()
+    for fmt in ([], ["--json"], ["--csv"])
+]
+HISTOGRAM_SPECS = [*CASES.values(), "x01:x14", ",".join(f"x01:{lab}" for lab in LABELS)]
+COMMANDS += [
+    ["analyze", "--pairs", spec, "--histogram", *fmt]
+    for spec in HISTOGRAM_SPECS
     for fmt in ([], ["--json"], ["--csv"])
 ]
 COMMANDS += [["verify"]]

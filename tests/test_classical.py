@@ -118,6 +118,75 @@ def test_histogram_reduced_matches_full(case_exprs):
         assert [hist.counts[c] for c in range(len(hist.counts))] == full_counts(expr)
 
 
+def shift_polynomial_counts(table, rows, weights):
+    """Reference: the former polynomial kernel.  Row i's counts are the
+    coefficients of prod_t sum_b x**M[i, t, b], summed with `weights`."""
+    alice = np.array(list(itertools.product(range(3), repeat=8)))[rows]
+    m = sum(table[s][alice[:, s]] for s in range(8)).astype(np.int64)
+    width = int(table.sum()) + 1
+    poly = np.zeros((len(m), width), dtype=np.int64)
+    poly[:, 0] = 1
+    shifted = width + np.arange(width)
+    for t in range(8):
+        padded = np.concatenate([np.zeros_like(poly), poly], axis=1)
+        poly = sum(
+            np.take_along_axis(padded, shifted - m[:, t, b, None], axis=1)
+            for b in range(3)
+        )
+    return weights @ poly
+
+
+def assert_counts_match_reference(expr, rows=None, weights=None):
+    if rows is None:
+        rows, weights = _alice_rows(expr)
+    counts = _histogram_counts(expr.table, rows, weights)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, shift_polynomial_counts(expr.table, rows, weights))
+
+
+def test_histogram_kernel_matches_reference_on_cases(case_exprs):
+    for expr in case_exprs.values():
+        assert len(_alice_rows(expr)[0]) == 306
+        assert_counts_match_reference(expr)
+
+
+@pytest.mark.parametrize("n_pairs", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_histogram_kernel_matches_reference_on_random_unions(orbit, n_pairs, seed):
+    rng = np.random.default_rng(seed)
+    labels = all_labels()
+    while True:
+        picks = rng.choice(len(labels), size=(n_pairs, 2))
+        try:
+            expr = bell_terms([OrbitPair(labels[a], labels[b]) for a, b in picks], orbit)
+        except ValueError:  # two of the pairs expand into the same terms
+            continue
+        break
+    assert_counts_match_reference(expr)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_histogram_kernel_matches_reference_on_non_invariant_subsets(case_exprs, seed):
+    rng = np.random.default_rng(seed)
+    terms = case_exprs[tables.CASE_NAMES[seed]].terms
+    keep = rng.choice(len(terms), size=rng.integers(1, len(terms)), replace=False)
+    expr = BellExpression(tuple(terms[k] for k in sorted(keep)))
+    assert not _is_invariant(expr)
+    assert_counts_match_reference(expr, ALL_ROWS, np.ones(3 ** 8, dtype=np.int64))
+
+
+def test_histogram_kernel_matches_reference_on_small_tables():
+    # The empty table is invariant (306 rows), a single term is not (6561 rows).
+    for expr in (BellExpression(()), BellExpression(((3, 2, 6, 1),))):
+        assert_counts_match_reference(expr)
+
+
+def test_histogram_kernel_matches_reference_on_all_pairs_of_one_alice_label(orbit):
+    expr = bell_terms([OrbitPair((1, 0), lab) for lab in all_labels()], orbit)
+    assert len(expr.terms) == 576
+    assert_counts_match_reference(expr)
+
+
 def test_alice_orbit_table():
     orbits = _alice_orbits()
     assert len(orbits.representatives) == 306

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import warnings
@@ -308,6 +309,20 @@ def test_isotypic_rejects_non_finite_input(decomposition, bad):
     for phi, psi in (([bad, 0.0, 0.0], [1.0, 0.0, 0.0]), ([1.0, 0.0, 0.0], [0.0, bad, 0.0])):
         with pytest.raises(ValueError, match="finite"):
             eigenvalues_isotypic(phi, psi, decomposition)
+
+
+def test_sum_rejects_nan_projector(ctx, case_pairs):
+    # A NaN projector entry turns a componentwise sum into NaN, whose
+    # distance to the spectrum compares False against EIG_TOL.
+    comps = list(ctx.decomposition.components)
+    projector = comps[0].projector.copy()
+    projector[0, 0] = np.nan
+    comps[0] = dataclasses.replace(comps[0], projector=projector)
+    broken = dataclasses.replace(
+        ctx, decomposition=dataclasses.replace(ctx.decomposition, components=tuple(comps))
+    )
+    with pytest.raises(RuntimeError, match="missing from spectrum"):
+        max_eigenvalue_sum(case_pairs["I"], broken)
 
 
 def test_sum_requires_pairs(ctx):

@@ -192,6 +192,32 @@ def test_validate_block_basis_detects_swap(decomposition):
         validate_block_basis(swapped)
 
 
+@pytest.mark.parametrize("label", ["D", "Dt", "D2", "D0"])
+def test_validate_block_basis_rejects_nan_projector(decomposition, label):
+    # A NaN deviation compares False against EPS, and max() may drop it,
+    # depending on where it sits in the report.
+    comps = []
+    for comp in decomposition.components:
+        if comp.label == label:
+            projector = comp.projector.copy()
+            projector[0, 0] = np.nan
+            comp = dataclasses.replace(comp, projector=projector)
+        comps.append(comp)
+    broken = IsotypicDecomposition(tuple(comps), decomposition.group_order)
+    with pytest.raises(TableMismatchError, match="nan"):
+        validate_block_basis(broken)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_matrix_entry_is_rejected(ctx, bad):
+    # Without the check, a NaN in one product matrix passes the projector
+    # trace test and isotypic_projectors returns four all-NaN projectors.
+    mats = ctx.product.matrices.copy()
+    mats[5, 0, 0] = bad
+    with pytest.raises(RepresentationError, match="finite"):
+        isotypic_projectors(Representation(ctx.group, mats), ctx.rep)
+
+
 def test_projection_norm_is_basis_free(decomposition, rng):
     basis = tables.BLOCK_BASIS
     for _ in range(100):
