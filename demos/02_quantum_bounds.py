@@ -18,8 +18,8 @@ from s4bell import (
 ctx = standard_context()
 
 print("The tensor square splits into four components; projector traces:")
-for comp in ctx.decomposition.components:
-    print(f"  {comp.label:3s} dim {comp.dim}  trace {np.trace(comp.projector):.6f}")
+for label, projector in zip(tables.COMPONENT_ORDER, ctx.projectors):
+    print(f"  {label:3s} dim {tables.COMPONENT_DIMS[label]}  trace {np.trace(projector):.6f}")
 
 phi = ctx.orbit.coords(1, 0)
 psi = ctx.orbit.coords(4, 1)
@@ -27,9 +27,9 @@ print("\nOne orbit pair, x01:x14.  The summed projector operator has trace 24")
 x = build_x_operator(phi, psi, ctx.product)
 print(f"  trace: {np.trace(x):.6f}")
 
-table = eigenvalues_isotypic(phi, psi, ctx.decomposition)
+values = eigenvalues_isotypic(phi, psi, ctx.projectors)
 print("  componentwise eigenvalues (group order / dim * squared projection):")
-for label, value in table:
+for label, value in zip(tables.COMPONENT_ORDER, values):
     print(f"    {label:3s} {value:8.4f}")
 direct, _ = eigenvalues_direct(x)
 print(f"  direct Jacobi spectrum: {np.round(direct, 4)}")
@@ -39,7 +39,7 @@ print("\nThe three built-in cases sum three such operators each:")
 for name in tables.CASE_NAMES:
     pairs = [OrbitPair(*p) for p in tables.CASE_PAIRS[name]]
     spectrum = max_eigenvalue_sum(pairs, ctx)
-    scalars = [dict((lab, v) for lab, _, v in t)["D0"] for t in spectrum.per_pair]
+    scalars = spectrum.per_pair[:, tables.COMPONENT_ORDER.index("D0")]
     print(f"  case {name}: scalar eigenvalues "
           + " + ".join(f"{s:.4f}" for s in scalars)
           + f" -> lambda_max = {spectrum.lambda_max:.4f}")

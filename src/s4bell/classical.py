@@ -355,7 +355,16 @@ def optimal_classical_strategy(expr: BellExpression):
 
 
 def coefficient(expr: BellExpression, f_alice, f_bob) -> int:
-    """Number of terms satisfied by the deterministic strategy pair."""
+    """Number of terms satisfied by the deterministic strategy pair.
+
+    Each strategy is a tuple of N_SETTINGS outcomes in 0..N_OUTCOMES-1;
+    anything else raises ValueError.
+    """
+    for name, f in (("f_alice", f_alice), ("f_bob", f_bob)):
+        if len(f) != N_SETTINGS or any(v not in range(N_OUTCOMES) for v in f):
+            raise ValueError(
+                f"{name} must hold {N_SETTINGS} outcomes in 0..{N_OUTCOMES - 1}, got {f!r}"
+            )
     return sum(
         1
         for s, a, t, b in expr.terms

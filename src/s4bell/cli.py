@@ -156,7 +156,7 @@ def run_verification(echo=print):
 
     # Change-of-basis validation.
     try:
-        report = validate_block_basis(ctx.decomposition)
+        report = validate_block_basis(ctx.projectors)
         check(
             "block basis is orthogonal and block-diagonalizes the projectors",
             True,
@@ -165,12 +165,13 @@ def run_verification(echo=print):
     except TableMismatchError as exc:
         check("block basis validation", False, str(exc))
 
+    dims = [tables.COMPONENT_DIMS[label] for label in tables.COMPONENT_ORDER]
     case_exprs = {}
     for name in tables.CASE_NAMES:
         pairs = tuple(OrbitPair(*p) for p in tables.CASE_PAIRS[name])
         spectrum = max_eigenvalue_sum(pairs, ctx)
 
-        scalars = [dict((lab, val) for lab, _, val in t)["D0"] for t in spectrum.per_pair]
+        scalars = spectrum.per_pair[:, tables.COMPONENT_ORDER.index("D0")]
         refs = tables.REF_SCALAR_EIGENVALUES[name]
         ok = all(abs(s - r) <= 0.01 for s, r in zip(scalars, refs))
         check(
@@ -188,14 +189,12 @@ def run_verification(echo=print):
         )
 
         worst = 0.0
-        for pair, table in zip(pairs, spectrum.per_pair):
+        for pair, row in zip(pairs, spectrum.per_pair):
             phi = ctx.orbit.coords(*pair.alice)
             psi = ctx.orbit.coords(*pair.bob)
             direct, _ = eigenvalues_direct(build_x_operator(phi, psi, ctx.product))
-            expected = sorted(
-                (value for _, dim, value in table for _ in range(dim)), reverse=True
-            )
-            worst = max(worst, float(np.abs(direct - np.array(expected)).max()))
+            expected = np.sort(np.repeat(row, dims))[::-1]
+            worst = max(worst, float(np.abs(direct - expected).max()))
         check(
             f"case {name}: componentwise and direct eigenvalues agree",
             worst < EIG_TOL,
@@ -299,12 +298,11 @@ def _zero_snap(x):
 def _render_analysis_text(pairs, spectrum, cmax, table, value, hist):
     print("pairs: " + ", ".join(format_pair(p) for p in pairs))
     print("")
-    labels = [lab for lab, _, _ in spectrum.per_pair[0]]
-    print("per-orbit eigenvalues (" + ", ".join(labels) + "):")
-    for pair, tab in zip(pairs, spectrum.per_pair):
-        row = "  ".join(f"{_zero_snap(val):5.2f}" for _, _, val in tab)
-        print(f"  {format_pair(pair)}   {row}")
-    sums = "  ".join(f"{_zero_snap(spectrum.component_sums[lab]):5.2f}" for lab in labels)
+    print("per-orbit eigenvalues (" + ", ".join(tables.COMPONENT_ORDER) + "):")
+    for pair, row in zip(pairs, spectrum.per_pair):
+        cells = "  ".join(f"{_zero_snap(val):5.2f}" for val in row)
+        print(f"  {format_pair(pair)}   {cells}")
+    sums = "  ".join(f"{_zero_snap(val):5.2f}" for val in spectrum.component_sums)
     print(f"  component sums    {sums}")
     print(f"quantum bound: lambda_max = {spectrum.lambda_max:.2f}")
     print(f"classical bound: max coefficient = {cmax}")
@@ -327,9 +325,11 @@ def _render_analysis_text(pairs, spectrum, cmax, table, value, hist):
 
 def _spectrum_csv(pairs, spectrum):
     lines = ["pair,component,dim,eigenvalue"]
-    for pair, tab in zip(pairs, spectrum.per_pair):
-        for label, dim, value in tab:
-            lines.append(f"{format_pair(pair)},{label},{dim},{value!r}")
+    for pair, row in zip(pairs, spectrum.per_pair):
+        for label, value in zip(tables.COMPONENT_ORDER, row):
+            dim = tables.COMPONENT_DIMS[label]
+            # float(): numpy 2 writes the repr of its scalars as np.float64(...)
+            lines.append(f"{format_pair(pair)},{label},{dim},{float(value)!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -374,8 +374,7 @@ def _cmd_scan(args):
     # pair.  Both are additive over the orbits of a multiset, so each is
     # computed once per label and summed per multiset.
     eigs = np.array([
-        [val for _, val in eigenvalues_isotypic(phi, ctx.orbit.coords(*lab), ctx.decomposition)]
-        for lab in labels
+        eigenvalues_isotypic(phi, ctx.orbit.coords(*lab), ctx.projectors) for lab in labels
     ])
     exprs = [bell_terms([OrbitPair(alice, lab)], ctx.orbit) for lab in labels]
 
@@ -433,7 +432,10 @@ def _label_argument(text):
 
 
 def _non_negative_int(text):
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
     return value

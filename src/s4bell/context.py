@@ -3,10 +3,11 @@
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .orbit import Orbit, canonical_orbit
 from .permgroup import GroupTable, symmetric_group
 from .representation import (
-    IsotypicDecomposition,
     Representation,
     build_standard_rep,
     isotypic_projectors,
@@ -16,14 +17,14 @@ from .representation import (
 __all__ = ["Context", "standard_context"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Context:
     """Group, standard representation, tensor square, projectors, orbit."""
 
     group: GroupTable
     rep: Representation
     product: Representation
-    decomposition: IsotypicDecomposition
+    projectors: np.ndarray  # (4, 9, 9), in the order of tables.COMPONENT_ORDER
     orbit: Orbit
 
 
@@ -33,6 +34,6 @@ def standard_context() -> Context:
     group = symmetric_group(4)
     rep = build_standard_rep(group)
     product = tensor_product(rep, rep)
-    decomposition = isotypic_projectors(product, rep)
+    projectors = isotypic_projectors(product, rep)
     orbit = canonical_orbit(rep)
-    return Context(group, rep, product, decomposition, orbit)
+    return Context(group, rep, product, projectors, orbit)

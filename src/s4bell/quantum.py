@@ -7,12 +7,14 @@ tensor square, so its spectrum can be written down componentwise:
 
     lambda_s = (|G| / d_s) * ||P_s (phi (x) psi)||^2
 
-with P_s the component projector and d_s the component dimension.  The
-same spectrum is computed a second, independent way by cyclic Jacobi
-diagonalization of the assembled 9x9 matrix; the two routes cross-check
-each other.  The Jacobi rotations run on Python floats, in the order and
-with the arithmetic of the former numpy-slice version, so its eigenvalues
-and eigenvectors are unchanged to the last bit.
+with P_s the component projector and d_s the component dimension, kept
+as arrays in the order of tables.COMPONENT_ORDER; component labels appear
+only in rendered reports.  The same spectrum is computed a second,
+independent way by cyclic Jacobi diagonalization of the assembled 9x9
+matrix; the two routes cross-check each other.  The Jacobi rotations run
+on Python floats, in the order and with the arithmetic of the former
+numpy-slice version, so its eigenvalues and eigenvectors are unchanged to
+the last bit.
 
 Several orbit pairs are combined by summing their operators.  Every pair
 operator is sum_s lambda_s P_s over the same four projectors, so the sum
@@ -26,9 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tables
 from .context import Context
 from .orbit import OrbitPair
-from .representation import EPS, IsotypicDecomposition, Representation
+from .representation import EPS, Representation
 
 __all__ = [
     "EIG_TOL",
@@ -47,6 +50,8 @@ EIG_TOL = 1e-6
 # needs at these sizes.
 JACOBI_TOL = 1e-12
 MAX_SWEEPS = 100
+# |G| / d_s per component, in the order of tables.COMPONENT_ORDER.
+_SCALE = np.array([tables.GROUP_ORDER / tables.COMPONENT_DIMS[c] for c in tables.COMPONENT_ORDER])
 
 
 def build_x_operator(phi, psi, product: Representation) -> np.ndarray:
@@ -138,20 +143,17 @@ def eigenvalues_direct(matrix):
     return values, vectors[:, 0]
 
 
-def eigenvalues_isotypic(phi, psi, decomposition: IsotypicDecomposition):
+def eigenvalues_isotypic(phi, psi, projectors: np.ndarray) -> np.ndarray:
     """Componentwise eigenvalues (|G|/d_s) ||P_s (phi (x) psi)||^2.
 
-    Returned as (label, eigenvalue) pairs in component order.  The scalar
-    component comes out as 8 (phi . psi)^2 for unit inputs.
+    Returned as a (4,) array in the order of tables.COMPONENT_ORDER, the
+    order of `projectors`.  The scalar component comes out as
+    8 (phi . psi)^2 for unit inputs.
     """
     if not np.isfinite([phi, psi]).all():
         raise ValueError("phi and psi must be finite")
     w = np.kron(np.asarray(phi, dtype=float), np.asarray(psi, dtype=float))
-    out = []
-    for comp in decomposition.components:
-        weight = float(np.dot(comp.projector @ w, w))
-        out.append((comp.label, decomposition.group_order / comp.dim * weight))
-    return out
+    return _SCALE * np.array([float(np.dot(p @ w, w)) for p in projectors])
 
 
 @dataclass(frozen=True)
@@ -161,19 +163,20 @@ class SumSpectrum:
     lambda_max: float
     eigenvector: np.ndarray
     spectrum: np.ndarray  # all eigenvalues, descending, with multiplicity
-    per_pair: tuple  # per pair: tuple of (label, dim, eigenvalue)
-    component_sums: dict  # label -> summed componentwise eigenvalue
+    per_pair: np.ndarray  # (pairs, 4) eigenvalues, columns in tables.COMPONENT_ORDER
+    component_sums: np.ndarray  # (4,) column sums of per_pair
 
     def as_dict(self):
+        labels = tables.COMPONENT_ORDER
         return {
             "lambda_max": self.lambda_max,
             "eigenvector": [float(x) for x in self.eigenvector],
             "spectrum": [float(x) for x in self.spectrum],
-            "component_sums": {k: float(v) for k, v in self.component_sums.items()},
+            "component_sums": {k: float(v) for k, v in zip(labels, self.component_sums)},
             "per_pair": [
-                [{"label": lab, "dim": d, "eigenvalue": float(val)}
-                 for lab, d, val in table]
-                for table in self.per_pair
+                [{"label": lab, "dim": tables.COMPONENT_DIMS[lab], "eigenvalue": float(val)}
+                 for lab, val in zip(labels, row)]
+                for row in self.per_pair
             ],
         }
 
@@ -194,18 +197,14 @@ def max_eigenvalue_sum(pairs, ctx: Context) -> SumSpectrum:
         phi = ctx.orbit.coords(*pair.alice)
         psi = ctx.orbit.coords(*pair.bob)
         total += build_x_operator(phi, psi, ctx.product)
-        table = tuple(
-            (label, ctx.decomposition.component(label).dim, value)
-            for label, value in eigenvalues_isotypic(phi, psi, ctx.decomposition)
-        )
-        per_pair.append(table)
+        per_pair.append(eigenvalues_isotypic(phi, psi, ctx.projectors))
+    per_pair = np.array(per_pair)
+    # Python's sum adds the rows in pair order; numpy's pairwise summation
+    # would regroup them and could change the last bit.
+    sums = sum(per_pair)
 
     values, vectors = jacobi_eigh(total)
-    sums = {}
-    for table in per_pair:
-        for label, _, value in table:
-            sums[label] = sums.get(label, 0.0) + value
-    for label, value in sums.items():
+    for label, value in zip(tables.COMPONENT_ORDER, sums):
         if not np.abs(values - value).min() <= EIG_TOL:
             raise RuntimeError(
                 f"componentwise sum for {label} ({value:.9f}) missing from spectrum"
@@ -214,6 +213,6 @@ def max_eigenvalue_sum(pairs, ctx: Context) -> SumSpectrum:
         lambda_max=float(values[0]),
         eigenvector=vectors[:, 0].copy(),
         spectrum=values,
-        per_pair=tuple(per_pair),
+        per_pair=per_pair,
         component_sums=sums,
     )

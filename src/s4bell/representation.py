@@ -12,8 +12,10 @@ The tensor square splits into four inequivalent irreducible components
 characters by group averaging, with the characters derived on the spot:
 the standard character is read off the constructed matrices, its sign
 twist likewise, the trivial character is 1, and the two-dimensional one is
-whatever remains of the product character.  The bundled change-of-basis
-matrix is used only to validate the result, never to produce it.
+whatever remains of the product character.  The projectors are one
+(4, 9, 9) array in the order of tables.COMPONENT_ORDER; the labels and
+dimensions stay in `tables`.  The bundled change-of-basis matrix is used
+only to validate the result, never to produce it.
 """
 
 from dataclasses import dataclass
@@ -28,8 +30,6 @@ __all__ = [
     "Representation",
     "RepresentationError",
     "DecompositionError",
-    "IsotypicComponent",
-    "IsotypicDecomposition",
     "build_standard_rep",
     "alternating_twist",
     "tensor_product",
@@ -147,72 +147,39 @@ def character(rep: Representation) -> dict:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class IsotypicComponent:
-    label: str
-    dim: int
-    projector: np.ndarray
-
-
-@dataclass(frozen=True)
-class IsotypicDecomposition:
-    """Projectors onto the four isotypic components of the tensor square."""
-
-    components: tuple
-    group_order: int
-
-    def component(self, label):
-        for c in self.components:
-            if c.label == label:
-                return c
-        raise KeyError(label)
-
-
-def isotypic_projectors(product: Representation,
-                        standard: Representation) -> IsotypicDecomposition:
+def isotypic_projectors(product: Representation, standard: Representation) -> np.ndarray:
     """Component projectors of the tensor square of the standard rep.
 
-    Each projector is the group average (d_s / |G|) sum_g chi_s(g) M(g)
-    over the product matrices M(g).  Projector traces must come out as the
-    component dimensions 3, 3, 2, 1 (each component appears exactly once);
-    anything else signals a wrong character table and raises.
+    Returns one read-only (4, 9, 9) array whose row s projects onto
+    component tables.COMPONENT_ORDER[s].  Each projector is the group
+    average (d_s / |G|) sum_g chi_s(g) M(g) over the product matrices M(g),
+    added in group order.  Projector traces must come out as the component
+    dimensions 3, 3, 2, 1 (each component appears exactly once); anything
+    else signals a wrong character table and raises.
     """
     group = product.group
     chi_std = character(standard)
-    chi = {
-        "D": chi_std,
-        "Dt": character(alternating_twist(standard)),
-        "D0": {ct: 1.0 for ct in chi_std},
-    }
-    chi["D2"] = {
-        ct: chi_std[ct] ** 2 - chi["D"][ct] - chi["Dt"][ct] - chi["D0"][ct]
-        for ct in chi_std
-    }
-
-    class_of = {}
+    chi_twist = character(alternating_twist(standard))
+    chars = np.empty((len(tables.COMPONENT_ORDER), group.order))
     for ct, indices in group.conjugacy_classes.items():
-        for k in indices:
-            class_of[k] = ct
+        d, dt, d0 = chi_std[ct], chi_twist[ct], 1.0
+        chi = {"D": d, "Dt": dt, "D2": d ** 2 - d - dt - d0, "D0": d0}
+        chars[:, list(indices)] = [[chi[label]] for label in tables.COMPONENT_ORDER]
 
-    components = []
-    dim2 = product.dim
-    for label in tables.COMPONENT_ORDER:
-        d_s = tables.COMPONENT_DIMS[label]
-        acc = np.zeros((dim2, dim2))
-        for k in range(group.order):
-            acc += chi[label][class_of[k]] * product[k]
-        proj = (d_s / group.order) * acc
+    dims = np.array([tables.COMPONENT_DIMS[label] for label in tables.COMPONENT_ORDER])
+    acc = np.add.reduce(chars[:, :, None, None] * product.matrices, axis=1)
+    projectors = (dims / group.order)[:, None, None] * acc
+    for label, d_s, proj in zip(tables.COMPONENT_ORDER, dims, projectors):
         trace = float(np.trace(proj))
         if not abs(trace - d_s) <= EPS:
             raise DecompositionError(
                 f"projector trace for {label} is {trace:.6f}, expected {d_s}"
             )
-        proj.setflags(write=False)
-        components.append(IsotypicComponent(label, d_s, proj))
-    return IsotypicDecomposition(tuple(components), group.order)
+    projectors.setflags(write=False)
+    return projectors
 
 
-def validate_block_basis(decomposition: IsotypicDecomposition) -> dict:
+def validate_block_basis(projectors: np.ndarray) -> dict:
     """Check the projectors against the bundled change-of-basis matrix.
 
     The bundled matrix must be orthogonal, and conjugating each projector
@@ -222,12 +189,11 @@ def validate_block_basis(decomposition: IsotypicDecomposition) -> dict:
     """
     basis = tables.BLOCK_BASIS
     report = {"orthogonality": float(np.abs(basis @ basis.T - np.eye(9)).max())}
-    for comp in decomposition.components:
+    for label, projector in zip(tables.COMPONENT_ORDER, projectors, strict=True):
         indicator = np.zeros((9, 9))
-        for r in tables.BLOCK_ROWS[comp.label]:
+        for r in tables.BLOCK_ROWS[label]:
             indicator[r, r] = 1.0
-        dev = float(np.abs(basis @ comp.projector @ basis.T - indicator).max())
-        report[comp.label] = dev
+        report[label] = float(np.abs(basis @ projector @ basis.T - indicator).max())
     worst = float(np.max(list(report.values())))  # NaN if any deviation is NaN
     if not worst <= EPS:
         raise tables.TableMismatchError(

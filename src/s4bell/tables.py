@@ -93,6 +93,7 @@ BLOCK_BASIS = _locked([
 # irrep and the trivial (scalar) one, with the matching BLOCK_BASIS rows.
 COMPONENT_ORDER = ("D", "Dt", "D2", "D0")
 COMPONENT_DIMS = {"D": 3, "Dt": 3, "D2": 2, "D0": 1}
+GROUP_ORDER = 24  # |S4|, the order every group average divides by
 BLOCK_ROWS = {"D": (0, 1, 2), "Dt": (3, 4, 5), "D2": (6, 7), "D0": (8,)}
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,14 @@ with PYTHONPATH set to that tree.  For each command the script prints one
 sha256 of stdout, stderr and the exit code per tree, then "same" or
 "DIFFERS".  It exits 1 when any command differs, else 0.
 
-The command list: `scan --orbits 1|2|3 --top 2600` for every `--phi`
-label, the `scan` commands pinned in tests/golden/, `analyze` as text,
-`--json` and `--csv` on the built-in cases I-III, the same three forms of
-`analyze --histogram` on cases I-III, the one-pair spec `x01:x14` and the
-24-pair spec `x01:x01,x01:x11,...,x01:x28`, and `verify`.
+The command list covers all five subcommands and the usage-error path:
+`scan --orbits 1|2|3 --top 2600` for every `--phi` label, the `scan`
+commands pinned in tests/golden/, `analyze` as text, `--json` and `--csv`
+on the built-in cases I-III, the same three forms of `analyze --histogram`
+on cases I-III, the one-pair spec `x01:x14` and the 24-pair spec
+`x01:x01,x01:x11,...,x01:x28`, `game` on cases I-III, `orbits` and
+`orbits --json`, `verify`, and `analyze` on the specs `x01:x01,x11:x11`
+(a repeated term) and `x01:x14,,x01:x07` (malformed), which exit 2.
 """
 
 import contextlib
@@ -53,7 +56,11 @@ COMMANDS += [
     for spec in HISTOGRAM_SPECS
     for fmt in ([], ["--json"], ["--csv"])
 ]
-COMMANDS += [["verify"]]
+COMMANDS += [["game", "--pairs", spec] for spec in CASES.values()]
+COMMANDS += [["orbits"], ["orbits", "--json"], ["verify"]]
+COMMANDS += [
+    ["analyze", "--pairs", spec] for spec in ("x01:x01,x11:x11", "x01:x14,,x01:x07")
+]
 
 
 def _digest(argv):

@@ -25,8 +25,8 @@ def product(ctx):
 
 
 @pytest.fixture(scope="session")
-def decomposition(ctx):
-    return ctx.decomposition
+def projectors(ctx):
+    return ctx.projectors
 
 
 @pytest.fixture(scope="session")

@@ -67,7 +67,7 @@ def test_criterion_2_quantum_bounds(ctx, case_pairs):
     agreement = 0.0
     for name, pairs in case_pairs.items():
         spectrum = max_eigenvalue_sum(pairs, ctx)
-        scalars = [dict((lab, v) for lab, _, v in t)["D0"] for t in spectrum.per_pair]
+        scalars = spectrum.per_pair[:, tables.COMPONENT_ORDER.index("D0")]
         for k, (got, ref) in enumerate(zip(scalars, tables.REF_SCALAR_EIGENVALUES[name])):
             if abs(got - ref) > 0.01:
                 problems.append(
@@ -106,8 +106,10 @@ def test_criterion_2_quantum_bounds(ctx, case_pairs):
             expected = sorted(
                 (
                     val
-                    for lab, val in eigenvalues_isotypic(phi, psi, ctx.decomposition)
-                    for _ in range(ctx.decomposition.component(lab).dim)
+                    for lab, val in zip(
+                        tables.COMPONENT_ORDER, eigenvalues_isotypic(phi, psi, ctx.projectors)
+                    )
+                    for _ in range(tables.COMPONENT_DIMS[lab])
                 ),
                 reverse=True,
             )
@@ -215,8 +217,8 @@ def test_criterion_7_property_suites(ctx, rng):
     if worst > 1e-9:
         problems.append(f"homomorphism/orthogonality deviation {worst:.2e}")
 
-    projs = {c.label: c.projector for c in ctx.decomposition.components}
-    dims = {c.label: c.dim for c in ctx.decomposition.components}
+    projs = dict(zip(tables.COMPONENT_ORDER, ctx.projectors))
+    dims = tables.COMPONENT_DIMS
     dev = 0.0
     total = np.zeros((9, 9))
     for label, p in projs.items():
@@ -239,10 +241,10 @@ def test_criterion_7_property_suites(ctx, rng):
         phi /= np.linalg.norm(phi)
         psi = rng.standard_normal(3)
         psi /= np.linalg.norm(psi)
-        table = eigenvalues_isotypic(phi, psi, ctx.decomposition)
-        total_val = sum(ctx.decomposition.component(lab).dim * val for lab, val in table)
+        table = dict(zip(tables.COMPONENT_ORDER, eigenvalues_isotypic(phi, psi, ctx.projectors)))
+        total_val = sum(tables.COMPONENT_DIMS[lab] * val for lab, val in table.items())
         trace_dev = max(trace_dev, abs(total_val - 24.0))
-        scalar = dict(table)["D0"]
+        scalar = table["D0"]
         scalar_dev = max(scalar_dev, abs(scalar - 8.0 * float(phi @ psi) ** 2))
     if trace_dev > 1e-9:
         problems.append(f"trace identity deviation {trace_dev:.2e}")

@@ -364,6 +364,20 @@ def test_optimal_strategy_lex_tiebreak():
     assert coefficient(expr, f_alice, f_bob) == 1
 
 
+@pytest.mark.parametrize("f_alice, f_bob", [
+    ((0,) * 7, (0,) * 8),
+    ((0,) * 8, (0,) * 9),
+    ((0,) * 8, (0,) * 7 + (3,)),
+    ((-1,) + (0,) * 7, (0,) * 8),
+], ids=["short_alice", "long_bob", "outcome_3", "outcome_minus_1"])
+def test_coefficient_rejects_malformed_strategy(f_alice, f_bob):
+    # A short tuple used to raise IndexError, a long one was cut to eight
+    # entries, and an out-of-range outcome silently matched no term.
+    expr = BellExpression(((1, 0, 1, 0),))
+    with pytest.raises(ValueError, match="8 outcomes in 0..2"):
+        coefficient(expr, f_alice, f_bob)
+
+
 def first_optimal_strategy(expr):
     """Reference: the first Alice tuple, in lexicographic order over all of
     them, whose best Bob response scores highest; then Bob's smallest best

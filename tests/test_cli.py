@@ -163,6 +163,30 @@ def test_analyze_json_roundtrip():
     assert abs(parsed["quantum"]["lambda_max"] - 16.0930) < 1e-3
 
 
+def test_analyze_case1_component_layout():
+    # Every report lists the components as D, Dt, D2, D0 with dims 3, 3, 2, 1.
+    layout = [("D", 3), ("Dt", 3), ("D2", 2), ("D0", 1)]
+    spec = "x01:x14,x01:x07,x01:x15"
+    _, out = run_cli(["analyze", "--pairs", spec, "--json"])
+    quantum = json.loads(out)["quantum"]
+    assert len(quantum["per_pair"]) == 3
+    for row in quantum["per_pair"]:
+        assert [(c["label"], c["dim"]) for c in row] == layout
+    sums = quantum["component_sums"]
+    assert sorted(sums) == sorted(label for label, _ in layout)
+    for k, (label, _) in enumerate(layout):
+        column = sum(row[k]["eigenvalue"] for row in quantum["per_pair"])
+        assert abs(sums[label] - column) < 1e-12
+
+    _, out = run_cli(["analyze", "--pairs", spec, "--csv"])
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [(r[0], r[1], int(r[2]), float(r[3])) for r in rows] == [
+        (pair, c["label"], c["dim"], c["eigenvalue"])
+        for pair, row in zip(spec.split(","), quantum["per_pair"])
+        for c in row
+    ]
+
+
 def test_analyze_csv_spectrum():
     code, out = run_cli(["analyze", "--pairs", "x01:x01", "--csv"])
     assert code == 0
@@ -221,10 +245,13 @@ def test_scan_phi_override():
 
 
 def test_scan_rejects_negative_top(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["scan", "--orbits", "1", "--top", "-20"])
-    assert err.value.code == 2
-    assert "--top" in capsys.readouterr().err
+    for top in ("-20", "abc"):
+        with pytest.raises(SystemExit) as err:
+            main(["scan", "--orbits", "1", "--top", top])
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert "--top" in stderr
+        assert "_non_negative_int" not in stderr
 
 
 def test_scan_three_orbits_contains_cases():

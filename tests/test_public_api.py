@@ -7,8 +7,8 @@ import s4bell
 
 PUBLIC_NAMES = [
     "BellExpression", "Context", "DecompositionError", "DegenerateOrbitError",
-    "EIG_TOL", "EPS", "GameValue", "GroupTable", "IsotypicComponent",
-    "IsotypicDecomposition", "MATCH_TOL", "N_OUTCOMES", "N_SETTINGS", "Orbit",
+    "EIG_TOL", "EPS", "GameValue", "GroupTable", "MATCH_TOL", "N_OUTCOMES",
+    "N_SETTINGS", "Orbit",
     "OrbitPair", "PartitionError", "Permutation", "Representation",
     "RepresentationError", "StrategyHistogram", "SumSpectrum",
     "TableMismatchError", "Term", "WinningTable", "all_labels",

@@ -19,6 +19,7 @@ from s4bell.quantum import (
     max_eigenvalue_sum,
 )
 
+DIMS = [tables.COMPONENT_DIMS[label] for label in tables.COMPONENT_ORDER]
 R2 = math.sqrt(2.0)
 R3 = math.sqrt(3.0)
 R6 = math.sqrt(6.0)
@@ -59,38 +60,42 @@ def test_x_commutes_with_product_rep(product, rng):
         assert np.abs(x @ m - m @ x).max() < 1e-9
 
 
-def test_equal_seeds_give_eight(orbit, product, decomposition):
+def isotypic_table(phi, psi, projectors):
+    """eigenvalues_isotypic keyed by component label."""
+    return dict(zip(tables.COMPONENT_ORDER, eigenvalues_isotypic(phi, psi, projectors)))
+
+
+def test_equal_seeds_give_eight(orbit, product, projectors):
     phi = orbit.coords(1, 0)
     x = build_x_operator(phi, phi, product)
     values, _ = eigenvalues_direct(x)
     assert abs(values[0] - 8.0) < 1e-6
-    table = dict(eigenvalues_isotypic(phi, phi, decomposition))
+    table = isotypic_table(phi, phi, projectors)
     assert abs(table["D0"] - 8.0) < 1e-9
 
 
-def test_orthogonal_seeds_kill_scalar(decomposition):
-    table = dict(
-        eigenvalues_isotypic([1.0, 0, 0], [0, 1.0, 0], decomposition)
-    )
+def test_orthogonal_seeds_kill_scalar(projectors):
+    table = isotypic_table([1.0, 0, 0], [0, 1.0, 0], projectors)
     assert abs(table["D0"]) < 1e-12
 
 
-def test_scalar_component_closed_form(decomposition, rng):
+def test_scalar_component_closed_form(projectors, rng):
     for _ in range(100):
         phi, psi = random_unit(rng), random_unit(rng)
-        table = dict(eigenvalues_isotypic(phi, psi, decomposition))
+        table = isotypic_table(phi, psi, projectors)
         assert abs(table["D0"] - 8.0 * float(phi @ psi) ** 2) < 1e-9
 
 
-def test_trace_identity_random_pairs(decomposition, rng):
+def test_trace_identity_random_pairs(projectors, rng):
     for _ in range(100):
         phi, psi = random_unit(rng), random_unit(rng)
-        table = eigenvalues_isotypic(phi, psi, decomposition)
-        total = sum(decomposition.component(lab).dim * val for lab, val in table)
+        values = eigenvalues_isotypic(phi, psi, projectors)
+        assert values.shape == (4,)
+        total = sum(dim * val for dim, val in zip(DIMS, values))
         assert abs(total - 24.0) < 1e-9
 
 
-def test_isotypic_matches_direct_random_pairs(product, decomposition, rng):
+def test_isotypic_matches_direct_random_pairs(product, projectors, rng):
     for _ in range(100):
         phi, psi = random_unit(rng), random_unit(rng)
         x = build_x_operator(phi, psi, product)
@@ -98,8 +103,8 @@ def test_isotypic_matches_direct_random_pairs(product, decomposition, rng):
         expected = sorted(
             (
                 value
-                for label, value in eigenvalues_isotypic(phi, psi, decomposition)
-                for _ in range(decomposition.component(label).dim)
+                for dim, value in zip(DIMS, eigenvalues_isotypic(phi, psi, projectors))
+                for _ in range(dim)
             ),
             reverse=True,
         )
@@ -107,24 +112,20 @@ def test_isotypic_matches_direct_random_pairs(product, decomposition, rng):
         assert np.abs(x @ top - direct[0] * top).max() < 1e-6
 
 
-def test_reference_scalar_values(orbit, decomposition, case_pairs):
+def test_reference_scalar_values(orbit, projectors, case_pairs):
     for name, pairs in case_pairs.items():
         for pair, ref in zip(pairs, tables.REF_SCALAR_EIGENVALUES[name]):
             phi = orbit.coords(*pair.alice)
             psi = orbit.coords(*pair.bob)
-            table = dict(eigenvalues_isotypic(phi, psi, decomposition))
+            table = isotypic_table(phi, psi, projectors)
             assert abs(table["D0"] - ref) <= 0.01
 
 
-def test_case1_second_orbit_max_is_not_scalar(orbit, decomposition, case_pairs):
+def test_case1_second_orbit_max_is_not_scalar(orbit, projectors, case_pairs):
     # For the (x01, x07) pair the standard component tops the spectrum at
     # about 4.76; the scalar entry 4.57 is what feeds the dominant sum.
     pair = case_pairs["I"][1]
-    table = dict(
-        eigenvalues_isotypic(
-            orbit.coords(*pair.alice), orbit.coords(*pair.bob), decomposition
-        )
-    )
+    table = isotypic_table(orbit.coords(*pair.alice), orbit.coords(*pair.bob), projectors)
     top_label = max(table, key=table.get)
     assert top_label == "D"
     assert table["D"] > table["D0"]
@@ -135,7 +136,7 @@ def test_summed_operators(ctx, case_pairs):
     for name, pairs in case_pairs.items():
         spectrum = max_eigenvalue_sum(pairs, ctx)
         assert abs(spectrum.lambda_max - expected_lambda_max(name)) < 1e-9
-        assert abs(max(spectrum.component_sums.values()) - spectrum.lambda_max) < 1e-9
+        assert abs(max(spectrum.component_sums) - spectrum.lambda_max) < 1e-9
         assert abs(spectrum.spectrum.sum() - 72.0) < 1e-9
         # top eigenvector sits in the scalar component: proportional to the
         # normalized vectorized identity
@@ -305,22 +306,18 @@ def test_direct_rejects_nonsymmetric(solve, kind):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
-def test_isotypic_rejects_non_finite_input(decomposition, bad):
+def test_isotypic_rejects_non_finite_input(projectors, bad):
     for phi, psi in (([bad, 0.0, 0.0], [1.0, 0.0, 0.0]), ([1.0, 0.0, 0.0], [0.0, bad, 0.0])):
         with pytest.raises(ValueError, match="finite"):
-            eigenvalues_isotypic(phi, psi, decomposition)
+            eigenvalues_isotypic(phi, psi, projectors)
 
 
 def test_sum_rejects_nan_projector(ctx, case_pairs):
     # A NaN projector entry turns a componentwise sum into NaN, whose
     # distance to the spectrum compares False against EIG_TOL.
-    comps = list(ctx.decomposition.components)
-    projector = comps[0].projector.copy()
-    projector[0, 0] = np.nan
-    comps[0] = dataclasses.replace(comps[0], projector=projector)
-    broken = dataclasses.replace(
-        ctx, decomposition=dataclasses.replace(ctx.decomposition, components=tuple(comps))
-    )
+    projectors = ctx.projectors.copy()
+    projectors[0, 0, 0] = np.nan
+    broken = dataclasses.replace(ctx, projectors=projectors)
     with pytest.raises(RuntimeError, match="missing from spectrum"):
         max_eigenvalue_sum(case_pairs["I"], broken)
 
@@ -339,7 +336,7 @@ def test_component_sums_equal_direct_maximum(ctx, rng):
         picks = rng.integers(0, 24, 3)
         pairs = [OrbitPair((1, 0), labels[int(k)]) for k in picks]
         spectrum = max_eigenvalue_sum(pairs, ctx)
-        assert abs(max(spectrum.component_sums.values()) - spectrum.lambda_max) < 1e-9
+        assert abs(max(spectrum.component_sums) - spectrum.lambda_max) < 1e-9
 
 
 def test_case_iii_sum_eigenvalue_exact():
@@ -421,7 +418,7 @@ def test_case_iii_published_sum_is_truncated_entries(ctx, orbit, case_pairs):
     # computed value (1e-9 absorbs the rounding of case II's exact 8).
     for name, pairs in case_pairs.items():
         spectrum = max_eigenvalue_sum(pairs, ctx)
-        scalars = [dict((lab, v) for lab, _, v in t)["D0"] for t in spectrum.per_pair]
+        scalars = spectrum.per_pair[:, tables.COMPONENT_ORDER.index("D0")]
         for got, ref in zip(scalars, tables.REF_SCALAR_EIGENVALUES[name]):
             assert ref - 1e-9 <= got < ref + 0.01
         ref_sum = tables.REF_SUM_EIGENVALUE[name]

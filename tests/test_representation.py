@@ -9,7 +9,6 @@ from s4bell.permgroup import Permutation, symmetric_group
 from s4bell.representation import (
     EPS,
     DecompositionError,
-    IsotypicDecomposition,
     Representation,
     RepresentationError,
     alternating_twist,
@@ -128,9 +127,11 @@ def test_tensor_rejects_group_mismatch(group, rep):
         tensor_product(rep, trivial)
 
 
-def test_projector_algebra(decomposition):
-    projs = {c.label: c.projector for c in decomposition.components}
-    dims = {c.label: c.dim for c in decomposition.components}
+def test_projector_algebra(projectors):
+    assert projectors.shape == (4, 9, 9)
+    assert not projectors.flags.writeable
+    projs = dict(zip(tables.COMPONENT_ORDER, projectors))
+    dims = tables.COMPONENT_DIMS
     assert dims == {"D": 3, "Dt": 3, "D2": 2, "D0": 1}
     total = np.zeros((9, 9))
     for label, p in projs.items():
@@ -144,13 +145,30 @@ def test_projector_algebra(decomposition):
     assert np.abs(total - np.eye(9)).max() < EPS
 
 
-def test_component_character_orthogonality(group, product, decomposition):
+def test_projectors_match_per_element_loop(group, rep, product, projectors):
+    # Reference: the group average as a loop over elements, accumulated in
+    # group order from zero.  The stacked reduction does the same IEEE
+    # operations in the same order, so the result is bit-identical.
+    chi_std = character(rep)
+    chi_twist = character(alternating_twist(rep))
+    for s, label in enumerate(tables.COMPONENT_ORDER):
+        acc = np.zeros((9, 9))
+        for k in range(group.order):
+            ct = group[k].cycle_type()
+            d, dt = chi_std[ct], chi_twist[ct]
+            chi = {"D": d, "Dt": dt, "D2": d ** 2 - d - dt - 1.0, "D0": 1.0}[label]
+            acc += chi * product[k]
+        expected = (tables.COMPONENT_DIMS[label] / group.order) * acc
+        assert projectors[s].tobytes() == expected.tobytes()
+
+
+def test_component_character_orthogonality(group, product, projectors):
     # The character of each component is tr(P_s M(g)); distinct components
     # must have orthogonal characters over the group.
     chars = {
-        c.label: np.array([np.trace(c.projector @ product[k])
-                           for k in range(group.order)])
-        for c in decomposition.components
+        label: np.array([np.trace(projector @ product[k])
+                         for k in range(group.order)])
+        for label, projector in zip(tables.COMPONENT_ORDER, projectors)
     }
     for s in chars:
         for r in chars:
@@ -158,12 +176,12 @@ def test_component_character_orthogonality(group, product, decomposition):
             assert abs(ip - (1.0 if s == r else 0.0)) < EPS
 
 
-def test_scalar_projector_closed_form(decomposition):
+def test_scalar_projector_closed_form(projectors):
     # rank-one projector onto the normalized vectorized identity, built
     # here from the last row of the bundled change of basis
     u = tables.BLOCK_BASIS[8]
     expected = np.outer(u, u)
-    assert np.abs(decomposition.component("D0").projector - expected).max() < EPS
+    assert np.abs(projectors[tables.COMPONENT_ORDER.index("D0")] - expected).max() < EPS
 
 
 def test_projectors_reject_wrong_product(group, rep):
@@ -171,39 +189,25 @@ def test_projectors_reject_wrong_product(group, rep):
         isotypic_projectors(rep, rep)
 
 
-def test_validate_block_basis(decomposition):
-    report = validate_block_basis(decomposition)
+def test_validate_block_basis(projectors):
+    report = validate_block_basis(projectors)
     assert set(report) == {"orthogonality", "D", "Dt", "D2", "D0"}
     assert max(report.values()) < EPS
 
 
-def test_validate_block_basis_detects_swap(decomposition):
-    comps = {c.label: c for c in decomposition.components}
-    swapped = IsotypicDecomposition(
-        (
-            comps["D"].__class__("D", 3, comps["Dt"].projector),
-            comps["Dt"].__class__("Dt", 3, comps["D"].projector),
-            comps["D2"],
-            comps["D0"],
-        ),
-        decomposition.group_order,
-    )
+def test_validate_block_basis_detects_swap(projectors):
+    # D and Dt trade projectors
+    swapped = projectors[[1, 0, 2, 3]]
     with pytest.raises(TableMismatchError):
         validate_block_basis(swapped)
 
 
 @pytest.mark.parametrize("label", ["D", "Dt", "D2", "D0"])
-def test_validate_block_basis_rejects_nan_projector(decomposition, label):
+def test_validate_block_basis_rejects_nan_projector(projectors, label):
     # A NaN deviation compares False against EPS, and max() may drop it,
     # depending on where it sits in the report.
-    comps = []
-    for comp in decomposition.components:
-        if comp.label == label:
-            projector = comp.projector.copy()
-            projector[0, 0] = np.nan
-            comp = dataclasses.replace(comp, projector=projector)
-        comps.append(comp)
-    broken = IsotypicDecomposition(tuple(comps), decomposition.group_order)
+    broken = projectors.copy()
+    broken[tables.COMPONENT_ORDER.index(label), 0, 0] = np.nan
     with pytest.raises(TableMismatchError, match="nan"):
         validate_block_basis(broken)
 
@@ -218,23 +222,22 @@ def test_non_finite_matrix_entry_is_rejected(ctx, bad):
         isotypic_projectors(Representation(ctx.group, mats), ctx.rep)
 
 
-def test_projection_norm_is_basis_free(decomposition, rng):
+def test_projection_norm_is_basis_free(projectors, rng):
     basis = tables.BLOCK_BASIS
     for _ in range(100):
         v = random_unit(rng, 9)
         w = basis @ v
-        for comp in decomposition.components:
-            block = sum(w[r] ** 2 for r in tables.BLOCK_ROWS[comp.label])
-            norm = float(np.dot(comp.projector @ v, comp.projector @ v))
+        for label, projector in zip(tables.COMPONENT_ORDER, projectors):
+            block = sum(w[r] ** 2 for r in tables.BLOCK_ROWS[label])
+            norm = float(np.dot(projector @ v, projector @ v))
             assert abs(norm - block) < EPS
 
 
 def test_array_holders_hash_and_compare_by_identity(ctx):
-    # Representation, IsotypicComponent and Orbit hold arrays, so they
-    # compare and hash by identity rather than field by field.
+    # Representation, Orbit and Context hold arrays, so they compare and
+    # hash by identity rather than field by field.
     assert hash(standard_context()) == hash(ctx)
-    for obj in (ctx.rep, ctx.decomposition.components[0], ctx.orbit):
+    for obj in (ctx.rep, ctx.orbit, ctx):
         hash(obj)
         assert obj == obj
         assert obj != dataclasses.replace(obj)
-    hash(ctx.decomposition)
