@@ -180,7 +180,7 @@ def isotypic_projectors(product: Representation, standard: Representation) -> np
 
 
 def validate_block_basis(projectors: np.ndarray) -> dict:
-    """Check the projectors against the bundled change-of-basis matrix.
+    """Check the (4, 9, 9) projectors against the bundled change of basis.
 
     The bundled matrix must be orthogonal, and conjugating each projector
     by it must give the 0/1 indicator of that component's coordinate block
