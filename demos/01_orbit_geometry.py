@@ -45,7 +45,9 @@ print(f"  pairwise dot products: {set(dots)}")
 print("\nA generic seed has 24 distinct images that split into 8 orthonormal")
 print("triples, one measurement basis per triple:")
 orbit = match_reference_labels(generate_orbit(rep, CANONICAL_SEED))
-print(f"  seed {orbit.seed}, partition count {orbit.partition_count} (unique)")
+# two partners each, orthogonal to each other, force every basis
+partners = (np.abs(orbit.points @ orbit.points.T) < 1e-9).sum(axis=1)
+print(f"  seed {orbit.seed}, orthogonal partners per vector {set(partners.tolist())} (unique)")
 for i in range(1, 9):
     frame = np.array([orbit.coords(i, a) for a in range(3)])
     gram_err = np.abs(frame @ frame.T - np.eye(3)).max()

@@ -23,12 +23,15 @@ once per copy.  `analyze` and `game` reject such a spec (duplicate term).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (a malformed
 or term-repeating spec), 3 internal error (building the S4 context or
-another library check failed).
+another library check failed), 141 stdout closed early by its reader (as
+in `s4bell scan --orbits 3 --top 2600 | head -1`; the shell's status for a
+SIGPIPE death), with no traceback.
 """
 
 import argparse
 import itertools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -492,6 +495,9 @@ def main(argv=None):
     except (ValueError, RuntimeError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:  # the final flush of stdout goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

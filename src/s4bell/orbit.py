@@ -3,9 +3,10 @@
 A generic seed has 24 distinct images which split into eight orthonormal
 triples; each triple is one measurement basis, so an orbit vector carries a
 label (basis i in 1..8, outcome alpha in 0..2) and is stored in the row of
-that label in `all_labels()` order.  The triple partition is an exact cover
-of the orthogonality graph.  Labels follow group-element order or are
-matched against the bundled reference table.
+that label in `all_labels()` order.  Each vector is orthogonal to exactly
+two others, orthogonal to each other, so the triples are read off directly
+and are unique.  Labels follow group-element order or are matched against
+the bundled reference table.
 """
 
 import itertools
@@ -91,7 +92,6 @@ class Orbit:
     points: np.ndarray
     elements: np.ndarray  # indices into the group's canonical element order
     group: GroupTable
-    partition_count: int  # number of triple partitions the orbit admits
 
     def __post_init__(self):
         for name in ("seed", "points", "elements"):
@@ -149,13 +149,13 @@ def orbit_to_json(orbit: Orbit) -> str:
 def partition_into_bases(vectors):
     """Split distinct unit vectors into mutually orthogonal triples.
 
-    Builds the orthogonality graph (edges between vectors whose dot product
-    vanishes to within EPS) and searches for exact covers by
-    triangles, always branching on the lowest-index uncovered vector so the
-    enumeration order is deterministic.  Returns the lexicographically
-    first cover together with the total number of covers found.
+    A vector's triple is itself plus the vectors orthogonal to it (dot
+    product below EPS in absolute value); it must have exactly three
+    pairwise orthogonal members.  Then each partner has the same triple, so
+    the triples are disjoint and no other split exists.  Returns the
+    distinct triples, each ascending, sorted by smallest index.
 
-    Raises PartitionError when no cover exists.
+    Raises PartitionError naming the first vector whose triple fails.
     """
     arr = np.array([np.asarray(v, dtype=float) for v in vectors])
     n = len(arr)
@@ -164,46 +164,19 @@ def partition_into_bases(vectors):
     norms = np.linalg.norm(arr, axis=1)
     if not np.abs(norms - 1.0).max() <= 1e-6:
         raise ValueError("vectors must be unit length")
-    gram = arr @ arr.T
     coincide = np.argwhere(np.triu(_close(arr[:, None], arr), 1))
     if len(coincide):
         raise ValueError("vectors {} and {} coincide".format(*coincide[0]))
 
-    orthogonal = [
-        {b for b in range(n) if b != a and abs(gram[a, b]) < EPS}
-        for a in range(n)
-    ]
-    triangles = [
-        (a, b, c)
-        for a in range(n)
-        for b in sorted(orthogonal[a])
-        if b > a
-        for c in sorted(orthogonal[a] & orthogonal[b])
-        if c > b
-    ]
-
-    covers = []
-    chosen = []
-    uncovered = set(range(n))
-
-    def extend():
-        if not uncovered:
-            covers.append(tuple(chosen))
-            return
-        lowest = min(uncovered)
-        for tri in triangles:
-            if lowest in tri and uncovered.issuperset(tri):
-                chosen.append(tri)
-                uncovered.difference_update(tri)
-                extend()
-                uncovered.update(tri)
-                chosen.pop()
-
-    extend()
-    if not covers:
-        raise PartitionError("no partition into orthonormal triples exists")
-    best = min(covers)
-    return tuple(best), len(covers)
+    orthogonal = np.abs(arr @ arr.T) < EPS
+    np.fill_diagonal(orthogonal, True)
+    triples = set()
+    for a, row in enumerate(orthogonal):
+        triple = np.flatnonzero(row)
+        if len(triple) != 3 or not orthogonal[np.ix_(triple, triple)].all():
+            raise PartitionError(f"vector {a} is not in exactly one orthonormal triple")
+        triples.add(tuple(triple.tolist()))
+    return tuple(sorted(triples))
 
 
 def _close(points, x):
@@ -224,13 +197,12 @@ def generate_orbit(rep: Representation, seed) -> Orbit:
 
     Distinct images (within MATCH_TOL) are collected in group-element
     order, so each orbit vector records the smallest element index mapping
-    the seed onto it.  A full-size orbit is partitioned into orthonormal
+    the seed onto it.  A full-size orbit is split into its orthonormal
     triples; triples are ordered by their smallest element index, and the
     outcome index within a triple follows element order as well.
 
     Raises DegenerateOrbitError when the seed has a stabilizer (fewer than
-    |G| distinct images) and PartitionError when no triple partition
-    exists.
+    |G| distinct images) and PartitionError from `partition_into_bases`.
     """
     seed = np.asarray(seed, dtype=float)
     if not abs(np.linalg.norm(seed) - 1.0) <= 1e-9:
@@ -239,9 +211,8 @@ def generate_orbit(rep: Representation, seed) -> Orbit:
     if len(points) < rep.group.order:
         raise DegenerateOrbitError(len(points))
 
-    triples, count = partition_into_bases(points)
-    rows = list(itertools.chain.from_iterable(triples))
-    return Orbit(seed, points[rows], elements[rows], rep.group, count)
+    rows = list(itertools.chain.from_iterable(partition_into_bases(points)))
+    return Orbit(seed, points[rows], elements[rows], rep.group)
 
 
 def match_reference_labels(orbit: Orbit) -> Orbit:

@@ -156,7 +156,7 @@ def eigenvalues_isotypic(phi, psi, projectors: np.ndarray) -> np.ndarray:
     return _SCALE * np.array([float(np.dot(p @ w, w)) for p in projectors])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SumSpectrum:
     """Spectral data of a sum of orbit-pair operators."""
 

@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -297,3 +301,19 @@ def test_verify_command_exit_code():
     code, out = run_cli(["verify"])
     assert code == 1
     assert "18/19 checks passed" in out
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # about 190 KB of output, more than a pipe holds, so the write after the
+    # reader closes the pipe always fails
+    src = Path(__file__).resolve().parent.parent / "src"
+    with subprocess.Popen(
+        [sys.executable, "-m", "s4bell.cli", "scan", "--orbits", "3", "--top", "2600"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as proc:
+        assert proc.stdout.readline().startswith("scan over 2600")
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
+    assert stderr == ""

@@ -67,7 +67,13 @@ def test_identity_maps_seed_to_itself(orbit):
 
 
 def test_partition_is_unique(orbit):
-    assert orbit.partition_count == 1
+    # every vector has exactly two orthogonal partners, orthogonal to each
+    # other, so its basis is forced and the split is unique
+    orthogonal = np.abs(orbit.points @ orbit.points.T) < 1e-9
+    assert (orthogonal.sum(axis=1) == 2).all()
+    assert partition_into_bases(orbit.points) == tuple(
+        (k, k + 1, k + 2) for k in range(0, 24, 3)
+    )
 
 
 def test_triples_are_orthonormal_and_complete(orbit):
@@ -134,9 +140,14 @@ def test_other_orbit_vector_as_seed_matches(rep):
 
 
 def test_partition_single_triple():
-    triples, count = partition_into_bases(np.eye(3))
-    assert triples == ((0, 1, 2),)
-    assert count == 1
+    assert partition_into_bases(np.eye(3)) == ((0, 1, 2),)
+
+
+def test_partition_rejects_non_unique_split():
+    # +-e_i splits into orthonormal triples in four ways; e_1 has four
+    # orthogonal partners, so no basis is forced
+    with pytest.raises(PartitionError, match="vector 0 "):
+        partition_into_bases(np.vstack([np.eye(3), -np.eye(3)]))
 
 
 def test_partition_failure_on_perturbation(orbit):

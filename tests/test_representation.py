@@ -6,6 +6,7 @@ import pytest
 from conftest import random_unit
 from s4bell import standard_context, tables
 from s4bell.permgroup import Permutation, symmetric_group
+from s4bell.quantum import max_eigenvalue_sum
 from s4bell.representation import (
     EPS,
     DecompositionError,
@@ -233,11 +234,12 @@ def test_projection_norm_is_basis_free(projectors, rng):
             assert abs(norm - block) < EPS
 
 
-def test_array_holders_hash_and_compare_by_identity(ctx):
-    # Representation, Orbit and Context hold arrays, so they compare and
-    # hash by identity rather than field by field.
+def test_array_holders_hash_and_compare_by_identity(ctx, case_pairs):
+    # Representation, Orbit, Context and SumSpectrum hold arrays, so they
+    # compare and hash by identity rather than field by field.
     assert hash(standard_context()) == hash(ctx)
-    for obj in (ctx.rep, ctx.orbit, ctx):
+    spectrum = max_eigenvalue_sum(case_pairs["I"], ctx)
+    for obj in (ctx.rep, ctx.orbit, ctx, spectrum):
         hash(obj)
         assert obj == obj
         assert obj != dataclasses.replace(obj)
