@@ -8,9 +8,10 @@ the largest number of terms a single deterministic configuration
 
 The scan is separable: settings on Bob's side decouple once Alice's tuple
 is fixed.  For every Alice tuple the table M[t][b] counts the terms with
-Bob setting t and outcome b that Alice already satisfies; the coefficient
-of a full configuration is then a sum of eight lookups, the per-tuple
-maximum is the sum of per-setting maxima, and the per-tuple histogram
+Bob setting t and outcome b that Alice already satisfies (for all tuples,
+one product of their labels' one-hot incidence with the term table); the
+coefficient of a full configuration is then a sum of eight lookups, the
+per-tuple maximum is the sum of per-setting maxima, and the histogram
 meets in the middle: Bob's 3**4 outcome tuples on settings 1-4 and on 5-8
 are scored apart, and their score counts combine by one integer product.
 
@@ -20,9 +21,8 @@ tuples; the 3**8 tuples fall into 306 orbits.  When the term set of an
 expression maps onto itself under every element (true of every
 `bell_terms` output), the per-tuple maximum and histogram are constant on
 each orbit, and one representative per orbit, weighted by the orbit size,
-stands for all of its tuples.  The orbit table is built
-on first use.  Any other expression takes the full scan over every tuple,
-which also serves the tests as the reference.
+stands for all of its tuples.  The orbit table is built on first use.
+Any other expression takes the full scan over every tuple, the tests' reference.
 """
 
 import itertools
@@ -113,7 +113,7 @@ def bell_terms(pairs, orbit: Orbit) -> BellExpression:
     return BellExpression(tuple(terms), pairs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StrategyHistogram:
     """Configuration counts per coefficient value, including the zero bin."""
 
@@ -198,15 +198,16 @@ def _generator_actions():
     return action
 
 
-def _is_invariant(expr: BellExpression) -> bool:
-    """True when every S4 element maps the term set onto itself.
+def _is_invariant(*exprs: BellExpression) -> bool:
+    """True when every S4 element maps the term set of each expression onto itself.
 
     Checked on the adjacent transpositions (1 2), (2 3) and (3 4) only:
-    they generate S4, and the label action is a homomorphism.
+    they generate S4, and the label action is a homomorphism.  The tables
+    are stacked, so one comparison covers every expression.
     """
     action = _generator_actions()
-    f = expr.table.reshape(N_SETTINGS * N_OUTCOMES, -1)
-    return bool((f[action[:, :, None], action[:, None, :]] == f).all())
+    f = np.stack([e.table for e in exprs]).reshape(len(exprs), N_SETTINGS * N_OUTCOMES, -1)
+    return bool((f[:, action[:, :, None], action[:, None, :]] == f[:, None]).all())
 
 
 def _alice_rows(*exprs: BellExpression):
@@ -215,7 +216,7 @@ def _alice_rows(*exprs: BellExpression):
     One representative per S4 orbit, in ascending tuple order, when every
     expression is invariant; otherwise every tuple with weight one.
     """
-    if all(_is_invariant(expr) for expr in exprs):
+    if _is_invariant(*exprs):
         orbits = _alice_orbits()
         return orbits.representatives, orbits.sizes
     n = N_OUTCOMES ** N_SETTINGS
@@ -223,12 +224,17 @@ def _alice_rows(*exprs: BellExpression):
 
 
 def _per_alice_tables(table, rows):
-    """M[i, t, b]: terms with Bob pair (t, b) satisfied by Alice tuple rows[i]."""
-    prof = _profiles()[rows]
-    m = np.zeros((len(prof), N_SETTINGS, N_OUTCOMES), dtype=np.int16)
-    for s in range(N_SETTINGS):
-        m += table[s][prof[:, s]]
-    return m
+    """M[..., i, t, b]: terms with Bob pair (t, b) satisfied by Alice tuple rows[i].
+
+    One product M = A F, exact in float32 for these small integer sums:
+    A is the one-hot incidence of the rows' eight Alice labels (rows x 24)
+    and F the table, or a stack of tables, viewed as (..., 24, 24).
+    """
+    labels = N_OUTCOMES * np.arange(N_SETTINGS) + _profiles()[rows]
+    incidence = np.zeros((len(labels), N_SETTINGS * N_OUTCOMES), dtype=np.float32)
+    np.put_along_axis(incidence, labels, 1, axis=1)
+    m = incidence @ table.reshape(*table.shape[:-4], N_SETTINGS * N_OUTCOMES, -1)
+    return m.astype(np.int16).reshape(*m.shape[:-1], N_SETTINGS, N_OUTCOMES)
 
 
 def _row_maxima(m):
@@ -308,15 +314,16 @@ def multiset_maxima(exprs, size):
 
     Multisets come in `itertools.combinations_with_replacement` order over
     `exprs`, and a term counts once for each member that holds it.
-    Per-Alice tables add over members, so each table is built once, and
-    every prefix of a multiset is completed by all its possible last
-    members at once.
+    Per-Alice tables add over members, so all of them are built by one
+    product, and every prefix of a multiset is completed by all its
+    possible last members at once.
 
-    The tables form one contiguous int16 array laid out (expr, outcome,
-    setting, row), so outcome slices and setting sums run over contiguous
-    rows, and each prefix sum is added into buffers allocated up front.
-    The sums stay in int16: a row's value is at most N_SETTINGS**2 * size,
-    and a size whose bound exceeds int16 raises ValueError at once.
+    The tables form one contiguous array laid out (expr, outcome, setting,
+    row), so outcome slices and setting sums run over contiguous rows, and
+    each prefix sum is added into buffers allocated up front.  The sums
+    run in int8 when `size` times the largest row value of any single
+    member fits, else in int16; a size whose bound N_SETTINGS**2 * size
+    exceeds int16 raises ValueError at once.
     """
     if not exprs:
         raise ValueError("exprs must hold at least one expression")
@@ -325,15 +332,16 @@ def multiset_maxima(exprs, size):
     if N_SETTINGS**2 * size > np.iinfo(np.int16).max:
         raise ValueError(f"size {size} could overflow the int16 row sums")
     rows, _ = _alice_rows(*exprs)
-    tables = np.stack([_per_alice_tables(e.table, rows) for e in exprs])
-    tables = np.ascontiguousarray(tables.transpose(0, 3, 2, 1))
+    tables = _per_alice_tables(np.stack([e.table for e in exprs]), rows)
+    dtype = np.int8 if size * _row_maxima(tables).max() <= np.iinfo(np.int8).max else np.int16
+    tables = np.ascontiguousarray(tables.transpose(0, 3, 2, 1), dtype=dtype)
     totals, best = np.empty_like(tables), np.empty_like(tables[:, 0])
     maxima = []
     for prefix in itertools.combinations_with_replacement(range(len(exprs)), size - 1):
         first = prefix[-1] if prefix else 0
         np.add(tables[first:], sum(tables[k] for k in prefix), out=totals[first:])
         np.maximum.reduce(totals[first:], axis=1, out=best[first:])
-        maxima += best[first:].sum(axis=1, dtype=np.int16).max(axis=1).tolist()
+        maxima += best[first:].sum(axis=1, dtype=dtype).max(axis=1).tolist()
     return maxima
 
 
@@ -361,7 +369,11 @@ def coefficient(expr: BellExpression, f_alice, f_bob) -> int:
     anything else raises ValueError.
     """
     for name, f in (("f_alice", f_alice), ("f_bob", f_bob)):
-        if len(f) != N_SETTINGS or any(v not in range(N_OUTCOMES) for v in f):
+        try:
+            valid = len(f) == N_SETTINGS and {*map(operator.index, f)} <= {*range(N_OUTCOMES)}
+        except TypeError:
+            valid = False
+        if not valid:
             raise ValueError(
                 f"{name} must hold {N_SETTINGS} outcomes in 0..{N_OUTCOMES - 1}, got {f!r}"
             )

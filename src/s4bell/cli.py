@@ -382,7 +382,7 @@ def _cmd_scan(args):
     exprs = [bell_terms([OrbitPair(alice, lab)], ctx.orbit) for lab in labels]
 
     combos = itertools.combinations_with_replacement(range(len(labels)), args.orbits)
-    combos = np.array(list(combos), dtype=np.intp)
+    combos = np.fromiter(itertools.chain.from_iterable(combos), np.intp).reshape(-1, args.orbits)
     sums = np.zeros((len(combos), eigs.shape[1]))
     # Orbit by orbit, in spec order: float addition is not associative.
     for j in range(args.orbits):

@@ -24,7 +24,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WinningTable:
     """Winning answer pairs per settings pair (s, t)."""
 

@@ -15,6 +15,7 @@ from s4bell.classical import (
     _histogram_counts,
     _is_invariant,
     _max_coefficient,
+    _per_alice_tables,
     bell_terms,
     classical_histogram,
     classical_max,
@@ -208,6 +209,50 @@ def test_non_invariant_expression_scans_every_alice_tuple(case_exprs):
     assert len(rows) == 3 ** 8
 
 
+def test_several_invariant_expressions_keep_the_reduced_scan(orbit, case_exprs):
+    # A stacked invariance check that always failed would still give the
+    # right numbers, only from the 6561-row scan, so the row count is pinned.
+    rows, weights = _alice_rows(case_exprs["I"], case_exprs["II"], case_exprs["III"])
+    assert len(rows) == 306
+    assert weights.sum() == 3 ** 8
+    # The 24 single-pair expressions `scan` builds for Alice label x12.
+    pool = [bell_terms([OrbitPair((2, 1), lab)], orbit) for lab in all_labels()]
+    assert len(_alice_rows(*pool)[0]) == 306
+    assert _is_invariant(*pool)
+    friendly = BellExpression(((1, 0, 1, 0), (2, 0, 1, 0), (1, 0, 2, 1)))
+    assert not _is_invariant(case_exprs["I"], friendly, case_exprs["II"])
+    assert not _is_invariant(friendly, *pool)
+
+
+def gathered_per_alice_tables(table, rows):
+    """Reference: the former kernel, one gather per Alice setting."""
+    alice = np.array(list(itertools.product(range(3), repeat=8)))[rows]
+    m = np.zeros((len(alice), 8, 3), dtype=np.int16)
+    for s in range(8):
+        m += table[s][alice[:, s]]
+    return m
+
+
+def test_per_alice_tables_match_the_gather_reference(orbit, case_exprs):
+    friendly = BellExpression(((1, 0, 1, 0), (2, 0, 1, 0), (1, 0, 2, 1)))
+    exprs = [*case_exprs.values(), friendly, bell_terms([OrbitPair((2, 1), (5, 0))], orbit)]
+    stacked = np.stack([e.table for e in exprs])
+    for rows in (_alice_orbits().representatives, ALL_ROWS):
+        for expr in exprs:
+            m = _per_alice_tables(expr.table, rows)
+            assert m.dtype == np.int16
+            assert np.array_equal(m, gathered_per_alice_tables(expr.table, rows))
+        m = _per_alice_tables(stacked, rows)
+        assert m.shape == (len(exprs), len(rows), 8, 3)
+        reference = [gathered_per_alice_tables(table, rows) for table in stacked]
+        assert np.array_equal(m, np.stack(reference))
+    # A union table holds entries above one; the product stays exact.
+    union = stacked.sum(axis=0)
+    assert np.array_equal(
+        _per_alice_tables(union, ALL_ROWS), gathered_per_alice_tables(union, ALL_ROWS)
+    )
+
+
 @pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
 def test_invariance_needs_every_generator(ctx, pair):
     # The orbit of one term under two of the adjacent transpositions (1 2),
@@ -311,6 +356,14 @@ def test_multiset_maxima_rejects_sizes_that_could_overflow(case_exprs):
     assert multiset_maxima([case_exprs["I"]], 511) == [511 * classical_max(case_exprs["I"])]
 
 
+@pytest.mark.parametrize("size", [7, 8, 9])
+def test_multiset_maxima_at_the_int8_edge(case_exprs, size):
+    # Case I scores 16, so 16 * 7 = 112 runs in int8, and 16 * 8 = 128 is
+    # the first size that needs int16.
+    assert classical_max(case_exprs["I"]) == 16
+    assert multiset_maxima([case_exprs["I"]], size) == [16 * size]
+
+
 def test_empty_expression():
     expr = BellExpression(())
     assert classical_max(expr) == 0
@@ -369,10 +422,12 @@ def test_optimal_strategy_lex_tiebreak():
     ((0,) * 8, (0,) * 9),
     ((0,) * 8, (0,) * 7 + (3,)),
     ((-1,) + (0,) * 7, (0,) * 8),
-], ids=["short_alice", "long_bob", "outcome_3", "outcome_minus_1"])
+    ((1.0,) * 8, (True,) * 8),
+], ids=["short_alice", "long_bob", "outcome_3", "outcome_minus_1", "float_outcomes"])
 def test_coefficient_rejects_malformed_strategy(f_alice, f_bob):
     # A short tuple used to raise IndexError, a long one was cut to eight
-    # entries, and an out-of-range outcome silently matched no term.
+    # entries, an out-of-range outcome silently matched no term, and float
+    # outcomes were counted; outcomes follow BellExpression's integer rule.
     expr = BellExpression(((1, 0, 1, 0),))
     with pytest.raises(ValueError, match="8 outcomes in 0..2"):
         coefficient(expr, f_alice, f_bob)

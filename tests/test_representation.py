@@ -5,6 +5,8 @@ import pytest
 
 from conftest import random_unit
 from s4bell import standard_context, tables
+from s4bell.classical import bell_terms, classical_histogram
+from s4bell.game import winning_table
 from s4bell.permgroup import Permutation, symmetric_group
 from s4bell.quantum import max_eigenvalue_sum
 from s4bell.representation import (
@@ -235,11 +237,14 @@ def test_projection_norm_is_basis_free(projectors, rng):
 
 
 def test_array_holders_hash_and_compare_by_identity(ctx, case_pairs):
-    # Representation, Orbit, Context and SumSpectrum hold arrays, so they
-    # compare and hash by identity rather than field by field.
+    # Representation, Orbit, Context and SumSpectrum hold arrays, and
+    # WinningTable and StrategyHistogram hold dicts, so they compare and
+    # hash by identity rather than field by field.
     assert hash(standard_context()) == hash(ctx)
     spectrum = max_eigenvalue_sum(case_pairs["I"], ctx)
-    for obj in (ctx.rep, ctx.orbit, ctx, spectrum):
+    expr = bell_terms(case_pairs["I"], ctx.orbit)
+    holders = (winning_table(expr), classical_histogram(expr))
+    for obj in (ctx.rep, ctx.orbit, ctx, spectrum, *holders):
         hash(obj)
         assert obj == obj
         assert obj != dataclasses.replace(obj)
