@@ -1,28 +1,28 @@
 """Classical bounds by exhaustive enumeration of deterministic strategies.
 
-A Bell expression here is a plain multiset-free list of probability terms
-P(a_s = a, b_t = b).  Under any joint distribution its value is bounded by
-the largest number of terms a single deterministic configuration
-(a_1..a_8, b_1..b_8) can satisfy, so the bound is found by scanning all
-3**16 configurations.
+A Bell expression here is a plain list of probability terms
+P(a_s = a, b_t = b).  Its classical bound is the largest number of terms
+one deterministic configuration (a_1..a_8, b_1..b_8) satisfies, found by
+scanning all 3**16 configurations.
 
-The scan is separable: settings on Bob's side decouple once Alice's tuple
-is fixed.  For every Alice tuple the table M[t][b] counts the terms with
+The scan is separable: once Alice's tuple is fixed, Bob's settings
+decouple.  For every Alice tuple the table M[t][b] counts the terms with
 Bob setting t and outcome b that Alice already satisfies (for all tuples,
-one product of their labels' one-hot incidence with the term table); the
-coefficient of a full configuration is then a sum of eight lookups, the
-per-tuple maximum is the sum of per-setting maxima, and the histogram
-meets in the middle: Bob's 3**4 outcome tuples on settings 1-4 and on 5-8
-are scored apart, and their score counts combine by one integer product.
+one product of their labels' one-hot incidence with the term table).  A
+tuple's maximum is the sum of per-setting maxima, and the histogram meets
+in the middle: Bob's 3**4 outcome tuples on settings 1-4 and on 5-8 are
+scored apart, and their score counts combine by one integer product.
 
 The scan is also symmetry-reduced.  Each element of S4 permutes the
-orbit labels and maps measurement bases onto bases, so it permutes Alice
-tuples; the 3**8 tuples fall into 306 orbits.  When the term set of an
-expression maps onto itself under every element (true of every
-`bell_terms` output), the per-tuple maximum and histogram are constant on
-each orbit, and one representative per orbit, weighted by the orbit size,
-stands for all of its tuples.  The orbit table is built on first use.
-Any other expression takes the full scan over every tuple, the tests' reference.
+orbit labels and maps bases onto bases, so it permutes Alice tuples: the
+3**8 tuples fall into 306 orbits.  When the term set of an expression
+maps onto itself under every element (true of every `bell_terms`
+output), one representative per orbit, weighted by the orbit size,
+stands for all of its tuples.  Any other expression takes the full scan,
+the tests' reference.  `scan_maxima` reduces on Bob's side too: 72
+relabelings of settings, outcomes and parties permute the pair classes
+and keep every maximum, so one class multiset per orbit is scanned.
+Both orbit tables are built on first use.
 """
 
 import itertools
@@ -45,6 +45,7 @@ __all__ = [
     "classical_max",
     "classical_histogram",
     "multiset_maxima",
+    "scan_maxima",
     "optimal_classical_strategy",
     "coefficient",
     "histogram_csv",
@@ -309,40 +310,86 @@ def classical_histogram(expr: BellExpression) -> StrategyHistogram:
     )
 
 
-def multiset_maxima(exprs, size):
-    """Classical maxima of the unions of every `size`-multiset of `exprs`.
+def _member_indices(multisets, n):
+    """`multisets` as a (K, size) array of indices in 0..n-1, else ValueError."""
+    multisets = np.asarray(multisets)
+    if multisets.ndim != 2 or multisets.shape[1] < 1 or multisets.dtype.kind not in "iu" or (
+            multisets.size and not 0 <= multisets.min() <= multisets.max() < n):
+        raise ValueError(f"multisets must be a (K, size >= 1) array of indices in 0..{n - 1}")
+    return multisets
 
-    Multisets come in `itertools.combinations_with_replacement` order over
-    `exprs`, and a term counts once for each member that holds it.
-    Per-Alice tables add over members, so all of them are built by one
-    product, and every prefix of a multiset is completed by all its
-    possible last members at once.
 
-    The tables form one contiguous array laid out (expr, outcome, setting,
-    row), so outcome slices and setting sums run over contiguous rows, and
-    each prefix sum is added into buffers allocated up front.  The sums
-    run in int8 when `size` times the largest row value of any single
-    member fits, else in int16; a size whose bound N_SETTINGS**2 * size
-    exceeds int16 raises ValueError at once.
-    """
+def multiset_maxima(exprs, multisets):
+    """Classical maxima of the unions of `exprs` named by the rows of a (K, size) index array.
+
+    A term counts once per member that holds it.  The members' per-Alice
+    tables come from one product and are summed per multiset (no temporary
+    spans all K) into one buffer of K x 3 x 8 x rows entries, reduced once:
+    in int8 when `size` times the largest row value of any member fits,
+    else int16.  A size whose bound N_SETTINGS**2 * size exceeds int16 raises ValueError."""
     if not exprs:
         raise ValueError("exprs must hold at least one expression")
-    if size < 1:
-        raise ValueError(f"size must be at least 1, got {size}")
+    multisets = _member_indices(multisets, len(exprs))
+    size = multisets.shape[1]
     if N_SETTINGS**2 * size > np.iinfo(np.int16).max:
         raise ValueError(f"size {size} could overflow the int16 row sums")
-    rows, _ = _alice_rows(*exprs)
-    tables = _per_alice_tables(np.stack([e.table for e in exprs]), rows)
+    tables = _per_alice_tables(np.stack([e.table for e in exprs]), _alice_rows(*exprs)[0])
     dtype = np.int8 if size * _row_maxima(tables).max() <= np.iinfo(np.int8).max else np.int16
     tables = np.ascontiguousarray(tables.transpose(0, 3, 2, 1), dtype=dtype)
-    totals, best = np.empty_like(tables), np.empty_like(tables[:, 0])
-    maxima = []
-    for prefix in itertools.combinations_with_replacement(range(len(exprs)), size - 1):
-        first = prefix[-1] if prefix else 0
-        np.add(tables[first:], sum(tables[k] for k in prefix), out=totals[first:])
-        np.maximum.reduce(totals[first:], axis=1, out=best[first:])
-        maxima += best[first:].sum(axis=1, dtype=dtype).max(axis=1).tolist()
-    return maxima
+    totals = np.empty((len(multisets), *tables.shape[1:]), dtype)
+    for total, members in zip(totals, multisets):
+        np.add.reduce(tables[members], axis=0, out=total)
+    return np.maximum.reduce(totals, axis=1).sum(axis=1, dtype=dtype).max(axis=1).astype(int)
+
+
+@lru_cache(maxsize=1)
+def _class_relabelings():
+    """(72, 24) maps of pair classes, each keeping every classical maximum.
+
+    Class m is the S4 orbit of the label pair (0, m).  Six of the label maps
+    g.0 -> g.x, which commute with S4, map bases into bases.  Alice's A and
+    Bob's B send (0, m) to (A[0], B[m]), or swapping parties to (B[m], A[0])."""
+    action = standard_context().orbit.label_action
+    right = action.T[:, np.argsort(action[:, 0])]  # right[x]: g.0 -> g.x
+    bases = right.reshape(-1, N_SETTINGS, N_OUTCOMES) // N_OUTCOMES
+    keep = right[(bases == bases[..., :1]).all(axis=(1, 2))]
+    if len(keep) != 6:
+        raise RuntimeError(f"expected 6 basis-preserving label maps, found {len(keep)}")
+    to_zero = np.argmax(action == 0, axis=0)  # [k]: the element taking label k to 0
+    return np.array([action[to_zero[a[0]], b] for a in keep for b in keep]
+                    + [action[to_zero[b], a[0]] for a in keep for b in keep])
+
+
+def _codes(multisets):
+    """Base-24 codes of the sorted rows, ascending in combinations order."""
+    columns = np.sort(multisets, axis=1, kind="stable").T
+    return np.ravel_multi_index(columns, (N_SETTINGS * N_OUTCOMES,) * len(columns))
+
+
+@lru_cache(maxsize=None)
+def _multiset_orbits(size):
+    """Per orbit its smallest class multiset of `size`, per multiset its code and orbit;
+    built on first use by a running minimum over the maps, the identity among them."""
+    combos = itertools.combinations_with_replacement(range(N_SETTINGS * N_OUTCOMES), size)
+    multisets = np.fromiter(itertools.chain.from_iterable(combos), np.intp).reshape(-1, size)
+    codes = _codes(multisets)
+    smallest = reduce(np.minimum, (_codes(r[multisets]) for r in _class_relabelings()))
+    first = np.flatnonzero(smallest == codes)
+    return multisets[first], codes, np.searchsorted(codes[first], smallest)
+
+
+def scan_maxima(alice, multisets):
+    """`multiset_maxima` of the pairs (alice, m) over the Bob labels m of each row; with g
+    taking Alice's label to 0, m is in class action[g, m].  Maxima are constant on class
+    multiset orbits, so one multiset per orbit is scanned: 70 of 2600 at size 3."""
+    ctx = standard_context()
+    labels = all_labels()
+    action = ctx.orbit.label_action
+    classes = action[np.argmax(action[:, labels.index(tuple(alice))] == 0)]
+    multisets = _member_indices(multisets, len(labels))
+    reps, codes, orbit = _multiset_orbits(multisets.shape[1])
+    exprs = [bell_terms([(alice, labels[m])], ctx.orbit) for m in np.argsort(classes)]
+    return multiset_maxima(exprs, reps)[orbit[np.searchsorted(codes, _codes(classes[multisets]))]]
 
 
 def optimal_classical_strategy(expr: BellExpression):

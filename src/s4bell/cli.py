@@ -44,7 +44,7 @@ from .classical import (
     classical_histogram,
     classical_max,
     histogram_csv,
-    multiset_maxima,
+    scan_maxima,
 )
 from .context import standard_context
 from .game import game_values, winning_table
@@ -373,13 +373,11 @@ def _cmd_scan(args):
     phi = ctx.orbit.coords(*alice)
     labels = all_labels()
 
-    # Per Bob label: componentwise eigenvalues and the terms of its orbit
-    # pair.  Both are additive over the orbits of a multiset, so each is
-    # computed once per label and summed per multiset.
+    # Per Bob label: componentwise eigenvalues, additive over the orbits
+    # of a multiset, so computed once per label and summed per multiset.
     eigs = np.array([
         eigenvalues_isotypic(phi, ctx.orbit.coords(*lab), ctx.projectors) for lab in labels
     ])
-    exprs = [bell_terms([OrbitPair(alice, lab)], ctx.orbit) for lab in labels]
 
     combos = itertools.combinations_with_replacement(range(len(labels)), args.orbits)
     combos = np.fromiter(itertools.chain.from_iterable(combos), np.intp).reshape(-1, args.orbits)
@@ -388,7 +386,7 @@ def _cmd_scan(args):
     for j in range(args.orbits):
         sums += eigs[combos[:, j]]
     lams = sums.max(axis=1)
-    cmaxes = np.array(multiset_maxima(exprs, args.orbits))
+    cmaxes = scan_maxima(alice, combos)
     gaps = lams - cmaxes
     # Stable: equal gaps keep combination order, which is label order
     # because all_labels() is sorted.

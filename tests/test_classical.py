@@ -12,9 +12,11 @@ from s4bell.classical import (
     Term,
     _alice_orbits,
     _alice_rows,
+    _class_relabelings,
     _histogram_counts,
     _is_invariant,
     _max_coefficient,
+    _multiset_orbits,
     _per_alice_tables,
     bell_terms,
     classical_histogram,
@@ -23,6 +25,7 @@ from s4bell.classical import (
     histogram_csv,
     multiset_maxima,
     optimal_classical_strategy,
+    scan_maxima,
 )
 from s4bell.orbit import OrbitPair, all_labels
 from s4bell.permgroup import Permutation
@@ -308,25 +311,30 @@ def test_non_invariant_subset_fails_guard(case_exprs, data):
     assert classical_max(reduced) == max(expected)
 
 
+def combination_rows(n, size):
+    """Index rows of every `size`-multiset of range(n), in combinations order."""
+    return [list(c) for c in itertools.combinations_with_replacement(range(n), size)]
+
+
 def test_multiset_maxima_match_full_scan_of_unions(orbit):
     exprs = [bell_terms([OrbitPair((1, 0), lab)], orbit) for lab in ((4, 1), (7, 0), (5, 1))]
     friendly = BellExpression(((1, 0, 1, 0), (2, 0, 1, 0), (1, 0, 2, 1)))
-    # `scan` asks for multisets of one, two and three orbits.  A single
-    # member exercises the last-member-only prefix completion.
+    # `scan` asks for multisets of one, two and three orbits; a single
+    # member repeats one table in every column.
     for members, size in itertools.product(
         (exprs, exprs[:2] + [friendly], [friendly]), (1, 2, 3, 4)
     ):
         combos = itertools.combinations_with_replacement(members, size)
         expected = [_max_coefficient(sum(e.table for e in c), ALL_ROWS) for c in combos]
-        assert multiset_maxima(members, size) == expected
+        rows = combination_rows(len(members), size)
+        assert multiset_maxima(members, rows).tolist() == expected
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_multiset_maxima_match_unions_for_random_members(orbit, size, seed):
     # Random subsets of the single-pair expressions of one Alice label
-    # other than x01, in random order: one member, whose only prefix
-    # completion is `first == len(exprs) - 1`, and three members.
+    # other than x01, in random order: one member and three members.
     rng = np.random.default_rng(seed)
     labels = all_labels()
     alice = labels[rng.integers(1, len(labels))]
@@ -335,25 +343,31 @@ def test_multiset_maxima_match_unions_for_random_members(orbit, size, seed):
     for members in ([pool[k] for k in pick] for pick in picks):
         combos = itertools.combinations_with_replacement(members, size)
         expected = [_max_coefficient(sum(e.table for e in c), ALL_ROWS) for c in combos]
-        assert multiset_maxima(members, size) == expected
+        rows = combination_rows(len(members), size)
+        assert multiset_maxima(members, rows).tolist() == expected
 
 
 def test_multiset_maxima_rejects_bad_arguments(case_exprs):
     with pytest.raises(ValueError, match="exprs"):
-        multiset_maxima([], 1)
-    for size in (0, -1):
-        with pytest.raises(ValueError, match="size"):
-            multiset_maxima([case_exprs["I"]], size)
+        multiset_maxima([], [[0]])
+    two = [case_exprs["I"], case_exprs["II"]]
+    # A (K, 0) array has size 0; numpy would wrap -1 silently and raise
+    # IndexError at 2, and a 1-D array names no multiset.
+    for bad in (np.zeros((3, 0), dtype=int), [[0, -1]], [[2]], [[0, 2, 1]], [0, 1],
+                [[0.0, 1.0]]):
+        with pytest.raises(ValueError, match="size >= 1"):
+            multiset_maxima(two, bad)
 
 
 def test_multiset_maxima_rejects_sizes_that_could_overflow(case_exprs):
     # 64 * 511 fits in int16 and 64 * 512 does not.  The check comes before
-    # any enumeration: 72 members at size 600 are about 1e98 multisets.
+    # any table is built.
     many = [case_exprs["I"]] * 72
     for size in (512, 600):
         with pytest.raises(ValueError, match="int16"):
-            multiset_maxima(many, size)
-    assert multiset_maxima([case_exprs["I"]], 511) == [511 * classical_max(case_exprs["I"])]
+            multiset_maxima(many, [[0] * size])
+    expected = [511 * classical_max(case_exprs["I"])]
+    assert multiset_maxima([case_exprs["I"]], [[0] * 511]).tolist() == expected
 
 
 @pytest.mark.parametrize("size", [7, 8, 9])
@@ -361,7 +375,76 @@ def test_multiset_maxima_at_the_int8_edge(case_exprs, size):
     # Case I scores 16, so 16 * 7 = 112 runs in int8, and 16 * 8 = 128 is
     # the first size that needs int16.
     assert classical_max(case_exprs["I"]) == 16
-    assert multiset_maxima([case_exprs["I"]], size) == [16 * size]
+    assert multiset_maxima([case_exprs["I"]], [[0] * size]).tolist() == [16 * size]
+
+
+def test_multiset_maxima_of_no_multisets(case_exprs):
+    assert multiset_maxima([case_exprs["I"]], np.zeros((0, 2), dtype=int)).tolist() == []
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_scan_maxima_equal_the_unreduced_maxima(orbit, size):
+    labels = all_labels()
+    rows = np.array(combination_rows(len(labels), size))
+    for alice in labels:
+        exprs = [bell_terms([OrbitPair(alice, lab)], orbit) for lab in labels]
+        expected = np.concatenate([multiset_maxima(exprs, chunk) for chunk in np.split(rows, 4)])
+        assert np.array_equal(scan_maxima(alice, rows), expected)
+    # Any order of rows and of the labels within a row.
+    shuffled = np.random.default_rng(size).permuted(rows[::-1], axis=1)
+    assert np.array_equal(scan_maxima(labels[5], shuffled), scan_maxima(labels[5], rows)[::-1])
+
+
+def test_scan_maxima_rejects_bad_labels():
+    for bad in ([[0, 24]], [[-1]], [0, 1]):
+        with pytest.raises(ValueError, match="0..23"):
+            scan_maxima((1, 0), bad)
+    with pytest.raises(ValueError):
+        scan_maxima((9, 0), [[0]])
+
+
+def test_class_relabelings_form_a_group_of_order_72():
+    maps = _class_relabelings()
+    assert maps.shape == (72, 24)
+    keys = {tuple(m) for m in maps}
+    assert len(keys) == 72
+    assert tuple(range(24)) in keys
+    assert all(tuple(a[b]) in keys for a in maps for b in maps)
+
+
+def test_class_relabelings_keep_every_maximum(orbit):
+    # With Alice at x01 class m is Bob label m.  Unreduced maxima of all
+    # 2600 class multisets of size 3; each map must carry every multiset
+    # to one with the same maximum.
+    labels = all_labels()
+    exprs = [bell_terms([OrbitPair(labels[0], lab)], orbit) for lab in labels]
+    rows = np.array(combination_rows(24, 3))
+    maxima = np.concatenate([multiset_maxima(exprs, chunk) for chunk in np.split(rows, 4)])
+    codes = [np.ravel_multi_index(r, (24,) * 3) for r in rows]
+    for relabel in _class_relabelings():
+        image = np.sort(relabel[rows], axis=1)
+        rank = np.searchsorted(codes, np.ravel_multi_index(image.T, (24,) * 3))
+        assert np.array_equal(maxima[rank], maxima)
+
+
+@pytest.mark.parametrize("size, count", [(1, 2), (2, 14), (3, 70)])
+def test_multiset_orbits_count(orbit, size, count):
+    representatives, codes, orbit_of = _multiset_orbits(size)
+    rows = np.array(combination_rows(24, size))
+    assert len(representatives) == count
+    assert np.array_equal(codes, [np.ravel_multi_index(r, (24,) * size) for r in rows])
+    # Each representative is the first multiset of its orbit, and the
+    # orbits are numbered in order of first appearance.
+    first = np.searchsorted(codes, [np.ravel_multi_index(r, (24,) * size) for r in representatives])
+    assert np.array_equal(orbit_of[first], np.arange(count))
+    assert np.array_equal(np.unique(orbit_of, return_index=True)[1], first)
+    # Every Alice label's Bob-label multisets meet all `count` orbits.
+    action = orbit.label_action
+    for alice in range(24):
+        classes = action[np.flatnonzero(action[:, alice] == 0)[0]]
+        image = np.sort(classes[rows], axis=1)
+        hit = orbit_of[np.searchsorted(codes, np.ravel_multi_index(image.T, (24,) * size))]
+        assert len(np.unique(hit)) == count
 
 
 def test_empty_expression():

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -282,6 +283,98 @@ def test_scan_phi_only_relabels_the_multisets():
         assert len(rows) == 2600
         values[phi] = (lines[1], sorted(rows))
     assert values["x01"] == values["x12"] == values["x27"]
+
+
+# sha256 of the stdout of `scan --orbits N --top 2600 --phi L`, per (N, L),
+# recorded before the classical maxima were reduced by symmetry.
+SCAN_SHA256 = {
+    1: [
+        "858686fb1dfeb6df2bc8c67dd1a443ac73dc73f81b302c9ba6e11ca8e55d2fdb",  # x01
+        "215189c071ce5577509dacbd2bc494f53d830fd59c0bbe80518a9465c2970e1a",  # x11
+        "273cf8547a37a5f000bf38cf203d692f1957a147b61b96b77c9f398bc031b53b",  # x21
+        "b2d7cbf5f7501f151d86c3ee77b1ddf171578118806330343b4a0b21e4f5c07a",  # x02
+        "cb6adbcecbf1134b4872b37eaf654643767df6d41976e4956007ea79a7f83d0b",  # x12
+        "183bd5c897ef1f89a7f78aff9734a82fce370ae0bd2f65b8592b7c45e0b9f084",  # x22
+        "539b664109491b7cd55862fe77661c4bedf60f688e98ffd595dce09edc517ad1",  # x03
+        "f8352a1b1b1c80b31d9c839b35444bc59bee0db019d9d01621ba10222e8e2ec4",  # x13
+        "72803c7b22645010747997c121437e896aa89590efacb6cd6ddd0eaf7a7a271d",  # x23
+        "8b28d541a8f8de14fef07608387fb633c655ad00af1b3fbb314278f27b1fb768",  # x04
+        "8f17f958b842eea5fc25864925ed676e18174a8f58052345de38a49b71a486d6",  # x14
+        "68b852c2db235596ca929aabfaf6fe294507e01c40915b90ec31dd31018f2ae6",  # x24
+        "2ac04ad6444fdee9882b9b8508ace8b2febda6ee3e414e95aa2c6530135980ca",  # x05
+        "c54597eeee806fda8a2a0009da9a790030c0f88a7dc89e786b5bdae14f8c9702",  # x15
+        "9bc9de407806c99c4d64fd144d879e5f5f825336aee1d6a42f90b8f4f348bd51",  # x25
+        "ec5ed11e9ed1b4ad5fcaeee75e646542e3ed118f1caa7a384c2d053e631f6537",  # x06
+        "74d3513f35ced275e4fa13244ad5833f952699adc32615a651ec94ca6310cc4c",  # x16
+        "26c832b3e627e435648e1e2706049f08966b753a67f2bc2aa8e8fd63262f15c7",  # x26
+        "4abd1d64f3d844f0d5e1646673c873ae3319f1c78b52b6f43fef7ad702a06b28",  # x07
+        "68f740f10b3a862938ea754a2d319336d9145ce18b4fe4627f6bbcbb8d8eeb06",  # x17
+        "e8f302bbe4d69618d52b6f74e2855de62fd1a314f7107a1fbcbf4fcc54d9f504",  # x27
+        "c6354494b953bc31234d5990dbb3679cb7311090f0234b249b990df25c42bdda",  # x08
+        "057ad2879ca12adfbb139940658d88732a930974a09414089f47b28042c31672",  # x18
+        "0d9399b3e9294fa8b790f078b7dd41ff691df9987a2354006c37fe441c37b6d5",  # x28
+    ],
+    2: [
+        "0bd99bed7b0dec45c7ee657fe6fd5623113b8cb2df39303933fea2f92f21a64a",  # x01
+        "1df8ab8ff5faea52c73a9f24ae71adbd57935a5267e648c28dce4cb7c6b88770",  # x11
+        "a08566bcd21c2c49405e680b0f1dfe16e6d95688c1a28562c31d1a331316b549",  # x21
+        "6b2260d25461c25f4c3decaab0141fc741613e1771ec8a1dff6cec4dd49e4921",  # x02
+        "a179f18c32948bc6d02e4e71b8177b9e93258ed7de75bc015d160dea406ef456",  # x12
+        "7ae35d83cb1c0c2a02810629ff6ca427112660ce288581bdd6f58113ec504dc7",  # x22
+        "875160733989a413428ae8035ee57ac008050e2aa589d11c5a982263725c2657",  # x03
+        "c5e11f5e0d4bf53df28ffe9c5add736a5ad23d33f87cdca9964cf63fffda84ae",  # x13
+        "f5c04780813e240088766c75b48bdd3975593b2ba7e110d1d1c3a4feab1ff5f7",  # x23
+        "8dbf16712bd96e0a48b25dde8ed04b505b1754e809228aba998f33fd14813e97",  # x04
+        "0ffdf9d7ed80cebf087d3bcfbbd78a69d34e3a0c8da61081a75240e0b845d782",  # x14
+        "e5db2c62a57f5315a973cccaab6fdf00eafb79270af11182b65584f4859d6344",  # x24
+        "1b8f676d3134d1f691475077dc9f3e2b85a578fc3c40b2d1a9544983fc5a5b08",  # x05
+        "3545c95e8dad9e1bbad34b6a7eb3a67ec53013a67c8d28ca8cdd9be621ed7a5e",  # x15
+        "0b263791bfd307503667d49e4379b3fce37b5d222bb888427542030660cd8f60",  # x25
+        "4ff37f7e46d8998f60a0b02470dcac498c58051ad6a6a8b2c186b37bb5f20bb4",  # x06
+        "a2bb5c529049a92e32d4498eeb61ae46770eff12fa5ce994ae28ebcde1f84a98",  # x16
+        "30b4d27f1e36b8f4eb95a34c043c3e9c98eebc16c1d2b9180471e40b0f5b9ac5",  # x26
+        "dc91b3fa925f81dd20711b5df9e68ae278f693b3e7f9c85bef45d18163c371a9",  # x07
+        "f292b4921e81302f256c58486553ebc86ac80ce360a0d63217834e0e5458e7f3",  # x17
+        "d9c10d26890b46ab3da39ebf31754ea21c97f39f80b51cf377401ddf4f41fc7e",  # x27
+        "29981cb0c3d32f54e2523c06ce65758431125074d188743d77b6083839d50f8d",  # x08
+        "5aafa8f48d0e6dd6e241860f585a5e3f59c350742f25fe2135f4339a1b0527e5",  # x18
+        "683e9764dfb984c092cf251bf1ee81cd1677ea85d1ba424275f7e26b68df516e",  # x28
+    ],
+    3: [
+        "ea62dce6840eb2fa6ef4bc0682fa4e0498842765b741954f79f7efe5b59a75a5",  # x01
+        "827e44030dec8202f97ccc3db06abd9ed6b58051122688562cad248e3c8ad570",  # x11
+        "35b791fd9ac9dee1d209620ed62eca610a34bd9f902f910a77157660ca4aa4a4",  # x21
+        "2786fb8bc7481cc086792589f0cf5a79d819e178b467808f5fd7b47cb9a6d500",  # x02
+        "8ce6aaf8d54a810ea0e991578babd5c9082d4c6ed011901388a48523b8b516b5",  # x12
+        "ef71f96d45719f1a680ae625a5280f66b7a3fc399d1397abe416b1d9444f887d",  # x22
+        "c4a66f8aa624f7f2672fa7ffbf8114dc3d71680b2840ade4252d9bd9b86e1480",  # x03
+        "633e8aa78f7855dd45107ee9e077f1374249b57e36d50e6a6201bb18ae85d2b4",  # x13
+        "92dd2adfa0c9bb073b983b65b1bb9cb97422eeb6ea177f92f20838d557c16a47",  # x23
+        "fa1d2b1b7dac914fd7e82e4e96f5630bdb946f1f357280910bc525cbf103cbf2",  # x04
+        "4757594414f23b653f789111667edbb968cf532120d7f866786786cd4606db9b",  # x14
+        "0c068787184d7115b7ac38ab154b8566d6ab36aacd2693557b14276f261e9082",  # x24
+        "9d661e46d49b8b9573c2ec0b2a0be33d9200f88feb012fc584ce843b13e335cd",  # x05
+        "d11fdeef92993d0f56950efe21d1943c739a726e97e358ddbb6b85219695f096",  # x15
+        "c23d7ca26289dd079c7b975105ae88f3c506969160132e50ecf8af4cfbc0760e",  # x25
+        "e6dd605eaba1d3bc4ce9e1825258a2018175d0307bcd45594eb340c16309e4a8",  # x06
+        "a78935f107d100feeed1a64708e8b107d0c31688f41e2aad340bc5a3cbac75b0",  # x16
+        "2c24f252d23097c119fcfcc36e359601ff21fc91fe684146bafcb18188954cb6",  # x26
+        "41c6e36559fbb9cd663f0092c59aec445ea8e7c6233dbcf7cdf4f3eac95d5f56",  # x07
+        "2c95c1a7d0c835de929bd8407e9fa65d3a32c289fcf62e7a933452c94e1bee43",  # x17
+        "e87bd1bb5a8b0cd6d5f71a4599808bf7024092ad80a905d12115c1f34653eae9",  # x27
+        "f703e45e9e7117ae4f5f1c1db74487e1f24f33165cba965e0ef31b48f71e2ef4",  # x08
+        "ce93676576125308631fa50d03bce0beff5a75a5dbed875051dde1242ed9e100",  # x18
+        "5df4a61848440bcf7b8b8b768f34c48ead1055d1810e7f8f8862c5ba0b679941",  # x28
+    ],
+}
+
+@pytest.mark.parametrize("orbits", [1, 2, 3])
+def test_full_scans_are_pinned(orbits):
+    # Every maximum, tie order and violation count of every full scan.
+    for phi, digest in zip(LABELS, SCAN_SHA256[orbits]):
+        code, out = run_cli(["scan", "--orbits", str(orbits), "--top", "2600", "--phi", phi])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, phi
 
 
 def test_verify_deterministic_and_reports_known_mismatch():

@@ -17,7 +17,7 @@ PUBLIC_NAMES = [
     "coefficient", "eigenvalues_direct", "eigenvalues_isotypic", "game_values",
     "generate_orbit", "histogram_csv", "isotypic_projectors", "jacobi_eigh",
     "match_reference_labels", "max_eigenvalue_sum", "multiset_maxima",
-    "optimal_classical_strategy", "orbit_to_json", "partition_into_bases",
+    "optimal_classical_strategy", "orbit_to_json", "partition_into_bases", "scan_maxima",
     "standard_context", "symmetric_group", "tensor_product", "tetrahedron_orbit",
     "validate_block_basis", "winning_table",
 ]
