@@ -6,8 +6,9 @@ Run:  python demos/01_orbit_geometry.py
 import numpy as np
 
 from s4bell import (
-    Permutation,
     build_standard_rep,
+    conjugacy_classes,
+    cycle_string,
     generate_orbit,
     match_reference_labels,
     orbit_to_json,
@@ -19,16 +20,17 @@ from s4bell.tables import CANONICAL_SEED
 
 np.set_printoptions(precision=4, suppress=True)
 
-group = symmetric_group(4)
-print(f"S4 has {group.order} elements in {len(group.conjugacy_classes)} classes:")
-for ct, members in group.conjugacy_classes.items():
+group = symmetric_group(4)  # one row of one-line images per element
+classes = conjugacy_classes(group)
+print(f"S4 has {len(group)} elements in {len(classes)} classes:")
+for ct, members in classes.items():
     print(f"  cycle type {ct}: {len(members)} elements, e.g. "
-          f"{group[members[0]].cycle_string()}")
+          f"{cycle_string(group[members[0]])}")
 
 rep = build_standard_rep(group)
-swap = Permutation.transposition(0, 1, 4)
+swap = group.tolist().index([1, 0, 2, 3])
 print("\nEach transposition acts as a reflection, for example D(1 2) =")
-print(rep[group.index(swap)])
+print(rep[swap])
 
 print("\nThe orbit of (1, 0, 0) is degenerate: it has a stabilizer.")
 try:
@@ -52,7 +54,7 @@ for i in range(1, 9):
     frame = np.array([orbit.coords(i, a) for a in range(3)])
     gram_err = np.abs(frame @ frame.T - np.eye(3)).max()
     elements = ", ".join(
-        group[orbit.element_of(i, a)].cycle_string() for a in range(3)
+        cycle_string(group[orbit.element_of(i, a)]) for a in range(3)
     )
     print(f"  basis {i}: orthonormal to {gram_err:.1e}; elements {elements}")
 

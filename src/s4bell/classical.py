@@ -35,7 +35,6 @@ import numpy as np
 
 from .context import standard_context
 from .orbit import N_OUTCOMES, N_SETTINGS, Orbit, OrbitPair, all_labels
-from .permgroup import Permutation
 
 __all__ = [
     "Term",
@@ -193,8 +192,8 @@ def _alice_orbits():
 def _generator_actions():
     """Label-action rows of the adjacent transpositions (1 2), (2 3), (3 4)."""
     ctx = standard_context()
-    generators = [Permutation.transposition(i, i + 1, 4) for i in range(3)]
-    action = ctx.orbit.label_action[[ctx.group.index(g) for g in generators]]
+    rows = [ctx.group.tolist().index(p) for p in ([1, 0, 2, 3], [0, 2, 1, 3], [0, 1, 3, 2])]
+    action = ctx.orbit.label_action[rows]
     action.setflags(write=False)
     return action
 
@@ -311,11 +310,13 @@ def classical_histogram(expr: BellExpression) -> StrategyHistogram:
 
 
 def _member_indices(multisets, n):
-    """`multisets` as a (K, size) array of indices in 0..n-1, else ValueError."""
+    """`multisets` as a (K, size) index array in 0..n-1 whose sums fit int16, else ValueError."""
     multisets = np.asarray(multisets)
     if multisets.ndim != 2 or multisets.shape[1] < 1 or multisets.dtype.kind not in "iu" or (
             multisets.size and not 0 <= multisets.min() <= multisets.max() < n):
         raise ValueError(f"multisets must be a (K, size >= 1) array of indices in 0..{n - 1}")
+    if N_SETTINGS**2 * multisets.shape[1] > np.iinfo(np.int16).max:
+        raise ValueError(f"size {multisets.shape[1]} could overflow the int16 row sums")
     return multisets
 
 
@@ -331,8 +332,6 @@ def multiset_maxima(exprs, multisets):
         raise ValueError("exprs must hold at least one expression")
     multisets = _member_indices(multisets, len(exprs))
     size = multisets.shape[1]
-    if N_SETTINGS**2 * size > np.iinfo(np.int16).max:
-        raise ValueError(f"size {size} could overflow the int16 row sums")
     tables = _per_alice_tables(np.stack([e.table for e in exprs]), _alice_rows(*exprs)[0])
     dtype = np.int8 if size * _row_maxima(tables).max() <= np.iinfo(np.int8).max else np.int16
     tables = np.ascontiguousarray(tables.transpose(0, 3, 2, 1), dtype=dtype)

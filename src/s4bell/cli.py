@@ -49,6 +49,7 @@ from .classical import (
 from .context import standard_context
 from .game import game_values, winning_table
 from .orbit import N_OUTCOMES, N_SETTINGS, OrbitPair, all_labels, orbit_to_json
+from .permgroup import cycle_string
 from .quantum import (
     EIG_TOL,
     build_x_operator,
@@ -417,7 +418,7 @@ def _cmd_orbits(args):
     print("label   coordinates" + " " * 27 + "element")
     for label, point, element in zip(all_labels(), ctx.orbit.points, ctx.orbit.elements):
         coords = ", ".join(f"{x: .6f}" for x in point)
-        print(f"{format_label(label)}     ({coords})   {ctx.group[element].cycle_string()}")
+        print(f"{format_label(label)}     ({coords})   {cycle_string(ctx.group[element])}")
     return 0
 
 

@@ -6,7 +6,7 @@ from functools import lru_cache
 import numpy as np
 
 from .orbit import Orbit, canonical_orbit
-from .permgroup import GroupTable, symmetric_group
+from .permgroup import symmetric_group
 from .representation import (
     Representation,
     build_standard_rep,
@@ -21,7 +21,7 @@ __all__ = ["Context", "standard_context"]
 class Context:
     """Group, standard representation, tensor square, projectors, orbit."""
 
-    group: GroupTable
+    group: np.ndarray  # (24, 4) one-line images, see permgroup
     rep: Representation
     product: Representation
     projectors: np.ndarray  # (4, 9, 9), in the order of tables.COMPONENT_ORDER

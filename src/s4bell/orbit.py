@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from . import tables
-from .permgroup import GroupTable
+from .permgroup import cycle_string, product_table
 from .representation import EPS, Representation
 
 __all__ = [
@@ -90,8 +90,8 @@ class Orbit:
 
     seed: np.ndarray
     points: np.ndarray
-    elements: np.ndarray  # indices into the group's canonical element order
-    group: GroupTable
+    elements: np.ndarray  # rows of `group`
+    group: np.ndarray  # (24, 4) one-line images
 
     def __post_init__(self):
         for name in ("seed", "points", "elements"):
@@ -106,9 +106,9 @@ class Orbit:
         Read off the group product on element indices, which is exact.
         Read-only.
         """
-        position = np.empty(self.group.order, dtype=np.int64)
+        position = np.empty(len(self.group), dtype=np.int64)
         position[self.elements] = np.arange(len(self.elements))
-        action = position[self.group.product_table[:, self.elements]]
+        action = position[product_table(self.group)[:, self.elements]]
         action.setflags(write=False)
         return action
 
@@ -134,7 +134,7 @@ class Orbit:
                 {
                     "i": basis,
                     "alpha": outcome,
-                    "element": self.group[element].cycle_string(),
+                    "element": cycle_string(self.group[element]),
                     "coords": [float(x) for x in point],
                 }
                 for (basis, outcome), point, element in rows
@@ -187,7 +187,7 @@ def _close(points, x):
 def _distinct_images(rep: Representation, seed):
     """(points, element indices) of the distinct images of `seed` (within
     MATCH_TOL), in group-element order; the first occurrence wins."""
-    images = np.array([rep[k] @ seed for k in range(rep.group.order)])
+    images = np.array([m @ seed for m in rep.matrices])
     first = [k for k in range(len(images)) if not _close(images[:k], images[k]).any()]
     return images[first], np.array(first)
 
@@ -208,7 +208,7 @@ def generate_orbit(rep: Representation, seed) -> Orbit:
     if not abs(np.linalg.norm(seed) - 1.0) <= 1e-9:
         raise ValueError("seed must be a unit vector")
     points, elements = _distinct_images(rep, seed)
-    if len(points) < rep.group.order:
+    if len(points) < len(rep.group):
         raise DegenerateOrbitError(len(points))
 
     rows = list(itertools.chain.from_iterable(partition_into_bases(points)))

@@ -1,6 +1,8 @@
 """Orthogonal matrix representations of S4 and the isotypic split of D (x) D.
 
-The standard three-dimensional representation D is assembled from the six
+The group is the (24, 4) array of one-line images from
+`permgroup.symmetric_group(4)`, and matrix k belongs to row k.  The
+standard three-dimensional representation D is assembled from the six
 bundled reflection matrices: every group element is factored into adjacent
 transpositions by bubble-sorting its one-line form, and the corresponding
 reflections are multiplied in order.  Correctness does not rest on the
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tables
-from .permgroup import GroupTable
+from .permgroup import conjugacy_classes, sign
 
 __all__ = [
     "EPS",
@@ -54,21 +56,21 @@ class DecompositionError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class Representation:
-    """Matrices of a representation, aligned with the group's element order.
+    """Matrices of a representation, aligned with the rows of the group array.
 
     `matrices` is stored as one read-only (order, d, d) array, so a sum over
     the group can be a single stacked product.  Non-finite entries raise
     RepresentationError.
     """
 
-    group: GroupTable
+    group: np.ndarray  # (order, degree) one-line images
     matrices: np.ndarray
 
     def __post_init__(self):
         mats = np.array(self.matrices, dtype=float)
         mats.setflags(write=False)
         object.__setattr__(self, "matrices", mats)
-        if len(mats) != self.group.order:
+        if len(mats) != len(self.group):
             raise ValueError("one matrix per group element required")
         if not np.isfinite(mats).all():
             raise RepresentationError("matrix entries must be finite")
@@ -104,15 +106,15 @@ def _adjacent_factorization(images):
     return swaps
 
 
-def build_standard_rep(group: GroupTable) -> Representation:
+def build_standard_rep(group: np.ndarray) -> Representation:
     """The standard three-dimensional representation of S4."""
-    if group.degree != 4 or group.order != 24:
+    if np.shape(group) != (24, 4):
         raise ValueError("expected the full symmetric group on 4 points")
     adjacent = {j: tables.TRANSPOSITION_MATRICES[(j + 1, j + 2)] for j in range(3)}
     mats = []
     for p in group:
         m = np.eye(3)
-        for j in _adjacent_factorization(p.images):
+        for j in _adjacent_factorization(p):
             m = adjacent[j] @ m
         mats.append(m)
     return Representation(group, tuple(mats))
@@ -120,15 +122,15 @@ def build_standard_rep(group: GroupTable) -> Representation:
 
 def alternating_twist(rep: Representation) -> Representation:
     """Multiply each matrix by the sign of its element."""
-    mats = tuple(p.sign() * rep[k] for k, p in enumerate(rep.group))
+    mats = tuple(sign(p) * m for p, m in zip(rep.group, rep.matrices))
     return Representation(rep.group, mats)
 
 
 def tensor_product(rep_a: Representation, rep_b: Representation) -> Representation:
     """Pointwise Kronecker product of two representations of the same group."""
-    if rep_a.group is not rep_b.group and rep_a.group != rep_b.group:
+    if not np.array_equal(rep_a.group, rep_b.group):
         raise ValueError("representations live on different groups")
-    mats = tuple(np.kron(rep_a[k], rep_b[k]) for k in range(rep_a.group.order))
+    mats = tuple(np.kron(a, b) for a, b in zip(rep_a.matrices, rep_b.matrices))
     return Representation(rep_a.group, mats)
 
 
@@ -139,7 +141,7 @@ def character(rep: Representation) -> dict:
     class to within EPS, which would mean the matrices are corrupt.
     """
     out = {}
-    for ct, indices in rep.group.conjugacy_classes.items():
+    for ct, indices in conjugacy_classes(rep.group).items():
         traces = [float(np.trace(rep[k])) for k in indices]
         if max(traces) - min(traces) > EPS:
             raise RepresentationError(f"character not constant on class {ct}: {traces}")
@@ -160,15 +162,15 @@ def isotypic_projectors(product: Representation, standard: Representation) -> np
     group = product.group
     chi_std = character(standard)
     chi_twist = character(alternating_twist(standard))
-    chars = np.empty((len(tables.COMPONENT_ORDER), group.order))
-    for ct, indices in group.conjugacy_classes.items():
+    chars = np.empty((len(tables.COMPONENT_ORDER), len(group)))
+    for ct, indices in conjugacy_classes(group).items():
         d, dt, d0 = chi_std[ct], chi_twist[ct], 1.0
         chi = {"D": d, "Dt": dt, "D2": d ** 2 - d - dt - d0, "D0": d0}
         chars[:, list(indices)] = [[chi[label]] for label in tables.COMPONENT_ORDER]
 
     dims = np.array([tables.COMPONENT_DIMS[label] for label in tables.COMPONENT_ORDER])
     acc = np.add.reduce(chars[:, :, None, None] * product.matrices, axis=1)
-    projectors = (dims / group.order)[:, None, None] * acc
+    projectors = (dims / len(group))[:, None, None] * acc
     for label, d_s, proj in zip(tables.COMPONENT_ORDER, dims, projectors):
         trace = float(np.trace(proj))
         if not abs(trace - d_s) <= EPS:

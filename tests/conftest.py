@@ -47,6 +47,11 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def row_of(group, images):
+    """Row of the one-line images `images` in a group array."""
+    return group.tolist().index(list(images))
+
+
 def random_unit(rng, dim=3):
     v = rng.standard_normal(dim)
     return v / np.linalg.norm(v)

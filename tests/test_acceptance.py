@@ -26,6 +26,7 @@ from s4bell.classical import BellExpression, bell_terms, classical_histogram, cl
 from s4bell.cli import run_verification
 from s4bell.game import game_values, winning_table
 from s4bell.orbit import generate_orbit, match_reference_labels
+from s4bell.permgroup import product_table
 from s4bell.quantum import (
     build_x_operator,
     eigenvalues_direct,
@@ -208,10 +209,10 @@ def test_criterion_7_property_suites(ctx, rng):
     problems = []
 
     worst = 0.0
-    group = ctx.group
-    for i in range(group.order):
-        for j in range(group.order):
-            k = group.product_table[i, j]
+    table = product_table(ctx.group)
+    for i in range(len(table)):
+        for j in range(len(table)):
+            k = table[i, j]
             worst = max(worst, float(np.abs(ctx.rep[i] @ ctx.rep[j] - ctx.rep[k]).max()))
         worst = max(worst, float(np.abs(ctx.rep[i].T @ ctx.rep[i] - np.eye(3)).max()))
     if worst > 1e-9:

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import row_of
 from reference_terms import CASE_TERMS
-from s4bell import standard_context, tables
+from s4bell import classical, standard_context, tables
 from s4bell.classical import (
     BellExpression,
     Term,
@@ -28,7 +29,6 @@ from s4bell.classical import (
     scan_maxima,
 )
 from s4bell.orbit import OrbitPair, all_labels
-from s4bell.permgroup import Permutation
 
 
 @pytest.fixture(scope="module")
@@ -260,8 +260,8 @@ def test_per_alice_tables_match_the_gather_reference(orbit, case_exprs):
 def test_invariance_needs_every_generator(ctx, pair):
     # The orbit of one term under two of the adjacent transpositions (1 2),
     # (2 3), (3 4) is closed under both, but not under the third.
-    generators = [Permutation.transposition(i, i + 1, 4) for i in pair]
-    actions = [ctx.orbit.label_action[ctx.group.index(g)] for g in generators]
+    swaps = ([1, 0, 2, 3], [0, 2, 1, 3], [0, 1, 3, 2])
+    actions = [ctx.orbit.label_action[row_of(ctx.group, swaps[i])] for i in pair]
     labels = all_labels()
     positions = {(labels.index((1, 0)), labels.index((4, 1)))}
     while True:
@@ -368,6 +368,19 @@ def test_multiset_maxima_rejects_sizes_that_could_overflow(case_exprs):
             multiset_maxima(many, [[0] * size])
     expected = [511 * classical_max(case_exprs["I"])]
     assert multiset_maxima([case_exprs["I"]], [[0] * 511]).tolist() == expected
+
+
+def test_size_512_raises_before_multisets_are_enumerated(case_exprs, monkeypatch):
+    # scan_maxima enumerates every class multiset of the given size; at 512
+    # that never ends, so the stand-in fails fast if it is reached.
+    def enumerate_multisets(size):
+        raise AssertionError(f"enumerated the multisets of size {size}")
+
+    monkeypatch.setattr(classical, "_multiset_orbits", enumerate_multisets)
+    with pytest.raises(ValueError, match="size 512 could overflow"):
+        scan_maxima((1, 0), np.zeros((1, 512), int))
+    with pytest.raises(ValueError, match="size 512 could overflow"):
+        multiset_maxima([case_exprs["I"]], np.zeros((1, 512), int))
 
 
 @pytest.mark.parametrize("size", [7, 8, 9])

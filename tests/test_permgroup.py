@@ -1,50 +1,60 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from s4bell.permgroup import Permutation, symmetric_group
+from conftest import row_of
+from s4bell.permgroup import (
+    conjugacy_classes,
+    cycle_string,
+    product_table,
+    sign,
+    symmetric_group,
+)
+
+S4 = symmetric_group(4)
 
 
-def t(i, j, n=4):
-    return Permutation.transposition(i, j, n)
+def test_elements_sorted_identity_first():
+    assert S4.shape == (24, 4)
+    assert S4.tolist() == sorted(map(list, itertools.permutations(range(4))))
+    assert S4[0].tolist() == [0, 1, 2, 3]
 
 
-E4 = Permutation((0, 1, 2, 3))
+@pytest.mark.parametrize("degree", [3, 4, 5])
+def test_product_table_composes_images(degree):
+    # Every entry, against composing one-line images: (p q)(k) = p(q(k)).
+    group = symmetric_group(degree)
+    table = product_table(group)
+    assert table.shape == (len(group), len(group))
+    for i, p in enumerate(group):
+        for j, q in enumerate(group):
+            assert np.array_equal(group[table[i, j]], p[q])
+    for array in (group, table):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 1
 
 
 def test_compose_identity():
-    assert E4 * t(0, 1) == t(0, 1)
-    assert t(0, 1) * E4 == t(0, 1)
+    table = product_table(S4)
+    assert table[0].tolist() == list(range(24))
+    assert table[:, 0].tolist() == list(range(24))
 
 
 def test_transposition_is_involution():
-    assert t(0, 1) * t(0, 1) == E4
+    swap = row_of(S4, (1, 0, 2, 3))
+    assert product_table(S4)[swap, swap] == 0
 
 
 def test_compose_three_cycle():
     # (12) after (23) maps 1 -> 2 -> 3 -> 1, one-line images (1, 2, 0, 3)
-    assert (t(0, 1) * t(1, 2)).images == (1, 2, 0, 3)
-
-
-def test_compose_degree_mismatch():
-    with pytest.raises(ValueError, match="incompatible"):
-        t(0, 1, 4) * t(0, 1, 3)
-
-
-def test_invalid_images_rejected():
-    with pytest.raises(ValueError):
-        Permutation((0, 0, 1, 2))
-
-
-def test_elements_sorted_identity_first():
-    group = symmetric_group(4)
-    images = [p.images for p in group]
-    assert images == sorted(images)
-    assert group[0] == E4
+    k = product_table(S4)[row_of(S4, (1, 0, 2, 3)), row_of(S4, (0, 2, 1, 3))]
+    assert S4[k].tolist() == [1, 2, 0, 3]
 
 
 def test_s4_class_sizes():
-    group = symmetric_group(4)
-    sizes = {ct: len(idx) for ct, idx in group.conjugacy_classes.items()}
+    sizes = {ct: len(idx) for ct, idx in conjugacy_classes(S4).items()}
     assert sizes == {
         (1, 1, 1, 1): 1,
         (2, 1, 1): 6,
@@ -54,49 +64,36 @@ def test_s4_class_sizes():
     }
     # 5 classes, not 6
     assert len(sizes) == 5
+    assert list(sizes) == sorted(sizes)
 
 
 def test_sign_examples():
-    assert E4.sign() == 1
-    assert t(0, 1).sign() == -1
-    assert (t(0, 1) * t(2, 3)).sign() == 1
+    assert sign(S4[0]) == 1
+    assert sign((1, 0, 2, 3)) == -1
+    assert sign((1, 0, 3, 2)) == 1
 
 
 def test_sign_multiplicative_exhaustive():
-    group = symmetric_group(4)
-    for p in group:
-        for q in group:
-            assert (p * q).sign() == p.sign() * q.sign()
+    table = product_table(S4)
+    for i, p in enumerate(S4):
+        for j, q in enumerate(S4):
+            assert sign(S4[table[i, j]]) == sign(p) * sign(q)
 
 
 def test_cycle_type_examples():
-    assert E4.cycle_type() == (1, 1, 1, 1)
-    assert t(0, 1).cycle_type() == (2, 1, 1)
-    four_cycle = Permutation((1, 2, 3, 0))
-    assert four_cycle.cycle_type() == (4,)
+    classes = conjugacy_classes(S4)
+    assert 0 in classes[(1, 1, 1, 1)]
+    assert row_of(S4, (1, 0, 2, 3)) in classes[(2, 1, 1)]
+    assert row_of(S4, (1, 2, 3, 0)) in classes[(4,)]
 
 
 def test_conjugate_iff_same_cycle_type():
-    group = symmetric_group(4)
-    for p in group:
-        conjugates = {q * p * Permutation(tuple(np.argsort(q.images))) for q in group}
-        assert {c.cycle_type() for c in conjugates} == {p.cycle_type()}
-
-
-def test_associativity_random_triples():
-    rng = np.random.default_rng(7)
-    group = symmetric_group(5)
-    for _ in range(100):
-        p, q, r = (group[int(k)] for k in rng.integers(0, group.order, 3))
-        assert (p * q) * r == p * (q * r)
-
-
-def test_product_table_consistent():
-    group = symmetric_group(4)
-    table = group.product_table
-    for i in (0, 3, 11, 23):
-        for j in (0, 5, 17):
-            assert group[table[i, j]] == group[i] * group[j]
+    # q p q^-1 runs over exactly the class of p as q runs over the group.
+    table = product_table(S4)
+    inverse = np.argmax(table == 0, axis=1)
+    for members in conjugacy_classes(S4).values():
+        for p in members:
+            assert set(table[table[:, p], inverse].tolist()) == set(members)
 
 
 def test_cycle_string_names_each_element():
@@ -109,11 +106,11 @@ def test_cycle_string_names_each_element():
         (1, 2, 3, 0): "(1 2 3 4)",
     }
     for images, text in examples.items():
-        assert Permutation(images).cycle_string() == text
-    names = {p.cycle_string() for p in symmetric_group(4)}
+        assert cycle_string(images) == text
+    names = {cycle_string(p) for p in S4}
     assert len(names) == 24
 
 
 def test_cycle_string_identity():
-    assert E4.cycle_string() == "e"
-    assert (t(0, 1) * t(2, 3)).cycle_string() == "(1 2)(3 4)"
+    assert cycle_string(S4[0]) == "e"
+    assert cycle_string(np.array([1, 0, 3, 2])) == "(1 2)(3 4)"

@@ -7,19 +7,18 @@ import s4bell
 
 PUBLIC_NAMES = [
     "BellExpression", "Context", "DecompositionError", "DegenerateOrbitError",
-    "EIG_TOL", "EPS", "GameValue", "GroupTable", "MATCH_TOL", "N_OUTCOMES",
-    "N_SETTINGS", "Orbit",
-    "OrbitPair", "PartitionError", "Permutation", "Representation",
-    "RepresentationError", "StrategyHistogram", "SumSpectrum",
-    "TableMismatchError", "Term", "WinningTable", "all_labels",
-    "alternating_twist", "bell_terms", "build_standard_rep", "build_x_operator",
-    "canonical_orbit", "character", "classical_histogram", "classical_max",
-    "coefficient", "eigenvalues_direct", "eigenvalues_isotypic", "game_values",
+    "EIG_TOL", "EPS", "GameValue", "MATCH_TOL", "N_OUTCOMES", "N_SETTINGS", "Orbit",
+    "OrbitPair", "PartitionError", "Representation", "RepresentationError",
+    "StrategyHistogram", "SumSpectrum", "TableMismatchError", "Term",
+    "WinningTable", "all_labels", "alternating_twist", "bell_terms",
+    "build_standard_rep", "build_x_operator", "canonical_orbit", "character",
+    "classical_histogram", "classical_max", "coefficient", "conjugacy_classes",
+    "cycle_string", "eigenvalues_direct", "eigenvalues_isotypic", "game_values",
     "generate_orbit", "histogram_csv", "isotypic_projectors", "jacobi_eigh",
     "match_reference_labels", "max_eigenvalue_sum", "multiset_maxima",
-    "optimal_classical_strategy", "orbit_to_json", "partition_into_bases", "scan_maxima",
-    "standard_context", "symmetric_group", "tensor_product", "tetrahedron_orbit",
-    "validate_block_basis", "winning_table",
+    "optimal_classical_strategy", "orbit_to_json", "partition_into_bases",
+    "product_table", "scan_maxima", "sign", "standard_context", "symmetric_group",
+    "tensor_product", "tetrahedron_orbit", "validate_block_basis", "winning_table",
 ]
 
 

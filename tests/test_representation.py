@@ -3,11 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import random_unit
+from conftest import random_unit, row_of
 from s4bell import standard_context, tables
 from s4bell.classical import bell_terms, classical_histogram
 from s4bell.game import winning_table
-from s4bell.permgroup import Permutation, symmetric_group
+from s4bell.permgroup import conjugacy_classes, product_table, sign, symmetric_group
 from s4bell.quantum import max_eigenvalue_sum
 from s4bell.representation import (
     EPS,
@@ -32,14 +32,15 @@ def test_identity_is_exact(rep):
 
 def test_transposition_matrices_match_table(group, rep):
     for (i, j), expected in tables.TRANSPOSITION_MATRICES.items():
-        p = Permutation.transposition(i - 1, j - 1, 4)
-        assert np.abs(rep[group.index(p)] - expected).max() < 1e-12
+        images = list(range(4))
+        images[i - 1], images[j - 1] = j - 1, i - 1
+        assert np.abs(rep[row_of(group, images)] - expected).max() < 1e-12
 
 
 def test_specific_matrices(group, rep):
-    d12 = rep[group.index(Permutation.transposition(0, 1, 4))]
+    d12 = rep[row_of(group, (1, 0, 2, 3))]
     assert np.allclose(d12, np.diag([1.0, 1.0, -1.0]), atol=1e-12)
-    d34 = rep[group.index(Permutation.transposition(2, 3, 4))]
+    d34 = rep[row_of(group, (0, 1, 3, 2))]
     root8 = np.sqrt(8.0)
     expected = np.array([[-1 / 3, root8 / 3, 0], [root8 / 3, 1 / 3, 0], [0, 0, 1]])
     assert np.allclose(d34, expected, atol=1e-12)
@@ -47,15 +48,16 @@ def test_specific_matrices(group, rep):
 
 def test_homomorphism_all_pairs(group, rep):
     worst = 0.0
-    for i in range(group.order):
-        for j in range(group.order):
-            k = group.product_table[i, j]
+    table = product_table(group)
+    for i in range(len(group)):
+        for j in range(len(group)):
+            k = table[i, j]
             worst = max(worst, np.abs(rep[i] @ rep[j] - rep[k]).max())
     assert worst < EPS
 
 
 def test_orthogonality(group, rep):
-    for k in range(group.order):
+    for k in range(len(group)):
         assert np.abs(rep[k].T @ rep[k] - np.eye(3)).max() < EPS
 
 
@@ -67,22 +69,22 @@ def test_build_rejects_wrong_group():
 def test_twist_is_sign_times_matrix(group, rep):
     twist = alternating_twist(rep)
     for k, p in enumerate(group):
-        assert np.allclose(twist[k], p.sign() * rep[k], atol=1e-15)
+        assert np.allclose(twist[k], sign(p) * rep[k], atol=1e-15)
 
 
 def test_twist_homomorphism(group, rep):
     twist = alternating_twist(rep)
     for i in (1, 7, 13):
         for j in (2, 9, 21):
-            k = group.product_table[i, j]
+            k = product_table(group)[i, j]
             assert np.abs(twist[i] @ twist[j] - twist[k]).max() < EPS
 
 
 def test_twist_character_on_four_cycles(group, rep):
     # chi of the twist on a 4-cycle: trace of D there is -1, sign is -1.
     twist = alternating_twist(rep)
-    four_cycle = Permutation((1, 2, 3, 0))
-    assert abs(np.trace(rep[group.index(four_cycle)]) - (-1.0)) < EPS
+    four_cycle = row_of(group, (1, 2, 3, 0))
+    assert abs(np.trace(rep[four_cycle]) - (-1.0)) < EPS
     chi = character(twist)
     assert abs(chi[(4,)] - 1.0) < EPS
 
@@ -93,19 +95,19 @@ def test_character_of_standard_rep(rep):
     for ct, value in expected.items():
         assert abs(chi[ct] - value) < EPS
     # character norm: sum over the group of chi^2 equals the group order
-    sizes = {ct: len(idx) for ct, idx in rep.group.conjugacy_classes.items()}
+    sizes = {ct: len(idx) for ct, idx in conjugacy_classes(rep.group).items()}
     assert abs(sum(sizes[ct] * chi[ct] ** 2 for ct in CLASSES) - 24.0) < EPS
 
 
 def test_character_of_trivial_rep(group):
-    trivial = Representation(group, tuple(np.eye(1) for _ in range(group.order)))
+    trivial = Representation(group, tuple(np.eye(1) for _ in group))
     chi = character(trivial)
     assert all(abs(v - 1.0) < EPS for v in chi.values())
 
 
 def test_character_detects_corruption(group, rep):
     mats = list(rep.matrices)
-    bad = group.index(Permutation.transposition(0, 1, 4))
+    bad = row_of(group, (1, 0, 2, 3))
     mats[bad] = 2.0 * np.eye(3)
     corrupt = Representation(group, tuple(mats))
     with pytest.raises(RepresentationError):
@@ -113,9 +115,9 @@ def test_character_detects_corruption(group, rep):
 
 
 def test_tensor_square_characters(group, rep, product):
-    for k in range(group.order):
+    for k in range(len(group)):
         assert abs(np.trace(product[k]) - np.trace(rep[k]) ** 2) < EPS
-    d12 = group.index(Permutation.transposition(0, 1, 4))
+    d12 = row_of(group, (1, 0, 2, 3))
     assert abs(np.trace(product[d12]) - 1.0) < EPS
 
 
@@ -123,11 +125,23 @@ def test_tensor_identity(product):
     assert np.array_equal(product[0], np.eye(9))
 
 
-def test_tensor_rejects_group_mismatch(group, rep):
-    other = symmetric_group(3)
-    trivial = Representation(other, tuple(np.eye(1) for _ in range(other.order)))
-    with pytest.raises(ValueError):
-        tensor_product(rep, trivial)
+def test_tensor_rejects_group_mismatch(rep):
+    # S3 has another shape and S4 with its rows reordered the same one; both
+    # must reach the check, not numpy's broadcast or truth-value errors.
+    for other in (symmetric_group(3), symmetric_group(4)[::-1]):
+        with pytest.raises(ValueError, match="different groups"):
+            tensor_product(rep, trivial_rep(other))
+
+
+def test_tensor_accepts_equal_groups_from_separate_calls():
+    a, b = symmetric_group(4), symmetric_group(4)
+    assert a is not b
+    product = tensor_product(build_standard_rep(a), trivial_rep(b))
+    assert np.array_equal(product.matrices, build_standard_rep(a).matrices)
+
+
+def trivial_rep(group):
+    return Representation(group, tuple(np.eye(1) for _ in group))
 
 
 def test_projector_algebra(projectors):
@@ -156,12 +170,13 @@ def test_projectors_match_per_element_loop(group, rep, product, projectors):
     chi_twist = character(alternating_twist(rep))
     for s, label in enumerate(tables.COMPONENT_ORDER):
         acc = np.zeros((9, 9))
-        for k in range(group.order):
-            ct = group[k].cycle_type()
+        classes = conjugacy_classes(group)
+        for k in range(len(group)):
+            ct = next(ct for ct, rows in classes.items() if k in rows)
             d, dt = chi_std[ct], chi_twist[ct]
             chi = {"D": d, "Dt": dt, "D2": d ** 2 - d - dt - 1.0, "D0": 1.0}[label]
             acc += chi * product[k]
-        expected = (tables.COMPONENT_DIMS[label] / group.order) * acc
+        expected = (tables.COMPONENT_DIMS[label] / len(group)) * acc
         assert projectors[s].tobytes() == expected.tobytes()
 
 
@@ -170,12 +185,12 @@ def test_component_character_orthogonality(group, product, projectors):
     # must have orthogonal characters over the group.
     chars = {
         label: np.array([np.trace(projector @ product[k])
-                         for k in range(group.order)])
+                         for k in range(len(group))])
         for label, projector in zip(tables.COMPONENT_ORDER, projectors)
     }
     for s in chars:
         for r in chars:
-            ip = float(chars[s] @ chars[r]) / group.order
+            ip = float(chars[s] @ chars[r]) / len(group)
             assert abs(ip - (1.0 if s == r else 0.0)) < EPS
 
 
