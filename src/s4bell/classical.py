@@ -21,8 +21,9 @@ output), one representative per orbit, weighted by the orbit size,
 stands for all of its tuples.  Any other expression takes the full scan,
 the tests' reference.  `scan_maxima` reduces on Bob's side too: 72
 relabelings of settings, outcomes and parties permute the pair classes
-and keep every maximum, so one class multiset per orbit is scanned.
-Both orbit tables are built on first use.
+and keep every maximum, so one class multiset per orbit is summed from
+the 24 classes' per-Alice tables.  Those and both orbit tables are built
+once per process, on first use.
 """
 
 import itertools
@@ -323,22 +324,40 @@ def _member_indices(multisets, n):
 def multiset_maxima(exprs, multisets):
     """Classical maxima of the unions of `exprs` named by the rows of a (K, size) index array.
 
-    A term counts once per member that holds it.  The members' per-Alice
-    tables come from one product and are summed per multiset (no temporary
-    spans all K) into one buffer of K x 3 x 8 x rows entries, reduced once:
-    in int8 when `size` times the largest row value of any member fits,
-    else int16.  A size whose bound N_SETTINGS**2 * size exceeds int16 raises ValueError."""
+    A term counts once per member that holds it; the members' per-Alice tables
+    come from one product.  A size whose bound N_SETTINGS**2 * size exceeds int16
+    raises ValueError."""
     if not exprs:
         raise ValueError("exprs must hold at least one expression")
     multisets = _member_indices(multisets, len(exprs))
-    size = multisets.shape[1]
     tables = _per_alice_tables(np.stack([e.table for e in exprs]), _alice_rows(*exprs)[0])
+    return _summed_maxima(tables, multisets)
+
+
+def _summed_maxima(tables, multisets):
+    """Maxima of the sums of the (E, rows, 8, 3) `tables` named by the rows of `multisets`,
+    summed per multiset (no temporary spans all K) into one K x 3 x 8 x rows buffer and
+    reduced once, in int8 when `size` times any member's largest row value fits, else int16."""
+    size = multisets.shape[1]
     dtype = np.int8 if size * _row_maxima(tables).max() <= np.iinfo(np.int8).max else np.int16
     tables = np.ascontiguousarray(tables.transpose(0, 3, 2, 1), dtype=dtype)
     totals = np.empty((len(multisets), *tables.shape[1:]), dtype)
     for total, members in zip(totals, multisets):
         np.add.reduce(tables[members], axis=0, out=total)
     return np.maximum.reduce(totals, axis=1).sum(axis=1, dtype=dtype).max(axis=1).astype(int)
+
+
+@lru_cache(maxsize=1)
+def _class_tables():
+    """Read-only (24, 306, 8, 3) per-Alice tables of the 24 pair classes, built on first
+    use; class m is the pair (x01, label m), whose term set every pair of the class has."""
+    labels = all_labels()
+    exprs = [bell_terms([(labels[0], lab)], standard_context().orbit) for lab in labels]
+    tables = _per_alice_tables(np.stack([e.table for e in exprs]), _alice_rows(*exprs)[0])
+    # Held in the layout `_summed_maxima` sums in, int8 (one term per Bob label): no copy.
+    tables = np.ascontiguousarray(tables.transpose(0, 3, 2, 1), np.int8)
+    tables.setflags(write=False)
+    return tables.transpose(0, 3, 2, 1)
 
 
 @lru_cache(maxsize=1)
@@ -380,15 +399,13 @@ def _multiset_orbits(size):
 def scan_maxima(alice, multisets):
     """`multiset_maxima` of the pairs (alice, m) over the Bob labels m of each row; with g
     taking Alice's label to 0, m is in class action[g, m].  Maxima are constant on class
-    multiset orbits, so one multiset per orbit is scanned: 70 of 2600 at size 3."""
-    ctx = standard_context()
-    labels = all_labels()
-    action = ctx.orbit.label_action
-    classes = action[np.argmax(action[:, labels.index(tuple(alice))] == 0)]
-    multisets = _member_indices(multisets, len(labels))
+    multiset orbits, so one per orbit is summed from `_class_tables`: 70 of 2600 at size 3."""
+    action = standard_context().orbit.label_action
+    classes = action[np.argmax(action[:, all_labels().index(tuple(alice))] == 0)]
+    multisets = _member_indices(multisets, len(classes))
     reps, codes, orbit = _multiset_orbits(multisets.shape[1])
-    exprs = [bell_terms([(alice, labels[m])], ctx.orbit) for m in np.argsort(classes)]
-    return multiset_maxima(exprs, reps)[orbit[np.searchsorted(codes, _codes(classes[multisets]))]]
+    maxima = _summed_maxima(_class_tables(), reps)
+    return maxima[orbit[np.searchsorted(codes, _codes(classes[multisets]))]]
 
 
 def optimal_classical_strategy(expr: BellExpression):

@@ -21,6 +21,9 @@ parsed report is byte-identical.
 label, as in "x01:x14,x01:x14,x01:x18"; a repeated orbit's terms count
 once per copy.  `analyze` and `game` reject such a spec (duplicate term).
 
+The parser, the S4 context and `scan`'s classical tables are built once
+per process, on first use; a later `main` call prints what it would first.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error (a malformed
 or term-repeating spec), 3 internal error (building the S4 context or
 another library check failed), 141 stdout closed early by its reader (as
@@ -35,6 +38,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -443,6 +447,7 @@ def _non_negative_int(text):
     return value
 
 
+@lru_cache(maxsize=1)
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="s4bell",

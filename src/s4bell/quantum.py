@@ -54,13 +54,23 @@ MAX_SWEEPS = 100
 _SCALE = np.array([tables.GROUP_ORDER / tables.COMPONENT_DIMS[c] for c in tables.COMPONENT_ORDER])
 
 
+def _seed_product(phi, psi):
+    """phi (x) psi, entry by entry as np.kron; ValueError unless both are finite 3-vectors."""
+    try:
+        phi, psi = np.asarray(phi, dtype=float), np.asarray(psi, dtype=float)
+        if phi.shape == psi.shape == (3,) and np.isfinite([phi, psi]).all():
+            return np.multiply.outer(phi, psi).ravel()
+    except (TypeError, ValueError):
+        pass
+    raise ValueError("phi and psi must be finite 3-vectors")
+
+
 def build_x_operator(phi, psi, product: Representation) -> np.ndarray:
     """Sum of rank-one projectors onto the orbit of phi (x) psi, read-only.
 
     The outer products of the orbit images are added in group order.
     """
-    w0 = np.kron(np.asarray(phi, dtype=float), np.asarray(psi, dtype=float))
-    w = product.matrices @ w0
+    w = product.matrices @ _seed_product(phi, psi)
     x = np.add.reduce(w[:, :, None] * w[:, None, :], axis=0)
     x.setflags(write=False)
     return x
@@ -150,9 +160,7 @@ def eigenvalues_isotypic(phi, psi, projectors: np.ndarray) -> np.ndarray:
     order of `projectors`.  The scalar component comes out as
     8 (phi . psi)^2 for unit inputs.
     """
-    if not np.isfinite([phi, psi]).all():
-        raise ValueError("phi and psi must be finite")
-    w = np.kron(np.asarray(phi, dtype=float), np.asarray(psi, dtype=float))
+    w = _seed_product(phi, psi)
     return _SCALE * np.array([float(np.dot(p @ w, w)) for p in projectors])
 
 

@@ -8,7 +8,11 @@ Each SRC is a directory that holds the `s4bell` package, such as the
 `COMMANDS` runs through `s4bell.cli.main` in one child process per tree,
 with PYTHONPATH set to that tree.  For each command the script prints one
 sha256 of stdout, stderr and the exit code per tree, then "same" or
-"DIFFERS".  It exits 1 when any command differs, else 0.
+"DIFFERS".  The last tree named (the new one) also runs `COMMANDS` in
+reverse order in a further child, so that a result which depends on what
+an earlier command left in a process-wide cache shows up: a command whose
+hash then differs is marked "ORDER".  It exits 1 when any command differs
+or is marked, else 0.
 
 The command list covers all five subcommands and the usage-error path:
 `scan --orbits 1|2|3 --top 2600` for every `--phi` label, the `scan`
@@ -78,20 +82,21 @@ def _digest(argv):
 
 
 def _child(src):
-    """Print one digest per command, importing s4bell from `src` only."""
+    """Print one digest per command read as a JSON list from stdin, importing
+    s4bell from `src` only."""
     import s4bell
 
     origin = Path(s4bell.__file__).resolve()
     if Path(src).resolve() not in origin.parents:
         sys.exit(f"s4bell imported from {origin}, not from {src}")
-    for argv in COMMANDS:
+    for argv in json.load(sys.stdin):
         print(_digest(argv), flush=True)
 
 
-def _digests(src):
+def _digests(src, commands):
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
     run = subprocess.run(
-        [sys.executable, __file__, "--child", src],
+        [sys.executable, __file__, "--child", src], input=json.dumps(commands),
         env=env, capture_output=True, text=True, check=False,
     )
     if run.returncode != 0:
@@ -102,17 +107,23 @@ def _digests(src):
 def main(trees):
     if not 1 <= len(trees) <= 2:
         sys.exit(__doc__)
-    columns = [_digests(src) for src in trees]
-    differ = 0
-    for argv, hashes in zip(COMMANDS, zip(*columns)):
+    columns = [_digests(src, COMMANDS) for src in trees]
+    reversed_run = _digests(trees[-1], COMMANDS[::-1])[::-1]
+    differ = reordered = 0
+    for argv, hashes, backward in zip(COMMANDS, zip(*columns), reversed_run):
         verdict = ""
         if len(hashes) == 2:
             verdict = "same" if hashes[0] == hashes[1] else "DIFFERS"
             differ += verdict == "DIFFERS"
+        if backward != hashes[-1]:
+            verdict = f"{verdict} ORDER".strip()
+            reordered += 1
         print(*hashes, verdict, " ".join(argv))
     if len(trees) == 2:
         print(f"{len(COMMANDS) - differ} of {len(COMMANDS)} commands identical")
-    return 1 if differ else 0
+    print(f"{len(COMMANDS) - reordered} of {len(COMMANDS)} commands identical "
+          f"in reverse order in {trees[-1]}")
+    return 1 if differ or reordered else 0
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from s4bell.classical import (
     _alice_orbits,
     _alice_rows,
     _class_relabelings,
+    _class_tables,
     _histogram_counts,
     _is_invariant,
     _max_coefficient,
@@ -406,6 +407,26 @@ def test_scan_maxima_equal_the_unreduced_maxima(orbit, size):
     # Any order of rows and of the labels within a row.
     shuffled = np.random.default_rng(size).permuted(rows[::-1], axis=1)
     assert np.array_equal(scan_maxima(labels[5], shuffled), scan_maxima(labels[5], rows)[::-1])
+
+
+def test_class_tables_are_built_once_and_read_only(orbit, monkeypatch):
+    calls = []
+
+    def counted_bell_terms(*args):
+        calls.append(args)
+        return bell_terms(*args)
+
+    _class_tables.cache_clear()
+    monkeypatch.setattr(classical, "bell_terms", counted_bell_terms)
+    labels = all_labels()
+    for alice in (labels[0], labels[13]):
+        for size in (2, 3):
+            scan_maxima(alice, combination_rows(len(labels), size))
+    assert len(calls) == 24
+    tables = _class_tables()
+    assert not tables.flags.writeable
+    stacked = np.stack([bell_terms([OrbitPair(labels[0], lab)], orbit).table for lab in labels])
+    assert np.array_equal(tables, _per_alice_tables(stacked, _alice_orbits().representatives))
 
 
 def test_scan_maxima_rejects_bad_labels():

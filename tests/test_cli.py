@@ -377,6 +377,26 @@ def test_full_scans_are_pinned(orbits):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, phi
 
 
+def test_parser_is_built_once_and_keeps_no_state():
+    # The parser is shared by every main() call in a process, so an earlier
+    # command's options must not change a later command's defaults.
+    assert cli.build_parser() is cli.build_parser()
+    spec = "x01:x14,x01:x07,x01:x15"
+    later = [["scan", "--orbits", "1"], ["analyze", "--pairs", spec]]
+    src = Path(__file__).resolve().parent.parent / "src"
+    first = [
+        subprocess.run(
+            [sys.executable, "-m", "s4bell.cli", *argv],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for argv in later
+    ]
+    run_cli(["scan", "--orbits", "3", "--top", "5", "--phi", "x12"])
+    run_cli(["analyze", "--pairs", "x01:x23,x01:x16", "--json"])
+    assert [run_cli(argv) for argv in later] == [(0, out) for out in first]
+
+
 def test_verify_deterministic_and_reports_known_mismatch():
     lines_a, lines_b = [], []
     ok_a = run_verification(echo=lines_a.append)

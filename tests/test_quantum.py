@@ -286,6 +286,18 @@ def test_x_operator_bit_identical_to_outer_product_loop(orbit, product):
         assert np.array_equal(np.signbit(x), np.signbit(expected))
 
 
+def test_isotypic_bit_identical_to_kron_formula(orbit, projectors):
+    # build_x_operator's half of this check is the test above, whose
+    # reference builds the seed vector with np.kron too.
+    labels = all_labels()
+    scale = np.array([24 / d for d in DIMS])
+    for alice, bob in itertools.product(labels, labels):
+        w = np.kron(orbit.coords(*alice), orbit.coords(*bob))
+        expected = scale * np.array([float(np.dot(p @ w, w)) for p in projectors])
+        values = eigenvalues_isotypic(orbit.coords(*alice), orbit.coords(*bob), projectors)
+        assert np.array_equal(values, expected)
+
+
 def _bad_matrix(kind):
     bad = np.eye(9)
     if kind == "nonsymmetric":
@@ -310,6 +322,27 @@ def test_isotypic_rejects_non_finite_input(projectors, bad):
     for phi, psi in (([bad, 0.0, 0.0], [1.0, 0.0, 0.0]), ([1.0, 0.0, 0.0], [0.0, bad, 0.0])):
         with pytest.raises(ValueError, match="finite"):
             eigenvalues_isotypic(phi, psi, projectors)
+
+
+SEED_FUNCTIONS = {
+    "build_x_operator": lambda phi, psi, ctx: build_x_operator(phi, psi, ctx.product),
+    "eigenvalues_isotypic": lambda phi, psi, ctx: eigenvalues_isotypic(phi, psi, ctx.projectors),
+}
+
+
+@pytest.mark.parametrize("phi, psi", [
+    ([np.nan, 0.0, 0.0], [1.0, 0.0, 0.0]),
+    ([1.0, 0.0, 0.0], [0.0, np.inf, 0.0]),
+    ([-np.inf, 0.0, 0.0], [1.0, 0.0, 0.0]),
+    ([1.0, 0.0, 0.0], [0.0, 1.0]),
+    ([1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0]),
+    ([[1.0, 0.0, 0.0]], [1.0, 0.0, 0.0]),
+    ([1.0, [0.0, 1.0], 0.0], [1.0, 0.0, 0.0]),
+], ids=["nan", "inf", "minus_inf", "short_psi", "long_phi", "nested", "ragged"])
+@pytest.mark.parametrize("name", SEED_FUNCTIONS)
+def test_seeds_must_be_finite_3_vectors(ctx, name, phi, psi):
+    with pytest.raises(ValueError, match="finite 3-vectors"):
+        SEED_FUNCTIONS[name](phi, psi, ctx)
 
 
 def test_sum_rejects_nan_projector(ctx, case_pairs):
