@@ -21,9 +21,9 @@ output), one representative per orbit, weighted by the orbit size,
 stands for all of its tuples.  Any other expression takes the full scan,
 the tests' reference.  `scan_maxima` reduces on Bob's side too: 72
 relabelings of settings, outcomes and parties permute the pair classes
-and keep every maximum, so one class multiset per orbit is summed from
-the 24 classes' per-Alice tables.  Those and both orbit tables are built
-once per process, on first use.
+and keep every maximum, so `multiset_maxima` runs on one class multiset
+per orbit.  The maxima of every class multiset of a size, and both orbit
+tables, are built once per process, on first use.
 """
 
 import itertools
@@ -310,54 +310,37 @@ def classical_histogram(expr: BellExpression) -> StrategyHistogram:
     )
 
 
-def _member_indices(multisets, n):
-    """`multisets` as a (K, size) index array in 0..n-1 whose sums fit int16, else ValueError."""
-    multisets = np.asarray(multisets)
-    if multisets.ndim != 2 or multisets.shape[1] < 1 or multisets.dtype.kind not in "iu" or (
-            multisets.size and not 0 <= multisets.min() <= multisets.max() < n):
-        raise ValueError(f"multisets must be a (K, size >= 1) array of indices in 0..{n - 1}")
-    if N_SETTINGS**2 * multisets.shape[1] > np.iinfo(np.int16).max:
-        raise ValueError(f"size {multisets.shape[1]} could overflow the int16 row sums")
-    return multisets
+def _checked_size(size):
+    """`size` if it is an integer >= 1 whose multisets' int16 row sums cannot overflow."""
+    if not isinstance(size, (int, np.integer)) or size < 1:
+        raise ValueError(f"size must be an integer >= 1, got {size!r}")
+    if N_SETTINGS**2 * size > np.iinfo(np.int16).max:
+        raise ValueError(f"size {size} could overflow the int16 row sums")
+    return size
 
 
 def multiset_maxima(exprs, multisets):
     """Classical maxima of the unions of `exprs` named by the rows of a (K, size) index array.
 
     A term counts once per member that holds it; the members' per-Alice tables
-    come from one product.  A size whose bound N_SETTINGS**2 * size exceeds int16
-    raises ValueError."""
+    come from one product and are summed per multiset (no temporary spans all K)
+    into one K x 3 x 8 x rows buffer, reduced once in int8 when `size` times any
+    member's largest row value fits, else in int16.  A size whose bound
+    N_SETTINGS**2 * size exceeds int16 raises ValueError."""
     if not exprs:
         raise ValueError("exprs must hold at least one expression")
-    multisets = _member_indices(multisets, len(exprs))
+    multisets, n = np.asarray(multisets), len(exprs)
+    if multisets.ndim != 2 or multisets.shape[1] < 1 or multisets.dtype.kind not in "iu" or (
+            multisets.size and not 0 <= multisets.min() <= multisets.max() < n):
+        raise ValueError(f"multisets must be a (K, size >= 1) array of indices in 0..{n - 1}")
+    size = _checked_size(multisets.shape[1])
     tables = _per_alice_tables(np.stack([e.table for e in exprs]), _alice_rows(*exprs)[0])
-    return _summed_maxima(tables, multisets)
-
-
-def _summed_maxima(tables, multisets):
-    """Maxima of the sums of the (E, rows, 8, 3) `tables` named by the rows of `multisets`,
-    summed per multiset (no temporary spans all K) into one K x 3 x 8 x rows buffer and
-    reduced once, in int8 when `size` times any member's largest row value fits, else int16."""
-    size = multisets.shape[1]
     dtype = np.int8 if size * _row_maxima(tables).max() <= np.iinfo(np.int8).max else np.int16
     tables = np.ascontiguousarray(tables.transpose(0, 3, 2, 1), dtype=dtype)
     totals = np.empty((len(multisets), *tables.shape[1:]), dtype)
     for total, members in zip(totals, multisets):
         np.add.reduce(tables[members], axis=0, out=total)
     return np.maximum.reduce(totals, axis=1).sum(axis=1, dtype=dtype).max(axis=1).astype(int)
-
-
-@lru_cache(maxsize=1)
-def _class_tables():
-    """Read-only (24, 306, 8, 3) per-Alice tables of the 24 pair classes, built on first
-    use; class m is the pair (x01, label m), whose term set every pair of the class has."""
-    labels = all_labels()
-    exprs = [bell_terms([(labels[0], lab)], standard_context().orbit) for lab in labels]
-    tables = _per_alice_tables(np.stack([e.table for e in exprs]), _alice_rows(*exprs)[0])
-    # Held in the layout `_summed_maxima` sums in, int8 (one term per Bob label): no copy.
-    tables = np.ascontiguousarray(tables.transpose(0, 3, 2, 1), np.int8)
-    tables.setflags(write=False)
-    return tables.transpose(0, 3, 2, 1)
 
 
 @lru_cache(maxsize=1)
@@ -385,27 +368,33 @@ def _codes(multisets):
 
 
 @lru_cache(maxsize=None)
-def _multiset_orbits(size):
-    """Per orbit its smallest class multiset of `size`, per multiset its code and orbit;
-    built on first use by a running minimum over the maps, the identity among them."""
+def _class_multisets(size):
+    """Read-only: every class multiset of `size` in combinations order, its code and its
+    classical maximum.  Class m is the pair (x01, label m), whose term set every pair of
+    the class has.  Built on first use: a running minimum over the 72 relabelings (the
+    identity among them) finds each orbit's smallest multiset, whose maximum the orbit shares."""
     combos = itertools.combinations_with_replacement(range(N_SETTINGS * N_OUTCOMES), size)
     multisets = np.fromiter(itertools.chain.from_iterable(combos), np.intp).reshape(-1, size)
     codes = _codes(multisets)
     smallest = reduce(np.minimum, (_codes(r[multisets]) for r in _class_relabelings()))
     first = np.flatnonzero(smallest == codes)
-    return multisets[first], codes, np.searchsorted(codes[first], smallest)
+    labels = all_labels()
+    exprs = [bell_terms([(labels[0], lab)], standard_context().orbit) for lab in labels]
+    maxima = multiset_maxima(exprs, multisets[first])[np.searchsorted(codes[first], smallest)]
+    for arr in (multisets, codes, maxima):
+        arr.setflags(write=False)
+    return multisets, codes, maxima
 
 
-def scan_maxima(alice, multisets):
-    """`multiset_maxima` of the pairs (alice, m) over the Bob labels m of each row; with g
-    taking Alice's label to 0, m is in class action[g, m].  Maxima are constant on class
-    multiset orbits, so one per orbit is summed from `_class_tables`: 70 of 2600 at size 3."""
+def scan_maxima(alice, size):
+    """Every Bob-label multiset of `size` in combinations order (read-only), and per multiset
+    the `multiset_maxima` of the pairs (alice, m) over its labels m.  With g taking Alice's
+    label to 0, m is in class action[g, m]; each maximum is looked up by class code."""
+    alice = all_labels().index(OrbitPair(alice, alice).alice)
+    multisets, codes, maxima = _class_multisets(_checked_size(size))
     action = standard_context().orbit.label_action
-    classes = action[np.argmax(action[:, all_labels().index(tuple(alice))] == 0)]
-    multisets = _member_indices(multisets, len(classes))
-    reps, codes, orbit = _multiset_orbits(multisets.shape[1])
-    maxima = _summed_maxima(_class_tables(), reps)
-    return maxima[orbit[np.searchsorted(codes, _codes(classes[multisets]))]]
+    classes = action[np.argmax(action[:, alice] == 0)]
+    return multisets, maxima[np.searchsorted(codes, _codes(classes[multisets]))]
 
 
 def optimal_classical_strategy(expr: BellExpression):

@@ -21,8 +21,9 @@ parsed report is byte-identical.
 label, as in "x01:x14,x01:x14,x01:x18"; a repeated orbit's terms count
 once per copy.  `analyze` and `game` reject such a spec (duplicate term).
 
-The parser, the S4 context and `scan`'s classical tables are built once
-per process, on first use; a later `main` call prints what it would first.
+The parser, the S4 context and, per `--orbits` value, `scan`'s multisets
+and classical maxima are built once per process, on first use; a later
+`main` call prints what it would first.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (a malformed
 or term-repeating spec), 3 internal error (building the S4 context or
@@ -32,7 +33,6 @@ SIGPIPE death), with no traceback.
 """
 
 import argparse
-import itertools
 import json
 import os
 import re
@@ -384,14 +384,12 @@ def _cmd_scan(args):
         eigenvalues_isotypic(phi, ctx.orbit.coords(*lab), ctx.projectors) for lab in labels
     ])
 
-    combos = itertools.combinations_with_replacement(range(len(labels)), args.orbits)
-    combos = np.fromiter(itertools.chain.from_iterable(combos), np.intp).reshape(-1, args.orbits)
+    combos, cmaxes = scan_maxima(alice, args.orbits)
     sums = np.zeros((len(combos), eigs.shape[1]))
     # Orbit by orbit, in spec order: float addition is not associative.
     for j in range(args.orbits):
         sums += eigs[combos[:, j]]
     lams = sums.max(axis=1)
-    cmaxes = scan_maxima(alice, combos)
     gaps = lams - cmaxes
     # Stable: equal gaps keep combination order, which is label order
     # because all_labels() is sorted.

@@ -7,18 +7,17 @@ from hypothesis import strategies as st
 
 from conftest import row_of
 from reference_terms import CASE_TERMS
-from s4bell import classical, standard_context, tables
+from s4bell import classical, cli, standard_context, tables
 from s4bell.classical import (
     BellExpression,
     Term,
     _alice_orbits,
     _alice_rows,
+    _class_multisets,
     _class_relabelings,
-    _class_tables,
     _histogram_counts,
     _is_invariant,
     _max_coefficient,
-    _multiset_orbits,
     _per_alice_tables,
     bell_terms,
     classical_histogram,
@@ -371,17 +370,27 @@ def test_multiset_maxima_rejects_sizes_that_could_overflow(case_exprs):
     assert multiset_maxima([case_exprs["I"]], [[0] * 511]).tolist() == expected
 
 
-def test_size_512_raises_before_multisets_are_enumerated(case_exprs, monkeypatch):
-    # scan_maxima enumerates every class multiset of the given size; at 512
-    # that never ends, so the stand-in fails fast if it is reached.
+@pytest.fixture
+def no_enumeration(monkeypatch):
+    """A `_class_multisets` stand-in that fails if it is reached: at size 512 the
+    enumeration would never end."""
     def enumerate_multisets(size):
         raise AssertionError(f"enumerated the multisets of size {size}")
 
-    monkeypatch.setattr(classical, "_multiset_orbits", enumerate_multisets)
-    with pytest.raises(ValueError, match="size 512 could overflow"):
-        scan_maxima((1, 0), np.zeros((1, 512), int))
-    with pytest.raises(ValueError, match="size 512 could overflow"):
+    monkeypatch.setattr(classical, "_class_multisets", enumerate_multisets)
+
+
+def test_size_512_raises_before_multisets_are_enumerated(case_exprs, no_enumeration):
+    with pytest.raises(ValueError, match="size 512 could overflow the int16 row sums"):
+        scan_maxima((1, 0), 512)
+    with pytest.raises(ValueError, match="size 512 could overflow the int16 row sums"):
         multiset_maxima([case_exprs["I"]], np.zeros((1, 512), int))
+
+
+@pytest.mark.parametrize("size", [0, -1, 2.0, "3"])
+def test_scan_maxima_rejects_bad_sizes(size, no_enumeration):
+    with pytest.raises(ValueError, match="size must be an integer >= 1"):
+        scan_maxima((1, 0), size)
 
 
 @pytest.mark.parametrize("size", [7, 8, 9])
@@ -403,38 +412,49 @@ def test_scan_maxima_equal_the_unreduced_maxima(orbit, size):
     for alice in labels:
         exprs = [bell_terms([OrbitPair(alice, lab)], orbit) for lab in labels]
         expected = np.concatenate([multiset_maxima(exprs, chunk) for chunk in np.split(rows, 4)])
-        assert np.array_equal(scan_maxima(alice, rows), expected)
-    # Any order of rows and of the labels within a row.
-    shuffled = np.random.default_rng(size).permuted(rows[::-1], axis=1)
-    assert np.array_equal(scan_maxima(labels[5], shuffled), scan_maxima(labels[5], rows)[::-1])
+        multisets, maxima = scan_maxima(alice, size)
+        assert np.array_equal(multisets, rows)
+        assert np.array_equal(maxima, expected)
 
 
-def test_class_tables_are_built_once_and_read_only(orbit, monkeypatch):
-    calls = []
+def test_class_multisets_are_built_once_per_size_and_read_only(monkeypatch, capsys):
+    terms_calls, maxima_rows = [], []
 
     def counted_bell_terms(*args):
-        calls.append(args)
+        terms_calls.append(args)
         return bell_terms(*args)
 
-    _class_tables.cache_clear()
+    def counted_multiset_maxima(exprs, multisets):
+        maxima_rows.append(len(multisets))
+        return multiset_maxima(exprs, multisets)
+
+    _class_multisets.cache_clear()
     monkeypatch.setattr(classical, "bell_terms", counted_bell_terms)
+    monkeypatch.setattr(classical, "multiset_maxima", counted_multiset_maxima)
     labels = all_labels()
-    for alice in (labels[0], labels[13]):
-        for size in (2, 3):
-            scan_maxima(alice, combination_rows(len(labels), size))
-    assert len(calls) == 24
-    tables = _class_tables()
-    assert not tables.flags.writeable
-    stacked = np.stack([bell_terms([OrbitPair(labels[0], lab)], orbit).table for lab in labels])
-    assert np.array_equal(tables, _per_alice_tables(stacked, _alice_orbits().representatives))
+    for size in (1, 2, 3):
+        for alice in (labels[0], labels[13]):
+            scan_maxima(alice, size)
+        assert len(terms_calls) == 24 * size
+    # One smallest class multiset per orbit of the 72 relabelings.
+    assert maxima_rows == [2, 14, 70]
+    assert cli.main(["scan", "--orbits", "3", "--phi", "x27"]) == 0
+    assert capsys.readouterr().out
+    assert (len(terms_calls), len(maxima_rows)) == (72, 3)
+    for size in (1, 2, 3):
+        arrays = _class_multisets(size)
+        assert not any(arr.flags.writeable for arr in arrays)
+        assert np.array_equal(arrays[0], combination_rows(24, size))
 
 
-def test_scan_maxima_rejects_bad_labels():
-    for bad in ([[0, 24]], [[-1]], [0, 1]):
-        with pytest.raises(ValueError, match="0..23"):
-            scan_maxima((1, 0), bad)
-    with pytest.raises(ValueError):
-        scan_maxima((9, 0), [[0]])
+@pytest.mark.parametrize("label", [(9, 0), (1, 3), "x01", (1, 0, 0), (1.0, 0)],
+                         ids=["basis_9", "outcome_3", "string", "three_entries", "float"])
+def test_scan_maxima_rejects_bad_labels_as_orbit_pair_does(label, no_enumeration):
+    with pytest.raises(ValueError) as orbit_pair:
+        OrbitPair(label, (1, 0))
+    with pytest.raises(ValueError, match="label") as scan:
+        scan_maxima(label, 1)
+    assert str(scan.value) == str(orbit_pair.value)
 
 
 def test_class_relabelings_form_a_group_of_order_72():
@@ -459,26 +479,6 @@ def test_class_relabelings_keep_every_maximum(orbit):
         image = np.sort(relabel[rows], axis=1)
         rank = np.searchsorted(codes, np.ravel_multi_index(image.T, (24,) * 3))
         assert np.array_equal(maxima[rank], maxima)
-
-
-@pytest.mark.parametrize("size, count", [(1, 2), (2, 14), (3, 70)])
-def test_multiset_orbits_count(orbit, size, count):
-    representatives, codes, orbit_of = _multiset_orbits(size)
-    rows = np.array(combination_rows(24, size))
-    assert len(representatives) == count
-    assert np.array_equal(codes, [np.ravel_multi_index(r, (24,) * size) for r in rows])
-    # Each representative is the first multiset of its orbit, and the
-    # orbits are numbered in order of first appearance.
-    first = np.searchsorted(codes, [np.ravel_multi_index(r, (24,) * size) for r in representatives])
-    assert np.array_equal(orbit_of[first], np.arange(count))
-    assert np.array_equal(np.unique(orbit_of, return_index=True)[1], first)
-    # Every Alice label's Bob-label multisets meet all `count` orbits.
-    action = orbit.label_action
-    for alice in range(24):
-        classes = action[np.flatnonzero(action[:, alice] == 0)[0]]
-        image = np.sort(classes[rows], axis=1)
-        hit = orbit_of[np.searchsorted(codes, np.ravel_multi_index(image.T, (24,) * size))]
-        assert len(np.unique(hit)) == count
 
 
 def test_empty_expression():
