@@ -417,7 +417,8 @@ def test_scan_maxima_equal_the_unreduced_maxima(orbit, size):
         assert np.array_equal(maxima, expected)
 
 
-def test_class_multisets_are_built_once_per_size_and_read_only(monkeypatch, capsys):
+def test_class_tables_are_built_once_and_read_only(monkeypatch, capsys):
+    # The class tables are `_class_multisets(size)`: multisets, codes and maxima.
     terms_calls, maxima_rows = [], []
 
     def counted_bell_terms(*args):
@@ -479,6 +480,39 @@ def test_class_relabelings_keep_every_maximum(orbit):
         image = np.sort(relabel[rows], axis=1)
         rank = np.searchsorted(codes, np.ravel_multi_index(image.T, (24,) * 3))
         assert np.array_equal(maxima[rank], maxima)
+
+
+@pytest.mark.parametrize("size, count", [(1, 2), (2, 14), (3, 70)])
+def test_multiset_orbits_count(orbit, monkeypatch, size, count):
+    handed = []
+
+    def recorded_multiset_maxima(exprs, multisets):
+        handed.append(np.array(multisets))
+        return multiset_maxima(exprs, multisets)
+
+    _class_multisets.cache_clear()
+    monkeypatch.setattr(classical, "multiset_maxima", recorded_multiset_maxima)
+    multisets, codes, maxima = _class_multisets(size)
+    rows = np.array(combination_rows(24, size))
+    assert np.array_equal(multisets, rows)
+    assert np.array_equal(codes, [np.ravel_multi_index(r, (24,) * size) for r in rows])
+    # Orbits of the 72 relabelings, each named by its smallest code.
+    smallest = np.min([np.ravel_multi_index(np.sort(m[rows], axis=1).T, (24,) * size)
+                       for m in _class_relabelings()], axis=0)
+    names, first, orbit_of = np.unique(smallest, return_index=True, return_inverse=True)
+    assert len(names) == count
+    # One `multiset_maxima` call on the first multiset of each orbit, in order;
+    # every multiset of an orbit carries the orbit's maximum.
+    assert len(handed) == 1
+    assert np.array_equal(handed[0], rows[np.sort(first)])
+    assert np.array_equal(maxima, maxima[first][orbit_of])
+    # Every Alice label's Bob-label multisets meet all `count` orbits.
+    action = orbit.label_action
+    for alice in range(24):
+        classes = action[np.flatnonzero(action[:, alice] == 0)[0]]
+        image = np.sort(classes[rows], axis=1)
+        hit = orbit_of[np.searchsorted(codes, np.ravel_multi_index(image.T, (24,) * size))]
+        assert len(np.unique(hit)) == count
 
 
 def test_empty_expression():
