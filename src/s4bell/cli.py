@@ -21,9 +21,10 @@ parsed report is byte-identical.
 label, as in "x01:x14,x01:x14,x01:x18"; a repeated orbit's terms count
 once per copy.  `analyze` and `game` reject such a spec (duplicate term).
 
-The parser, the S4 context and, per `--orbits` value, `scan`'s multisets
-and classical maxima are built once per process, on first use; a later
-`main` call prints what it would first.
+The parser, the S4 context, per `--orbits` value `scan`'s multisets and
+classical maxima, and per `--phi` label its (4, 24) table of componentwise
+eigenvalues are built once per process, on first use; a later `main` call
+prints what it would first.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (a malformed
 or term-repeating spec), 3 internal error (building the S4 context or
@@ -372,28 +373,37 @@ def _cmd_game(args):
 # scan
 # ---------------------------------------------------------------------------
 
-def _cmd_scan(args):
-    ctx = standard_context()
-    alice = args.phi
-    phi = ctx.orbit.coords(*alice)
-    labels = all_labels()
-
-    # Per Bob label: componentwise eigenvalues, additive over the orbits
-    # of a multiset, so computed once per label and summed per multiset.
+@lru_cache(maxsize=None)
+def _alice_eigenvalues(alice):
+    """Read-only (4, 24): the componentwise eigenvalues of the pairs (label `alice`,
+    label m), column m per Bob label in all_labels() order.  Built on first use of
+    each Alice label index, one `eigenvalues_isotypic` call per Bob label."""
+    ctx, labels = standard_context(), all_labels()
+    phi = ctx.orbit.coords(*labels[alice])
     eigs = np.array([
         eigenvalues_isotypic(phi, ctx.orbit.coords(*lab), ctx.projectors) for lab in labels
-    ])
+    ]).T.copy()
+    eigs.setflags(write=False)
+    return eigs
 
+
+def _cmd_scan(args):
+    alice, labels = args.phi, all_labels()
+    eigs = _alice_eigenvalues(labels.index(alice))
     combos, cmaxes = scan_maxima(alice, args.orbits)
-    sums = np.zeros((len(combos), eigs.shape[1]))
-    # Orbit by orbit, in spec order: float addition is not associative.
-    for j in range(args.orbits):
-        sums += eigs[combos[:, j]]
-    lams = sums.max(axis=1)
+    # Componentwise eigenvalues are additive over the orbits of a multiset;
+    # summed orbit by orbit, in spec order: float addition is not associative.
+    sums = np.take(eigs, combos[:, 0], axis=1)
+    for j in range(1, args.orbits):
+        sums += np.take(eigs, combos[:, j], axis=1)
+    lams = np.maximum.reduce(sums)
     gaps = lams - cmaxes
-    # Stable: equal gaps keep combination order, which is label order
-    # because all_labels() is sorted.
-    order = np.argsort(-gaps, kind="stable")
+    # The --top largest gaps, equal gaps in combination order (label order,
+    # as all_labels() is sorted): a stable sort of every gap at least the cut.
+    top = min(args.top, len(gaps))
+    cut = np.partition(gaps, len(gaps) - top)[len(gaps) - top] if top else np.inf
+    candidates = np.flatnonzero(gaps >= cut)
+    order = candidates[np.argsort(-gaps[candidates], kind="stable")][:top]
 
     print(
         f"scan over {len(combos)} unordered Bob-label multisets "
@@ -401,8 +411,8 @@ def _cmd_scan(args):
     )
     print(f"specs with quantum > classical: {int((gaps > 1e-9).sum())}")
     print("rank  spec" + " " * (13 * args.orbits - 3) + "quantum  classical  gap")
-    for rank, i in enumerate(order[: args.top], start=1):
-        spec = ",".join(format_pair(OrbitPair(alice, labels[k])) for k in combos[i])
+    for rank, i in enumerate(order, start=1):
+        spec = ",".join(f"{format_label(alice)}:{format_label(labels[k])}" for k in combos[i])
         gap, lam, cmax = _zero_snap(float(gaps[i])), lams[i], cmaxes[i]
         print(f"{rank:4d}  {spec:<{13 * args.orbits + 1}}  {lam:7.2f}  {cmax:9d}  {gap:+.2f}")
     return 0

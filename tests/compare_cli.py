@@ -14,9 +14,12 @@ an earlier command left in a process-wide cache shows up: a command whose
 hash then differs is marked "ORDER".  It exits 1 when any command differs
 or is marked, else 0.
 
-The command list covers all five subcommands and the usage-error path:
+The 118 commands cover all five subcommands and the usage-error path:
 `scan --orbits 1|2|3 --top 2600` for every `--phi` label, the `scan`
-commands pinned in tests/golden/, `analyze` as text, `--json` and `--csv`
+commands pinned in tests/golden/, the benchmark's `scan --orbits 3 --top
+10` at `--phi` x01, x12, x27 and x18, `scan --orbits 2|3 --top 1|4|8`
+(at x01, `--top 4` cuts a run of exactly equal gaps at both sizes, `--top
+1` and `--top 8` at size 3), `analyze` as text, `--json` and `--csv`
 on the built-in cases I-III, the same three forms of `analyze --histogram`
 on cases I-III, the one-pair spec `x01:x14` and the 24-pair spec
 `x01:x01,x01:x11,...,x01:x28`, `game` on cases I-III, `orbits` and
@@ -48,6 +51,15 @@ COMMANDS = [
 COMMANDS += [
     ["scan", "--orbits", orbits, "--top", "50", "--phi", phi]
     for orbits, phi in (("1", "x01"), ("2", "x01"), ("3", "x01"), ("3", "x12"))
+]
+COMMANDS += [
+    ["scan", "--orbits", "3", "--top", "10", "--phi", phi]
+    for phi in ("x01", "x12", "x27", "x18")
+]
+COMMANDS += [
+    ["scan", "--orbits", orbits, "--top", top]
+    for orbits in ("2", "3")
+    for top in ("1", "4", "8")
 ]
 COMMANDS += [
     ["analyze", "--pairs", spec, *fmt]

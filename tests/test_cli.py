@@ -7,13 +7,16 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from s4bell import cli
 from s4bell.cli import PairSpecError, main, parse_pair_spec, run_verification
+from s4bell.context import standard_context
 from s4bell.orbit import OrbitPair, all_labels
+from s4bell.quantum import eigenvalues_isotypic
 from s4bell.representation import DecompositionError
 
 LABELS = [f"x{outcome}{basis}" for basis, outcome in all_labels()]
@@ -375,6 +378,49 @@ def test_full_scans_are_pinned(orbits):
         code, out = run_cli(["scan", "--orbits", str(orbits), "--top", "2600", "--phi", phi])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, phi
+
+
+def test_alice_eigenvalue_rows_are_built_once_per_label(monkeypatch):
+    # A label's first scan makes the 24 eigenvalues_isotypic calls of an
+    # uncached scan; later scans at that label, of any size, make none,
+    # also after a scan at another label.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return eigenvalues_isotypic(*args)
+
+    cli._alice_eigenvalues.cache_clear()
+    monkeypatch.setattr(cli, "eigenvalues_isotypic", counted)
+    for orbits, phi, expected in (("3", "x12", 24), ("3", "x12", 0), ("1", "x27", 24),
+                                  ("2", "x12", 0), ("3", "x27", 0)):
+        calls.clear()
+        run_cli(["scan", "--orbits", orbits, "--phi", phi])
+        assert len(calls) == expected, (orbits, phi)
+    assert cli._alice_eigenvalues.cache_info().currsize == 2
+    monkeypatch.undo()
+
+    ctx = standard_context()
+    for k, alice in enumerate(all_labels()):
+        eigs = cli._alice_eigenvalues(k)
+        assert eigs.shape == (4, 24) and not eigs.flags.writeable
+        phi = ctx.orbit.coords(*alice)
+        for m, bob in enumerate(all_labels()):
+            fresh = eigenvalues_isotypic(phi, ctx.orbit.coords(*bob), ctx.projectors)
+            assert np.array_equal(eigs[:, m], fresh), (alice, bob)
+
+
+@pytest.mark.parametrize("phi", ["x01", "x12", "x27"])
+@pytest.mark.parametrize("orbits, count", [(1, 24), (2, 300), (3, 2600)])
+def test_top_k_is_the_head_of_the_full_ranking(orbits, count, phi):
+    # Only the printed rows are ranked.  A cut inside a run of exactly equal
+    # gaps (at x01: after rank 12, 14 and 19 at size 1, 2 and 4 at size 2,
+    # 1, 4, 8, 12 and 20 at size 3) must keep combination order.
+    argv = ["scan", "--orbits", str(orbits), "--phi", phi, "--top"]
+    lines = run_cli([*argv, "2600"])[1].splitlines()
+    assert len(lines) == 3 + count
+    for k in [*range(21), count, count + 1]:
+        assert run_cli([*argv, str(k)]) == (0, "\n".join(lines[: 3 + k]) + "\n"), k
 
 
 def test_parser_is_built_once_and_keeps_no_state():
