@@ -32,7 +32,7 @@ print("  componentwise eigenvalues (group order / dim * squared projection):")
 for label, value in zip(tables.COMPONENT_ORDER, values):
     print(f"    {label:3s} {value:8.4f}")
 direct, _ = eigenvalues_direct(x)
-print(f"  direct Jacobi spectrum: {np.round(direct, 4)}")
+print(f"  direct spectrum: {np.round(direct, 4)}")
 print(f"  scalar closed form 8 (phi . psi)^2 = {8 * float(phi @ psi) ** 2:.4f}")
 
 print("\nThe three built-in cases sum three such operators each:")

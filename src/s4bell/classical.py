@@ -22,8 +22,9 @@ stands for all of its tuples.  Any other expression takes the full scan,
 the tests' reference.  `scan_maxima` reduces on Bob's side too: 72
 relabelings of settings, outcomes and parties permute the pair classes
 and keep every maximum, so `multiset_maxima` runs on one class multiset
-per orbit.  The maxima of every class multiset of a size, and both orbit
-tables, are built once per process, on first use.
+per orbit.  The maxima of every class multiset of a size, each Alice
+label's maxima per size, and both orbit tables are built once per
+process, on first use.
 """
 
 import itertools
@@ -387,14 +388,22 @@ def _class_multisets(size):
 
 
 def scan_maxima(alice, size):
-    """Every Bob-label multiset of `size` in combinations order (read-only), and per multiset
-    the `multiset_maxima` of the pairs (alice, m) over its labels m.  With g taking Alice's
-    label to 0, m is in class action[g, m]; each maximum is looked up by class code."""
+    """Every Bob-label multiset of `size` in combinations order, and per multiset the
+    `multiset_maxima` of the pairs (alice, m) over its labels m; both read-only."""
     alice = all_labels().index(OrbitPair(alice, alice).alice)
-    multisets, codes, maxima = _class_multisets(_checked_size(size))
+    return _class_multisets(_checked_size(size))[0], _alice_maxima(alice, size)
+
+
+@lru_cache(maxsize=None)
+def _alice_maxima(alice, size):
+    """Read-only `scan_maxima` maxima for Alice's label index.  With g taking her label
+    to 0, Bob's label m is in class action[g, m]; each maximum is looked up by class code."""
+    multisets, codes, maxima = _class_multisets(size)
     action = standard_context().orbit.label_action
     classes = action[np.argmax(action[:, alice] == 0)]
-    return multisets, maxima[np.searchsorted(codes, _codes(classes[multisets]))]
+    found = maxima[np.searchsorted(codes, _codes(classes[multisets]))]
+    found.setflags(write=False)
+    return found
 
 
 def optimal_classical_strategy(expr: BellExpression):

@@ -22,9 +22,10 @@ label, as in "x01:x14,x01:x14,x01:x18"; a repeated orbit's terms count
 once per copy.  `analyze` and `game` reject such a spec (duplicate term).
 
 The parser, the S4 context, per `--orbits` value `scan`'s multisets and
-classical maxima, and per `--phi` label its (4, 24) table of componentwise
-eigenvalues are built once per process, on first use; a later `main` call
-prints what it would first.
+class maxima, per `--phi` label and `--orbits` value its classical maxima,
+and per `--phi` label its (4, 24) table of componentwise eigenvalues are
+built once per process, on first use; a later `main` call prints what it
+would first.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (a malformed
 or term-repeating spec), 3 internal error (building the S4 context or
@@ -152,11 +153,12 @@ def run_verification(echo=print):
         mark = "ok  " if ok else "FAIL"
         echo(f"{mark} {name}" + (f" ({detail})" if detail else ""))
 
-    # Orbit reproduction against the labeled table.
-    dev = max(
-        float(np.abs(ctx.orbit.coords(*lab) - tables.ORBIT_TABLE[lab]).max())
+    # Orbit reproduction against the labeled table.  Deviations fold with
+    # np.max, not Python's max, so that a NaN fails the check.
+    dev = float(np.max([
+        np.abs(ctx.orbit.coords(*lab) - tables.ORBIT_TABLE[lab]).max()
         for lab in tables.ORBIT_LABELS
-    )
+    ]))
     check(
         "orbit reproduces the reference table, labels bijective",
         dev < 1e-9,
@@ -197,13 +199,14 @@ def run_verification(echo=print):
             f"computed {spectrum.lambda_max:.4f} vs reference {ref_sum:.2f}, tolerance 0.01",
         )
 
-        worst = 0.0
+        deviations = []
         for pair, row in zip(pairs, spectrum.per_pair):
             phi = ctx.orbit.coords(*pair.alice)
             psi = ctx.orbit.coords(*pair.bob)
             direct, _ = eigenvalues_direct(build_x_operator(phi, psi, ctx.product))
             expected = np.sort(np.repeat(row, dims))[::-1]
-            worst = max(worst, float(np.abs(direct - expected).max()))
+            deviations.append(np.abs(direct - expected).max())
+        worst = float(np.max(deviations))
         check(
             f"case {name}: componentwise and direct eigenvalues agree",
             worst < EIG_TOL,

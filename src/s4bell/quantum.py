@@ -10,11 +10,8 @@ tensor square, so its spectrum can be written down componentwise:
 with P_s the component projector and d_s the component dimension, kept
 as arrays in the order of tables.COMPONENT_ORDER; component labels appear
 only in rendered reports.  The same spectrum is computed a second,
-independent way by cyclic Jacobi diagonalization of the assembled 9x9
-matrix; the two routes cross-check each other.  The Jacobi rotations run
-on Python floats, in the order and with the arithmetic of the former
-numpy-slice version, so its eigenvalues and eigenvectors are unchanged to
-the last bit.
+independent way by LAPACK's symmetric eigensolver (numpy.linalg.eigh) on
+the assembled 9x9 matrix; the two routes cross-check each other.
 
 Several orbit pairs are combined by summing their operators.  Every pair
 operator is sum_s lambda_s P_s over the same four projectors, so the sum
@@ -23,7 +20,6 @@ has the componentwise sums as eigenvalues and `scan` ranks by the largest.
 instead and checks that every componentwise sum appears in its spectrum.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,11 +41,6 @@ __all__ = [
 
 # Tolerance for agreement between independently computed eigenvalues.
 EIG_TOL = 1e-6
-# Jacobi stops once the off-diagonal norm is below JACOBI_TOL times the
-# matrix norm; MAX_SWEEPS is far more than the quadratic convergence ever
-# needs at these sizes.
-JACOBI_TOL = 1e-12
-MAX_SWEEPS = 100
 # |G| / d_s per component, in the order of tables.COMPONENT_ORDER.
 _SCALE = np.array([tables.GROUP_ORDER / tables.COMPONENT_DIMS[c] for c in tables.COMPONENT_ORDER])
 
@@ -77,22 +68,12 @@ def build_x_operator(phi, psi, product: Representation) -> np.ndarray:
 
 
 def jacobi_eigh(matrix):
-    """Eigen-decomposition of a real symmetric matrix by cyclic Jacobi sweeps.
+    """Eigen-decomposition of a real symmetric matrix by LAPACK (numpy.linalg.eigh).
 
-    Rotations run over the strict upper triangle in row order until the
-    off-diagonal Frobenius norm drops below JACOBI_TOL relative to the
-    matrix norm, for at most MAX_SWEEPS sweeps.  Every matrix diagonalized
-    in the package passes here, so this is where input is checked: a
-    matrix that is not square, not finite or not symmetric to within EPS
-    raises ValueError.
-
-    The rotations run on Python floats, row lists of the matrix and of the
-    accumulated eigenvectors, because a 9x9 rotation is too small for numpy
-    slices to pay off.  Each element gets the same IEEE operations, in the
-    same order, as a numpy version that rotates columns of the matrix, then
-    its rows, then the columns of the eigenvectors, so the results are
-    bit-identical to it.  Unlike numpy scalars, Python floats overflow to
-    inf without a warning; the rotation angle then comes out as zero.
+    The name is historical: a hand-written cyclic Jacobi solver used to run
+    here.  Every matrix diagonalized in the package passes here, so this is
+    where input is checked: a matrix that is not square, not finite or not
+    symmetric to within EPS raises ValueError.
 
     Returns (eigenvalues descending, eigenvectors as matching columns).
     """
@@ -103,47 +84,8 @@ def jacobi_eigh(matrix):
         raise ValueError("matrix must be finite")
     if (np.abs(a - a.T) > EPS).any():
         raise ValueError("matrix must be symmetric")
-    n = a.shape[0]
-    rows = a.tolist()
-    vecs = np.eye(n).tolist()
-    scale = max(1.0, float(np.linalg.norm(a)))
-
-    def offnorm():
-        return math.sqrt(2.0 * float(np.sum(np.triu(np.array(rows), 1) ** 2)))
-
-    for _ in range(MAX_SWEEPS):
-        if offnorm() <= JACOBI_TOL * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = rows[p][q]
-                if apq == 0.0:
-                    continue
-                # Symmetric Schur rotation annihilating a[p, q], taking the
-                # smaller of the two candidate angles for stability.
-                tau = (rows[q][q] - rows[p][p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                # Columns p, q of a, then its rows p, q, then columns p, q
-                # of the accumulated eigenvectors.
-                for row in rows:
-                    x, y = row[p], row[q]
-                    row[p] = c * x - s * y
-                    row[q] = s * x + c * y
-                row_p, row_q = rows[p], rows[q]
-                rows[p] = [c * x - s * y for x, y in zip(row_p, row_q)]
-                rows[q] = [s * x + c * y for x, y in zip(row_p, row_q)]
-                for row in vecs:
-                    x, y = row[p], row[q]
-                    row[p] = c * x - s * y
-                    row[q] = s * x + c * y
-    if offnorm() > JACOBI_TOL * scale:
-        raise RuntimeError("Jacobi iteration did not converge")
-    # reshape keeps a 0x0 input two-dimensional for np.diag
-    values = np.diag(np.array(rows).reshape(n, n))
-    order = np.argsort(values)[::-1]
-    return values[order], np.array(vecs).reshape(n, n)[:, order]
+    values, vectors = np.linalg.eigh(a)
+    return values[::-1], vectors[:, ::-1]
 
 
 def eigenvalues_direct(matrix):

@@ -11,10 +11,12 @@ from s4bell import classical, cli, standard_context, tables
 from s4bell.classical import (
     BellExpression,
     Term,
+    _alice_maxima,
     _alice_orbits,
     _alice_rows,
     _class_multisets,
     _class_relabelings,
+    _codes,
     _histogram_counts,
     _is_invariant,
     _max_coefficient,
@@ -446,6 +448,29 @@ def test_class_tables_are_built_once_and_read_only(monkeypatch, capsys):
         arrays = _class_multisets(size)
         assert not any(arr.flags.writeable for arr in arrays)
         assert np.array_equal(arrays[0], combination_rows(24, size))
+
+
+def test_scan_maxima_are_cached_per_alice_label_and_size(monkeypatch):
+    # The uncached lookup: Bob's labels relabeled to classes, coded and found
+    # in the class table.
+    action = standard_context().orbit.label_action
+    for size in (1, 2, 3):
+        multisets, codes, maxima = _class_multisets(size)
+        for k, alice in enumerate(all_labels()):
+            classes = action[np.argmax(action[:, k] == 0)]
+            expected = maxima[np.searchsorted(codes, _codes(classes[multisets]))]
+            found = scan_maxima(alice, size)[1]
+            assert np.array_equal(found, expected)
+            assert not found.flags.writeable
+    code_calls = []
+
+    def counted_codes(multisets):
+        code_calls.append(len(multisets))
+        return _codes(multisets)
+
+    monkeypatch.setattr(classical, "_codes", counted_codes)
+    assert scan_maxima((2, 1), 3)[1] is _alice_maxima(4, 3)
+    assert code_calls == []
 
 
 @pytest.mark.parametrize("label", [(9, 0), (1, 3), "x01", (1, 0, 0), (1.0, 0)],

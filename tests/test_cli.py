@@ -456,6 +456,28 @@ def test_verify_deterministic_and_reports_known_mismatch():
     assert "case III: maximal eigenvalue" in failures[0]
 
 
+def test_verify_fails_a_nan_direct_spectrum(monkeypatch):
+    monkeypatch.setattr(cli, "eigenvalues_direct",
+                        lambda matrix: (np.full(9, np.nan), np.full(9, np.nan)))
+    lines = []
+    assert run_verification(echo=lines.append) is False
+    for name in ("I", "II", "III"):
+        line, = [x for x in lines if f"case {name}: componentwise and direct" in x]
+        assert line.startswith("FAIL") and "max deviation nan" in line
+
+
+def test_verify_fails_a_nan_orbit_coordinate_after_the_first_label(monkeypatch):
+    standard_context()  # built against the unpatched table
+    table = dict(cli.tables.ORBIT_TABLE)
+    label = cli.tables.ORBIT_LABELS[1]
+    table[label] = np.array([np.nan, 0.0, 0.0])
+    monkeypatch.setattr(cli.tables, "ORBIT_TABLE", table)
+    lines = []
+    assert run_verification(echo=lines.append) is False
+    line, = [x for x in lines if "orbit reproduces the reference table" in x]
+    assert line.startswith("FAIL") and "max coordinate deviation nan" in line
+
+
 def test_verify_command_exit_code():
     code, out = run_cli(["verify"])
     assert code == 1
