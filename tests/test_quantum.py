@@ -224,6 +224,49 @@ def test_jacobi_properties_on_random_symmetric(n, rng):
         assert abs(float(values @ values) - norm2) <= 1e-12 * max(1.0, norm2)
 
 
+def assert_same_as_lapack(matrix):
+    """jacobi_eigh is numpy.linalg.eigh reversed to descending order, bit for
+    bit: values and their eigenvector columns move together and the wrapper
+    adds no arithmetic of its own."""
+    values, vectors = jacobi_eigh(matrix)
+    ref_values, ref_vectors = np.linalg.eigh(np.array(matrix, dtype=float))
+    assert np.array_equal(values, ref_values[::-1])
+    assert np.array_equal(vectors, ref_vectors[:, ::-1])
+
+
+def pair_operator_sum(pairs, ctx):
+    # the same accumulation as max_eigenvalue_sum
+    total = np.zeros((9, 9))
+    for pair in pairs:
+        total += build_x_operator(
+            ctx.orbit.coords(*pair.alice), ctx.orbit.coords(*pair.bob), ctx.product
+        )
+    return total
+
+
+def test_jacobi_bit_identical_on_orbit_operators(ctx, case_pairs):
+    labels = all_labels()
+    for alice, bob in itertools.product(labels, labels):
+        assert_same_as_lapack(pair_operator_sum([OrbitPair(alice, bob)], ctx))
+    for pairs in case_pairs.values():
+        assert_same_as_lapack(pair_operator_sum(pairs, ctx))
+
+
+def test_jacobi_bit_identical_on_random_pair_sums(ctx, rng):
+    labels = all_labels()
+    for _ in range(60):
+        picks = rng.integers(0, 24, (int(rng.integers(2, 4)), 2))
+        pairs = [OrbitPair(labels[int(i)], labels[int(j)]) for i, j in picks]
+        assert_same_as_lapack(pair_operator_sum(pairs, ctx))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_jacobi_bit_identical_on_random_symmetric(n, rng):
+    for _ in range(5):
+        a = rng.standard_normal((n, n))
+        assert_same_as_lapack((a + a.T) / 2)
+
+
 def test_jacobi_subnormal_entry_is_silent():
     a = np.array([[0.0, 1e-320, 1.0], [1e-320, 1.0, 0.0], [1.0, 0.0, 2.0]])
     with warnings.catch_warnings():
