@@ -11,7 +11,8 @@ Bob setting t and outcome b that Alice already satisfies (for all tuples,
 one product of their labels' one-hot incidence with the term table).  A
 tuple's maximum is the sum of per-setting maxima, and the histogram meets
 in the middle: Bob's 3**4 outcome tuples on settings 1-4 and on 5-8 are
-scored apart, and their score counts combine by one integer product.
+scored apart by broadcast sums, and their score counts combine by one
+integer product.  An expression builds its tables M once, on first use.
 
 The scan is also symmetry-reduced.  Each element of S4 permutes the
 orbit labels and maps bases onto bases, so it permutes Alice tuples: the
@@ -95,6 +96,16 @@ class BellExpression:
             table[s - 1, a, t - 1, b] = 1
         table.setflags(write=False)
         return table
+
+    @cached_property
+    def _scan(self):
+        """Read-only scan state, built on first use: rows, weights, tables M, row maxima."""
+        rows, weights = _alice_rows(self)
+        m = _per_alice_tables(self.table, rows)
+        scan = rows, weights, m, _row_maxima(m)
+        for arr in scan:
+            arr.setflags(write=False)
+        return scan
 
 
 def bell_terms(pairs, orbit: Orbit) -> BellExpression:
@@ -249,34 +260,36 @@ def _row_maxima(m):
     return reduce(np.maximum, np.moveaxis(m, -1, 0)).sum(axis=-1)
 
 
-def _max_coefficient(table, rows):
-    return int(_row_maxima(_per_alice_tables(table, rows)).max())
-
-
-def _histogram_counts(table, rows, weights):
+def _histogram_counts(table, rows, weights, m=None, maxima=None):
     """Configurations per coefficient, over the Alice tuples `rows`.
 
-    Meets in the middle: P[i, u] and Q[i, v] count Bob's outcome tuples on
-    settings 1-4 and 5-8 whose M[i, t, b] add up to u and v, so
-    G = (weights P)^T Q counts (u, v) and coefficient c sums G[u, c - u].
+    `m` and `maxima` are the rows' tables and row maxima, built here if not
+    given.  Meets in the middle: P[u, i] and Q[v, i] count Bob's outcome
+    tuples on settings 1-4 and 5-8 that score u and v for row i, each filled
+    by one bincount on score * rows + row: the broadcast sums of an (8, 3,
+    rows) int32 copy of M times rows, with row i added on settings 1 and 5.
+    That fits int32: for a 0/1 table a half score is at most 4 * 8, and
+    rows <= 6561.  G = (P weights) Q^T counts (u, v); c sums G[u, c - u].
     """
-    m = _per_alice_tables(table, rows)
-    bob = _profiles()[: N_OUTCOMES ** (N_SETTINGS // 2), N_SETTINGS // 2 :]
+    if m is None:
+        m = _per_alice_tables(table, rows)
+        maxima = _row_maxima(m)
+    n = len(m)
+    by_setting = np.ascontiguousarray(m.transpose(1, 2, 0), dtype=np.int32) * n
+    by_setting[::4] += np.arange(n, dtype=np.int32)
     halves = []
-    for settings in np.split(np.arange(N_SETTINGS), 2):
-        score = m[:, settings, bob].sum(axis=-1)
-        top = int(score.max()) + 1
-        # One flat bincount: row i's scores fall in bins i*top .. i*top + top - 1.
-        flat = (score + top * np.arange(len(m))[:, None]).ravel()
-        halves.append(np.bincount(flat, minlength=top * len(m)).reshape(-1, top))
+    for a, b, c, d in np.split(by_setting, 2):
+        flat = (a[:, None, None, None] + b[:, None, None] + c[:, None] + d).ravel()
+        top = int(flat.max()) // n + 1
+        halves.append(np.bincount(flat, minlength=top * n).reshape(top, n))
     p, q = halves
-    g = (weights[:, None] * p).T @ q
+    g = (p * weights) @ q.T
     # The two half maxima add up to at most the number of terms,
     # table.sum(), so every anti-diagonal index fits in the counts.
     counts = np.zeros(int(table.sum()) + 1, dtype=np.int64)
     np.add.at(counts, np.add.outer(np.arange(len(g)), np.arange(g.shape[1])), g)
 
-    fast_max = int(_row_maxima(m).max())
+    fast_max = int(maxima.max())
     hist_max = int(np.flatnonzero(counts)[-1])
     if fast_max != hist_max:
         raise RuntimeError(
@@ -292,8 +305,7 @@ def classical_max(expr: BellExpression) -> int:
     and contribute their per-setting maxima.  Only one Alice tuple per S4
     orbit is scanned when the expression is invariant.
     """
-    rows, _ = _alice_rows(expr)
-    return _max_coefficient(expr.table, rows)
+    return int(expr._scan[3].max())
 
 
 def classical_histogram(expr: BellExpression) -> StrategyHistogram:
@@ -302,8 +314,7 @@ def classical_histogram(expr: BellExpression) -> StrategyHistogram:
     For an invariant expression each S4-orbit representative's counts are
     weighted by its orbit size; the counts are integer-exact either way.
     """
-    rows, weights = _alice_rows(expr)
-    counts = _histogram_counts(expr.table, rows, weights)
+    counts = _histogram_counts(expr.table, *expr._scan)
     return StrategyHistogram(
         counts={c: int(counts[c]) for c in range(len(counts))},
         c_max=int(np.flatnonzero(counts)[-1]),
@@ -415,9 +426,8 @@ def optimal_classical_strategy(expr: BellExpression):
     smallest maximizing outcome.  The first maximizer of an invariant
     expression is the smallest tuple of its orbit, so `_alice_rows` holds it.
     """
-    rows, _ = _alice_rows(expr)
-    m = _per_alice_tables(expr.table, rows)
-    best = int(np.argmax(_row_maxima(m)))
+    rows, _, m, maxima = expr._scan
+    best = int(np.argmax(maxima))
     f_alice = tuple(int(x) for x in _profiles()[rows[best]])
     f_bob = tuple(int(x) for x in np.argmax(m[best], axis=1))
     return f_alice, f_bob

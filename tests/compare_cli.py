@@ -14,7 +14,7 @@ an earlier command left in a process-wide cache shows up: a command whose
 hash then differs is marked "ORDER".  It exits 1 when any command differs
 or is marked, else 0.
 
-The 118 commands cover all five subcommands and the usage-error path:
+The 120 commands cover all five subcommands and the usage-error path:
 `scan --orbits 1|2|3 --top 2600` for every `--phi` label, the `scan`
 commands pinned in tests/golden/, the benchmark's `scan --orbits 3 --top
 10` at `--phi` x01, x12, x27 and x18, `scan --orbits 2|3 --top 1|4|8`
@@ -22,7 +22,9 @@ commands pinned in tests/golden/, the benchmark's `scan --orbits 3 --top
 1` and `--top 8` at size 3), `analyze` as text, `--json` and `--csv`
 on the built-in cases I-III, the same three forms of `analyze --histogram`
 on cases I-III, the one-pair spec `x01:x14` and the 24-pair spec
-`x01:x01,x01:x11,...,x01:x28`, `game` on cases I-III, `orbits` and
+`x01:x01,x01:x11,...,x01:x28`, `analyze --histogram` as `--json` and
+`--csv` on `x01:x12,x01:x23,x01:x14` (rank 1 of `scan --orbits 3`, whose
+histogram no golden file pins), `game` on cases I-III, `orbits` and
 `orbits --json`, `verify`, and `analyze` on the specs `x01:x01,x11:x11`
 (a repeated term) and `x01:x14,,x01:x07` (malformed), which exit 2.
 """
@@ -71,6 +73,10 @@ COMMANDS += [
     ["analyze", "--pairs", spec, "--histogram", *fmt]
     for spec in HISTOGRAM_SPECS
     for fmt in ([], ["--json"], ["--csv"])
+]
+COMMANDS += [
+    ["analyze", "--pairs", "x01:x12,x01:x23,x01:x14", "--histogram", fmt]
+    for fmt in ("--json", "--csv")
 ]
 COMMANDS += [["game", "--pairs", spec] for spec in CASES.values()]
 COMMANDS += [["orbits"], ["orbits", "--json"], ["verify"]]

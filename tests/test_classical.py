@@ -19,8 +19,8 @@ from s4bell.classical import (
     _codes,
     _histogram_counts,
     _is_invariant,
-    _max_coefficient,
     _per_alice_tables,
+    _row_maxima,
     bell_terms,
     classical_histogram,
     classical_max,
@@ -30,6 +30,7 @@ from s4bell.classical import (
     optimal_classical_strategy,
     scan_maxima,
 )
+from s4bell.game import game_values
 from s4bell.orbit import OrbitPair, all_labels
 
 
@@ -113,6 +114,11 @@ def test_histogram_case1(case_exprs):
 ALL_ROWS = np.arange(3 ** 8)
 
 
+def _max_coefficient(table, rows):
+    """Reference: the classical maximum over the Alice tuples `rows`, from fresh tables."""
+    return int(_row_maxima(_per_alice_tables(table, rows)).max())
+
+
 def full_counts(expr):
     """Histogram from the full scan over every Alice tuple, as a list."""
     return _histogram_counts(expr.table, ALL_ROWS, np.ones(3 ** 8, dtype=np.int64)).tolist()
@@ -191,6 +197,21 @@ def test_histogram_kernel_matches_reference_on_all_pairs_of_one_alice_label(orbi
     expr = bell_terms([OrbitPair((1, 0), lab) for lab in all_labels()], orbit)
     assert len(expr.terms) == 576
     assert_counts_match_reference(expr)
+
+
+def test_histogram_kernel_at_its_size_bound(orbit):
+    # Every term but one: M holds 8 almost everywhere, so a half scores up to
+    # 4 * 8 = 32, and the expression is not invariant, so all 6561 rows are
+    # scanned; the int32 bin index reaches its largest, 32 * 6561 + 6560.
+    every = bell_terms([OrbitPair((1, 0), lab) for lab in all_labels()], orbit)
+    expr = BellExpression(every.terms[1:])
+    rows, weights = _alice_rows(expr)
+    assert len(rows) == 3 ** 8
+    reference = shift_polynomial_counts(expr.table, rows, weights).tolist()
+    assert _histogram_counts(expr.table, rows, weights).tolist() == reference
+    hist = classical_histogram(expr)
+    assert [hist.counts[c] for c in range(len(hist.counts))] == reference
+    assert hist.c_max == 64
 
 
 def test_alice_orbit_table():
@@ -417,6 +438,34 @@ def test_scan_maxima_equal_the_unreduced_maxima(orbit, size):
         multisets, maxima = scan_maxima(alice, size)
         assert np.array_equal(multisets, rows)
         assert np.array_equal(maxima, expected)
+
+
+def test_scan_state_is_built_once_per_expression_and_read_only(orbit, ctx, monkeypatch):
+    calls = {"_per_alice_tables": 0, "_is_invariant": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(classical, name, counted(name, getattr(classical, name)))
+    expr = bell_terms(tables.CASE_PAIRS["I"], orbit)
+    assert classical_max(expr) == 16
+    assert classical_histogram(expr).c_max == 16
+    f_alice, f_bob = optimal_classical_strategy(expr)
+    assert coefficient(expr, f_alice, f_bob) == 16
+    assert game_values(expr, ctx).classical * 64 == 16
+    assert calls == {"_per_alice_tables": 1, "_is_invariant": 1}
+    # Nothing is shared between objects, even equal ones.
+    again = bell_terms(tables.CASE_PAIRS["I"], orbit)
+    assert again == expr
+    assert classical_max(again) == 16
+    assert calls == {"_per_alice_tables": 2, "_is_invariant": 2}
+    for arr in expr._scan:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
 
 
 def test_class_tables_are_built_once_and_read_only(monkeypatch, capsys):
