@@ -12,7 +12,7 @@ one product of their labels' one-hot incidence with the term table).  A
 tuple's maximum is the sum of per-setting maxima, and the histogram meets
 in the middle: Bob's 3**4 outcome tuples on settings 1-4 and on 5-8 are
 scored apart by broadcast sums, and their score counts combine by one
-integer product.  An expression builds its tables M once, on first use.
+exact float64 product.  An expression builds its tables M once, on first use.
 
 The scan is also symmetry-reduced.  Each element of S4 permutes the
 orbit labels and maps bases onto bases, so it permutes Alice tuples: the
@@ -71,18 +71,8 @@ class BellExpression:
     pairs: tuple = ()
 
     def __post_init__(self):
-        terms = []
-        for entries in self.terms:
-            try:
-                term = Term(*map(operator.index, entries))
-            except TypeError:
-                raise ValueError(f"term must be four integers, got {entries!r}") from None
-            if not (1 <= term.s <= N_SETTINGS and 1 <= term.t <= N_SETTINGS):
-                raise ValueError(f"setting out of range in {term}")
-            if not (0 <= term.a < N_OUTCOMES and 0 <= term.b < N_OUTCOMES):
-                raise ValueError(f"outcome out of range in {term}")
-            terms.append(term)
-        object.__setattr__(self, "terms", tuple(terms))
+        terms = tuple(map(_canonical_term, self.terms))
+        object.__setattr__(self, "terms", terms)
         if len(set(terms)) != len(terms):
             seen = set()
             dup = next(t for t in terms if t in seen or seen.add(t))
@@ -108,6 +98,30 @@ class BellExpression:
         return scan
 
 
+@lru_cache(maxsize=1)
+def _term_table():
+    """[k][m]: the Term of Alice label k and Bob label m (all_labels() rows), and
+    a dict mapping each of these 576 Terms, or any 4-tuple equal to it, to it."""
+    labels = all_labels()
+    table = tuple(tuple(Term(*alice, *bob) for bob in labels) for alice in labels)
+    return table, {term: term for row in table for term in row}
+
+
+def _canonical_term(entries):
+    """The `_term_table` Term equal to `entries`, which must be four integers in range."""
+    try:
+        key = tuple(map(operator.index, entries))
+    except TypeError:
+        key = ()
+    term = _term_table()[1].get(key)
+    if term is None:
+        if len(key) != 4:
+            raise ValueError(f"term must be four integers, got {entries!r}")
+        field = "outcome" if 1 <= key[0] <= N_SETTINGS and 1 <= key[2] <= N_SETTINGS else "setting"
+        raise ValueError(f"{field} out of range in {Term(*key)}")
+    return term
+
+
 def bell_terms(pairs, orbit: Orbit) -> BellExpression:
     """Expand labeled orbit pairs into their probability terms.
 
@@ -117,13 +131,10 @@ def bell_terms(pairs, orbit: Orbit) -> BellExpression:
     raise ValueError.
     """
     pairs = tuple(p if isinstance(p, OrbitPair) else OrbitPair(*p) for p in pairs)
-    labels = all_labels()
-    terms = []
-    for pair in pairs:
-        alice = orbit.label_action[:, labels.index(pair.alice)]
-        bob = orbit.label_action[:, labels.index(pair.bob)]
-        terms += [Term(*labels[k], *labels[m]) for k, m in zip(alice, bob)]
-    return BellExpression(tuple(terms), pairs)
+    labels, table, columns = all_labels(), _term_table()[0], orbit.label_action.T.tolist()
+    terms = tuple(table[k][m] for p in pairs
+                  for k, m in zip(columns[labels.index(p.alice)], columns[labels.index(p.bob)]))
+    return BellExpression(terms, pairs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,7 +280,9 @@ def _histogram_counts(table, rows, weights, m=None, maxima=None):
     by one bincount on score * rows + row: the broadcast sums of an (8, 3,
     rows) int32 copy of M times rows, with row i added on settings 1 and 5.
     That fits int32: for a 0/1 table a half score is at most 4 * 8, and
-    rows <= 6561.  G = (P weights) Q^T counts (u, v); c sums G[u, c - u].
+    rows <= 6561.  G = (P weights) Q^T counts (u, v); c sums G[u, c - u] by
+    a weighted bincount.  Both run in float64 and are exact: every partial
+    sum is an integer no larger than 81 * 24 * 81 * 6561 < 2**53.
     """
     if m is None:
         m = _per_alice_tables(table, rows)
@@ -283,11 +296,11 @@ def _histogram_counts(table, rows, weights, m=None, maxima=None):
         top = int(flat.max()) // n + 1
         halves.append(np.bincount(flat, minlength=top * n).reshape(top, n))
     p, q = halves
-    g = (p * weights) @ q.T
+    g = np.multiply(p, weights, dtype=float) @ q.T.astype(float)
     # The two half maxima add up to at most the number of terms,
     # table.sum(), so every anti-diagonal index fits in the counts.
-    counts = np.zeros(int(table.sum()) + 1, dtype=np.int64)
-    np.add.at(counts, np.add.outer(np.arange(len(g)), np.arange(g.shape[1])), g)
+    diagonals = np.add.outer(np.arange(len(g)), np.arange(g.shape[1])).ravel()
+    counts = np.bincount(diagonals, g.ravel(), int(table.sum()) + 1).astype(np.int64)
 
     fast_max = int(maxima.max())
     hist_max = int(np.flatnonzero(counts)[-1])

@@ -22,10 +22,11 @@ label, as in "x01:x14,x01:x14,x01:x18"; a repeated orbit's terms count
 once per copy.  `analyze` and `game` reject such a spec (duplicate term).
 
 The parser, the S4 context, per `--orbits` value `scan`'s multisets and
-class maxima, per `--phi` label and `--orbits` value its classical maxima,
-and per `--phi` label its (4, 24) table of componentwise eigenvalues are
-built once per process, on first use; a later `main` call prints what it
-would first.
+class maxima, and per `--phi` label and `--orbits` value its classical
+maxima are built once per process, on first use.  So are each orbit
+pair's operator and eigenvalue row, in the context's pair model, which
+`analyze`, `game`, `scan` and `verify` read.  A later `main` call prints
+what it would first.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (a malformed
 or term-repeating spec), 3 internal error (building the S4 context or
@@ -56,13 +57,7 @@ from .context import standard_context
 from .game import game_values, winning_table
 from .orbit import N_OUTCOMES, N_SETTINGS, OrbitPair, all_labels, orbit_to_json
 from .permgroup import cycle_string
-from .quantum import (
-    EIG_TOL,
-    build_x_operator,
-    eigenvalues_direct,
-    eigenvalues_isotypic,
-    max_eigenvalue_sum,
-)
+from .quantum import EIG_TOL, eigenvalues_direct, max_eigenvalue_sum
 from .representation import validate_block_basis
 from .tables import TableMismatchError
 
@@ -153,12 +148,10 @@ def run_verification(echo=print):
         mark = "ok  " if ok else "FAIL"
         echo(f"{mark} {name}" + (f" ({detail})" if detail else ""))
 
-    # Orbit reproduction against the labeled table.  Deviations fold with
-    # np.max, not Python's max, so that a NaN fails the check.
-    dev = float(np.max([
-        np.abs(ctx.orbit.coords(*lab) - tables.ORBIT_TABLE[lab]).max()
-        for lab in tables.ORBIT_LABELS
-    ]))
+    # Orbit reproduction against the labeled table, in label order; np.max
+    # keeps a NaN, which then fails the check.
+    reference = np.array([tables.ORBIT_TABLE[lab] for lab in tables.ORBIT_LABELS])
+    dev = float(np.max(np.abs(ctx.orbit.points - reference)))
     check(
         "orbit reproduces the reference table, labels bijective",
         dev < 1e-9,
@@ -201,9 +194,7 @@ def run_verification(echo=print):
 
         deviations = []
         for pair, row in zip(pairs, spectrum.per_pair):
-            phi = ctx.orbit.coords(*pair.alice)
-            psi = ctx.orbit.coords(*pair.bob)
-            direct, _ = eigenvalues_direct(build_x_operator(phi, psi, ctx.product))
+            direct, _ = eigenvalues_direct(ctx.pair_model.operators[pair.alice, pair.bob])
             expected = np.sort(np.repeat(row, dims))[::-1]
             deviations.append(np.abs(direct - expected).max())
         worst = float(np.max(deviations))
@@ -376,23 +367,9 @@ def _cmd_game(args):
 # scan
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _alice_eigenvalues(alice):
-    """Read-only (4, 24): the componentwise eigenvalues of the pairs (label `alice`,
-    label m), column m per Bob label in all_labels() order.  Built on first use of
-    each Alice label index, one `eigenvalues_isotypic` call per Bob label."""
-    ctx, labels = standard_context(), all_labels()
-    phi = ctx.orbit.coords(*labels[alice])
-    eigs = np.array([
-        eigenvalues_isotypic(phi, ctx.orbit.coords(*lab), ctx.projectors) for lab in labels
-    ]).T.copy()
-    eigs.setflags(write=False)
-    return eigs
-
-
 def _cmd_scan(args):
     alice, labels = args.phi, all_labels()
-    eigs = _alice_eigenvalues(labels.index(alice))
+    eigs = standard_context().pair_model.alice_table(alice)
     combos, cmaxes = scan_maxima(alice, args.orbits)
     # Componentwise eigenvalues are additive over the orbits of a multiset;
     # summed orbit by orbit, in spec order: float addition is not associative.

@@ -1,7 +1,7 @@
 """One-stop construction of the standard S4 machinery."""
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -26,6 +26,12 @@ class Context:
     product: Representation
     projectors: np.ndarray  # (4, 9, 9), in the order of tables.COMPONENT_ORDER
     orbit: Orbit
+
+    @cached_property
+    def pair_model(self):
+        """This object's quantum.PairModel, empty at first; a replaced context has its own."""
+        from .quantum import PairModel  # quantum imports this module
+        return PairModel(self)
 
 
 @lru_cache(maxsize=1)

@@ -13,6 +13,8 @@ only in rendered reports.  The same spectrum is computed a second,
 independent way by LAPACK's symmetric eigensolver (numpy.linalg.eigh) on
 the assembled 9x9 matrix; the two routes cross-check each other.
 
+Each pair's operator and componentwise eigenvalues are computed once per
+context, on first use, and kept read-only in its `pair_model` (`PairModel`).
 Several orbit pairs are combined by summing their operators.  Every pair
 operator is sum_s lambda_s P_s over the same four projectors, so the sum
 has the componentwise sums as eigenvalues and `scan` ranks by the largest.
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import tables
 from .context import Context
-from .orbit import OrbitPair
+from .orbit import OrbitPair, all_labels
 from .representation import EPS, Representation
 
 __all__ = [
@@ -131,34 +133,61 @@ class SumSpectrum:
         }
 
 
+class _PairCache(dict):
+    """(alice, bob) labels -> the read-only fn(phi, psi) of their seeds, made on first read."""
+
+    def __init__(self, orbit, fn):
+        super().__init__()
+        self._orbit, self._fn = orbit, fn
+
+    def __missing__(self, labels):
+        self[labels] = value = self._fn(*(self._orbit.coords(*lab) for lab in labels))
+        value.setflags(write=False)
+        return value
+
+
+class PairModel:
+    """Each orbit pair's operator and componentwise eigenvalue row, kept per context:
+    `operators[alice, bob]` and `rows[alice, bob]`, for two (basis, outcome) labels,
+    are `build_x_operator` and `eigenvalues_isotypic` of the pair's seeds."""
+
+    def __init__(self, ctx: Context):
+        orbit, product, projectors = ctx.orbit, ctx.product, ctx.projectors
+        self.operators = _PairCache(orbit, lambda phi, psi: build_x_operator(phi, psi, product))
+        self.rows = _PairCache(orbit, lambda phi, psi: eigenvalues_isotypic(phi, psi, projectors))
+        self._tables = {}
+
+    def alice_table(self, alice):
+        """Read-only (4, 24): column m is the row of the pair (alice, all_labels()[m])."""
+        if alice not in self._tables:
+            self._tables[alice] = np.stack([self.rows[alice, bob] for bob in all_labels()], 1)
+            self._tables[alice].setflags(write=False)
+        return self._tables[alice]
+
+
 def max_eigenvalue_sum(pairs, ctx: Context) -> SumSpectrum:
-    """Assemble the summed operator for labeled orbit pairs and diagonalize it.
+    """Sum the pair model's operators for labeled orbit pairs and diagonalize.
 
     The componentwise sums of the per-pair eigenvalues must reappear in the
-    directly computed spectrum (to within EIG_TOL); a violation means the
-    two routes disagree and raises RuntimeError.
+    directly computed spectrum (to within EIG_TOL); a violation, a NaN sum
+    among them, means the two routes disagree and raises RuntimeError.
     """
     pairs = tuple(p if isinstance(p, OrbitPair) else OrbitPair(*p) for p in pairs)
     if not pairs:
         raise ValueError("need at least one orbit pair")
-    total = np.zeros((ctx.product.dim, ctx.product.dim))
-    per_pair = []
-    for pair in pairs:
-        phi = ctx.orbit.coords(*pair.alice)
-        psi = ctx.orbit.coords(*pair.bob)
-        total += build_x_operator(phi, psi, ctx.product)
-        per_pair.append(eigenvalues_isotypic(phi, psi, ctx.projectors))
-    per_pair = np.array(per_pair)
-    # Python's sum adds the rows in pair order; numpy's pairwise summation
-    # would regroup them and could change the last bit.
+    model, keys = ctx.pair_model, [(p.alice, p.bob) for p in pairs]
+    # Python's sum adds in pair order; numpy's pairwise summation would
+    # regroup the rows and could change the last bit.
+    total = sum((model.operators[k] for k in keys), np.zeros((ctx.product.dim, ctx.product.dim)))
+    per_pair = np.array([model.rows[k] for k in keys])
     sums = sum(per_pair)
 
     values, vectors = jacobi_eigh(total)
-    for label, value in zip(tables.COMPONENT_ORDER, sums):
-        if not np.abs(values - value).min() <= EIG_TOL:
-            raise RuntimeError(
-                f"componentwise sum for {label} ({value:.9f}) missing from spectrum"
-            )
+    missing = ~(np.abs(values[:, None] - sums).min(axis=0) <= EIG_TOL)
+    if missing.any():
+        k = int(np.argmax(missing))
+        label, value = tables.COMPONENT_ORDER[k], sums[k]
+        raise RuntimeError(f"componentwise sum for {label} ({value:.9f}) missing from spectrum")
     return SumSpectrum(
         lambda_max=float(values[0]),
         eigenvector=vectors[:, 0].copy(),

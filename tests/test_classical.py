@@ -80,20 +80,43 @@ def test_repeated_pair_raises(orbit):
         bell_terms([pair, pair], orbit)
 
 
+def term_sources():
+    """Valid terms to build on: hand-built ones and a `bell_terms` expansion's."""
+    expanded = bell_terms(tables.CASE_PAIRS["II"], standard_context().orbit)
+    return ((2, 1, 3, 2), (1, 0, 1, 0)), expanded.terms
+
+
 @pytest.mark.parametrize("bad", ["1", 1.5, 1.0])
 def test_non_integer_terms_rejected(bad):
-    for term in ((bad, 0, 1, 0), (1, bad, 1, 0)):
-        with pytest.raises(ValueError, match="integers"):
-            BellExpression((term,))
+    for terms in term_sources():
+        for term in ((bad, 0, 1, 0), (1, bad, 1, 0), (1, 0, 1, np.float64(bad))):
+            with pytest.raises(ValueError, match=r"^term must be four integers, got "):
+                BellExpression(terms + (term,))
 
 
 def test_expression_validation():
-    with pytest.raises(ValueError):
-        BellExpression(((9, 0, 1, 0),))
-    with pytest.raises(ValueError):
-        BellExpression(((1, 3, 1, 0),))
-    with pytest.raises(ValueError):
-        BellExpression(((1, 0, 1, 0), (1, 0, 1, 0)))
+    for terms in term_sources():
+        for bad, message in (((9, 0, 1, 0), "setting out of range in Term(s=9, a=0, t=1, b=0)"),
+                             ((1, 0, 0, 0), "setting out of range in Term(s=1, a=0, t=0, b=0)"),
+                             ((1, 3, 1, 0), "outcome out of range in Term(s=1, a=3, t=1, b=0)"),
+                             ((1, 0, 1, -1), "outcome out of range in Term(s=1, a=0, t=1, b=-1)"),
+                             ((1, 0, 1), "term must be four integers, got (1, 0, 1)"),
+                             ((1, 0, 1, 0, 0), "term must be four integers, got (1, 0, 1, 0, 0)"),
+                             (7, "term must be four integers, got 7"),
+                             (terms[1], f"duplicate term {Term(*terms[1])}")):
+            with pytest.raises(ValueError) as excinfo:
+                BellExpression(terms + (bad,))
+            assert str(excinfo.value) == message
+
+
+def test_numpy_and_bool_entries_are_stored_as_python_ints():
+    for terms in term_sources():
+        mixed = [(np.int64(s), a == 1, np.int8(t), np.uint16(b)) for s, a, t, b in terms
+                 if a < 2]
+        expr = BellExpression(tuple(mixed))
+        assert expr.terms == tuple(Term(s, a, t, b) for s, a, t, b in terms if a < 2)
+        assert {type(x) for term in expr.terms for x in term} == {int}
+        assert all(type(term) is Term for term in expr.terms)
 
 
 def test_classical_bounds(case_exprs):

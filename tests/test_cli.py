@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from s4bell import cli
+from s4bell import cli, quantum
 from s4bell.cli import PairSpecError, main, parse_pair_spec, run_verification
 from s4bell.context import standard_context
 from s4bell.orbit import OrbitPair, all_labels
@@ -380,34 +381,57 @@ def test_full_scans_are_pinned(orbits):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, phi
 
 
-def test_alice_eigenvalue_rows_are_built_once_per_label(monkeypatch):
-    # A label's first scan makes the 24 eigenvalues_isotypic calls of an
-    # uncached scan; later scans at that label, of any size, make none,
-    # also after a scan at another label.
-    calls = []
+@pytest.fixture()
+def pair_calls(monkeypatch):
+    """A fresh pair model on the standard context, and the calls made to fill it."""
+    calls = {"build_x_operator": 0, "eigenvalues_isotypic": 0}
 
-    def counted(*args):
-        calls.append(args)
-        return eigenvalues_isotypic(*args)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
 
-    cli._alice_eigenvalues.cache_clear()
-    monkeypatch.setattr(cli, "eigenvalues_isotypic", counted)
+    for name in calls:
+        monkeypatch.setattr(quantum, name, counted(name, getattr(quantum, name)))
+    monkeypatch.delitem(standard_context().__dict__, "pair_model", raising=False)
+    return calls
+
+
+def test_scan_reads_alice_tables_from_the_pair_model(pair_calls):
+    # A label's first scan fills its 24 pairs; later scans at that label, of
+    # any size, fill none, also after a scan at another label.
+    model = standard_context().pair_model
     for orbits, phi, expected in (("3", "x12", 24), ("3", "x12", 0), ("1", "x27", 24),
                                   ("2", "x12", 0), ("3", "x27", 0)):
-        calls.clear()
+        before = pair_calls["eigenvalues_isotypic"]
         run_cli(["scan", "--orbits", orbits, "--phi", phi])
-        assert len(calls) == expected, (orbits, phi)
-    assert cli._alice_eigenvalues.cache_info().currsize == 2
-    monkeypatch.undo()
+        assert pair_calls["eigenvalues_isotypic"] - before == expected, (orbits, phi)
+    assert (len(model.rows), len(model.operators)) == (48, 0)
+    assert model.alice_table((2, 1)) is model.alice_table((2, 1))
 
     ctx = standard_context()
-    for k, alice in enumerate(all_labels()):
-        eigs = cli._alice_eigenvalues(k)
+    for alice in all_labels():
+        eigs = model.alice_table(alice)
         assert eigs.shape == (4, 24) and not eigs.flags.writeable
         phi = ctx.orbit.coords(*alice)
         for m, bob in enumerate(all_labels()):
             fresh = eigenvalues_isotypic(phi, ctx.orbit.coords(*bob), ctx.projectors)
             assert np.array_equal(eigs[:, m], fresh), (alice, bob)
+
+
+def test_cold_analyze_fills_only_its_pairs(pair_calls):
+    spec = "x12:x01,x23:x14,x27:x05"
+    code, first = run_cli(["analyze", "--pairs", spec])
+    assert code == 0
+    model = standard_context().pair_model
+    assert set(model.operators) == set(model.rows) == {
+        (p.alice, p.bob) for p in parse_pair_spec(spec)}
+    assert pair_calls == {"build_x_operator": 3, "eigenvalues_isotypic": 3}
+    assert run_cli(["analyze", "--pairs", spec]) == (0, first)
+    assert run_cli(["game", "--pairs", spec])[0] == 0
+    assert pair_calls == {"build_x_operator": 3, "eigenvalues_isotypic": 3}
+    assert len(model.operators) == len(model.rows) == 3
 
 
 @pytest.mark.parametrize("phi", ["x01", "x12", "x27"])
@@ -476,6 +500,20 @@ def test_verify_fails_a_nan_orbit_coordinate_after_the_first_label(monkeypatch):
     assert run_verification(echo=lines.append) is False
     line, = [x for x in lines if "orbit reproduces the reference table" in x]
     assert line.startswith("FAIL") and "max coordinate deviation nan" in line
+
+
+def test_verify_fails_a_nan_orbit_coordinate(monkeypatch):
+    # Label x02 is in none of the built-in cases, so every other check runs.
+    ctx = standard_context()
+    points = ctx.orbit.points.copy()
+    points[all_labels().index((2, 0)), 1] = np.nan
+    broken = dataclasses.replace(ctx, orbit=dataclasses.replace(ctx.orbit, points=points))
+    monkeypatch.setattr(cli, "standard_context", lambda: broken)
+    lines = []
+    assert run_verification(echo=lines.append) is False
+    line, = [x for x in lines if "orbit reproduces the reference table" in x]
+    assert line.startswith("FAIL") and "max coordinate deviation nan" in line
+    assert sum(x.startswith("FAIL") for x in lines) == 2  # and case III's known mismatch
 
 
 def test_verify_command_exit_code():

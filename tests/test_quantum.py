@@ -301,6 +301,31 @@ def test_isotypic_bit_identical_to_kron_formula(orbit, projectors):
         assert np.array_equal(values, expected)
 
 
+def test_pair_model_equals_the_two_functions_on_every_pair(ctx):
+    labels, model = all_labels(), ctx.pair_model
+    for alice, bob in itertools.product(labels, labels):
+        operator, row = model.operators[alice, bob], model.rows[alice, bob]
+        phi, psi = ctx.orbit.coords(*alice), ctx.orbit.coords(*bob)
+        assert np.array_equal(operator, build_x_operator(phi, psi, ctx.product))
+        assert np.array_equal(row, eigenvalues_isotypic(phi, psi, ctx.projectors))
+        for arr in (operator, row):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+    assert len(model.operators) == len(model.rows) == 576
+    assert model.operators[labels[4], labels[7]] is model.operators[labels[4], labels[7]]
+    assert model.rows[labels[4], labels[7]] is model.rows[labels[4], labels[7]]
+
+
+def test_replaced_context_has_its_own_pair_model(ctx, case_pairs):
+    key = (case_pairs["I"][0].alice, case_pairs["I"][0].bob)
+    ctx.pair_model.rows[key]
+    replaced = dataclasses.replace(ctx, projectors=2 * ctx.projectors)
+    assert replaced.pair_model is not ctx.pair_model
+    assert replaced.pair_model.rows == {} and replaced.pair_model.operators == {}
+    assert np.array_equal(replaced.pair_model.rows[key], 2 * ctx.pair_model.rows[key])
+    assert list(replaced.pair_model.rows) == [key]
+
+
 def _bad_matrix(kind):
     bad = np.eye(9)
     if kind == "nonsymmetric":
