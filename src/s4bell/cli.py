@@ -23,10 +23,10 @@ once per copy.  `analyze` and `game` reject such a spec (duplicate term).
 
 The parser, the S4 context, per `--orbits` value `scan`'s multisets and
 class maxima, and per `--phi` label and `--orbits` value its classical
-maxima are built once per process, on first use.  So are each orbit
-pair's operator and eigenvalue row, in the context's pair model, which
-`analyze`, `game`, `scan` and `verify` read.  A later `main` call prints
-what it would first.
+maxima are built once per process, on first use.  So are the context's
+pair model, one table of every orbit pair's componentwise eigenvalues,
+and each pair's operator in it; `analyze`, `game`, `scan` and `verify`
+read them.  A later `main` call prints what it would first.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (a malformed
 or term-repeating spec), 3 internal error (building the S4 context or
@@ -36,6 +36,7 @@ SIGPIPE death), with no traceback.
 """
 
 import argparse
+import itertools
 import json
 import os
 import re
@@ -158,16 +159,13 @@ def run_verification(echo=print):
         f"max coordinate deviation {dev:.1e}",
     )
 
-    # Change-of-basis validation.
+    # Change-of-basis validation, under one name whether it passes or fails.
+    name = "block basis is orthogonal and block-diagonalizes the projectors"
     try:
         report = validate_block_basis(ctx.projectors)
-        check(
-            "block basis is orthogonal and block-diagonalizes the projectors",
-            True,
-            f"worst deviation {max(report.values()):.1e}",
-        )
+        check(name, True, f"worst deviation {max(report.values()):.1e}")
     except TableMismatchError as exc:
-        check("block basis validation", False, str(exc))
+        check(name, False, str(exc))
 
     dims = [tables.COMPONENT_DIMS[label] for label in tables.COMPONENT_ORDER]
     case_exprs = {}
@@ -194,7 +192,7 @@ def run_verification(echo=print):
 
         deviations = []
         for pair, row in zip(pairs, spectrum.per_pair):
-            direct, _ = eigenvalues_direct(ctx.pair_model.operators[pair.alice, pair.bob])
+            direct, _ = eigenvalues_direct(ctx.pair_model.operator(pair.alice, pair.bob))
             expected = np.sort(np.repeat(row, dims))[::-1]
             deviations.append(np.abs(direct - expected).max())
         worst = float(np.max(deviations))
@@ -369,7 +367,7 @@ def _cmd_game(args):
 
 def _cmd_scan(args):
     alice, labels = args.phi, all_labels()
-    eigs = standard_context().pair_model.alice_table(alice)
+    eigs = standard_context().pair_model.eigenvalues[labels.index(alice)].T
     combos, cmaxes = scan_maxima(alice, args.orbits)
     # Componentwise eigenvalues are additive over the orbits of a multiset;
     # summed orbit by orbit, in spec order: float addition is not associative.
@@ -378,12 +376,16 @@ def _cmd_scan(args):
         sums += np.take(eigs, combos[:, j], axis=1)
     lams = np.maximum.reduce(sums)
     gaps = lams - cmaxes
-    # The --top largest gaps, equal gaps in combination order (label order,
-    # as all_labels() is sorted): a stable sort of every gap at least the cut.
+    # Gaps sorted descending fall into tie classes, split where a step down
+    # exceeds 1e-9; each class is ranked in combination order (label order, as
+    # all_labels() is sorted).  Only gaps within 1e-9 of the --top-th are ranked.
     top = min(args.top, len(gaps))
     cut = np.partition(gaps, len(gaps) - top)[len(gaps) - top] if top else np.inf
-    candidates = np.flatnonzero(gaps >= cut)
-    order = candidates[np.argsort(-gaps[candidates], kind="stable")][:top]
+    desc = np.flatnonzero(gaps >= cut - 1e-9)
+    desc = desc[np.argsort(-gaps[desc], kind="stable")]
+    g = gaps[desc].tolist()
+    tie_class = itertools.accumulate(a - b > 1e-9 for a, b in zip([np.inf, *g], g))
+    order = [i for _, i in sorted(zip(tie_class, desc.tolist()))][:top]
 
     print(
         f"scan over {len(combos)} unordered Bob-label multisets "

@@ -29,7 +29,7 @@ class Context:
 
     @cached_property
     def pair_model(self):
-        """This object's quantum.PairModel, empty at first; a replaced context has its own."""
+        """This object's quantum.PairModel, made on first read; a replaced context has its own."""
         from .quantum import PairModel  # quantum imports this module
         return PairModel(self)
 

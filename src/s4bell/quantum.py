@@ -13,11 +13,12 @@ only in rendered reports.  The same spectrum is computed a second,
 independent way by LAPACK's symmetric eigensolver (numpy.linalg.eigh) on
 the assembled 9x9 matrix; the two routes cross-check each other.
 
-Each pair's operator and componentwise eigenvalues are computed once per
-context, on first use, and kept read-only in its `pair_model` (`PairModel`).
-Several orbit pairs are combined by summing their operators.  Every pair
-operator is sum_s lambda_s P_s over the same four projectors, so the sum
-has the componentwise sums as eigenvalues and `scan` ranks by the largest.
+Each context's `pair_model` (`PairModel`) holds the componentwise
+eigenvalues of all 24 x 24 orbit pairs in one read-only table, made in one
+call on first use, and each pair's operator, made on first read.  Several
+orbit pairs are combined by summing their operators.  Every pair operator
+is sum_s lambda_s P_s over the same four projectors, so the sum has the
+componentwise sums as eigenvalues and `scan` ranks by the largest.
 `max_eigenvalue_sum` (analyze, game, verify) diagonalizes the summed matrix
 instead and checks that every componentwise sum appears in its spectrum.
 """
@@ -97,6 +98,11 @@ def eigenvalues_direct(matrix):
     return values, vectors[:, 0]
 
 
+def _isotypic(w, projectors):
+    """(|G|/d_s) w . P_s w for seed products w of shape (..., 9): shape (..., 4)."""
+    return _SCALE * np.einsum("...i,sij,...j->...s", w, projectors, w)
+
+
 def eigenvalues_isotypic(phi, psi, projectors: np.ndarray) -> np.ndarray:
     """Componentwise eigenvalues (|G|/d_s) ||P_s (phi (x) psi)||^2.
 
@@ -104,8 +110,7 @@ def eigenvalues_isotypic(phi, psi, projectors: np.ndarray) -> np.ndarray:
     order of `projectors`.  The scalar component comes out as
     8 (phi . psi)^2 for unit inputs.
     """
-    w = _seed_product(phi, psi)
-    return _SCALE * np.array([float(np.dot(p @ w, w)) for p in projectors])
+    return _isotypic(_seed_product(phi, psi), projectors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,36 +138,26 @@ class SumSpectrum:
         }
 
 
-class _PairCache(dict):
-    """(alice, bob) labels -> the read-only fn(phi, psi) of their seeds, made on first read."""
-
-    def __init__(self, orbit, fn):
-        super().__init__()
-        self._orbit, self._fn = orbit, fn
-
-    def __missing__(self, labels):
-        self[labels] = value = self._fn(*(self._orbit.coords(*lab) for lab in labels))
-        value.setflags(write=False)
-        return value
-
-
 class PairModel:
-    """Each orbit pair's operator and componentwise eigenvalue row, kept per context:
-    `operators[alice, bob]` and `rows[alice, bob]`, for two (basis, outcome) labels,
-    are `build_x_operator` and `eigenvalues_isotypic` of the pair's seeds."""
+    """Every orbit pair's componentwise eigenvalues and operator, kept per context.
+
+    `eigenvalues[k, m]`, in one read-only (24, 24, 4) table, is `eigenvalues_isotypic`
+    of the seeds of all_labels()[k] (Alice) and all_labels()[m] (Bob).  `operator(alice,
+    bob)` is `build_x_operator` of theirs, made on first read and kept in `operators`.
+    """
 
     def __init__(self, ctx: Context):
-        orbit, product, projectors = ctx.orbit, ctx.product, ctx.projectors
-        self.operators = _PairCache(orbit, lambda phi, psi: build_x_operator(phi, psi, product))
-        self.rows = _PairCache(orbit, lambda phi, psi: eigenvalues_isotypic(phi, psi, projectors))
-        self._tables = {}
+        self._coords, self._product, points = ctx.orbit.coords, ctx.product, ctx.orbit.points
+        seeds = np.einsum("ki,mj->kmij", points, points).reshape(24, 24, 9)
+        self.eigenvalues = _isotypic(seeds, ctx.projectors)
+        self.eigenvalues.setflags(write=False)
+        self.operators = {}
 
-    def alice_table(self, alice):
-        """Read-only (4, 24): column m is the row of the pair (alice, all_labels()[m])."""
-        if alice not in self._tables:
-            self._tables[alice] = np.stack([self.rows[alice, bob] for bob in all_labels()], 1)
-            self._tables[alice].setflags(write=False)
-        return self._tables[alice]
+    def operator(self, alice, bob):
+        if (alice, bob) not in self.operators:
+            phi, psi = self._coords(*alice), self._coords(*bob)
+            self.operators[alice, bob] = build_x_operator(phi, psi, self._product)
+        return self.operators[alice, bob]
 
 
 def max_eigenvalue_sum(pairs, ctx: Context) -> SumSpectrum:
@@ -175,11 +170,12 @@ def max_eigenvalue_sum(pairs, ctx: Context) -> SumSpectrum:
     pairs = tuple(p if isinstance(p, OrbitPair) else OrbitPair(*p) for p in pairs)
     if not pairs:
         raise ValueError("need at least one orbit pair")
-    model, keys = ctx.pair_model, [(p.alice, p.bob) for p in pairs]
+    model, labels = ctx.pair_model, all_labels()
     # Python's sum adds in pair order; numpy's pairwise summation would
     # regroup the rows and could change the last bit.
-    total = sum((model.operators[k] for k in keys), np.zeros((ctx.product.dim, ctx.product.dim)))
-    per_pair = np.array([model.rows[k] for k in keys])
+    total = sum((model.operator(p.alice, p.bob) for p in pairs), np.zeros((ctx.product.dim,) * 2))
+    per_pair = np.array([model.eigenvalues[labels.index(p.alice), labels.index(p.bob)]
+                         for p in pairs])
     sums = sum(per_pair)
 
     values, vectors = jacobi_eigh(total)

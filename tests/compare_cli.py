@@ -18,8 +18,8 @@ The 125 commands cover all five subcommands and the usage-error path:
 `scan --orbits 1|2|3 --top 2600` for every `--phi` label, the `scan`
 commands pinned in tests/golden/, the benchmark's `scan --orbits 3 --top
 10` at `--phi` x01, x12, x27 and x18, `scan --orbits 2|3 --top 1|4|8`
-(at x01, `--top 4` cuts a run of exactly equal gaps at both sizes, `--top
-1` and `--top 8` at size 3), `analyze` as text, `--json` and `--csv`
+(at x01, `--top 4` cuts a tie class, gaps within 1e-9, at both sizes,
+`--top 1` and `--top 8` at size 3), `analyze` as text, `--json` and `--csv`
 on the built-in cases I-III, the same three forms of `analyze --histogram`
 on cases I-III, the one-pair spec `x01:x14` and the 24-pair spec
 `x01:x01,x01:x11,...,x01:x28`, `analyze --histogram` as `--json` and

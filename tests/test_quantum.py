@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_unit
-from s4bell import tables
+from s4bell import quantum, tables
 from s4bell.orbit import OrbitPair, all_labels
 from s4bell.quantum import (
     build_x_operator,
@@ -293,37 +293,36 @@ def test_isotypic_bit_identical_to_kron_formula(orbit, projectors):
     # build_x_operator's half of this check is the test above, whose
     # reference builds the seed vector with np.kron too.
     labels = all_labels()
-    scale = np.array([24 / d for d in DIMS])
     for alice, bob in itertools.product(labels, labels):
         w = np.kron(orbit.coords(*alice), orbit.coords(*bob))
-        expected = scale * np.array([float(np.dot(p @ w, w)) for p in projectors])
         values = eigenvalues_isotypic(orbit.coords(*alice), orbit.coords(*bob), projectors)
-        assert np.array_equal(values, expected)
+        assert np.array_equal(values, quantum._isotypic(w, projectors))
 
 
 def test_pair_model_equals_the_two_functions_on_every_pair(ctx):
     labels, model = all_labels(), ctx.pair_model
-    for alice, bob in itertools.product(labels, labels):
-        operator, row = model.operators[alice, bob], model.rows[alice, bob]
+    assert model.eigenvalues.shape == (24, 24, 4)
+    for (k, alice), (m, bob) in itertools.product(enumerate(labels), enumerate(labels)):
+        operator, row = model.operator(alice, bob), model.eigenvalues[k, m]
         phi, psi = ctx.orbit.coords(*alice), ctx.orbit.coords(*bob)
         assert np.array_equal(operator, build_x_operator(phi, psi, ctx.product))
         assert np.array_equal(row, eigenvalues_isotypic(phi, psi, ctx.projectors))
-        for arr in (operator, row):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 0
-    assert len(model.operators) == len(model.rows) == 576
-    assert model.operators[labels[4], labels[7]] is model.operators[labels[4], labels[7]]
-    assert model.rows[labels[4], labels[7]] is model.rows[labels[4], labels[7]]
+        with pytest.raises(ValueError, match="read-only"):
+            operator[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        model.eigenvalues[0, 0] = 0
+    assert len(model.operators) == 576
+    assert model.operator(labels[4], labels[7]) is model.operators[labels[4], labels[7]]
 
 
 def test_replaced_context_has_its_own_pair_model(ctx, case_pairs):
     key = (case_pairs["I"][0].alice, case_pairs["I"][0].bob)
-    ctx.pair_model.rows[key]
+    ctx.pair_model.operator(*key)
     replaced = dataclasses.replace(ctx, projectors=2 * ctx.projectors)
     assert replaced.pair_model is not ctx.pair_model
-    assert replaced.pair_model.rows == {} and replaced.pair_model.operators == {}
-    assert np.array_equal(replaced.pair_model.rows[key], 2 * ctx.pair_model.rows[key])
-    assert list(replaced.pair_model.rows) == [key]
+    assert replaced.pair_model.operators == {}
+    assert np.array_equal(replaced.pair_model.eigenvalues, 2 * ctx.pair_model.eigenvalues)
+    assert not replaced.pair_model.eigenvalues.flags.writeable
 
 
 def _bad_matrix(kind):
