@@ -12,22 +12,25 @@ one product of their labels' one-hot incidence with the term table).  A
 tuple's maximum is the sum of per-setting maxima, and the histogram meets
 in the middle: Bob's 3**4 outcome tuples on settings 1-4 and on 5-8 are
 scored apart by broadcast sums, and their score counts combine by one
-exact float64 product.  An expression builds its tables M once, on first use.
+exact float64 product.
 
 The scan is also symmetry-reduced.  Each element of S4 permutes the
 orbit labels and maps bases onto bases, so it permutes Alice tuples: the
 3**8 tuples fall into 306 orbits.  When the term set of an expression
 maps onto itself under every element (true of every `bell_terms`
 output), one representative per orbit, weighted by the orbit size,
-stands for all of its tuples.  Any other expression takes the full scan,
-the tests' reference.  `scan_maxima` reduces on Bob's side too: 72
-relabelings of settings, outcomes and parties permute the pair classes
-and keep every maximum, so `multiset_maxima` runs on one class multiset
-per orbit.  The maxima of every class multiset of a size, each Alice
-label's maxima per size, and both orbit tables are built once per
+stands for all of its tuples; any other expression takes the full scan.
+The 576 label pairs fall into 24 S4 classes, each pair with its class's
+term set, so a `bell_terms` expression sums its table and tables M from
+its classes' (checked invariant once); a hand-built one, the tests'
+reference, builds its own once, on first use.  `scan_maxima` reduces on
+Bob's side too: 72 relabelings of settings, outcomes and parties permute
+the classes and keep every maximum, so `multiset_maxima` runs on one
+class multiset per orbit.  All these S4 tables are built once per
 process, on first use.
 """
 
+import contextlib
 import itertools
 import operator
 from dataclasses import dataclass
@@ -37,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .context import standard_context
-from .orbit import N_OUTCOMES, N_SETTINGS, Orbit, OrbitPair, all_labels
+from .orbit import N_OUTCOMES, N_SETTINGS, Orbit, OrbitPair, _row, all_labels
 
 __all__ = [
     "Term",
@@ -71,7 +74,10 @@ class BellExpression:
     pairs: tuple = ()
 
     def __post_init__(self):
-        terms = tuple(map(_canonical_term, self.terms))
+        terms, canonical = tuple(self.terms), False
+        with contextlib.suppress(TypeError):  # an unhashable entry is not canonical
+            canonical = all(map(operator.is_, map(_term_table()[1].get, terms), terms))
+        terms = terms if canonical else tuple(map(_canonical_term, terms))
         object.__setattr__(self, "terms", terms)
         if len(set(terms)) != len(terms):
             seen = set()
@@ -128,13 +134,48 @@ def bell_terms(pairs, orbit: Orbit) -> BellExpression:
     For each pair and each group element g, the images of the two seeds
     are read from the orbit's label action, giving one term per
     (pair, element) in canonical order.  Duplicate terms across pairs
-    raise ValueError.
+    raise ValueError.  Standard-orbit expansions are summed from cached class tables.
     """
     pairs = tuple(p if isinstance(p, OrbitPair) else OrbitPair(*p) for p in pairs)
-    labels, table, columns = all_labels(), _term_table()[0], orbit.label_action.T.tolist()
-    terms = tuple(table[k][m] for p in pairs
-                  for k, m in zip(columns[labels.index(p.alice)], columns[labels.index(p.bob)]))
+    alice, bob = [_row(*p.alice) for p in pairs], [_row(*p.bob) for p in pairs]
+    if np.array_equal(orbit.label_action, standard_context().orbit.label_action):
+        return _class_expression(pairs, alice, bob)
+    table, columns = _term_table()[0], orbit.label_action.T.tolist()
+    terms = tuple(table[k][m] for a, b in zip(alice, bob) for k, m in zip(columns[a], columns[b]))
     return BellExpression(terms, pairs)
+
+
+@lru_cache(maxsize=1)
+def _pair_classes():
+    """Read-only (class_of, terms, tables, alice_tables) of the standard label action, built on
+    first use.  Label pair (k, m) has terms[k][m], its 24 Terms in `bell_terms` order, and the
+    term set of class class_of[k, m], the pair (x01, g.m) for the g taking k to x01.  Per class:
+    the int16 table F (8, 3, 8, 3) and tables M (306, 8, 3) on the `_alice_orbits()` rows."""
+    action, table = standard_context().orbit.label_action, _term_table()[0]
+    images = action.T.tolist()  # [k]: the image of label k under each element
+    terms = tuple(tuple(tuple(table[i][j] for i, j in zip(a, b)) for b in images) for a in images)
+    classes = [BellExpression(row) for row in terms[0]]
+    if not _is_invariant(*classes):
+        raise RuntimeError("a pair class's term set is not S4-invariant")
+    tables = np.stack([e.table for e in classes])
+    class_of = action[np.argmax(action == 0, axis=0)]
+    alice_tables = _per_alice_tables(tables, _alice_orbits().representatives)
+    for arr in (class_of, tables, alice_tables):
+        arr.setflags(write=False)
+    return class_of, terms, tables, alice_tables
+
+
+def _class_expression(pairs, alice, bob):
+    """`bell_terms` of label index pairs (alice[i], bob[i]), summed from their classes."""
+    class_of, pair_terms, tables, alice_tables = _pair_classes()
+    terms = tuple(itertools.chain.from_iterable(pair_terms[k][m] for k, m in zip(alice, bob)))
+    expr, ids, orbits = BellExpression(terms, pairs), class_of[alice, bob], _alice_orbits()
+    table, m = (arr[ids].sum(axis=0, dtype=np.int16) for arr in (tables, alice_tables))
+    scan = orbits.representatives, orbits.sizes, m, _row_maxima(m)
+    for arr in (table, *scan):
+        arr.setflags(write=False)
+    vars(expr).update(table=table, _scan=scan)
+    return expr
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,10 +388,10 @@ def _checked_size(size):
 def multiset_maxima(exprs, multisets):
     """Classical maxima of the unions of `exprs` named by the rows of a (K, size) index array.
 
-    A term counts once per member that holds it; the members' per-Alice tables
-    come from one product and are summed per multiset (no temporary spans all K)
-    into one K x 3 x 8 x rows buffer, reduced once in int8 when `size` times any
-    member's largest row value fits, else in int16.  A size whose bound
+    A term counts once per member that holds it; the members' scan-state tables M (one
+    product over all tuples if only some members are invariant) are summed per multiset
+    (no temporary spans all K) into one K x 3 x 8 x rows buffer, reduced once in int8 when
+    `size` times any member's largest row value fits, else in int16.  A size whose bound
     N_SETTINGS**2 * size exceeds int16 raises ValueError."""
     if not exprs:
         raise ValueError("exprs must hold at least one expression")
@@ -359,7 +400,9 @@ def multiset_maxima(exprs, multisets):
             multisets.size and not 0 <= multisets.min() <= multisets.max() < n):
         raise ValueError(f"multisets must be a (K, size >= 1) array of indices in 0..{n - 1}")
     size = _checked_size(multisets.shape[1])
-    tables = _per_alice_tables(np.stack([e.table for e in exprs]), _alice_rows(*exprs)[0])
+    scans = [e._scan for e in exprs]
+    tables = (np.stack([s[2] for s in scans]) if len({len(s[0]) for s in scans}) == 1 else
+              _per_alice_tables(np.stack([e.table for e in exprs]), np.arange(len(_profiles()))))
     dtype = np.int8 if size * _row_maxima(tables).max() <= np.iinfo(np.int8).max else np.int16
     tables = np.ascontiguousarray(tables.transpose(0, 3, 2, 1), dtype=dtype)
     totals = np.empty((len(multisets), *tables.shape[1:]), dtype)
@@ -381,9 +424,9 @@ def _class_relabelings():
     keep = right[(bases == bases[..., :1]).all(axis=(1, 2))]
     if len(keep) != 6:
         raise RuntimeError(f"expected 6 basis-preserving label maps, found {len(keep)}")
-    to_zero = np.argmax(action == 0, axis=0)  # [k]: the element taking label k to 0
-    return np.array([action[to_zero[a[0]], b] for a in keep for b in keep]
-                    + [action[to_zero[b], a[0]] for a in keep for b in keep])
+    class_of = _pair_classes()[0]
+    return np.array([class_of[a[0], b] for a in keep for b in keep]
+                    + [class_of[b, a[0]] for a in keep for b in keep])
 
 
 def _codes(multisets):
@@ -395,16 +438,14 @@ def _codes(multisets):
 @lru_cache(maxsize=None)
 def _class_multisets(size):
     """Read-only: every class multiset of `size` in combinations order, its code and its
-    classical maximum.  Class m is the pair (x01, label m), whose term set every pair of
-    the class has.  Built on first use: a running minimum over the 72 relabelings (the
+    classical maximum.  Built on first use: a running minimum over the 72 relabelings (the
     identity among them) finds each orbit's smallest multiset, whose maximum the orbit shares."""
     combos = itertools.combinations_with_replacement(range(N_SETTINGS * N_OUTCOMES), size)
     multisets = np.fromiter(itertools.chain.from_iterable(combos), np.intp).reshape(-1, size)
     codes = _codes(multisets)
     smallest = reduce(np.minimum, (_codes(r[multisets]) for r in _class_relabelings()))
     first = np.flatnonzero(smallest == codes)
-    labels = all_labels()
-    exprs = [bell_terms([(labels[0], lab)], standard_context().orbit) for lab in labels]
+    exprs = [_class_expression((), [0], [c]) for c in range(N_SETTINGS * N_OUTCOMES)]
     maxima = multiset_maxima(exprs, multisets[first])[np.searchsorted(codes[first], smallest)]
     for arr in (multisets, codes, maxima):
         arr.setflags(write=False)
@@ -420,12 +461,10 @@ def scan_maxima(alice, size):
 
 @lru_cache(maxsize=None)
 def _alice_maxima(alice, size):
-    """Read-only `scan_maxima` maxima for Alice's label index.  With g taking her label
-    to 0, Bob's label m is in class action[g, m]; each maximum is looked up by class code."""
+    """Read-only `scan_maxima` maxima for Alice's label index.  Bob's label m is in class
+    class_of[alice, m] of `_pair_classes`; each maximum is looked up by class code."""
     multisets, codes, maxima = _class_multisets(size)
-    action = standard_context().orbit.label_action
-    classes = action[np.argmax(action[:, alice] == 0)]
-    found = maxima[np.searchsorted(codes, _codes(classes[multisets]))]
+    found = maxima[np.searchsorted(codes, _codes(_pair_classes()[0][alice][multisets]))]
     found.setflags(write=False)
     return found
 

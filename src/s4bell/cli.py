@@ -24,9 +24,9 @@ once per copy.  `analyze` and `game` reject such a spec (duplicate term).
 The parser, the S4 context, per `--orbits` value `scan`'s multisets and
 class maxima, and per `--phi` label and `--orbits` value its classical
 maxima are built once per process, on first use.  So are the context's
-pair model, one table of every orbit pair's componentwise eigenvalues,
-and each pair's operator in it; `analyze`, `game`, `scan` and `verify`
-read them.  A later `main` call prints what it would first.
+pair model (every orbit pair's componentwise eigenvalues in one table,
+and its operator) and the 24 pair classes' tables each spec is summed
+from; all but `orbits` read them.  A later `main` prints what a first would.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (a malformed
 or term-repeating spec), 3 internal error (building the S4 context or

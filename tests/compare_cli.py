@@ -14,7 +14,7 @@ an earlier command left in a process-wide cache shows up: a command whose
 hash then differs is marked "ORDER".  It exits 1 when any command differs
 or is marked, else 0.
 
-The 125 commands cover all five subcommands and the usage-error path:
+The 126 commands cover all five subcommands and the usage-error path:
 `scan --orbits 1|2|3 --top 2600` for every `--phi` label, the `scan`
 commands pinned in tests/golden/, the benchmark's `scan --orbits 3 --top
 10` at `--phi` x01, x12, x27 and x18, `scan --orbits 2|3 --top 1|4|8`
@@ -29,7 +29,8 @@ text, `--json` and `--csv` and `game` on `x12:x01,x23:x14,x27:x05`,
 `analyze --json` on the 24-pair spec `x01:x01,x11:x16,...,x28:x13` (24
 distinct Alice labels and 24 distinct pair classes; every other spec has
 Alice at x01), `orbits` and `orbits --json`, `verify`, and `analyze` on
-the specs `x01:x01,x11:x11` (a repeated term) and `x01:x14,,x01:x07`
+the specs `x01:x01,x11:x11` (a repeated term), `x01:x14,x15:x06` (two
+different pairs of one class, so the same 24 terms) and `x01:x14,,x01:x07`
 (malformed), which exit 2.
 """
 
@@ -92,7 +93,8 @@ COMMANDS += [["analyze", "--json", "--pairs", (
     "x18:x03,x28:x13")]]
 COMMANDS += [["orbits"], ["orbits", "--json"], ["verify"]]
 COMMANDS += [
-    ["analyze", "--pairs", spec] for spec in ("x01:x01,x11:x11", "x01:x14,,x01:x07")
+    ["analyze", "--pairs", spec]
+    for spec in ("x01:x01,x11:x11", "x01:x14,x15:x06", "x01:x14,,x01:x07")
 ]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -117,6 +118,34 @@ def test_numpy_and_bool_entries_are_stored_as_python_ints():
         assert expr.terms == tuple(Term(s, a, t, b) for s, a, t, b in terms if a < 2)
         assert {type(x) for term in expr.terms for x in term} == {int}
         assert all(type(term) is Term for term in expr.terms)
+
+
+def test_canonical_terms_pass_as_they_are_and_other_entries_as_before():
+    canonical = classical._term_table()[1]
+    expanded = bell_terms(tables.CASE_PAIRS["II"], standard_context().orbit)
+    for terms in (expanded.terms, BellExpression(expanded.terms).terms):
+        assert all(term is canonical[term] for term in terms)
+    term = canonical[(1, 0, 1, 0)]
+    others = tuple(t for t in expanded.terms if t != term)
+    for entry in ([1, 0, 1, 0], np.array([1, 0, 1, 0]), (np.int64(1), 0, 1, 0),
+                  (True, False, True, False), Term(np.int64(1), 0, 1, 0)):
+        for terms in ((entry,), (*others, entry)):
+            stored = BellExpression(terms).terms[-1]
+            assert stored is term
+            assert [type(x) for x in stored] == [int] * 4
+    for bad, message in (((1.0, 0, 1, 0), "term must be four integers, got (1.0, 0, 1, 0)"),
+                         (Term(1.0, 0, 1, 0),
+                          "term must be four integers, got Term(s=1.0, a=0, t=1, b=0)"),
+                         ([1, 0, 1], "term must be four integers, got [1, 0, 1]"),
+                         ((1, 0, 1, 0, 0), "term must be four integers, got (1, 0, 1, 0, 0)"),
+                         ((0, 0, 1, 0), "setting out of range in Term(s=0, a=0, t=1, b=0)"),
+                         (np.array([1, 0, 9, 0]),
+                          "setting out of range in Term(s=1, a=0, t=9, b=0)"),
+                         ((1, 3, 1, 0), "outcome out of range in Term(s=1, a=3, t=1, b=0)")):
+        for terms in ((bad,), (*expanded.terms, bad)):
+            with pytest.raises(ValueError) as excinfo:
+                BellExpression(terms)
+            assert str(excinfo.value) == message
 
 
 def test_classical_bounds(case_exprs):
@@ -474,21 +503,74 @@ def test_scan_state_is_built_once_per_expression_and_read_only(orbit, ctx, monke
 
     for name in calls:
         monkeypatch.setattr(classical, name, counted(name, getattr(classical, name)))
+    # Building the pair-class table makes one call of each; a `bell_terms`
+    # expression then sums its classes' tables and makes none.
+    classical._pair_classes.cache_clear()
     expr = bell_terms(tables.CASE_PAIRS["I"], orbit)
+    assert calls == {"_per_alice_tables": 1, "_is_invariant": 1}
     assert classical_max(expr) == 16
     assert classical_histogram(expr).c_max == 16
     f_alice, f_bob = optimal_classical_strategy(expr)
     assert coefficient(expr, f_alice, f_bob) == 16
     assert game_values(expr, ctx).classical * 64 == 16
     assert calls == {"_per_alice_tables": 1, "_is_invariant": 1}
-    # Nothing is shared between objects, even equal ones.
     again = bell_terms(tables.CASE_PAIRS["I"], orbit)
     assert again == expr
     assert classical_max(again) == 16
+    assert calls == {"_per_alice_tables": 1, "_is_invariant": 1}
+    # A hand-built expression builds its own scan state once.
+    hand = BellExpression(expr.terms)
+    assert classical_max(hand) == 16
+    assert classical_histogram(hand).c_max == 16
     assert calls == {"_per_alice_tables": 2, "_is_invariant": 2}
-    for arr in expr._scan:
+    for arr in (*expr._scan, *hand._scan):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
+
+
+def expanded_term_by_term(pairs, orbit):
+    """Reference `bell_terms`: each pair's terms read off the label action, element by
+    element, in a hand-built expression that builds its own table and scan state."""
+    labels, action = all_labels(), orbit.label_action
+    terms = [Term(*labels[g[labels.index(p.alice)]], *labels[g[labels.index(p.bob)]])
+             for p in pairs for g in action]
+    return BellExpression(tuple(terms), tuple(pairs))
+
+
+def test_class_sums_equal_the_term_route(orbit):
+    labels = all_labels()
+    specs = [[OrbitPair(a, b)] for a in labels for b in labels]
+    specs += [[OrbitPair(*p) for p in tables.CASE_PAIRS[name]] for name in tables.CASE_NAMES]
+    specs += [cli.parse_pair_spec(",".join(f"x01:{cli.format_label(lab)}" for lab in labels)),
+              cli.parse_pair_spec(
+                  "x01:x01,x11:x16,x21:x17,x02:x26,x12:x04,x22:x02,x03:x02,x13:x18,x23:x02,"
+                  "x04:x16,x14:x24,x24:x28,x05:x22,x15:x04,x25:x13,x06:x22,x16:x13,x26:x17,"
+                  "x07:x01,x17:x12,x27:x24,x08:x03,x18:x03,x28:x13"), []]
+    rng = np.random.default_rng(25)
+    specs += [[OrbitPair(labels[a], labels[b]) for a, b in rng.integers(24, size=(n, 2))]
+              for n in rng.integers(1, 7, size=200)]
+    # Another label action takes the term route inside `bell_terms` too.
+    other = dataclasses.replace(orbit, elements=orbit.elements[rng.permutation(24)])
+    assert not np.array_equal(other.label_action, orbit.label_action)
+    duplicates = 0
+    for spec, action_of in itertools.chain(zip(specs, itertools.repeat(orbit)),
+                                           zip(specs[-50:], itertools.repeat(other))):
+        try:
+            reference = expanded_term_by_term(spec, action_of)
+        except ValueError as exc:
+            duplicates += 1
+            with pytest.raises(ValueError) as excinfo:
+                bell_terms(spec, action_of)
+            assert str(excinfo.value) == str(exc)
+            continue
+        expr = bell_terms(spec, action_of)
+        assert expr == reference == BellExpression(expr.terms, expr.pairs)
+        assert all(a is b for a, b in zip(expr.terms, reference.terms))
+        for got, want in zip((expr.table, *expr._scan), (reference.table, *reference._scan)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable and not want.flags.writeable
+    assert 20 < duplicates < 150
 
 
 def test_class_tables_are_built_once_and_read_only(monkeypatch, capsys):
@@ -510,12 +592,12 @@ def test_class_tables_are_built_once_and_read_only(monkeypatch, capsys):
     for size in (1, 2, 3):
         for alice in (labels[0], labels[13]):
             scan_maxima(alice, size)
-        assert len(terms_calls) == 24 * size
+        assert len(terms_calls) == 0
     # One smallest class multiset per orbit of the 72 relabelings.
     assert maxima_rows == [2, 14, 70]
     assert cli.main(["scan", "--orbits", "3", "--phi", "x27"]) == 0
     assert capsys.readouterr().out
-    assert (len(terms_calls), len(maxima_rows)) == (72, 3)
+    assert (len(terms_calls), len(maxima_rows)) == (0, 3)
     for size in (1, 2, 3):
         arrays = _class_multisets(size)
         assert not any(arr.flags.writeable for arr in arrays)
