@@ -27,7 +27,7 @@ reference, builds its own once, on first use.  `scan_maxima` reduces on
 Bob's side too: 72 relabelings of settings, outcomes and parties permute
 the classes and keep every maximum, so `multiset_maxima` runs on one
 class multiset per orbit.  All these S4 tables are built once per
-process, on first use.
+process, on first use, in a few ms each.
 """
 
 import contextlib
@@ -145,16 +145,23 @@ def bell_terms(pairs, orbit: Orbit) -> BellExpression:
     return BellExpression(terms, pairs)
 
 
+@lru_cache(maxsize=None)
+def _pair_terms(k):
+    """[m]: the 24 Terms of the standard label pair (k, m) in `bell_terms` order, built per
+    Alice label index k on first use."""
+    images = standard_context().orbit.label_action.T.tolist()  # [k]: label k's images
+    alice = [_term_table()[0][i] for i in images[k]]
+    return tuple(tuple(map(operator.getitem, alice, bob)) for bob in images)
+
+
 @lru_cache(maxsize=1)
 def _pair_classes():
-    """Read-only (class_of, terms, tables, alice_tables) of the standard label action, built on
-    first use.  Label pair (k, m) has terms[k][m], its 24 Terms in `bell_terms` order, and the
-    term set of class class_of[k, m], the pair (x01, g.m) for the g taking k to x01.  Per class:
-    the int16 table F (8, 3, 8, 3) and tables M (306, 8, 3) on the `_alice_orbits()` rows."""
-    action, table = standard_context().orbit.label_action, _term_table()[0]
-    images = action.T.tolist()  # [k]: the image of label k under each element
-    terms = tuple(tuple(tuple(table[i][j] for i, j in zip(a, b)) for b in images) for a in images)
-    classes = [BellExpression(row) for row in terms[0]]
+    """Read-only (class_of, tables, alice_tables) of the standard label action, built on first
+    use.  Label pair (k, m) has the term set of class class_of[k, m], the pair (x01, g.m) for
+    the g taking k to x01.  Per class: the int16 table F (8, 3, 8, 3) and tables M (306, 8, 3)
+    on the `_alice_orbits()` rows."""
+    action = standard_context().orbit.label_action
+    classes = [BellExpression(row) for row in _pair_terms(0)]
     if not _is_invariant(*classes):
         raise RuntimeError("a pair class's term set is not S4-invariant")
     tables = np.stack([e.table for e in classes])
@@ -162,13 +169,13 @@ def _pair_classes():
     alice_tables = _per_alice_tables(tables, _alice_orbits().representatives)
     for arr in (class_of, tables, alice_tables):
         arr.setflags(write=False)
-    return class_of, terms, tables, alice_tables
+    return class_of, tables, alice_tables
 
 
 def _class_expression(pairs, alice, bob):
     """`bell_terms` of label index pairs (alice[i], bob[i]), summed from their classes."""
-    class_of, pair_terms, tables, alice_tables = _pair_classes()
-    terms = tuple(itertools.chain.from_iterable(pair_terms[k][m] for k, m in zip(alice, bob)))
+    class_of, tables, alice_tables = _pair_classes()
+    terms = tuple(itertools.chain.from_iterable(_pair_terms(k)[m] for k, m in zip(alice, bob)))
     expr, ids, orbits = BellExpression(terms, pairs), class_of[alice, bob], _alice_orbits()
     table, m = (arr[ids].sum(axis=0, dtype=np.int16) for arr in (tables, alice_tables))
     scan = orbits.representatives, orbits.sizes, m, _row_maxima(m)
@@ -212,9 +219,7 @@ def histogram_csv(hist: StrategyHistogram) -> str:
 @lru_cache(maxsize=1)
 def _profiles():
     """All outcome tuples of one party, in lexicographic order."""
-    arr = np.array(
-        list(itertools.product(range(N_OUTCOMES), repeat=N_SETTINGS)), dtype=np.int8
-    )
+    arr = np.indices((N_OUTCOMES,) * N_SETTINGS, dtype=np.int8).reshape(N_SETTINGS, -1).T
     arr.setflags(write=False)
     return arr
 
@@ -240,15 +245,18 @@ def _alice_orbits():
         raise RuntimeError("a group element does not map measurement bases onto bases")
 
     # A tuple's index in _profiles order is the sum over its labels (s, a)
-    # of a * 3**(8 - s); the orbit's smallest index names it.
+    # of a * 3**(8 - s); the orbit's smallest index names it.  It meets in the
+    # middle: a running minimum over the elements of their (81, 81) sums of
+    # the images' place values on settings 1-4 and on 5-8.
     k = np.arange(N_OUTCOMES * N_SETTINGS)
     place_value = (k % N_OUTCOMES) * N_OUTCOMES ** (N_SETTINGS - 1 - k // N_OUTCOMES)
-    prof = _profiles()
-    labels = N_OUTCOMES * np.arange(N_SETTINGS) + prof
-    smallest = np.arange(len(prof))
-    for g_action in action:
-        np.minimum(smallest, place_value[g_action][labels].sum(axis=1), out=smallest)
-    representatives = np.flatnonzero(smallest == np.arange(len(prof)))
+    half = np.indices((N_OUTCOMES,) * (N_SETTINGS // 2)).reshape(N_SETTINGS // 2, -1).T
+    labels = N_OUTCOMES * np.arange(N_SETTINGS).reshape(2, 1, -1) + half
+    left, right = place_value[action][:, labels].sum(axis=-1).transpose(1, 0, 2)
+    smallest = np.arange(len(half) ** 2)
+    for lo, hi in zip(left, right):
+        np.minimum(smallest, (lo[:, None] + hi).ravel(), out=smallest)
+    representatives = np.flatnonzero(smallest == np.arange(len(smallest)))
     sizes = np.bincount(smallest)[representatives]
     return _AliceOrbits(representatives, sizes)
 
@@ -291,15 +299,18 @@ def _alice_rows(*exprs: BellExpression):
 def _per_alice_tables(table, rows):
     """M[..., i, t, b]: terms with Bob pair (t, b) satisfied by Alice tuple rows[i].
 
-    One product M = A F, exact in float32 for these small integer sums:
-    A is the one-hot incidence of the rows' eight Alice labels (rows x 24)
-    and F the table, or a stack of tables, viewed as (..., 24, 24).
+    One float32 product M = A F per table (exact for these small integer
+    sums) into the int16 result: A is the one-hot incidence of the rows'
+    eight Alice labels (rows x 24), F the table or each of a stack as (24, 24).
     """
     labels = N_OUTCOMES * np.arange(N_SETTINGS) + _profiles()[rows]
     incidence = np.zeros((len(labels), N_SETTINGS * N_OUTCOMES), dtype=np.float32)
     np.put_along_axis(incidence, labels, 1, axis=1)
-    m = incidence @ table.reshape(*table.shape[:-4], N_SETTINGS * N_OUTCOMES, -1)
-    return m.astype(np.int16).reshape(*m.shape[:-1], N_SETTINGS, N_OUTCOMES)
+    f = table.reshape(-1, N_SETTINGS * N_OUTCOMES, N_SETTINGS * N_OUTCOMES)
+    m = np.empty((len(f), *incidence.shape), dtype=np.int16)
+    for out, one in zip(m, f):  # no float32 copy of a whole stack
+        out[...] = incidence @ one
+    return m.reshape(*table.shape[:-4], len(labels), N_SETTINGS, N_OUTCOMES)
 
 
 def _row_maxima(m):
@@ -435,18 +446,24 @@ def _codes(multisets):
     return np.ravel_multi_index(columns, (N_SETTINGS * N_OUTCOMES,) * len(columns))
 
 
+_RELABELING_GENERATORS = (3, 37)  # two `_class_relabelings()` rows that generate all 72
+
+
 @lru_cache(maxsize=None)
 def _class_multisets(size):
     """Read-only: every class multiset of `size` in combinations order, its code and its
-    classical maximum.  Built on first use: a running minimum over the 72 relabelings (the
-    identity among them) finds each orbit's smallest multiset, whose maximum the orbit shares."""
+    classical maximum.  Built on first use: each orbit's smallest index spreads along two
+    generating relabelings until it settles; that multiset's maximum is the whole orbit's."""
     combos = itertools.combinations_with_replacement(range(N_SETTINGS * N_OUTCOMES), size)
     multisets = np.fromiter(itertools.chain.from_iterable(combos), np.intp).reshape(-1, size)
     codes = _codes(multisets)
-    smallest = reduce(np.minimum, (_codes(r[multisets]) for r in _class_relabelings()))
-    first = np.flatnonzero(smallest == codes)
+    relabeled = [_codes(r[multisets]) for r in _class_relabelings()[list(_RELABELING_GENERATORS)]]
+    images, smallest, previous = np.searchsorted(codes, relabeled), np.arange(len(codes)), None
+    while not np.array_equal(smallest, previous):
+        previous, smallest = smallest, np.minimum(smallest, smallest[images].min(axis=0))
+    first = np.flatnonzero(smallest == np.arange(len(codes)))
     exprs = [_class_expression((), [0], [c]) for c in range(N_SETTINGS * N_OUTCOMES)]
-    maxima = multiset_maxima(exprs, multisets[first])[np.searchsorted(codes[first], smallest)]
+    maxima = multiset_maxima(exprs, multisets[first])[np.searchsorted(first, smallest)]
     for arr in (multisets, codes, maxima):
         arr.setflags(write=False)
     return multisets, codes, maxima

@@ -25,8 +25,10 @@ The parser, the S4 context, per `--orbits` value `scan`'s multisets and
 class maxima, and per `--phi` label and `--orbits` value its classical
 maxima are built once per process, on first use.  So are the context's
 pair model (every orbit pair's componentwise eigenvalues in one table,
-and its operator) and the 24 pair classes' tables each spec is summed
-from; all but `orbits` read them.  A later `main` prints what a first would.
+and its operator), the 24 pair classes' tables each spec is summed from
+and, per Alice label, its pairs' terms; all but `orbits` read them.  None
+is built at import or with the context.  A later `main` prints what a
+first would.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (a malformed
 or term-repeating spec), 3 internal error (building the S4 context or

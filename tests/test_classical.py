@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 
@@ -266,11 +267,31 @@ def test_histogram_kernel_at_its_size_bound(orbit):
     assert hist.c_max == 64
 
 
-def test_alice_orbit_table():
+def test_alice_orbit_table(orbit):
     orbits = _alice_orbits()
     assert len(orbits.representatives) == 306
     assert all(24 % size == 0 for size in orbits.sizes.tolist())
     assert orbits.sizes.sum() == 3 ** 8
+    tuples = list(itertools.product(range(3), repeat=8))
+    profiles = classical._profiles()
+    assert profiles.dtype == np.int8 and np.array_equal(profiles, tuples)
+    with pytest.raises(ValueError, match="read-only"):
+        profiles[0, 0] = 1
+    # Brute force: element g sends label k = 3 s + a (setting s counted from
+    # 0, outcome a) to label g[k], outcome g[k] % 3 of setting g[k] // 3.
+    index = {f: i for i, f in enumerate(tuples)}
+    smallest, action = [], orbit.label_action.tolist()
+    for f in tuples:
+        images = []
+        for g in action:
+            image = [0] * 8
+            for s, a in enumerate(f):
+                image[g[3 * s + a] // 3] = g[3 * s + a] % 3
+            images.append(index[tuple(image)])
+        smallest.append(min(images))
+    counts = collections.Counter(smallest)
+    assert orbits.representatives.tolist() == sorted(counts)
+    assert orbits.sizes.tolist() == [counts[r] for r in sorted(counts)]
 
 
 def test_non_invariant_expression_scans_every_alice_tuple(case_exprs):
@@ -528,6 +549,16 @@ def test_scan_state_is_built_once_per_expression_and_read_only(orbit, ctx, monke
             arr[0] = 0
 
 
+def test_pair_terms_are_built_per_alice_label(orbit):
+    # The class build reads Alice label x01's row; an expression adds only its own rows.
+    classical._pair_terms.cache_clear()
+    classical._pair_classes.cache_clear()
+    bell_terms([OrbitPair((1, 0), (5, 0))], orbit)
+    assert classical._pair_terms.cache_info().currsize == 1
+    bell_terms([OrbitPair((2, 1), (5, 0)), OrbitPair((2, 1), (3, 2))], orbit)
+    assert classical._pair_terms.cache_info().currsize == 2
+
+
 def expanded_term_by_term(pairs, orbit):
     """Reference `bell_terms`: each pair's terms read off the label action, element by
     element, in a hand-built expression that builds its own table and scan state."""
@@ -644,6 +675,17 @@ def test_class_relabelings_form_a_group_of_order_72():
     assert len(keys) == 72
     assert tuple(range(24)) in keys
     assert all(tuple(a[b]) in keys for a in maps for b in maps)
+
+
+def test_relabeling_generators_generate_all_72_relabelings():
+    maps = _class_relabelings()
+    generators = maps[list(classical._RELABELING_GENERATORS)]
+    closure, frontier = {tuple(range(24))}, [np.arange(24)]
+    while frontier:
+        images = [g[m] for m in frontier for g in generators]
+        frontier = [m for m in images if tuple(m) not in closure]
+        closure.update(tuple(m) for m in frontier)
+    assert closure == {tuple(m) for m in maps}
 
 
 def test_class_relabelings_keep_every_maximum(orbit):
