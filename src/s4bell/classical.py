@@ -23,11 +23,11 @@ stands for all of its tuples; any other expression takes the full scan.
 The 576 label pairs fall into 24 S4 classes, each pair with its class's
 term set, so a `bell_terms` expression sums its table and tables M from
 its classes' (checked invariant once); a hand-built one, the tests'
-reference, builds its own once, on first use.  `scan_maxima` reduces on
-Bob's side too: 72 relabelings of settings, outcomes and parties permute
-the classes and keep every maximum, so `multiset_maxima` runs on one
-class multiset per orbit.  All these S4 tables are built once per
-process, on first use, in a few ms each.
+reference, builds its own once, on first use.  Bob's side reduces too:
+72 relabelings of settings, outcomes and parties permute the classes and
+keep every maximum, so one class multiset per orbit is scanned; lambda_max
+(S4-invariant, not relabeling-invariant) is summed per class multiset.
+These S4 tables are built once per process, on first use, in a few ms.
 """
 
 import contextlib
@@ -400,21 +400,27 @@ def multiset_maxima(exprs, multisets):
     """Classical maxima of the unions of `exprs` named by the rows of a (K, size) index array.
 
     A term counts once per member that holds it; the members' scan-state tables M (one
-    product over all tuples if only some members are invariant) are summed per multiset
-    (no temporary spans all K) into one K x 3 x 8 x rows buffer, reduced once in int8 when
-    `size` times any member's largest row value fits, else in int16.  A size whose bound
-    N_SETTINGS**2 * size exceeds int16 raises ValueError."""
+    product over all tuples if only some members are invariant) go to `_summed_maxima`.
+    A size whose bound N_SETTINGS**2 * size exceeds int16 raises ValueError."""
     if not exprs:
         raise ValueError("exprs must hold at least one expression")
     multisets, n = np.asarray(multisets), len(exprs)
     if multisets.ndim != 2 or multisets.shape[1] < 1 or multisets.dtype.kind not in "iu" or (
             multisets.size and not 0 <= multisets.min() <= multisets.max() < n):
         raise ValueError(f"multisets must be a (K, size >= 1) array of indices in 0..{n - 1}")
-    size = _checked_size(multisets.shape[1])
+    _checked_size(multisets.shape[1])
     scans = [e._scan for e in exprs]
     tables = (np.stack([s[2] for s in scans]) if len({len(s[0]) for s in scans}) == 1 else
               _per_alice_tables(np.stack([e.table for e in exprs]), np.arange(len(_profiles()))))
-    dtype = np.int8 if size * _row_maxima(tables).max() <= np.iinfo(np.int8).max else np.int16
+    return _summed_maxima(tables, multisets)
+
+
+def _summed_maxima(tables, multisets):
+    """Per row of a (K, size) index array into stacked tables M, the largest row maximum of
+    its members' sum: summed per multiset (no temporary spans all K) into one K x 3 x 8 x rows
+    buffer, reduced once in int8 when `size` times any table's row maximum fits, else int16."""
+    bound = multisets.shape[1] * _row_maxima(tables).max()
+    dtype = np.int8 if bound <= np.iinfo(np.int8).max else np.int16
     tables = np.ascontiguousarray(tables.transpose(0, 3, 2, 1), dtype=dtype)
     totals = np.empty((len(multisets), *tables.shape[1:]), dtype)
     for total, members in zip(totals, multisets):
@@ -451,9 +457,11 @@ _RELABELING_GENERATORS = (3, 37)  # two `_class_relabelings()` rows that generat
 
 @lru_cache(maxsize=None)
 def _class_multisets(size):
-    """Read-only: every class multiset of `size` in combinations order, its code and its
-    classical maximum.  Built on first use: each orbit's smallest index spreads along two
-    generating relabelings until it settles; that multiset's maximum is the whole orbit's."""
+    """Read-only: every class multiset of `size` in combinations order, its code, its classical
+    maximum and its lambda_max, the largest column-order sum of its classes' eigenvalues (the
+    pair model's x01 row, checked S4-invariant to 1e-12).  Built on first use: each orbit's
+    smallest index spreads along two generating relabelings until it settles; that multiset's
+    maximum is the whole orbit's (lambda_max is not constant on the orbits)."""
     combos = itertools.combinations_with_replacement(range(N_SETTINGS * N_OUTCOMES), size)
     multisets = np.fromiter(itertools.chain.from_iterable(combos), np.intp).reshape(-1, size)
     codes = _codes(multisets)
@@ -462,28 +470,34 @@ def _class_multisets(size):
     while not np.array_equal(smallest, previous):
         previous, smallest = smallest, np.minimum(smallest, smallest[images].min(axis=0))
     first = np.flatnonzero(smallest == np.arange(len(codes)))
-    exprs = [_class_expression((), [0], [c]) for c in range(N_SETTINGS * N_OUTCOMES)]
-    maxima = multiset_maxima(exprs, multisets[first])[np.searchsorted(first, smallest)]
-    for arr in (multisets, codes, maxima):
+    class_of, _, alice_tables = _pair_classes()
+    maxima = _summed_maxima(alice_tables, multisets[first])[np.searchsorted(first, smallest)]
+    eigenvalues = standard_context().pair_model.eigenvalues
+    if not (np.abs(eigenvalues - eigenvalues[0][class_of]) <= 1e-12).all():
+        raise RuntimeError("a pair's eigenvalues are not its class's: not S4-invariant")
+    lambdas = sum(eigenvalues[0][multisets.T]).max(axis=1)
+    for arr in (multisets, codes, maxima, lambdas):
         arr.setflags(write=False)
-    return multisets, codes, maxima
+    return multisets, codes, maxima, lambdas
 
 
 def scan_maxima(alice, size):
     """Every Bob-label multiset of `size` in combinations order, and per multiset the
     `multiset_maxima` of the pairs (alice, m) over its labels m; both read-only."""
     alice = all_labels().index(OrbitPair(alice, alice).alice)
-    return _class_multisets(_checked_size(size))[0], _alice_maxima(alice, size)
+    found = _class_multisets(_checked_size(size))[2][_class_index(alice, size)]
+    found.setflags(write=False)
+    return _class_multisets(size)[0], found
 
 
 @lru_cache(maxsize=None)
-def _alice_maxima(alice, size):
-    """Read-only `scan_maxima` maxima for Alice's label index.  Bob's label m is in class
-    class_of[alice, m] of `_pair_classes`; each maximum is looked up by class code."""
-    multisets, codes, maxima = _class_multisets(size)
-    found = maxima[np.searchsorted(codes, _codes(_pair_classes()[0][alice][multisets]))]
-    found.setflags(write=False)
-    return found
+def _class_index(alice, size):
+    """Read-only: per Bob-label multiset of `size`, its `_class_multisets(size)` row with Alice
+    at label index `alice`, found by the code of its classes class_of[alice, m] of Bob's m."""
+    multisets, codes = _class_multisets(size)[:2]
+    index = np.searchsorted(codes, _codes(_pair_classes()[0][alice][multisets]))
+    index.setflags(write=False)
+    return index
 
 
 def optimal_classical_strategy(expr: BellExpression):

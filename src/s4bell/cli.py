@@ -21,14 +21,14 @@ parsed report is byte-identical.
 label, as in "x01:x14,x01:x14,x01:x18"; a repeated orbit's terms count
 once per copy.  `analyze` and `game` reject such a spec (duplicate term).
 
-The parser, the S4 context, per `--orbits` value `scan`'s multisets and
-class maxima, and per `--phi` label and `--orbits` value its classical
-maxima are built once per process, on first use.  So are the context's
-pair model (every orbit pair's componentwise eigenvalues in one table,
-and its operator), the 24 pair classes' tables each spec is summed from
-and, per Alice label, its pairs' terms; all but `orbits` read them.  None
-is built at import or with the context.  A later `main` prints what a
-first would.
+The parser, the S4 context, per `--orbits` value the class multisets
+with their classical maxima and lambda_max, and per `--phi` label and
+`--orbits` value each Bob-label multiset's row among them are built once
+per process, on first use.  So are the context's pair model (every orbit
+pair's componentwise eigenvalues in one table, and its operator), the 24
+pair classes' tables each spec is summed from and, per Alice label, its
+pairs' terms; all but `orbits` read them.  None is built at import or
+with the context.  A later `main` prints what a first would.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (a malformed
 or term-repeating spec), 3 internal error (building the S4 context or
@@ -50,11 +50,12 @@ import numpy as np
 
 from . import tables
 from .classical import (
+    _class_index,
+    _class_multisets,
     bell_terms,
     classical_histogram,
     classical_max,
     histogram_csv,
-    scan_maxima,
 )
 from .context import standard_context
 from .game import game_values, winning_table
@@ -369,15 +370,10 @@ def _cmd_game(args):
 
 def _cmd_scan(args):
     alice, labels = args.phi, all_labels()
-    eigs = standard_context().pair_model.eigenvalues[labels.index(alice)].T
-    combos, cmaxes = scan_maxima(alice, args.orbits)
-    # Componentwise eigenvalues are additive over the orbits of a multiset;
-    # summed orbit by orbit, in spec order: float addition is not associative.
-    sums = np.take(eigs, combos[:, 0], axis=1)
-    for j in range(1, args.orbits):
-        sums += np.take(eigs, combos[:, j], axis=1)
-    lams = np.maximum.reduce(sums)
-    gaps = lams - cmaxes
+    # lambda_max and the classical maximum are S4-invariant: read per class multiset.
+    combos, _, cmaxes, lams = _class_multisets(args.orbits)
+    rows = _class_index(labels.index(alice), args.orbits)
+    gaps = (lams - cmaxes)[rows]
     # Gaps sorted descending fall into tie classes, split where a step down
     # exceeds 1e-9; each class is ranked in combination order (label order, as
     # all_labels() is sorted).  Only gaps within 1e-9 of the --top-th are ranked.
@@ -397,7 +393,7 @@ def _cmd_scan(args):
     print("rank  spec" + " " * (13 * args.orbits - 3) + "quantum  classical  gap")
     for rank, i in enumerate(order, start=1):
         spec = ",".join(f"{format_label(alice)}:{format_label(labels[k])}" for k in combos[i])
-        gap, lam, cmax = _zero_snap(float(gaps[i])), lams[i], cmaxes[i]
+        gap, lam, cmax = _zero_snap(gaps.item(i)), lams.item(rows[i]), cmaxes.item(rows[i])
         print(f"{rank:4d}  {spec:<{13 * args.orbits + 1}}  {lam:7.2f}  {cmax:9d}  {gap:+.2f}")
     return 0
 

@@ -13,9 +13,9 @@ from s4bell import classical, cli, standard_context, tables
 from s4bell.classical import (
     BellExpression,
     Term,
-    _alice_maxima,
     _alice_orbits,
     _alice_rows,
+    _class_index,
     _class_multisets,
     _class_relabelings,
     _codes,
@@ -23,6 +23,7 @@ from s4bell.classical import (
     _is_invariant,
     _per_alice_tables,
     _row_maxima,
+    _summed_maxima,
     bell_terms,
     classical_histogram,
     classical_max,
@@ -34,6 +35,7 @@ from s4bell.classical import (
 )
 from s4bell.game import game_values
 from s4bell.orbit import OrbitPair, all_labels
+from s4bell.quantum import EIG_TOL, max_eigenvalue_sum
 
 
 @pytest.fixture(scope="module")
@@ -605,20 +607,20 @@ def test_class_sums_equal_the_term_route(orbit):
 
 
 def test_class_tables_are_built_once_and_read_only(monkeypatch, capsys):
-    # The class tables are `_class_multisets(size)`: multisets, codes and maxima.
+    # The class tables are `_class_multisets(size)`: multisets, codes, maxima and lambda_max.
     terms_calls, maxima_rows = [], []
 
     def counted_bell_terms(*args):
         terms_calls.append(args)
         return bell_terms(*args)
 
-    def counted_multiset_maxima(exprs, multisets):
+    def counted_summed_maxima(tables, multisets):
         maxima_rows.append(len(multisets))
-        return multiset_maxima(exprs, multisets)
+        return _summed_maxima(tables, multisets)
 
     _class_multisets.cache_clear()
     monkeypatch.setattr(classical, "bell_terms", counted_bell_terms)
-    monkeypatch.setattr(classical, "multiset_maxima", counted_multiset_maxima)
+    monkeypatch.setattr(classical, "_summed_maxima", counted_summed_maxima)
     labels = all_labels()
     for size in (1, 2, 3):
         for alice in (labels[0], labels[13]):
@@ -640,7 +642,7 @@ def test_scan_maxima_are_cached_per_alice_label_and_size(monkeypatch):
     # in the class table.
     action = standard_context().orbit.label_action
     for size in (1, 2, 3):
-        multisets, codes, maxima = _class_multisets(size)
+        multisets, codes, maxima, _ = _class_multisets(size)
         for k, alice in enumerate(all_labels()):
             classes = action[np.argmax(action[:, k] == 0)]
             expected = maxima[np.searchsorted(codes, _codes(classes[multisets]))]
@@ -654,8 +656,42 @@ def test_scan_maxima_are_cached_per_alice_label_and_size(monkeypatch):
         return _codes(multisets)
 
     monkeypatch.setattr(classical, "_codes", counted_codes)
-    assert scan_maxima((2, 1), 3)[1] is _alice_maxima(4, 3)
+    assert np.array_equal(scan_maxima((2, 1), 3)[1], maxima[_class_index(4, 3)])
+    assert _class_index(4, 3) is _class_index(4, 3)
     assert code_calls == []
+
+
+def test_class_index_names_each_bob_multisets_class_multiset():
+    class_of = classical._pair_classes()[0]
+    for size in (1, 2, 3):
+        multisets = _class_multisets(size)[0]
+        for alice in range(24):
+            index = _class_index(alice, size)
+            assert np.array_equal(multisets[index], np.sort(class_of[alice][multisets], axis=1))
+            assert not index.flags.writeable
+
+
+def test_class_lambdas_equal_the_spec_order_sums_and_the_eigen_solve(ctx):
+    # The route `scan` took before lambda_max was read per class multiset: per Alice
+    # label, Alice's row of the pair model summed over each Bob multiset in spec order.
+    eigenvalues, labels = ctx.pair_model.eigenvalues, all_labels()
+    for size in (1, 2, 3):
+        multisets, _, _, lambdas = _class_multisets(size)
+        assert not lambdas.flags.writeable
+        for alice in range(24):
+            sums = eigenvalues[alice][multisets[:, 0]]
+            for j in range(1, size):
+                sums = sums + eigenvalues[alice][multisets[:, j]]
+            found = lambdas[_class_index(alice, size)]
+            assert np.abs(found - sums.max(axis=1)).max() <= 1e-12
+    # Set specs in random order against the diagonalized sum of their operators.
+    rng = np.random.default_rng(28)
+    for size in rng.integers(1, 4, size=60).tolist():
+        alice, bob = int(rng.integers(24)), rng.choice(24, size, replace=False)
+        row = np.searchsorted(_class_multisets(size)[1], _codes(bob[None]))[0]
+        found = _class_multisets(size)[3][_class_index(alice, size)[row]]
+        pairs = [OrbitPair(labels[alice], labels[m]) for m in bob]
+        assert abs(found - max_eigenvalue_sum(pairs, ctx).lambda_max) <= EIG_TOL
 
 
 @pytest.mark.parametrize("label", [(9, 0), (1, 3), "x01", (1, 0, 0), (1.0, 0)],
@@ -707,13 +743,13 @@ def test_class_relabelings_keep_every_maximum(orbit):
 def test_multiset_orbits_count(orbit, monkeypatch, size, count):
     handed = []
 
-    def recorded_multiset_maxima(exprs, multisets):
+    def recorded_summed_maxima(tables, multisets):
         handed.append(np.array(multisets))
-        return multiset_maxima(exprs, multisets)
+        return _summed_maxima(tables, multisets)
 
     _class_multisets.cache_clear()
-    monkeypatch.setattr(classical, "multiset_maxima", recorded_multiset_maxima)
-    multisets, codes, maxima = _class_multisets(size)
+    monkeypatch.setattr(classical, "_summed_maxima", recorded_summed_maxima)
+    multisets, codes, maxima, _ = _class_multisets(size)
     rows = np.array(combination_rows(24, size))
     assert np.array_equal(multisets, rows)
     assert np.array_equal(codes, [np.ravel_multi_index(r, (24,) * size) for r in rows])
@@ -722,7 +758,7 @@ def test_multiset_orbits_count(orbit, monkeypatch, size, count):
                        for m in _class_relabelings()], axis=0)
     names, first, orbit_of = np.unique(smallest, return_index=True, return_inverse=True)
     assert len(names) == count
-    # One `multiset_maxima` call on the first multiset of each orbit, in order;
+    # One `_summed_maxima` call on the first multiset of each orbit, in order;
     # every multiset of an orbit carries the orbit's maximum.
     assert len(handed) == 1
     assert np.array_equal(handed[0], rows[np.sort(first)])

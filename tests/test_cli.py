@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from s4bell import cli, quantum
+from s4bell import classical, cli, quantum
 from s4bell.cli import PairSpecError, main, parse_pair_spec, run_verification
 from s4bell.context import standard_context
 from s4bell.orbit import OrbitPair, all_labels
@@ -385,16 +385,41 @@ def test_full_scans_are_pinned(orbits):
         assert scan_digest(orbits, phi) == digest, phi
 
 
-def test_scan_ranking_ignores_rounding_noise(monkeypatch):
-    # Independent noise of 1e-12 on every table entry moves gaps that are
-    # equal in exact arithmetic apart by far less than the 1e-9 tie width.
+@pytest.fixture()
+def fresh_class_tables():
+    """`scan`'s per-size class tables, built from the pair model as the test leaves it and
+    dropped again after it."""
+    classical._class_multisets.cache_clear()
+    yield
+    classical._class_multisets.cache_clear()
+
+
+def test_scan_ranking_ignores_rounding_noise(monkeypatch, fresh_class_tables):
+    # Independent noise of 1e-12 on every pair class's eigenvalues moves gaps that
+    # are equal in exact arithmetic apart by far less than the 1e-9 tie width.  The
+    # noise is S4-invariant (each pair takes its class's), as the class tables check.
     model = standard_context().pair_model
+    table, class_of = model.eigenvalues, classical._pair_classes()[0]
     rng = np.random.default_rng(24)
-    noise = rng.choice([-1e-12, 1e-12], size=model.eigenvalues.shape)
-    monkeypatch.setattr(model, "eigenvalues", model.eigenvalues + noise)
+    noise = rng.choice([-1e-12, 1e-12], size=table.shape[1:])
+    monkeypatch.setattr(model, "eigenvalues", table + noise[class_of])
     for orbits in (1, 2, 3):
         for phi, digest in zip(LABELS, SCAN_SHA256[orbits]):
             assert scan_digest(orbits, phi) == digest, (orbits, phi)
+    moved = np.abs(classical._class_multisets(1)[3] - table[0].max(axis=1))
+    assert 0 < moved.max() < 1.1e-12
+
+
+@pytest.mark.parametrize("tamper", [1e-9, np.nan], ids=["shifted", "nan"])
+def test_scan_rejects_eigenvalues_that_are_not_s4_invariant(monkeypatch, fresh_class_tables,
+                                                             capsys, tamper):
+    # One pair's eigenvalue moved off its class's: the class tables' first build fails.
+    model = standard_context().pair_model
+    tampered = model.eigenvalues.copy()
+    tampered[5, 7, 2] += tamper
+    monkeypatch.setattr(model, "eigenvalues", tampered)
+    assert main(["scan", "--orbits", "2"]) == 3
+    assert "not S4-invariant" in capsys.readouterr().err
 
 
 @pytest.fixture()
@@ -414,13 +439,13 @@ def pair_calls(monkeypatch):
     return calls
 
 
-def test_scan_reads_its_alice_slice_of_the_table_and_builds_no_operator(pair_calls):
-    # With every slice but Alice's made NaN, each full scan prints as pinned.
+def test_scan_reads_the_class_row_of_the_table_and_builds_no_operator(pair_calls,
+                                                                      fresh_class_tables):
+    # With every row replaced by the x01 row read through the pair classes (Bob label m
+    # of Alice label k is in class class_of[k, m]), each full scan prints as pinned.
     model = standard_context().pair_model
-    table = model.eigenvalues
+    model.eigenvalues = model.eigenvalues[0][classical._pair_classes()[0]]
     for k, phi in enumerate(LABELS):
-        model.eigenvalues = np.full_like(table, np.nan)
-        model.eigenvalues[k] = table[k]
         assert scan_digest(1, phi) == SCAN_SHA256[1][k], phi
     run_cli(["scan", "--orbits", "3", "--phi", "x12"])
     assert pair_calls == {"build_x_operator": 0, "_isotypic": 1}
