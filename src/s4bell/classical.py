@@ -27,7 +27,9 @@ reference, builds its own once, on first use.  Bob's side reduces too:
 72 relabelings of settings, outcomes and parties permute the classes and
 keep every maximum, so one class multiset per orbit is scanned; lambda_max
 (S4-invariant, not relabeling-invariant) is summed per class multiset.
-These S4 tables are built once per process, on first use, in a few ms.
+These per-size tables (`_class_multisets`) are built once per process, on
+first use, in a few ms; `scan` reads both columns from them through one
+index per Alice label and size (`_class_index`).
 """
 
 import contextlib
@@ -49,8 +51,6 @@ __all__ = [
     "bell_terms",
     "classical_max",
     "classical_histogram",
-    "multiset_maxima",
-    "scan_maxima",
     "optimal_classical_strategy",
     "coefficient",
     "histogram_csv",
@@ -95,8 +95,14 @@ class BellExpression:
 
     @cached_property
     def _scan(self):
-        """Read-only scan state, built on first use: rows, weights, tables M, row maxima."""
-        rows, weights = _alice_rows(self)
+        """Read-only scan state, built on first use: the Alice tuples to scan (one per S4
+        orbit, ascending, if the expression is invariant, else all), the number of tuples
+        each stands for, their tables M and their row maxima."""
+        if _is_invariant(self):
+            rows, weights = _alice_orbits()
+        else:
+            rows = np.arange(N_OUTCOMES ** N_SETTINGS)
+            weights = np.ones(len(rows), dtype=np.int64)
         m = _per_alice_tables(self.table, rows)
         scan = rows, weights, m, _row_maxima(m)
         for arr in scan:
@@ -283,19 +289,6 @@ def _is_invariant(*exprs: BellExpression) -> bool:
     return bool((f[:, action[:, :, None], action[:, None, :]] == f[:, None]).all())
 
 
-def _alice_rows(*exprs: BellExpression):
-    """Alice tuples to scan and the number of tuples each one stands for.
-
-    One representative per S4 orbit, in ascending tuple order, when every
-    expression is invariant; otherwise every tuple with weight one.
-    """
-    if _is_invariant(*exprs):
-        orbits = _alice_orbits()
-        return orbits.representatives, orbits.sizes
-    n = N_OUTCOMES ** N_SETTINGS
-    return np.arange(n), np.ones(n, dtype=np.int64)
-
-
 def _per_alice_tables(table, rows):
     """M[..., i, t, b]: terms with Bob pair (t, b) satisfied by Alice tuple rows[i].
 
@@ -387,34 +380,6 @@ def classical_histogram(expr: BellExpression) -> StrategyHistogram:
     )
 
 
-def _checked_size(size):
-    """`size` if it is an integer >= 1 whose multisets' int16 row sums cannot overflow."""
-    if not isinstance(size, (int, np.integer)) or size < 1:
-        raise ValueError(f"size must be an integer >= 1, got {size!r}")
-    if N_SETTINGS**2 * size > np.iinfo(np.int16).max:
-        raise ValueError(f"size {size} could overflow the int16 row sums")
-    return size
-
-
-def multiset_maxima(exprs, multisets):
-    """Classical maxima of the unions of `exprs` named by the rows of a (K, size) index array.
-
-    A term counts once per member that holds it; the members' scan-state tables M (one
-    product over all tuples if only some members are invariant) go to `_summed_maxima`.
-    A size whose bound N_SETTINGS**2 * size exceeds int16 raises ValueError."""
-    if not exprs:
-        raise ValueError("exprs must hold at least one expression")
-    multisets, n = np.asarray(multisets), len(exprs)
-    if multisets.ndim != 2 or multisets.shape[1] < 1 or multisets.dtype.kind not in "iu" or (
-            multisets.size and not 0 <= multisets.min() <= multisets.max() < n):
-        raise ValueError(f"multisets must be a (K, size >= 1) array of indices in 0..{n - 1}")
-    _checked_size(multisets.shape[1])
-    scans = [e._scan for e in exprs]
-    tables = (np.stack([s[2] for s in scans]) if len({len(s[0]) for s in scans}) == 1 else
-              _per_alice_tables(np.stack([e.table for e in exprs]), np.arange(len(_profiles()))))
-    return _summed_maxima(tables, multisets)
-
-
 def _summed_maxima(tables, multisets):
     """Per row of a (K, size) index array into stacked tables M, the largest row maximum of
     its members' sum: summed per multiset (no temporary spans all K) into one K x 3 x 8 x rows
@@ -481,15 +446,6 @@ def _class_multisets(size):
     return multisets, codes, maxima, lambdas
 
 
-def scan_maxima(alice, size):
-    """Every Bob-label multiset of `size` in combinations order, and per multiset the
-    `multiset_maxima` of the pairs (alice, m) over its labels m; both read-only."""
-    alice = all_labels().index(OrbitPair(alice, alice).alice)
-    found = _class_multisets(_checked_size(size))[2][_class_index(alice, size)]
-    found.setflags(write=False)
-    return _class_multisets(size)[0], found
-
-
 @lru_cache(maxsize=None)
 def _class_index(alice, size):
     """Read-only: per Bob-label multiset of `size`, its `_class_multisets(size)` row with Alice
@@ -507,7 +463,7 @@ def optimal_classical_strategy(expr: BellExpression):
     (a_1..a_S, b_1..b_S): Alice tuples are scanned in lexicographic order
     and the first maximizer wins, then each of Bob's settings takes its
     smallest maximizing outcome.  The first maximizer of an invariant
-    expression is the smallest tuple of its orbit, so `_alice_rows` holds it.
+    expression is the smallest tuple of its orbit, so its scan state's rows hold it.
     """
     rows, _, m, maxima = expr._scan
     best = int(np.argmax(maxima))

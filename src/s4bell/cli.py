@@ -239,9 +239,8 @@ def run_verification(echo=print):
         f"uniform triple structure: {table.has_uniform_triple_structure()}",
     )
     value = game_values(expr_i, ctx)
-    ok = value.classical == Fraction(16, N_SETTINGS ** 2) and abs(
-        value.quantum - tables.REF_QUANTUM_WIN_I
-    ) <= 1e-4
+    bound = Fraction(tables.REF_CLASSICAL_BOUND["I"], N_SETTINGS ** 2)
+    ok = value.classical == bound and abs(value.quantum - tables.REF_QUANTUM_WIN_I) <= 1e-4
     check(
         "case I: game values",
         ok,

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -14,7 +15,6 @@ from s4bell.classical import (
     BellExpression,
     Term,
     _alice_orbits,
-    _alice_rows,
     _class_index,
     _class_multisets,
     _class_relabelings,
@@ -29,9 +29,7 @@ from s4bell.classical import (
     classical_max,
     coefficient,
     histogram_csv,
-    multiset_maxima,
     optimal_classical_strategy,
-    scan_maxima,
 )
 from s4bell.game import game_values
 from s4bell.orbit import OrbitPair, all_labels
@@ -205,7 +203,7 @@ def shift_polynomial_counts(table, rows, weights):
 
 def assert_counts_match_reference(expr, rows=None, weights=None):
     if rows is None:
-        rows, weights = _alice_rows(expr)
+        rows, weights = expr._scan[:2]
     counts = _histogram_counts(expr.table, rows, weights)
     assert counts.dtype == np.int64
     assert np.array_equal(counts, shift_polynomial_counts(expr.table, rows, weights))
@@ -213,7 +211,7 @@ def assert_counts_match_reference(expr, rows=None, weights=None):
 
 def test_histogram_kernel_matches_reference_on_cases(case_exprs):
     for expr in case_exprs.values():
-        assert len(_alice_rows(expr)[0]) == 306
+        assert len(expr._scan[0]) == 306
         assert_counts_match_reference(expr)
 
 
@@ -260,7 +258,7 @@ def test_histogram_kernel_at_its_size_bound(orbit):
     # scanned; the int32 bin index reaches its largest, 32 * 6561 + 6560.
     every = bell_terms([OrbitPair((1, 0), lab) for lab in all_labels()], orbit)
     expr = BellExpression(every.terms[1:])
-    rows, weights = _alice_rows(expr)
+    rows, weights = expr._scan[:2]
     assert len(rows) == 3 ** 8
     reference = shift_polynomial_counts(expr.table, rows, weights).tolist()
     assert _histogram_counts(expr.table, rows, weights).tolist() == reference
@@ -296,29 +294,25 @@ def test_alice_orbit_table(orbit):
     assert orbits.sizes.tolist() == [counts[r] for r in sorted(counts)]
 
 
-def test_non_invariant_expression_scans_every_alice_tuple(case_exprs):
+def test_non_invariant_expression_scans_every_alice_tuple():
     friendly = BellExpression(((1, 0, 1, 0), (2, 0, 1, 0), (1, 0, 2, 1)))
     assert not _is_invariant(friendly)
-    rows, weights = _alice_rows(friendly)
+    rows, weights = friendly._scan[:2]
     assert rows.tolist() == list(range(3 ** 8))
     assert set(weights.tolist()) == {1}
-    rows, weights = _alice_rows(case_exprs["I"])
-    assert len(rows) == 306
-    assert weights.sum() == 3 ** 8
-    # One non-invariant expression among several sends all of them to the full scan.
-    rows, _ = _alice_rows(case_exprs["I"], friendly, case_exprs["II"])
-    assert len(rows) == 3 ** 8
 
 
 def test_several_invariant_expressions_keep_the_reduced_scan(orbit, case_exprs):
-    # A stacked invariance check that always failed would still give the
-    # right numbers, only from the 6561-row scan, so the row count is pinned.
-    rows, weights = _alice_rows(case_exprs["I"], case_exprs["II"], case_exprs["III"])
-    assert len(rows) == 306
-    assert weights.sum() == 3 ** 8
-    # The 24 single-pair expressions `scan` builds for Alice label x12.
+    # An invariance check that always failed would still give a hand-built
+    # expression the right numbers, only from the 6561-row scan, so the row
+    # count is pinned.
+    for expr in case_exprs.values():
+        rows, weights = BellExpression(expr.terms)._scan[:2]
+        assert len(rows) == 306
+        assert weights.sum() == 3 ** 8
+    # The pair-class build checks its 24 classes in one stacked comparison;
+    # here the 24 single-pair expressions of Alice label x12.
     pool = [bell_terms([OrbitPair((2, 1), lab)], orbit) for lab in all_labels()]
-    assert len(_alice_rows(*pool)[0]) == 306
     assert _is_invariant(*pool)
     friendly = BellExpression(((1, 0, 1, 0), (2, 0, 1, 0), (1, 0, 2, 1)))
     assert not _is_invariant(case_exprs["I"], friendly, case_exprs["II"])
@@ -414,105 +408,50 @@ def combination_rows(n, size):
     return [list(c) for c in itertools.combinations_with_replacement(range(n), size)]
 
 
-def test_multiset_maxima_match_full_scan_of_unions(orbit):
-    exprs = [bell_terms([OrbitPair((1, 0), lab)], orbit) for lab in ((4, 1), (7, 0), (5, 1))]
-    friendly = BellExpression(((1, 0, 1, 0), (2, 0, 1, 0), (1, 0, 2, 1)))
-    # `scan` asks for multisets of one, two and three orbits; a single
-    # member repeats one table in every column.
-    for members, size in itertools.product(
-        (exprs, exprs[:2] + [friendly], [friendly]), (1, 2, 3, 4)
-    ):
-        combos = itertools.combinations_with_replacement(members, size)
-        expected = [_max_coefficient(sum(e.table for e in c), ALL_ROWS) for c in combos]
-        rows = combination_rows(len(members), size)
-        assert multiset_maxima(members, rows).tolist() == expected
-
-
-@pytest.mark.parametrize("size", [1, 2, 3, 4])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_multiset_maxima_match_unions_for_random_members(orbit, size, seed):
-    # Random subsets of the single-pair expressions of one Alice label
-    # other than x01, in random order: one member and three members.
-    rng = np.random.default_rng(seed)
+def x01_pair_expression(m):
+    """The pair x01:m, the pair class m, as a hand-built expression that builds its own
+    table and scan state."""
     labels = all_labels()
-    alice = labels[rng.integers(1, len(labels))]
-    pool = [bell_terms([OrbitPair(alice, lab)], orbit) for lab in labels]
-    picks = [rng.choice(len(pool), size=n, replace=False) for n in (1, 3)]
-    for members in ([pool[k] for k in pick] for pick in picks):
-        combos = itertools.combinations_with_replacement(members, size)
-        expected = [_max_coefficient(sum(e.table for e in c), ALL_ROWS) for c in combos]
-        rows = combination_rows(len(members), size)
-        assert multiset_maxima(members, rows).tolist() == expected
+    pair = OrbitPair(labels[0], labels[m])
+    return BellExpression(bell_terms([pair], standard_context().orbit).terms)
 
 
-def test_multiset_maxima_rejects_bad_arguments(case_exprs):
-    with pytest.raises(ValueError, match="exprs"):
-        multiset_maxima([], [[0]])
-    two = [case_exprs["I"], case_exprs["II"]]
-    # A (K, 0) array has size 0; numpy would wrap -1 silently and raise
-    # IndexError at 2, and a 1-D array names no multiset.
-    for bad in (np.zeros((3, 0), dtype=int), [[0, -1]], [[2]], [[0, 2, 1]], [0, 1],
-                [[0.0, 1.0]]):
-        with pytest.raises(ValueError, match="size >= 1"):
-            multiset_maxima(two, bad)
+@functools.lru_cache(maxsize=None)
+def unreduced_class_maxima(size):
+    """Reference: per class multiset of `size` in combinations order, the largest row maximum
+    of its members' summed tables M, read from the 24 hand-built pair expressions x01:m.  No
+    class table, relabeling or `_summed_maxima` is read."""
+    m = np.stack([x01_pair_expression(k)._scan[2] for k in range(24)])
+    rows = np.array(combination_rows(24, size))
+    return np.concatenate([_row_maxima(sum(m[chunk[:, j]] for j in range(size))).max(axis=1)
+                           for chunk in np.array_split(rows, 10)])
 
 
-def test_multiset_maxima_rejects_sizes_that_could_overflow(case_exprs):
-    # 64 * 511 fits in int16 and 64 * 512 does not.  The check comes before
-    # any table is built.
-    many = [case_exprs["I"]] * 72
-    for size in (512, 600):
-        with pytest.raises(ValueError, match="int16"):
-            multiset_maxima(many, [[0] * size])
-    expected = [511 * classical_max(case_exprs["I"])]
-    assert multiset_maxima([case_exprs["I"]], [[0] * 511]).tolist() == expected
+def class_row(multiset):
+    """The `_class_multisets` row of a class multiset given in any order."""
+    multiset = np.asarray(multiset)
+    return int(np.searchsorted(_class_multisets(len(multiset))[1], _codes(multiset[None]))[0])
 
 
-@pytest.fixture
-def no_enumeration(monkeypatch):
-    """A `_class_multisets` stand-in that fails if it is reached: at size 512 the
-    enumeration would never end."""
-    def enumerate_multisets(size):
-        raise AssertionError(f"enumerated the multisets of size {size}")
-
-    monkeypatch.setattr(classical, "_class_multisets", enumerate_multisets)
+def test_class_maxima_equal_the_unreduced_maxima():
+    assert {len(x01_pair_expression(k)._scan[0]) for k in range(24)} == {306}
+    for size in (1, 2, 3):
+        assert np.array_equal(_class_multisets(size)[2], unreduced_class_maxima(size))
 
 
-def test_size_512_raises_before_multisets_are_enumerated(case_exprs, no_enumeration):
-    with pytest.raises(ValueError, match="size 512 could overflow the int16 row sums"):
-        scan_maxima((1, 0), 512)
-    with pytest.raises(ValueError, match="size 512 could overflow the int16 row sums"):
-        multiset_maxima([case_exprs["I"]], np.zeros((1, 512), int))
+def test_class_maxima_of_set_multisets_equal_the_union_maximum():
+    rng = np.random.default_rng(29)
+    for size in rng.integers(1, 4, size=40).tolist():
+        bob = rng.choice(24, size, replace=False)
+        union = BellExpression(sum((x01_pair_expression(k).terms for k in bob), ()))
+        assert _class_multisets(size)[2][class_row(bob)] == classical_max(union)
 
 
-@pytest.mark.parametrize("size", [0, -1, 2.0, "3"])
-def test_scan_maxima_rejects_bad_sizes(size, no_enumeration):
-    with pytest.raises(ValueError, match="size must be an integer >= 1"):
-        scan_maxima((1, 0), size)
-
-
-@pytest.mark.parametrize("size", [7, 8, 9])
-def test_multiset_maxima_at_the_int8_edge(case_exprs, size):
-    # Case I scores 16, so 16 * 7 = 112 runs in int8, and 16 * 8 = 128 is
-    # the first size that needs int16.
-    assert classical_max(case_exprs["I"]) == 16
-    assert multiset_maxima([case_exprs["I"]], [[0] * size]).tolist() == [16 * size]
-
-
-def test_multiset_maxima_of_no_multisets(case_exprs):
-    assert multiset_maxima([case_exprs["I"]], np.zeros((0, 2), dtype=int)).tolist() == []
-
-
-@pytest.mark.parametrize("size", [1, 2, 3])
-def test_scan_maxima_equal_the_unreduced_maxima(orbit, size):
-    labels = all_labels()
-    rows = np.array(combination_rows(len(labels), size))
-    for alice in labels:
-        exprs = [bell_terms([OrbitPair(alice, lab)], orbit) for lab in labels]
-        expected = np.concatenate([multiset_maxima(exprs, chunk) for chunk in np.split(rows, 4)])
-        multisets, maxima = scan_maxima(alice, size)
-        assert np.array_equal(multisets, rows)
-        assert np.array_equal(maxima, expected)
+@pytest.mark.parametrize("multiset", [[5, 5], [0, 0, 0], [7, 19, 7], [23, 3, 3]])
+def test_class_maxima_of_repeated_classes_equal_the_full_scan(multiset):
+    table = sum(x01_pair_expression(k).table for k in multiset)
+    expected = _max_coefficient(table, ALL_ROWS)
+    assert _class_multisets(len(multiset))[2][class_row(multiset)] == expected
 
 
 def test_scan_state_is_built_once_per_expression_and_read_only(orbit, ctx, monkeypatch):
@@ -607,7 +546,8 @@ def test_class_sums_equal_the_term_route(orbit):
 
 
 def test_class_tables_are_built_once_and_read_only(monkeypatch, capsys):
-    # The class tables are `_class_multisets(size)`: multisets, codes, maxima and lambda_max.
+    # The class tables are `_class_multisets(size)`: multisets, codes, maxima and lambda_max,
+    # reached through each Alice label's `_class_index`.
     terms_calls, maxima_rows = [], []
 
     def counted_bell_terms(*args):
@@ -619,12 +559,12 @@ def test_class_tables_are_built_once_and_read_only(monkeypatch, capsys):
         return _summed_maxima(tables, multisets)
 
     _class_multisets.cache_clear()
+    _class_index.cache_clear()
     monkeypatch.setattr(classical, "bell_terms", counted_bell_terms)
     monkeypatch.setattr(classical, "_summed_maxima", counted_summed_maxima)
-    labels = all_labels()
     for size in (1, 2, 3):
-        for alice in (labels[0], labels[13]):
-            scan_maxima(alice, size)
+        for alice in (0, 13):
+            _class_index(alice, size)
         assert len(terms_calls) == 0
     # One smallest class multiset per orbit of the 72 relabelings.
     assert maxima_rows == [2, 14, 70]
@@ -637,18 +577,16 @@ def test_class_tables_are_built_once_and_read_only(monkeypatch, capsys):
         assert np.array_equal(arrays[0], combination_rows(24, size))
 
 
-def test_scan_maxima_are_cached_per_alice_label_and_size(monkeypatch):
+def test_class_index_is_cached_per_alice_label_and_size(monkeypatch):
     # The uncached lookup: Bob's labels relabeled to classes, coded and found
     # in the class table.
     action = standard_context().orbit.label_action
     for size in (1, 2, 3):
         multisets, codes, maxima, _ = _class_multisets(size)
-        for k, alice in enumerate(all_labels()):
+        for k in range(24):
             classes = action[np.argmax(action[:, k] == 0)]
             expected = maxima[np.searchsorted(codes, _codes(classes[multisets]))]
-            found = scan_maxima(alice, size)[1]
-            assert np.array_equal(found, expected)
-            assert not found.flags.writeable
+            assert np.array_equal(maxima[_class_index(k, size)], expected)
     code_calls = []
 
     def counted_codes(multisets):
@@ -656,7 +594,6 @@ def test_scan_maxima_are_cached_per_alice_label_and_size(monkeypatch):
         return _codes(multisets)
 
     monkeypatch.setattr(classical, "_codes", counted_codes)
-    assert np.array_equal(scan_maxima((2, 1), 3)[1], maxima[_class_index(4, 3)])
     assert _class_index(4, 3) is _class_index(4, 3)
     assert code_calls == []
 
@@ -688,20 +625,9 @@ def test_class_lambdas_equal_the_spec_order_sums_and_the_eigen_solve(ctx):
     rng = np.random.default_rng(28)
     for size in rng.integers(1, 4, size=60).tolist():
         alice, bob = int(rng.integers(24)), rng.choice(24, size, replace=False)
-        row = np.searchsorted(_class_multisets(size)[1], _codes(bob[None]))[0]
-        found = _class_multisets(size)[3][_class_index(alice, size)[row]]
+        found = _class_multisets(size)[3][_class_index(alice, size)[class_row(bob)]]
         pairs = [OrbitPair(labels[alice], labels[m]) for m in bob]
         assert abs(found - max_eigenvalue_sum(pairs, ctx).lambda_max) <= EIG_TOL
-
-
-@pytest.mark.parametrize("label", [(9, 0), (1, 3), "x01", (1, 0, 0), (1.0, 0)],
-                         ids=["basis_9", "outcome_3", "string", "three_entries", "float"])
-def test_scan_maxima_rejects_bad_labels_as_orbit_pair_does(label, no_enumeration):
-    with pytest.raises(ValueError) as orbit_pair:
-        OrbitPair(label, (1, 0))
-    with pytest.raises(ValueError, match="label") as scan:
-        scan_maxima(label, 1)
-    assert str(scan.value) == str(orbit_pair.value)
 
 
 def test_class_relabelings_form_a_group_of_order_72():
@@ -724,14 +650,11 @@ def test_relabeling_generators_generate_all_72_relabelings():
     assert closure == {tuple(m) for m in maps}
 
 
-def test_class_relabelings_keep_every_maximum(orbit):
-    # With Alice at x01 class m is Bob label m.  Unreduced maxima of all
-    # 2600 class multisets of size 3; each map must carry every multiset
-    # to one with the same maximum.
-    labels = all_labels()
-    exprs = [bell_terms([OrbitPair(labels[0], lab)], orbit) for lab in labels]
+def test_class_relabelings_keep_every_maximum():
+    # Unreduced maxima of all 2600 class multisets of size 3; each map must
+    # carry every multiset to one with the same maximum.
     rows = np.array(combination_rows(24, 3))
-    maxima = np.concatenate([multiset_maxima(exprs, chunk) for chunk in np.split(rows, 4)])
+    maxima = unreduced_class_maxima(3)
     codes = [np.ravel_multi_index(r, (24,) * 3) for r in rows]
     for relabel in _class_relabelings():
         image = np.sort(relabel[rows], axis=1)

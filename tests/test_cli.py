@@ -534,6 +534,15 @@ def test_verify_names_a_failed_block_basis_check_as_a_passed_one(monkeypatch):
                     " (block basis is not orthogonal)")
 
 
+def test_verify_reads_case_i_classical_bound_from_the_reference(monkeypatch):
+    monkeypatch.setitem(cli.tables.REF_CLASSICAL_BOUND, "I", 17)
+    lines = []
+    assert run_verification(echo=lines.append) is False
+    for check in ("case I: classical bound", "case I: game values"):
+        line, = [x for x in lines if check in x]
+        assert line.startswith("FAIL")
+
+
 def test_verify_fails_a_nan_orbit_coordinate_after_the_first_label(monkeypatch):
     standard_context()  # built against the unpatched table
     table = dict(cli.tables.ORBIT_TABLE)
