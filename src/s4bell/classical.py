@@ -21,15 +21,16 @@ maps onto itself under every element (true of every `bell_terms`
 output), one representative per orbit, weighted by the orbit size,
 stands for all of its tuples; any other expression takes the full scan.
 The 576 label pairs fall into 24 S4 classes, each pair with its class's
-term set, so a `bell_terms` expression sums its table and tables M from
-its classes' (checked invariant once); a hand-built one, the tests'
-reference, builds its own once, on first use.  Bob's side reduces too:
-72 relabelings of settings, outcomes and parties permute the classes and
-keep every maximum, so one class multiset per orbit is scanned; lambda_max
+term set, so a `bell_terms` expression carries only its scan state, its
+classes' tables M summed (`_class_scan`, checked invariant once); its
+table F, like a hand-built expression's scan state, is built from its
+terms on first read.  Bob's side reduces too: 72 relabelings of
+settings, outcomes and parties permute the classes and keep every
+maximum, so `_class_scan` runs on one class multiset per orbit; lambda_max
 (S4-invariant, not relabeling-invariant) is summed per class multiset.
-These per-size tables (`_class_multisets`) are built once per process, on
-first use, in a few ms; `scan` reads both columns from them through one
-index per Alice label and size (`_class_index`).
+These per-size tables (`_class_multisets`, with each gap's tie class) are
+built once per process, on first use, in a few ms; `scan` reads and
+ranks them through one index per Alice label and size (`_class_index`).
 """
 
 import contextlib
@@ -162,32 +163,35 @@ def _pair_terms(k):
 
 @lru_cache(maxsize=1)
 def _pair_classes():
-    """Read-only (class_of, tables, alice_tables) of the standard label action, built on first
-    use.  Label pair (k, m) has the term set of class class_of[k, m], the pair (x01, g.m) for
-    the g taking k to x01.  Per class: the int16 table F (8, 3, 8, 3) and tables M (306, 8, 3)
-    on the `_alice_orbits()` rows."""
+    """Read-only (class_of, alice_tables) of the standard label action, built on first use.
+    Label pair (k, m) has the term set of class class_of[k, m], the pair (x01, g.m) for the g
+    taking k to x01.  Per class: tables M (306, 8, 3) on the `_alice_orbits()` rows."""
     action = standard_context().orbit.label_action
     classes = [BellExpression(row) for row in _pair_terms(0)]
     if not _is_invariant(*classes):
         raise RuntimeError("a pair class's term set is not S4-invariant")
-    tables = np.stack([e.table for e in classes])
     class_of = action[np.argmax(action == 0, axis=0)]
-    alice_tables = _per_alice_tables(tables, _alice_orbits().representatives)
-    for arr in (class_of, tables, alice_tables):
+    alice_tables = _per_alice_tables(np.stack([e.table for e in classes]),
+                                     _alice_orbits().representatives)
+    for arr in (class_of, alice_tables):
         arr.setflags(write=False)
-    return class_of, tables, alice_tables
+    return class_of, alice_tables
+
+
+def _class_scan(ids):
+    """The summed tables M of pair classes `ids` on the `_alice_orbits()` rows, and row maxima."""
+    m = _pair_classes()[1][ids].sum(axis=0, dtype=np.int16)
+    return m, _row_maxima(m)
 
 
 def _class_expression(pairs, alice, bob):
-    """`bell_terms` of label index pairs (alice[i], bob[i]), summed from their classes."""
-    class_of, tables, alice_tables = _pair_classes()
+    """`bell_terms` of label index pairs (alice[i], bob[i]), its scan summed from their classes."""
     terms = tuple(itertools.chain.from_iterable(_pair_terms(k)[m] for k, m in zip(alice, bob)))
-    expr, ids, orbits = BellExpression(terms, pairs), class_of[alice, bob], _alice_orbits()
-    table, m = (arr[ids].sum(axis=0, dtype=np.int16) for arr in (tables, alice_tables))
-    scan = orbits.representatives, orbits.sizes, m, _row_maxima(m)
-    for arr in (table, *scan):
+    expr, orbits = BellExpression(terms, pairs), _alice_orbits()
+    scan = orbits.representatives, orbits.sizes, *_class_scan(_pair_classes()[0][alice, bob])
+    for arr in scan:
         arr.setflags(write=False)
-    vars(expr).update(table=table, _scan=scan)
+    vars(expr)["_scan"] = scan
     return expr
 
 
@@ -316,22 +320,19 @@ def _row_maxima(m):
     return reduce(np.maximum, np.moveaxis(m, -1, 0)).sum(axis=-1)
 
 
-def _histogram_counts(table, rows, weights, m=None, maxima=None):
+def _histogram_counts(n_terms, rows, weights, m, maxima):
     """Configurations per coefficient, over the Alice tuples `rows`.
 
-    `m` and `maxima` are the rows' tables and row maxima, built here if not
-    given.  Meets in the middle: P[u, i] and Q[v, i] count Bob's outcome
-    tuples on settings 1-4 and 5-8 that score u and v for row i, each filled
-    by one bincount on score * rows + row: the broadcast sums of an (8, 3,
-    rows) int32 copy of M times rows, with row i added on settings 1 and 5.
-    That fits int32: for a 0/1 table a half score is at most 4 * 8, and
-    rows <= 6561.  G = (P weights) Q^T counts (u, v); c sums G[u, c - u] by
-    a weighted bincount.  Both run in float64 and are exact: every partial
+    `m` and `maxima` are the rows' tables and row maxima of an expression of
+    `n_terms` terms.  Meets in the middle: P[u, i] and Q[v, i] count Bob's
+    outcome tuples on settings 1-4 and 5-8 that score u and v for row i, each
+    filled by one bincount on score * rows + row: the broadcast sums of an
+    (8, 3, rows) int32 copy of M times rows, with row i added on settings 1
+    and 5.  That fits int32: for a 0/1 table a half score is at most 4 * 8,
+    and rows <= 6561.  G = (P weights) Q^T counts (u, v); c sums G[u, c - u]
+    by a weighted bincount.  Both run in float64 and are exact: every partial
     sum is an integer no larger than 81 * 24 * 81 * 6561 < 2**53.
     """
-    if m is None:
-        m = _per_alice_tables(table, rows)
-        maxima = _row_maxima(m)
     n = len(m)
     by_setting = np.ascontiguousarray(m.transpose(1, 2, 0), dtype=np.int32) * n
     by_setting[::4] += np.arange(n, dtype=np.int32)
@@ -342,10 +343,10 @@ def _histogram_counts(table, rows, weights, m=None, maxima=None):
         halves.append(np.bincount(flat, minlength=top * n).reshape(top, n))
     p, q = halves
     g = np.multiply(p, weights, dtype=float) @ q.T.astype(float)
-    # The two half maxima add up to at most the number of terms,
-    # table.sum(), so every anti-diagonal index fits in the counts.
+    # The two half maxima add up to at most the number of terms, so every
+    # anti-diagonal index fits in the counts.
     diagonals = np.add.outer(np.arange(len(g)), np.arange(g.shape[1])).ravel()
-    counts = np.bincount(diagonals, g.ravel(), int(table.sum()) + 1).astype(np.int64)
+    counts = np.bincount(diagonals, g.ravel(), n_terms + 1).astype(np.int64)
 
     fast_max = int(maxima.max())
     hist_max = int(np.flatnonzero(counts)[-1])
@@ -372,25 +373,12 @@ def classical_histogram(expr: BellExpression) -> StrategyHistogram:
     For an invariant expression each S4-orbit representative's counts are
     weighted by its orbit size; the counts are integer-exact either way.
     """
-    counts = _histogram_counts(expr.table, *expr._scan)
+    counts = _histogram_counts(len(expr.terms), *expr._scan)
     return StrategyHistogram(
         counts={c: int(counts[c]) for c in range(len(counts))},
         c_max=int(np.flatnonzero(counts)[-1]),
         n_terms=len(expr.terms),
     )
-
-
-def _summed_maxima(tables, multisets):
-    """Per row of a (K, size) index array into stacked tables M, the largest row maximum of
-    its members' sum: summed per multiset (no temporary spans all K) into one K x 3 x 8 x rows
-    buffer, reduced once in int8 when `size` times any table's row maximum fits, else int16."""
-    bound = multisets.shape[1] * _row_maxima(tables).max()
-    dtype = np.int8 if bound <= np.iinfo(np.int8).max else np.int16
-    tables = np.ascontiguousarray(tables.transpose(0, 3, 2, 1), dtype=dtype)
-    totals = np.empty((len(multisets), *tables.shape[1:]), dtype)
-    for total, members in zip(totals, multisets):
-        np.add.reduce(tables[members], axis=0, out=total)
-    return np.maximum.reduce(totals, axis=1).sum(axis=1, dtype=dtype).max(axis=1).astype(int)
 
 
 @lru_cache(maxsize=1)
@@ -423,10 +411,12 @@ _RELABELING_GENERATORS = (3, 37)  # two `_class_relabelings()` rows that generat
 @lru_cache(maxsize=None)
 def _class_multisets(size):
     """Read-only: every class multiset of `size` in combinations order, its code, its classical
-    maximum and its lambda_max, the largest column-order sum of its classes' eigenvalues (the
-    pair model's x01 row, checked S4-invariant to 1e-12).  Built on first use: each orbit's
-    smallest index spreads along two generating relabelings until it settles; that multiset's
-    maximum is the whole orbit's (lambda_max is not constant on the orbits)."""
+    maximum, its lambda_max, the largest column-order sum of its classes' eigenvalues (the
+    pair model's x01 row, checked S4-invariant to 1e-12), and its tie class.  Built on first
+    use: each orbit's smallest index spreads along two generating relabelings until it
+    settles; that multiset's `_class_scan` maximum is the whole orbit's (lambda_max is not
+    constant on the orbits).  The gaps lambda_max - maximum, sorted descending, fall into tie
+    classes 1, 2, ..., a new one wherever a step down exceeds 1e-9."""
     combos = itertools.combinations_with_replacement(range(N_SETTINGS * N_OUTCOMES), size)
     multisets = np.fromiter(itertools.chain.from_iterable(combos), np.intp).reshape(-1, size)
     codes = _codes(multisets)
@@ -435,15 +425,19 @@ def _class_multisets(size):
     while not np.array_equal(smallest, previous):
         previous, smallest = smallest, np.minimum(smallest, smallest[images].min(axis=0))
     first = np.flatnonzero(smallest == np.arange(len(codes)))
-    class_of, _, alice_tables = _pair_classes()
-    maxima = _summed_maxima(alice_tables, multisets[first])[np.searchsorted(first, smallest)]
+    maxima = np.array([_class_scan(ids)[1].max() for ids in multisets[first]])
+    maxima = maxima[np.searchsorted(first, smallest)]
     eigenvalues = standard_context().pair_model.eigenvalues
-    if not (np.abs(eigenvalues - eigenvalues[0][class_of]) <= 1e-12).all():
+    if not (np.abs(eigenvalues - eigenvalues[0][_pair_classes()[0]]) <= 1e-12).all():
         raise RuntimeError("a pair's eigenvalues are not its class's: not S4-invariant")
     lambdas = sum(eigenvalues[0][multisets.T]).max(axis=1)
-    for arr in (multisets, codes, maxima, lambdas):
+    gaps = lambdas - maxima
+    desc = np.argsort(-gaps, kind="stable")
+    ties = np.empty(len(gaps), np.int16)  # a stable sort of 16-bit keys is a radix sort
+    ties[desc] = np.cumsum(np.diff(gaps[desc], prepend=np.inf) < -1e-9)
+    for arr in (multisets, codes, maxima, lambdas, ties):
         arr.setflags(write=False)
-    return multisets, codes, maxima, lambdas
+    return multisets, codes, maxima, lambdas, ties
 
 
 @lru_cache(maxsize=None)

@@ -22,13 +22,14 @@ label, as in "x01:x14,x01:x14,x01:x18"; a repeated orbit's terms count
 once per copy.  `analyze` and `game` reject such a spec (duplicate term).
 
 The parser, the S4 context, per `--orbits` value the class multisets
-with their classical maxima and lambda_max, and per `--phi` label and
-`--orbits` value each Bob-label multiset's row among them are built once
-per process, on first use.  So are the context's pair model (every orbit
-pair's componentwise eigenvalues in one table, and its operator), the 24
-pair classes' tables each spec is summed from and, per Alice label, its
-pairs' terms; all but `orbits` read them.  None is built at import or
-with the context.  A later `main` prints what a first would.
+with their classical maxima, lambda_max and gap tie classes, and per
+`--phi` label and `--orbits` value each Bob-label multiset's row among
+them are built once per process, on first use.  So are the context's
+pair model (every orbit pair's componentwise eigenvalues in one table,
+and its operator), the 24 pair classes' tables M each spec is summed
+from and, per Alice label, its pairs' terms; all but `orbits` read them.
+None is built at import or with the context.  A later `main` prints what
+a first would.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (a malformed
 or term-repeating spec), 3 internal error (building the S4 context or
@@ -38,7 +39,6 @@ SIGPIPE death), with no traceback.
 """
 
 import argparse
-import itertools
 import json
 import os
 import re
@@ -369,20 +369,13 @@ def _cmd_game(args):
 
 def _cmd_scan(args):
     alice, labels = args.phi, all_labels()
-    # lambda_max and the classical maximum are S4-invariant: read per class multiset.
-    combos, _, cmaxes, lams = _class_multisets(args.orbits)
+    # lambda_max, the classical maximum and the gap's tie class are S4-invariant: read per
+    # class multiset.  Specs rank by tie class, each class in combination order (label
+    # order, as all_labels() is sorted).
+    combos, _, cmaxes, lams, ties = _class_multisets(args.orbits)
     rows = _class_index(labels.index(alice), args.orbits)
     gaps = (lams - cmaxes)[rows]
-    # Gaps sorted descending fall into tie classes, split where a step down
-    # exceeds 1e-9; each class is ranked in combination order (label order, as
-    # all_labels() is sorted).  Only gaps within 1e-9 of the --top-th are ranked.
-    top = min(args.top, len(gaps))
-    cut = np.partition(gaps, len(gaps) - top)[len(gaps) - top] if top else np.inf
-    desc = np.flatnonzero(gaps >= cut - 1e-9)
-    desc = desc[np.argsort(-gaps[desc], kind="stable")]
-    g = gaps[desc].tolist()
-    tie_class = itertools.accumulate(a - b > 1e-9 for a, b in zip([np.inf, *g], g))
-    order = [i for _, i in sorted(zip(tie_class, desc.tolist()))][:top]
+    order = np.argsort(ties[rows], kind="stable")[:args.top]
 
     print(
         f"scan over {len(combos)} unordered Bob-label multisets "

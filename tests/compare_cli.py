@@ -14,24 +14,26 @@ an earlier command left in a process-wide cache shows up: a command whose
 hash then differs is marked "ORDER".  It exits 1 when any command differs
 or is marked, else 0.
 
-The 126 commands cover all five subcommands and the usage-error path:
+The 129 commands cover all five subcommands and the usage-error path:
 `scan --orbits 1|2|3 --top 2600` for every `--phi` label, the `scan`
 commands pinned in tests/golden/, the benchmark's `scan --orbits 3 --top
-10` at `--phi` x01, x12, x27 and x18, `scan --orbits 2|3 --top 1|4|8`
-(at x01, `--top 4` cuts a tie class, gaps within 1e-9, at both sizes,
-`--top 1` and `--top 8` at size 3), `analyze` as text, `--json` and `--csv`
-on the built-in cases I-III, the same three forms of `analyze --histogram`
-on cases I-III, the one-pair spec `x01:x14` and the 24-pair spec
+10` at `--phi` x01, x12, x27 and x18, `scan --orbits 2|3 --top 1|4|8` (at
+x01, `--top 4` cuts a tie class, gaps within 1e-9, at both sizes, `--top
+1` and `--top 8` at size 3), `scan --orbits 3 --top 0` (the header and no
+row), `analyze` as text, `--json` and `--csv` on the built-in cases
+I-III, the same three forms of `analyze --histogram` on cases I-III, the
+one-pair spec `x01:x14` and the 24-pair spec
 `x01:x01,x01:x11,...,x01:x28`, `analyze --histogram` as `--json` and
 `--csv` on `x01:x12,x01:x23,x01:x14` (rank 1 of `scan --orbits 3`, whose
-histogram no golden file pins), `game` on cases I-III, `analyze` as
-text, `--json` and `--csv` and `game` on `x12:x01,x23:x14,x27:x05`,
-`analyze --json` on the 24-pair spec `x01:x01,x11:x16,...,x28:x13` (24
-distinct Alice labels and 24 distinct pair classes; every other spec has
-Alice at x01), `orbits` and `orbits --json`, `verify`, and `analyze` on
-the specs `x01:x01,x11:x11` (a repeated term), `x01:x14,x15:x06` (two
-different pairs of one class, so the same 24 terms) and `x01:x14,,x01:x07`
-(malformed), which exit 2.
+histogram no golden file pins), `game` on cases I-III, `analyze` as text,
+`--json` and `--csv`, `analyze --histogram` as `--json` and `--csv` (a
+histogram summed from classes with Alice off x01) and `game` on
+`x12:x01,x23:x14,x27:x05`, `analyze --json` on the 24-pair spec
+`x01:x01,x11:x16,...,x28:x13` (24 distinct Alice labels and 24 distinct
+pair classes; every other spec has Alice at x01), `orbits` and `orbits
+--json`, `verify`, and `analyze` on the specs `x01:x01,x11:x11` (a
+repeated term), `x01:x14,x15:x06` (two different pairs of one class, so
+the same 24 terms) and `x01:x14,,x01:x07` (malformed), which exit 2.
 """
 
 import contextlib
@@ -68,6 +70,7 @@ COMMANDS += [
     for orbits in ("2", "3")
     for top in ("1", "4", "8")
 ]
+COMMANDS += [["scan", "--orbits", "3", "--top", "0"]]
 COMMANDS += [
     ["analyze", "--pairs", spec, *fmt]
     for spec in CASES.values()
@@ -86,6 +89,7 @@ COMMANDS += [
 COMMANDS += [["game", "--pairs", spec] for spec in CASES.values()]
 MIXED_ALICE = "x12:x01,x23:x14,x27:x05"
 COMMANDS += [["analyze", "--pairs", MIXED_ALICE, *fmt] for fmt in ([], ["--json"], ["--csv"])]
+COMMANDS += [["analyze", "--pairs", MIXED_ALICE, "--histogram", f] for f in ("--json", "--csv")]
 COMMANDS += [["game", "--pairs", MIXED_ALICE]]
 COMMANDS += [["analyze", "--json", "--pairs", (
     "x01:x01,x11:x16,x21:x17,x02:x26,x12:x04,x22:x02,x03:x02,x13:x18,x23:x02,x04:x16,x14:x24,"

@@ -18,12 +18,12 @@ from s4bell.classical import (
     _class_index,
     _class_multisets,
     _class_relabelings,
+    _class_scan,
     _codes,
     _histogram_counts,
     _is_invariant,
     _per_alice_tables,
     _row_maxima,
-    _summed_maxima,
     bell_terms,
     classical_histogram,
     classical_max,
@@ -172,9 +172,15 @@ def _max_coefficient(table, rows):
     return int(_row_maxima(_per_alice_tables(table, rows)).max())
 
 
+def histogram_counts(table, rows, weights):
+    """`_histogram_counts` of a table over the Alice tuples `rows`, from fresh tables M."""
+    m = _per_alice_tables(table, rows)
+    return _histogram_counts(int(table.sum()), rows, weights, m, _row_maxima(m))
+
+
 def full_counts(expr):
     """Histogram from the full scan over every Alice tuple, as a list."""
-    return _histogram_counts(expr.table, ALL_ROWS, np.ones(3 ** 8, dtype=np.int64)).tolist()
+    return histogram_counts(expr.table, ALL_ROWS, np.ones(3 ** 8, dtype=np.int64)).tolist()
 
 
 def test_histogram_reduced_matches_full(case_exprs):
@@ -204,7 +210,7 @@ def shift_polynomial_counts(table, rows, weights):
 def assert_counts_match_reference(expr, rows=None, weights=None):
     if rows is None:
         rows, weights = expr._scan[:2]
-    counts = _histogram_counts(expr.table, rows, weights)
+    counts = histogram_counts(expr.table, rows, weights)
     assert counts.dtype == np.int64
     assert np.array_equal(counts, shift_polynomial_counts(expr.table, rows, weights))
 
@@ -261,7 +267,7 @@ def test_histogram_kernel_at_its_size_bound(orbit):
     rows, weights = expr._scan[:2]
     assert len(rows) == 3 ** 8
     reference = shift_polynomial_counts(expr.table, rows, weights).tolist()
-    assert _histogram_counts(expr.table, rows, weights).tolist() == reference
+    assert histogram_counts(expr.table, rows, weights).tolist() == reference
     hist = classical_histogram(expr)
     assert [hist.counts[c] for c in range(len(hist.counts))] == reference
     assert hist.c_max == 64
@@ -420,7 +426,7 @@ def x01_pair_expression(m):
 def unreduced_class_maxima(size):
     """Reference: per class multiset of `size` in combinations order, the largest row maximum
     of its members' summed tables M, read from the 24 hand-built pair expressions x01:m.  No
-    class table, relabeling or `_summed_maxima` is read."""
+    class table, relabeling or `_class_scan` is read."""
     m = np.stack([x01_pair_expression(k)._scan[2] for k in range(24)])
     rows = np.array(combination_rows(24, size))
     return np.concatenate([_row_maxima(sum(m[chunk[:, j]] for j in range(size))).max(axis=1)
@@ -546,31 +552,32 @@ def test_class_sums_equal_the_term_route(orbit):
 
 
 def test_class_tables_are_built_once_and_read_only(monkeypatch, capsys):
-    # The class tables are `_class_multisets(size)`: multisets, codes, maxima and lambda_max,
-    # reached through each Alice label's `_class_index`.
-    terms_calls, maxima_rows = [], []
+    # The class tables are `_class_multisets(size)`: multisets, codes, maxima, lambda_max and
+    # tie classes, reached through each Alice label's `_class_index`.
+    terms_calls, scans = [], []
 
     def counted_bell_terms(*args):
         terms_calls.append(args)
         return bell_terms(*args)
 
-    def counted_summed_maxima(tables, multisets):
-        maxima_rows.append(len(multisets))
-        return _summed_maxima(tables, multisets)
+    def counted_class_scan(ids):
+        scans[-1] += 1
+        return _class_scan(ids)
 
     _class_multisets.cache_clear()
     _class_index.cache_clear()
     monkeypatch.setattr(classical, "bell_terms", counted_bell_terms)
-    monkeypatch.setattr(classical, "_summed_maxima", counted_summed_maxima)
+    monkeypatch.setattr(classical, "_class_scan", counted_class_scan)
     for size in (1, 2, 3):
+        scans.append(0)
         for alice in (0, 13):
             _class_index(alice, size)
         assert len(terms_calls) == 0
-    # One smallest class multiset per orbit of the 72 relabelings.
-    assert maxima_rows == [2, 14, 70]
+    # One `_class_scan` per orbit of the 72 relabelings, on its smallest class multiset.
+    assert scans == [2, 14, 70]
     assert cli.main(["scan", "--orbits", "3", "--phi", "x27"]) == 0
     assert capsys.readouterr().out
-    assert (len(terms_calls), len(maxima_rows)) == (0, 3)
+    assert (len(terms_calls), scans) == (0, [2, 14, 70])
     for size in (1, 2, 3):
         arrays = _class_multisets(size)
         assert not any(arr.flags.writeable for arr in arrays)
@@ -582,7 +589,7 @@ def test_class_index_is_cached_per_alice_label_and_size(monkeypatch):
     # in the class table.
     action = standard_context().orbit.label_action
     for size in (1, 2, 3):
-        multisets, codes, maxima, _ = _class_multisets(size)
+        multisets, codes, maxima, _, _ = _class_multisets(size)
         for k in range(24):
             classes = action[np.argmax(action[:, k] == 0)]
             expected = maxima[np.searchsorted(codes, _codes(classes[multisets]))]
@@ -613,7 +620,7 @@ def test_class_lambdas_equal_the_spec_order_sums_and_the_eigen_solve(ctx):
     # label, Alice's row of the pair model summed over each Bob multiset in spec order.
     eigenvalues, labels = ctx.pair_model.eigenvalues, all_labels()
     for size in (1, 2, 3):
-        multisets, _, _, lambdas = _class_multisets(size)
+        multisets, _, _, lambdas, _ = _class_multisets(size)
         assert not lambdas.flags.writeable
         for alice in range(24):
             sums = eigenvalues[alice][multisets[:, 0]]
@@ -666,13 +673,13 @@ def test_class_relabelings_keep_every_maximum():
 def test_multiset_orbits_count(orbit, monkeypatch, size, count):
     handed = []
 
-    def recorded_summed_maxima(tables, multisets):
-        handed.append(np.array(multisets))
-        return _summed_maxima(tables, multisets)
+    def recorded_class_scan(ids):
+        handed.append(np.array(ids))
+        return _class_scan(ids)
 
     _class_multisets.cache_clear()
-    monkeypatch.setattr(classical, "_summed_maxima", recorded_summed_maxima)
-    multisets, codes, maxima, _ = _class_multisets(size)
+    monkeypatch.setattr(classical, "_class_scan", recorded_class_scan)
+    multisets, codes, maxima, _, _ = _class_multisets(size)
     rows = np.array(combination_rows(24, size))
     assert np.array_equal(multisets, rows)
     assert np.array_equal(codes, [np.ravel_multi_index(r, (24,) * size) for r in rows])
@@ -681,10 +688,10 @@ def test_multiset_orbits_count(orbit, monkeypatch, size, count):
                        for m in _class_relabelings()], axis=0)
     names, first, orbit_of = np.unique(smallest, return_index=True, return_inverse=True)
     assert len(names) == count
-    # One `_summed_maxima` call on the first multiset of each orbit, in order;
+    # One `_class_scan` call per orbit, on its first multiset, in order;
     # every multiset of an orbit carries the orbit's maximum.
-    assert len(handed) == 1
-    assert np.array_equal(handed[0], rows[np.sort(first)])
+    assert len(handed) == count
+    assert np.array_equal(handed, rows[np.sort(first)])
     assert np.array_equal(maxima, maxima[first][orbit_of])
     # Every Alice label's Bob-label multisets meet all `count` orbits.
     action = orbit.label_action

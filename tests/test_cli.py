@@ -468,10 +468,10 @@ def test_cold_analyze_fills_only_its_pairs(pair_calls):
 @pytest.mark.parametrize("phi", ["x01", "x12", "x27"])
 @pytest.mark.parametrize("orbits, count", [(1, 24), (2, 300), (3, 2600)])
 def test_top_k_is_the_head_of_the_full_ranking(orbits, count, phi):
-    # Only the rows near the cut are ranked.  A cut inside a tie class (at
-    # x01: after rank 5, 12, 14, 16 and 19 at size 1; 2-4, 6, 9-11, 13,
-    # 15-17 and 19 at size 2; 1, 4, 8, 10, 12, 14, 15, 19 and 20 at size 3)
-    # must keep combination order.
+    # `--top k` prints the first k rows of the full ranking.  A cut inside a
+    # tie class (at x01: after rank 5, 12, 14, 16 and 19 at size 1; 2-4, 6,
+    # 9-11, 13, 15-17 and 19 at size 2; 1, 4, 8, 10, 12, 14, 15, 19 and 20
+    # at size 3) must keep combination order.
     argv = ["scan", "--orbits", str(orbits), "--phi", phi, "--top"]
     lines = run_cli([*argv, "2600"])[1].splitlines()
     assert len(lines) == 3 + count
@@ -589,3 +589,24 @@ def test_closed_stdout_exits_141_without_traceback():
         stderr = proc.stderr.read()
         assert proc.wait(timeout=120) == 141
     assert stderr == ""
+
+
+def test_top_k_keeps_a_tie_class_that_chains_past_the_cut(monkeypatch, fresh_class_tables):
+    # Gaps 1, 1 - 0.8e-9 and 1 - 1.6e-9 at x22, x03 and x01 chain into one tie
+    # class by steps under 1e-9, though x01's is 1.6e-9 below the first; every
+    # other gap is -1.  The class ranks in combination order, x01:x01 first, at
+    # every --top.  The eigenvalues are S4-invariant: each pair takes its class's.
+    ctx, labels = standard_context(), all_labels()
+    model = ctx.pair_model
+    cmaxes = np.array([classical.classical_max(classical.bell_terms(
+        [OrbitPair(labels[0], label)], ctx.orbit)) for label in labels])
+    gaps = np.full(24, -1.0)
+    gaps[[5, 6, 0]] = 1.0, 1 - 0.8e-9, 1 - 1.6e-9
+    row = np.repeat((cmaxes + gaps)[:, None], 4, axis=1)
+    monkeypatch.setattr(model, "eigenvalues", row[classical._pair_classes()[0]])
+    argv = ["scan", "--orbits", "1", "--top"]
+    lines = run_cli([*argv, "24"])[1].splitlines()
+    assert lines[1] == "specs with quantum > classical: 3"
+    assert [line.split()[1] for line in lines[3:6]] == ["x01:x01", "x01:x22", "x01:x03"]
+    for k in range(25):
+        assert run_cli([*argv, str(k)]) == (0, "\n".join(lines[: 3 + k]) + "\n"), k
