@@ -20,14 +20,15 @@ orbit labels and maps bases onto bases, so it permutes Alice tuples: the
 maps onto itself under every element (true of every `bell_terms`
 output), one representative per orbit, weighted by the orbit size,
 stands for all of its tuples; any other expression takes the full scan.
-The 576 label pairs fall into 24 S4 classes, each pair with its class's
-term set, so a `bell_terms` expression carries only its scan state, its
-classes' tables M summed (`_class_scan`, checked invariant once); its
-table F, like a hand-built expression's scan state, is built from its
-terms on first read.  Bob's side reduces too: 72 relabelings of
-settings, outcomes and parties permute the classes and keep every
-maximum, so `_class_scan` runs on one class multiset per orbit; lambda_max
-(S4-invariant, not relabeling-invariant) is summed per class multiset.
+The 576 label pairs fall into 24 S4 classes (the pair model's
+`class_of`), each pair with its class's term set and eigenvalues, both
+checked once per process (`_pair_classes`), so a `bell_terms`
+expression carries only its scan state, its classes' tables M summed
+(`_class_scan`); its table F, like a hand-built expression's scan state,
+is built from its terms on first read.  Bob's side reduces too: 72
+relabelings of settings, outcomes and parties permute the classes and
+keep every maximum, so `_class_scan` runs on one class multiset per orbit;
+lambda_max (S4-invariant, not relabeling-invariant) is summed per class multiset.
 These per-size tables (`_class_multisets`, with each gap's tie class) are
 built once per process, on first use, in a few ms; `scan` reads and
 ranks them through one index per Alice label and size (`_class_index`).
@@ -163,19 +164,19 @@ def _pair_terms(k):
 
 @lru_cache(maxsize=1)
 def _pair_classes():
-    """Read-only (class_of, alice_tables) of the standard label action, built on first use.
-    Label pair (k, m) has the term set of class class_of[k, m], the pair (x01, g.m) for the g
-    taking k to x01.  Per class: tables M (306, 8, 3) on the `_alice_orbits()` rows."""
-    action = standard_context().orbit.label_action
+    """Read-only (class_of, alice_tables) of the standard pair model, built and checked once:
+    each class's term set is S4-invariant and each pair's eigenvalues are its class's to 1e-12.
+    Per class: tables M (306, 8, 3), stored outcome-major, on the `_alice_orbits()` rows."""
+    model = standard_context().pair_model
     classes = [BellExpression(row) for row in _pair_terms(0)]
     if not _is_invariant(*classes):
         raise RuntimeError("a pair class's term set is not S4-invariant")
-    class_of = action[np.argmax(action == 0, axis=0)]
-    alice_tables = _per_alice_tables(np.stack([e.table for e in classes]),
-                                     _alice_orbits().representatives)
-    for arr in (class_of, alice_tables):
-        arr.setflags(write=False)
-    return class_of, alice_tables
+    if not model.margin <= 1e-12:
+        raise RuntimeError("a pair's eigenvalues are not its class's: not S4-invariant")
+    m = _per_alice_tables(np.stack([e.table for e in classes]), _alice_orbits().representatives)
+    m = np.moveaxis(np.moveaxis(m, -1, 1).copy(), 1, -1)  # contiguous outcome slices
+    m.setflags(write=False)
+    return model.class_of, m
 
 
 def _class_scan(ids):
@@ -411,12 +412,12 @@ _RELABELING_GENERATORS = (3, 37)  # two `_class_relabelings()` rows that generat
 @lru_cache(maxsize=None)
 def _class_multisets(size):
     """Read-only: every class multiset of `size` in combinations order, its code, its classical
-    maximum, its lambda_max, the largest column-order sum of its classes' eigenvalues (the
-    pair model's x01 row, checked S4-invariant to 1e-12), and its tie class.  Built on first
-    use: each orbit's smallest index spreads along two generating relabelings until it
-    settles; that multiset's `_class_scan` maximum is the whole orbit's (lambda_max is not
-    constant on the orbits).  The gaps lambda_max - maximum, sorted descending, fall into tie
-    classes 1, 2, ..., a new one wherever a step down exceeds 1e-9."""
+    maximum, its lambda_max, the largest column-order sum of its classes' rows of the pair
+    model's eigenvalues, and its tie class.  Built on first use: each orbit's smallest index
+    spreads along two generating relabelings until it settles; that multiset's `_class_scan`
+    maximum is the whole orbit's (lambda_max is not constant on the orbits).  The gaps
+    lambda_max - maximum, sorted descending, fall into tie classes 1, 2, ..., a new one
+    wherever a step down exceeds 1e-9."""
     combos = itertools.combinations_with_replacement(range(N_SETTINGS * N_OUTCOMES), size)
     multisets = np.fromiter(itertools.chain.from_iterable(combos), np.intp).reshape(-1, size)
     codes = _codes(multisets)
@@ -427,10 +428,7 @@ def _class_multisets(size):
     first = np.flatnonzero(smallest == np.arange(len(codes)))
     maxima = np.array([_class_scan(ids)[1].max() for ids in multisets[first]])
     maxima = maxima[np.searchsorted(first, smallest)]
-    eigenvalues = standard_context().pair_model.eigenvalues
-    if not (np.abs(eigenvalues - eigenvalues[0][_pair_classes()[0]]) <= 1e-12).all():
-        raise RuntimeError("a pair's eigenvalues are not its class's: not S4-invariant")
-    lambdas = sum(eigenvalues[0][multisets.T]).max(axis=1)
+    lambdas = sum(standard_context().pair_model.eigenvalues[multisets.T]).max(axis=1)
     gaps = lambdas - maxima
     desc = np.argsort(-gaps, kind="stable")
     ties = np.empty(len(gaps), np.int16)  # a stable sort of 16-bit keys is a radix sort

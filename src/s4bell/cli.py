@@ -25,8 +25,8 @@ The parser, the S4 context, per `--orbits` value the class multisets
 with their classical maxima, lambda_max and gap tie classes, and per
 `--phi` label and `--orbits` value each Bob-label multiset's row among
 them are built once per process, on first use.  So are the context's
-pair model (every orbit pair's componentwise eigenvalues in one table,
-and its operator), the 24 pair classes' tables M each spec is summed
+pair model (each orbit pair's S4 class, the classes' eigenvalues and
+each pair's operator), the 24 classes' tables M each spec is summed
 from and, per Alice label, its pairs' terms; all but `orbits` read them.
 None is built at import or with the context.  A later `main` prints what
 a first would.

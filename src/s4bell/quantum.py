@@ -13,14 +13,13 @@ only in rendered reports.  The same spectrum is computed a second,
 independent way by LAPACK's symmetric eigensolver (numpy.linalg.eigh) on
 the assembled 9x9 matrix; the two routes cross-check each other.
 
-Each context's `pair_model` (`PairModel`) holds the componentwise
-eigenvalues of all 24 x 24 orbit pairs in one read-only table, made in one
-call on first use, and each pair's operator, made on first read.  Several
-orbit pairs are combined by summing their operators.  Every pair operator
-is sum_s lambda_s P_s over the same four projectors, so the sum has the
-componentwise sums as eigenvalues and `scan` ranks by the largest.
-`max_eigenvalue_sum` (analyze, game, verify) diagonalizes the summed matrix
-instead and checks that every componentwise sum appears in its spectrum.
+Each context's `pair_model` (`PairModel`) holds each orbit pair's S4 class,
+whose spectrum the pair shares, the 24 classes' eigenvalues and each pair's
+operator, made on first read.  A sum of pair operators, each sum_s lambda_s
+P_s over the same four projectors, has the componentwise sums as
+eigenvalues; `scan` ranks by the largest.  `max_eigenvalue_sum` (analyze,
+game, verify) diagonalizes the summed matrix instead and checks that every
+componentwise sum appears in its spectrum.
 """
 
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ import numpy as np
 
 from . import tables
 from .context import Context
-from .orbit import OrbitPair, all_labels
+from .orbit import OrbitPair, _row
 from .representation import EPS, Representation
 
 __all__ = [
@@ -139,19 +138,22 @@ class SumSpectrum:
 
 
 class PairModel:
-    """Every orbit pair's componentwise eigenvalues and operator, kept per context.
+    """Each orbit pair's S4 class, the classes' componentwise eigenvalues, and pair operators.
 
-    `eigenvalues[k, m]`, in one read-only (24, 24, 4) table, is `eigenvalues_isotypic`
-    of the seeds of all_labels()[k] (Alice) and all_labels()[m] (Bob).  `operator(alice,
-    bob)` is `build_x_operator` of theirs, made on first read and kept in `operators`.
+    Pair (k, m) of all_labels() rows is in class `class_of[k, m]`, label g.m for the g taking k
+    to x01.  `eigenvalues[c]`, read-only (24, 4), is `eigenvalues_isotypic` of x01 and label c;
+    `margin` is the largest distance of any pair's own eigenvalues from its class's (NaN if one
+    is NaN).  `operator(alice, bob)` is `build_x_operator` of theirs, kept in `operators`.
     """
 
     def __init__(self, ctx: Context):
-        self._coords, self._product, points = ctx.orbit.coords, ctx.product, ctx.orbit.points
-        seeds = np.einsum("ki,mj->kmij", points, points).reshape(24, 24, 9)
-        self.eigenvalues = _isotypic(seeds, ctx.projectors)
-        self.eigenvalues.setflags(write=False)
-        self.operators = {}
+        self._coords, self._product, self.operators = ctx.orbit.coords, ctx.product, {}
+        seeds = np.einsum("ki,mj->kmij", ctx.orbit.points, ctx.orbit.points).reshape(24, 24, 9)
+        pairs, action = _isotypic(seeds, ctx.projectors), ctx.orbit.label_action
+        self.class_of, self.eigenvalues = action[np.argmax(action == 0, axis=0)], pairs[0].copy()
+        self.margin = float(np.abs(pairs - self.eigenvalues[self.class_of]).max())
+        for arr in (self.class_of, self.eigenvalues):
+            arr.setflags(write=False)
 
     def operator(self, alice, bob):
         if (alice, bob) not in self.operators:
@@ -170,12 +172,11 @@ def max_eigenvalue_sum(pairs, ctx: Context) -> SumSpectrum:
     pairs = tuple(p if isinstance(p, OrbitPair) else OrbitPair(*p) for p in pairs)
     if not pairs:
         raise ValueError("need at least one orbit pair")
-    model, labels = ctx.pair_model, all_labels()
+    model = ctx.pair_model
     # Python's sum adds in pair order; numpy's pairwise summation would
     # regroup the rows and could change the last bit.
     total = sum((model.operator(p.alice, p.bob) for p in pairs), np.zeros((ctx.product.dim,) * 2))
-    per_pair = np.array([model.eigenvalues[labels.index(p.alice), labels.index(p.bob)]
-                         for p in pairs])
+    per_pair = model.eigenvalues[[model.class_of[_row(*p.alice), _row(*p.bob)] for p in pairs]]
     sums = sum(per_pair)
 
     values, vectors = jacobi_eigh(total)

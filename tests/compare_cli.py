@@ -14,7 +14,7 @@ an earlier command left in a process-wide cache shows up: a command whose
 hash then differs is marked "ORDER".  It exits 1 when any command differs
 or is marked, else 0.
 
-The 129 commands cover all five subcommands and the usage-error path:
+The 130 commands cover all five subcommands and the usage-error path:
 `scan --orbits 1|2|3 --top 2600` for every `--phi` label, the `scan`
 commands pinned in tests/golden/, the benchmark's `scan --orbits 3 --top
 10` at `--phi` x01, x12, x27 and x18, `scan --orbits 2|3 --top 1|4|8` (at
@@ -28,9 +28,10 @@ one-pair spec `x01:x14` and the 24-pair spec
 histogram no golden file pins), `game` on cases I-III, `analyze` as text,
 `--json` and `--csv`, `analyze --histogram` as `--json` and `--csv` (a
 histogram summed from classes with Alice off x01) and `game` on
-`x12:x01,x23:x14,x27:x05`, `analyze --json` on the 24-pair spec
-`x01:x01,x11:x16,...,x28:x13` (24 distinct Alice labels and 24 distinct
-pair classes; every other spec has Alice at x01), `orbits` and `orbits
+`x12:x01,x23:x14,x27:x05`, `analyze --json` and `--csv` on the 24-pair
+spec `x01:x01,x11:x16,...,x28:x13` (24 distinct Alice labels and 24
+distinct pair classes, so every class row; every other spec has Alice at
+x01), `orbits` and `orbits
 --json`, `verify`, and `analyze` on the specs `x01:x01,x11:x11` (a
 repeated term), `x01:x14,x15:x06` (two different pairs of one class, so
 the same 24 terms) and `x01:x14,,x01:x07` (malformed), which exit 2.
@@ -91,10 +92,11 @@ MIXED_ALICE = "x12:x01,x23:x14,x27:x05"
 COMMANDS += [["analyze", "--pairs", MIXED_ALICE, *fmt] for fmt in ([], ["--json"], ["--csv"])]
 COMMANDS += [["analyze", "--pairs", MIXED_ALICE, "--histogram", f] for f in ("--json", "--csv")]
 COMMANDS += [["game", "--pairs", MIXED_ALICE]]
-COMMANDS += [["analyze", "--json", "--pairs", (
+DISTINCT_ALICE = (
     "x01:x01,x11:x16,x21:x17,x02:x26,x12:x04,x22:x02,x03:x02,x13:x18,x23:x02,x04:x16,x14:x24,"
     "x24:x28,x05:x22,x15:x04,x25:x13,x06:x22,x16:x13,x26:x17,x07:x01,x17:x12,x27:x24,x08:x03,"
-    "x18:x03,x28:x13")]]
+    "x18:x03,x28:x13")
+COMMANDS += [["analyze", fmt, "--pairs", DISTINCT_ALICE] for fmt in ("--json", "--csv")]
 COMMANDS += [["orbits"], ["orbits", "--json"], ["verify"]]
 COMMANDS += [
     ["analyze", "--pairs", spec]

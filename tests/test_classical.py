@@ -33,7 +33,7 @@ from s4bell.classical import (
 )
 from s4bell.game import game_values
 from s4bell.orbit import OrbitPair, all_labels
-from s4bell.quantum import EIG_TOL, max_eigenvalue_sum
+from s4bell.quantum import EIG_TOL, eigenvalues_isotypic, max_eigenvalue_sum
 
 
 @pytest.fixture(scope="module")
@@ -616,9 +616,11 @@ def test_class_index_names_each_bob_multisets_class_multiset():
 
 
 def test_class_lambdas_equal_the_spec_order_sums_and_the_eigen_solve(ctx):
-    # The route `scan` took before lambda_max was read per class multiset: per Alice
-    # label, Alice's row of the pair model summed over each Bob multiset in spec order.
-    eigenvalues, labels = ctx.pair_model.eigenvalues, all_labels()
+    # Independent of the pair model: per Alice label, each pair's own `eigenvalues_isotypic`
+    # summed over each Bob multiset in spec order.
+    labels, coords = all_labels(), ctx.orbit.coords
+    eigenvalues = np.array([[eigenvalues_isotypic(coords(*alice), coords(*bob), ctx.projectors)
+                             for bob in labels] for alice in labels])
     for size in (1, 2, 3):
         multisets, _, _, lambdas, _ = _class_multisets(size)
         assert not lambdas.flags.writeable

@@ -396,36 +396,56 @@ def fresh_class_tables():
 
 def test_scan_ranking_ignores_rounding_noise(monkeypatch, fresh_class_tables):
     # Independent noise of 1e-12 on every pair class's eigenvalues moves gaps that
-    # are equal in exact arithmetic apart by far less than the 1e-9 tie width.  The
-    # noise is S4-invariant (each pair takes its class's), as the class tables check.
+    # are equal in exact arithmetic apart by far less than the 1e-9 tie width.
     model = standard_context().pair_model
-    table, class_of = model.eigenvalues, classical._pair_classes()[0]
+    rows = model.eigenvalues
     rng = np.random.default_rng(24)
-    noise = rng.choice([-1e-12, 1e-12], size=table.shape[1:])
-    monkeypatch.setattr(model, "eigenvalues", table + noise[class_of])
+    noise = rng.choice([-1e-12, 1e-12], size=rows.shape)
+    monkeypatch.setattr(model, "eigenvalues", rows + noise)
     for orbits in (1, 2, 3):
         for phi, digest in zip(LABELS, SCAN_SHA256[orbits]):
             assert scan_digest(orbits, phi) == digest, (orbits, phi)
-    moved = np.abs(classical._class_multisets(1)[3] - table[0].max(axis=1))
+    moved = np.abs(classical._class_multisets(1)[3] - rows.max(axis=1))
     assert 0 < moved.max() < 1.1e-12
 
 
+@pytest.fixture()
+def fresh_pair_classes(monkeypatch, fresh_class_tables):
+    """A pair model and pair classes built afresh on the standard context in the test, as
+    in a new process, and dropped again after it."""
+    monkeypatch.delitem(standard_context().__dict__, "pair_model", raising=False)
+    classical._pair_classes.cache_clear()
+    classical._class_index.cache_clear()
+    yield
+    standard_context().__dict__.pop("pair_model", None)  # monkeypatch restores an older one
+    classical._pair_classes.cache_clear()
+    classical._class_index.cache_clear()
+
+
 @pytest.mark.parametrize("tamper", [1e-9, np.nan], ids=["shifted", "nan"])
-def test_scan_rejects_eigenvalues_that_are_not_s4_invariant(monkeypatch, fresh_class_tables,
+def test_scan_rejects_eigenvalues_that_are_not_s4_invariant(monkeypatch, fresh_pair_classes,
                                                              capsys, tamper):
-    # One pair's eigenvalue moved off its class's: the class tables' first build fails.
-    model = standard_context().pair_model
-    tampered = model.eigenvalues.copy()
-    tampered[5, 7, 2] += tamper
-    monkeypatch.setattr(model, "eigenvalues", tampered)
-    assert main(["scan", "--orbits", "2"]) == 3
-    assert "not S4-invariant" in capsys.readouterr().err
+    # One pair's eigenvalue moved off its class's as the model is built: the pair
+    # classes' check fails every command that sums classes.
+    isotypic = quantum._isotypic
+
+    def tampered(w, projectors):
+        values = isotypic(w, projectors)
+        values[5, 7, 2] += tamper
+        return values
+
+    monkeypatch.setattr(quantum, "_isotypic", tampered)
+    for argv in (["scan", "--orbits", "2"], ["analyze", "--pairs", "x12:x01"]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "eigenvalues" in err and "not S4-invariant" in err
 
 
 @pytest.fixture()
-def pair_calls(monkeypatch):
-    """A fresh pair model on the standard context, and the calls made to fill it."""
-    calls = {"build_x_operator": 0, "_isotypic": 0}
+def pair_calls(monkeypatch, fresh_pair_classes):
+    """A fresh pair model and pair classes on the standard context, and the calls made to
+    build and fill them."""
+    calls = {"build_x_operator": 0, "_isotypic": 0, "_is_invariant": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -433,22 +453,28 @@ def pair_calls(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(quantum, name, counted(name, getattr(quantum, name)))
-    monkeypatch.delitem(standard_context().__dict__, "pair_model", raising=False)
+    for module, name in ((quantum, "build_x_operator"), (quantum, "_isotypic"),
+                         (classical, "_is_invariant")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     return calls
 
 
-def test_scan_reads_the_class_row_of_the_table_and_builds_no_operator(pair_calls,
-                                                                      fresh_class_tables):
-    # With every row replaced by the x01 row read through the pair classes (Bob label m
-    # of Alice label k is in class class_of[k, m]), each full scan prints as pinned.
-    model = standard_context().pair_model
-    model.eigenvalues = model.eigenvalues[0][classical._pair_classes()[0]]
-    for k, phi in enumerate(LABELS):
-        assert scan_digest(1, phi) == SCAN_SHA256[1][k], phi
+def test_scan_reads_the_class_row_of_the_table_and_builds_no_operator(pair_calls):
+    # With class c's row replaced by the eigenvalues of Alice x12's pair in class c (Bob
+    # label m of Alice label k is in class class_of[k, m]), each full scan prints as
+    # pinned, and its lambda_max column is read from the replaced rows.
+    ctx, labels = standard_context(), all_labels()
+    model, k = ctx.pair_model, labels.index((2, 1))
+    phi = ctx.orbit.coords(*labels[k])
+    model.eigenvalues = np.array([
+        quantum.eigenvalues_isotypic(phi, ctx.orbit.coords(*labels[m]), ctx.projectors)
+        for m in np.argsort(model.class_of[k])])
+    for j, label in enumerate(LABELS):
+        assert scan_digest(1, label) == SCAN_SHA256[1][j], label
+    assert np.array_equal(classical._class_multisets(1)[3], model.eigenvalues.max(axis=1))
     run_cli(["scan", "--orbits", "3", "--phi", "x12"])
-    assert pair_calls == {"build_x_operator": 0, "_isotypic": 1}
+    # one `_isotypic` call builds the model, 24 made the rows above
+    assert pair_calls == {"build_x_operator": 0, "_isotypic": 25, "_is_invariant": 1}
     assert model.operators == {}
 
 
@@ -458,11 +484,32 @@ def test_cold_analyze_fills_only_its_pairs(pair_calls):
     assert code == 0
     model = standard_context().pair_model
     assert set(model.operators) == {(p.alice, p.bob) for p in parse_pair_spec(spec)}
-    assert pair_calls == {"build_x_operator": 3, "_isotypic": 1}
+    assert pair_calls == {"build_x_operator": 3, "_isotypic": 1, "_is_invariant": 1}
     assert run_cli(["analyze", "--pairs", spec]) == (0, first)
     assert run_cli(["game", "--pairs", spec])[0] == 0
-    assert pair_calls == {"build_x_operator": 3, "_isotypic": 1}
+    assert pair_calls == {"build_x_operator": 3, "_isotypic": 1, "_is_invariant": 1}
     assert len(model.operators) == 3
+
+
+def test_the_model_is_built_and_its_classes_checked_once_per_process(pair_calls):
+    # Every command but `orbits` reads the pair model; each that sums classes first
+    # reads `_pair_classes()`, which checks the term sets and the margin.
+    class Margin(float):
+        comparisons = 0
+
+        def __le__(self, other):
+            Margin.comparisons += 1
+            return float(self) <= other
+
+    model = standard_context().pair_model
+    model.margin = Margin(model.margin)
+    commands = [["scan", "--orbits", "1"], ["scan", "--orbits", "2"],
+                ["scan", "--orbits", "3", "--phi", "x27"], ["analyze", "--pairs", "x12:x01"],
+                ["game", "--pairs", "x01:x14,x01:x07"], ["verify"]]
+    assert [run_cli(argv)[0] for argv in commands] == [0, 0, 0, 0, 0, 1]
+    assert pair_calls["_isotypic"] == 1
+    assert pair_calls["_is_invariant"] == 1
+    assert Margin.comparisons == 1
 
 
 @pytest.mark.parametrize("phi", ["x01", "x12", "x27"])
@@ -595,7 +642,7 @@ def test_top_k_keeps_a_tie_class_that_chains_past_the_cut(monkeypatch, fresh_cla
     # Gaps 1, 1 - 0.8e-9 and 1 - 1.6e-9 at x22, x03 and x01 chain into one tie
     # class by steps under 1e-9, though x01's is 1.6e-9 below the first; every
     # other gap is -1.  The class ranks in combination order, x01:x01 first, at
-    # every --top.  The eigenvalues are S4-invariant: each pair takes its class's.
+    # every --top.  The class rows are patched directly.
     ctx, labels = standard_context(), all_labels()
     model = ctx.pair_model
     cmaxes = np.array([classical.classical_max(classical.bell_terms(
@@ -603,7 +650,7 @@ def test_top_k_keeps_a_tie_class_that_chains_past_the_cut(monkeypatch, fresh_cla
     gaps = np.full(24, -1.0)
     gaps[[5, 6, 0]] = 1.0, 1 - 0.8e-9, 1 - 1.6e-9
     row = np.repeat((cmaxes + gaps)[:, None], 4, axis=1)
-    monkeypatch.setattr(model, "eigenvalues", row[classical._pair_classes()[0]])
+    monkeypatch.setattr(model, "eigenvalues", row)
     argv = ["scan", "--orbits", "1", "--top"]
     lines = run_cli([*argv, "24"])[1].splitlines()
     assert lines[1] == "specs with quantum > classical: 3"

@@ -300,19 +300,38 @@ def test_isotypic_bit_identical_to_kron_formula(orbit, projectors):
 
 
 def test_pair_model_equals_the_two_functions_on_every_pair(ctx):
+    # Each pair's own eigenvalues are within 1e-12 (the bound `_pair_classes` checks) of
+    # its class row, and equal it bit for bit when Alice is x01; `margin` is the largest
+    # distance.  Operators are built from the pair's own seeds.
     labels, model = all_labels(), ctx.pair_model
-    assert model.eigenvalues.shape == (24, 24, 4)
+    assert model.eigenvalues.shape == (24, 4) and model.class_of.shape == (24, 24)
+    assert np.array_equal(model.class_of[0], np.arange(24))
+    distances = []
     for (k, alice), (m, bob) in itertools.product(enumerate(labels), enumerate(labels)):
-        operator, row = model.operator(alice, bob), model.eigenvalues[k, m]
+        operator, row = model.operator(alice, bob), model.eigenvalues[model.class_of[k, m]]
         phi, psi = ctx.orbit.coords(*alice), ctx.orbit.coords(*bob)
         assert np.array_equal(operator, build_x_operator(phi, psi, ctx.product))
-        assert np.array_equal(row, eigenvalues_isotypic(phi, psi, ctx.projectors))
+        values = eigenvalues_isotypic(phi, psi, ctx.projectors)
+        distances.append(np.abs(values - row).max())
+        assert distances[-1] <= 1e-12
+        if k == 0:
+            assert np.array_equal(row, values)
         with pytest.raises(ValueError, match="read-only"):
             operator[0] = 0
-    with pytest.raises(ValueError, match="read-only"):
-        model.eigenvalues[0, 0] = 0
+    assert model.margin == max(distances)
+    for table in (model.eigenvalues, model.class_of):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0
     assert len(model.operators) == 576
     assert model.operator(labels[4], labels[7]) is model.operators[labels[4], labels[7]]
+
+
+def test_pair_model_margin_is_nan_for_a_nan_orbit_point(ctx):
+    points = ctx.orbit.points.copy()
+    points[all_labels().index((2, 0)), 1] = np.nan
+    broken = dataclasses.replace(ctx, orbit=dataclasses.replace(ctx.orbit, points=points))
+    assert math.isnan(broken.pair_model.margin)
+    assert np.isnan(broken.pair_model.eigenvalues[all_labels().index((2, 0))]).all()
 
 
 def test_replaced_context_has_its_own_pair_model(ctx, case_pairs):
