@@ -16,22 +16,21 @@ exact float64 product.
 
 The scan is also symmetry-reduced.  Each element of S4 permutes the
 orbit labels and maps bases onto bases, so it permutes Alice tuples: the
-3**8 tuples fall into 306 orbits.  When the term set of an expression
-maps onto itself under every element (true of every `bell_terms`
-output), one representative per orbit, weighted by the orbit size,
-stands for all of its tuples; any other expression takes the full scan.
-The 576 label pairs fall into 24 S4 classes (the pair model's
-`class_of`), each pair with its class's term set and eigenvalues, both
-checked once per process (`_pair_classes`), so a `bell_terms`
-expression carries only its scan state, its classes' tables M summed
-(`_class_scan`); its table F, like a hand-built expression's scan state,
-is built from its terms on first read.  Bob's side reduces too: 72
-relabelings of settings, outcomes and parties permute the classes and
-keep every maximum, so `_class_scan` runs on one class multiset per orbit;
-lambda_max (S4-invariant, not relabeling-invariant) is summed per class multiset.
-These per-size tables (`_class_multisets`, with each gap's tie class) are
-built once per process, on first use, in a few ms; `scan` reads and
-ranks them through one index per Alice label and size (`_class_index`).
+3**8 tuples fall into 306 orbits.  The 576 label pairs fall into 24 S4
+orbits of 24 pairs, the pair classes (the pair model's `class_of`); each
+pair has its class's eigenvalues.  Both are checked once per process
+(`_pair_classes`).  A term set maps onto itself under every element
+exactly when it is a union of classes (true of every `bell_terms`
+output); then one representative per orbit, weighted by the orbit size,
+stands for all of its tuples, and its tables M are its classes' tables
+summed (`_class_scan`).  Any other expression scans every tuple.  Bob's
+side reduces too: 72 relabelings of settings, outcomes and parties
+permute the classes and keep every maximum, so `_class_scan` runs on one
+class multiset per orbit; lambda_max (S4-invariant, not
+relabeling-invariant) is summed per class multiset.  These per-size
+tables (`_class_multisets`, with each gap's tie class) are built once
+per process, on first use, in a few ms; `scan` reads and ranks them
+through one index per Alice label and size (`_class_index`).
 """
 
 import contextlib
@@ -97,16 +96,21 @@ class BellExpression:
 
     @cached_property
     def _scan(self):
-        """Read-only scan state, built on first use: the Alice tuples to scan (one per S4
-        orbit, ascending, if the expression is invariant, else all), the number of tuples
-        each stands for, their tables M and their row maxima."""
-        if _is_invariant(self):
+        """Read-only scan state, built on first use: the Alice tuples to scan, the number of
+        tuples each stands for, their tables M and their row maxima.  The term set is
+        S4-invariant exactly when each pair class holds none or all 24 of its terms: then
+        one tuple per S4 orbit, ascending, is scanned, and M is its classes' tables summed.
+        Any other term set scans every tuple."""
+        classes = set(map(_term_classes().__getitem__, self.terms))
+        if len(self.terms) == 24 * len(classes):  # distinct terms: at most 24 per class
             rows, weights = _alice_orbits()
+            m, maxima = _class_scan(list(classes))
         else:
             rows = np.arange(N_OUTCOMES ** N_SETTINGS)
             weights = np.ones(len(rows), dtype=np.int64)
-        m = _per_alice_tables(self.table, rows)
-        scan = rows, weights, m, _row_maxima(m)
+            m = _per_alice_tables(self.table, rows)
+            maxima = _row_maxima(m)
+        scan = rows, weights, m, maxima
         for arr in scan:
             arr.setflags(write=False)
         return scan
@@ -119,6 +123,13 @@ def _term_table():
     labels = all_labels()
     table = tuple(tuple(Term(*alice, *bob) for bob in labels) for alice in labels)
     return table, {term: term for row in table for term in row}
+
+
+@lru_cache(maxsize=1)
+def _term_classes():
+    """A dict mapping each `_term_table` Term to the pair class of its labels."""
+    rows = zip(_term_table()[0], _pair_classes()[0].tolist())
+    return {term: c for terms, classes in rows for term, c in zip(terms, classes)}
 
 
 def _canonical_term(entries):
@@ -142,58 +153,39 @@ def bell_terms(pairs, orbit: Orbit) -> BellExpression:
     For each pair and each group element g, the images of the two seeds
     are read from the orbit's label action, giving one term per
     (pair, element) in canonical order.  Duplicate terms across pairs
-    raise ValueError.  Standard-orbit expansions are summed from cached class tables.
+    raise ValueError.  Each pair's 24 terms are its S4 pair class, so the
+    expression's scan state is summed from its classes' tables.
     """
     pairs = tuple(p if isinstance(p, OrbitPair) else OrbitPair(*p) for p in pairs)
-    alice, bob = [_row(*p.alice) for p in pairs], [_row(*p.bob) for p in pairs]
-    if np.array_equal(orbit.label_action, standard_context().orbit.label_action):
-        return _class_expression(pairs, alice, bob)
-    table, columns = _term_table()[0], orbit.label_action.T.tolist()
-    terms = tuple(table[k][m] for a, b in zip(alice, bob) for k, m in zip(columns[a], columns[b]))
+    table, images = _term_table()[0], orbit.label_action.T  # images[k]: label k's images
+    terms = tuple(table[k][m] for p in pairs for k, m in
+                  zip(images[_row(*p.alice)].tolist(), images[_row(*p.bob)].tolist()))
     return BellExpression(terms, pairs)
-
-
-@lru_cache(maxsize=None)
-def _pair_terms(k):
-    """[m]: the 24 Terms of the standard label pair (k, m) in `bell_terms` order, built per
-    Alice label index k on first use."""
-    images = standard_context().orbit.label_action.T.tolist()  # [k]: label k's images
-    alice = [_term_table()[0][i] for i in images[k]]
-    return tuple(tuple(map(operator.getitem, alice, bob)) for bob in images)
 
 
 @lru_cache(maxsize=1)
 def _pair_classes():
     """Read-only (class_of, alice_tables) of the standard pair model, built and checked once:
-    each class's term set is S4-invariant and each pair's eigenvalues are its class's to 1e-12.
-    Per class: tables M (306, 8, 3), stored outcome-major, on the `_alice_orbits()` rows."""
-    model = standard_context().pair_model
-    classes = [BellExpression(row) for row in _pair_terms(0)]
-    if not _is_invariant(*classes):
+    class c is the S4 orbit of pair (x01, c) (class_of[g.x01, g.c] == c for every g), so its
+    term set is S4-invariant, and each pair's eigenvalues are its class's to 1e-12.  Per class:
+    tables M (306, 8, 3) of its one-hot table, outcome-major, on the `_alice_orbits()` rows."""
+    ctx = standard_context()
+    class_of, action = ctx.pair_model.class_of, ctx.orbit.label_action
+    if not (class_of[action[:, :1], action] == np.arange(24)).all():
         raise RuntimeError("a pair class's term set is not S4-invariant")
-    if not model.margin <= 1e-12:
+    if not ctx.pair_model.margin <= 1e-12:
         raise RuntimeError("a pair's eigenvalues are not its class's: not S4-invariant")
-    m = _per_alice_tables(np.stack([e.table for e in classes]), _alice_orbits().representatives)
+    tables = (class_of == np.arange(24)[:, None, None]).reshape(24, *(N_SETTINGS, N_OUTCOMES) * 2)
+    m = _per_alice_tables(tables, _alice_orbits().representatives)
     m = np.moveaxis(np.moveaxis(m, -1, 1).copy(), 1, -1)  # contiguous outcome slices
     m.setflags(write=False)
-    return model.class_of, m
+    return class_of, m
 
 
 def _class_scan(ids):
     """The summed tables M of pair classes `ids` on the `_alice_orbits()` rows, and row maxima."""
     m = _pair_classes()[1][ids].sum(axis=0, dtype=np.int16)
     return m, _row_maxima(m)
-
-
-def _class_expression(pairs, alice, bob):
-    """`bell_terms` of label index pairs (alice[i], bob[i]), its scan summed from their classes."""
-    terms = tuple(itertools.chain.from_iterable(_pair_terms(k)[m] for k, m in zip(alice, bob)))
-    expr, orbits = BellExpression(terms, pairs), _alice_orbits()
-    scan = orbits.representatives, orbits.sizes, *_class_scan(_pair_classes()[0][alice, bob])
-    for arr in scan:
-        arr.setflags(write=False)
-    vars(expr)["_scan"] = scan
-    return expr
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,28 +262,6 @@ def _alice_orbits():
     representatives = np.flatnonzero(smallest == np.arange(len(smallest)))
     sizes = np.bincount(smallest)[representatives]
     return _AliceOrbits(representatives, sizes)
-
-
-@lru_cache(maxsize=1)
-def _generator_actions():
-    """Label-action rows of the adjacent transpositions (1 2), (2 3), (3 4)."""
-    ctx = standard_context()
-    rows = [ctx.group.tolist().index(p) for p in ([1, 0, 2, 3], [0, 2, 1, 3], [0, 1, 3, 2])]
-    action = ctx.orbit.label_action[rows]
-    action.setflags(write=False)
-    return action
-
-
-def _is_invariant(*exprs: BellExpression) -> bool:
-    """True when every S4 element maps the term set of each expression onto itself.
-
-    Checked on the adjacent transpositions (1 2), (2 3) and (3 4) only:
-    they generate S4, and the label action is a homomorphism.  The tables
-    are stacked, so one comparison covers every expression.
-    """
-    action = _generator_actions()
-    f = np.stack([e.table for e in exprs]).reshape(len(exprs), N_SETTINGS * N_OUTCOMES, -1)
-    return bool((f[:, action[:, :, None], action[:, None, :]] == f[:, None]).all())
 
 
 def _per_alice_tables(table, rows):

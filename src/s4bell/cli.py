@@ -27,7 +27,7 @@ with their classical maxima, lambda_max and gap tie classes, and per
 them are built once per process, on first use.  So are the context's
 pair model (each orbit pair's S4 class, the classes' eigenvalues and
 each pair's operator), the 24 classes' tables M each spec is summed
-from and, per Alice label, its pairs' terms; all but `orbits` read them.
+from and each term's class; all but `orbits` read them.
 None is built at import or with the context.  A later `main` prints what
 a first would.
 

@@ -21,7 +21,6 @@ from s4bell.classical import (
     _class_scan,
     _codes,
     _histogram_counts,
-    _is_invariant,
     _per_alice_tables,
     _row_maxima,
     bell_terms,
@@ -242,7 +241,7 @@ def test_histogram_kernel_matches_reference_on_non_invariant_subsets(case_exprs,
     terms = case_exprs[tables.CASE_NAMES[seed]].terms
     keep = rng.choice(len(terms), size=rng.integers(1, len(terms)), replace=False)
     expr = BellExpression(tuple(terms[k] for k in sorted(keep)))
-    assert not _is_invariant(expr)
+    assert len(expr._scan[0]) == 3 ** 8
     assert_counts_match_reference(expr, ALL_ROWS, np.ones(3 ** 8, dtype=np.int64))
 
 
@@ -302,27 +301,58 @@ def test_alice_orbit_table(orbit):
 
 def test_non_invariant_expression_scans_every_alice_tuple():
     friendly = BellExpression(((1, 0, 1, 0), (2, 0, 1, 0), (1, 0, 2, 1)))
-    assert not _is_invariant(friendly)
     rows, weights = friendly._scan[:2]
     assert rows.tolist() == list(range(3 ** 8))
     assert set(weights.tolist()) == {1}
 
 
+def product_scan(expr):
+    """Reference: the tables M and row maxima of `expr`'s scan rows, from the product of its
+    own table F.  No class table is read."""
+    m = _per_alice_tables(expr.table, expr._scan[0])
+    return m, _row_maxima(m)
+
+
+def assert_scan_equals_the_product(expr, n_rows):
+    rows, weights, m, maxima = expr._scan
+    assert len(rows) == n_rows and weights.sum() == 3 ** 8
+    for got, want in zip((m, maxima), product_scan(expr)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_several_invariant_expressions_keep_the_reduced_scan(orbit, case_exprs):
-    # An invariance check that always failed would still give a hand-built
+    # An invariance rule that always failed would still give a hand-built
     # expression the right numbers, only from the 6561-row scan, so the row
-    # count is pinned.
+    # count is pinned; the tables summed from the classes must equal the product.
     for expr in case_exprs.values():
-        rows, weights = BellExpression(expr.terms)._scan[:2]
-        assert len(rows) == 306
-        assert weights.sum() == 3 ** 8
-    # The pair-class build checks its 24 classes in one stacked comparison;
-    # here the 24 single-pair expressions of Alice label x12.
+        assert_scan_equals_the_product(BellExpression(expr.terms), 306)
+    # The 24 single-pair expressions of Alice label x12, one per class, and their union.
     pool = [bell_terms([OrbitPair((2, 1), lab)], orbit) for lab in all_labels()]
-    assert _is_invariant(*pool)
+    for expr in (*pool, BellExpression(sum((e.terms for e in pool), ()))):
+        assert_scan_equals_the_product(expr, 306)
     friendly = BellExpression(((1, 0, 1, 0), (2, 0, 1, 0), (1, 0, 2, 1)))
-    assert not _is_invariant(case_exprs["I"], friendly, case_exprs["II"])
-    assert not _is_invariant(friendly, *pool)
+    assert_scan_equals_the_product(friendly, 3 ** 8)
+
+
+def test_the_scan_is_reduced_exactly_on_unions_of_pair_classes(orbit, case_exprs):
+    # A term set is S4-invariant exactly when each pair class holds none or all 24 of its
+    # terms: then the 306 orbit rows are scanned, else all 6561 tuples.
+    rng = np.random.default_rng(32)
+    terms = case_exprs["II"].terms
+    labels = all_labels()
+    # Whole classes with Alice at several labels: x01:x14, x12:x26, x23:x21, x28:x22.
+    spread = bell_terms([OrbitPair(labels[k], labels[m]) for k, m in
+                         ((0, 10), (4, 17), (8, 2), (23, 5))], orbit).terms
+    one_class = bell_terms([OrbitPair((2, 1), (5, 0))], orbit).terms
+    firsts = [bell_terms([OrbitPair((1, 0), lab)], orbit).terms[0] for lab in labels]
+    cases = [(terms[::-1], 306), (tuple(terms[k] for k in rng.permutation(72)), 306),
+             ((), 306), (spread, 306), (spread + one_class, 306),
+             (spread + (terms[0],), 3 ** 8),  # one term more than whole classes
+             (tuple(firsts), 3 ** 8),  # 24 terms, one of each class
+             (one_class[:12] + spread[:12], 3 ** 8)]  # 24 terms, half of two classes
+    cases += [(one_class[:k] + one_class[k + 1:], 3 ** 8) for k in (0, 11, 23)]
+    for case, n_rows in cases:
+        assert_scan_equals_the_product(BellExpression(case), n_rows)
 
 
 def gathered_per_alice_tables(table, rows):
@@ -369,7 +399,7 @@ def test_invariance_needs_every_generator(ctx, pair):
         positions = grown
     assert len(positions) in (4, 6)
     terms = tuple(Term(*labels[k], *labels[m]) for k, m in sorted(positions))
-    assert not _is_invariant(BellExpression(terms))
+    assert_scan_equals_the_product(BellExpression(terms), 3 ** 8)
 
 
 _LABELS = st.tuples(st.integers(1, 8), st.integers(0, 2))
@@ -382,7 +412,7 @@ def test_reduced_scan_matches_full_on_orbit_pair_unions(pairs):
         expr = bell_terms(pairs, standard_context().orbit)
     except ValueError:  # two of the pairs expand into the same terms
         assume(False)
-    assert _is_invariant(expr)
+    assert len(expr._scan[0]) == 306
     assert classical_max(expr) == _max_coefficient(expr.table, ALL_ROWS)
     hist = classical_histogram(expr)
     assert [hist.counts[c] for c in range(len(hist.counts))] == full_counts(expr)
@@ -398,11 +428,11 @@ def test_non_invariant_subset_fails_guard(case_exprs, data):
         st.sets(st.integers(0, len(terms) - 1), min_size=1).filter(lambda k: len(k) % 24)
     )
     subset = tuple(terms[k] for k in sorted(keep))
-    assert not _is_invariant(BellExpression(subset))
+    assert len(BellExpression(subset)._scan[0]) == 3 ** 8
     small = tuple(t for t in subset if t.s <= 3 and t.t <= 3)
     reduced = BellExpression(small)
     # S4 moves every basis, so no nonempty term set on bases 1..3 is invariant.
-    assert _is_invariant(reduced) == (not small)
+    assert len(reduced._scan[0]) == (3 ** 8 if small else 306)
     hist = classical_histogram(reduced)
     expected = literal_histogram(small)
     assert {c: n for c, n in hist.counts.items() if n} == expected
@@ -415,8 +445,7 @@ def combination_rows(n, size):
 
 
 def x01_pair_expression(m):
-    """The pair x01:m, the pair class m, as a hand-built expression that builds its own
-    table and scan state."""
+    """The pair x01:m, the pair class m, as a hand-built expression."""
     labels = all_labels()
     pair = OrbitPair(labels[0], labels[m])
     return BellExpression(bell_terms([pair], standard_context().orbit).terms)
@@ -425,9 +454,10 @@ def x01_pair_expression(m):
 @functools.lru_cache(maxsize=None)
 def unreduced_class_maxima(size):
     """Reference: per class multiset of `size` in combinations order, the largest row maximum
-    of its members' summed tables M, read from the 24 hand-built pair expressions x01:m.  No
-    class table, relabeling or `_class_scan` is read."""
-    m = np.stack([x01_pair_expression(k)._scan[2] for k in range(24)])
+    of its members' summed tables M, from the product of the 24 pair expressions x01:m's own
+    tables.  No class table, relabeling or `_class_scan` is read."""
+    f = np.stack([x01_pair_expression(k).table for k in range(24)])
+    m = _per_alice_tables(f, _alice_orbits().representatives)
     rows = np.array(combination_rows(24, size))
     return np.concatenate([_row_maxima(sum(m[chunk[:, j]] for j in range(size))).max(axis=1)
                            for chunk in np.array_split(rows, 10)])
@@ -461,7 +491,7 @@ def test_class_maxima_of_repeated_classes_equal_the_full_scan(multiset):
 
 
 def test_scan_state_is_built_once_per_expression_and_read_only(orbit, ctx, monkeypatch):
-    calls = {"_per_alice_tables": 0, "_is_invariant": 0}
+    calls = {"_per_alice_tables": 0, "_class_scan": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -471,44 +501,38 @@ def test_scan_state_is_built_once_per_expression_and_read_only(orbit, ctx, monke
 
     for name in calls:
         monkeypatch.setattr(classical, name, counted(name, getattr(classical, name)))
-    # Building the pair-class table makes one call of each; a `bell_terms`
-    # expression then sums its classes' tables and makes none.
+    # Building the pair-class tables makes one product; an expression whose term set is a
+    # union of classes, from `bell_terms` or built by hand, then sums its classes' tables
+    # once, on its first scan.
     classical._pair_classes.cache_clear()
+    classical._term_classes.cache_clear()
     expr = bell_terms(tables.CASE_PAIRS["I"], orbit)
-    assert calls == {"_per_alice_tables": 1, "_is_invariant": 1}
+    assert calls == {"_per_alice_tables": 0, "_class_scan": 0}
     assert classical_max(expr) == 16
     assert classical_histogram(expr).c_max == 16
     f_alice, f_bob = optimal_classical_strategy(expr)
     assert coefficient(expr, f_alice, f_bob) == 16
     assert game_values(expr, ctx).classical * 64 == 16
-    assert calls == {"_per_alice_tables": 1, "_is_invariant": 1}
+    assert calls == {"_per_alice_tables": 1, "_class_scan": 1}
     again = bell_terms(tables.CASE_PAIRS["I"], orbit)
     assert again == expr
     assert classical_max(again) == 16
-    assert calls == {"_per_alice_tables": 1, "_is_invariant": 1}
-    # A hand-built expression builds its own scan state once.
     hand = BellExpression(expr.terms)
     assert classical_max(hand) == 16
     assert classical_histogram(hand).c_max == 16
-    assert calls == {"_per_alice_tables": 2, "_is_invariant": 2}
-    for arr in (*expr._scan, *hand._scan):
+    assert calls == {"_per_alice_tables": 1, "_class_scan": 3}
+    # Any other term set takes one product of its own table.
+    part = BellExpression(expr.terms[1:])
+    assert classical_max(part) == classical_histogram(part).c_max
+    assert calls == {"_per_alice_tables": 2, "_class_scan": 3}
+    for arr in (*expr._scan, *hand._scan, *part._scan):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
 
 
-def test_pair_terms_are_built_per_alice_label(orbit):
-    # The class build reads Alice label x01's row; an expression adds only its own rows.
-    classical._pair_terms.cache_clear()
-    classical._pair_classes.cache_clear()
-    bell_terms([OrbitPair((1, 0), (5, 0))], orbit)
-    assert classical._pair_terms.cache_info().currsize == 1
-    bell_terms([OrbitPair((2, 1), (5, 0)), OrbitPair((2, 1), (3, 2))], orbit)
-    assert classical._pair_terms.cache_info().currsize == 2
-
-
 def expanded_term_by_term(pairs, orbit):
     """Reference `bell_terms`: each pair's terms read off the label action, element by
-    element, in a hand-built expression that builds its own table and scan state."""
+    element, in a hand-built expression."""
     labels, action = all_labels(), orbit.label_action
     terms = [Term(*labels[g[labels.index(p.alice)]], *labels[g[labels.index(p.bob)]])
              for p in pairs for g in action]
@@ -527,10 +551,12 @@ def test_class_sums_equal_the_term_route(orbit):
     rng = np.random.default_rng(25)
     specs += [[OrbitPair(labels[a], labels[b]) for a, b in rng.integers(24, size=(n, 2))]
               for n in rng.integers(1, 7, size=200)]
-    # Another label action takes the term route inside `bell_terms` too.
+    # Another order of the elements relabels the orbit: its pairs' term sets are not the
+    # standard pair classes, so most of their unions take the full scan.
     other = dataclasses.replace(orbit, elements=orbit.elements[rng.permutation(24)])
     assert not np.array_equal(other.label_action, orbit.label_action)
-    duplicates = 0
+    duplicates, full = 0, (ALL_ROWS, np.ones(3 ** 8, dtype=np.int64))
+    action, invariant_others = orbit.label_action.tolist(), 0
     for spec, action_of in itertools.chain(zip(specs, itertools.repeat(orbit)),
                                            zip(specs[-50:], itertools.repeat(other))):
         try:
@@ -544,11 +570,21 @@ def test_class_sums_equal_the_term_route(orbit):
         expr = bell_terms(spec, action_of)
         assert expr == reference == BellExpression(expr.terms, expr.pairs)
         assert all(a is b for a, b in zip(expr.terms, reference.terms))
-        for got, want in zip((expr.table, *expr._scan), (reference.table, *reference._scan)):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert np.array_equal(got, want)
-            assert not got.flags.writeable and not want.flags.writeable
+        # Each scan state equals the product of the term table on its rows: the orbit rows
+        # exactly when every element of S4 maps the term set onto itself.
+        pairs = {(labels.index(t[:2]), labels.index(t[2:])) for t in expr.terms}
+        invariant = all({(g[k], g[m]) for k, m in pairs} == pairs for g in action)
+        rows = _alice_orbits() if invariant else full
+        invariant_others += invariant and action_of is other
+        m = _per_alice_tables(reference.table, rows[0])
+        for e in (expr, reference):
+            for got, want in zip((e.table, *e._scan),
+                                 (reference.table, *rows, m, _row_maxima(m))):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want)
+                assert not got.flags.writeable
     assert 20 < duplicates < 150
+    assert 0 < invariant_others < 40  # the relabeled orbit reaches both scans
 
 
 def test_class_tables_are_built_once_and_read_only(monkeypatch, capsys):
@@ -796,7 +832,7 @@ def test_optimal_strategy_matches_full_scan(pairs):
         expr = bell_terms(pairs, standard_context().orbit)
     except ValueError:  # two of the pairs expand into the same terms
         assume(False)
-    assert _is_invariant(expr)
+    assert len(expr._scan[0]) == 306
     assert optimal_classical_strategy(expr) == first_optimal_strategy(expr)
 
 

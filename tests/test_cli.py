@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -414,12 +415,12 @@ def fresh_pair_classes(monkeypatch, fresh_class_tables):
     """A pair model and pair classes built afresh on the standard context in the test, as
     in a new process, and dropped again after it."""
     monkeypatch.delitem(standard_context().__dict__, "pair_model", raising=False)
-    classical._pair_classes.cache_clear()
-    classical._class_index.cache_clear()
+    for cache in (classical._pair_classes, classical._term_classes, classical._class_index):
+        cache.cache_clear()
     yield
     standard_context().__dict__.pop("pair_model", None)  # monkeypatch restores an older one
-    classical._pair_classes.cache_clear()
-    classical._class_index.cache_clear()
+    for cache in (classical._pair_classes, classical._term_classes, classical._class_index):
+        cache.cache_clear()
 
 
 @pytest.mark.parametrize("tamper", [1e-9, np.nan], ids=["shifted", "nan"])
@@ -441,11 +442,33 @@ def test_scan_rejects_eigenvalues_that_are_not_s4_invariant(monkeypatch, fresh_p
         assert "eigenvalues" in err and "not S4-invariant" in err
 
 
+def trade_two_pairs(class_of):
+    class_of[5, [7, 8]] = class_of[5, [8, 7]]  # two pairs of Alice label x22
+
+
+def merge_two_classes(class_of):
+    class_of[class_of == 5] = 3  # still constant on S4 orbits
+
+
+@pytest.mark.parametrize("tamper", [trade_two_pairs, merge_two_classes])
+def test_scan_rejects_pair_classes_that_are_not_s4_invariant(fresh_pair_classes, capsys, tamper):
+    # Classes that are not the S4 orbits of the pairs (x01, c) fail the pair classes' check,
+    # and with it every command that sums classes.
+    model = standard_context().pair_model
+    class_of = model.class_of.copy()
+    tamper(class_of)
+    model.class_of = class_of
+    for argv in (["scan", "--orbits", "2"], ["analyze", "--pairs", "x12:x01"]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "term set is not S4-invariant" in err and "eigenvalues" not in err
+
+
 @pytest.fixture()
 def pair_calls(monkeypatch, fresh_pair_classes):
     """A fresh pair model and pair classes on the standard context, and the calls made to
-    build and fill them."""
-    calls = {"build_x_operator": 0, "_isotypic": 0, "_is_invariant": 0}
+    build, check and fill them (`_pair_classes` counts the builds of the checked classes)."""
+    calls = {"build_x_operator": 0, "_isotypic": 0, "_pair_classes": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -453,9 +476,10 @@ def pair_calls(monkeypatch, fresh_pair_classes):
             return fn(*args)
         return wrapper
 
-    for module, name in ((quantum, "build_x_operator"), (quantum, "_isotypic"),
-                         (classical, "_is_invariant")):
+    for module, name in ((quantum, "build_x_operator"), (quantum, "_isotypic")):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    build = counted("_pair_classes", classical._pair_classes.__wrapped__)
+    monkeypatch.setattr(classical, "_pair_classes", functools.lru_cache(maxsize=1)(build))
     return calls
 
 
@@ -474,8 +498,20 @@ def test_scan_reads_the_class_row_of_the_table_and_builds_no_operator(pair_calls
     assert np.array_equal(classical._class_multisets(1)[3], model.eigenvalues.max(axis=1))
     run_cli(["scan", "--orbits", "3", "--phi", "x12"])
     # one `_isotypic` call builds the model, 24 made the rows above
-    assert pair_calls == {"build_x_operator": 0, "_isotypic": 25, "_is_invariant": 1}
+    assert pair_calls == {"build_x_operator": 0, "_isotypic": 25, "_pair_classes": 1}
     assert model.operators == {}
+
+
+def test_scan_builds_no_term_in_a_fresh_process():
+    # `scan` sums the pair classes' tables and never expands a spec into its `Term`s.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("from s4bell import classical, cli\n"
+            "assert [cli.main(['scan', '--orbits', n]) for n in '123'] == [0, 0, 0]\n"
+            "print(classical._term_table.cache_info().currsize,"
+            " classical._pair_classes.cache_info().currsize)\n")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "0 1"
 
 
 def test_cold_analyze_fills_only_its_pairs(pair_calls):
@@ -484,10 +520,10 @@ def test_cold_analyze_fills_only_its_pairs(pair_calls):
     assert code == 0
     model = standard_context().pair_model
     assert set(model.operators) == {(p.alice, p.bob) for p in parse_pair_spec(spec)}
-    assert pair_calls == {"build_x_operator": 3, "_isotypic": 1, "_is_invariant": 1}
+    assert pair_calls == {"build_x_operator": 3, "_isotypic": 1, "_pair_classes": 1}
     assert run_cli(["analyze", "--pairs", spec]) == (0, first)
     assert run_cli(["game", "--pairs", spec])[0] == 0
-    assert pair_calls == {"build_x_operator": 3, "_isotypic": 1, "_is_invariant": 1}
+    assert pair_calls == {"build_x_operator": 3, "_isotypic": 1, "_pair_classes": 1}
     assert len(model.operators) == 3
 
 
@@ -508,7 +544,7 @@ def test_the_model_is_built_and_its_classes_checked_once_per_process(pair_calls)
                 ["game", "--pairs", "x01:x14,x01:x07"], ["verify"]]
     assert [run_cli(argv)[0] for argv in commands] == [0, 0, 0, 0, 0, 1]
     assert pair_calls["_isotypic"] == 1
-    assert pair_calls["_is_invariant"] == 1
+    assert pair_calls["_pair_classes"] == 1
     assert Margin.comparisons == 1
 
 
