@@ -21,15 +21,11 @@ parsed report is byte-identical.
 label, as in "x01:x14,x01:x14,x01:x18"; a repeated orbit's terms count
 once per copy.  `analyze` and `game` reject such a spec (duplicate term).
 
-The parser, the S4 context, per `--orbits` value the class multisets
-with their classical maxima, lambda_max and gap tie classes, and per
-`--phi` label and `--orbits` value each Bob-label multiset's row among
-them are built once per process, on first use.  So are the context's
-pair model (each orbit pair's S4 class, the classes' eigenvalues and
-each pair's operator), the 24 classes' tables M each spec is summed
-from and each term's class; all but `orbits` read them.
-None is built at import or with the context.  A later `main` prints what
-a first would.
+The parser and the S4 tables every command but `orbits` reads are built
+once per process, on first use, never at import or with the context; the
+one list of what a process builds after each command is the table of
+tests/test_cli.py::test_what_a_fresh_process_builds_after_each_command.
+A later `main` prints what a first would.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (a malformed
 or term-repeating spec), 3 internal error (building the S4 context or

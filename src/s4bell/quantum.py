@@ -142,8 +142,9 @@ class PairModel:
 
     Pair (k, m) of all_labels() rows is in class `class_of[k, m]`, label g.m for the g taking k
     to x01.  `eigenvalues[c]`, read-only (24, 4), is `eigenvalues_isotypic` of x01 and label c;
-    `margin` is the largest distance of any pair's own eigenvalues from its class's (NaN if one
-    is NaN).  `operator(alice, bob)` is `build_x_operator` of theirs, kept in `operators`.
+    `distance[k, m]`, read-only (24, 24), is the largest distance of pair (k, m)'s own
+    eigenvalues from its class's (NaN if one is NaN), and `margin` the largest of them.
+    `operator(alice, bob)` is `build_x_operator` of theirs, kept in `operators`.
     """
 
     def __init__(self, ctx: Context):
@@ -151,8 +152,9 @@ class PairModel:
         seeds = np.einsum("ki,mj->kmij", ctx.orbit.points, ctx.orbit.points).reshape(24, 24, 9)
         pairs, action = _isotypic(seeds, ctx.projectors), ctx.orbit.label_action
         self.class_of, self.eigenvalues = action[np.argmax(action == 0, axis=0)], pairs[0].copy()
-        self.margin = float(np.abs(pairs - self.eigenvalues[self.class_of]).max())
-        for arr in (self.class_of, self.eigenvalues):
+        self.distance = np.abs(pairs - self.eigenvalues[self.class_of]).max(axis=2)
+        self.margin = float(self.distance.max())
+        for arr in (self.class_of, self.eigenvalues, self.distance):
             arr.setflags(write=False)
 
     def operator(self, alice, bob):
@@ -167,7 +169,8 @@ def max_eigenvalue_sum(pairs, ctx: Context) -> SumSpectrum:
 
     The componentwise sums of the per-pair eigenvalues must reappear in the
     directly computed spectrum (to within EIG_TOL); a violation, a NaN sum
-    among them, means the two routes disagree and raises RuntimeError.
+    among them, means the two routes disagree and raises RuntimeError, as
+    does a pair whose own eigenvalues are not within 1e-12 of its class's.
     """
     pairs = tuple(p if isinstance(p, OrbitPair) else OrbitPair(*p) for p in pairs)
     if not pairs:
@@ -176,7 +179,8 @@ def max_eigenvalue_sum(pairs, ctx: Context) -> SumSpectrum:
     # Python's sum adds in pair order; numpy's pairwise summation would
     # regroup the rows and could change the last bit.
     total = sum((model.operator(p.alice, p.bob) for p in pairs), np.zeros((ctx.product.dim,) * 2))
-    per_pair = model.eigenvalues[[model.class_of[_row(*p.alice), _row(*p.bob)] for p in pairs]]
+    alice, bob = zip(*[(_row(*p.alice), _row(*p.bob)) for p in pairs])
+    per_pair = model.eigenvalues[model.class_of[alice, bob]]
     sums = sum(per_pair)
 
     values, vectors = jacobi_eigh(total)
@@ -185,6 +189,8 @@ def max_eigenvalue_sum(pairs, ctx: Context) -> SumSpectrum:
         k = int(np.argmax(missing))
         label, value = tables.COMPONENT_ORDER[k], sums[k]
         raise RuntimeError(f"componentwise sum for {label} ({value:.9f}) missing from spectrum")
+    if not (model.distance[alice, bob] <= 1e-12).all():
+        raise RuntimeError("a pair's eigenvalues are not its class's: not S4-invariant")
     return SumSpectrum(
         lambda_max=float(values[0]),
         eigenvector=vectors[:, 0].copy(),

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from s4bell import OrbitPair, standard_context, tables
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="session")
@@ -55,3 +62,8 @@ def row_of(group, images):
 def random_unit(rng, dim=3):
     v = rng.standard_normal(dim)
     return v / np.linalg.norm(v)
+
+
+def fresh_python(args, run=subprocess.run, **kwargs):
+    """`run` (subprocess.run or Popen) of this Python on `args`, importing s4bell from this tree."""
+    return run([sys.executable, *args], env={**os.environ, "PYTHONPATH": str(SRC)}, **kwargs)

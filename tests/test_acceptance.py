@@ -1,4 +1,8 @@
-"""Acceptance suite: one test per criterion, one printed PASS/FAIL line each.
+"""Acceptance suite: one test per reported number's criterion, one printed
+PASS/FAIL line each.  Criterion 7, the property suites, has its home in the
+unit tests of each property: test_homomorphism_all_pairs, test_orthogonality,
+test_projector_algebra, test_trace_identity_random_pairs,
+test_scalar_component_closed_form and test_reduced_instance_oracle.
 
 One published number is wrong, and two criteria assert what the program
 does about it.  The bundled reference 17.38 for the case III summed
@@ -14,7 +18,6 @@ checks that the verification command reports exactly that mismatch as its
 only failing check and returns False.  See README for the derivation.
 """
 
-import itertools
 import time
 from fractions import Fraction
 
@@ -22,11 +25,10 @@ import numpy as np
 
 from reference_terms import CASE_TERMS
 from s4bell import tables
-from s4bell.classical import BellExpression, bell_terms, classical_histogram, classical_max
+from s4bell.classical import bell_terms, classical_histogram, classical_max
 from s4bell.cli import run_verification
 from s4bell.game import game_values, winning_table
 from s4bell.orbit import generate_orbit, match_reference_labels
-from s4bell.permgroup import product_table
 from s4bell.quantum import (
     build_x_operator,
     eigenvalues_direct,
@@ -164,6 +166,8 @@ def test_criterion_4_histograms(ctx, case_pairs):
         for c, count in spot_rows[name].items():
             if hist.counts.get(c, 0) != count:
                 problems.append(f"case {name}: spot row c={c} mismatch")
+        if hist.c_max != tables.REF_CLASSICAL_BOUND[name]:
+            problems.append(f"case {name}: largest coefficient {hist.c_max} != classical bound")
         if hist.total() != 3 ** 16:
             problems.append(f"case {name}: total {hist.total()} != 3^16")
         if hist.weighted_total() != 72 * 3 ** 14:
@@ -205,81 +209,6 @@ def test_criterion_6_game(ctx, case_pairs):
     report(6, "winning table and game values match", problems)
 
 
-def test_criterion_7_property_suites(ctx, rng):
-    problems = []
-
-    worst = 0.0
-    table = product_table(ctx.group)
-    for i in range(len(table)):
-        for j in range(len(table)):
-            k = table[i, j]
-            worst = max(worst, float(np.abs(ctx.rep[i] @ ctx.rep[j] - ctx.rep[k]).max()))
-        worst = max(worst, float(np.abs(ctx.rep[i].T @ ctx.rep[i] - np.eye(3)).max()))
-    if worst > 1e-9:
-        problems.append(f"homomorphism/orthogonality deviation {worst:.2e}")
-
-    projs = dict(zip(tables.COMPONENT_ORDER, ctx.projectors))
-    dims = tables.COMPONENT_DIMS
-    dev = 0.0
-    total = np.zeros((9, 9))
-    for label, p in projs.items():
-        dev = max(dev, float(np.abs(p @ p - p).max()))
-        dev = max(dev, abs(float(np.trace(p)) - dims[label]))
-        total += p
-        for other, q in projs.items():
-            if other != label:
-                dev = max(dev, float(np.abs(p @ q).max()))
-    dev = max(dev, float(np.abs(total - np.eye(9)).max()))
-    if dims != {"D": 3, "Dt": 3, "D2": 2, "D0": 1}:
-        problems.append(f"component dimensions {dims}")
-    if dev > 1e-9:
-        problems.append(f"projector algebra deviation {dev:.2e}")
-
-    trace_dev = 0.0
-    scalar_dev = 0.0
-    for _ in range(100):
-        phi = rng.standard_normal(3)
-        phi /= np.linalg.norm(phi)
-        psi = rng.standard_normal(3)
-        psi /= np.linalg.norm(psi)
-        table = dict(zip(tables.COMPONENT_ORDER, eigenvalues_isotypic(phi, psi, ctx.projectors)))
-        total_val = sum(tables.COMPONENT_DIMS[lab] * val for lab, val in table.items())
-        trace_dev = max(trace_dev, abs(total_val - 24.0))
-        scalar = table["D0"]
-        scalar_dev = max(scalar_dev, abs(scalar - 8.0 * float(phi @ psi) ** 2))
-    if trace_dev > 1e-9:
-        problems.append(f"trace identity deviation {trace_dev:.2e}")
-    if scalar_dev > 1e-9:
-        problems.append(f"scalar closed form deviation {scalar_dev:.2e}")
-
-    expr = bell_terms(case_pairs_i(ctx), ctx.orbit)
-    terms = [t for t in expr.terms if t.s <= 3 and t.t <= 3]
-    reduced = BellExpression(tuple(terms))
-    hist = classical_histogram(reduced)
-    # Settings 4..8 carry no term: each of their 3**10 choices repeats the
-    # literal scan over settings 1..3.
-    literal = {}
-    for config in itertools.product(range(3), repeat=6):
-        f_alice, f_bob = config[:3], config[3:]
-        c = sum(
-            1 for s, a, t, b in terms if f_alice[s - 1] == a and f_bob[t - 1] == b
-        )
-        literal[c] = literal.get(c, 0) + 3 ** 10
-    observed = {c: n for c, n in hist.counts.items() if n}
-    if observed != literal:
-        problems.append("reduced-instance separable scan differs from literal scan")
-    if classical_max(reduced) != max(literal):
-        problems.append("reduced-instance maxima differ")
-
-    report(7, "property suites hold at their stated tolerances", problems)
-
-
-def case_pairs_i(ctx):
-    from s4bell.orbit import OrbitPair
-
-    return tuple(OrbitPair(*p) for p in tables.CASE_PAIRS["I"])
-
-
 def test_criterion_8_verification_command():
     problems = []
     lines = []
@@ -302,6 +231,10 @@ def test_criterion_8_verification_command():
     summary = f"{len(checks) - len(expected)}/{len(checks)} checks passed"
     if lines[-1] != summary:
         problems.append(f"summary {lines[-1]!r} != {summary!r}")
+    again = []
+    run_verification(echo=again.append)
+    if again != lines:
+        problems.append("a second run reported other lines")
     expected_ok = not expected
     if ok is not expected_ok:
         problems.append(f"verification returned {ok!r}, expected {expected_ok}")

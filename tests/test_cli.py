@@ -1,19 +1,16 @@
 import dataclasses
-import functools
 import hashlib
 import io
 import json
-import os
 import subprocess
-import sys
 from contextlib import redirect_stdout
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import fresh_python
 from s4bell import classical, cli, quantum
 from s4bell.cli import PairSpecError, main, parse_pair_spec, run_verification
 from s4bell.context import standard_context
@@ -397,15 +394,16 @@ def fresh_class_tables():
 
 def test_scan_ranking_ignores_rounding_noise(monkeypatch, fresh_class_tables):
     # Independent noise of 1e-12 on every pair class's eigenvalues moves gaps that
-    # are equal in exact arithmetic apart by far less than the 1e-9 tie width.
+    # are equal in exact arithmetic apart by far less than the 1e-9 tie width.  Tie
+    # classes are per size and `--phi` only relabels, so three labels per size will do.
     model = standard_context().pair_model
     rows = model.eigenvalues
     rng = np.random.default_rng(24)
     noise = rng.choice([-1e-12, 1e-12], size=rows.shape)
     monkeypatch.setattr(model, "eigenvalues", rows + noise)
     for orbits in (1, 2, 3):
-        for phi, digest in zip(LABELS, SCAN_SHA256[orbits]):
-            assert scan_digest(orbits, phi) == digest, (orbits, phi)
+        for phi in ("x01", "x12", "x27"):
+            assert scan_digest(orbits, phi) == SCAN_SHA256[orbits][LABELS.index(phi)], (orbits, phi)
     moved = np.abs(classical._class_multisets(1)[3] - rows.max(axis=1))
     assert 0 < moved.max() < 1.1e-12
 
@@ -464,26 +462,7 @@ def test_scan_rejects_pair_classes_that_are_not_s4_invariant(fresh_pair_classes,
         assert "term set is not S4-invariant" in err and "eigenvalues" not in err
 
 
-@pytest.fixture()
-def pair_calls(monkeypatch, fresh_pair_classes):
-    """A fresh pair model and pair classes on the standard context, and the calls made to
-    build, check and fill them (`_pair_classes` counts the builds of the checked classes)."""
-    calls = {"build_x_operator": 0, "_isotypic": 0, "_pair_classes": 0}
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
-    for module, name in ((quantum, "build_x_operator"), (quantum, "_isotypic")):
-        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    build = counted("_pair_classes", classical._pair_classes.__wrapped__)
-    monkeypatch.setattr(classical, "_pair_classes", functools.lru_cache(maxsize=1)(build))
-    return calls
-
-
-def test_scan_reads_the_class_row_of_the_table_and_builds_no_operator(pair_calls):
+def test_scan_reads_the_class_row_of_the_table(fresh_pair_classes):
     # With class c's row replaced by the eigenvalues of Alice x12's pair in class c (Bob
     # label m of Alice label k is in class class_of[k, m]), each full scan prints as
     # pinned, and its lambda_max column is read from the replaced rows.
@@ -496,56 +475,59 @@ def test_scan_reads_the_class_row_of_the_table_and_builds_no_operator(pair_calls
     for j, label in enumerate(LABELS):
         assert scan_digest(1, label) == SCAN_SHA256[1][j], label
     assert np.array_equal(classical._class_multisets(1)[3], model.eigenvalues.max(axis=1))
-    run_cli(["scan", "--orbits", "3", "--phi", "x12"])
-    # one `_isotypic` call builds the model, 24 made the rows above
-    assert pair_calls == {"build_x_operator": 0, "_isotypic": 25, "_pair_classes": 1}
-    assert model.operators == {}
 
 
-def test_scan_builds_no_term_in_a_fresh_process():
-    # `scan` sums the pair classes' tables and never expands a spec into its `Term`s.
-    src = Path(__file__).resolve().parent.parent / "src"
-    code = ("from s4bell import classical, cli\n"
-            "assert [cli.main(['scan', '--orbits', n]) for n in '123'] == [0, 0, 0]\n"
-            "print(classical._term_table.cache_info().currsize,"
-            " classical._pair_classes.cache_info().currsize)\n")
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
-                         capture_output=True, text=True, check=True).stdout
-    assert out.splitlines()[-1] == "0 1"
+# The one list of what a process builds: per command, run in this order in one fresh
+# process, its exit code, then what the process holds after it: calls of `_isotypic`,
+# `build_x_operator`, `_class_scan` and `_per_alice_tables`; builds of `_term_table`,
+# `_pair_classes`, `_class_multisets`, `_class_index` and `build_parser`; and the number
+# of the pair model's operators.
+BUILDS = [
+    ("scan --orbits 1",                         0, 1, 0, 2, 1, 0, 1, 1, 1, 1, 0),
+    ("scan --orbits 2",                         0, 1, 0, 16, 1, 0, 1, 2, 2, 1, 0),
+    ("scan --orbits 3 --phi x27",               0, 1, 0, 86, 1, 0, 1, 3, 3, 1, 0),
+    ("analyze --pairs x12:x01,x23:x14,x27:x05", 0, 1, 3, 87, 1, 1, 1, 3, 3, 1, 3),
+    ("analyze --pairs x12:x01,x23:x14,x27:x05", 0, 1, 3, 88, 1, 1, 1, 3, 3, 1, 3),
+    ("game --pairs x01:x14,x01:x07",            0, 1, 5, 89, 1, 1, 1, 3, 3, 1, 5),
+    ("verify",                                  1, 1, 11, 92, 1, 1, 1, 3, 3, 1, 11),
+]
+
+BUILD_PROBE = """
+import contextlib, io, json, sys
+from s4bell import classical, cli, quantum, standard_context
+
+calls = {}
+
+def counted(module, name):
+    fn, calls[name] = getattr(module, name), 0
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+    setattr(module, name, wrapper)
+
+for module, name in ((quantum, "_isotypic"), (quantum, "build_x_operator"),
+                     (classical, "_class_scan"), (classical, "_per_alice_tables")):
+    counted(module, name)
+cached = (classical._term_table, classical._pair_classes, classical._class_multisets,
+          classical._class_index, cli.build_parser)
+for command in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(command.split())
+    builds = [f.cache_info().misses if hasattr(f, "cache_info") else "uncached" for f in cached]
+    print(json.dumps([command, code, *calls.values(), *builds,
+                      len(standard_context().pair_model.operators)]))
+"""
 
 
-def test_cold_analyze_fills_only_its_pairs(pair_calls):
-    spec = "x12:x01,x23:x14,x27:x05"
-    code, first = run_cli(["analyze", "--pairs", spec])
-    assert code == 0
-    model = standard_context().pair_model
-    assert set(model.operators) == {(p.alice, p.bob) for p in parse_pair_spec(spec)}
-    assert pair_calls == {"build_x_operator": 3, "_isotypic": 1, "_pair_classes": 1}
-    assert run_cli(["analyze", "--pairs", spec]) == (0, first)
-    assert run_cli(["game", "--pairs", spec])[0] == 0
-    assert pair_calls == {"build_x_operator": 3, "_isotypic": 1, "_pair_classes": 1}
-    assert len(model.operators) == 3
-
-
-def test_the_model_is_built_and_its_classes_checked_once_per_process(pair_calls):
-    # Every command but `orbits` reads the pair model; each that sums classes first
-    # reads `_pair_classes()`, which checks the term sets and the margin.
-    class Margin(float):
-        comparisons = 0
-
-        def __le__(self, other):
-            Margin.comparisons += 1
-            return float(self) <= other
-
-    model = standard_context().pair_model
-    model.margin = Margin(model.margin)
-    commands = [["scan", "--orbits", "1"], ["scan", "--orbits", "2"],
-                ["scan", "--orbits", "3", "--phi", "x27"], ["analyze", "--pairs", "x12:x01"],
-                ["game", "--pairs", "x01:x14,x01:x07"], ["verify"]]
-    assert [run_cli(argv)[0] for argv in commands] == [0, 0, 0, 0, 0, 1]
-    assert pair_calls["_isotypic"] == 1
-    assert pair_calls["_pair_classes"] == 1
-    assert Margin.comparisons == 1
+def test_what_a_fresh_process_builds_after_each_command():
+    # `scan` builds no operator and no `Term`; the class multisets of one relabeling orbit
+    # share one `_class_scan` (2, 14 and 70 orbits at sizes 1, 2 and 3); every expression
+    # sums its classes' tables once, however many readers it has; the pair model, its
+    # class tables and the parser are built once, and operators only for the pairs read.
+    result = fresh_python(["-c", BUILD_PROBE, *(row[0] for row in BUILDS)],
+                          capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert [tuple(json.loads(line)) for line in result.stdout.splitlines()] == BUILDS
 
 
 @pytest.mark.parametrize("phi", ["x01", "x12", "x27"])
@@ -562,37 +544,16 @@ def test_top_k_is_the_head_of_the_full_ranking(orbits, count, phi):
         assert run_cli([*argv, str(k)]) == (0, "\n".join(lines[: 3 + k]) + "\n"), k
 
 
-def test_parser_is_built_once_and_keeps_no_state():
+def test_parser_keeps_no_state():
     # The parser is shared by every main() call in a process, so an earlier
     # command's options must not change a later command's defaults.
-    assert cli.build_parser() is cli.build_parser()
     spec = "x01:x14,x01:x07,x01:x15"
     later = [["scan", "--orbits", "1"], ["analyze", "--pairs", spec]]
-    src = Path(__file__).resolve().parent.parent / "src"
-    first = [
-        subprocess.run(
-            [sys.executable, "-m", "s4bell.cli", *argv],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True, text=True, check=True,
-        ).stdout
-        for argv in later
-    ]
+    first = [fresh_python(["-m", "s4bell.cli", *argv], capture_output=True, text=True,
+                          check=True).stdout for argv in later]
     run_cli(["scan", "--orbits", "3", "--top", "5", "--phi", "x12"])
     run_cli(["analyze", "--pairs", "x01:x23,x01:x16", "--json"])
     assert [run_cli(argv) for argv in later] == [(0, out) for out in first]
-
-
-def test_verify_deterministic_and_reports_known_mismatch():
-    lines_a, lines_b = [], []
-    ok_a = run_verification(echo=lines_a.append)
-    ok_b = run_verification(echo=lines_b.append)
-    assert lines_a == lines_b
-    assert ok_a is False and ok_b is False
-    failures = [line for line in lines_a if line.startswith("FAIL")]
-    # the single expected mismatch: the case III reference 17.38 is the sum
-    # of truncated two-decimal values, the exact eigenvalue is 17.3915
-    assert len(failures) == 1
-    assert "case III: maximal eigenvalue" in failures[0]
 
 
 def test_verify_fails_a_nan_direct_spectrum(monkeypatch):
@@ -661,12 +622,9 @@ def test_verify_command_exit_code():
 def test_closed_stdout_exits_141_without_traceback():
     # about 190 KB of output, more than a pipe holds, so the write after the
     # reader closes the pipe always fails
-    src = Path(__file__).resolve().parent.parent / "src"
-    with subprocess.Popen(
-        [sys.executable, "-m", "s4bell.cli", "scan", "--orbits", "3", "--top", "2600"],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-    ) as proc:
+    with fresh_python(["-m", "s4bell.cli", "scan", "--orbits", "3", "--top", "2600"],
+                      subprocess.Popen, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                      text=True) as proc:
         assert proc.stdout.readline().startswith("scan over 2600")
         proc.stdout.close()
         stderr = proc.stderr.read()

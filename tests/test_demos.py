@@ -10,15 +10,13 @@ declared output change, rewrite a file with
 cutting demo 01 with `| sed '/^JSON export/,$d'`.
 """
 
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import SRC, fresh_python
+
+ROOT = SRC.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 PINNED = {"01_orbit_geometry", "02_quantum_bounds", "04_nonlocal_game"}
 QUICK_START = re.search(
@@ -30,11 +28,7 @@ NAMES = [d.stem for d in DEMOS] + ["readme_quick_start"]
 
 @pytest.mark.parametrize("name, script", zip(NAMES, SCRIPTS), ids=NAMES)
 def test_demo_runs(name, script):
-    result = subprocess.run(
-        [sys.executable, *script], cwd=ROOT,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-        capture_output=True, text=True, timeout=120,
-    )
+    result = fresh_python(script, cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     if name in PINNED:
         golden = ROOT / "tests" / "golden" / f"demo_{name}.txt"

@@ -154,32 +154,18 @@ def test_summed_case_values(ctx, case_pairs):
     assert abs(computed["III"] - 17.3915) < 5e-4
 
 
-def test_jacobi_agrees_with_numpy(rng):
-    for _ in range(20):
-        a = rng.standard_normal((9, 9))
-        a = (a + a.T) / 2
-        values, vectors = jacobi_eigh(a)
-        expected = np.linalg.eigvalsh(a)[::-1]
-        assert np.abs(values - expected).max() < 1e-9
-        for k in range(9):
-            resid = a @ vectors[:, k] - values[k] * vectors[:, k]
-            assert np.abs(resid).max() < 1e-8
-        assert np.abs(vectors.T @ vectors - np.eye(9)).max() < 1e-9
-
-
-def test_jacobi_zero_matrix():
-    values, _ = jacobi_eigh(np.zeros((9, 9)))
-    assert np.array_equal(values, np.zeros(9))
-
-
 def assert_eigh_residuals(a, values, vectors):
-    """A V = V diag(values) and V^T V = I to 1e-12 max(1, ||A||), values descending."""
+    """A V = V diag(values) and V^T V = I to 1e-12 max(1, ||A||), values descending, and
+    both are numpy.linalg.eigh's reversed, bit for bit: the wrapper adds no arithmetic."""
     tol = 1e-12 * max(1.0, float(np.linalg.norm(a)))
     n = a.shape[0]
     assert values.shape == (n,) and vectors.shape == (n, n)
     assert np.abs(a @ vectors - vectors * values).max(initial=0.0) <= tol
     assert np.abs(vectors.T @ vectors - np.eye(n)).max(initial=0.0) <= tol
     assert (np.diff(values) <= 0).all()
+    lapack_values, lapack_vectors = np.linalg.eigh(a)
+    assert np.array_equal(values, lapack_values[::-1])
+    assert np.array_equal(vectors, lapack_vectors[:, ::-1])
 
 
 def assert_componentwise_spectrum(pairs, ctx):
@@ -222,49 +208,6 @@ def test_jacobi_properties_on_random_symmetric(n, rng):
         norm2 = float(np.sum(a * a))
         assert abs(values.sum() - np.trace(a)) <= 1e-12 * max(1.0, norm2 ** 0.5)
         assert abs(float(values @ values) - norm2) <= 1e-12 * max(1.0, norm2)
-
-
-def assert_same_as_lapack(matrix):
-    """jacobi_eigh is numpy.linalg.eigh reversed to descending order, bit for
-    bit: values and their eigenvector columns move together and the wrapper
-    adds no arithmetic of its own."""
-    values, vectors = jacobi_eigh(matrix)
-    ref_values, ref_vectors = np.linalg.eigh(np.array(matrix, dtype=float))
-    assert np.array_equal(values, ref_values[::-1])
-    assert np.array_equal(vectors, ref_vectors[:, ::-1])
-
-
-def pair_operator_sum(pairs, ctx):
-    # the same accumulation as max_eigenvalue_sum
-    total = np.zeros((9, 9))
-    for pair in pairs:
-        total += build_x_operator(
-            ctx.orbit.coords(*pair.alice), ctx.orbit.coords(*pair.bob), ctx.product
-        )
-    return total
-
-
-def test_jacobi_bit_identical_on_orbit_operators(ctx, case_pairs):
-    labels = all_labels()
-    for alice, bob in itertools.product(labels, labels):
-        assert_same_as_lapack(pair_operator_sum([OrbitPair(alice, bob)], ctx))
-    for pairs in case_pairs.values():
-        assert_same_as_lapack(pair_operator_sum(pairs, ctx))
-
-
-def test_jacobi_bit_identical_on_random_pair_sums(ctx, rng):
-    labels = all_labels()
-    for _ in range(60):
-        picks = rng.integers(0, 24, (int(rng.integers(2, 4)), 2))
-        pairs = [OrbitPair(labels[int(i)], labels[int(j)]) for i, j in picks]
-        assert_same_as_lapack(pair_operator_sum(pairs, ctx))
-
-
-@pytest.mark.parametrize("n", range(1, 13))
-def test_jacobi_bit_identical_on_random_symmetric(n, rng):
-    for _ in range(5):
-        a = rng.standard_normal((n, n))
-        assert_same_as_lapack((a + a.T) / 2)
 
 
 def test_jacobi_subnormal_entry_is_silent():
@@ -318,8 +261,9 @@ def test_pair_model_equals_the_two_functions_on_every_pair(ctx):
             assert np.array_equal(row, values)
         with pytest.raises(ValueError, match="read-only"):
             operator[0] = 0
+    assert np.array_equal(model.distance, np.reshape(distances, (24, 24)))
     assert model.margin == max(distances)
-    for table in (model.eigenvalues, model.class_of):
+    for table in (model.eigenvalues, model.class_of, model.distance):
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 0
     assert len(model.operators) == 576
@@ -332,6 +276,19 @@ def test_pair_model_margin_is_nan_for_a_nan_orbit_point(ctx):
     broken = dataclasses.replace(ctx, orbit=dataclasses.replace(ctx.orbit, points=points))
     assert math.isnan(broken.pair_model.margin)
     assert np.isnan(broken.pair_model.eigenvalues[all_labels().index((2, 0))]).all()
+
+
+def test_sum_rejects_a_pair_off_its_class_row(ctx, case_pairs):
+    # Orbit point x12 moved by 1e-7: pair (x12, x22)'s own eigenvalues move about 5e-7
+    # off its class row, which the sum reads, though within EIG_TOL of the spectrum.
+    labels = all_labels()
+    points = ctx.orbit.points.copy()
+    points[labels.index((2, 1)), 0] += 1e-7
+    moved = dataclasses.replace(ctx, orbit=dataclasses.replace(ctx.orbit, points=points))
+    with pytest.raises(RuntimeError, match="eigenvalues are not its class's"):
+        max_eigenvalue_sum([OrbitPair((2, 1), (2, 2))], moved)
+    assert 1e-12 < moved.pair_model.distance[labels.index((2, 1)), labels.index((2, 2))] < 1e-6
+    assert max_eigenvalue_sum(case_pairs["I"], moved).lambda_max > 16  # no pair at x12
 
 
 def test_replaced_context_has_its_own_pair_model(ctx, case_pairs):
