@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -462,6 +463,25 @@ def test_scan_rejects_pair_classes_that_are_not_s4_invariant(fresh_pair_classes,
         assert "term set is not S4-invariant" in err and "eigenvalues" not in err
 
 
+@pytest.fixture()
+def pair_calls(monkeypatch, fresh_pair_classes):
+    """A fresh pair model and pair classes on the standard context, and the calls made to
+    build, check and fill them (`_pair_classes` counts the builds of the checked classes)."""
+    calls = {"build_x_operator": 0, "_isotypic": 0, "_pair_classes": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for module, name in ((quantum, "build_x_operator"), (quantum, "_isotypic")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    build = counted("_pair_classes", classical._pair_classes.__wrapped__)
+    monkeypatch.setattr(classical, "_pair_classes", functools.lru_cache(maxsize=1)(build))
+    return calls
+
+
 def test_scan_reads_the_class_row_of_the_table(fresh_pair_classes):
     # With class c's row replaced by the eigenvalues of Alice x12's pair in class c (Bob
     # label m of Alice label k is in class class_of[k, m]), each full scan prints as
@@ -477,7 +497,51 @@ def test_scan_reads_the_class_row_of_the_table(fresh_pair_classes):
     assert np.array_equal(classical._class_multisets(1)[3], model.eigenvalues.max(axis=1))
 
 
-# The one list of what a process builds: per command, run in this order in one fresh
+def test_scan_builds_no_term_in_a_fresh_process():
+    # `scan` sums the pair classes' tables and never expands a spec into its `Term`s.
+    code = ("from s4bell import classical, cli\n"
+            "assert [cli.main(['scan', '--orbits', n]) for n in '123'] == [0, 0, 0]\n"
+            "print(classical._term_table.cache_info().currsize,"
+            " classical._pair_classes.cache_info().currsize)\n")
+    out = fresh_python(["-c", code], capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "0 1"
+
+
+def test_cold_analyze_fills_only_its_pairs(pair_calls):
+    spec = "x12:x01,x23:x14,x27:x05"
+    code, first = run_cli(["analyze", "--pairs", spec])
+    assert code == 0
+    model = standard_context().pair_model
+    assert set(model.operators) == {(p.alice, p.bob) for p in parse_pair_spec(spec)}
+    assert pair_calls == {"build_x_operator": 3, "_isotypic": 1, "_pair_classes": 1}
+    assert run_cli(["analyze", "--pairs", spec]) == (0, first)
+    assert run_cli(["game", "--pairs", spec])[0] == 0
+    assert pair_calls == {"build_x_operator": 3, "_isotypic": 1, "_pair_classes": 1}
+    assert len(model.operators) == 3
+
+
+def test_the_model_is_built_and_its_classes_checked_once_per_process(pair_calls):
+    # Every command but `orbits` reads the pair model; each that sums classes first
+    # reads `_pair_classes()`, which checks the term sets and the margin.
+    class Margin(float):
+        comparisons = 0
+
+        def __le__(self, other):
+            Margin.comparisons += 1
+            return float(self) <= other
+
+    model = standard_context().pair_model
+    model.margin = Margin(model.margin)
+    commands = [["scan", "--orbits", "1"], ["scan", "--orbits", "2"],
+                ["scan", "--orbits", "3", "--phi", "x27"], ["analyze", "--pairs", "x12:x01"],
+                ["game", "--pairs", "x01:x14,x01:x07"], ["verify"]]
+    assert [run_cli(argv)[0] for argv in commands] == [0, 0, 0, 0, 0, 1]
+    assert pair_calls["_isotypic"] == 1
+    assert pair_calls["_pair_classes"] == 1
+    assert Margin.comparisons == 1
+
+
+# What a process builds: per command, run in this order in one fresh
 # process, its exit code, then what the process holds after it: calls of `_isotypic`,
 # `build_x_operator`, `_class_scan` and `_per_alice_tables`; builds of `_term_table`,
 # `_pair_classes`, `_class_multisets`, `_class_index` and `build_parser`; and the number
@@ -554,6 +618,19 @@ def test_parser_keeps_no_state():
     run_cli(["scan", "--orbits", "3", "--top", "5", "--phi", "x12"])
     run_cli(["analyze", "--pairs", "x01:x23,x01:x16", "--json"])
     assert [run_cli(argv) for argv in later] == [(0, out) for out in first]
+
+
+def test_verify_deterministic_and_reports_known_mismatch():
+    lines_a, lines_b = [], []
+    ok_a = run_verification(echo=lines_a.append)
+    ok_b = run_verification(echo=lines_b.append)
+    assert lines_a == lines_b
+    assert ok_a is False and ok_b is False
+    failures = [line for line in lines_a if line.startswith("FAIL")]
+    # the single expected mismatch: the case III reference 17.38 is the sum
+    # of truncated two-decimal values, the exact eigenvalue is 17.3915
+    assert len(failures) == 1
+    assert "case III: maximal eigenvalue" in failures[0]
 
 
 def test_verify_fails_a_nan_direct_spectrum(monkeypatch):

@@ -154,6 +154,19 @@ def test_summed_case_values(ctx, case_pairs):
     assert abs(computed["III"] - 17.3915) < 5e-4
 
 
+def test_jacobi_agrees_with_numpy(rng):
+    for _ in range(20):
+        a = rng.standard_normal((9, 9))
+        a = (a + a.T) / 2
+        values, vectors = jacobi_eigh(a)
+        expected = np.linalg.eigvalsh(a)[::-1]
+        assert np.abs(values - expected).max() < 1e-9
+        for k in range(9):
+            resid = a @ vectors[:, k] - values[k] * vectors[:, k]
+            assert np.abs(resid).max() < 1e-8
+        assert np.abs(vectors.T @ vectors - np.eye(9)).max() < 1e-9
+
+
 def assert_eigh_residuals(a, values, vectors):
     """A V = V diag(values) and V^T V = I to 1e-12 max(1, ||A||), values descending, and
     both are numpy.linalg.eigh's reversed, bit for bit: the wrapper adds no arithmetic."""
@@ -208,6 +221,49 @@ def test_jacobi_properties_on_random_symmetric(n, rng):
         norm2 = float(np.sum(a * a))
         assert abs(values.sum() - np.trace(a)) <= 1e-12 * max(1.0, norm2 ** 0.5)
         assert abs(float(values @ values) - norm2) <= 1e-12 * max(1.0, norm2)
+
+
+def assert_same_as_lapack(matrix):
+    """jacobi_eigh is numpy.linalg.eigh reversed to descending order, bit for
+    bit: values and their eigenvector columns move together and the wrapper
+    adds no arithmetic of its own."""
+    values, vectors = jacobi_eigh(matrix)
+    ref_values, ref_vectors = np.linalg.eigh(np.array(matrix, dtype=float))
+    assert np.array_equal(values, ref_values[::-1])
+    assert np.array_equal(vectors, ref_vectors[:, ::-1])
+
+
+def pair_operator_sum(pairs, ctx):
+    # the same accumulation as max_eigenvalue_sum
+    total = np.zeros((9, 9))
+    for pair in pairs:
+        total += build_x_operator(
+            ctx.orbit.coords(*pair.alice), ctx.orbit.coords(*pair.bob), ctx.product
+        )
+    return total
+
+
+def test_jacobi_bit_identical_on_orbit_operators(ctx, case_pairs):
+    labels = all_labels()
+    for alice, bob in itertools.product(labels, labels):
+        assert_same_as_lapack(pair_operator_sum([OrbitPair(alice, bob)], ctx))
+    for pairs in case_pairs.values():
+        assert_same_as_lapack(pair_operator_sum(pairs, ctx))
+
+
+def test_jacobi_bit_identical_on_random_pair_sums(ctx, rng):
+    labels = all_labels()
+    for _ in range(60):
+        picks = rng.integers(0, 24, (int(rng.integers(2, 4)), 2))
+        pairs = [OrbitPair(labels[int(i)], labels[int(j)]) for i, j in picks]
+        assert_same_as_lapack(pair_operator_sum(pairs, ctx))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_jacobi_bit_identical_on_random_symmetric(n, rng):
+    for _ in range(5):
+        a = rng.standard_normal((n, n))
+        assert_same_as_lapack((a + a.T) / 2)
 
 
 def test_jacobi_subnormal_entry_is_silent():
