@@ -173,7 +173,7 @@ def _pair_classes():
     class_of, action = ctx.pair_model.class_of, ctx.orbit.label_action
     if not (class_of[action[:, :1], action] == np.arange(24)).all():
         raise RuntimeError("a pair class's term set is not S4-invariant")
-    if not ctx.pair_model.margin <= 1e-12:
+    if not (ctx.pair_model.distance <= 1e-12).all():
         raise RuntimeError("a pair's eigenvalues are not its class's: not S4-invariant")
     tables = (class_of == np.arange(24)[:, None, None]).reshape(24, *(N_SETTINGS, N_OUTCOMES) * 2)
     m = _per_alice_tables(tables, _alice_orbits().representatives)

@@ -143,7 +143,7 @@ class PairModel:
     Pair (k, m) of all_labels() rows is in class `class_of[k, m]`, label g.m for the g taking k
     to x01.  `eigenvalues[c]`, read-only (24, 4), is `eigenvalues_isotypic` of x01 and label c;
     `distance[k, m]`, read-only (24, 24), is the largest distance of pair (k, m)'s own
-    eigenvalues from its class's (NaN if one is NaN), and `margin` the largest of them.
+    eigenvalues from its class's (NaN if one is NaN).
     `operator(alice, bob)` is `build_x_operator` of theirs, kept in `operators`.
     """
 
@@ -153,7 +153,6 @@ class PairModel:
         pairs, action = _isotypic(seeds, ctx.projectors), ctx.orbit.label_action
         self.class_of, self.eigenvalues = action[np.argmax(action == 0, axis=0)], pairs[0].copy()
         self.distance = np.abs(pairs - self.eigenvalues[self.class_of]).max(axis=2)
-        self.margin = float(self.distance.max())
         for arr in (self.class_of, self.eigenvalues, self.distance):
             arr.setflags(write=False)
 

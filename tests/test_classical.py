@@ -18,7 +18,6 @@ from s4bell.classical import (
     _class_index,
     _class_multisets,
     _class_relabelings,
-    _class_scan,
     _codes,
     _histogram_counts,
     _per_alice_tables,
@@ -30,7 +29,6 @@ from s4bell.classical import (
     histogram_csv,
     optimal_classical_strategy,
 )
-from s4bell.game import game_values
 from s4bell.orbit import OrbitPair, all_labels
 from s4bell.quantum import EIG_TOL, eigenvalues_isotypic, max_eigenvalue_sum
 
@@ -490,46 +488,6 @@ def test_class_maxima_of_repeated_classes_equal_the_full_scan(multiset):
     assert _class_multisets(len(multiset))[2][class_row(multiset)] == expected
 
 
-def test_scan_state_is_built_once_per_expression_and_read_only(orbit, ctx, monkeypatch):
-    calls = {"_per_alice_tables": 0, "_class_scan": 0}
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(classical, name, counted(name, getattr(classical, name)))
-    # Building the pair-class tables makes one product; an expression whose term set is a
-    # union of classes, from `bell_terms` or built by hand, then sums its classes' tables
-    # once, on its first scan.
-    classical._pair_classes.cache_clear()
-    classical._term_classes.cache_clear()
-    expr = bell_terms(tables.CASE_PAIRS["I"], orbit)
-    assert calls == {"_per_alice_tables": 0, "_class_scan": 0}
-    assert classical_max(expr) == 16
-    assert classical_histogram(expr).c_max == 16
-    f_alice, f_bob = optimal_classical_strategy(expr)
-    assert coefficient(expr, f_alice, f_bob) == 16
-    assert game_values(expr, ctx).classical * 64 == 16
-    assert calls == {"_per_alice_tables": 1, "_class_scan": 1}
-    again = bell_terms(tables.CASE_PAIRS["I"], orbit)
-    assert again == expr
-    assert classical_max(again) == 16
-    hand = BellExpression(expr.terms)
-    assert classical_max(hand) == 16
-    assert classical_histogram(hand).c_max == 16
-    assert calls == {"_per_alice_tables": 1, "_class_scan": 3}
-    # Any other term set takes one product of its own table.
-    part = BellExpression(expr.terms[1:])
-    assert classical_max(part) == classical_histogram(part).c_max
-    assert calls == {"_per_alice_tables": 2, "_class_scan": 3}
-    for arr in (*expr._scan, *hand._scan, *part._scan):
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0] = 0
-
-
 def expanded_term_by_term(pairs, orbit):
     """Reference `bell_terms`: each pair's terms read off the label action, element by
     element, in a hand-built expression."""
@@ -585,39 +543,6 @@ def test_class_sums_equal_the_term_route(orbit):
                 assert not got.flags.writeable
     assert 20 < duplicates < 150
     assert 0 < invariant_others < 40  # the relabeled orbit reaches both scans
-
-
-def test_class_tables_are_built_once_and_read_only(monkeypatch, capsys):
-    # The class tables are `_class_multisets(size)`: multisets, codes, maxima, lambda_max and
-    # tie classes, reached through each Alice label's `_class_index`.
-    terms_calls, scans = [], []
-
-    def counted_bell_terms(*args):
-        terms_calls.append(args)
-        return bell_terms(*args)
-
-    def counted_class_scan(ids):
-        scans[-1] += 1
-        return _class_scan(ids)
-
-    _class_multisets.cache_clear()
-    _class_index.cache_clear()
-    monkeypatch.setattr(classical, "bell_terms", counted_bell_terms)
-    monkeypatch.setattr(classical, "_class_scan", counted_class_scan)
-    for size in (1, 2, 3):
-        scans.append(0)
-        for alice in (0, 13):
-            _class_index(alice, size)
-        assert len(terms_calls) == 0
-    # One `_class_scan` per orbit of the 72 relabelings, on its smallest class multiset.
-    assert scans == [2, 14, 70]
-    assert cli.main(["scan", "--orbits", "3", "--phi", "x27"]) == 0
-    assert capsys.readouterr().out
-    assert (len(terms_calls), scans) == (0, [2, 14, 70])
-    for size in (1, 2, 3):
-        arrays = _class_multisets(size)
-        assert not any(arr.flags.writeable for arr in arrays)
-        assert np.array_equal(arrays[0], combination_rows(24, size))
 
 
 def test_class_index_names_each_bob_multisets_class_multiset():

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import hashlib
 import io
 import json
@@ -463,25 +462,6 @@ def test_scan_rejects_pair_classes_that_are_not_s4_invariant(fresh_pair_classes,
         assert "term set is not S4-invariant" in err and "eigenvalues" not in err
 
 
-@pytest.fixture()
-def pair_calls(monkeypatch, fresh_pair_classes):
-    """A fresh pair model and pair classes on the standard context, and the calls made to
-    build, check and fill them (`_pair_classes` counts the builds of the checked classes)."""
-    calls = {"build_x_operator": 0, "_isotypic": 0, "_pair_classes": 0}
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
-    for module, name in ((quantum, "build_x_operator"), (quantum, "_isotypic")):
-        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    build = counted("_pair_classes", classical._pair_classes.__wrapped__)
-    monkeypatch.setattr(classical, "_pair_classes", functools.lru_cache(maxsize=1)(build))
-    return calls
-
-
 def test_scan_reads_the_class_row_of_the_table(fresh_pair_classes):
     # With class c's row replaced by the eigenvalues of Alice x12's pair in class c (Bob
     # label m of Alice label k is in class class_of[k, m]), each full scan prints as
@@ -495,50 +475,6 @@ def test_scan_reads_the_class_row_of_the_table(fresh_pair_classes):
     for j, label in enumerate(LABELS):
         assert scan_digest(1, label) == SCAN_SHA256[1][j], label
     assert np.array_equal(classical._class_multisets(1)[3], model.eigenvalues.max(axis=1))
-
-
-def test_scan_builds_no_term_in_a_fresh_process():
-    # `scan` sums the pair classes' tables and never expands a spec into its `Term`s.
-    code = ("from s4bell import classical, cli\n"
-            "assert [cli.main(['scan', '--orbits', n]) for n in '123'] == [0, 0, 0]\n"
-            "print(classical._term_table.cache_info().currsize,"
-            " classical._pair_classes.cache_info().currsize)\n")
-    out = fresh_python(["-c", code], capture_output=True, text=True, check=True).stdout
-    assert out.splitlines()[-1] == "0 1"
-
-
-def test_cold_analyze_fills_only_its_pairs(pair_calls):
-    spec = "x12:x01,x23:x14,x27:x05"
-    code, first = run_cli(["analyze", "--pairs", spec])
-    assert code == 0
-    model = standard_context().pair_model
-    assert set(model.operators) == {(p.alice, p.bob) for p in parse_pair_spec(spec)}
-    assert pair_calls == {"build_x_operator": 3, "_isotypic": 1, "_pair_classes": 1}
-    assert run_cli(["analyze", "--pairs", spec]) == (0, first)
-    assert run_cli(["game", "--pairs", spec])[0] == 0
-    assert pair_calls == {"build_x_operator": 3, "_isotypic": 1, "_pair_classes": 1}
-    assert len(model.operators) == 3
-
-
-def test_the_model_is_built_and_its_classes_checked_once_per_process(pair_calls):
-    # Every command but `orbits` reads the pair model; each that sums classes first
-    # reads `_pair_classes()`, which checks the term sets and the margin.
-    class Margin(float):
-        comparisons = 0
-
-        def __le__(self, other):
-            Margin.comparisons += 1
-            return float(self) <= other
-
-    model = standard_context().pair_model
-    model.margin = Margin(model.margin)
-    commands = [["scan", "--orbits", "1"], ["scan", "--orbits", "2"],
-                ["scan", "--orbits", "3", "--phi", "x27"], ["analyze", "--pairs", "x12:x01"],
-                ["game", "--pairs", "x01:x14,x01:x07"], ["verify"]]
-    assert [run_cli(argv)[0] for argv in commands] == [0, 0, 0, 0, 0, 1]
-    assert pair_calls["_isotypic"] == 1
-    assert pair_calls["_pair_classes"] == 1
-    assert Margin.comparisons == 1
 
 
 # What a process builds: per command, run in this order in one fresh

@@ -300,8 +300,8 @@ def test_isotypic_bit_identical_to_kron_formula(orbit, projectors):
 
 def test_pair_model_equals_the_two_functions_on_every_pair(ctx):
     # Each pair's own eigenvalues are within 1e-12 (the bound `_pair_classes` checks) of
-    # its class row, and equal it bit for bit when Alice is x01; `margin` is the largest
-    # distance.  Operators are built from the pair's own seeds.
+    # its class row, and equal it bit for bit when Alice is x01; `distance` holds those
+    # distances.  Operators are built from the pair's own seeds.
     labels, model = all_labels(), ctx.pair_model
     assert model.eigenvalues.shape == (24, 4) and model.class_of.shape == (24, 24)
     assert np.array_equal(model.class_of[0], np.arange(24))
@@ -318,7 +318,6 @@ def test_pair_model_equals_the_two_functions_on_every_pair(ctx):
         with pytest.raises(ValueError, match="read-only"):
             operator[0] = 0
     assert np.array_equal(model.distance, np.reshape(distances, (24, 24)))
-    assert model.margin == max(distances)
     for table in (model.eigenvalues, model.class_of, model.distance):
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 0
@@ -326,12 +325,13 @@ def test_pair_model_equals_the_two_functions_on_every_pair(ctx):
     assert model.operator(labels[4], labels[7]) is model.operators[labels[4], labels[7]]
 
 
-def test_pair_model_margin_is_nan_for_a_nan_orbit_point(ctx):
-    points = ctx.orbit.points.copy()
-    points[all_labels().index((2, 0)), 1] = np.nan
+def test_pair_model_distance_is_nan_for_a_nan_orbit_point(ctx):
+    k, points = all_labels().index((2, 0)), ctx.orbit.points.copy()
+    points[k, 1] = np.nan
     broken = dataclasses.replace(ctx, orbit=dataclasses.replace(ctx.orbit, points=points))
-    assert math.isnan(broken.pair_model.margin)
-    assert np.isnan(broken.pair_model.eigenvalues[all_labels().index((2, 0))]).all()
+    distance = broken.pair_model.distance
+    assert np.isnan(distance[k]).all() and np.isnan(distance[:, k]).all()
+    assert np.isnan(broken.pair_model.eigenvalues[k]).all()
 
 
 def test_sum_rejects_a_pair_off_its_class_row(ctx, case_pairs):

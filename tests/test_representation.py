@@ -46,18 +46,22 @@ def test_specific_matrices(group, rep):
     assert np.allclose(d34, expected, atol=1e-12)
 
 
-def test_homomorphism_all_pairs(group, rep):
+def test_homomorphism_all_pairs():
+    # Built here rather than read from the context, whose build rejects a representation
+    # far enough off for its own checks, so that this bound can fail by itself.
+    rep = build_standard_rep(symmetric_group(4))
     worst = 0.0
-    table = product_table(group)
-    for i in range(len(group)):
-        for j in range(len(group)):
+    table = product_table(rep.group)
+    for i in range(24):
+        for j in range(24):
             k = table[i, j]
             worst = max(worst, np.abs(rep[i] @ rep[j] - rep[k]).max())
     assert worst < EPS
 
 
-def test_orthogonality(group, rep):
-    for k in range(len(group)):
+def test_orthogonality():
+    rep = build_standard_rep(symmetric_group(4))  # not the context's, as above
+    for k in range(24):
         assert np.abs(rep[k].T @ rep[k] - np.eye(3)).max() < EPS
 
 
