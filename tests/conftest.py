@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -6,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from s4bell import OrbitPair, standard_context, tables
+from s4bell import OrbitPair, cli, standard_context, tables
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -67,3 +69,11 @@ def random_unit(rng, dim=3):
 def fresh_python(args, run=subprocess.run, **kwargs):
     """`run` (subprocess.run or Popen) of this Python on `args`, importing s4bell from this tree."""
     return run([sys.executable, *args], env={**os.environ, "PYTHONPATH": str(SRC)}, **kwargs)
+
+
+def run_cli(argv):
+    """(exit code, stdout) of `cli.main(argv)` in this process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()

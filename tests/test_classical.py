@@ -9,7 +9,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import row_of
-from reference_terms import CASE_TERMS
 from s4bell import classical, cli, standard_context, tables
 from s4bell.classical import (
     BellExpression,
@@ -52,12 +51,6 @@ def literal_histogram(terms):
         )
         counts[c] = counts.get(c, 0) + 3 ** 10
     return counts
-
-
-def test_terms_match_reference(case_exprs):
-    for name, expr in case_exprs.items():
-        assert len(expr.terms) == 72
-        assert set(expr.terms) == set(Term(*t) for t in CASE_TERMS[name])
 
 
 def test_term_order_canonical(case_exprs):
@@ -144,21 +137,6 @@ def test_canonical_terms_pass_as_they_are_and_other_entries_as_before():
             with pytest.raises(ValueError) as excinfo:
                 BellExpression(terms)
             assert str(excinfo.value) == message
-
-
-def test_classical_bounds(case_exprs):
-    bounds = {name: classical_max(expr) for name, expr in case_exprs.items()}
-    assert bounds == {"I": 16, "II": 18, "III": 16}
-
-
-def test_histogram_case1(case_exprs):
-    hist = classical_histogram(case_exprs["I"])
-    for c in range(1, 21):
-        assert hist.counts.get(c, 0) == tables.REF_COEFFICIENT_COUNTS["I"][c - 1]
-    assert hist.total() == 3 ** 16
-    assert hist.weighted_total() == 72 * 3 ** 14
-    assert hist.c_max == 16
-    assert hist.counts[0] == 3 ** 16 - sum(tables.REF_COEFFICIENT_COUNTS["I"])
 
 
 ALL_ROWS = np.arange(3 ** 8)
@@ -268,6 +246,12 @@ def test_histogram_kernel_at_its_size_bound(orbit):
     hist = classical_histogram(expr)
     assert [hist.counts[c] for c in range(len(hist.counts))] == reference
     assert hist.c_max == 64
+
+
+def test_histogram_rejects_a_maximum_it_does_not_reach(case_exprs):
+    rows, weights, m, maxima = case_exprs["I"]._scan
+    with pytest.raises(RuntimeError, match="separable maximum 17 disagrees with histogram 16"):
+        _histogram_counts(72, rows, weights, m, maxima + 1)
 
 
 def test_alice_orbit_table(orbit):
@@ -588,17 +572,6 @@ def test_class_relabelings_form_a_group_of_order_72():
     assert all(tuple(a[b]) in keys for a in maps for b in maps)
 
 
-def test_relabeling_generators_generate_all_72_relabelings():
-    maps = _class_relabelings()
-    generators = maps[list(classical._RELABELING_GENERATORS)]
-    closure, frontier = {tuple(range(24))}, [np.arange(24)]
-    while frontier:
-        images = [g[m] for m in frontier for g in generators]
-        frontier = [m for m in images if tuple(m) not in closure]
-        closure.update(tuple(m) for m in frontier)
-    assert closure == {tuple(m) for m in maps}
-
-
 def test_class_relabelings_keep_every_maximum():
     # Unreduced maxima of all 2600 class multisets of size 3; each map must
     # carry every multiset to one with the same maximum.
@@ -609,6 +582,33 @@ def test_class_relabelings_keep_every_maximum():
         image = np.sort(relabel[rows], axis=1)
         rank = np.searchsorted(codes, np.ravel_multi_index(image.T, (24,) * 3))
         assert np.array_equal(maxima[rank], maxima)
+
+
+@pytest.fixture()
+def relabeled_context(ctx, monkeypatch):
+    """`classical.standard_context` patched to return the standard context with labels x01
+    and x02 traded, so that S4 no longer maps bases onto bases; the tables built from it are
+    dropped before and after the test."""
+    builds = (classical._alice_orbits, classical._class_relabelings, classical._pair_classes)
+    swap = np.arange(24)
+    swap[[0, 3]] = 3, 0
+    orbit = dataclasses.replace(ctx.orbit, elements=ctx.orbit.elements[swap])
+    relabeled = dataclasses.replace(ctx, orbit=orbit)
+    monkeypatch.setattr(classical, "standard_context", lambda: relabeled)
+    for build in builds:
+        build.cache_clear()
+    yield
+    for build in builds:
+        build.cache_clear()
+
+
+@pytest.mark.parametrize("build, message", [
+    (_alice_orbits, "a group element does not map measurement bases onto bases"),
+    (_class_relabelings, "expected 6 basis-preserving label maps, found 1"),
+], ids=["alice_orbits", "class_relabelings"])
+def test_a_labeling_that_splits_bases_is_rejected(relabeled_context, build, message):
+    with pytest.raises(RuntimeError, match=message):
+        build()
 
 
 @pytest.mark.parametrize("size, count", [(1, 2), (2, 14), (3, 70)])

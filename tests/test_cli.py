@@ -1,30 +1,21 @@
 import dataclasses
 import hashlib
-import io
 import json
 import subprocess
-from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import fresh_python
-from s4bell import classical, cli, quantum
+from conftest import fresh_python, run_cli
+from s4bell import classical, cli, quantum, tables
 from s4bell.cli import PairSpecError, main, parse_pair_spec, run_verification
 from s4bell.context import standard_context
 from s4bell.orbit import OrbitPair, all_labels
 from s4bell.representation import DecompositionError
 
 LABELS = [f"x{outcome}{basis}" for basis, outcome in all_labels()]
-
-
-def run_cli(argv):
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = main(argv)
-    return code, buf.getvalue()
 
 
 def test_parse_pair_spec_case1():
@@ -159,7 +150,8 @@ def test_analyze_case1_text():
 
 
 def test_analyze_json_roundtrip():
-    code, out = run_cli(["analyze", "--pairs", "x01:x14,x01:x07,x01:x15", "--json"])
+    spec = "x01:x14,x01:x07,x01:x15"
+    code, out = run_cli(["analyze", "--pairs", spec, "--json"])
     assert code == 0
     parsed = json.loads(out)
     again = json.dumps(parsed, sort_keys=True, indent=2) + "\n"
@@ -167,6 +159,17 @@ def test_analyze_json_roundtrip():
     assert parsed["classical"]["max_coefficient"] == 16
     assert parsed["violation"]["violated"] is True
     assert abs(parsed["quantum"]["lambda_max"] - 16.0930) < 1e-3
+
+    # --histogram adds the case's histogram and changes nothing else.
+    code, out = run_cli(["analyze", "--pairs", spec, "--json", "--histogram"])
+    assert code == 0
+    report = json.loads(out)
+    histogram = report["classical"].pop("histogram")
+    assert report == parsed
+    expr = classical.bell_terms(parse_pair_spec(spec), standard_context().orbit)
+    assert histogram == classical.classical_histogram(expr).as_dict()
+    counts = [histogram["counts"][str(c)] for c in range(1, 21)]
+    assert counts == list(tables.REF_COEFFICIENT_COUNTS["I"])
 
 
 def test_analyze_case1_component_layout():
@@ -554,19 +557,6 @@ def test_parser_keeps_no_state():
     run_cli(["scan", "--orbits", "3", "--top", "5", "--phi", "x12"])
     run_cli(["analyze", "--pairs", "x01:x23,x01:x16", "--json"])
     assert [run_cli(argv) for argv in later] == [(0, out) for out in first]
-
-
-def test_verify_deterministic_and_reports_known_mismatch():
-    lines_a, lines_b = [], []
-    ok_a = run_verification(echo=lines_a.append)
-    ok_b = run_verification(echo=lines_b.append)
-    assert lines_a == lines_b
-    assert ok_a is False and ok_b is False
-    failures = [line for line in lines_a if line.startswith("FAIL")]
-    # the single expected mismatch: the case III reference 17.38 is the sum
-    # of truncated two-decimal values, the exact eigenvalue is 17.3915
-    assert len(failures) == 1
-    assert "case III: maximal eigenvalue" in failures[0]
 
 
 def test_verify_fails_a_nan_direct_spectrum(monkeypatch):

@@ -3,7 +3,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from s4bell import tables
 from s4bell.classical import bell_terms, classical_max, coefficient
 from s4bell.game import GameValue, game_values, winning_table
 from s4bell.quantum import max_eigenvalue_sum
@@ -16,13 +15,6 @@ def case_data(orbit, case_pairs):
         expr = bell_terms(pairs, orbit)
         out[name] = (pairs, expr, winning_table(expr))
     return out
-
-
-def test_case1_table_matches_reference(case_data):
-    _, _, table = case_data["I"]
-    assert table.entries == tables.REF_WINNING_TABLE_I
-    assert len(table.entries) == 24
-    assert all(len(pairs) == 3 for pairs in table.entries.values())
 
 
 def test_absent_settings_pair_is_empty(case_data):
@@ -39,14 +31,6 @@ def test_uniform_triple_structure_reported(case_data):
         for name, (_, _, table) in case_data.items()
     }
     assert flags == {"I": True, "II": False, "III": False}
-
-
-def test_game_values_case1(ctx, case_data):
-    _, expr, _ = case_data["I"]
-    value = game_values(expr, ctx)
-    assert value.classical == Fraction(16, 64)
-    assert abs(value.quantum - 0.2514) <= 1e-4
-    assert value.violation
 
 
 def test_game_values_case2(ctx, case_data):

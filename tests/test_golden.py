@@ -6,13 +6,11 @@ deviations can depend on the BLAS build.  For a declared output change,
 rewrite the files with `PYTHONPATH=src python tests/test_golden.py`.
 """
 
-import contextlib
-import io
 from pathlib import Path
 
 import pytest
 
-from s4bell import cli
+from conftest import run_cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = {
@@ -23,6 +21,7 @@ CASES = {
 COMMANDS = {"orbits": ["orbits"]}
 for _name, _spec in CASES.items():
     COMMANDS[f"analyze_{_name}"] = ["analyze", "--pairs", _spec]
+    COMMANDS[f"analyze_{_name}_histogram"] = ["analyze", "--pairs", _spec, "--histogram"]
     COMMANDS[f"analyze_{_name}_histogram_csv"] = [
         "analyze", "--pairs", _spec, "--histogram", "--csv"
     ]
@@ -33,16 +32,9 @@ for _orbits, _phi in (("1", "x01"), ("2", "x01"), ("3", "x01"), ("3", "x12")):
     ]
 
 
-def run(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(argv)
-    return code, out.getvalue()
-
-
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_output_matches_golden(name):
-    code, out = run(COMMANDS[name])
+    code, out = run_cli(COMMANDS[name])
     assert code == 0
     assert out == (GOLDEN / f"{name}.txt").read_text()
 
@@ -50,6 +42,6 @@ def test_output_matches_golden(name):
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in COMMANDS.items():
-        code, out = run(argv)
+        code, out = run_cli(argv)
         assert code == 0, argv
         (GOLDEN / f"{name}.txt").write_text(out)

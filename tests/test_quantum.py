@@ -154,19 +154,6 @@ def test_summed_case_values(ctx, case_pairs):
     assert abs(computed["III"] - 17.3915) < 5e-4
 
 
-def test_jacobi_agrees_with_numpy(rng):
-    for _ in range(20):
-        a = rng.standard_normal((9, 9))
-        a = (a + a.T) / 2
-        values, vectors = jacobi_eigh(a)
-        expected = np.linalg.eigvalsh(a)[::-1]
-        assert np.abs(values - expected).max() < 1e-9
-        for k in range(9):
-            resid = a @ vectors[:, k] - values[k] * vectors[:, k]
-            assert np.abs(resid).max() < 1e-8
-        assert np.abs(vectors.T @ vectors - np.eye(9)).max() < 1e-9
-
-
 def assert_eigh_residuals(a, values, vectors):
     """A V = V diag(values) and V^T V = I to 1e-12 max(1, ||A||), values descending, and
     both are numpy.linalg.eigh's reversed, bit for bit: the wrapper adds no arithmetic."""
