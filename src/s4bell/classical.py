@@ -17,20 +17,17 @@ exact float64 product.
 The scan is also symmetry-reduced.  Each element of S4 permutes the
 orbit labels and maps bases onto bases, so it permutes Alice tuples: the
 3**8 tuples fall into 306 orbits.  The 576 label pairs fall into 24 S4
-orbits of 24 pairs, the pair classes (the pair model's `class_of`); each
-pair has its class's eigenvalues.  Both are checked once per process
-(`_pair_classes`).  A term set maps onto itself under every element
-exactly when it is a union of classes (true of every `bell_terms`
-output); then one representative per orbit, weighted by the orbit size,
-stands for all of its tuples, and its tables M are its classes' tables
-summed (`_class_scan`).  Any other expression scans every tuple.  Bob's
+orbits of 24 pairs, the pair classes (the orbit's `class_of`); each pair
+has its class's eigenvalues.  A term set maps onto itself under every
+element exactly when it is a union of classes (true of every
+`bell_terms` output); then one representative per orbit, weighted by the
+orbit size, stands for all of its tuples, and its tables M are its
+classes' tables summed.  Any other expression scans every tuple.  Bob's
 side reduces too: 72 relabelings of settings, outcomes and parties
-permute the classes and keep every maximum, so `_class_scan` runs on one
-class multiset per orbit; lambda_max (S4-invariant, not
-relabeling-invariant) is summed per class multiset.  These per-size
-tables (`_class_multisets`, with each gap's tie class) are built once
-per process, on first use, in a few ms; `scan` reads and ranks them
-through one index per Alice label and size (`_class_index`).
+permute the classes and keep every maximum, so one class multiset per
+orbit is summed; lambda_max (S4-invariant, not relabeling-invariant) is
+summed per class multiset.  Expressions read these tables from the
+standard context's `class_tables`, each built on first use.
 """
 
 import contextlib
@@ -101,10 +98,11 @@ class BellExpression:
         S4-invariant exactly when each pair class holds none or all 24 of its terms: then
         one tuple per S4 orbit, ascending, is scanned, and M is its classes' tables summed.
         Any other term set scans every tuple."""
-        classes = set(map(_term_classes().__getitem__, self.terms))
+        tables = standard_context().class_tables
+        classes = set(map(tables.term_classes.__getitem__, self.terms))
         if len(self.terms) == 24 * len(classes):  # distinct terms: at most 24 per class
-            rows, weights = _alice_orbits()
-            m, maxima = _class_scan(list(classes))
+            rows, weights = tables.alice_orbits
+            m, maxima = tables.class_scan(list(classes))
         else:
             rows = np.arange(N_OUTCOMES ** N_SETTINGS)
             weights = np.ones(len(rows), dtype=np.int64)
@@ -123,13 +121,6 @@ def _term_table():
     labels = all_labels()
     table = tuple(tuple(Term(*alice, *bob) for bob in labels) for alice in labels)
     return table, {term: term for row in table for term in row}
-
-
-@lru_cache(maxsize=1)
-def _term_classes():
-    """A dict mapping each `_term_table` Term to the pair class of its labels."""
-    rows = zip(_term_table()[0], _pair_classes()[0].tolist())
-    return {term: c for terms, classes in rows for term, c in zip(terms, classes)}
 
 
 def _canonical_term(entries):
@@ -161,31 +152,6 @@ def bell_terms(pairs, orbit: Orbit) -> BellExpression:
     terms = tuple(table[k][m] for p in pairs for k, m in
                   zip(images[_row(*p.alice)].tolist(), images[_row(*p.bob)].tolist()))
     return BellExpression(terms, pairs)
-
-
-@lru_cache(maxsize=1)
-def _pair_classes():
-    """Read-only (class_of, alice_tables) of the standard pair model, built and checked once:
-    class c is the S4 orbit of pair (x01, c) (class_of[g.x01, g.c] == c for every g), so its
-    term set is S4-invariant, and each pair's eigenvalues are its class's to 1e-12.  Per class:
-    tables M (306, 8, 3) of its one-hot table, outcome-major, on the `_alice_orbits()` rows."""
-    ctx = standard_context()
-    class_of, action = ctx.pair_model.class_of, ctx.orbit.label_action
-    if not (class_of[action[:, :1], action] == np.arange(24)).all():
-        raise RuntimeError("a pair class's term set is not S4-invariant")
-    if not (ctx.pair_model.distance <= 1e-12).all():
-        raise RuntimeError("a pair's eigenvalues are not its class's: not S4-invariant")
-    tables = (class_of == np.arange(24)[:, None, None]).reshape(24, *(N_SETTINGS, N_OUTCOMES) * 2)
-    m = _per_alice_tables(tables, _alice_orbits().representatives)
-    m = np.moveaxis(np.moveaxis(m, -1, 1).copy(), 1, -1)  # contiguous outcome slices
-    m.setflags(write=False)
-    return class_of, m
-
-
-def _class_scan(ids):
-    """The summed tables M of pair classes `ids` on the `_alice_orbits()` rows, and row maxima."""
-    m = _pair_classes()[1][ids].sum(axis=0, dtype=np.int16)
-    return m, _row_maxima(m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,43 +191,6 @@ def _profiles():
     arr = np.indices((N_OUTCOMES,) * N_SETTINGS, dtype=np.int8).reshape(N_SETTINGS, -1).T
     arr.setflags(write=False)
     return arr
-
-
-class _AliceOrbits(NamedTuple):
-    """The orbits of S4 on Alice tuples."""
-
-    representatives: np.ndarray  # smallest tuple index of each orbit, ascending
-    sizes: np.ndarray  # number of tuples in each orbit
-
-
-@lru_cache(maxsize=1)
-def _alice_orbits():
-    """Orbits of Alice's 3**8 tuples under S4 acting on the standard orbit labels.
-
-    An element g maps basis s onto basis g.s, so it carries a tuple f to
-    the tuple with outcome g.(s, f(s)) on that basis.  Built on first use
-    rather than with the context.
-    """
-    action = standard_context().orbit.label_action
-    bases = action // N_OUTCOMES
-    if (bases != bases[:, ::N_OUTCOMES].repeat(N_OUTCOMES, axis=1)).any():
-        raise RuntimeError("a group element does not map measurement bases onto bases")
-
-    # A tuple's index in _profiles order is the sum over its labels (s, a)
-    # of a * 3**(8 - s); the orbit's smallest index names it.  It meets in the
-    # middle: a running minimum over the elements of their (81, 81) sums of
-    # the images' place values on settings 1-4 and on 5-8.
-    k = np.arange(N_OUTCOMES * N_SETTINGS)
-    place_value = (k % N_OUTCOMES) * N_OUTCOMES ** (N_SETTINGS - 1 - k // N_OUTCOMES)
-    half = np.indices((N_OUTCOMES,) * (N_SETTINGS // 2)).reshape(N_SETTINGS // 2, -1).T
-    labels = N_OUTCOMES * np.arange(N_SETTINGS).reshape(2, 1, -1) + half
-    left, right = place_value[action][:, labels].sum(axis=-1).transpose(1, 0, 2)
-    smallest = np.arange(len(half) ** 2)
-    for lo, hi in zip(left, right):
-        np.minimum(smallest, (lo[:, None] + hi).ravel(), out=smallest)
-    representatives = np.flatnonzero(smallest == np.arange(len(smallest)))
-    sizes = np.bincount(smallest)[representatives]
-    return _AliceOrbits(representatives, sizes)
 
 
 def _per_alice_tables(table, rows):
@@ -352,70 +281,125 @@ def classical_histogram(expr: BellExpression) -> StrategyHistogram:
     )
 
 
-@lru_cache(maxsize=1)
-def _class_relabelings():
-    """(72, 24) maps of pair classes, each keeping every classical maximum.
-
-    Class m is the S4 orbit of the label pair (0, m).  Six of the label maps
-    g.0 -> g.x, which commute with S4, map bases into bases.  Alice's A and
-    Bob's B send (0, m) to (A[0], B[m]), or swapping parties to (B[m], A[0])."""
-    action = standard_context().orbit.label_action
-    right = action.T[:, np.argsort(action[:, 0])]  # right[x]: g.0 -> g.x
-    bases = right.reshape(-1, N_SETTINGS, N_OUTCOMES) // N_OUTCOMES
-    keep = right[(bases == bases[..., :1]).all(axis=(1, 2))]
-    if len(keep) != 6:
-        raise RuntimeError(f"expected 6 basis-preserving label maps, found {len(keep)}")
-    class_of = _pair_classes()[0]
-    return np.array([class_of[a[0], b] for a in keep for b in keep]
-                    + [class_of[b, a[0]] for a in keep for b in keep])
-
-
 def _codes(multisets):
     """Base-24 codes of the sorted rows, ascending in combinations order."""
     columns = np.sort(multisets, axis=1, kind="stable").T
     return np.ravel_multi_index(columns, (N_SETTINGS * N_OUTCOMES,) * len(columns))
 
 
-_RELABELING_GENERATORS = (3, 37)  # two `_class_relabelings()` rows that generate all 72
+class _ClassTables:
+    """A context's classical S4 tables, `ctx.class_tables`, each built and checked on first use."""
 
+    def __init__(self, ctx):
+        self._ctx, self._multisets, self._index = ctx, {}, {}
 
-@lru_cache(maxsize=None)
-def _class_multisets(size):
-    """Read-only: every class multiset of `size` in combinations order, its code, its classical
-    maximum, its lambda_max, the largest column-order sum of its classes' rows of the pair
-    model's eigenvalues, and its tie class.  Built on first use: each orbit's smallest index
-    spreads along two generating relabelings until it settles; that multiset's `_class_scan`
-    maximum is the whole orbit's (lambda_max is not constant on the orbits).  The gaps
-    lambda_max - maximum, sorted descending, fall into tie classes 1, 2, ..., a new one
-    wherever a step down exceeds 1e-9."""
-    combos = itertools.combinations_with_replacement(range(N_SETTINGS * N_OUTCOMES), size)
-    multisets = np.fromiter(itertools.chain.from_iterable(combos), np.intp).reshape(-1, size)
-    codes = _codes(multisets)
-    relabeled = [_codes(r[multisets]) for r in _class_relabelings()[list(_RELABELING_GENERATORS)]]
-    images, smallest, previous = np.searchsorted(codes, relabeled), np.arange(len(codes)), None
-    while not np.array_equal(smallest, previous):
-        previous, smallest = smallest, np.minimum(smallest, smallest[images].min(axis=0))
-    first = np.flatnonzero(smallest == np.arange(len(codes)))
-    maxima = np.array([_class_scan(ids)[1].max() for ids in multisets[first]])
-    maxima = maxima[np.searchsorted(first, smallest)]
-    lambdas = sum(standard_context().pair_model.eigenvalues[multisets.T]).max(axis=1)
-    gaps = lambdas - maxima
-    desc = np.argsort(-gaps, kind="stable")
-    ties = np.empty(len(gaps), np.int16)  # a stable sort of 16-bit keys is a radix sort
-    ties[desc] = np.cumsum(np.diff(gaps[desc], prepend=np.inf) < -1e-9)
-    for arr in (multisets, codes, maxima, lambdas, ties):
-        arr.setflags(write=False)
-    return multisets, codes, maxima, lambdas, ties
+    @cached_property
+    def term_classes(self):
+        """A dict mapping each `_term_table` Term to the pair class of its labels."""
+        rows = zip(_term_table()[0], self._ctx.orbit.class_of.tolist())
+        return {term: c for terms, classes in rows for term, c in zip(terms, classes)}
 
+    @cached_property
+    def alice_orbits(self):
+        """(representatives, sizes): per orbit of S4 on Alice's 3**8 tuples, its smallest
+        tuple index, ascending, and its number of tuples.  An element g maps basis s onto basis
+        g.s, so it carries a tuple f to the tuple with outcome g.(s, f(s)) on that basis."""
+        action = self._ctx.orbit.label_action
+        bases = action // N_OUTCOMES
+        if (bases != bases[:, ::N_OUTCOMES].repeat(N_OUTCOMES, axis=1)).any():
+            raise RuntimeError("a group element does not map measurement bases onto bases")
 
-@lru_cache(maxsize=None)
-def _class_index(alice, size):
-    """Read-only: per Bob-label multiset of `size`, its `_class_multisets(size)` row with Alice
-    at label index `alice`, found by the code of its classes class_of[alice, m] of Bob's m."""
-    multisets, codes = _class_multisets(size)[:2]
-    index = np.searchsorted(codes, _codes(_pair_classes()[0][alice][multisets]))
-    index.setflags(write=False)
-    return index
+        # A tuple's index in _profiles order is the sum over its labels (s, a)
+        # of a * 3**(8 - s); the orbit's smallest index names it.  It meets in the
+        # middle: a running minimum over the elements of their (81, 81) sums of
+        # the images' place values on settings 1-4 and on 5-8.
+        k = np.arange(N_OUTCOMES * N_SETTINGS)
+        place_value = (k % N_OUTCOMES) * N_OUTCOMES ** (N_SETTINGS - 1 - k // N_OUTCOMES)
+        half = np.indices((N_OUTCOMES,) * (N_SETTINGS // 2)).reshape(N_SETTINGS // 2, -1).T
+        labels = N_OUTCOMES * np.arange(N_SETTINGS).reshape(2, 1, -1) + half
+        left, right = place_value[action][:, labels].sum(axis=-1).transpose(1, 0, 2)
+        smallest = np.arange(len(half) ** 2)
+        for lo, hi in zip(left, right):
+            np.minimum(smallest, (lo[:, None] + hi).ravel(), out=smallest)
+        representatives = np.flatnonzero(smallest == np.arange(len(smallest)))
+        sizes = np.bincount(smallest)[representatives]
+        for arr in (representatives, sizes):
+            arr.setflags(write=False)
+        return representatives, sizes
+
+    @cached_property
+    def class_m(self):
+        """Per class c: tables M (306, 8, 3) of its one-hot table, outcome-major, on the
+        `alice_orbits` rows.  Each pair's eigenvalues must be its class's to 1e-12."""
+        if not (self._ctx.pair_model.distance <= 1e-12).all():
+            raise RuntimeError("a pair's eigenvalues are not its class's: not S4-invariant")
+        one_hot = np.arange(24)[:, None, None] == self._ctx.orbit.class_of
+        one_hot = one_hot.reshape(24, *(N_SETTINGS, N_OUTCOMES) * 2)
+        m = _per_alice_tables(one_hot, self.alice_orbits[0])
+        m = np.moveaxis(np.moveaxis(m, -1, 1).copy(), 1, -1)  # contiguous outcome slices
+        m.setflags(write=False)
+        return m
+
+    def class_scan(self, ids):
+        """The summed tables M of pair classes `ids` on the `alice_orbits` rows, and row maxima."""
+        m = self.class_m[ids].sum(axis=0, dtype=np.int16)
+        return m, _row_maxima(m)
+
+    @cached_property
+    def relabelings(self):
+        """(72, 24) maps of pair classes, each keeping every classical maximum.  Class m is
+        the S4 orbit of the label pair (0, m).  Six of the label maps g.0 -> g.x, which commute
+        with S4, map bases into bases.  Alice's A and Bob's B send (0, m) to (A[0], B[m]), or
+        swapping parties to (B[m], A[0])."""
+        action = self._ctx.orbit.label_action
+        right = action.T[:, np.argsort(action[:, 0])]  # right[x]: g.0 -> g.x
+        bases = right.reshape(-1, N_SETTINGS, N_OUTCOMES) // N_OUTCOMES
+        keep = right[(bases == bases[..., :1]).all(axis=(1, 2))]
+        if len(keep) != 6:
+            raise RuntimeError(f"expected 6 basis-preserving label maps, found {len(keep)}")
+        classes = self._ctx.orbit.class_of
+        maps = np.array([classes[a[0], b] for a in keep for b in keep]
+                        + [classes[b, a[0]] for a in keep for b in keep])
+        maps.setflags(write=False)
+        return maps
+
+    def multisets(self, size):
+        """Read-only: every class multiset of `size` in combinations order, its code, its
+        classical maximum, its lambda_max (the largest column-order sum of its classes' pair
+        model eigenvalue rows) and its tie class.  Each relabeling orbit's smallest index spreads
+        along two generating relabelings until it settles; that multiset's `class_scan` maximum
+        is the orbit's.  The gaps lambda_max - maximum, sorted descending, fall into tie classes
+        1, 2, ..., a new one wherever a step down exceeds 1e-9."""
+        if size in self._multisets:
+            return self._multisets[size]
+        combos = itertools.combinations_with_replacement(range(N_SETTINGS * N_OUTCOMES), size)
+        multisets = np.fromiter(itertools.chain.from_iterable(combos), np.intp).reshape(-1, size)
+        codes = _codes(multisets)
+        relabeled = [_codes(r[multisets]) for r in self.relabelings[[3, 37]]]  # generate all 72
+        images, smallest, previous = np.searchsorted(codes, relabeled), np.arange(len(codes)), None
+        while not np.array_equal(smallest, previous):
+            previous, smallest = smallest, np.minimum(smallest, smallest[images].min(axis=0))
+        first = np.flatnonzero(smallest == np.arange(len(codes)))
+        maxima = np.array([self.class_scan(ids)[1].max() for ids in multisets[first]])
+        maxima = maxima[np.searchsorted(first, smallest)]
+        lambdas = sum(self._ctx.pair_model.eigenvalues[multisets.T]).max(axis=1)
+        gaps = lambdas - maxima
+        desc = np.argsort(-gaps, kind="stable")
+        ties = np.empty(len(gaps), np.int16)  # a stable sort of 16-bit keys is a radix sort
+        ties[desc] = np.cumsum(np.diff(gaps[desc], prepend=np.inf) < -1e-9)
+        for arr in (multisets, codes, maxima, lambdas, ties):
+            arr.setflags(write=False)
+        return self._multisets.setdefault(size, (multisets, codes, maxima, lambdas, ties))
+
+    def index(self, alice, size):
+        """Read-only: per Bob-label multiset of `size`, its `multisets(size)` row with Alice at
+        label index `alice`, found by the code of its classes class_of[alice, m] of Bob's m."""
+        if (alice, size) not in self._index:
+            multisets, codes = self.multisets(size)[:2]
+            found = np.searchsorted(codes, _codes(self._ctx.orbit.class_of[alice][multisets]))
+            found.setflags(write=False)
+            self._index[alice, size] = found
+        return self._index[alice, size]
 
 
 def optimal_classical_strategy(expr: BellExpression):

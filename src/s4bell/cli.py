@@ -21,9 +21,9 @@ parsed report is byte-identical.
 label, as in "x01:x14,x01:x14,x01:x18"; a repeated orbit's terms count
 once per copy.  `analyze` and `game` reject such a spec (duplicate term).
 
-The parser and the S4 tables every command but `orbits` reads are built
-once per process, on first use, never at import or with the context; the
-one list of what a process builds after each command is the table of
+The parser is built once per process and the S4 tables every command but
+`orbits` reads once per context, on first use, never at import; the one
+list of what a process builds after each command is the table of
 tests/test_cli.py::test_what_a_fresh_process_builds_after_each_command.
 A later `main` prints what a first would.
 
@@ -46,8 +46,6 @@ import numpy as np
 
 from . import tables
 from .classical import (
-    _class_index,
-    _class_multisets,
     bell_terms,
     classical_histogram,
     classical_max,
@@ -368,8 +366,9 @@ def _cmd_scan(args):
     # lambda_max, the classical maximum and the gap's tie class are S4-invariant: read per
     # class multiset.  Specs rank by tie class, each class in combination order (label
     # order, as all_labels() is sorted).
-    combos, _, cmaxes, lams, ties = _class_multisets(args.orbits)
-    rows = _class_index(labels.index(alice), args.orbits)
+    tables = standard_context().class_tables
+    combos, _, cmaxes, lams, ties = tables.multisets(args.orbits)
+    rows = tables.index(labels.index(alice), args.orbits)
     gaps = (lams - cmaxes)[rows]
     order = np.argsort(ties[rows], kind="stable")[:args.top]
 

@@ -19,7 +19,7 @@ __all__ = ["Context", "standard_context"]
 
 @dataclass(frozen=True, eq=False)
 class Context:
-    """Group, standard representation, tensor square, projectors, orbit."""
+    """Group, standard representation, tensor square, projectors, orbit, and lazy tables."""
 
     group: np.ndarray  # (24, 4) one-line images, see permgroup
     rep: Representation
@@ -32,6 +32,12 @@ class Context:
         """This object's quantum.PairModel, made on first read; a replaced context has its own."""
         from .quantum import PairModel  # quantum imports this module
         return PairModel(self)
+
+    @cached_property
+    def class_tables(self):
+        """This object's classical tables, made on first read; a replaced context has its own."""
+        from .classical import _ClassTables  # classical imports this module
+        return _ClassTables(self)
 
 
 @lru_cache(maxsize=1)

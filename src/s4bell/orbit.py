@@ -104,13 +104,25 @@ class Orbit:
         """[g, k]: row of the image of points[k] under element g.
 
         Read off the group product on element indices, which is exact.
-        Read-only.
+        Read-only.  ValueError unless `elements` holds each group row once.
         """
-        position = np.empty(len(self.group), dtype=np.int64)
-        position[self.elements] = np.arange(len(self.elements))
+        position = np.argsort(self.elements)  # position[e]: the row of element e
+        if not np.array_equal(self.elements[position], np.arange(len(self.group))):
+            raise ValueError("elements must hold each group row exactly once")
         action = position[product_table(self.group)[:, self.elements]]
         action.setflags(write=False)
         return action
+
+    @cached_property
+    def class_of(self):
+        """Read-only [k, m]: the pair class of labels k and m, label g.m for the g taking k to
+        x01.  Class c must be the S4 orbit of pair (x01, c), so its term set is S4-invariant."""
+        action = self.label_action
+        class_of = action[np.argmax(action == 0, axis=0)]
+        if not (class_of[action[:, :1], action] == np.arange(len(action))).all():
+            raise RuntimeError("a pair class's term set is not S4-invariant")
+        class_of.setflags(write=False)
+        return class_of
 
     def coords(self, basis, outcome):
         return self.points[_row(basis, outcome)]

@@ -13,13 +13,13 @@ only in rendered reports.  The same spectrum is computed a second,
 independent way by LAPACK's symmetric eigensolver (numpy.linalg.eigh) on
 the assembled 9x9 matrix; the two routes cross-check each other.
 
-Each context's `pair_model` (`PairModel`) holds each orbit pair's S4 class,
-whose spectrum the pair shares, the 24 classes' eigenvalues and each pair's
-operator, made on first read.  A sum of pair operators, each sum_s lambda_s
-P_s over the same four projectors, has the componentwise sums as
-eigenvalues; `scan` ranks by the largest.  `max_eigenvalue_sum` (analyze,
-game, verify) diagonalizes the summed matrix instead and checks that every
-componentwise sum appears in its spectrum.
+Each context's `pair_model` (`PairModel`) holds the eigenvalues of the 24
+S4 pair classes (the orbit's `class_of`), which each pair of a class
+shares, and each pair's operator, made on first read.  A sum of pair
+operators, each sum_s lambda_s P_s over the same four projectors, has the
+componentwise sums as eigenvalues; `scan` ranks by the largest.
+`max_eigenvalue_sum` (analyze, game, verify) diagonalizes the summed matrix
+instead and checks that every componentwise sum appears in its spectrum.
 """
 
 from dataclasses import dataclass
@@ -138,22 +138,21 @@ class SumSpectrum:
 
 
 class PairModel:
-    """Each orbit pair's S4 class, the classes' componentwise eigenvalues, and pair operators.
+    """The S4 pair classes' componentwise eigenvalues, and pair operators.
 
-    Pair (k, m) of all_labels() rows is in class `class_of[k, m]`, label g.m for the g taking k
-    to x01.  `eigenvalues[c]`, read-only (24, 4), is `eigenvalues_isotypic` of x01 and label c;
-    `distance[k, m]`, read-only (24, 24), is the largest distance of pair (k, m)'s own
-    eigenvalues from its class's (NaN if one is NaN).
+    `eigenvalues[c]`, read-only (24, 4), is `eigenvalues_isotypic` of x01 and label c, the
+    eigenvalues of class c (the orbit's `class_of`); `distance[k, m]`, read-only (24, 24), is
+    the largest distance of pair (k, m)'s own eigenvalues from its class's (NaN if one is NaN).
     `operator(alice, bob)` is `build_x_operator` of theirs, kept in `operators`.
     """
 
     def __init__(self, ctx: Context):
         self._coords, self._product, self.operators = ctx.orbit.coords, ctx.product, {}
         seeds = np.einsum("ki,mj->kmij", ctx.orbit.points, ctx.orbit.points).reshape(24, 24, 9)
-        pairs, action = _isotypic(seeds, ctx.projectors), ctx.orbit.label_action
-        self.class_of, self.eigenvalues = action[np.argmax(action == 0, axis=0)], pairs[0].copy()
-        self.distance = np.abs(pairs - self.eigenvalues[self.class_of]).max(axis=2)
-        for arr in (self.class_of, self.eigenvalues, self.distance):
+        pairs = _isotypic(seeds, ctx.projectors)
+        self.eigenvalues = pairs[0].copy()
+        self.distance = np.abs(pairs - self.eigenvalues[ctx.orbit.class_of]).max(axis=2)
+        for arr in (self.eigenvalues, self.distance):
             arr.setflags(write=False)
 
     def operator(self, alice, bob):
@@ -179,7 +178,7 @@ def max_eigenvalue_sum(pairs, ctx: Context) -> SumSpectrum:
     # regroup the rows and could change the last bit.
     total = sum((model.operator(p.alice, p.bob) for p in pairs), np.zeros((ctx.product.dim,) * 2))
     alice, bob = zip(*[(_row(*p.alice), _row(*p.bob)) for p in pairs])
-    per_pair = model.eigenvalues[model.class_of[alice, bob]]
+    per_pair = model.eigenvalues[ctx.orbit.class_of[alice, bob]]
     sums = sum(per_pair)
 
     values, vectors = jacobi_eigh(total)

@@ -10,9 +10,10 @@ with PYTHONPATH set to that tree.  For each command the script prints one
 sha256 of stdout, stderr and the exit code per tree, then "same" or
 "DIFFERS".  The last tree named (the new one) also runs `COMMANDS` in
 reverse order in a further child, so that a result which depends on what
-an earlier command left in a process-wide cache shows up: a command whose
-hash then differs is marked "ORDER".  It exits 1 when any command differs
-or is marked, else 0.
+an earlier command left in the process (the parser, or the standard
+context and its tables) shows up: a command whose hash then differs is
+marked "ORDER".  It exits 1 when any command differs or is marked, else
+0.
 
 The 130 commands cover all five subcommands and the usage-error path:
 `scan --orbits 1|2|3 --top 2600` for every `--phi` label, the `scan`

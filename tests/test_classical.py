@@ -13,10 +13,6 @@ from s4bell import classical, cli, standard_context, tables
 from s4bell.classical import (
     BellExpression,
     Term,
-    _alice_orbits,
-    _class_index,
-    _class_multisets,
-    _class_relabelings,
     _codes,
     _histogram_counts,
     _per_alice_tables,
@@ -254,11 +250,11 @@ def test_histogram_rejects_a_maximum_it_does_not_reach(case_exprs):
         _histogram_counts(72, rows, weights, m, maxima + 1)
 
 
-def test_alice_orbit_table(orbit):
-    orbits = _alice_orbits()
-    assert len(orbits.representatives) == 306
-    assert all(24 % size == 0 for size in orbits.sizes.tolist())
-    assert orbits.sizes.sum() == 3 ** 8
+def test_alice_orbit_table(ctx):
+    orbit, (representatives, sizes) = ctx.orbit, ctx.class_tables.alice_orbits
+    assert len(representatives) == 306
+    assert all(24 % size == 0 for size in sizes.tolist())
+    assert sizes.sum() == 3 ** 8
     tuples = list(itertools.product(range(3), repeat=8))
     profiles = classical._profiles()
     assert profiles.dtype == np.int8 and np.array_equal(profiles, tuples)
@@ -277,8 +273,8 @@ def test_alice_orbit_table(orbit):
             images.append(index[tuple(image)])
         smallest.append(min(images))
     counts = collections.Counter(smallest)
-    assert orbits.representatives.tolist() == sorted(counts)
-    assert orbits.sizes.tolist() == [counts[r] for r in sorted(counts)]
+    assert representatives.tolist() == sorted(counts)
+    assert sizes.tolist() == [counts[r] for r in sorted(counts)]
 
 
 def test_non_invariant_expression_scans_every_alice_tuple():
@@ -350,7 +346,7 @@ def test_per_alice_tables_match_the_gather_reference(orbit, case_exprs):
     friendly = BellExpression(((1, 0, 1, 0), (2, 0, 1, 0), (1, 0, 2, 1)))
     exprs = [*case_exprs.values(), friendly, bell_terms([OrbitPair((2, 1), (5, 0))], orbit)]
     stacked = np.stack([e.table for e in exprs])
-    for rows in (_alice_orbits().representatives, ALL_ROWS):
+    for rows in (standard_context().class_tables.alice_orbits[0], ALL_ROWS):
         for expr in exprs:
             m = _per_alice_tables(expr.table, rows)
             assert m.dtype == np.int16
@@ -437,24 +433,29 @@ def x01_pair_expression(m):
 def unreduced_class_maxima(size):
     """Reference: per class multiset of `size` in combinations order, the largest row maximum
     of its members' summed tables M, from the product of the 24 pair expressions x01:m's own
-    tables.  No class table, relabeling or `_class_scan` is read."""
+    tables.  No class table, relabeling or `class_scan` is read."""
     f = np.stack([x01_pair_expression(k).table for k in range(24)])
-    m = _per_alice_tables(f, _alice_orbits().representatives)
+    m = _per_alice_tables(f, standard_context().class_tables.alice_orbits[0])
     rows = np.array(combination_rows(24, size))
     return np.concatenate([_row_maxima(sum(m[chunk[:, j]] for j in range(size))).max(axis=1)
                            for chunk in np.array_split(rows, 10)])
 
 
+def class_multisets(size):
+    """The standard context's class multisets of `size` and their tables."""
+    return standard_context().class_tables.multisets(size)
+
+
 def class_row(multiset):
-    """The `_class_multisets` row of a class multiset given in any order."""
+    """The `class_multisets` row of a class multiset given in any order."""
     multiset = np.asarray(multiset)
-    return int(np.searchsorted(_class_multisets(len(multiset))[1], _codes(multiset[None]))[0])
+    return int(np.searchsorted(class_multisets(len(multiset))[1], _codes(multiset[None]))[0])
 
 
 def test_class_maxima_equal_the_unreduced_maxima():
     assert {len(x01_pair_expression(k)._scan[0]) for k in range(24)} == {306}
     for size in (1, 2, 3):
-        assert np.array_equal(_class_multisets(size)[2], unreduced_class_maxima(size))
+        assert np.array_equal(class_multisets(size)[2], unreduced_class_maxima(size))
 
 
 def test_class_maxima_of_set_multisets_equal_the_union_maximum():
@@ -462,14 +463,14 @@ def test_class_maxima_of_set_multisets_equal_the_union_maximum():
     for size in rng.integers(1, 4, size=40).tolist():
         bob = rng.choice(24, size, replace=False)
         union = BellExpression(sum((x01_pair_expression(k).terms for k in bob), ()))
-        assert _class_multisets(size)[2][class_row(bob)] == classical_max(union)
+        assert class_multisets(size)[2][class_row(bob)] == classical_max(union)
 
 
 @pytest.mark.parametrize("multiset", [[5, 5], [0, 0, 0], [7, 19, 7], [23, 3, 3]])
 def test_class_maxima_of_repeated_classes_equal_the_full_scan(multiset):
     table = sum(x01_pair_expression(k).table for k in multiset)
     expected = _max_coefficient(table, ALL_ROWS)
-    assert _class_multisets(len(multiset))[2][class_row(multiset)] == expected
+    assert class_multisets(len(multiset))[2][class_row(multiset)] == expected
 
 
 def expanded_term_by_term(pairs, orbit):
@@ -516,7 +517,7 @@ def test_class_sums_equal_the_term_route(orbit):
         # exactly when every element of S4 maps the term set onto itself.
         pairs = {(labels.index(t[:2]), labels.index(t[2:])) for t in expr.terms}
         invariant = all({(g[k], g[m]) for k, m in pairs} == pairs for g in action)
-        rows = _alice_orbits() if invariant else full
+        rows = standard_context().class_tables.alice_orbits if invariant else full
         invariant_others += invariant and action_of is other
         m = _per_alice_tables(reference.table, rows[0])
         for e in (expr, reference):
@@ -529,12 +530,12 @@ def test_class_sums_equal_the_term_route(orbit):
     assert 0 < invariant_others < 40  # the relabeled orbit reaches both scans
 
 
-def test_class_index_names_each_bob_multisets_class_multiset():
-    class_of = classical._pair_classes()[0]
+def test_class_index_names_each_bob_multisets_class_multiset(ctx):
+    class_of = ctx.orbit.class_of
     for size in (1, 2, 3):
-        multisets = _class_multisets(size)[0]
+        multisets = class_multisets(size)[0]
         for alice in range(24):
-            index = _class_index(alice, size)
+            index = ctx.class_tables.index(alice, size)
             assert np.array_equal(multisets[index], np.sort(class_of[alice][multisets], axis=1))
             assert not index.flags.writeable
 
@@ -546,25 +547,25 @@ def test_class_lambdas_equal_the_spec_order_sums_and_the_eigen_solve(ctx):
     eigenvalues = np.array([[eigenvalues_isotypic(coords(*alice), coords(*bob), ctx.projectors)
                              for bob in labels] for alice in labels])
     for size in (1, 2, 3):
-        multisets, _, _, lambdas, _ = _class_multisets(size)
+        multisets, _, _, lambdas, _ = class_multisets(size)
         assert not lambdas.flags.writeable
         for alice in range(24):
             sums = eigenvalues[alice][multisets[:, 0]]
             for j in range(1, size):
                 sums = sums + eigenvalues[alice][multisets[:, j]]
-            found = lambdas[_class_index(alice, size)]
+            found = lambdas[ctx.class_tables.index(alice, size)]
             assert np.abs(found - sums.max(axis=1)).max() <= 1e-12
     # Set specs in random order against the diagonalized sum of their operators.
     rng = np.random.default_rng(28)
     for size in rng.integers(1, 4, size=60).tolist():
         alice, bob = int(rng.integers(24)), rng.choice(24, size, replace=False)
-        found = _class_multisets(size)[3][_class_index(alice, size)[class_row(bob)]]
+        found = class_multisets(size)[3][ctx.class_tables.index(alice, size)[class_row(bob)]]
         pairs = [OrbitPair(labels[alice], labels[m]) for m in bob]
         assert abs(found - max_eigenvalue_sum(pairs, ctx).lambda_max) <= EIG_TOL
 
 
-def test_class_relabelings_form_a_group_of_order_72():
-    maps = _class_relabelings()
+def test_class_relabelings_form_a_group_of_order_72(ctx):
+    maps = ctx.class_tables.relabelings
     assert maps.shape == (72, 24)
     keys = {tuple(m) for m in maps}
     assert len(keys) == 72
@@ -572,48 +573,49 @@ def test_class_relabelings_form_a_group_of_order_72():
     assert all(tuple(a[b]) in keys for a in maps for b in maps)
 
 
-def test_class_relabelings_keep_every_maximum():
+def test_class_relabelings_keep_every_maximum(ctx):
     # Unreduced maxima of all 2600 class multisets of size 3; each map must
     # carry every multiset to one with the same maximum.
     rows = np.array(combination_rows(24, 3))
     maxima = unreduced_class_maxima(3)
     codes = [np.ravel_multi_index(r, (24,) * 3) for r in rows]
-    for relabel in _class_relabelings():
+    for relabel in ctx.class_tables.relabelings:
         image = np.sort(relabel[rows], axis=1)
         rank = np.searchsorted(codes, np.ravel_multi_index(image.T, (24,) * 3))
         assert np.array_equal(maxima[rank], maxima)
 
 
-@pytest.fixture()
-def relabeled_context(ctx, monkeypatch):
-    """`classical.standard_context` patched to return the standard context with labels x01
-    and x02 traded, so that S4 no longer maps bases onto bases; the tables built from it are
-    dropped before and after the test."""
-    builds = (classical._alice_orbits, classical._class_relabelings, classical._pair_classes)
+@pytest.mark.parametrize("table, message", [
+    ("alice_orbits", "a group element does not map measurement bases onto bases"),
+    ("relabelings", "expected 6 basis-preserving label maps, found 1"),
+], ids=["alice_orbits", "class_relabelings"])
+def test_a_labeling_that_splits_bases_is_rejected(ctx, table, message):
+    # The standard context with labels x01 and x02 traded: S4 no longer maps bases onto bases.
     swap = np.arange(24)
     swap[[0, 3]] = 3, 0
     orbit = dataclasses.replace(ctx.orbit, elements=ctx.orbit.elements[swap])
-    relabeled = dataclasses.replace(ctx, orbit=orbit)
-    monkeypatch.setattr(classical, "standard_context", lambda: relabeled)
-    for build in builds:
-        build.cache_clear()
-    yield
-    for build in builds:
-        build.cache_clear()
-
-
-@pytest.mark.parametrize("build, message", [
-    (_alice_orbits, "a group element does not map measurement bases onto bases"),
-    (_class_relabelings, "expected 6 basis-preserving label maps, found 1"),
-], ids=["alice_orbits", "class_relabelings"])
-def test_a_labeling_that_splits_bases_is_rejected(relabeled_context, build, message):
     with pytest.raises(RuntimeError, match=message):
-        build()
+        getattr(dataclasses.replace(ctx, orbit=orbit).class_tables, table)
+
+
+def test_replaced_context_has_its_own_class_tables(ctx):
+    replaced = dataclasses.replace(ctx)
+    tables, own = ctx.class_tables, replaced.class_tables
+    assert own is not tables and own is replaced.class_tables
+    assert own.term_classes == tables.term_classes
+
+    def arrays(t):
+        return [*t.alice_orbits, t.class_m, t.relabelings,
+                *(a for size in (1, 2, 3) for a in (*t.multisets(size), t.index(5, size)))]
+
+    for got, want in zip(arrays(own), arrays(tables), strict=True):
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable and not want.flags.writeable
 
 
 @pytest.mark.parametrize("size, count", [(1, 2), (2, 14), (3, 70)])
-def test_multiset_orbits_count(orbit, size, count):
-    arrays = _class_multisets(size)
+def test_multiset_orbits_count(ctx, size, count):
+    arrays = class_multisets(size)
     assert not any(arr.flags.writeable for arr in arrays)
     multisets, codes, maxima, _, _ = arrays
     rows = np.array(combination_rows(24, size))
@@ -621,13 +623,13 @@ def test_multiset_orbits_count(orbit, size, count):
     assert np.array_equal(codes, [np.ravel_multi_index(r, (24,) * size) for r in rows])
     # Orbits of the 72 relabelings, each named by its smallest code.
     smallest = np.min([np.ravel_multi_index(np.sort(m[rows], axis=1).T, (24,) * size)
-                       for m in _class_relabelings()], axis=0)
+                       for m in ctx.class_tables.relabelings], axis=0)
     names, first, orbit_of = np.unique(smallest, return_index=True, return_inverse=True)
     assert len(names) == count
     # Every multiset of an orbit carries the orbit's maximum.
     assert np.array_equal(maxima, maxima[first][orbit_of])
     # Every Alice label's Bob-label multisets meet all `count` orbits.
-    action = orbit.label_action
+    action = ctx.orbit.label_action
     for alice in range(24):
         classes = action[np.flatnonzero(action[:, alice] == 0)[0]]
         image = np.sort(classes[rows], axis=1)

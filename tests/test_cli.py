@@ -140,15 +140,6 @@ def test_analyze_diagonal_pair():
     assert "violation: no" in out
 
 
-def test_analyze_case1_text():
-    code, out = run_cli(["analyze", "--pairs", "x01:x14,x01:x07,x01:x15"])
-    assert code == 0
-    assert "lambda_max = 16.09" in out
-    assert "max coefficient = 16" in out
-    assert "violation: yes (gap 0.09)" in out
-    assert "lambda_max/64 = 0.2515" in out
-
-
 def test_analyze_json_roundtrip():
     spec = "x01:x14,x01:x07,x01:x15"
     code, out = run_cli(["analyze", "--pairs", spec, "--json"])
@@ -202,25 +193,6 @@ def test_analyze_csv_spectrum():
     lines = out.strip().splitlines()
     assert lines[0] == "pair,component,dim,eigenvalue"
     assert len(lines) == 5
-
-
-def test_analyze_csv_histogram():
-    code, out = run_cli(
-        ["analyze", "--pairs", "x01:x14,x01:x07,x01:x15", "--csv", "--histogram"]
-    )
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "c,count"
-    assert "1,12960" in lines
-    assert "16,15876" in lines
-
-
-def test_game_command():
-    code, out = run_cli(["game", "--pairs", "x01:x14,x01:x07,x01:x15"])
-    assert code == 0
-    assert "classical value: 1/4 = 0.2500" in out
-    assert "quantum value:   0.2515" in out
-    assert "violation: yes" in out
 
 
 def test_orbits_command():
@@ -386,13 +358,17 @@ def test_full_scans_are_pinned(orbits):
         assert scan_digest(orbits, phi) == digest, phi
 
 
+def rebuilt(monkeypatch, obj, name):
+    """Drop `obj`'s cached `name` for the test, which builds its own; after the test `obj`
+    holds what it held before."""
+    monkeypatch.setitem(vars(obj), name, None)  # records what to restore
+    monkeypatch.delitem(vars(obj), name)
+
+
 @pytest.fixture()
-def fresh_class_tables():
-    """`scan`'s per-size class tables, built from the pair model as the test leaves it and
-    dropped again after it."""
-    classical._class_multisets.cache_clear()
-    yield
-    classical._class_multisets.cache_clear()
+def fresh_class_tables(monkeypatch):
+    """The standard context's class tables, built from the pair model as the test leaves it."""
+    rebuilt(monkeypatch, standard_context(), "class_tables")
 
 
 def test_scan_ranking_ignores_rounding_noise(monkeypatch, fresh_class_tables):
@@ -407,21 +383,16 @@ def test_scan_ranking_ignores_rounding_noise(monkeypatch, fresh_class_tables):
     for orbits in (1, 2, 3):
         for phi in ("x01", "x12", "x27"):
             assert scan_digest(orbits, phi) == SCAN_SHA256[orbits][LABELS.index(phi)], (orbits, phi)
-    moved = np.abs(classical._class_multisets(1)[3] - rows.max(axis=1))
+    moved = np.abs(standard_context().class_tables.multisets(1)[3] - rows.max(axis=1))
     assert 0 < moved.max() < 1.1e-12
 
 
 @pytest.fixture()
 def fresh_pair_classes(monkeypatch, fresh_class_tables):
-    """A pair model and pair classes built afresh on the standard context in the test, as
-    in a new process, and dropped again after it."""
-    monkeypatch.delitem(standard_context().__dict__, "pair_model", raising=False)
-    for cache in (classical._pair_classes, classical._term_classes, classical._class_index):
-        cache.cache_clear()
-    yield
-    standard_context().__dict__.pop("pair_model", None)  # monkeypatch restores an older one
-    for cache in (classical._pair_classes, classical._term_classes, classical._class_index):
-        cache.cache_clear()
+    """The standard context's pair model and its orbit's pair classes, built afresh in the
+    test, as in a new process."""
+    rebuilt(monkeypatch, standard_context(), "pair_model")
+    rebuilt(monkeypatch, standard_context().orbit, "class_of")
 
 
 @pytest.mark.parametrize("tamper", [1e-9, np.nan], ids=["shifted", "nan"])
@@ -443,22 +414,25 @@ def test_scan_rejects_eigenvalues_that_are_not_s4_invariant(monkeypatch, fresh_p
         assert "eigenvalues" in err and "not S4-invariant" in err
 
 
-def trade_two_pairs(class_of):
-    class_of[5, [7, 8]] = class_of[5, [8, 7]]  # two pairs of Alice label x22
+def trade_two_pairs(action):
+    g = np.argmax(action[:, 5] == 0)  # class_of[5]: two pairs of Alice label x22 trade classes
+    action[g, [7, 8]] = action[g, [8, 7]]
 
 
-def merge_two_classes(class_of):
-    class_of[class_of == 5] = 3  # still constant on S4 orbits
+def merge_two_classes(action):
+    action[action == 5] = 3  # class 5 merges into class 3, still constant on S4 orbits
 
 
 @pytest.mark.parametrize("tamper", [trade_two_pairs, merge_two_classes])
-def test_scan_rejects_pair_classes_that_are_not_s4_invariant(fresh_pair_classes, capsys, tamper):
-    # Classes that are not the S4 orbits of the pairs (x01, c) fail the pair classes' check,
-    # and with it every command that sums classes.
-    model = standard_context().pair_model
-    class_of = model.class_of.copy()
-    tamper(class_of)
-    model.class_of = class_of
+def test_scan_rejects_pair_classes_that_are_not_s4_invariant(monkeypatch, fresh_pair_classes,
+                                                             capsys, tamper):
+    # Classes that are not the S4 orbits of the pairs (x01, c), read off a tampered label
+    # action that still maps bases onto bases, fail the pair classes' check, and with it
+    # every command that sums classes.
+    orbit = standard_context().orbit
+    action = orbit.label_action.copy()
+    tamper(action)
+    monkeypatch.setitem(vars(orbit), "label_action", action)
     for argv in (["scan", "--orbits", "2"], ["analyze", "--pairs", "x12:x01"]):
         assert main(argv) == 3
         err = capsys.readouterr().err
@@ -474,17 +448,17 @@ def test_scan_reads_the_class_row_of_the_table(fresh_pair_classes):
     phi = ctx.orbit.coords(*labels[k])
     model.eigenvalues = np.array([
         quantum.eigenvalues_isotypic(phi, ctx.orbit.coords(*labels[m]), ctx.projectors)
-        for m in np.argsort(model.class_of[k])])
+        for m in np.argsort(ctx.orbit.class_of[k])])
     for j, label in enumerate(LABELS):
         assert scan_digest(1, label) == SCAN_SHA256[1][j], label
-    assert np.array_equal(classical._class_multisets(1)[3], model.eigenvalues.max(axis=1))
+    assert np.array_equal(ctx.class_tables.multisets(1)[3], model.eigenvalues.max(axis=1))
 
 
 # What a process builds: per command, run in this order in one fresh
 # process, its exit code, then what the process holds after it: calls of `_isotypic`,
-# `build_x_operator`, `_class_scan` and `_per_alice_tables`; builds of `_term_table`,
-# `_pair_classes`, `_class_multisets`, `_class_index` and `build_parser`; and the number
-# of the pair model's operators.
+# `build_x_operator`, `class_scan` and `_per_alice_tables`; builds of `_term_table`; the
+# standard context's class tables M (0 or 1), class multiset sizes and Alice-label indices;
+# builds of `build_parser`; and the number of the pair model's operators.
 BUILDS = [
     ("scan --orbits 1",                         0, 1, 0, 2, 1, 0, 1, 1, 1, 1, 0),
     ("scan --orbits 2",                         0, 1, 0, 16, 1, 0, 1, 2, 2, 1, 0),
@@ -509,22 +483,27 @@ def counted(module, name):
     setattr(module, name, wrapper)
 
 for module, name in ((quantum, "_isotypic"), (quantum, "build_x_operator"),
-                     (classical, "_class_scan"), (classical, "_per_alice_tables")):
+                     (classical._ClassTables, "class_scan"), (classical, "_per_alice_tables")):
     counted(module, name)
-cached = (classical._term_table, classical._pair_classes, classical._class_multisets,
-          classical._class_index, cli.build_parser)
+
+def builds(f):
+    return f.cache_info().misses if hasattr(f, "cache_info") else "uncached"
+
 for command in sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(command.split())
-    builds = [f.cache_info().misses if hasattr(f, "cache_info") else "uncached" for f in cached]
-    print(json.dumps([command, code, *calls.values(), *builds,
-                      len(standard_context().pair_model.operators)]))
+    ctx = standard_context()
+    tables = vars(ctx.class_tables)
+    print(json.dumps([command, code, *calls.values(), builds(classical._term_table),
+                      int("class_m" in tables), len(tables["_multisets"]),
+                      len(tables["_index"]), builds(cli.build_parser),
+                      len(ctx.pair_model.operators)]))
 """
 
 
 def test_what_a_fresh_process_builds_after_each_command():
     # `scan` builds no operator and no `Term`; the class multisets of one relabeling orbit
-    # share one `_class_scan` (2, 14 and 70 orbits at sizes 1, 2 and 3); every expression
+    # share one `class_scan` (2, 14 and 70 orbits at sizes 1, 2 and 3); every expression
     # sums its classes' tables once, however many readers it has; the pair model, its
     # class tables and the parser are built once, and operators only for the pairs read.
     result = fresh_python(["-c", BUILD_PROBE, *(row[0] for row in BUILDS)],

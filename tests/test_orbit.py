@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -206,3 +207,11 @@ def test_rows_follow_label_order(orbit, rep):
                 orb.coords(*lab)
             with pytest.raises(KeyError):
                 orb.element_of(*lab)
+
+
+def test_label_action_rejects_elements_that_repeat_a_group_row(orbit):
+    # Row 1 given row 0's element: one group row is held twice and another not at all.
+    elements = orbit.elements.copy()
+    elements[1] = elements[0]
+    with pytest.raises(ValueError, match="each group row exactly once"):
+        dataclasses.replace(orbit, elements=elements).label_action

@@ -286,15 +286,15 @@ def test_isotypic_bit_identical_to_kron_formula(orbit, projectors):
 
 
 def test_pair_model_equals_the_two_functions_on_every_pair(ctx):
-    # Each pair's own eigenvalues are within 1e-12 (the bound `_pair_classes` checks) of
+    # Each pair's own eigenvalues are within 1e-12 (the bound the class tables check) of
     # its class row, and equal it bit for bit when Alice is x01; `distance` holds those
     # distances.  Operators are built from the pair's own seeds.
-    labels, model = all_labels(), ctx.pair_model
-    assert model.eigenvalues.shape == (24, 4) and model.class_of.shape == (24, 24)
-    assert np.array_equal(model.class_of[0], np.arange(24))
+    labels, model, class_of = all_labels(), ctx.pair_model, ctx.orbit.class_of
+    assert model.eigenvalues.shape == (24, 4) and class_of.shape == (24, 24)
+    assert np.array_equal(class_of[0], np.arange(24))
     distances = []
     for (k, alice), (m, bob) in itertools.product(enumerate(labels), enumerate(labels)):
-        operator, row = model.operator(alice, bob), model.eigenvalues[model.class_of[k, m]]
+        operator, row = model.operator(alice, bob), model.eigenvalues[class_of[k, m]]
         phi, psi = ctx.orbit.coords(*alice), ctx.orbit.coords(*bob)
         assert np.array_equal(operator, build_x_operator(phi, psi, ctx.product))
         values = eigenvalues_isotypic(phi, psi, ctx.projectors)
@@ -305,7 +305,7 @@ def test_pair_model_equals_the_two_functions_on_every_pair(ctx):
         with pytest.raises(ValueError, match="read-only"):
             operator[0] = 0
     assert np.array_equal(model.distance, np.reshape(distances, (24, 24)))
-    for table in (model.eigenvalues, model.class_of, model.distance):
+    for table in (model.eigenvalues, class_of, model.distance):
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 0
     assert len(model.operators) == 576
