@@ -1,9 +1,11 @@
 """Classical bounds by exhaustive enumeration of deterministic strategies.
 
-A Bell expression here is a plain list of probability terms
-P(a_s = a, b_t = b).  Its classical bound is the largest number of terms
-one deterministic configuration (a_1..a_8, b_1..b_8) satisfies, found by
-scanning all 3**16 configurations.
+A Bell expression here is a list of probability terms P(a_s = a, b_t = b),
+each stored as its label-pair index 24 k + m (k and m the `all_labels()`
+rows of (s, a) and (t, b)); its `Term`s are built when first read.  Its
+classical bound is the largest number of terms one deterministic
+configuration (a_1..a_8, b_1..b_8) satisfies, found by scanning all 3**16
+configurations.
 
 The scan is separable: once Alice's tuple is fixed, Bob's settings
 decouple.  For every Alice tuple the table M[t][b] counts the terms with
@@ -30,7 +32,6 @@ summed per class multiset.  Expressions read these tables from the
 standard context's `class_tables`, each built on first use.
 """
 
-import contextlib
 import itertools
 import operator
 from dataclasses import dataclass
@@ -64,30 +65,39 @@ class Term(NamedTuple):
     b: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BellExpression:
-    """An ordered list of distinct probability terms plus its provenance."""
+    """An ordered list of distinct probability terms plus its provenance, the orbit pairs.
+    Term (s, a, t, b) is stored in `index` as 24 k + m, for the `all_labels()` rows k of
+    (s, a) and m of (t, b)."""
 
-    terms: tuple
-    pairs: tuple = ()
+    index: tuple
+    pairs: tuple
 
-    def __post_init__(self):
-        terms, canonical = tuple(self.terms), False
-        with contextlib.suppress(TypeError):  # an unhashable entry is not canonical
-            canonical = all(map(operator.is_, map(_term_table()[1].get, terms), terms))
-        terms = terms if canonical else tuple(map(_canonical_term, terms))
-        object.__setattr__(self, "terms", terms)
-        if len(set(terms)) != len(terms):
+    def __init__(self, terms, pairs=()):
+        self._set(tuple(map(_term_index, terms)), pairs)
+
+    def _set(self, index, pairs):
+        """Store `index` and `pairs` as a tuple of `OrbitPair`; ValueError for a repeated term."""
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "pairs", tuple(
+            p if isinstance(p, OrbitPair) else OrbitPair(*p) for p in pairs))
+        if len(set(index)) != len(index):
             seen = set()
-            dup = next(t for t in terms if t in seen or seen.add(t))
+            dup = next(t for t in self.terms if t in seen or seen.add(t))
             raise ValueError(f"duplicate term {dup}")
+
+    @cached_property
+    def terms(self):
+        """The terms as `Term`s of Python ints, in term order, built on first read."""
+        labels = all_labels()
+        return tuple(Term(*labels[i // 24], *labels[i % 24]) for i in self.index)
 
     @cached_property
     def table(self):
         """Read-only F[s-1, a, t-1, b] = 1 for each term (s, a, t, b), else 0."""
         table = np.zeros((N_SETTINGS, N_OUTCOMES) * 2, dtype=np.int16)
-        for s, a, t, b in self.terms:
-            table[s - 1, a, t - 1, b] = 1
+        table.put(self.index, 1)
         table.setflags(write=False)
         return table
 
@@ -98,11 +108,11 @@ class BellExpression:
         S4-invariant exactly when each pair class holds none or all 24 of its terms: then
         one tuple per S4 orbit, ascending, is scanned, and M is its classes' tables summed.
         Any other term set scans every tuple."""
-        tables = standard_context().class_tables
-        classes = set(map(tables.term_classes.__getitem__, self.terms))
-        if len(self.terms) == 24 * len(classes):  # distinct terms: at most 24 per class
-            rows, weights = tables.alice_orbits
-            m, maxima = tables.class_scan(list(classes))
+        ctx = standard_context()
+        classes = set(np.take(ctx.orbit.class_of, self.index).tolist())  # flat [24 k + m]
+        if len(self.index) == 24 * len(classes):  # distinct terms: at most 24 per class
+            rows, weights = ctx.class_tables.alice_orbits
+            m, maxima = ctx.class_tables.class_scan(list(classes))
         else:
             rows = np.arange(N_OUTCOMES ** N_SETTINGS)
             weights = np.ones(len(rows), dtype=np.int64)
@@ -114,28 +124,24 @@ class BellExpression:
         return scan
 
 
-@lru_cache(maxsize=1)
-def _term_table():
-    """[k][m]: the Term of Alice label k and Bob label m (all_labels() rows), and
-    a dict mapping each of these 576 Terms, or any 4-tuple equal to it, to it."""
-    labels = all_labels()
-    table = tuple(tuple(Term(*alice, *bob) for bob in labels) for alice in labels)
-    return table, {term: term for row in table for term in row}
-
-
-def _canonical_term(entries):
-    """The `_term_table` Term equal to `entries`, which must be four integers in range."""
+def _term_index(entries):
+    """The label-pair index of the term `entries`, four integers (s, a, t, b) in range."""
     try:
-        key = tuple(map(operator.index, entries))
-    except TypeError:
-        key = ()
-    term = _term_table()[1].get(key)
-    if term is None:
-        if len(key) != 4:
-            raise ValueError(f"term must be four integers, got {entries!r}")
-        field = "outcome" if 1 <= key[0] <= N_SETTINGS and 1 <= key[2] <= N_SETTINGS else "setting"
-        raise ValueError(f"{field} out of range in {Term(*key)}")
-    return term
+        s, a, t, b = key = tuple(map(operator.index, entries))
+    except (TypeError, ValueError):
+        raise ValueError(f"term must be four integers, got {entries!r}") from None
+    settings = 1 <= s <= N_SETTINGS and 1 <= t <= N_SETTINGS
+    if not (settings and 0 <= a < N_OUTCOMES and 0 <= b < N_OUTCOMES):
+        raise ValueError(f"{'outcome' if settings else 'setting'} out of range in {Term(*key)}")
+    return 24 * _row(s, a) + _row(t, b)
+
+
+def _expansion(pairs, orbit):
+    """Per `OrbitPair` of labels k and m and per element g in order, the index 24 g.k + g.m."""
+    images, index = orbit.label_action.T, []  # images[k]: label k's images
+    for p in pairs:
+        index += (24 * images[_row(*p.alice)] + images[_row(*p.bob)]).tolist()
+    return tuple(index)
 
 
 def bell_terms(pairs, orbit: Orbit) -> BellExpression:
@@ -147,11 +153,9 @@ def bell_terms(pairs, orbit: Orbit) -> BellExpression:
     raise ValueError.  Each pair's 24 terms are its S4 pair class, so the
     expression's scan state is summed from its classes' tables.
     """
-    pairs = tuple(p if isinstance(p, OrbitPair) else OrbitPair(*p) for p in pairs)
-    table, images = _term_table()[0], orbit.label_action.T  # images[k]: label k's images
-    terms = tuple(table[k][m] for p in pairs for k, m in
-                  zip(images[_row(*p.alice)].tolist(), images[_row(*p.bob)].tolist()))
-    return BellExpression(terms, pairs)
+    expr = BellExpression((), pairs)  # no terms yet: checks the pairs
+    expr._set(_expansion(expr.pairs, orbit), expr.pairs)
+    return expr
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,11 +277,11 @@ def classical_histogram(expr: BellExpression) -> StrategyHistogram:
     For an invariant expression each S4-orbit representative's counts are
     weighted by its orbit size; the counts are integer-exact either way.
     """
-    counts = _histogram_counts(len(expr.terms), *expr._scan)
+    counts = _histogram_counts(len(expr.index), *expr._scan)
     return StrategyHistogram(
         counts={c: int(counts[c]) for c in range(len(counts))},
         c_max=int(np.flatnonzero(counts)[-1]),
-        n_terms=len(expr.terms),
+        n_terms=len(expr.index),
     )
 
 
@@ -292,12 +296,6 @@ class _ClassTables:
 
     def __init__(self, ctx):
         self._ctx, self._multisets, self._index = ctx, {}, {}
-
-    @cached_property
-    def term_classes(self):
-        """A dict mapping each `_term_table` Term to the pair class of its labels."""
-        rows = zip(_term_table()[0], self._ctx.orbit.class_of.tolist())
-        return {term: c for terms, classes in rows for term, c in zip(terms, classes)}
 
     @cached_property
     def alice_orbits(self):
@@ -433,8 +431,6 @@ def coefficient(expr: BellExpression, f_alice, f_bob) -> int:
             raise ValueError(
                 f"{name} must hold {N_SETTINGS} outcomes in 0..{N_OUTCOMES - 1}, got {f!r}"
             )
-    return sum(
-        1
-        for s, a, t, b in expr.terms
-        if f_alice[s - 1] == a and f_bob[t - 1] == b
-    )
+    alice, bob = ({N_OUTCOMES * s + operator.index(x) for s, x in enumerate(f)}
+                  for f in (f_alice, f_bob))  # the label rows each strategy answers
+    return sum(i // 24 in alice and i % 24 in bob for i in expr.index)

@@ -215,7 +215,7 @@ def run_verification(echo=print):
         rows_ok = all(hist.counts.get(c, 0) == ref[c - 1] for c in range(1, 21))
         mass_ok = (
             hist.total() == 3 ** 16
-            and hist.weighted_total() == len(expr.terms) * 3 ** 14
+            and hist.weighted_total() == len(expr.index) * 3 ** 14
         )
         check(
             f"case {name}: coefficient histogram",

@@ -13,9 +13,9 @@ measurements reaches 18.26 / 64 against 16.09 / 64.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classical import BellExpression, classical_max
+from .classical import BellExpression, _expansion, classical_max
 from .context import Context
-from .orbit import N_SETTINGS
+from .orbit import N_SETTINGS, all_labels
 from .quantum import max_eigenvalue_sum
 
 __all__ = [
@@ -59,8 +59,9 @@ class WinningTable:
 
 def winning_table(expr: BellExpression) -> WinningTable:
     """Group the expression's terms by settings pair."""
-    entries = {}
-    for s, a, t, b in expr.terms:
+    entries, labels = {}, all_labels()
+    for i in expr.index:  # 24 k + m, for the rows k of Alice's label and m of Bob's
+        (s, a), (t, b) = labels[i // 24], labels[i % 24]
         entries.setdefault((s, t), set()).add((a, b))
     return WinningTable({key: frozenset(value) for key, value in entries.items()})
 
@@ -84,8 +85,10 @@ def game_values(expr: BellExpression, ctx: Context) -> GameValue:
 
     The quantum value is the orbit strategy's, on the orbit pairs the
     expression was built from, `expr.pairs`: a lower bound on the game's
-    quantum value.
+    quantum value.  ValueError unless its terms are `bell_terms(expr.pairs, ctx.orbit)`'s.
     """
+    if expr.index != _expansion(expr.pairs, ctx.orbit):
+        raise ValueError("the expression's terms are not the expansion of its pairs")
     denominator = N_SETTINGS ** 2
     classical = Fraction(classical_max(expr), denominator)
     spectrum = max_eigenvalue_sum(expr.pairs, ctx)

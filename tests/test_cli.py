@@ -456,17 +456,17 @@ def test_scan_reads_the_class_row_of_the_table(fresh_pair_classes):
 
 # What a process builds: per command, run in this order in one fresh
 # process, its exit code, then what the process holds after it: calls of `_isotypic`,
-# `build_x_operator`, `class_scan` and `_per_alice_tables`; builds of `_term_table`; the
-# standard context's class tables M (0 or 1), class multiset sizes and Alice-label indices;
-# builds of `build_parser`; and the number of the pair model's operators.
+# `build_x_operator`, `class_scan` and `_per_alice_tables`; the standard context's class
+# tables M (0 or 1), class multiset sizes and Alice-label indices; builds of
+# `build_parser`; and the number of the pair model's operators.
 BUILDS = [
-    ("scan --orbits 1",                         0, 1, 0, 2, 1, 0, 1, 1, 1, 1, 0),
-    ("scan --orbits 2",                         0, 1, 0, 16, 1, 0, 1, 2, 2, 1, 0),
-    ("scan --orbits 3 --phi x27",               0, 1, 0, 86, 1, 0, 1, 3, 3, 1, 0),
-    ("analyze --pairs x12:x01,x23:x14,x27:x05", 0, 1, 3, 87, 1, 1, 1, 3, 3, 1, 3),
-    ("analyze --pairs x12:x01,x23:x14,x27:x05", 0, 1, 3, 88, 1, 1, 1, 3, 3, 1, 3),
-    ("game --pairs x01:x14,x01:x07",            0, 1, 5, 89, 1, 1, 1, 3, 3, 1, 5),
-    ("verify",                                  1, 1, 11, 92, 1, 1, 1, 3, 3, 1, 11),
+    ("scan --orbits 1",                         0, 1, 0, 2, 1, 1, 1, 1, 1, 0),
+    ("scan --orbits 2",                         0, 1, 0, 16, 1, 1, 2, 2, 1, 0),
+    ("scan --orbits 3 --phi x27",               0, 1, 0, 86, 1, 1, 3, 3, 1, 0),
+    ("analyze --pairs x12:x01,x23:x14,x27:x05", 0, 1, 3, 87, 1, 1, 3, 3, 1, 3),
+    ("analyze --pairs x12:x01,x23:x14,x27:x05", 0, 1, 3, 88, 1, 1, 3, 3, 1, 3),
+    ("game --pairs x01:x14,x01:x07",            0, 1, 5, 89, 1, 1, 3, 3, 1, 5),
+    ("verify",                                  1, 1, 11, 92, 1, 1, 3, 3, 1, 11),
 ]
 
 BUILD_PROBE = """
@@ -494,15 +494,14 @@ for command in sys.argv[1:]:
         code = cli.main(command.split())
     ctx = standard_context()
     tables = vars(ctx.class_tables)
-    print(json.dumps([command, code, *calls.values(), builds(classical._term_table),
-                      int("class_m" in tables), len(tables["_multisets"]),
-                      len(tables["_index"]), builds(cli.build_parser),
-                      len(ctx.pair_model.operators)]))
+    print(json.dumps([command, code, *calls.values(), int("class_m" in tables),
+                      len(tables["_multisets"]), len(tables["_index"]),
+                      builds(cli.build_parser), len(ctx.pair_model.operators)]))
 """
 
 
 def test_what_a_fresh_process_builds_after_each_command():
-    # `scan` builds no operator and no `Term`; the class multisets of one relabeling orbit
+    # `scan` builds no operator; the class multisets of one relabeling orbit
     # share one `class_scan` (2, 14 and 70 orbits at sizes 1, 2 and 3); every expression
     # sums its classes' tables once, however many readers it has; the pair model, its
     # class tables and the parser are built once, and operators only for the pairs read.

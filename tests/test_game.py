@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from s4bell.classical import bell_terms, classical_max, coefficient
+from s4bell.classical import BellExpression, bell_terms, classical_max, coefficient
 from s4bell.game import GameValue, game_values, winning_table
 from s4bell.quantum import max_eigenvalue_sum
 
@@ -40,6 +40,14 @@ def test_game_values_case2(ctx, case_data):
     assert value.classical == Fraction(18, 64)
     assert value.quantum == spectrum.lambda_max / 64
     assert abs(value.quantum - 18.5138 / 64) < 1e-4
+
+
+def test_game_values_rejects_terms_that_are_not_its_pairs_expansion(ctx, case_data):
+    pairs, expr, _ = case_data["I"]
+    assert game_values(BellExpression(expr.terms, pairs), ctx) == game_values(expr, ctx)
+    for terms, own in ((expr.terms[:48], pairs[1:2]), ([(1, 0, 1, 0)], [((1, 0), (1, 0))])):
+        with pytest.raises(ValueError, match="^the expression's terms are not the expansion"):
+            game_values(BellExpression(terms, own), ctx)
 
 
 def test_random_strategies_below_optimum(case_data, rng):
