@@ -295,7 +295,7 @@ class _ClassTables:
     """A context's classical S4 tables, `ctx.class_tables`, each built and checked on first use."""
 
     def __init__(self, ctx):
-        self._ctx, self._multisets, self._index = ctx, {}, {}
+        self._ctx, self._multisets = ctx, {}
 
     @cached_property
     def alice_orbits(self):
@@ -362,12 +362,13 @@ class _ClassTables:
         return maps
 
     def multisets(self, size):
-        """Read-only: every class multiset of `size` in combinations order, its code, its
-        classical maximum, its lambda_max (the largest column-order sum of its classes' pair
-        model eigenvalue rows) and its tie class.  Each relabeling orbit's smallest index spreads
+        """Read-only: every class multiset of `size` in rank order, its code, its classical
+        maximum, its lambda_max (the largest column-order sum of its classes' pair model
+        eigenvalue rows) and its tie class.  Each relabeling orbit's smallest index spreads
         along two generating relabelings until it settles; that multiset's `class_scan` maximum
-        is the orbit's.  The gaps lambda_max - maximum, sorted descending, fall into tie classes
-        1, 2, ..., a new one wherever a step down exceeds 1e-9."""
+        is the orbit's.  Rank order sorts the gaps lambda_max - maximum descending, stably from
+        combinations order; they fall into tie classes 1, 2, ..., a new one wherever a step down
+        exceeds 1e-9, so the tie classes are non-decreasing."""
         if size in self._multisets:
             return self._multisets[size]
         combos = itertools.combinations_with_replacement(range(N_SETTINGS * N_OUTCOMES), size)
@@ -383,21 +384,11 @@ class _ClassTables:
         lambdas = sum(self._ctx.pair_model.eigenvalues[multisets.T]).max(axis=1)
         gaps = lambdas - maxima
         desc = np.argsort(-gaps, kind="stable")
-        ties = np.empty(len(gaps), np.int16)  # a stable sort of 16-bit keys is a radix sort
-        ties[desc] = np.cumsum(np.diff(gaps[desc], prepend=np.inf) < -1e-9)
-        for arr in (multisets, codes, maxima, lambdas, ties):
+        ties = np.cumsum(np.diff(gaps[desc], prepend=np.inf) < -1e-9)
+        arrays = (multisets[desc], codes[desc], maxima[desc], lambdas[desc], ties)
+        for arr in arrays:
             arr.setflags(write=False)
-        return self._multisets.setdefault(size, (multisets, codes, maxima, lambdas, ties))
-
-    def index(self, alice, size):
-        """Read-only: per Bob-label multiset of `size`, its `multisets(size)` row with Alice at
-        label index `alice`, found by the code of its classes class_of[alice, m] of Bob's m."""
-        if (alice, size) not in self._index:
-            multisets, codes = self.multisets(size)[:2]
-            found = np.searchsorted(codes, _codes(self._ctx.orbit.class_of[alice][multisets]))
-            found.setflags(write=False)
-            self._index[alice, size] = found
-        return self._index[alice, size]
+        return self._multisets.setdefault(size, arrays)
 
 
 def optimal_classical_strategy(expr: BellExpression):

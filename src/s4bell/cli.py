@@ -362,26 +362,32 @@ def _cmd_game(args):
 # ---------------------------------------------------------------------------
 
 def _cmd_scan(args):
-    alice, labels = args.phi, all_labels()
     # lambda_max, the classical maximum and the gap's tie class are S4-invariant: read per
-    # class multiset.  Specs rank by tie class, each class in combination order (label
-    # order, as all_labels() is sorted).
-    tables = standard_context().class_tables
-    combos, _, cmaxes, lams, ties = tables.multisets(args.orbits)
-    rows = tables.index(labels.index(alice), args.orbits)
-    gaps = (lams - cmaxes)[rows]
-    order = np.argsort(ties[rows], kind="stable")[:args.top]
+    # class multiset.  class_of[alice] is a permutation, so Alice's label only relabels Bob's
+    # side and an op reads just the whole tie classes that cover --top.  Specs rank by tie
+    # class, each class in combination order (label order, as all_labels() is sorted).
+    labels = all_labels()
+    ctx = standard_context()
+    multisets, _, cmaxes, lams, ties = ctx.class_tables.multisets(args.orbits)
+    head = np.searchsorted(ties, ties[min(args.top, len(ties)) - 1], "right") if args.top else 0
+    bob_of = np.argsort(ctx.orbit.class_of[labels.index(args.phi)])
+    bob = np.sort(bob_of[multisets[:head]], axis=1)
+    order = np.lexsort((*bob.T[::-1], ties[:head]))[:args.top]
 
-    print(
-        f"scan over {len(combos)} unordered Bob-label multisets "
-        f"(orbits per spec: {args.orbits}, Alice fixed at {format_label(alice)})"
-    )
-    print(f"specs with quantum > classical: {int((gaps > 1e-9).sum())}")
-    print("rank  spec" + " " * (13 * args.orbits - 3) + "quantum  classical  gap")
-    for rank, i in enumerate(order, start=1):
-        spec = ",".join(f"{format_label(alice)}:{format_label(labels[k])}" for k in combos[i])
-        gap, lam, cmax = _zero_snap(gaps.item(i)), lams.item(rows[i]), cmaxes.item(rows[i])
-        print(f"{rank:4d}  {spec:<{13 * args.orbits + 1}}  {lam:7.2f}  {cmax:9d}  {gap:+.2f}")
+    alice, width = format_label(args.phi), 13 * args.orbits + 1
+    pairs = [f"{alice}:{format_label(label)}" for label in labels]
+    row = f"%4d  %-{width}s  %7.2f  %9d  %+.2f"  # one %-format per row: half the f-string time
+    lines = [
+        f"scan over {len(multisets)} unordered Bob-label multisets "
+        f"(orbits per spec: {args.orbits}, Alice fixed at {alice})",
+        f"specs with quantum > classical: {np.count_nonzero(lams - cmaxes > 1e-9)}",
+        "rank  spec" + " " * (width - 4) + "quantum  classical  gap",
+    ]
+    rows = zip(bob[order].tolist(), lams[order].tolist(), cmaxes[order].tolist())
+    for rank, (spec, lam, cmax) in enumerate(rows, start=1):
+        spec = ",".join([pairs[k] for k in spec])
+        lines.append(row % (rank, spec, lam, cmax, _zero_snap(lam - cmax)))
+    print("\n".join(lines))
     return 0
 
 

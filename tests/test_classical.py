@@ -97,16 +97,6 @@ def test_expression_validation():
             assert str(excinfo.value) == message
 
 
-def test_numpy_and_bool_entries_are_stored_as_python_ints():
-    for terms in term_sources():
-        mixed = [(np.int64(s), a == 1, np.int8(t), np.uint16(b)) for s, a, t, b in terms
-                 if a < 2]
-        expr = BellExpression(tuple(mixed))
-        assert expr.terms == tuple(Term(s, a, t, b) for s, a, t, b in terms if a < 2)
-        assert {type(x) for term in expr.terms for x in term} == {int}
-        assert all(type(term) is Term for term in expr.terms)
-
-
 def test_every_kind_of_entry_is_read_as_four_integers():
     expanded = bell_terms(tables.CASE_PAIRS["II"], standard_context().orbit)
     others = tuple(t for t in expanded.terms if t != (1, 0, 1, 0))
@@ -116,6 +106,13 @@ def test_every_kind_of_entry_is_read_as_four_integers():
             stored = BellExpression(terms).terms[-1]
             assert type(stored) is Term and stored == (1, 0, 1, 0)
             assert [type(x) for x in stored] == [int] * 4
+    for terms in term_sources():
+        mixed = [(np.int64(s), a == 1, np.int8(t), np.uint16(b)) for s, a, t, b in terms
+                 if a < 2]
+        stored = BellExpression(tuple(mixed)).terms
+        assert stored == tuple(Term(s, a, t, b) for s, a, t, b in terms if a < 2)
+        assert {type(x) for term in stored for x in term} == {int}
+        assert all(type(term) is Term for term in stored)
     for bad, message in (((1.0, 0, 1, 0), "term must be four integers, got (1.0, 0, 1, 0)"),
                          (Term(1.0, 0, 1, 0),
                           "term must be four integers, got Term(s=1.0, a=0, t=1, b=0)"),
@@ -448,16 +445,30 @@ def class_multisets(size):
     return standard_context().class_tables.multisets(size)
 
 
+def class_rows(multisets):
+    """The `class_multisets` rows of class multisets, each given in any order."""
+    codes = class_multisets(multisets.shape[1])[1]
+    sorter = np.argsort(codes)
+    return sorter[np.searchsorted(codes, _codes(multisets), sorter=sorter)]
+
+
 def class_row(multiset):
     """The `class_multisets` row of a class multiset given in any order."""
-    multiset = np.asarray(multiset)
-    return int(np.searchsorted(class_multisets(len(multiset))[1], _codes(multiset[None]))[0])
+    return int(class_rows(np.asarray(multiset)[None])[0])
+
+
+def bob_rows(class_of, alice, size):
+    """Per Bob-label multiset of `size` in combinations order, the `class_multisets` row of its
+    classes class_of[alice, m] of Bob's labels m, with Alice at label index `alice`."""
+    bob = np.array(combination_rows(24, size))
+    return class_rows(np.sort(class_of[alice][bob], axis=1))
 
 
 def test_class_maxima_equal_the_unreduced_maxima():
     assert {len(x01_pair_expression(k)._scan[0]) for k in range(24)} == {306}
     for size in (1, 2, 3):
-        assert np.array_equal(class_multisets(size)[2], unreduced_class_maxima(size))
+        _, codes, maxima, _, _ = class_multisets(size)
+        assert np.array_equal(maxima[np.argsort(codes)], unreduced_class_maxima(size))
 
 
 def test_class_maxima_of_set_multisets_equal_the_union_maximum():
@@ -532,13 +543,15 @@ def test_class_sums_equal_the_term_route(orbit):
 
 
 def test_class_index_names_each_bob_multisets_class_multiset(ctx):
+    # Each row of class_of is a permutation, so at every Alice label the Bob-label multisets
+    # name every class multiset exactly once.
     class_of = ctx.orbit.class_of
     for size in (1, 2, 3):
-        multisets = class_multisets(size)[0]
+        multisets, bob = class_multisets(size)[0], np.array(combination_rows(24, size))
         for alice in range(24):
-            index = ctx.class_tables.index(alice, size)
-            assert np.array_equal(multisets[index], np.sort(class_of[alice][multisets], axis=1))
-            assert not index.flags.writeable
+            rows = bob_rows(class_of, alice, size)
+            assert np.array_equal(multisets[rows], np.sort(class_of[alice][bob], axis=1))
+            assert np.array_equal(np.sort(rows), np.arange(len(multisets)))
 
 
 def test_class_lambdas_equal_the_spec_order_sums_and_the_eigen_solve(ctx):
@@ -548,19 +561,19 @@ def test_class_lambdas_equal_the_spec_order_sums_and_the_eigen_solve(ctx):
     eigenvalues = np.array([[eigenvalues_isotypic(coords(*alice), coords(*bob), ctx.projectors)
                              for bob in labels] for alice in labels])
     for size in (1, 2, 3):
-        multisets, _, _, lambdas, _ = class_multisets(size)
+        lambdas, bob = class_multisets(size)[3], np.array(combination_rows(24, size))
         assert not lambdas.flags.writeable
         for alice in range(24):
-            sums = eigenvalues[alice][multisets[:, 0]]
+            sums = eigenvalues[alice][bob[:, 0]]
             for j in range(1, size):
-                sums = sums + eigenvalues[alice][multisets[:, j]]
-            found = lambdas[ctx.class_tables.index(alice, size)]
+                sums = sums + eigenvalues[alice][bob[:, j]]
+            found = lambdas[bob_rows(ctx.orbit.class_of, alice, size)]
             assert np.abs(found - sums.max(axis=1)).max() <= 1e-12
     # Set specs in random order against the diagonalized sum of their operators.
     rng = np.random.default_rng(28)
     for size in rng.integers(1, 4, size=60).tolist():
         alice, bob = int(rng.integers(24)), rng.choice(24, size, replace=False)
-        found = class_multisets(size)[3][ctx.class_tables.index(alice, size)[class_row(bob)]]
+        found = class_multisets(size)[3][class_row(ctx.orbit.class_of[alice][bob])]
         pairs = [OrbitPair(labels[alice], labels[m]) for m in bob]
         assert abs(found - max_eigenvalue_sum(pairs, ctx).lambda_max) <= EIG_TOL
 
@@ -606,7 +619,7 @@ def test_replaced_context_has_its_own_class_tables(ctx):
 
     def arrays(t):
         return [*t.alice_orbits, t.class_m, t.relabelings,
-                *(a for size in (1, 2, 3) for a in (*t.multisets(size), t.index(5, size)))]
+                *(a for size in (1, 2, 3) for a in t.multisets(size))]
 
     for got, want in zip(arrays(own), arrays(tables), strict=True):
         assert np.array_equal(got, want)
@@ -617,7 +630,8 @@ def test_replaced_context_has_its_own_class_tables(ctx):
 def test_multiset_orbits_count(ctx, size, count):
     arrays = class_multisets(size)
     assert not any(arr.flags.writeable for arr in arrays)
-    multisets, codes, maxima, _, _ = arrays
+    order = np.argsort(arrays[1])  # combinations order
+    multisets, codes, maxima = (arr[order] for arr in arrays[:3])
     rows = np.array(combination_rows(24, size))
     assert np.array_equal(multisets, rows)
     assert np.array_equal(codes, [np.ravel_multi_index(r, (24,) * size) for r in rows])
@@ -635,6 +649,20 @@ def test_multiset_orbits_count(ctx, size, count):
         image = np.sort(classes[rows], axis=1)
         hit = orbit_of[np.searchsorted(codes, np.ravel_multi_index(image.T, (24,) * size))]
         assert len(np.unique(hit)) == count
+
+
+def test_rank_order_is_built_once_per_size_with_non_decreasing_ties(ctx, monkeypatch):
+    # The gaps descend in rank order; a tie class starts wherever a step down exceeds 1e-9.
+    tables = dataclasses.replace(ctx).class_tables
+    for size in (1, 2, 3):
+        arrays = tables.multisets(size)
+        _, _, maxima, lambdas, ties = arrays
+        steps = np.diff(lambdas - maxima)
+        assert (steps <= 0).all() and ties[0] == 1
+        assert np.array_equal(np.diff(ties), steps < -1e-9)
+        with monkeypatch.context() as patch:
+            patch.setattr(tables, "class_scan", None)  # a second build would call it
+            assert tables.multisets(size) is arrays
 
 
 def test_empty_expression():

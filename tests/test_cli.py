@@ -383,7 +383,8 @@ def test_scan_ranking_ignores_rounding_noise(monkeypatch, fresh_class_tables):
     for orbits in (1, 2, 3):
         for phi in ("x01", "x12", "x27"):
             assert scan_digest(orbits, phi) == SCAN_SHA256[orbits][LABELS.index(phi)], (orbits, phi)
-    moved = np.abs(standard_context().class_tables.multisets(1)[3] - rows.max(axis=1))
+    multisets, _, _, lambdas, _ = standard_context().class_tables.multisets(1)
+    moved = np.abs(lambdas - rows.max(axis=1)[multisets[:, 0]])
     assert 0 < moved.max() < 1.1e-12
 
 
@@ -451,22 +452,23 @@ def test_scan_reads_the_class_row_of_the_table(fresh_pair_classes):
         for m in np.argsort(ctx.orbit.class_of[k])])
     for j, label in enumerate(LABELS):
         assert scan_digest(1, label) == SCAN_SHA256[1][j], label
-    assert np.array_equal(ctx.class_tables.multisets(1)[3], model.eigenvalues.max(axis=1))
+    multisets, _, _, lambdas, _ = ctx.class_tables.multisets(1)
+    assert np.array_equal(lambdas, model.eigenvalues.max(axis=1)[multisets[:, 0]])
 
 
 # What a process builds: per command, run in this order in one fresh
 # process, its exit code, then what the process holds after it: calls of `_isotypic`,
 # `build_x_operator`, `class_scan` and `_per_alice_tables`; the standard context's class
-# tables M (0 or 1), class multiset sizes and Alice-label indices; builds of
+# tables M (0 or 1) and class multiset sizes; builds of
 # `build_parser`; and the number of the pair model's operators.
 BUILDS = [
-    ("scan --orbits 1",                         0, 1, 0, 2, 1, 1, 1, 1, 1, 0),
-    ("scan --orbits 2",                         0, 1, 0, 16, 1, 1, 2, 2, 1, 0),
-    ("scan --orbits 3 --phi x27",               0, 1, 0, 86, 1, 1, 3, 3, 1, 0),
-    ("analyze --pairs x12:x01,x23:x14,x27:x05", 0, 1, 3, 87, 1, 1, 3, 3, 1, 3),
-    ("analyze --pairs x12:x01,x23:x14,x27:x05", 0, 1, 3, 88, 1, 1, 3, 3, 1, 3),
-    ("game --pairs x01:x14,x01:x07",            0, 1, 5, 89, 1, 1, 3, 3, 1, 5),
-    ("verify",                                  1, 1, 11, 92, 1, 1, 3, 3, 1, 11),
+    ("scan --orbits 1",                         0, 1, 0, 2, 1, 1, 1, 1, 0),
+    ("scan --orbits 2",                         0, 1, 0, 16, 1, 1, 2, 1, 0),
+    ("scan --orbits 3 --phi x27",               0, 1, 0, 86, 1, 1, 3, 1, 0),
+    ("analyze --pairs x12:x01,x23:x14,x27:x05", 0, 1, 3, 87, 1, 1, 3, 1, 3),
+    ("analyze --pairs x12:x01,x23:x14,x27:x05", 0, 1, 3, 88, 1, 1, 3, 1, 3),
+    ("game --pairs x01:x14,x01:x07",            0, 1, 5, 89, 1, 1, 3, 1, 5),
+    ("verify",                                  1, 1, 11, 92, 1, 1, 3, 1, 11),
 ]
 
 BUILD_PROBE = """
@@ -495,7 +497,7 @@ for command in sys.argv[1:]:
     ctx = standard_context()
     tables = vars(ctx.class_tables)
     print(json.dumps([command, code, *calls.values(), int("class_m" in tables),
-                      len(tables["_multisets"]), len(tables["_index"]),
+                      len(tables["_multisets"]),
                       builds(cli.build_parser), len(ctx.pair_model.operators)]))
 """
 
@@ -521,7 +523,7 @@ def test_top_k_is_the_head_of_the_full_ranking(orbits, count, phi):
     argv = ["scan", "--orbits", str(orbits), "--phi", phi, "--top"]
     lines = run_cli([*argv, "2600"])[1].splitlines()
     assert len(lines) == 3 + count
-    for k in [*range(21), count, count + 1]:
+    for k in [*range(21), count, count + 1, 99999999999999999999]:
         assert run_cli([*argv, str(k)]) == (0, "\n".join(lines[: 3 + k]) + "\n"), k
 
 

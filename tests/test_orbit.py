@@ -215,3 +215,11 @@ def test_label_action_rejects_elements_that_repeat_a_group_row(orbit):
     elements[1] = elements[0]
     with pytest.raises(ValueError, match="each group row exactly once"):
         dataclasses.replace(orbit, elements=elements).label_action
+
+
+def test_each_row_of_class_of_is_a_permutation(orbit):
+    # S4 acts regularly on the 24 labels, so with Alice's label fixed each pair class holds
+    # exactly one of her pairs: Bob's labels and the classes correspond one to one.
+    assert orbit.class_of.shape == (24, 24)
+    for row in orbit.class_of:
+        assert sorted(row.tolist()) == list(range(24))
