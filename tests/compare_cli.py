@@ -1,41 +1,23 @@
-"""Compare the CLI output of two source trees, command by command.
+"""The CLI output contract, and a bit-exact comparison of two source trees over it.
 
     python tests/compare_cli.py OLD_SRC NEW_SRC
     python tests/compare_cli.py src              # hashes of one tree only
 
-Each SRC is a directory that holds the `s4bell` package, such as the
-`src/` of a second checkout made with `git archive`.  Every command in
-`COMMANDS` runs through `s4bell.cli.main` in one child process per tree,
-with PYTHONPATH set to that tree.  For each command the script prints one
-sha256 of stdout, stderr and the exit code per tree, then "same" or
-"DIFFERS".  The last tree named (the new one) also runs `COMMANDS` in
-reverse order in a further child, so that a result which depends on what
-an earlier command left in the process (the parser, or the standard
-context and its tables) shows up: a command whose hash then differs is
-marked "ORDER".  It exits 1 when any command differs or is marked, else
-0.
+`COMMANDS` is the one list of pinned CLI commands: all five subcommands, the
+usage-error path and three specs that `analyze` rejects.  Each command's
+expectation is in tests/golden/: exit code and stderr in `contract.json`, and
+stdout in `<stem>.txt`, or as a sha256 in `contract.json` for the 72 `scan --top
+2600` runs.  `check` holds a run to it by one rule, `agrees`.  tests/test_golden.py
+checks every command and, run as a script, rewrites every expectation.
 
-The 130 commands cover all five subcommands and the usage-error path:
-`scan --orbits 1|2|3 --top 2600` for every `--phi` label, the `scan`
-commands pinned in tests/golden/, the benchmark's `scan --orbits 3 --top
-10` at `--phi` x01, x12, x27 and x18, `scan --orbits 2|3 --top 1|4|8` (at
-x01, `--top 4` cuts a tie class, gaps within 1e-9, at both sizes, `--top
-1` and `--top 8` at size 3), `scan --orbits 3 --top 0` (the header and no
-row), `analyze` as text, `--json` and `--csv` on the built-in cases
-I-III, the same three forms of `analyze --histogram` on cases I-III, the
-one-pair spec `x01:x14` and the 24-pair spec
-`x01:x01,x01:x11,...,x01:x28`, `analyze --histogram` as `--json` and
-`--csv` on `x01:x12,x01:x23,x01:x14` (rank 1 of `scan --orbits 3`, whose
-histogram no golden file pins), `game` on cases I-III, `analyze` as text,
-`--json` and `--csv`, `analyze --histogram` as `--json` and `--csv` (a
-histogram summed from classes with Alice off x01) and `game` on
-`x12:x01,x23:x14,x27:x05`, `analyze --json` and `--csv` on the 24-pair
-spec `x01:x01,x11:x16,...,x28:x13` (24 distinct Alice labels and 24
-distinct pair classes, so every class row; every other spec has Alice at
-x01), `orbits` and `orbits
---json`, `verify`, and `analyze` on the specs `x01:x01,x11:x11` (a
-repeated term), `x01:x14,x15:x06` (two different pairs of one class, so
-the same 24 terms) and `x01:x14,,x01:x07` (malformed), which exit 2.
+As a script, this runs each command through `s4bell.cli.main` in one child
+process per tree (a directory holding the `s4bell` package, such as the `src/`
+of a `git archive` checkout) and prints one sha256 of exit code, stdout and
+stderr per tree, then "same" or "DIFFERS".  The last tree named also runs the
+list in reverse order in one more child: a command whose hash then moves
+depends on what an earlier command left in the process (the parser, or the
+standard context and its tables) and is marked "ORDER".  It exits 1 on any
+difference or mark, else 0.
 """
 
 import contextlib
@@ -43,70 +25,138 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-CASES = {
+import numpy as np
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CONTRACT = GOLDEN / "contract.json"
+LABELS = [f"x{a}{s}" for s in range(1, 9) for a in range(3)]
+SPECS = {
     "I": "x01:x14,x01:x07,x01:x15",
     "II": "x01:x23,x01:x16,x01:x01",
     "III": "x01:x25,x01:x14,x01:x18",
+    "one_pair": "x01:x14",
+    "alice_x01": ",".join(f"x01:{lab}" for lab in LABELS),
+    "scan_rank1": "x01:x12,x01:x23,x01:x14",  # rank 1 of `scan --orbits 3`
+    "mixed_alice": "x12:x01,x23:x14,x27:x05",  # classes summed with Alice off x01
+    # 24 distinct Alice labels and 24 distinct pair classes, so every class row
+    "distinct_alice": (
+        "x01:x01,x11:x16,x21:x17,x02:x26,x12:x04,x22:x02,x03:x02,x13:x18,x23:x02,x04:x16,"
+        "x14:x24,x24:x28,x05:x22,x15:x04,x25:x13,x06:x22,x16:x13,x26:x17,x07:x01,x17:x12,"
+        "x27:x24,x08:x03,x18:x03,x28:x13"),
+    # exit 2: a repeated term; two pairs of one class, so the same 24 terms; malformed
+    "repeated_term": "x01:x01,x11:x11",
+    "one_class_twice": "x01:x14,x15:x06",
+    "malformed": "x01:x14,,x01:x07",
 }
-LABELS = [f"x{a}{s}" for s in range(1, 9) for a in range(3)]
+SPEC_NAMES = {spec: name for name, spec in SPECS.items()}
+FORMATS = ([], ["--json"], ["--csv"])
+CASES, HISTOGRAM_SPECS = ("I", "II", "III"), ("I", "II", "III", "one_pair", "alice_x01")
 
-COMMANDS = [
-    ["scan", "--orbits", orbits, "--top", "2600", "--phi", phi]
-    for orbits in ("1", "2", "3")
-    for phi in LABELS
-]
-COMMANDS += [
-    ["scan", "--orbits", orbits, "--top", "50", "--phi", phi]
-    for orbits, phi in (("1", "x01"), ("2", "x01"), ("3", "x01"), ("3", "x12"))
-]
-COMMANDS += [
-    ["scan", "--orbits", "3", "--top", "10", "--phi", phi]
-    for phi in ("x01", "x12", "x27", "x18")
-]
-COMMANDS += [
-    ["scan", "--orbits", orbits, "--top", top]
-    for orbits in ("2", "3")
-    for top in ("1", "4", "8")
-]
-COMMANDS += [["scan", "--orbits", "3", "--top", "0"]]
-COMMANDS += [
-    ["analyze", "--pairs", spec, *fmt]
-    for spec in CASES.values()
-    for fmt in ([], ["--json"], ["--csv"])
-]
-HISTOGRAM_SPECS = [*CASES.values(), "x01:x14", ",".join(f"x01:{lab}" for lab in LABELS)]
-COMMANDS += [
-    ["analyze", "--pairs", spec, "--histogram", *fmt]
-    for spec in HISTOGRAM_SPECS
-    for fmt in ([], ["--json"], ["--csv"])
-]
-COMMANDS += [
-    ["analyze", "--pairs", "x01:x12,x01:x23,x01:x14", "--histogram", fmt]
-    for fmt in ("--json", "--csv")
-]
-COMMANDS += [["game", "--pairs", spec] for spec in CASES.values()]
-MIXED_ALICE = "x12:x01,x23:x14,x27:x05"
-COMMANDS += [["analyze", "--pairs", MIXED_ALICE, *fmt] for fmt in ([], ["--json"], ["--csv"])]
-COMMANDS += [["analyze", "--pairs", MIXED_ALICE, "--histogram", f] for f in ("--json", "--csv")]
-COMMANDS += [["game", "--pairs", MIXED_ALICE]]
-DISTINCT_ALICE = (
-    "x01:x01,x11:x16,x21:x17,x02:x26,x12:x04,x22:x02,x03:x02,x13:x18,x23:x02,x04:x16,x14:x24,"
-    "x24:x28,x05:x22,x15:x04,x25:x13,x06:x22,x16:x13,x26:x17,x07:x01,x17:x12,x27:x24,x08:x03,"
-    "x18:x03,x28:x13")
-COMMANDS += [["analyze", fmt, "--pairs", DISTINCT_ALICE] for fmt in ("--json", "--csv")]
+COMMANDS = [["scan", "--orbits", n, "--top", "2600", "--phi", phi] for n in "123" for phi in LABELS]
+COMMANDS += [["scan", "--orbits", n, "--top", "50", "--phi", phi]
+             for n, phi in (("1", "x01"), ("2", "x01"), ("3", "x01"), ("3", "x12"))]
+COMMANDS += [["scan", "--orbits", "3", "--top", "10", "--phi", phi]
+             for phi in ("x01", "x12", "x27", "x18")]
+# at x01, --top 4 cuts a tie class (gaps within 1e-9) at both sizes, --top 1 and 8 at size 3
+COMMANDS += [["scan", "--orbits", n, "--top", top] for n in "23" for top in "148"]
+COMMANDS += [["scan", "--orbits", "3", "--top", "0"], ["scan", "--orbits", "1"]]
+COMMANDS += [["analyze", "--pairs", SPECS[case], *fmt] for case in CASES for fmt in FORMATS]
+COMMANDS += [["analyze", "--pairs", SPECS[name], "--histogram", *fmt]
+             for name in HISTOGRAM_SPECS for fmt in FORMATS]
+COMMANDS += [["analyze", "--pairs", SPECS["scan_rank1"], "--histogram", *f] for f in FORMATS[1:]]
+COMMANDS += [["game", "--pairs", SPECS[case]] for case in CASES]
+COMMANDS += [["analyze", "--pairs", SPECS["mixed_alice"], *fmt] for fmt in FORMATS]
+COMMANDS += [["analyze", "--pairs", SPECS["mixed_alice"], "--histogram", *f] for f in FORMATS[1:]]
+COMMANDS += [["game", "--pairs", SPECS["mixed_alice"]]]
+COMMANDS += [["analyze", *fmt, "--pairs", SPECS["distinct_alice"]] for fmt in FORMATS[1:]]
 COMMANDS += [["orbits"], ["orbits", "--json"], ["verify"]]
-COMMANDS += [
-    ["analyze", "--pairs", spec]
-    for spec in ("x01:x01,x11:x11", "x01:x14,x15:x06", "x01:x14,,x01:x07")
-]
+COMMANDS += [["analyze", "--pairs", SPECS[name]]
+             for name in ("repeated_term", "one_class_twice", "malformed")]
 
 
-def _digest(argv):
-    """sha256 of stdout, stderr and exit code of one in-process CLI run."""
+def stem(argv):
+    """File stem of a command's expectation: its words, each spec by its name in `SPECS`,
+    `--orbits N` and `--top N` as `orbitsN` and `topN`, `--pairs` and `--phi` dropped."""
+    words = re.sub(r"--(orbits|top) ", r"\1", " ".join(SPEC_NAMES.get(w, w) for w in argv))
+    return re.sub(r"--(pairs |phi )?", "", words).replace(" ", "_")
+
+
+def digested(argv):
+    """Whether a command's stdout is kept as a sha256: full scans, 4.6 MB at size 3 alone."""
+    return "2600" in argv
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+EIGENVECTOR = re.compile(r'"eigenvector": \[([^\]]*)\]')
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
+
+
+def _same_number(a, b):
+    """Integer tokens match exactly.  Floats (with a point or an exponent) match within
+    `_close`, written alike (decimals, exponent) unless either has 12 or more significant
+    digits: a full-precision repr, whose length moves with its last bit."""
+    (ma, ea, _), (mb, eb, _) = a.lower().partition("e"), b.lower().partition("e")
+    if not ("." in ma or ea) or not ("." in mb or eb):
+        return a == b
+    digits = max(len(re.sub(r"\D", "", m).lstrip("0")) for m in (ma, mb))
+    written = (len(ma.partition(".")[2]), ea) == (len(mb.partition(".")[2]), eb)
+    return _close(float(a), float(b)) and (written or digits >= 12)
+
+
+def _eigenvector(text):
+    """`text` with the entries of a JSON `eigenvector` cut out, and those entries (or None)."""
+    match = EIGENVECTOR.search(text)
+    if match is None:
+        return text, None
+    return text[:match.start(1)] + text[match.end(1):], np.array(json.loads(f"[{match[1]}]"))
+
+
+def agrees(expected, actual):
+    """Whether output text `actual` meets `expected`: equal but for float tokens within
+    `_same_number`.  A JSON `quantum.eigenvector` is defined only up to sign, so it matches
+    up to sign where the expected spectrum's top eigenvalue is simple, and is only required
+    to be a unit vector where it is not (LAPACK picks any vector of the eigenspace)."""
+    (expected, want), (actual, got) = _eigenvector(expected), _eigenvector(actual)
+    if want is not None and got is not None:  # else the cut texts differ
+        top = json.loads(expected)["quantum"]["spectrum"]
+        if _close(top[0], top[1]):
+            same = _close(float(np.linalg.norm(got)), 1.0)
+        else:
+            same = any(all(map(_close, want, sign * got)) for sign in (1, -1))
+        if len(want) != len(got) or not same:
+            return False
+    ours, theirs = NUMBER.split(expected), NUMBER.split(actual)
+    return len(ours) == len(theirs) and all(
+        _same_number(a, b) if k % 2 else a == b for k, (a, b) in enumerate(zip(ours, theirs)))
+
+
+def check(argv, result):
+    """Assert that `result`, the (exit code, stdout, stderr) of `argv`, meets the contract."""
+    name = stem(argv)
+    code, out, err = result
+    expected = json.loads(CONTRACT.read_text())[name]
+    assert code == expected["exit"], name
+    assert agrees(expected["stderr"], err), name
+    if digested(argv):
+        assert sha256(out) == expected["stdout_sha256"], name
+    else:
+        assert agrees((GOLDEN / f"{name}.txt").read_text(), out), name
+
+
+def run(argv):
+    """(exit code, stdout, stderr) of one in-process CLI run."""
     from s4bell import cli
 
     out, err = io.StringIO(), io.StringIO()
@@ -115,8 +165,12 @@ def _digest(argv):
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-    record = json.dumps([out.getvalue(), err.getvalue(), code])
-    return hashlib.sha256(record.encode()).hexdigest()
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest(result):
+    """sha256 of one run's exit code, stdout and stderr."""
+    return sha256(json.dumps(result))
 
 
 def _child(src):
@@ -128,18 +182,18 @@ def _child(src):
     if Path(src).resolve() not in origin.parents:
         sys.exit(f"s4bell imported from {origin}, not from {src}")
     for argv in json.load(sys.stdin):
-        print(_digest(argv), flush=True)
+        print(digest(run(argv)), flush=True)
 
 
 def _digests(src, commands):
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
-    run = subprocess.run(
+    result = subprocess.run(
         [sys.executable, __file__, "--child", src], input=json.dumps(commands),
         env=env, capture_output=True, text=True, check=False,
     )
-    if run.returncode != 0:
-        sys.exit(f"{src}: {run.stderr.strip()}")
-    return run.stdout.split()
+    if result.returncode != 0:
+        sys.exit(f"{src}: {result.stderr.strip()}")
+    return result.stdout.split()
 
 
 def main(trees):

@@ -1,5 +1,3 @@
-import contextlib
-import io
 import os
 import subprocess
 import sys
@@ -8,7 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from s4bell import OrbitPair, cli, standard_context, tables
+pytest.register_assert_rewrite("compare_cli")
+
+import compare_cli
+from s4bell import OrbitPair, standard_context, tables
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -73,7 +74,4 @@ def fresh_python(args, run=subprocess.run, **kwargs):
 
 def run_cli(argv):
     """(exit code, stdout) of `cli.main(argv)` in this process."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(argv)
-    return code, out.getvalue()
+    return compare_cli.run(argv)[:2]

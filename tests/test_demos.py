@@ -1,19 +1,18 @@
 """Each demo script, and the README's Python quick start, runs to completion
 against the source tree.
 
-Demos 02 and 04 print only rounded values, so their stdout is pinned in
-tests/golden/demo_<name>.txt.  Demo 01 is pinned up to its `JSON export`
-line, with each `orthonormal to <x>;` deviation masked, because the last
-digits of those depend on the BLAS build; demo 03 prints timings.  For a
+The stdout of demos 01, 02 and 04 is held to tests/golden/demo_<name>.txt by
+the output contract's rule, `compare_cli.agrees`, whose float tolerance absorbs
+the BLAS-dependent last digits of demo 01; demo 03 prints timings.  For a
 declared output change, rewrite a file with
-`PYTHONPATH=src python demos/<name>.py > tests/golden/demo_<name>.txt`,
-cutting demo 01 with `| sed '/^JSON export/,$d'`.
+`PYTHONPATH=src python demos/<name>.py > tests/golden/demo_<name>.txt`.
 """
 
 import re
 
 import pytest
 
+from compare_cli import GOLDEN, agrees
 from conftest import SRC, fresh_python
 
 ROOT = SRC.parent
@@ -31,11 +30,4 @@ def test_demo_runs(name, script):
     result = fresh_python(script, cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     if name in PINNED:
-        golden = ROOT / "tests" / "golden" / f"demo_{name}.txt"
-        assert pinned(result.stdout) == pinned(golden.read_text())
-
-
-def pinned(stdout):
-    """The part of a demo's stdout held to its golden file."""
-    head = stdout.partition("JSON export")[0]
-    return re.sub(r"orthonormal to \S+;", "orthonormal to <x>;", head)
+        assert agrees((GOLDEN / f"demo_{name}.txt").read_text(), result.stdout)

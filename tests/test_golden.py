@@ -1,47 +1,63 @@
-"""CLI output pinned byte for byte against the files in tests/golden/.
+"""The CLI output contract: every command of `compare_cli.COMMANDS` against its expectation
+in tests/golden/, by `compare_cli.agrees`, and once more in reverse order in a fresh process.
 
-Only commands whose output is rounded or integer are pinned: the last
-bits of full-precision JSON, of the spectrum CSV and of `verify`'s
-deviations can depend on the BLAS build.  For a declared output change,
-rewrite the files with `PYTHONPATH=src python tests/test_golden.py`.
+For a declared output change, rewrite every expectation with
+`PYTHONPATH=src python tests/test_golden.py` and declare the diff of tests/golden/.
 """
 
-from pathlib import Path
+import json
 
 import pytest
 
-from conftest import run_cli
-
-GOLDEN = Path(__file__).resolve().parent / "golden"
-CASES = {
-    "I": "x01:x14,x01:x07,x01:x15",
-    "II": "x01:x23,x01:x16,x01:x01",
-    "III": "x01:x25,x01:x14,x01:x18",
-}
-COMMANDS = {"orbits": ["orbits"]}
-for _name, _spec in CASES.items():
-    COMMANDS[f"analyze_{_name}"] = ["analyze", "--pairs", _spec]
-    COMMANDS[f"analyze_{_name}_histogram"] = ["analyze", "--pairs", _spec, "--histogram"]
-    COMMANDS[f"analyze_{_name}_histogram_csv"] = [
-        "analyze", "--pairs", _spec, "--histogram", "--csv"
-    ]
-    COMMANDS[f"game_{_name}"] = ["game", "--pairs", _spec]
-for _orbits, _phi in (("1", "x01"), ("2", "x01"), ("3", "x01"), ("3", "x12")):
-    COMMANDS[f"scan_orbits{_orbits}_top50_{_phi}"] = [
-        "scan", "--orbits", _orbits, "--top", "50", "--phi", _phi
-    ]
+import compare_cli
+from compare_cli import COMMANDS, CONTRACT, GOLDEN, agrees, stem
+from conftest import SRC
 
 
-@pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_output_matches_golden(name):
-    code, out = run_cli(COMMANDS[name])
-    assert code == 0
-    assert out == (GOLDEN / f"{name}.txt").read_text()
+@pytest.fixture(scope="module")
+def results():
+    """Each command's (exit code, stdout, stderr), run in list order in this process."""
+    return [compare_cli.run(argv) for argv in COMMANDS]
+
+
+@pytest.mark.parametrize("k", range(len(COMMANDS)), ids=[stem(argv) for argv in COMMANDS])
+def test_output_matches_golden(results, k):
+    compare_cli.check(COMMANDS[k], results[k])
+
+
+def test_output_does_not_depend_on_command_order(results):
+    backward = compare_cli._digests(SRC, COMMANDS[::-1])[::-1]
+    assert backward == [compare_cli.digest(result) for result in results]
+
+
+VECTOR = json.dumps({"quantum": {"eigenvector": [0.6, -0.8], "spectrum": [2.0, 1.0]}})
+DEGENERATE = VECTOR.replace("2.0", "1.0")
+
+
+@pytest.mark.parametrize("expected, actual, same", [
+    ("lambda_max 1.0, gap 0.0", "lambda_max 1.000000000000001, gap -1.1102230246251565e-15", True),
+    ("gap 1.0", "gap 1.000000001", False),
+    ("max deviation 8.9e-16", "max deviation 8.88e-16", False),
+    ("x01:x14", "x1:x14", False),
+    ("violation: yes", "violation: no", False),
+    (VECTOR, VECTOR.replace("0.6, -0.8", "-0.6, 0.8"), True),
+    (VECTOR, VECTOR.replace("0.6, -0.8", "0.6, 0.8"), False),
+    (DEGENERATE, DEGENERATE.replace("0.6, -0.8", "0.8, 0.6"), True),
+    (DEGENERATE, DEGENERATE.replace("0.6, -0.8", "0.6, -0.7"), False),
+], ids=["noise", "off_by_1e-9", "format", "integer", "word", "sign", "not_up_to_sign",
+        "degenerate", "not_unit"])
+def test_agrees(expected, actual, same):
+    assert agrees(expected, actual) is same
 
 
 if __name__ == "__main__":
-    GOLDEN.mkdir(exist_ok=True)
-    for name, argv in COMMANDS.items():
-        code, out = run_cli(argv)
-        assert code == 0, argv
-        (GOLDEN / f"{name}.txt").write_text(out)
+    contract = {}
+    for argv in COMMANDS:
+        name, (code, out, err) = stem(argv), compare_cli.run(argv)
+        contract[name] = {"exit": code, "stderr": err}
+        if compare_cli.digested(argv):
+            contract[name]["stdout_sha256"] = compare_cli.sha256(out)
+        else:
+            (GOLDEN / f"{name}.txt").write_text(out)
+    lines = [f"{json.dumps(name)}: {json.dumps(entry)}" for name, entry in contract.items()]
+    CONTRACT.write_text("{\n" + ",\n".join(lines) + "\n}\n")
