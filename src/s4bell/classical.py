@@ -295,7 +295,7 @@ class _ClassTables:
     """A context's classical S4 tables, `ctx.class_tables`, each built and checked on first use."""
 
     def __init__(self, ctx):
-        self._ctx, self._multisets = ctx, {}
+        self._ctx, self._multisets, self._violations = ctx, {}, {}
 
     @cached_property
     def alice_orbits(self):
@@ -388,7 +388,13 @@ class _ClassTables:
         arrays = (multisets[desc], codes[desc], maxima[desc], lambdas[desc], ties)
         for arr in arrays:
             arr.setflags(write=False)
+        self._violations[size] = int(np.count_nonzero(gaps > 1e-9))
         return self._multisets.setdefault(size, arrays)
+
+    def violations(self, size):
+        """How many class multisets of `size` have a gap above 1e-9; counted with `multisets`."""
+        self.multisets(size)
+        return self._violations[size]
 
 
 def optimal_classical_strategy(expr: BellExpression):

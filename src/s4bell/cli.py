@@ -21,11 +21,12 @@ parsed report is byte-identical.
 label, as in "x01:x14,x01:x14,x01:x18"; a repeated orbit's terms count
 once per copy.  `analyze` and `game` reject such a spec (duplicate term).
 
-The parser is built once per process and the S4 tables every command but
-`orbits` reads once per context, on first use, never at import; the one
-list of what a process builds after each command is the table of
-tests/test_cli.py::test_what_a_fresh_process_builds_after_each_command.
-A later `main` prints what a first would.
+The parser is built once per process; `main` parses a named command with its
+own subparser, and with the full parser only when argv names none or leaves
+some over, so every message stays the same.  The S4 tables every command but
+`orbits` reads are built once per context, on first use, never at import;
+tests/test_cli.py::test_what_a_fresh_process_builds_after_each_command lists
+what a process builds after each.  A later `main` prints what a first would.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (a malformed
 or term-repeating spec), 3 internal error (building the S4 context or
@@ -76,6 +77,7 @@ class _UsageError(Exception):
 
 
 _LABEL_RE = re.compile(r"x([0-9])([0-9])")
+_LABEL_TEXTS = [f"x{outcome}{basis}" for basis, outcome in all_labels()]  # `format_label`s
 
 
 def _parse_label(token, position):
@@ -366,26 +368,25 @@ def _cmd_scan(args):
     # class multiset.  class_of[alice] is a permutation, so Alice's label only relabels Bob's
     # side and an op reads just the whole tie classes that cover --top.  Specs rank by tie
     # class, each class in combination order (label order, as all_labels() is sorted).
-    labels = all_labels()
     ctx = standard_context()
     multisets, _, cmaxes, lams, ties = ctx.class_tables.multisets(args.orbits)
     head = np.searchsorted(ties, ties[min(args.top, len(ties)) - 1], "right") if args.top else 0
-    bob_of = np.argsort(ctx.orbit.class_of[labels.index(args.phi)])
+    bob_of = np.argsort(ctx.orbit.class_of[all_labels().index(args.phi)])
     bob = np.sort(bob_of[multisets[:head]], axis=1)
     order = np.lexsort((*bob.T[::-1], ties[:head]))[:args.top]
 
     alice, width = format_label(args.phi), 13 * args.orbits + 1
-    pairs = [f"{alice}:{format_label(label)}" for label in labels]
+    first, sep = f"{alice}:", f",{alice}:"
     row = f"%4d  %-{width}s  %7.2f  %9d  %+.2f"  # one %-format per row: half the f-string time
     lines = [
         f"scan over {len(multisets)} unordered Bob-label multisets "
         f"(orbits per spec: {args.orbits}, Alice fixed at {alice})",
-        f"specs with quantum > classical: {np.count_nonzero(lams - cmaxes > 1e-9)}",
+        f"specs with quantum > classical: {ctx.class_tables.violations(args.orbits)}",
         "rank  spec" + " " * (width - 4) + "quantum  classical  gap",
     ]
     rows = zip(bob[order].tolist(), lams[order].tolist(), cmaxes[order].tolist())
     for rank, (spec, lam, cmax) in enumerate(rows, start=1):
-        spec = ",".join([pairs[k] for k in spec])
+        spec = first + sep.join([_LABEL_TEXTS[k] for k in spec])
         lines.append(row % (rank, spec, lam, cmax, _zero_snap(lam - cmax)))
     print("\n".join(lines))
     return 0
@@ -466,12 +467,24 @@ def build_parser():
     p_game.add_argument("--pairs", required=True)
     p_game.set_defaults(func=_cmd_game)
 
+    parser.commands = sub.choices  # each command's own parser, for `_parse`
     return parser
 
 
+def _parse(argv):
+    """`build_parser().parse_args(argv)` (argv defaults to sys.argv[1:]) from the named command's
+    parser; from the full parser, for its messages, if argv names none or leaves arguments over."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = build_parser().commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(argv)
     try:
         return args.func(args)
     except _UsageError as exc:

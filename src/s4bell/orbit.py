@@ -13,7 +13,7 @@ import itertools
 import json
 import operator
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -268,8 +268,9 @@ def canonical_orbit(rep: Representation) -> Orbit:
     return match_reference_labels(generate_orbit(rep, tables.CANONICAL_SEED))
 
 
+@cache
 def all_labels():
-    """All 24 (basis, outcome) labels in canonical order: an orbit's row order."""
+    """All 24 (basis, outcome) labels in canonical order: an orbit's row order; one tuple."""
     return tuple(itertools.product(range(1, N_SETTINGS + 1), range(N_OUTCOMES)))
 
 

@@ -653,16 +653,20 @@ def test_multiset_orbits_count(ctx, size, count):
 
 def test_rank_order_is_built_once_per_size_with_non_decreasing_ties(ctx, monkeypatch):
     # The gaps descend in rank order; a tie class starts wherever a step down exceeds 1e-9.
+    # The gaps above 1e-9, the scan's violations, are counted with them, on these tables.
     tables = dataclasses.replace(ctx).class_tables
-    for size in (1, 2, 3):
+    for size, violations in ((1, 0), (2, 1), (3, 26)):
+        assert tables.violations(size) == violations
         arrays = tables.multisets(size)
         _, _, maxima, lambdas, ties = arrays
         steps = np.diff(lambdas - maxima)
         assert (steps <= 0).all() and ties[0] == 1
         assert np.array_equal(np.diff(ties), steps < -1e-9)
+        assert np.count_nonzero(lambdas - maxima > 1e-9) == violations
         with monkeypatch.context() as patch:
             patch.setattr(tables, "class_scan", None)  # a second build would call it
             assert tables.multisets(size) is arrays
+            assert tables.violations(size) == violations
 
 
 def test_empty_expression():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -128,6 +129,56 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["analyze"])  # missing --pairs
     assert err.value.code == 2
+
+
+ROUTE_ARGVS = [
+    ["verify"], ["orbits"], ["orbits", "--json"], ["game", "--pairs", "x01:x14"],
+    ["analyze", "--pairs", "x01:x14"], ["analyze", "--json", "--pairs=x01:x14,x01:x07"],
+    ["analyze", "--pairs", "x01:x14", "--csv", "--histogram"],
+    ["scan", "--orbits", "1"], ["scan", "--orbits", "3", "--top=5", "--phi", "x12"],
+    ["scan", "--orb", "3", "--to", "2"], ["scan", "--orbits", "2", "--"],
+    ["scan", "--", "--orbits", "2"], ["--", "scan", "--orbits", "2"],
+    ["-h"], ["--help", "scan"], ["scan", "-h"], ["analyze", "--pairs", "x01:x14", "--help"],
+    [], ["bogus"], ["sca", "--orbits", "1"], ["analyze"], ["game", "--json"],
+    ["scan", "--orbits", "4"], ["scan", "--orbits", "1", "--top", "-1"],
+    ["scan", "--orbits", "1", "--phi", "x09"], ["scan", "--top", "3"],
+    ["analyze", "--pairs", "x01:x14", "--json", "--csv"],
+    ["scan", "--orbits", "1", "extra"], ["scan", "extra", "--orbits", "1"],
+    ["verify", "extra"], ["verify", "--json"], ["orbits", "--json", "-x"],
+]
+
+
+def parse_result(parse, argv, capsys):
+    """(exit code, stdout, stderr, parsed values) of `parse(argv)`; None for the code if it
+    returns, for the values if it exits."""
+    try:
+        code, values = None, vars(parse(argv))
+    except SystemExit as exc:
+        code, values = exc.code, None
+    return code, *capsys.readouterr(), values
+
+
+@pytest.mark.parametrize("argv", ROUTE_ARGVS, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_main_parses_argv_as_the_full_parser_does(argv, monkeypatch, capsys):
+    # `main` parses a named command with that command's parser, and reaches for the full
+    # parser only to word what that one cannot: no command, or arguments left over.
+    full = cli.build_parser()
+    expected = parse_result(full.parse_args, argv, capsys)
+    fallbacks = []
+    monkeypatch.setattr(full, "parse_args", lambda argv: fallbacks.append(argv)
+                        or type(full).parse_args(full, argv))
+    assert parse_result(cli._parse, argv, capsys) == expected
+    if expected[0] is None:
+        assert fallbacks == []
+
+
+@pytest.mark.parametrize("argv", [["scan", "--orbits", "2", "--top", "3", "--phi", "x12"],
+                                  ["scan", "--orbits", "1", "extra"]])
+def test_main_reads_sys_argv_without_argv(argv, monkeypatch):
+    # The installed `s4bell` entry point calls main() with no argv.
+    expected = run(argv)
+    monkeypatch.setattr(sys, "argv", ["s4bell", *argv])
+    assert run(None) == expected
 
 
 def test_analyze_diagonal_pair():
