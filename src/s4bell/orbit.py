@@ -10,7 +10,6 @@ the bundled reference table.
 """
 
 import itertools
-import json
 import operator
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
@@ -155,6 +154,7 @@ class Orbit:
 
 
 def orbit_to_json(orbit: Orbit) -> str:
+    import json  # loaded here, so that building a context does not load it
     return json.dumps(orbit.as_dict(), sort_keys=True, indent=2)
 
 
@@ -180,15 +180,15 @@ def partition_into_bases(vectors):
     if len(coincide):
         raise ValueError("vectors {} and {} coincide".format(*coincide[0]))
 
-    orthogonal = np.abs(arr @ arr.T) < EPS
-    np.fill_diagonal(orthogonal, True)
-    triples = set()
-    for a, row in enumerate(orthogonal):
-        triple = np.flatnonzero(row)
-        if len(triple) != 3 or not orthogonal[np.ix_(triple, triple)].all():
-            raise PartitionError(f"vector {a} is not in exactly one orthonormal triple")
-        triples.add(tuple(triple.tolist()))
-    return tuple(sorted(triples))
+    orthogonal = (np.abs(arr @ arr.T) < EPS).astype(np.int64)
+    np.fill_diagonal(orthogonal, 1)
+    # Row a's triple is its three members, all 3 x 3 entries among them set.
+    inside = ((orthogonal @ orthogonal) * orthogonal).sum(axis=1)
+    failed = (orthogonal.sum(axis=1) != 3) | (inside != 9)
+    if failed.any():
+        raise PartitionError(f"vector {np.argmax(failed)} is not in exactly one orthonormal triple")
+    triples = np.nonzero(orthogonal)[1].reshape(n, 3).tolist()
+    return tuple(sorted(set(map(tuple, triples))))
 
 
 def _close(points, x):
@@ -200,8 +200,8 @@ def _distinct_images(rep: Representation, seed):
     """(points, element indices) of the distinct images of `seed` (within
     MATCH_TOL), in group-element order; the first occurrence wins."""
     images = np.array([m @ seed for m in rep.matrices])
-    first = [k for k in range(len(images)) if not _close(images[:k], images[k]).any()]
-    return images[first], np.array(first)
+    first = np.flatnonzero(~np.tril(_close(images[:, None], images), -1).any(axis=1))
+    return images[first], first
 
 
 def generate_orbit(rep: Representation, seed) -> Orbit:
@@ -235,18 +235,16 @@ def match_reference_labels(orbit: Orbit) -> Orbit:
     TableMismatchError is raised; the rows are then put in table-label order.
     """
     reference = np.array([tables.ORBIT_TABLE[lab] for lab in all_labels()])
-    matched = []
-    for point, element in zip(orbit.points, orbit.elements):
-        hits = np.flatnonzero(_close(reference, point))
-        if len(hits) != 1:
-            raise tables.TableMismatchError(
-                f"orbit vector with element {element} matches {len(hits)} table entries"
-            )
-        matched.append(hits[0])
-    if len(set(matched)) != len(orbit.points):
+    hits = _close(orbit.points[:, None], reference)
+    counts = hits.sum(axis=1)
+    if (counts != 1).any():
+        k = np.argmax(counts != 1)  # the first failing vector, in row order
+        raise tables.TableMismatchError(f"orbit vector with element {orbit.elements[k]} "
+                                        f"matches {counts[k]} table entries")
+    if (hits.sum(axis=0) != 1).any():
         raise tables.TableMismatchError("table labels not assigned bijectively")
 
-    order = np.argsort(matched)
+    order = np.argsort(hits.argmax(axis=1))
     return replace(orbit, points=orbit.points[order], elements=orbit.elements[order])
 
 

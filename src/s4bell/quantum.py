@@ -107,8 +107,11 @@ def eigenvalues_isotypic(phi, psi, projectors: np.ndarray) -> np.ndarray:
 
     Returned as a (4,) array in the order of tables.COMPONENT_ORDER, the
     order of `projectors`.  The scalar component comes out as
-    8 (phi . psi)^2 for unit inputs.
+    8 (phi . psi)^2 for unit inputs.  ValueError unless `projectors` is a
+    finite (4, 9, 9) array.
     """
+    if np.shape(projectors) != (4, 9, 9) or not np.isfinite(projectors).all():
+        raise ValueError("projectors must be a finite (4, 9, 9) array")
     return _isotypic(_seed_product(phi, psi), projectors)
 
 

@@ -128,8 +128,18 @@ def test_mirrored_seed_partitions_but_cannot_match(rep):
     for lo in range(0, 24, 3):
         frame = orb.points[lo:lo + 3]
         assert np.abs(frame @ frame.T - np.eye(3)).max() < 1e-9
-    with pytest.raises(TableMismatchError):
+    # The first failing vector in row order is the one reported.
+    message = f"^orbit vector with element {orb.elements[0]} matches 0 table entries$"
+    with pytest.raises(TableMismatchError, match=message):
         match_reference_labels(orb)
+
+
+def test_two_vectors_on_one_table_entry_are_not_matched(orbit):
+    # Each vector matches exactly one entry, but entry x01 is matched twice.
+    points = orbit.points.copy()
+    points[1] = points[0]
+    with pytest.raises(TableMismatchError, match="not assigned bijectively"):
+        match_reference_labels(dataclasses.replace(orbit, points=points))
 
 
 def test_other_orbit_vector_as_seed_matches(rep):

@@ -365,9 +365,15 @@ def test_direct_rejects_nonsymmetric(solve, kind):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_isotypic_rejects_non_finite_input(projectors, bad):
-    for phi, psi in (([bad, 0.0, 0.0], [1.0, 0.0, 0.0]), ([1.0, 0.0, 0.0], [0.0, bad, 0.0])):
+    # A bad seed or projector entry, and projectors of the wrong shape.  Unchecked, a bad
+    # projector entry came out as a NaN eigenvalue and a wrong shape as a broadcast error.
+    x, y = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
+    broken = projectors.copy()
+    broken[1, 4, 4] = bad
+    for phi, psi, proj in (([bad, 0.0, 0.0], x, projectors), (x, [0.0, bad, 0.0], projectors),
+                           (x, y, broken), (x, y, projectors[:3]), (x, y, projectors[:, :3, :3])):
         with pytest.raises(ValueError, match="finite"):
-            eigenvalues_isotypic(phi, psi, projectors)
+            eigenvalues_isotypic(phi, psi, proj)
 
 
 SEED_FUNCTIONS = {
