@@ -35,12 +35,12 @@ __all__ = sorted(name for name, home in _LAZY.items() if name != home)
 
 
 def __getattr__(name):
-    """Import the submodule that holds `name` and bind the value here."""
+    """`name` as its submodule binds it now, importing that submodule on first read.
+    Not kept here, so a name patched in its submodule reads the same here."""
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     module = importlib.import_module(f"{__name__}.{_LAZY[name]}")
-    globals()[name] = value = module if name == _LAZY[name] else getattr(module, name)
-    return value
+    return module if name == _LAZY[name] else getattr(module, name)
 
 
 def __dir__():

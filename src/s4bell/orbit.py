@@ -180,15 +180,15 @@ def partition_into_bases(vectors):
     if len(coincide):
         raise ValueError("vectors {} and {} coincide".format(*coincide[0]))
 
-    orthogonal = (np.abs(arr @ arr.T) < EPS).astype(np.int64)
-    np.fill_diagonal(orthogonal, 1)
-    # Row a's triple is its three members, all 3 x 3 entries among them set.
-    inside = ((orthogonal @ orthogonal) * orthogonal).sum(axis=1)
-    failed = (orthogonal.sum(axis=1) != 3) | (inside != 9)
-    if failed.any():
-        raise PartitionError(f"vector {np.argmax(failed)} is not in exactly one orthonormal triple")
-    triples = np.nonzero(orthogonal)[1].reshape(n, 3).tolist()
-    return tuple(sorted(set(map(tuple, triples))))
+    orthogonal = np.abs(arr @ arr.T) < EPS
+    np.fill_diagonal(orthogonal, True)
+    triples = set()
+    for a, row in enumerate(orthogonal):
+        triple = np.flatnonzero(row)
+        if len(triple) != 3 or not orthogonal[np.ix_(triple, triple)].all():
+            raise PartitionError(f"vector {a} is not in exactly one orthonormal triple")
+        triples.add(tuple(triple.tolist()))
+    return tuple(sorted(triples))
 
 
 def _close(points, x):

@@ -135,20 +135,18 @@ def tensor_product(rep_a: Representation, rep_b: Representation) -> Representati
     return Representation(rep_a.group, mats)
 
 
-def character(rep: Representation, classes=None) -> dict:
+def character(rep: Representation) -> dict:
     """Trace of the representation as a function of cycle type.
 
-    `classes` is `conjugacy_classes(rep.group)`, computed here if not given.
     Raises RepresentationError if the trace is not constant on a conjugacy
     class to within EPS, which would mean the matrices are corrupt.
     """
-    traces = np.trace(rep.matrices, axis1=1, axis2=2)
     out = {}
-    for ct, indices in (classes or conjugacy_classes(rep.group)).items():
-        values = traces[list(indices)].tolist()
-        if max(values) - min(values) > EPS:
-            raise RepresentationError(f"character not constant on class {ct}: {values}")
-        out[ct] = values[0]
+    for ct, indices in conjugacy_classes(rep.group).items():
+        traces = [float(np.trace(rep[k])) for k in indices]
+        if max(traces) - min(traces) > EPS:
+            raise RepresentationError(f"character not constant on class {ct}: {traces}")
+        out[ct] = traces[0]
     return out
 
 
@@ -163,12 +161,9 @@ def isotypic_projectors(product: Representation, standard: Representation) -> np
     else signals a wrong character table and raises.
     """
     group = product.group
-    if not np.array_equal(group, standard.group):
-        raise ValueError("representations live on different groups")
-    classes = conjugacy_classes(group)
-    chi_std = character(standard, classes)
+    chi_std = character(standard)
     chars = np.empty((len(tables.COMPONENT_ORDER), len(group)))
-    for ct, indices in classes.items():
+    for ct, indices in conjugacy_classes(group).items():
         d, d0 = chi_std[ct], 1.0
         dt = sign(group[indices[0]]) * d  # the character of the sign twist
         chi = {"D": d, "Dt": dt, "D2": d ** 2 - d - dt - d0, "D0": d0}

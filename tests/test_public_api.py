@@ -49,6 +49,17 @@ def test_public_namespace_is_pinned():
         assert getattr(s4bell, name) is getattr(_submodule(home), name), name
 
 
+def test_package_names_follow_their_submodule(monkeypatch):
+    # A tracer patches the name in the submodule that holds it, and a name read
+    # through the package while patched must not stay patched there afterwards.
+    original = _submodule("context").standard_context
+    with monkeypatch.context() as patch:
+        patch.setattr(_submodule("context"), "standard_context", lambda: None)
+        assert s4bell.standard_context() is None
+    assert s4bell.standard_context is original
+    assert "standard_context" not in vars(s4bell)
+
+
 LAZY_PROBE = """
 import sys
 import s4bell
