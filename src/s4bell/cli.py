@@ -15,7 +15,9 @@ Commands:
 Pair labels are written "x<outcome><basis>", so "x01" is outcome 0 of
 basis 1.  Human-readable output rounds eigenvalues to two decimals; JSON
 output keeps full precision and sorted keys so that re-serializing a
-parsed report is byte-identical.
+parsed report is byte-identical.  `analyze`, `game` and `verify` each compute
+one unformatted record (`_analysis`, `_game`, `_checks`) that pure renderers
+turn into text, JSON or CSV.
 
 `scan` ranks multisets of Bob labels, so a spec it prints may repeat a
 label, as in "x01:x14,x01:x14,x01:x18"; a repeated orbit's terms count
@@ -40,6 +42,7 @@ import json
 import os
 import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -47,6 +50,7 @@ import numpy as np
 
 from . import tables
 from .classical import (
+    GAP_TOL,
     bell_terms,
     classical_histogram,
     classical_max,
@@ -135,36 +139,25 @@ def format_pair(pair):
 # verify
 # ---------------------------------------------------------------------------
 
-def run_verification(echo=print):
-    """Recompute every bundled reference quantity; report one line per check.
-
-    Returns True when every check passed.
-    """
+def _checks():
+    """`verify`'s record: one (name, passed, detail) per check, yielded as it finishes."""
     ctx = standard_context()
-    results = []
-
-    def check(name, ok, detail=""):
-        results.append(ok)
-        mark = "ok  " if ok else "FAIL"
-        echo(f"{mark} {name}" + (f" ({detail})" if detail else ""))
 
     # Orbit reproduction against the labeled table, in label order; np.max
     # keeps a NaN, which then fails the check.
     reference = np.array([tables.ORBIT_TABLE[lab] for lab in tables.ORBIT_LABELS])
     dev = float(np.max(np.abs(ctx.orbit.points - reference)))
-    check(
-        "orbit reproduces the reference table, labels bijective",
-        dev < 1e-9,
-        f"max coordinate deviation {dev:.1e}",
-    )
+    yield ("orbit reproduces the reference table, labels bijective", dev < 1e-9,
+           f"max coordinate deviation {dev:.1e}")
 
     # Change-of-basis validation, under one name whether it passes or fails.
     name = "block basis is orthogonal and block-diagonalizes the projectors"
     try:
         report = validate_block_basis(ctx.projectors)
-        check(name, True, f"worst deviation {max(report.values()):.1e}")
     except TableMismatchError as exc:
-        check(name, False, str(exc))
+        yield name, False, str(exc)
+    else:
+        yield name, True, f"worst deviation {max(report.values()):.1e}"
 
     dims = [tables.COMPONENT_DIMS[label] for label in tables.COMPONENT_ORDER]
     case_exprs = {}
@@ -174,16 +167,15 @@ def run_verification(echo=print):
 
         scalars = spectrum.per_pair[:, tables.COMPONENT_ORDER.index("D0")]
         refs = tables.REF_SCALAR_EIGENVALUES[name]
-        ok = all(abs(s - r) <= 0.01 for s, r in zip(scalars, refs))
-        check(
+        yield (
             f"case {name}: scalar eigenvalue per orbit",
-            ok,
+            all(abs(s - r) <= 0.01 for s, r in zip(scalars, refs)),
             "computed " + ", ".join(f"{s:.4f}" for s in scalars)
             + " vs reference " + ", ".join(f"{r:.2f}" for r in refs),
         )
 
         ref_sum = tables.REF_SUM_EIGENVALUE[name]
-        check(
+        yield (
             f"case {name}: maximal eigenvalue of the summed operator",
             abs(spectrum.lambda_max - ref_sum) <= 0.01,
             f"computed {spectrum.lambda_max:.4f} vs reference {ref_sum:.2f}, tolerance 0.01",
@@ -195,136 +187,136 @@ def run_verification(echo=print):
             expected = np.sort(np.repeat(row, dims))[::-1]
             deviations.append(np.abs(direct - expected).max())
         worst = float(np.max(deviations))
-        check(
-            f"case {name}: componentwise and direct eigenvalues agree",
-            worst < EIG_TOL,
-            f"max deviation {worst:.1e}",
-        )
+        yield (f"case {name}: componentwise and direct eigenvalues agree", worst < EIG_TOL,
+               f"max deviation {worst:.1e}")
 
-        expr = bell_terms(pairs, ctx.orbit)
-        case_exprs[name] = expr
-        cmax = classical_max(expr)
-        check(
-            f"case {name}: classical bound",
-            cmax == tables.REF_CLASSICAL_BOUND[name],
-            f"computed {cmax} vs reference {tables.REF_CLASSICAL_BOUND[name]}",
-        )
+        expr = case_exprs[name] = bell_terms(pairs, ctx.orbit)
+        cmax, ref_cmax = classical_max(expr), tables.REF_CLASSICAL_BOUND[name]
+        yield (f"case {name}: classical bound", cmax == ref_cmax,
+               f"computed {cmax} vs reference {ref_cmax}")
 
     for name in tables.CASE_NAMES:
         expr = case_exprs[name]
         hist = classical_histogram(expr)
         ref = tables.REF_COEFFICIENT_COUNTS[name]
         rows_ok = all(hist.counts.get(c, 0) == ref[c - 1] for c in range(1, 21))
-        mass_ok = (
-            hist.total() == 3 ** 16
-            and hist.weighted_total() == len(expr.index) * 3 ** 14
-        )
-        check(
+        mass_ok = hist.total() == 3 ** 16 and hist.weighted_total() == len(expr.index) * 3 ** 14
+        yield (
             f"case {name}: coefficient histogram",
             rows_ok and mass_ok,
             f"rows 1..20 {'match' if rows_ok else 'DIFFER'}, "
             f"mass checks {'pass' if mass_ok else 'FAIL'}",
         )
 
-    expr_i = case_exprs["I"]
-    table = winning_table(expr_i)
-    check(
+    table, value = _game(case_exprs["I"], ctx)
+    yield (
         "case I: winning table",
         table.entries == tables.REF_WINNING_TABLE_I,
         f"{len(table.entries)} settings pairs, "
         f"uniform triple structure: {table.has_uniform_triple_structure()}",
     )
-    value = game_values(expr_i, ctx)
     bound = Fraction(tables.REF_CLASSICAL_BOUND["I"], N_SETTINGS ** 2)
-    ok = value.classical == bound and abs(value.quantum - tables.REF_QUANTUM_WIN_I) <= 1e-4
-    check(
+    yield (
         "case I: game values",
-        ok,
+        value.classical == bound and abs(value.quantum - tables.REF_QUANTUM_WIN_I) <= 1e-4,
         f"classical {value.classical} = {float(value.classical):.4f}, "
         f"quantum {value.quantum:.5f} vs reference {tables.REF_QUANTUM_WIN_I:.4f} (tol 1e-4)",
     )
 
-    passed = sum(results)
-    echo(f"{passed}/{len(results)} checks passed")
-    return passed == len(results)
+
+def run_verification(echo=print):
+    """Recompute every bundled reference quantity; echo one line per check as it finishes.
+
+    Returns True when every check passed.
+    """
+    record = []
+    for name, passed, detail in _checks():
+        record.append((name, passed, detail))
+        echo(f"{'ok  ' if passed else 'FAIL'} {name}" + (f" ({detail})" if detail else ""))
+    passed = sum(ok for _, ok, _ in record)
+    echo(f"{passed}/{len(record)} checks passed")
+    return passed == len(record)
 
 
 def _cmd_verify(args):
-    ok = run_verification()
-    return 0 if ok else 1
+    return 0 if run_verification() else 1
 
 
 # ---------------------------------------------------------------------------
 # analyze / game
 # ---------------------------------------------------------------------------
 
+_Game = namedtuple("_Game", "table value")  # the game part of a record
+_Analysis = namedtuple("_Analysis", "pairs spectrum game cmax histogram")  # analyze's record
+
+
+def _game(expr, ctx):
+    return _Game(winning_table(expr), game_values(expr, ctx))
+
+
 def _analysis(pairs, expr, with_histogram):
     ctx = standard_context()
     spectrum = max_eigenvalue_sum(pairs, ctx)
-    table = winning_table(expr)
-    value = game_values(expr, ctx)
-    cmax = int(value.classical * N_SETTINGS ** 2)
+    game = _game(expr, ctx)
     hist = classical_histogram(expr) if with_histogram else None
-    return spectrum, cmax, table, value, hist
-
-
-def _analysis_report(pairs, spectrum, cmax, table, value, hist):
-    denom = N_SETTINGS ** 2
-    report = {
-        "pairs": [format_pair(p) for p in pairs],
-        "quantum": spectrum.as_dict(),
-        "classical": {"max_coefficient": cmax},
-        "game": {
-            "classical": f"{cmax}/{denom}",
-            "classical_value": cmax / denom,
-            "quantum_value": value.quantum,
-        },
-        "winning_table": table.as_dict(),
-        "violation": {
-            "violated": value.violation,
-            "gap": spectrum.lambda_max - cmax,
-        },
-    }
-    if hist is not None:
-        report["classical"]["histogram"] = hist.as_dict()
-    return report
+    return _Analysis(pairs, spectrum, game, int(game.value.classical * N_SETTINGS ** 2), hist)
 
 
 def _zero_snap(x):
-    return 0.0 if abs(x) < 1e-9 else x
+    return 0.0 if abs(x) < GAP_TOL else x
 
 
-def _render_analysis_text(pairs, spectrum, cmax, table, value, hist):
-    print("pairs: " + ", ".join(format_pair(p) for p in pairs))
-    print("")
-    print("per-orbit eigenvalues (" + ", ".join(tables.COMPONENT_ORDER) + "):")
-    for pair, row in zip(pairs, spectrum.per_pair):
-        cells = "  ".join(f"{_zero_snap(val):5.2f}" for val in row)
-        print(f"  {format_pair(pair)}   {cells}")
-    sums = "  ".join(f"{_zero_snap(val):5.2f}" for val in spectrum.component_sums)
-    print(f"  component sums    {sums}")
-    print(f"quantum bound: lambda_max = {spectrum.lambda_max:.2f}")
-    print(f"classical bound: max coefficient = {cmax}")
-    print("")
+def _render_json(record):
+    (table, value), cmax, denom = record.game, record.cmax, N_SETTINGS ** 2
+    report = {
+        "pairs": [format_pair(p) for p in record.pairs],
+        "quantum": record.spectrum.as_dict(),
+        "classical": {"max_coefficient": cmax},
+        "game": {"classical": f"{cmax}/{denom}", "classical_value": cmax / denom,
+                 "quantum_value": value.quantum},
+        "winning_table": table.as_dict(),
+        "violation": {"violated": value.violation, "gap": value.gap},
+    }
+    if record.histogram is not None:
+        report["classical"]["histogram"] = record.histogram.as_dict()
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def _render_text(record):
+    spectrum, (table, value), cmax = record.spectrum, record.game, record.cmax
     denom = N_SETTINGS ** 2
-    print(f"game value, classical: {cmax}/{denom} = {cmax / denom:.4f}")
-    print(f"game value, quantum:   lambda_max/{denom} = {value.quantum:.4f}")
-    if value.violation:
-        print(f"violation: yes (gap {spectrum.lambda_max - cmax:.2f})")
-    else:
-        print("violation: no")
-    print("")
-    print(table.render_text())
-    if hist is not None:
-        print("coefficient histogram (c: configurations):")
-        top = max(20, hist.c_max)
-        for c in range(0, top + 1):
-            print(f"  {c:3d}  {hist.counts.get(c, 0):>10d}")
+
+    def cells(row):
+        return "  ".join(f"{_zero_snap(val):5.2f}" for val in row)
+
+    lines = [
+        "pairs: " + ", ".join(format_pair(p) for p in record.pairs),
+        "",
+        "per-orbit eigenvalues (" + ", ".join(tables.COMPONENT_ORDER) + "):",
+        *(f"  {format_pair(p)}   {cells(row)}" for p, row in zip(record.pairs, spectrum.per_pair)),
+        f"  component sums    {cells(spectrum.component_sums)}",
+        f"quantum bound: lambda_max = {spectrum.lambda_max:.2f}",
+        f"classical bound: max coefficient = {cmax}",
+        "",
+        f"game value, classical: {cmax}/{denom} = {cmax / denom:.4f}",
+        f"game value, quantum:   lambda_max/{denom} = {value.quantum:.4f}",
+        f"violation: yes (gap {value.gap:.2f})" if value.violation else "violation: no",
+        "",
+        table.render_text(),
+    ]
+    if record.histogram is not None:
+        counts = record.histogram.counts
+        lines.append("coefficient histogram (c: configurations):")
+        lines += [f"  {c:3d}  {counts.get(c, 0):>10d}"
+                  for c in range(max(20, record.histogram.c_max) + 1)]
+    return "\n".join(lines) + "\n"
 
 
-def _spectrum_csv(pairs, spectrum):
+def _render_csv(record):
+    if record.histogram is not None:
+        return histogram_csv(record.histogram)
     lines = ["pair,component,dim,eigenvalue"]
-    for pair, row in zip(pairs, spectrum.per_pair):
+    for pair, row in zip(record.pairs, record.spectrum.per_pair):
         for label, value in zip(tables.COMPONENT_ORDER, row):
             dim = tables.COMPONENT_DIMS[label]
             # float(): numpy 2 writes the repr of its scalars as np.float64(...)
@@ -332,30 +324,24 @@ def _spectrum_csv(pairs, spectrum):
     return "\n".join(lines) + "\n"
 
 
+def _render_game(game):
+    table, value = game
+    return (f"{table.render_text()}"
+            f"classical value: {value.classical} = {float(value.classical):.4f}\n"
+            f"quantum value:   {value.quantum:.4f}\n"
+            f"violation: {'yes' if value.violation else 'no'}\n")
+
+
 def _cmd_analyze(args):
     pairs, expr = _expression(args.pairs)
-    spectrum, cmax, table, value, hist = _analysis(pairs, expr, args.histogram)
-    if args.json:
-        report = _analysis_report(pairs, spectrum, cmax, table, value, hist)
-        print(json.dumps(report, sort_keys=True, indent=2))
-    elif args.csv:
-        if hist is not None:
-            sys.stdout.write(histogram_csv(hist))
-        else:
-            sys.stdout.write(_spectrum_csv(pairs, spectrum))
-    else:
-        _render_analysis_text(pairs, spectrum, cmax, table, value, hist)
+    render = _render_json if args.json else _render_csv if args.csv else _render_text
+    sys.stdout.write(render(_analysis(pairs, expr, args.histogram)))
     return 0
 
 
 def _cmd_game(args):
     _, expr = _expression(args.pairs)
-    table = winning_table(expr)
-    value = game_values(expr, standard_context())
-    print(table.render_text(), end="")
-    print(f"classical value: {value.classical} = {float(value.classical):.4f}")
-    print(f"quantum value:   {value.quantum:.4f}")
-    print(f"violation: {'yes' if value.violation else 'no'}")
+    sys.stdout.write(_render_game(_game(expr, standard_context())))
     return 0
 
 

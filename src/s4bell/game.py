@@ -13,7 +13,7 @@ measurements reaches 18.26 / 64 against 16.09 / 64.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classical import BellExpression, _expansion, classical_max
+from .classical import GAP_TOL, BellExpression, _expansion, classical_max
 from .context import Context
 from .orbit import N_SETTINGS, all_labels
 from .quantum import max_eigenvalue_sum
@@ -75,9 +75,14 @@ class GameValue:
     quantum: float
 
     @property
+    def gap(self):
+        """lambda_max - classical maximum: both values times 64, which is exact."""
+        return self.quantum * N_SETTINGS ** 2 - float(self.classical * N_SETTINGS ** 2)
+
+    @property
     def violation(self):
-        # Strict beyond rounding noise; equal-bound games are not violations.
-        return self.quantum > float(self.classical) + 1e-9
+        # Strict beyond rounding noise (GAP_TOL); equal-bound games are not violations.
+        return self.gap > GAP_TOL
 
 
 def game_values(expr: BellExpression, ctx: Context) -> GameValue:

@@ -164,6 +164,11 @@ class PairModel:
             self.operators[alice, bob] = build_x_operator(phi, psi, self._product)
         return self.operators[alice, bob]
 
+    def check_classes(self, index=...):
+        """RuntimeError unless `distance[index]` (every pair's by default) is within 1e-12."""
+        if not (self.distance[index] <= 1e-12).all():
+            raise RuntimeError("a pair's eigenvalues are not its class's: not S4-invariant")
+
 
 def max_eigenvalue_sum(pairs, ctx: Context) -> SumSpectrum:
     """Sum the pair model's operators for labeled orbit pairs and diagonalize.
@@ -190,8 +195,7 @@ def max_eigenvalue_sum(pairs, ctx: Context) -> SumSpectrum:
         k = int(np.argmax(missing))
         label, value = tables.COMPONENT_ORDER[k], sums[k]
         raise RuntimeError(f"componentwise sum for {label} ({value:.9f}) missing from spectrum")
-    if not (model.distance[alice, bob] <= 1e-12).all():
-        raise RuntimeError("a pair's eigenvalues are not its class's: not S4-invariant")
+    model.check_classes((alice, bob))
     return SumSpectrum(
         lambda_max=float(values[0]),
         eigenvector=vectors[:, 0].copy(),

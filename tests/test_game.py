@@ -94,6 +94,16 @@ def test_violation_flag_tolerance():
     assert not value.violation
 
 
+def test_violation_is_the_gap_above_the_lambda_scale_tolerance(ctx, case_data):
+    # 5e-9 above the classical maximum on the lambda scale: a violation under the one rule,
+    # though only 7.8e-11 above it on the probability scale.
+    value = GameValue(Fraction(16, 64), (16 + 5e-9) / 64)
+    assert value.violation
+    assert value.gap == pytest.approx(5e-9, rel=1e-6)
+    pairs, expr, _ = case_data["I"]
+    assert game_values(expr, ctx).gap == max_eigenvalue_sum(pairs, ctx).lambda_max - 16
+
+
 def test_render_text_matches_reference_rows(case_data):
     _, _, table = case_data["I"]
     text = table.render_text()
