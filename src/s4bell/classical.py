@@ -231,7 +231,7 @@ def _row_maxima(m):
 
 
 def _histogram_counts(n_terms, rows, weights, m, maxima):
-    """Configurations per coefficient, over the Alice tuples `rows`.
+    """Configurations per coefficient over the Alice tuples `rows`, and the top coefficient.
 
     `m` and `maxima` are the rows' tables and row maxima of an expression of
     `n_terms` terms.  Meets in the middle: P[u, i] and Q[v, i] count Bob's
@@ -264,7 +264,7 @@ def _histogram_counts(n_terms, rows, weights, m, maxima):
         raise RuntimeError(
             f"separable maximum {fast_max} disagrees with histogram {hist_max}"
         )
-    return counts
+    return counts, hist_max
 
 
 def classical_max(expr: BellExpression) -> int:
@@ -283,12 +283,8 @@ def classical_histogram(expr: BellExpression) -> StrategyHistogram:
     For an invariant expression each S4-orbit representative's counts are
     weighted by its orbit size; the counts are integer-exact either way.
     """
-    counts = _histogram_counts(len(expr.index), *expr._scan)
-    return StrategyHistogram(
-        counts={c: int(counts[c]) for c in range(len(counts))},
-        c_max=int(np.flatnonzero(counts)[-1]),
-        n_terms=len(expr.index),
-    )
+    counts, c_max = _histogram_counts(len(expr.index), *expr._scan)
+    return StrategyHistogram(dict(enumerate(counts.tolist())), c_max, len(expr.index))
 
 
 def _codes(multisets):

@@ -12,11 +12,12 @@ Commands:
     orbits              print the labeled reference orbit
     game --pairs S      winning table and game values only
 
-Pair labels are written "x<outcome><basis>", so "x01" is outcome 0 of
-basis 1.  Human-readable output rounds eigenvalues to two decimals; JSON
-output keeps full precision and sorted keys so that re-serializing a
-parsed report is byte-identical.  `analyze`, `game` and `verify` each compute
-one unformatted record (`_analysis`, `_game`, `_checks`) that pure renderers
+Pair labels are written "x<outcome><basis>", so "x01" is outcome 0 of basis 1.
+Human-readable output rounds eigenvalues to two decimals.  JSON output keeps full
+precision and sorted keys, so re-serializing a parsed report is byte-identical:
+`_json_text` writes `json.dumps(sort_keys=True, indent=2)` byte for byte, in less time
+than json, which Python 3.11 indents only in pure Python.  `analyze`, `game` and `verify`
+each compute one unformatted record (`_analysis`, `_game`, `_checks`) that pure renderers
 turn into text, JSON or CSV.
 
 `scan` ranks multisets of Bob labels, so a spec it prints may repeat a
@@ -266,6 +267,35 @@ def _zero_snap(x):
     return 0.0 if abs(x) < GAP_TOL else x
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+_SPELLED = {True: "true", False: "false", None: "null", float("inf"): "Infinity",
+            float("-inf"): "-Infinity"}  # and NaN, which equals no key, as "NaN"
+
+
+def _json_text(value, indent="\n"):
+    """`json.dumps(value, sort_keys=True, indent=2)`, byte for byte, for str-keyed dicts, lists,
+    tuples, str, int, float, bool and None; TypeError for any other type.  Python 3.11's json
+    indents only in pure Python (its C encoder runs only when `indent` is None)."""
+    kind = type(value)
+    if kind is str:
+        return _ESCAPE(value)
+    if kind is float:  # finite when value - value is 0
+        return float.__repr__(value) if value - value == 0.0 else _SPELLED.get(value, "NaN")
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool or value is None:
+        return _SPELLED[value]
+    if kind is not dict and kind is not list and kind is not tuple:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if not value:
+        return "{}" if kind is dict else "[]"
+    inner = indent + "  "
+    if kind is dict:
+        items = [_ESCAPE(k) + ": " + _json_text(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in value]) + indent + "]"
+
+
 def _render_json(record):
     (table, value), cmax, denom = record.game, record.cmax, N_SETTINGS ** 2
     report = {
@@ -279,22 +309,22 @@ def _render_json(record):
     }
     if record.histogram is not None:
         report["classical"]["histogram"] = record.histogram.as_dict()
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return _json_text(report) + "\n"
 
 
 def _render_text(record):
     spectrum, (table, value), cmax = record.spectrum, record.game, record.cmax
-    denom = N_SETTINGS ** 2
+    denom, rows = N_SETTINGS ** 2, spectrum.per_pair.tolist()
 
     def cells(row):
-        return "  ".join(f"{_zero_snap(val):5.2f}" for val in row)
+        return "  ".join([f"{_zero_snap(val):5.2f}" for val in row])
 
     lines = [
-        "pairs: " + ", ".join(format_pair(p) for p in record.pairs),
+        "pairs: " + ", ".join([format_pair(p) for p in record.pairs]),
         "",
         "per-orbit eigenvalues (" + ", ".join(tables.COMPONENT_ORDER) + "):",
-        *(f"  {format_pair(p)}   {cells(row)}" for p, row in zip(record.pairs, spectrum.per_pair)),
-        f"  component sums    {cells(spectrum.component_sums)}",
+        *[f"  {format_pair(p)}   {cells(row)}" for p, row in zip(record.pairs, rows)],
+        f"  component sums    {cells(spectrum.component_sums.tolist())}",
         f"quantum bound: lambda_max = {spectrum.lambda_max:.2f}",
         f"classical bound: max coefficient = {cmax}",
         "",
@@ -315,12 +345,12 @@ def _render_text(record):
 def _render_csv(record):
     if record.histogram is not None:
         return histogram_csv(record.histogram)
-    lines = ["pair,component,dim,eigenvalue"]
-    for pair, row in zip(record.pairs, record.spectrum.per_pair):
-        for label, value in zip(tables.COMPONENT_ORDER, row):
-            dim = tables.COMPONENT_DIMS[label]
-            # float(): numpy 2 writes the repr of its scalars as np.float64(...)
-            lines.append(f"{format_pair(pair)},{label},{dim},{float(value)!r}")
+    lines, dims = ["pair,component,dim,eigenvalue"], tables.COMPONENT_DIMS
+    # tolist(): Python floats, as numpy 2 writes the repr of its scalars as np.float64(...)
+    for pair, row in zip(record.pairs, record.spectrum.per_pair.tolist()):
+        name = format_pair(pair)
+        lines += [f"{name},{label},{dims[label]},{value!r}"
+                  for label, value in zip(tables.COMPONENT_ORDER, row)]
     return "\n".join(lines) + "\n"
 
 

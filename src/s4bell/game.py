@@ -12,10 +12,11 @@ measurements reaches 18.26 / 64 against 16.09 / 64.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 from .classical import GAP_TOL, BellExpression, _expansion, classical_max
 from .context import Context
-from .orbit import N_SETTINGS, all_labels
+from .orbit import N_OUTCOMES, N_SETTINGS, all_labels
 from .quantum import max_eigenvalue_sum
 
 __all__ = [
@@ -42,19 +43,23 @@ class WinningTable:
                 return False
         return True
 
+    def _rows(self):
+        """((s, t), ("ab", ...)) per settings pair, pairs and answers sorted, not as inserted."""
+        return [(key, _cell(self.entries[key])) for key in sorted(self.entries)]
+
     def render_text(self):
         """Compact rows "st  ab ab ab", sorted by (s, t)."""
-        lines = ["s,t  winning a,b"]
-        for (s, t) in sorted(self.entries):
-            cell = " ".join(f"{a}{b}" for a, b in sorted(self.entries[(s, t)]))
-            lines.append(f"{s}{t}   {cell}")
-        return "\n".join(lines) + "\n"
+        rows = [f"{s}{t}   {' '.join(cell)}\n" for (s, t), cell in self._rows()]
+        return "s,t  winning a,b\n" + "".join(rows)
 
     def as_dict(self):
-        return {
-            f"{s},{t}": sorted(f"{a}{b}" for a, b in pairs)
-            for (s, t), pairs in self.entries.items()
-        }
+        return {f"{s},{t}": list(cell) for (s, t), cell in self._rows()}
+
+
+@lru_cache(maxsize=2 ** (N_OUTCOMES ** 2))  # room for every set of answers (a, b)
+def _cell(answers):
+    """One settings pair's frozenset of answers (a, b) as sorted "ab" texts."""
+    return tuple([f"{a}{b}" for a, b in sorted(answers)])
 
 
 def winning_table(expr: BellExpression) -> WinningTable:
@@ -74,7 +79,7 @@ class GameValue:
     classical: Fraction
     quantum: float
 
-    @property
+    @cached_property
     def gap(self):
         """lambda_max - classical maximum: both values times 64, which is exact."""
         return self.quantum * N_SETTINGS ** 2 - float(self.classical * N_SETTINGS ** 2)

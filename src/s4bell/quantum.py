@@ -126,17 +126,14 @@ class SumSpectrum:
     component_sums: np.ndarray  # (4,) column sums of per_pair
 
     def as_dict(self):
-        labels = tables.COMPONENT_ORDER
+        labels, dims = tables.COMPONENT_ORDER, tables.COMPONENT_DIMS
         return {
             "lambda_max": self.lambda_max,
-            "eigenvector": [float(x) for x in self.eigenvector],
-            "spectrum": [float(x) for x in self.spectrum],
-            "component_sums": {k: float(v) for k, v in zip(labels, self.component_sums)},
-            "per_pair": [
-                [{"label": lab, "dim": tables.COMPONENT_DIMS[lab], "eigenvalue": float(val)}
-                 for lab, val in zip(labels, row)]
-                for row in self.per_pair
-            ],
+            "eigenvector": self.eigenvector.tolist(),
+            "spectrum": self.spectrum.tolist(),
+            "component_sums": dict(zip(labels, self.component_sums.tolist())),
+            "per_pair": [[{"label": lab, "dim": dims[lab], "eigenvalue": val}
+                          for lab, val in zip(labels, row)] for row in self.per_pair.tolist()],
         }
 
 

@@ -145,7 +145,7 @@ def _max_coefficient(table, rows):
 def histogram_counts(table, rows, weights):
     """`_histogram_counts` of a table over the Alice tuples `rows`, from fresh tables M."""
     m = _per_alice_tables(table, rows)
-    return _histogram_counts(int(table.sum()), rows, weights, m, _row_maxima(m))
+    return _histogram_counts(int(table.sum()), rows, weights, m, _row_maxima(m))[0]
 
 
 def full_counts(expr):

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from compare_cli import LABELS, check, run
@@ -210,6 +210,37 @@ def test_analyze_json_roundtrip():
     assert histogram == classical.classical_histogram(expr).as_dict()
     counts = [histogram["counts"][str(c)] for c in range(1, 21)]
     assert counts == list(tables.REF_COEFFICIENT_COUNTS["I"])
+
+
+# Keys and strings with non-ASCII characters (one outside the BMP), quotes, backslashes and
+# control characters; scalars with ints beyond 2**64 and the float edge cases json spells.
+_TEXTS = st.text(st.sampled_from(["a", "\u00e9", "\u2603", "\U0001f600", '"', "\\", "\x00",
+                                  "\n", "\x1f", "\x7f", "/"]), max_size=4)
+_SCALARS = (st.none() | st.booleans() | _TEXTS | st.floats()
+            | st.integers(-2 ** 70, 2 ** 70) | st.sampled_from([2 ** 64, -2 ** 64 - 1])
+            | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e308]))
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(_TEXTS, inner, max_size=3)),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_VALUES)
+@example({"\u00e9\"\\\x01": [{"b": ([], {}, [[{"deep": (2 ** 65, -7)}]])}],
+          "f": [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e308, 0.1],
+          "s": [True, False, None, "", "\U0001f600"]})
+def test_json_writer_is_json_dumps(value):
+    # `--json`'s writer is the stdlib's indent-2 encoder, byte for byte.
+    assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [{1: "int key"}, {1, 2}, np.float64(1.5), [b"bytes"]])
+def test_json_writer_rejects_what_it_does_not_write(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
 
 
 def test_analyze_case1_component_layout():

@@ -3,8 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from compare_cli import COMMANDS
 from s4bell.classical import BellExpression, bell_terms, classical_max, coefficient
-from s4bell.game import GameValue, game_values, winning_table
+from s4bell.cli import parse_pair_spec
+from s4bell.game import GameValue, WinningTable, game_values, winning_table
 from s4bell.quantum import max_eigenvalue_sum
 
 
@@ -110,6 +112,35 @@ def test_render_text_matches_reference_rows(case_data):
     assert "14   01 10 22" in text
     assert "86   00 11 22" in text
     assert text.splitlines()[0] == "s,t  winning a,b"
+
+
+def _pinned_tables(orbit):
+    """The winning table of every `analyze` and `game` spec of the CLI contract that expands."""
+    specs = {argv[argv.index("--pairs") + 1] for argv in COMMANDS if argv[0] in ("analyze", "game")}
+    out = {}
+    for spec in sorted(specs):
+        try:
+            out[spec] = winning_table(bell_terms(parse_pair_spec(spec), orbit))
+        except ValueError:  # the contract's rejected specs
+            continue
+    return out
+
+
+def test_text_rows_and_dict_items_are_one_sorted_view(orbit, case_data):
+    pinned = _pinned_tables(orbit)
+    assert len(pinned) == 8
+    entries = case_data["I"][2].entries
+    pinned["case I, inserted in reverse"] = WinningTable(
+        {key: entries[key] for key in sorted(entries, reverse=True)})
+    for name, table in pinned.items():
+        expected = [(f"{s}{t}", [f"{a}{b}" for a, b in sorted(table.entries[s, t])])
+                    for s, t in sorted(table.entries)]
+        text = table.render_text().splitlines()
+        rows = [(st, answers) for st, *answers in (line.split() for line in text[1:])]
+        items = [(key.replace(",", ""), answers) for key, answers in table.as_dict().items()]
+        assert text[0] == "s,t  winning a,b", name
+        assert rows == expected, name
+        assert items == expected, name
 
 
 def test_table_json_keys(case_data):
