@@ -12,11 +12,11 @@ measurements reaches 18.26 / 64 against 16.09 / 64.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .classical import GAP_TOL, BellExpression, _expansion, classical_max
 from .context import Context
-from .orbit import N_OUTCOMES, N_SETTINGS, all_labels
+from .orbit import N_OUTCOMES, N_SETTINGS
 from .quantum import max_eigenvalue_sum
 
 __all__ = [
@@ -29,46 +29,42 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class WinningTable:
-    """Winning answer pairs per settings pair (s, t)."""
+    """Winning answer pairs per settings pair (s, t), as the rows the renderers print."""
 
-    entries: dict  # (s, t) -> frozenset of (a, b)
+    rows: tuple  # ((s, t), ("ab", ...)) per settings pair, pairs and answers sorted
+
+    @cached_property
+    def entries(self):
+        """(s, t) -> frozenset of answer pairs (a, b)."""
+        return {key: frozenset((int(a), int(b)) for a, b in cell) for key, cell in self.rows}
 
     def has_uniform_triple_structure(self):
         """True when every nonempty entry holds exactly three answer pairs
         with pairwise distinct a values and pairwise distinct b values."""
-        for pairs in self.entries.values():
-            if len(pairs) != 3:
-                return False
-            if len({a for a, _ in pairs}) != 3 or len({b for _, b in pairs}) != 3:
-                return False
-        return True
-
-    def _rows(self):
-        """((s, t), ("ab", ...)) per settings pair, pairs and answers sorted, not as inserted."""
-        return [(key, _cell(self.entries[key])) for key in sorted(self.entries)]
+        return all(len(cell) == len({a for a, _ in cell}) == len({b for _, b in cell}) == 3
+                   for _, cell in self.rows)
 
     def render_text(self):
         """Compact rows "st  ab ab ab", sorted by (s, t)."""
-        rows = [f"{s}{t}   {' '.join(cell)}\n" for (s, t), cell in self._rows()]
+        rows = [f"{s}{t}   {' '.join(cell)}\n" for (s, t), cell in self.rows]
         return "s,t  winning a,b\n" + "".join(rows)
 
     def as_dict(self):
-        return {f"{s},{t}": list(cell) for (s, t), cell in self._rows()}
+        return {f"{s},{t}": list(cell) for (s, t), cell in self.rows}
 
 
-@lru_cache(maxsize=2 ** (N_OUTCOMES ** 2))  # room for every set of answers (a, b)
-def _cell(answers):
-    """One settings pair's frozenset of answers (a, b) as sorted "ab" texts."""
-    return tuple([f"{a}{b}" for a, b in sorted(answers)])
+_ANSWERS = tuple(f"{a}{b}" for a in range(N_OUTCOMES) for b in range(N_OUTCOMES))  # at 3 a + b
 
 
 def winning_table(expr: BellExpression) -> WinningTable:
-    """Group the expression's terms by settings pair."""
-    entries, labels = {}, all_labels()
-    for i in expr.index:  # 24 k + m, for the rows k of Alice's label and m of Bob's
-        (s, a), (t, b) = labels[i // 24], labels[i % 24]
-        entries.setdefault((s, t), set()).add((a, b))
-    return WinningTable({key: frozenset(value) for key, value in entries.items()})
+    """Group the expression's terms by settings pair, in one pass over the sorted terms."""
+    # Term 24 k + m joins Alice's label row k = 3 (s - 1) + a and Bob's m = 3 (t - 1) + b, so
+    # ascending terms run in (s, a, t, b) order and each settings pair's answers come sorted.
+    cells = {}
+    for i in sorted(expr.index):
+        answer = _ANSWERS[i // 24 % 3 * 3 + i % 3]
+        cells.setdefault((i // 72 + 1, i % 24 // 3 + 1), []).append(answer)
+    return WinningTable(tuple((key, tuple(cells[key])) for key in sorted(cells)))
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from compare_cli import COMMANDS
 from s4bell.classical import BellExpression, bell_terms, classical_max, coefficient
 from s4bell.cli import parse_pair_spec
-from s4bell.game import GameValue, WinningTable, game_values, winning_table
+from s4bell.game import GameValue, game_values, winning_table
+from s4bell.orbit import OrbitPair
 from s4bell.quantum import max_eigenvalue_sum
 
 
@@ -114,33 +117,64 @@ def test_render_text_matches_reference_rows(case_data):
     assert text.splitlines()[0] == "s,t  winning a,b"
 
 
-def _pinned_tables(orbit):
-    """The winning table of every `analyze` and `game` spec of the CLI contract that expands."""
+def _pinned_expressions(orbit):
+    """The expression of every `analyze` and `game` spec of the CLI contract that expands."""
     specs = {argv[argv.index("--pairs") + 1] for argv in COMMANDS if argv[0] in ("analyze", "game")}
     out = {}
     for spec in sorted(specs):
         try:
-            out[spec] = winning_table(bell_terms(parse_pair_spec(spec), orbit))
+            out[spec] = bell_terms(parse_pair_spec(spec), orbit)
         except ValueError:  # the contract's rejected specs
             continue
     return out
 
 
-def test_text_rows_and_dict_items_are_one_sorted_view(orbit, case_data):
-    pinned = _pinned_tables(orbit)
+def _assert_one_sorted_view(expr, table):
+    """`rows` are the terms grouped by settings pair, pairs and answers sorted; `entries`
+    gives back each pair's answers; `render_text` and `as_dict` list `rows` in order."""
+    grouped = {}
+    for s, a, t, b in expr.terms:
+        grouped.setdefault((s, t), set()).add((a, b))
+    expected = tuple(((s, t), tuple(f"{a}{b}" for a, b in sorted(grouped[s, t])))
+                     for s, t in sorted(grouped))
+    assert table.rows == expected
+    assert table.entries == {key: frozenset(answers) for key, answers in grouped.items()}
+    text = table.render_text().splitlines()
+    assert text[0] == "s,t  winning a,b"
+    assert [line.split() for line in text[1:]] == [[f"{s}{t}", *cell] for (s, t), cell in expected]
+    assert list(table.as_dict().items()) == [(f"{s},{t}", list(cell)) for (s, t), cell in expected]
+
+
+def test_text_rows_and_dict_items_are_one_sorted_view(orbit):
+    pinned = _pinned_expressions(orbit)
     assert len(pinned) == 8
-    entries = case_data["I"][2].entries
-    pinned["case I, inserted in reverse"] = WinningTable(
-        {key: entries[key] for key in sorted(entries, reverse=True)})
-    for name, table in pinned.items():
-        expected = [(f"{s}{t}", [f"{a}{b}" for a, b in sorted(table.entries[s, t])])
-                    for s, t in sorted(table.entries)]
-        text = table.render_text().splitlines()
-        rows = [(st, answers) for st, *answers in (line.split() for line in text[1:])]
-        items = [(key.replace(",", ""), answers) for key, answers in table.as_dict().items()]
-        assert text[0] == "s,t  winning a,b", name
-        assert rows == expected, name
-        assert items == expected, name
+    for expr in pinned.values():
+        _assert_one_sorted_view(expr, winning_table(expr))
+
+
+_LABELS = st.tuples(st.integers(1, 8), st.integers(0, 2))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.builds(OrbitPair, _LABELS, _LABELS), min_size=1, max_size=3, unique=True))
+def test_rows_are_the_sorted_grouping_of_the_terms(orbit, pairs):
+    try:
+        expr = bell_terms(pairs, orbit)
+    except ValueError:  # two of the pairs expand into the same terms
+        reject()
+    _assert_one_sorted_view(expr, winning_table(expr))
+
+
+def test_uniform_triple_structure_needs_three_distinct_a_and_b_per_cell(orbit):
+    single = winning_table(bell_terms([OrbitPair((1, 0), (4, 1))], orbit))
+    assert {len(cell) for _, cell in single.rows} == {1}
+    assert not single.has_uniform_triple_structure()
+    repeated_a = BellExpression([(1, 0, 2, 0), (1, 0, 2, 1), (1, 1, 2, 2)])
+    repeated_b = BellExpression([(1, 0, 2, 0), (1, 1, 2, 0), (1, 2, 2, 1)])
+    for expr in (repeated_a, repeated_b):
+        assert winning_table(expr).rows == (((1, 2), tuple(f"{a}{b}" for _, a, _, b in expr.terms)),)
+        assert not winning_table(expr).has_uniform_triple_structure()
+    assert winning_table(BellExpression([])).has_uniform_triple_structure()
 
 
 def test_table_json_keys(case_data):

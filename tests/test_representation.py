@@ -257,8 +257,8 @@ def test_projection_norm_is_basis_free(projectors, rng):
 
 def test_array_holders_hash_and_compare_by_identity(ctx, case_pairs):
     # Representation, Orbit, Context and SumSpectrum hold arrays, and
-    # WinningTable and StrategyHistogram hold dicts, so they compare and
-    # hash by identity rather than field by field.
+    # WinningTable caches a dict and StrategyHistogram holds one, so they
+    # compare and hash by identity rather than field by field.
     assert hash(standard_context()) == hash(ctx)
     spectrum = max_eigenvalue_sum(case_pairs["I"], ctx)
     expr = bell_terms(case_pairs["I"], ctx.orbit)
