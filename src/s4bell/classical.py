@@ -35,7 +35,7 @@ standard context's `class_tables`, each built on first use.
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -60,6 +60,7 @@ __all__ = [
 # 1-3 orbits, a zero gap carries at most 7.1e-15 of rounding noise (a step between equal gaps
 # 5.3e-15); the smallest positive gap is 0.0084 and the smallest real step 1.3e-5.
 GAP_TOL = 1e-9
+_ONES = np.ones(N_SETTINGS, dtype=np.int64)  # sums a row's per-setting maxima in `_row_maxima`
 
 
 class Term(NamedTuple):
@@ -115,7 +116,7 @@ class BellExpression:
         one tuple per S4 orbit, ascending, is scanned, and M is its classes' tables summed.
         Any other term set scans every tuple."""
         ctx = standard_context()
-        classes = set(np.take(ctx.orbit.class_of, self.index).tolist())  # flat [24 k + m]
+        classes = set(map(ctx.class_tables.flat_class_of.__getitem__, self.index))
         if len(self.index) == 24 * len(classes):  # distinct terms: at most 24 per class
             rows, weights = ctx.class_tables.alice_orbits
             m, maxima = ctx.class_tables.class_scan(list(classes))
@@ -221,13 +222,12 @@ def _per_alice_tables(table, rows):
 
 
 def _row_maxima(m):
-    """Per Alice row, the best coefficient over Bob's strategies.
+    """Per Alice row, the best coefficient over Bob's strategies, as int64.
 
-    Bob's best outcome per setting is taken as elementwise maxima of the
-    outcome slices, many times faster than a reduction along an axis of
-    length three.
+    The maximum of the three outcome slices, summed over the settings by one product with
+    int64 ones: on C-order and outcome-major tables alike, faster than short-axis reductions.
     """
-    return reduce(np.maximum, np.moveaxis(m, -1, 0)).sum(axis=-1)
+    return np.maximum(np.maximum(m[..., 0], m[..., 1]), m[..., 2]) @ _ONES
 
 
 def _histogram_counts(n_terms, rows, weights, m, maxima):
@@ -298,6 +298,10 @@ class _ClassTables:
 
     def __init__(self, ctx):
         self._ctx, self._multisets, self._violations = ctx, {}, {}
+
+    @cached_property
+    def flat_class_of(self):  # class_of[k, m] at term index 24 k + m, as Python ints
+        return self._ctx.orbit.class_of.ravel().tolist()
 
     @cached_property
     def alice_orbits(self):

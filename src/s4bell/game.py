@@ -12,11 +12,11 @@ measurements reaches 18.26 / 64 against 16.09 / 64.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .classical import GAP_TOL, BellExpression, _expansion, classical_max
 from .context import Context
-from .orbit import N_OUTCOMES, N_SETTINGS
+from .orbit import N_SETTINGS
 from .quantum import max_eigenvalue_sum
 
 __all__ = [
@@ -53,18 +53,25 @@ class WinningTable:
         return {f"{s},{t}": list(cell) for (s, t), cell in self.rows}
 
 
-_ANSWERS = tuple(f"{a}{b}" for a in range(N_OUTCOMES) for b in range(N_OUTCOMES))  # at 3 a + b
+@lru_cache(maxsize=1)
+def _lookup():
+    """Built on first use: per term 24 k + m (k = 3 (s - 1) + a, m = 3 (t - 1) + b), its cell
+    8 (s - 1) + t - 1 and bit 1 << (3 a + b); per cell its (s, t); per 9-bit mask its answers."""
+    cells = [i // 72 * N_SETTINGS + i % 24 // 3 for i in range(576)]
+    bits = [1 << (i // 24 % 3 * 3 + i % 3) for i in range(576)]
+    keys = [(s, t) for s in range(1, N_SETTINGS + 1) for t in range(1, N_SETTINGS + 1)]
+    texts = [f"{j // 3}{j % 3}" for j in range(9)]  # shared by every mask's answers
+    answers = [tuple(t for j, t in enumerate(texts) if mask >> j & 1) for mask in range(512)]
+    return cells, bits, keys, answers
 
 
 def winning_table(expr: BellExpression) -> WinningTable:
-    """Group the expression's terms by settings pair, in one pass over the sorted terms."""
-    # Term 24 k + m joins Alice's label row k = 3 (s - 1) + a and Bob's m = 3 (t - 1) + b, so
-    # ascending terms run in (s, a, t, b) order and each settings pair's answers come sorted.
-    cells = {}
-    for i in sorted(expr.index):
-        answer = _ANSWERS[i // 24 % 3 * 3 + i % 3]
-        cells.setdefault((i // 72 + 1, i % 24 // 3 + 1), []).append(answer)
-    return WinningTable(tuple((key, tuple(cells[key])) for key in sorted(cells)))
+    """Group the terms by settings pair, in one pass that ORs each answer bit into a cell mask."""
+    cells, bits, keys, answers = _lookup()
+    masks = [0] * len(keys)
+    for i in expr.index:
+        masks[cells[i]] |= bits[i]
+    return WinningTable(tuple([(key, answers[mask]) for key, mask in zip(keys, masks) if mask]))
 
 
 @dataclass(frozen=True)

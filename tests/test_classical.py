@@ -16,6 +16,7 @@ from s4bell.classical import (
     _codes,
     _histogram_counts,
     _per_alice_tables,
+    _profiles,
     _row_maxima,
     bell_terms,
     classical_histogram,
@@ -361,6 +362,28 @@ def test_per_alice_tables_match_the_gather_reference(orbit, case_exprs):
     )
 
 
+def brute_row_maxima(m):
+    """Reference: per row of tables M, the most any of Bob's 3**8 outcome tuples scores."""
+    return [int(row[np.arange(8), _profiles()].sum(axis=1).max()) for row in m]
+
+
+def test_row_maxima_is_bobs_best_tuple_on_both_layouts(ctx):
+    # A C-order (6561, 8, 3) table, as a non-invariant scan builds, and outcome-major sums
+    # of `class_m`, as `class_scan` builds; each row maximum is an int64.
+    table = np.zeros((8, 3, 8, 3), dtype=np.int16)
+    table.put(np.random.default_rng(46).choice(576, 200, replace=False), 1)
+    full = _per_alice_tables(table, ALL_ROWS)
+    assert full.shape == (3 ** 8, 8, 3) and full.flags.c_contiguous
+    sums = [ctx.class_tables.class_m[ids].sum(axis=0, dtype=np.int16)
+            for ids in ([4], [0, 9, 17], [2, 2, 2], [23, 1])]
+    assert not any(m.flags.c_contiguous for m in sums)
+    for m, rows in [(full, slice(None, None, 97)), *((m, slice(None)) for m in sums)]:
+        maxima = _row_maxima(m)
+        assert maxima.dtype == np.int64 and maxima.shape == m.shape[:1]
+        assert maxima[rows].tolist() == brute_row_maxima(m[rows])
+        assert np.array_equal(maxima, m.max(axis=2).sum(axis=1))
+
+
 @pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
 def test_invariance_needs_every_generator(ctx, pair):
     # The orbit of one term under two of the adjacent transpositions (1 2),
@@ -624,6 +647,7 @@ def test_replaced_context_has_its_own_class_tables(ctx):
     for got, want in zip(arrays(own), arrays(tables), strict=True):
         assert np.array_equal(got, want)
         assert not got.flags.writeable and not want.flags.writeable
+    assert own.flat_class_of == tables.flat_class_of == ctx.orbit.class_of.ravel().tolist()
 
 
 @pytest.mark.parametrize("size, count", [(1, 2), (2, 14), (3, 70)])

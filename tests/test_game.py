@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -148,7 +149,14 @@ def _assert_one_sorted_view(expr, table):
 def test_text_rows_and_dict_items_are_one_sorted_view(orbit):
     pinned = _pinned_expressions(orbit)
     assert len(pinned) == 8
-    for expr in pinned.values():
+    # Beyond the contract's specs: the empty expression, every term (64 settings pairs with
+    # all nine answers each) and a term set that is not S4-invariant, given out of order.
+    everything = BellExpression(itertools.product(range(1, 9), range(3), range(1, 9), range(3)))
+    order = np.random.default_rng(46).permutation(len(everything.terms))[:150]
+    shuffled = BellExpression([everything.terms[i] for i in order])
+    assert shuffled.index != tuple(sorted(shuffled.index))
+    assert len(winning_table(everything).rows) == 64
+    for expr in (*pinned.values(), BellExpression(()), everything, shuffled):
         _assert_one_sorted_view(expr, winning_table(expr))
 
 

@@ -312,13 +312,24 @@ def test_pair_model_equals_the_two_functions_on_every_pair(ctx):
     assert model.operator(labels[4], labels[7]) is model.operators[labels[4], labels[7]]
 
 
-def test_pair_model_distance_is_nan_for_a_nan_orbit_point(ctx):
+def test_pair_model_distance_is_nan_for_a_nan_orbit_point(ctx, case_pairs):
     k, points = all_labels().index((2, 0)), ctx.orbit.points.copy()
     points[k, 1] = np.nan
     broken = dataclasses.replace(ctx, orbit=dataclasses.replace(ctx.orbit, points=points))
     distance = broken.pair_model.distance
     assert np.isnan(distance[k]).all() and np.isnan(distance[:, k]).all()
     assert np.isnan(broken.pair_model.eigenvalues[k]).all()
+    # Only the pairs on label k are off their class row: a check of one of them raises, a
+    # spec away from k (case I) sums as on the standard context, and the class tables,
+    # which need every pair, refuse to build.
+    for index in (((k,), (5,)), ((0, 5), (7, k)), ((k,), (k,))):
+        with pytest.raises(RuntimeError, match="eigenvalues are not its class's"):
+            broken.pair_model.check_classes(index)
+    broken.pair_model.check_classes(((0, 5, 23), (7, 9, 0)))
+    spectrum = max_eigenvalue_sum(case_pairs["I"], broken)
+    assert spectrum.lambda_max == max_eigenvalue_sum(case_pairs["I"], ctx).lambda_max
+    with pytest.raises(RuntimeError, match="eigenvalues are not its class's"):
+        broken.class_tables.class_m
 
 
 def test_sum_rejects_a_pair_off_its_class_row(ctx, case_pairs):
