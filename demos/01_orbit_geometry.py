@@ -52,7 +52,7 @@ partners = (np.abs(orbit.points @ orbit.points.T) < 1e-9).sum(axis=1)
 print(f"  seed {orbit.seed}, orthogonal partners per vector {set(partners.tolist())} (unique)")
 for i in range(1, 9):
     frame = np.array([orbit.coords(i, a) for a in range(3)])
-    gram_err = np.abs(frame @ frame.T - np.eye(3)).max()
+    gram_err = np.abs(np.einsum("ij,kj->ik", frame, frame) - np.eye(3)).max()
     elements = ", ".join(
         cycle_string(group[orbit.element_of(i, a)]) for a in range(3)
     )

@@ -345,7 +345,7 @@ class _ClassTables:
 
     def class_scan(self, ids):
         """The summed tables M of pair classes `ids` on the `alice_orbits` rows, and row maxima."""
-        m = self.class_m[ids].sum(axis=0, dtype=np.int16)
+        m = sum(self.class_m[c] for c in ids) if len(ids) else np.zeros_like(self.class_m[0])
         return m, _row_maxima(m)
 
     @cached_property

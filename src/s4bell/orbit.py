@@ -199,7 +199,7 @@ def _close(points, x):
 def _distinct_images(rep: Representation, seed):
     """(points, element indices) of the distinct images of `seed` (within
     MATCH_TOL), in group-element order; the first occurrence wins."""
-    images = np.array([m @ seed for m in rep.matrices])
+    images = np.einsum("gij,j->gi", rep.matrices, seed)  # no BLAS: the same bits on any kernel
     first = np.flatnonzero(~np.tril(_close(images[:, None], images), -1).any(axis=1))
     return images[first], first
 

@@ -18,8 +18,9 @@ S4 pair classes (the orbit's `class_of`), which each pair of a class
 shares, and each pair's operator, made on first read.  A sum of pair
 operators, each sum_s lambda_s P_s over the same four projectors, has the
 componentwise sums as eigenvalues; `scan` ranks by the largest.
-`max_eigenvalue_sum` (analyze, game, verify) diagonalizes the summed matrix
-instead and checks that every componentwise sum appears in its spectrum.
+`max_eigenvalue_sum` (analyze, game, verify) prints those sums and, as
+eigenvector, P_top's first column of largest norm (within EPS), normalized with
+its largest entry positive, P_top summing the projectors attaining lambda_max.
 """
 
 from dataclasses import dataclass
@@ -44,10 +45,13 @@ __all__ = [
 # Tolerance for agreement between independently computed eigenvalues.
 EIG_TOL = 1e-6
 # Largest `PairModel.distance` of a pair from its class row: at most 7.1e-15 on the standard
-# context, and about 5e-7 for a pair whose orbit point is moved by 1e-7.
+# context, and about 5e-7 for a pair whose orbit point is moved by 1e-7.  Also the distance
+# within which a component sum attains lambda_max: over all class multisets of 1-4 orbits,
+# equal sums differ by at most 9.8e-15 and unequal ones by at least 0.0035.
 CLASS_TOL = 1e-12
-# |G| / d_s per component, in the order of tables.COMPONENT_ORDER.
-_SCALE = np.array([tables.GROUP_ORDER / tables.COMPONENT_DIMS[c] for c in tables.COMPONENT_ORDER])
+_DIMS = [tables.COMPONENT_DIMS[c] for c in tables.COMPONENT_ORDER]
+# Per component s, in the order of tables.COMPONENT_ORDER: |G| / d_s, and s once per eigenvalue.
+_SCALE, _SPREAD = tables.GROUP_ORDER / np.array(_DIMS), np.repeat(np.arange(4), _DIMS)
 
 
 def _seed_product(phi, psi):
@@ -120,11 +124,11 @@ def eigenvalues_isotypic(phi, psi, projectors: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SumSpectrum:
-    """Spectral data of a sum of orbit-pair operators."""
+    """Spectral data of a sum of orbit-pair operators, read off the component sums."""
 
-    lambda_max: float
-    eigenvector: np.ndarray
-    spectrum: np.ndarray  # all eigenvalues, descending, with multiplicity
+    lambda_max: float  # the largest component sum
+    eigenvector: np.ndarray  # PairModel.top_vectors' row of the components attaining it
+    spectrum: np.ndarray  # component sums, each repeated by its dimension, descending
     per_pair: np.ndarray  # (pairs, 4) eigenvalues, columns in tables.COMPONENT_ORDER
     component_sums: np.ndarray  # (4,) column sums of per_pair
 
@@ -147,6 +151,8 @@ class PairModel:
     eigenvalues of class c (the orbit's `class_of`); `distance[k, m]`, read-only (24, 24), is
     the largest distance of pair (k, m)'s own eigenvalues from its class's (NaN if one is NaN).
     `operator(alice, bob)` is `build_x_operator` of theirs, kept in `operators`.
+    `top_vectors[mask - 1]`, read-only (15, 9), is the printed eigenvector when the
+    components of bitmask `mask` (bit s: component s) attain lambda_max.
     """
 
     def __init__(self, ctx: Context):
@@ -155,7 +161,14 @@ class PairModel:
         pairs = _isotypic(seeds, ctx.projectors)
         self.eigenvalues = pairs[0].copy()
         self.distance = np.abs(pairs - self.eigenvalues[ctx.orbit.class_of]).max(axis=2)
-        for arr in (self.eigenvalues, self.distance):
+        masks, rows = np.arange(1, 16)[:, None] >> np.arange(4) & 1, np.arange(15)
+        tops = np.add.reduce(masks[:, :, None, None] * ctx.projectors, axis=1)  # P_top per mask
+        norms = np.sqrt(np.add.reduce(tops * tops, axis=1))  # (15, 9) column norms
+        first = np.argmax(norms >= norms.max(axis=1, keepdims=True) - EPS, axis=1)
+        cols = tops[rows, :, first] / norms[rows, first, None]
+        # the largest entry made positive; + 0.0 writes a flipped zero as 0.0, not -0.0
+        self.top_vectors = cols * np.sign(cols[rows, np.abs(cols).argmax(axis=1), None]) + 0.0
+        for arr in (self.eigenvalues, self.distance, self.top_vectors):
             arr.setflags(write=False)
         self._off_class = set(map(tuple, np.argwhere(~(self.distance <= CLASS_TOL)).tolist()))
 
@@ -172,12 +185,11 @@ class PairModel:
 
 
 def max_eigenvalue_sum(pairs, ctx: Context) -> SumSpectrum:
-    """Sum the pair model's operators for labeled orbit pairs and diagonalize.
+    """The spectrum of the summed operators of labeled orbit pairs, from component sums.
 
-    The componentwise sums of the per-pair eigenvalues must reappear in the
-    directly computed spectrum (to within EIG_TOL); a violation, a NaN sum
-    among them, means the two routes disagree and raises RuntimeError, as
-    does a pair whose own eigenvalues are not within CLASS_TOL of its class's.
+    The componentwise sums must reappear in LAPACK's spectrum of the summed matrix (to within
+    EIG_TOL); a violation, a NaN sum among them, means the two routes disagree and raises
+    RuntimeError, as does a pair whose own eigenvalues are not within CLASS_TOL of its class's.
     """
     pairs = tuple(p if isinstance(p, OrbitPair) else OrbitPair(*p) for p in pairs)
     if not pairs:
@@ -190,17 +202,20 @@ def max_eigenvalue_sum(pairs, ctx: Context) -> SumSpectrum:
     per_pair = model.eigenvalues[ctx.orbit.class_of[alice, bob]]
     sums = sum(per_pair)
 
-    values, vectors = jacobi_eigh(total)
+    values = jacobi_eigh(total)[0]
     missing = ~(np.abs(values[:, None] - sums).min(axis=0) <= EIG_TOL)
     if missing.any():
         k = int(np.argmax(missing))
         label, value = tables.COMPONENT_ORDER[k], sums[k]
         raise RuntimeError(f"componentwise sum for {label} ({value:.9f}) missing from spectrum")
     model.check_classes((alice, bob))
+    spectrum = np.sort(sums[_SPREAD])[::-1]
+    top = float(spectrum[0])
+    mask = sum(1 << s for s, value in enumerate(sums.tolist()) if value >= top - CLASS_TOL)
     return SumSpectrum(
-        lambda_max=float(values[0]),
-        eigenvector=vectors[:, 0].copy(),
-        spectrum=values,
+        lambda_max=top,
+        eigenvector=model.top_vectors[mask - 1],
+        spectrum=spectrum,
         per_pair=per_pair,
         component_sums=sums,
     )

@@ -115,7 +115,7 @@ def build_standard_rep(group: np.ndarray) -> Representation:
     for p in group:
         m = np.eye(3)
         for j in _adjacent_factorization(p):
-            m = adjacent[j] @ m
+            m = np.einsum("ij,jk->ik", adjacent[j], m)  # no BLAS: the same bits on any kernel
         mats.append(m)
     return Representation(group, tuple(mats))
 

@@ -30,8 +30,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
-
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CONTRACT = GOLDEN / "contract.json"
 LABELS = [f"x{a}{s}" for s in range(1, 9) for a in range(3)]
@@ -95,51 +93,17 @@ def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
-EIGENVECTOR = re.compile(r'"eigenvector": \[([^\]]*)\]')
-
-
-def _close(a, b):
-    return abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
-
-
-def _same_number(a, b):
-    """Integer tokens match exactly.  Floats (with a point or an exponent) match within
-    `_close`, written alike (decimals, exponent) unless either has 12 or more significant
-    digits: a full-precision repr, whose length moves with its last bit."""
-    (ma, ea, _), (mb, eb, _) = a.lower().partition("e"), b.lower().partition("e")
-    if not ("." in ma or ea) or not ("." in mb or eb):
-        return a == b
-    digits = max(len(re.sub(r"\D", "", m).lstrip("0")) for m in (ma, mb))
-    written = (len(ma.partition(".")[2]), ea) == (len(mb.partition(".")[2]), eb)
-    return _close(float(a), float(b)) and (written or digits >= 12)
-
-
-def _eigenvector(text):
-    """`text` with the entries of a JSON `eigenvector` cut out, and those entries (or None)."""
-    match = EIGENVECTOR.search(text)
-    if match is None:
-        return text, None
-    return text[:match.start(1)] + text[match.end(1):], np.array(json.loads(f"[{match[1]}]"))
+MARGIN = re.compile(r"(?<=deviation )[-+.\de]+")  # verify's "... deviation X" margins
 
 
 def agrees(expected, actual):
-    """Whether output text `actual` meets `expected`: equal but for float tokens within
-    `_same_number`.  A JSON `quantum.eigenvector` is defined only up to sign, so it matches
-    up to sign where the expected spectrum's top eigenvalue is simple, and is only required
-    to be a unit vector where it is not (LAPACK picks any vector of the eigenspace)."""
-    (expected, want), (actual, got) = _eigenvector(expected), _eigenvector(actual)
-    if want is not None and got is not None:  # else the cut texts differ
-        top = json.loads(expected)["quantum"]["spectrum"]
-        if _close(top[0], top[1]):
-            same = _close(float(np.linalg.norm(got)), 1.0)
-        else:
-            same = any(all(map(_close, want, sign * got)) for sign in (1, -1))
-        if len(want) != len(got) or not same:
-            return False
-    ours, theirs = NUMBER.split(expected), NUMBER.split(actual)
-    return len(ours) == len(theirs) and all(
-        _same_number(a, b) if k % 2 else a == b for k, (a, b) in enumerate(zip(ours, theirs)))
+    """Whether output text `actual` meets `expected`: byte for byte, but for the digits of
+    `verify`'s three "... deviation X" margins, which measure LAPACK's rounding.  The ok or
+    FAIL beside each states its bound; a margin's format (`.1e`) must still match."""
+    def masked(text):
+        return MARGIN.sub(lambda margin: re.sub(r"\d", "0", margin[0]), text)
+
+    return masked(expected) == masked(actual)
 
 
 def check(argv, result):

@@ -1,5 +1,6 @@
 """The CLI output contract: every command of `compare_cli.COMMANDS` against its expectation
-in tests/golden/, by `compare_cli.agrees`, and once more in reverse order in a fresh process.
+in tests/golden/, byte for byte but for `verify`'s margins (`compare_cli.agrees`), and once
+more in reverse order in a fresh process.
 
 For a declared output change, rewrite every expectation with
 `PYTHONPATH=src python tests/test_golden.py` and declare the diff of tests/golden/.
@@ -34,18 +35,24 @@ VECTOR = json.dumps({"quantum": {"eigenvector": [0.6, -0.8], "spectrum": [2.0, 1
 DEGENERATE = VECTOR.replace("2.0", "1.0")
 
 
+# Byte for byte: a last-bit float, a sign-flipped or other vector and a changed margin format
+# all fail; only a margin's digits may move.
 @pytest.mark.parametrize("expected, actual, same", [
-    ("lambda_max 1.0, gap 0.0", "lambda_max 1.000000000000001, gap -1.1102230246251565e-15", True),
+    ("lambda_max 1.0, gap 0.0", "lambda_max 1.000000000000001, gap -1.1102230246251565e-15", False),
     ("gap 1.0", "gap 1.000000001", False),
     ("max deviation 8.9e-16", "max deviation 8.88e-16", False),
     ("x01:x14", "x1:x14", False),
     ("violation: yes", "violation: no", False),
-    (VECTOR, VECTOR.replace("0.6, -0.8", "-0.6, 0.8"), True),
+    (VECTOR, VECTOR.replace("0.6, -0.8", "-0.6, 0.8"), False),
     (VECTOR, VECTOR.replace("0.6, -0.8", "0.6, 0.8"), False),
-    (DEGENERATE, DEGENERATE.replace("0.6, -0.8", "0.8, 0.6"), True),
+    (DEGENERATE, DEGENERATE.replace("0.6, -0.8", "0.8, 0.6"), False),
     (DEGENERATE, DEGENERATE.replace("0.6, -0.8", "0.6, -0.7"), False),
+    ("ok   case I: agree (max deviation 2.9e-15)", "ok   case I: agree (max deviation 3.6e-15)",
+     True),
+    ("labels bijective (max coordinate deviation 1.1e-16)",
+     "labels bijective (max coordinate deviation 2.2e-16)", True),
 ], ids=["noise", "off_by_1e-9", "format", "integer", "word", "sign", "not_up_to_sign",
-        "degenerate", "not_unit"])
+        "degenerate", "not_unit", "margin", "coordinate_margin"])
 def test_agrees(expected, actual, same):
     assert agrees(expected, actual) is same
 
