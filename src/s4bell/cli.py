@@ -146,8 +146,7 @@ def _checks():
 
     # Orbit reproduction against the labeled table, in label order; np.max
     # keeps a NaN, which then fails the check.
-    reference = np.array([tables.ORBIT_TABLE[lab] for lab in tables.ORBIT_LABELS])
-    dev = float(np.max(np.abs(ctx.orbit.points - reference)))
+    dev = float(np.max(np.abs(ctx.orbit.points - tables.ORBIT_POINTS)))
     yield ("orbit reproduces the reference table, labels bijective", dev < 1e-9,
            f"max coordinate deviation {dev:.1e}")
 
@@ -166,7 +165,7 @@ def _checks():
         pairs = tuple(OrbitPair(*p) for p in tables.CASE_PAIRS[name])
         spectrum = max_eigenvalue_sum(pairs, ctx)
 
-        scalars = spectrum.per_pair[:, tables.COMPONENT_ORDER.index("D0")]
+        scalars = spectrum.per_pair[:, tables.COMPONENT_ORDER.index("D0")].tolist()
         refs = tables.REF_SCALAR_EIGENVALUES[name]
         yield (
             f"case {name}: scalar eigenvalue per orbit",
@@ -182,12 +181,11 @@ def _checks():
             f"computed {spectrum.lambda_max:.4f} vs reference {ref_sum:.2f}, tolerance 0.01",
         )
 
-        deviations = []
-        for pair, row in zip(pairs, spectrum.per_pair):
-            direct, _ = eigenvalues_direct(ctx.pair_model.operator(pair.alice, pair.bob))
-            expected = np.sort(np.repeat(row, dims))[::-1]
-            deviations.append(np.abs(direct - expected).max())
-        worst = float(np.max(deviations))
+        # One LAPACK solve per pair; row k of `expected` is pair k's eigenvalues, each repeated
+        # by its component's dimension, descending.
+        direct = [eigenvalues_direct(ctx.pair_model.operator(p.alice, p.bob))[0] for p in pairs]
+        expected = np.sort(np.repeat(spectrum.per_pair, dims, axis=1))[:, ::-1]
+        worst = float(np.max(np.abs(np.array(direct) - expected)))
         yield (f"case {name}: componentwise and direct eigenvalues agree", worst < EIG_TOL,
                f"max deviation {worst:.1e}")
 

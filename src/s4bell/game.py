@@ -27,6 +27,10 @@ __all__ = [
 ]
 
 
+# An answer's text "ab" -> (a, b), for the nine answer pairs in the order of 3 a + b.
+_ANSWER_PAIRS = {f"{a}{b}": (a, b) for a in range(3) for b in range(3)}
+
+
 @dataclass(frozen=True, eq=False)
 class WinningTable:
     """Winning answer pairs per settings pair (s, t), as the rows the renderers print."""
@@ -36,7 +40,7 @@ class WinningTable:
     @cached_property
     def entries(self):
         """(s, t) -> frozenset of answer pairs (a, b)."""
-        return {key: frozenset((int(a), int(b)) for a, b in cell) for key, cell in self.rows}
+        return {key: frozenset(map(_ANSWER_PAIRS.__getitem__, cell)) for key, cell in self.rows}
 
     def has_uniform_triple_structure(self):
         """True when every nonempty entry holds exactly three answer pairs
@@ -60,7 +64,7 @@ def _lookup():
     cells = [i // 72 * N_SETTINGS + i % 24 // 3 for i in range(576)]
     bits = [1 << (i // 24 % 3 * 3 + i % 3) for i in range(576)]
     keys = [(s, t) for s in range(1, N_SETTINGS + 1) for t in range(1, N_SETTINGS + 1)]
-    texts = [f"{j // 3}{j % 3}" for j in range(9)]  # shared by every mask's answers
+    texts = list(_ANSWER_PAIRS)  # answer 3 a + b's text, shared by every mask's answers
     answers = [tuple(t for j, t in enumerate(texts) if mask >> j & 1) for mask in range(512)]
     return cells, bits, keys, answers
 

@@ -234,8 +234,7 @@ def match_reference_labels(orbit: Orbit) -> Orbit:
     entry and the assignment must be a bijection; otherwise
     TableMismatchError is raised; the rows are then put in table-label order.
     """
-    reference = np.array([tables.ORBIT_TABLE[lab] for lab in all_labels()])
-    hits = _close(orbit.points[:, None], reference)
+    hits = _close(orbit.points[:, None], tables.ORBIT_POINTS)
     counts = hits.sum(axis=1)
     if (counts != 1).any():
         k = np.argmax(counts != 1)  # the first failing vector, in row order

@@ -202,16 +202,16 @@ def max_eigenvalue_sum(pairs, ctx: Context) -> SumSpectrum:
     per_pair = model.eigenvalues[ctx.orbit.class_of[alice, bob]]
     sums = sum(per_pair)
 
-    values = jacobi_eigh(total)[0]
-    missing = ~(np.abs(values[:, None] - sums).min(axis=0) <= EIG_TOL)
-    if missing.any():
-        k = int(np.argmax(missing))
-        label, value = tables.COMPONENT_ORDER[k], sums[k]
-        raise RuntimeError(f"componentwise sum for {label} ({value:.9f}) missing from spectrum")
+    # The cross-check and the lambda_max mask read one list of Python floats: four sums against
+    # nine eigenvalues is less work than numpy's per-call overhead.
+    values, sum_list = jacobi_eigh(total)[0].tolist(), sums.tolist()
+    for label, value in zip(tables.COMPONENT_ORDER, sum_list):
+        if not any(abs(v - value) <= EIG_TOL for v in values):
+            raise RuntimeError(f"componentwise sum for {label} ({value:.9f}) missing from spectrum")
     model.check_classes((alice, bob))
     spectrum = np.sort(sums[_SPREAD])[::-1]
     top = float(spectrum[0])
-    mask = sum(1 << s for s, value in enumerate(sums.tolist()) if value >= top - CLASS_TOL)
+    mask = sum(1 << s for s, value in enumerate(sum_list) if value >= top - CLASS_TOL)
     return SumSpectrum(
         lambda_max=top,
         eigenvector=model.top_vectors[mask - 1],

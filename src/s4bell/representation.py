@@ -182,21 +182,27 @@ def isotypic_projectors(product: Representation, standard: Representation) -> np
     return projectors
 
 
+# Per component, in the order of tables.COMPONENT_ORDER, the 0/1 indicator of its coordinate
+# block under the bundled change of basis.
+_BLOCK_INDICATORS = np.array([np.diag([float(r in tables.BLOCK_ROWS[label]) for r in range(9)])
+                              for label in tables.COMPONENT_ORDER])
+
+
 def validate_block_basis(projectors: np.ndarray) -> dict:
     """Check the (4, 9, 9) projectors against the bundled change of basis.
 
     The bundled matrix must be orthogonal, and conjugating each projector
     by it must give the 0/1 indicator of that component's coordinate block
-    (rows grouped 3 + 3 + 2 + 1).  Returns the observed deviations; raises
-    TableMismatchError if any exceeds EPS or is NaN.
+    (rows grouped 3 + 3 + 2 + 1); the four conjugations are one stacked
+    product.  Returns the observed deviations; raises TableMismatchError if
+    any exceeds EPS or is NaN, and ValueError unless `projectors` is (4, 9, 9).
     """
+    if np.shape(projectors) != (4, 9, 9):
+        raise ValueError("projectors must be a (4, 9, 9) array")
     basis = tables.BLOCK_BASIS
     report = {"orthogonality": float(np.abs(basis @ basis.T - np.eye(9)).max())}
-    for label, projector in zip(tables.COMPONENT_ORDER, projectors, strict=True):
-        indicator = np.zeros((9, 9))
-        for r in tables.BLOCK_ROWS[label]:
-            indicator[r, r] = 1.0
-        report[label] = float(np.abs(basis @ projector @ basis.T - indicator).max())
+    deviations = np.abs(basis @ projectors @ basis.T - _BLOCK_INDICATORS).max(axis=(1, 2))
+    report.update(zip(tables.COMPONENT_ORDER, deviations.tolist()))
     worst = float(np.max(list(report.values())))  # NaN if any deviation is NaN
     if not worst <= EPS:
         raise tables.TableMismatchError(

@@ -149,6 +149,10 @@ ORBIT_TABLE = {
 
 ORBIT_LABELS = tuple(sorted(ORBIT_TABLE))
 
+# The table's vectors as one read-only (24, 3) array, row k holding label ORBIT_LABELS[k]:
+# the row order of a labeled orbit (orbit.all_labels()).
+ORBIT_POINTS = _locked([ORBIT_TABLE[lab] for lab in ORBIT_LABELS])
+
 # Seed whose orbit the table above labels.
 CANONICAL_SEED = ORBIT_TABLE[(1, 0)]
 

@@ -486,6 +486,28 @@ def test_verify_fails_a_nan_direct_spectrum(monkeypatch):
         assert line.startswith("FAIL") and "max deviation nan" in line
 
 
+def test_verify_fails_only_the_case_whose_direct_spectrum_moved(monkeypatch):
+    # Case II's middle pair is in no other case; its direct spectrum moves by 2e-6, twice EIG_TOL.
+    alice, bob = cli.tables.CASE_PAIRS["II"][1]
+    moved = standard_context().pair_model.operator(alice, bob)
+    solve = cli.eigenvalues_direct
+
+    def moved_off(matrix):
+        values, vector = solve(matrix)
+        return (values + 2e-6 if matrix is moved else values), vector
+
+    monkeypatch.setattr(cli, "eigenvalues_direct", moved_off)
+    lines = []
+    assert run_verification(echo=lines.append) is False
+    for name in ("I", "II", "III"):
+        line, = [x for x in lines if f"case {name}: componentwise and direct" in x]
+        if name == "II":
+            assert line == ("FAIL case II: componentwise and direct eigenvalues agree"
+                            " (max deviation 2.0e-06)")
+        else:
+            assert line.startswith("ok   ")
+
+
 def test_verify_names_a_failed_block_basis_check_as_a_passed_one(monkeypatch):
     def broken(projectors):
         raise cli.TableMismatchError("block basis is not orthogonal")
@@ -509,10 +531,9 @@ def test_verify_reads_case_i_classical_bound_from_the_reference(monkeypatch):
 
 def test_verify_fails_a_nan_orbit_coordinate_after_the_first_label(monkeypatch):
     standard_context()  # built against the unpatched table
-    table = dict(cli.tables.ORBIT_TABLE)
-    label = cli.tables.ORBIT_LABELS[1]
-    table[label] = np.array([np.nan, 0.0, 0.0])
-    monkeypatch.setattr(cli.tables, "ORBIT_TABLE", table)
+    points = cli.tables.ORBIT_POINTS.copy()  # verify's reference, row k label ORBIT_LABELS[k]
+    points[1] = [np.nan, 0.0, 0.0]
+    monkeypatch.setattr(cli.tables, "ORBIT_POINTS", points)
     lines = []
     assert run_verification(echo=lines.append) is False
     line, = [x for x in lines if "orbit reproduces the reference table" in x]

@@ -44,6 +44,13 @@ def test_orbit_reproduces_reference_table(orbit):
         assert np.abs(orbit.coords(*lab) - expected).max() < 1e-9
 
 
+def test_orbit_points_are_the_table_in_label_order():
+    # verify and match_reference_labels read this array in place of the table.
+    assert tables.ORBIT_POINTS.shape == (24, 3) and not tables.ORBIT_POINTS.flags.writeable
+    for k, lab in enumerate(all_labels()):
+        assert np.array_equal(tables.ORBIT_POINTS[k], tables.ORBIT_TABLE[lab])
+
+
 def test_labels_bijective(orbit):
     assert orbit.points.shape == (24, 3)
     assert len(set(orbit.elements.tolist())) == 24

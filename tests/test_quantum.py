@@ -425,6 +425,28 @@ def test_sum_rejects_nan_projector(ctx, case_pairs):
         max_eigenvalue_sum(case_pairs["I"], broken)
 
 
+@pytest.mark.parametrize("moved, label", [("D0", "D0"), ("all", "D")])
+def test_sum_names_the_first_component_no_eigenvalue_matches(ctx, case_pairs, monkeypatch,
+                                                             moved, label):
+    # A finite miss: LAPACK's eigenvalue of the D0 sum, or every eigenvalue, moves by 1e-5,
+    # ten times EIG_TOL.  The error names the first component left without a match.
+    sums = max_eigenvalue_sum(case_pairs["I"], ctx).component_sums
+    d0_sum = sums[tables.COMPONENT_ORDER.index("D0")]
+    solve = quantum.jacobi_eigh
+
+    def moved_off(matrix):
+        values, vectors = solve(matrix)
+        values = values.copy()
+        values[slice(None) if moved == "all" else np.argmin(np.abs(values - d0_sum))] += 1e-5
+        return values, vectors
+
+    monkeypatch.setattr(quantum, "jacobi_eigh", moved_off)
+    value = sums[tables.COMPONENT_ORDER.index(label)]
+    message = rf"^componentwise sum for {label} \({value:.9f}\) missing from spectrum$"
+    with pytest.raises(RuntimeError, match=message):
+        max_eigenvalue_sum(case_pairs["I"], ctx)
+
+
 def test_sum_requires_pairs(ctx):
     with pytest.raises(ValueError):
         max_eigenvalue_sum((), ctx)

@@ -217,6 +217,27 @@ def test_validate_block_basis(projectors):
     assert max(report.values()) < EPS
 
 
+def test_validate_block_basis_reports_each_projectors_deviation(projectors):
+    # The printed margins mask their digits, so the report is held to the per-projector
+    # conjugation bit for bit, in the order orthogonality, then tables.COMPONENT_ORDER.
+    basis = tables.BLOCK_BASIS
+    expected = {"orthogonality": float(np.abs(basis @ basis.T - np.eye(9)).max())}
+    for label, projector in zip(tables.COMPONENT_ORDER, projectors):
+        indicator = np.zeros((9, 9))
+        for r in tables.BLOCK_ROWS[label]:
+            indicator[r, r] = 1.0
+        expected[label] = float(np.abs(basis @ projector @ basis.T - indicator).max())
+    report = validate_block_basis(projectors)
+    assert list(report.items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("shape", [(1, 9, 9), (3, 9, 9), (4, 8, 8)])
+def test_validate_block_basis_rejects_a_misshapen_stack(shape):
+    # A (1, 9, 9) stack would otherwise broadcast against all four block indicators.
+    with pytest.raises(ValueError, match=r"\(4, 9, 9\)"):
+        validate_block_basis(np.zeros(shape))
+
+
 def test_validate_block_basis_detects_swap(projectors):
     # D and Dt trade projectors
     swapped = projectors[[1, 0, 2, 3]]
