@@ -25,9 +25,8 @@ orbit partition_into_bases tetrahedron_orbit
 permgroup conjugacy_classes cycle_string product_table sign symmetric_group
 quantum EIG_TOL SumSpectrum build_x_operator eigenvalues_direct eigenvalues_isotypic
 quantum jacobi_eigh max_eigenvalue_sum
-representation DecompositionError EPS Representation RepresentationError alternating_twist
-representation build_standard_rep character isotypic_projectors tensor_product
-representation validate_block_basis
+representation DecompositionError EPS Representation RepresentationError build_standard_rep
+representation character isotypic_projectors tensor_product validate_block_basis
 tables TableMismatchError
 cli
 """.strip().splitlines() for name in line.split()}

@@ -297,7 +297,7 @@ class _ClassTables:
     """A context's classical S4 tables, `ctx.class_tables`, each built and checked on first use."""
 
     def __init__(self, ctx):
-        self._ctx, self._multisets, self._violations = ctx, {}, {}
+        self._ctx, self._multisets = ctx, {}
 
     @cached_property
     def flat_class_of(self):  # class_of[k, m] at term index 24 k + m, as Python ints
@@ -367,13 +367,14 @@ class _ClassTables:
         return maps
 
     def multisets(self, size):
-        """Read-only: every class multiset of `size` in rank order, its code, its classical
-        maximum, its lambda_max (the largest column-order sum of its classes' pair model
-        eigenvalue rows) and its tie class.  Each relabeling orbit's smallest index spreads
-        along two generating relabelings until it settles; that multiset's `class_scan` maximum
-        is the orbit's.  Rank order sorts the gaps lambda_max - maximum descending, stably from
-        combinations order; they fall into tie classes 1, 2, ..., a new one wherever a step down
-        exceeds GAP_TOL, so the tie classes are non-decreasing."""
+        """(multisets, maxima, lambdas, ties, violations), built once per size: read-only arrays
+        of every class multiset of `size` in rank order, its classical maximum, its lambda_max
+        (the largest column-order sum of its classes' pair model eigenvalue rows) and its tie
+        class, then the number of gaps lambda_max - maximum above GAP_TOL.  Each relabeling
+        orbit's smallest index spreads along two generating relabelings until it settles; that
+        multiset's `class_scan` maximum is the orbit's.  Rank order sorts the gaps descending,
+        stably from combinations order; they fall into tie classes 1, 2, ..., a new one wherever
+        a step down exceeds GAP_TOL, so the tie classes are non-decreasing."""
         if size in self._multisets:
             return self._multisets[size]
         combos = itertools.combinations_with_replacement(range(N_SETTINGS * N_OUTCOMES), size)
@@ -390,16 +391,11 @@ class _ClassTables:
         gaps = lambdas - maxima
         desc = np.argsort(-gaps, kind="stable")
         ties = np.cumsum(np.diff(gaps[desc], prepend=np.inf) < -GAP_TOL)
-        arrays = (multisets[desc], codes[desc], maxima[desc], lambdas[desc], ties)
+        arrays = (multisets[desc], maxima[desc], lambdas[desc], ties)
         for arr in arrays:
             arr.setflags(write=False)
-        self._violations[size] = int(np.count_nonzero(gaps > GAP_TOL))
-        return self._multisets.setdefault(size, arrays)
-
-    def violations(self, size):
-        """How many class multisets of `size` have a gap above GAP_TOL; counted with `multisets`."""
-        self.multisets(size)
-        return self._violations[size]
+        violations = int(np.count_nonzero(gaps > GAP_TOL))
+        return self._multisets.setdefault(size, (*arrays, violations))
 
 
 def optimal_classical_strategy(expr: BellExpression):

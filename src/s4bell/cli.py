@@ -61,7 +61,7 @@ from .context import standard_context
 from .game import game_values, winning_table
 from .orbit import N_OUTCOMES, N_SETTINGS, OrbitPair, all_labels, orbit_to_json
 from .permgroup import cycle_string
-from .quantum import EIG_TOL, eigenvalues_direct, max_eigenvalue_sum
+from .quantum import EIG_TOL, _SPREAD, eigenvalues_direct, max_eigenvalue_sum
 from .representation import validate_block_basis
 from .tables import TableMismatchError
 
@@ -121,8 +121,7 @@ def _expression(text):
     as `bell_terms` rejects parsed (valid) labels only for a repeated term."""
     orbit = standard_context().orbit
     try:
-        pairs = parse_pair_spec(text)
-        return pairs, bell_terms(pairs, orbit)
+        return bell_terms(parse_pair_spec(text), orbit)
     except ValueError as exc:
         raise _UsageError(exc) from exc
 
@@ -159,7 +158,6 @@ def _checks():
     else:
         yield name, True, f"worst deviation {max(report.values()):.1e}"
 
-    dims = [tables.COMPONENT_DIMS[label] for label in tables.COMPONENT_ORDER]
     case_exprs = {}
     for name in tables.CASE_NAMES:
         pairs = tuple(OrbitPair(*p) for p in tables.CASE_PAIRS[name])
@@ -184,7 +182,7 @@ def _checks():
         # One LAPACK solve per pair; row k of `expected` is pair k's eigenvalues, each repeated
         # by its component's dimension, descending.
         direct = [eigenvalues_direct(ctx.pair_model.operator(p.alice, p.bob))[0] for p in pairs]
-        expected = np.sort(np.repeat(spectrum.per_pair, dims, axis=1))[:, ::-1]
+        expected = np.sort(spectrum.per_pair[:, _SPREAD])[:, ::-1]
         worst = float(np.max(np.abs(np.array(direct) - expected)))
         yield (f"case {name}: componentwise and direct eigenvalues agree", worst < EIG_TOL,
                f"max deviation {worst:.1e}")
@@ -253,12 +251,12 @@ def _game(expr, ctx):
     return _Game(winning_table(expr), game_values(expr, ctx))
 
 
-def _analysis(pairs, expr, with_histogram):
+def _analysis(expr, with_histogram):
     ctx = standard_context()
-    spectrum = max_eigenvalue_sum(pairs, ctx)
+    spectrum = max_eigenvalue_sum(expr.pairs, ctx)
     game = _game(expr, ctx)
     hist = classical_histogram(expr) if with_histogram else None
-    return _Analysis(pairs, spectrum, game, int(game.value.classical * N_SETTINGS ** 2), hist)
+    return _Analysis(expr.pairs, spectrum, game, int(game.value.classical * N_SETTINGS ** 2), hist)
 
 
 def _zero_snap(x):
@@ -361,15 +359,13 @@ def _render_game(game):
 
 
 def _cmd_analyze(args):
-    pairs, expr = _expression(args.pairs)
     render = _render_json if args.json else _render_csv if args.csv else _render_text
-    sys.stdout.write(render(_analysis(pairs, expr, args.histogram)))
+    sys.stdout.write(render(_analysis(_expression(args.pairs), args.histogram)))
     return 0
 
 
 def _cmd_game(args):
-    _, expr = _expression(args.pairs)
-    sys.stdout.write(_render_game(_game(expr, standard_context())))
+    sys.stdout.write(_render_game(_game(_expression(args.pairs), standard_context())))
     return 0
 
 
@@ -383,7 +379,7 @@ def _cmd_scan(args):
     # side and an op reads just the whole tie classes that cover --top.  Specs rank by tie
     # class, each class in combination order (label order, as all_labels() is sorted).
     ctx = standard_context()
-    multisets, _, cmaxes, lams, ties = ctx.class_tables.multisets(args.orbits)
+    multisets, cmaxes, lams, ties, violations = ctx.class_tables.multisets(args.orbits)
     head = np.searchsorted(ties, ties[min(args.top, len(ties)) - 1], "right") if args.top else 0
     bob_of = np.argsort(ctx.orbit.class_of[all_labels().index(args.phi)])
     bob = np.sort(bob_of[multisets[:head]], axis=1)
@@ -395,7 +391,7 @@ def _cmd_scan(args):
     lines = [
         f"scan over {len(multisets)} unordered Bob-label multisets "
         f"(orbits per spec: {args.orbits}, Alice fixed at {alice})",
-        f"specs with quantum > classical: {ctx.class_tables.violations(args.orbits)}",
+        f"specs with quantum > classical: {violations}",
         "rank  spec" + " " * (width - 4) + "quantum  classical  gap",
     ]
     rows = zip(bob[order].tolist(), lams[order].tolist(), cmaxes[order].tolist())

@@ -129,14 +129,6 @@ class Orbit:
     def element_of(self, basis, outcome):
         return int(self.elements[_row(basis, outcome)])
 
-    def label_of_coords(self, coords):
-        """Label of the orbit vector within MATCH_TOL of `coords`."""
-        coords = np.asarray(coords, dtype=float)
-        hits = np.flatnonzero(_close(self.points, coords))
-        if not hits.size:
-            raise LookupError(f"no orbit vector near {coords}")
-        return all_labels()[hits[0]]
-
     def as_dict(self):
         rows = zip(all_labels(), self.points, self.elements)
         return {

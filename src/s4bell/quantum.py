@@ -55,11 +55,12 @@ _SCALE, _SPREAD = tables.GROUP_ORDER / np.array(_DIMS), np.repeat(np.arange(4), 
 
 
 def _seed_product(phi, psi):
-    """phi (x) psi, entry by entry as np.kron; ValueError unless both are finite 3-vectors."""
+    """phi (x) psi, entry by entry as np.kron; ValueError unless both are finite real 3-vectors."""
     try:
-        phi, psi = np.asarray(phi, dtype=float), np.asarray(psi, dtype=float)
-        if phi.shape == psi.shape == (3,) and np.isfinite([phi, psi]).all():
-            return np.multiply.outer(phi, psi).ravel()
+        if not (np.iscomplexobj(phi) or np.iscomplexobj(psi)):
+            phi, psi = np.asarray(phi, dtype=float), np.asarray(psi, dtype=float)
+            if phi.shape == psi.shape == (3,) and np.isfinite([phi, psi]).all():
+                return np.multiply.outer(phi, psi).ravel()
     except (TypeError, ValueError):
         pass
     raise ValueError("phi and psi must be finite 3-vectors")
@@ -81,11 +82,13 @@ def jacobi_eigh(matrix):
 
     The name is historical: a hand-written cyclic Jacobi solver used to run
     here.  Every matrix diagonalized in the package passes here, so this is
-    where input is checked: a matrix that is not square, not finite or not
-    symmetric to within EPS raises ValueError.
+    where input is checked: a matrix that is complex, not square, not finite or
+    not symmetric to within EPS raises ValueError.
 
     Returns (eigenvalues descending, eigenvectors as matching columns).
     """
+    if np.iscomplexobj(matrix):
+        raise ValueError("matrix must be real")
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("square matrix required")

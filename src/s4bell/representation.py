@@ -12,9 +12,9 @@ pairs by the test suite.
 The tensor square splits into four inequivalent irreducible components
 (dimensions 3, 3, 2, 1).  Projectors onto the components are built from
 characters by group averaging, with the characters derived on the spot:
-the standard character is read off the constructed matrices, its sign
-twist likewise, the trivial character is 1, and the two-dimensional one is
-whatever remains of the product character.  The projectors are one
+the standard character is read off the constructed matrices, the sign
+twist's is sign(g) times it, the trivial one is 1, and the two-dimensional
+one is whatever remains of the product character.  The projectors are one
 (4, 9, 9) array in the order of tables.COMPONENT_ORDER; the labels and
 dimensions stay in `tables`.  The bundled change-of-basis matrix is used
 only to validate the result, never to produce it.
@@ -33,7 +33,6 @@ __all__ = [
     "RepresentationError",
     "DecompositionError",
     "build_standard_rep",
-    "alternating_twist",
     "tensor_product",
     "character",
     "isotypic_projectors",
@@ -118,12 +117,6 @@ def build_standard_rep(group: np.ndarray) -> Representation:
             m = np.einsum("ij,jk->ik", adjacent[j], m)  # no BLAS: the same bits on any kernel
         mats.append(m)
     return Representation(group, tuple(mats))
-
-
-def alternating_twist(rep: Representation) -> Representation:
-    """Multiply each matrix by the sign of its element."""
-    mats = tuple(sign(p) * m for p, m in zip(rep.group, rep.matrices))
-    return Representation(rep.group, mats)
 
 
 def tensor_product(rep_a: Representation, rep_b: Representation) -> Representation:

@@ -12,6 +12,7 @@ import compare_cli
 from s4bell import OrbitPair, standard_context, tables
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+DIMS = [tables.COMPONENT_DIMS[label] for label in tables.COMPONENT_ORDER]
 
 
 @pytest.fixture(scope="session")
@@ -60,6 +61,12 @@ def rng():
 def row_of(group, images):
     """Row of the one-line images `images` in a group array."""
     return group.tolist().index(list(images))
+
+
+def spectrum_of_components(values):
+    """Component eigenvalues in tables.COMPONENT_ORDER, each repeated by its dimension, sorted
+    descending: the spectrum of an operator that is one scalar on each component."""
+    return np.sort(np.repeat(values, DIMS))[::-1]
 
 
 def random_unit(rng, dim=3):

@@ -23,6 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from conftest import spectrum_of_components
 from reference_terms import CASE_TERMS
 from s4bell import tables
 from s4bell.classical import bell_terms, classical_histogram, classical_max
@@ -106,17 +107,8 @@ def test_criterion_2_quantum_bounds(ctx, case_pairs):
             phi = ctx.orbit.coords(*pair.alice)
             psi = ctx.orbit.coords(*pair.bob)
             direct, _ = eigenvalues_direct(build_x_operator(phi, psi, ctx.product))
-            expected = sorted(
-                (
-                    val
-                    for lab, val in zip(
-                        tables.COMPONENT_ORDER, eigenvalues_isotypic(phi, psi, ctx.projectors)
-                    )
-                    for _ in range(tables.COMPONENT_DIMS[lab])
-                ),
-                reverse=True,
-            )
-            agreement = max(agreement, float(np.abs(direct - np.array(expected)).max()))
+            expected = spectrum_of_components(eigenvalues_isotypic(phi, psi, ctx.projectors))
+            agreement = max(agreement, float(np.abs(direct - expected).max()))
     elapsed = time.perf_counter() - start
     if agreement > 1e-6:
         problems.append(f"isotypic vs direct deviation {agreement:.2e} > 1e-6")

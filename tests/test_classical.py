@@ -163,8 +163,7 @@ def test_histogram_reduced_matches_full(case_exprs):
 def shift_polynomial_counts(table, rows, weights):
     """Reference: the former polynomial kernel.  Row i's counts are the
     coefficients of prod_t sum_b x**M[i, t, b], summed with `weights`."""
-    alice = np.array(list(itertools.product(range(3), repeat=8)))[rows]
-    m = sum(table[s][alice[:, s]] for s in range(8)).astype(np.int64)
+    m = gathered_per_alice_tables(table, rows).astype(np.int64)
     width = int(table.sum()) + 1
     poly = np.zeros((len(m), width), dtype=np.int64)
     poly[:, 0] = 1
@@ -470,7 +469,7 @@ def class_multisets(size):
 
 def class_rows(multisets):
     """The `class_multisets` rows of class multisets, each given in any order."""
-    codes = class_multisets(multisets.shape[1])[1]
+    codes = _codes(class_multisets(multisets.shape[1])[0])
     sorter = np.argsort(codes)
     return sorter[np.searchsorted(codes, _codes(multisets), sorter=sorter)]
 
@@ -490,8 +489,8 @@ def bob_rows(class_of, alice, size):
 def test_class_maxima_equal_the_unreduced_maxima():
     assert {len(x01_pair_expression(k)._scan[0]) for k in range(24)} == {306}
     for size in (1, 2, 3):
-        _, codes, maxima, _, _ = class_multisets(size)
-        assert np.array_equal(maxima[np.argsort(codes)], unreduced_class_maxima(size))
+        multisets, maxima, _, _, _ = class_multisets(size)
+        assert np.array_equal(maxima[np.argsort(_codes(multisets))], unreduced_class_maxima(size))
 
 
 def test_class_maxima_of_set_multisets_equal_the_union_maximum():
@@ -499,14 +498,14 @@ def test_class_maxima_of_set_multisets_equal_the_union_maximum():
     for size in rng.integers(1, 4, size=40).tolist():
         bob = rng.choice(24, size, replace=False)
         union = BellExpression(sum((x01_pair_expression(k).terms for k in bob), ()))
-        assert class_multisets(size)[2][class_row(bob)] == classical_max(union)
+        assert class_multisets(size)[1][class_row(bob)] == classical_max(union)
 
 
 @pytest.mark.parametrize("multiset", [[5, 5], [0, 0, 0], [7, 19, 7], [23, 3, 3]])
 def test_class_maxima_of_repeated_classes_equal_the_full_scan(multiset):
     table = sum(x01_pair_expression(k).table for k in multiset)
     expected = _max_coefficient(table, ALL_ROWS)
-    assert class_multisets(len(multiset))[2][class_row(multiset)] == expected
+    assert class_multisets(len(multiset))[1][class_row(multiset)] == expected
 
 
 def expanded_term_by_term(pairs, orbit):
@@ -584,7 +583,7 @@ def test_class_lambdas_equal_the_spec_order_sums_and_the_eigen_solve(ctx):
     eigenvalues = np.array([[eigenvalues_isotypic(coords(*alice), coords(*bob), ctx.projectors)
                              for bob in labels] for alice in labels])
     for size in (1, 2, 3):
-        lambdas, bob = class_multisets(size)[3], np.array(combination_rows(24, size))
+        lambdas, bob = class_multisets(size)[2], np.array(combination_rows(24, size))
         assert not lambdas.flags.writeable
         for alice in range(24):
             sums = eigenvalues[alice][bob[:, 0]]
@@ -596,7 +595,7 @@ def test_class_lambdas_equal_the_spec_order_sums_and_the_eigen_solve(ctx):
     rng = np.random.default_rng(28)
     for size in rng.integers(1, 4, size=60).tolist():
         alice, bob = int(rng.integers(24)), rng.choice(24, size, replace=False)
-        found = class_multisets(size)[3][class_row(ctx.orbit.class_of[alice][bob])]
+        found = class_multisets(size)[2][class_row(ctx.orbit.class_of[alice][bob])]
         pairs = [OrbitPair(labels[alice], labels[m]) for m in bob]
         assert abs(found - max_eigenvalue_sum(pairs, ctx).lambda_max) <= EIG_TOL
 
@@ -642,22 +641,24 @@ def test_replaced_context_has_its_own_class_tables(ctx):
 
     def arrays(t):
         return [*t.alice_orbits, t.class_m, t.relabelings,
-                *(a for size in (1, 2, 3) for a in t.multisets(size))]
+                *(a for size in (1, 2, 3) for a in t.multisets(size)[:4])]
 
     for got, want in zip(arrays(own), arrays(tables), strict=True):
         assert np.array_equal(got, want)
         assert not got.flags.writeable and not want.flags.writeable
+    assert [own.multisets(size)[4] for size in (1, 2, 3)] == [0, 1, 26]
     assert own.flat_class_of == tables.flat_class_of == ctx.orbit.class_of.ravel().tolist()
 
 
 @pytest.mark.parametrize("size, count", [(1, 2), (2, 14), (3, 70)])
 def test_multiset_orbits_count(ctx, size, count):
-    arrays = class_multisets(size)
+    arrays = class_multisets(size)[:4]
     assert not any(arr.flags.writeable for arr in arrays)
-    order = np.argsort(arrays[1])  # combinations order
-    multisets, codes, maxima = (arr[order] for arr in arrays[:3])
+    order = np.argsort(_codes(arrays[0]))  # combinations order
+    multisets, maxima = (arr[order] for arr in arrays[:2])
     rows = np.array(combination_rows(24, size))
     assert np.array_equal(multisets, rows)
+    codes = _codes(multisets)
     assert np.array_equal(codes, [np.ravel_multi_index(r, (24,) * size) for r in rows])
     # Orbits of the 72 relabelings, each named by its smallest code.
     smallest = np.min([np.ravel_multi_index(np.sort(m[rows], axis=1).T, (24,) * size)
@@ -680,9 +681,9 @@ def test_rank_order_is_built_once_per_size_with_non_decreasing_ties(ctx, monkeyp
     # The gaps above 1e-9, the scan's violations, are counted with them, on these tables.
     tables = dataclasses.replace(ctx).class_tables
     for size, violations in ((1, 0), (2, 1), (3, 26)):
-        assert tables.violations(size) == violations
         arrays = tables.multisets(size)
-        _, _, maxima, lambdas, ties = arrays
+        _, maxima, lambdas, ties, count = arrays
+        assert count == violations
         steps = np.diff(lambdas - maxima)
         assert (steps <= 0).all() and ties[0] == 1
         assert np.array_equal(np.diff(ties), steps < -1e-9)
@@ -690,7 +691,6 @@ def test_rank_order_is_built_once_per_size_with_non_decreasing_ties(ctx, monkeyp
         with monkeypatch.context() as patch:
             patch.setattr(tables, "class_scan", None)  # a second build would call it
             assert tables.multisets(size) is arrays
-            assert tables.violations(size) == violations
 
 
 def test_empty_expression():

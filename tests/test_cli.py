@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 
@@ -8,11 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from compare_cli import LABELS, check, run
+from compare_cli import LABELS, SPECS, check, run
 from conftest import fresh_python, run_cli
 from s4bell import classical, cli, quantum, tables
 from s4bell.cli import PairSpecError, main, parse_pair_spec, run_verification
 from s4bell.context import standard_context
+from s4bell.game import winning_table
 from s4bell.orbit import OrbitPair, all_labels
 from s4bell.representation import DecompositionError
 
@@ -123,6 +125,21 @@ def test_analyze_and_game_agree_on_violation(spec):
     violated = json.loads(out)["violation"]["violated"]
     _, out = run_cli(["game", "--pairs", spec])
     assert f"violation: {'yes' if violated else 'no'}" in out.splitlines()
+
+
+@pytest.mark.parametrize("name", ["I", "II", "III", "mixed_alice"])
+def test_game_and_analyze_print_one_winning_table_block(name):
+    # Each prints the header once, followed by its rows, and no row line elsewhere: the same
+    # block, which is the table of the spec's terms.
+    row = re.compile(r"[1-8][1-8]   \d\d( \d\d)*")
+    expected = winning_table(cli._expression(SPECS[name])).render_text().splitlines()
+    for command in ("game", "analyze"):
+        code, out = run_cli([command, "--pairs", SPECS[name]])
+        lines = out.splitlines()
+        start = lines.index(expected[0])
+        assert code == 0 and lines.count(expected[0]) == 1 and len(expected) > 1
+        assert lines[start:start + len(expected)] == expected
+        assert sum(map(bool, map(row.fullmatch, lines))) == len(expected) - 1
 
 
 def test_usage_error_exits_2():
@@ -331,7 +348,7 @@ def test_scan_ranking_ignores_rounding_noise(monkeypatch, fresh_class_tables):
         for phi in ("x01", "x12", "x27"):
             argv = ["scan", "--orbits", str(orbits), "--top", "2600", "--phi", phi]
             check(argv, run(argv))
-    multisets, _, _, lambdas, _ = standard_context().class_tables.multisets(1)
+    multisets, _, lambdas, _, _ = standard_context().class_tables.multisets(1)
     moved = np.abs(lambdas - rows.max(axis=1)[multisets[:, 0]])
     assert 0 < moved.max() < 1.1e-12
 
@@ -401,7 +418,7 @@ def test_scan_reads_the_class_row_of_the_table(fresh_pair_classes):
     for label in LABELS:
         argv = ["scan", "--orbits", "1", "--top", "2600", "--phi", label]
         check(argv, run(argv))
-    multisets, _, _, lambdas, _ = ctx.class_tables.multisets(1)
+    multisets, _, lambdas, _, _ = ctx.class_tables.multisets(1)
     assert np.array_equal(lambdas, model.eigenvalues.max(axis=1)[multisets[:, 0]])
 
 

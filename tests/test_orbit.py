@@ -18,8 +18,6 @@ from s4bell.orbit import (
 )
 from s4bell.tables import TableMismatchError
 
-R3 = np.sqrt(3.0)
-
 
 def test_orbit_pair_label_validation():
     from s4bell.orbit import OrbitPair
@@ -54,11 +52,6 @@ def test_orbit_points_are_the_table_in_label_order():
 def test_labels_bijective(orbit):
     assert orbit.points.shape == (24, 3)
     assert len(set(orbit.elements.tolist())) == 24
-
-
-def test_specific_labels(orbit):
-    assert orbit.label_of_coords([R3 / 3, R3 / 3, R3 / 3]) == (8, 2)
-    assert orbit.label_of_coords([R3 / 3, R3 / 3, -R3 / 3]) == (1, 0)
 
 
 def test_all_unit_norm(orbit):
@@ -99,7 +92,7 @@ def test_group_covariance(orbit, rep, group):
     for g in range(len(group)):
         for k, (point, element) in enumerate(zip(orbit.points, orbit.elements)):
             moved = rep[g] @ point
-            lab = orbit.label_of_coords(moved)
+            lab = labels[int(np.argmin(np.linalg.norm(orbit.points - moved, axis=1)))]
             assert orbit.element_of(*lab) == table[g, element]
             # the label action (group product route) agrees with geometry
             assert orbit.label_action[g, k] == labels.index(lab)

@@ -14,7 +14,7 @@ PUBLIC_NAMES = [
     "EIG_TOL", "EPS", "GameValue", "MATCH_TOL", "N_OUTCOMES", "N_SETTINGS", "Orbit",
     "OrbitPair", "PartitionError", "Representation", "RepresentationError",
     "StrategyHistogram", "SumSpectrum", "TableMismatchError", "Term",
-    "WinningTable", "all_labels", "alternating_twist", "bell_terms",
+    "WinningTable", "all_labels", "bell_terms",
     "build_standard_rep", "build_x_operator", "canonical_orbit", "character",
     "classical_histogram", "classical_max", "coefficient", "conjugacy_classes",
     "cycle_string", "eigenvalues_direct", "eigenvalues_isotypic", "game_values",

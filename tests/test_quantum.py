@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import compare_cli
-from conftest import random_unit
+from conftest import DIMS, random_unit, spectrum_of_components
 from s4bell import quantum, tables
 from s4bell.cli import parse_pair_spec
 from s4bell.orbit import OrbitPair, all_labels
@@ -20,7 +20,6 @@ from s4bell.quantum import (
     max_eigenvalue_sum,
 )
 
-DIMS = [tables.COMPONENT_DIMS[label] for label in tables.COMPONENT_ORDER]
 R2 = math.sqrt(2.0)
 R3 = math.sqrt(3.0)
 R6 = math.sqrt(6.0)
@@ -101,15 +100,8 @@ def test_isotypic_matches_direct_random_pairs(product, projectors, rng):
         phi, psi = random_unit(rng), random_unit(rng)
         x = build_x_operator(phi, psi, product)
         direct, top = eigenvalues_direct(x)
-        expected = sorted(
-            (
-                value
-                for dim, value in zip(DIMS, eigenvalues_isotypic(phi, psi, projectors))
-                for _ in range(dim)
-            ),
-            reverse=True,
-        )
-        assert np.abs(direct - np.array(expected)).max() < 1e-6
+        expected = spectrum_of_components(eigenvalues_isotypic(phi, psi, projectors))
+        assert np.abs(direct - expected).max() < 1e-6
         assert np.abs(x @ top - direct[0] * top).max() < 1e-6
 
 
@@ -185,7 +177,7 @@ def assert_componentwise_spectrum(pairs, ctx):
         total += build_x_operator(phi, psi, ctx.product)
         sums += eigenvalues_isotypic(phi, psi, ctx.projectors)
     values, vectors = jacobi_eigh(total)
-    assert np.abs(values - np.sort(np.repeat(sums, DIMS))[::-1]).max() <= 1e-12
+    assert np.abs(values - spectrum_of_components(sums)).max() <= 1e-12
     assert_eigh_residuals(total, values, vectors)
 
 
@@ -368,12 +360,14 @@ def _bad_matrix(kind):
         bad[0, 1] = 1e-3
     elif kind == "nan":
         bad[:] = np.nan
+    elif kind == "complex":  # its real part is the identity, which passes every other check
+        bad = bad + 5j * np.eye(9)
     else:
         bad[0, 0], bad[4, 4] = np.inf, -np.inf
     return bad
 
 
-@pytest.mark.parametrize("kind", ["nonsymmetric", "nan", "inf"])
+@pytest.mark.parametrize("kind", ["nonsymmetric", "nan", "inf", "complex"])
 @pytest.mark.parametrize("solve", [jacobi_eigh, eigenvalues_direct],
                          ids=["jacobi_eigh", "eigenvalues_direct"])
 def test_direct_rejects_nonsymmetric(solve, kind):
@@ -408,7 +402,8 @@ SEED_FUNCTIONS = {
     ([1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0]),
     ([[1.0, 0.0, 0.0]], [1.0, 0.0, 0.0]),
     ([1.0, [0.0, 1.0], 0.0], [1.0, 0.0, 0.0]),
-], ids=["nan", "inf", "minus_inf", "short_psi", "long_phi", "nested", "ragged"])
+    (np.array([1 + 1j, 0.0, 0.0]), [1.0, 0.0, 0.0]),  # a cast to float would drop the 1j
+], ids=["nan", "inf", "minus_inf", "short_psi", "long_phi", "nested", "ragged", "complex"])
 @pytest.mark.parametrize("name", SEED_FUNCTIONS)
 def test_seeds_must_be_finite_3_vectors(ctx, name, phi, psi):
     with pytest.raises(ValueError, match="finite 3-vectors"):

@@ -14,7 +14,6 @@ from s4bell.representation import (
     DecompositionError,
     Representation,
     RepresentationError,
-    alternating_twist,
     build_standard_rep,
     character,
     isotypic_projectors,
@@ -68,29 +67,6 @@ def test_orthogonality():
 def test_build_rejects_wrong_group():
     with pytest.raises(ValueError):
         build_standard_rep(symmetric_group(3))
-
-
-def test_twist_is_sign_times_matrix(group, rep):
-    twist = alternating_twist(rep)
-    for k, p in enumerate(group):
-        assert np.allclose(twist[k], sign(p) * rep[k], atol=1e-15)
-
-
-def test_twist_homomorphism(group, rep):
-    twist = alternating_twist(rep)
-    for i in (1, 7, 13):
-        for j in (2, 9, 21):
-            k = product_table(group)[i, j]
-            assert np.abs(twist[i] @ twist[j] - twist[k]).max() < EPS
-
-
-def test_twist_character_on_four_cycles(group, rep):
-    # chi of the twist on a 4-cycle: trace of D there is -1, sign is -1.
-    twist = alternating_twist(rep)
-    four_cycle = row_of(group, (1, 2, 3, 0))
-    assert abs(np.trace(rep[four_cycle]) - (-1.0)) < EPS
-    chi = character(twist)
-    assert abs(chi[(4,)] - 1.0) < EPS
 
 
 def test_character_of_standard_rep(rep):
@@ -171,13 +147,13 @@ def test_projectors_match_per_element_loop(group, rep, product, projectors):
     # group order from zero.  The stacked reduction does the same IEEE
     # operations in the same order, so the result is bit-identical.
     chi_std = character(rep)
-    chi_twist = character(alternating_twist(rep))
     for s, label in enumerate(tables.COMPONENT_ORDER):
         acc = np.zeros((9, 9))
         classes = conjugacy_classes(group)
         for k in range(len(group)):
             ct = next(ct for ct, rows in classes.items() if k in rows)
-            d, dt = chi_std[ct], chi_twist[ct]
+            d = chi_std[ct]
+            dt = sign(group[k]) * d  # the character of the sign twist
             chi = {"D": d, "Dt": dt, "D2": d ** 2 - d - dt - 1.0, "D0": 1.0}[label]
             acc += chi * product[k]
         expected = (tables.COMPONENT_DIMS[label] / len(group)) * acc
