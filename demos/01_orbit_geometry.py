@@ -3,15 +3,18 @@
 
 Run:  python demos/01_orbit_geometry.py
 """
+import contextlib
+import io
+
 import numpy as np
 
 from s4bell import (
     build_standard_rep,
+    cli,
     conjugacy_classes,
     cycle_string,
     generate_orbit,
     match_reference_labels,
-    orbit_to_json,
     symmetric_group,
     tetrahedron_orbit,
 )
@@ -59,5 +62,8 @@ for i in range(1, 9):
     print(f"  basis {i}: orthonormal to {gram_err:.1e}; elements {elements}")
 
 print("\nJSON export (first lines):")
-print("\n".join(orbit_to_json(orbit).splitlines()[:12]))
+# `s4bell orbits --json` prints this same orbit, labeled from the same seed.
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    cli.main(["orbits", "--json"])
+print("\n".join(out.getvalue().splitlines()[:12]))
 print("  ...")

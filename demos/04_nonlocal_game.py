@@ -26,7 +26,10 @@ table = winning_table(expr)
 print("The referee draws (s, t) uniformly from 64 pairs; the players win when")
 print("their answers (a, b) appear in the row of the winning table.")
 print()
-print(table.render_text())
+print("s,t  winning a,b")
+for (s, t), answers in table.rows:
+    print(f"{s}{t}   {' '.join(answers)}")
+print()
 
 rng = np.random.default_rng(5)
 print("A few random deterministic strategies:")

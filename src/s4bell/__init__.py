@@ -16,11 +16,11 @@ __version__ = "0.1.0"
 # [name]: its submodule.  Each line is a submodule, then public names it holds.
 _LAZY = {name: line.split()[0] for line in """
 classical BellExpression StrategyHistogram Term bell_terms classical_histogram classical_max
-classical coefficient histogram_csv optimal_classical_strategy
+classical coefficient optimal_classical_strategy
 context Context standard_context
 game GameValue WinningTable game_values winning_table
 orbit DegenerateOrbitError MATCH_TOL N_OUTCOMES N_SETTINGS Orbit OrbitPair PartitionError
-orbit all_labels canonical_orbit generate_orbit match_reference_labels orbit_to_json
+orbit all_labels canonical_orbit generate_orbit match_reference_labels
 orbit partition_into_bases tetrahedron_orbit
 permgroup conjugacy_classes cycle_string product_table sign symmetric_group
 quantum EIG_TOL SumSpectrum build_x_operator eigenvalues_direct eigenvalues_isotypic

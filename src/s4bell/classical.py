@@ -52,7 +52,6 @@ __all__ = [
     "classical_histogram",
     "optimal_classical_strategy",
     "coefficient",
-    "histogram_csv",
 ]
 
 # The one violation rule: a gap lambda_max - classical maximum above GAP_TOL is a violation, and
@@ -178,22 +177,6 @@ class StrategyHistogram:
 
     def weighted_total(self):
         return sum(c * n for c, n in self.counts.items())
-
-    def as_dict(self):
-        return {
-            "counts": {str(c): n for c, n in self.counts.items()},
-            "c_max": self.c_max,
-            "n_terms": self.n_terms,
-            "total": self.total(),
-        }
-
-
-def histogram_csv(hist: StrategyHistogram) -> str:
-    """CSV rows "c,count" for c = 1..20 (or further when c_max exceeds 20)."""
-    top = max(20, hist.c_max)
-    lines = ["c,count"]
-    lines += [f"{c},{hist.counts.get(c, 0)}" for c in range(1, top + 1)]
-    return "\n".join(lines) + "\n"
 
 
 @lru_cache(maxsize=1)

@@ -16,9 +16,10 @@ Pair labels are written "x<outcome><basis>", so "x01" is outcome 0 of basis 1.
 Human-readable output rounds eigenvalues to two decimals.  JSON output keeps full
 precision and sorted keys, so re-serializing a parsed report is byte-identical:
 `_json_text` writes `json.dumps(sort_keys=True, indent=2)` byte for byte, in less time
-than json, which Python 3.11 indents only in pure Python.  `analyze`, `game` and `verify`
-each compute one unformatted record (`_analysis`, `_game`, `_checks`) that pure renderers
-turn into text, JSON or CSV.
+than json, which Python 3.11 indents only in pure Python.  Every output format lives here:
+`analyze`, `game` and `verify` each compute one unformatted record (`_analysis`, `_game`,
+`_checks`) that pure renderers turn into text, JSON or CSV; `orbits --json` too is written
+by `_json_text`.  The library's records are plain data.
 
 `scan` ranks multisets of Bob labels, so a spec it prints may repeat a
 label, as in "x01:x14,x01:x14,x01:x18"; a repeated orbit's terms count
@@ -50,16 +51,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import tables
-from .classical import (
-    GAP_TOL,
-    bell_terms,
-    classical_histogram,
-    classical_max,
-    histogram_csv,
-)
+from .classical import GAP_TOL, bell_terms, classical_histogram, classical_max
 from .context import standard_context
 from .game import game_values, winning_table
-from .orbit import N_OUTCOMES, N_SETTINGS, OrbitPair, all_labels, orbit_to_json
+from .orbit import N_OUTCOMES, N_SETTINGS, OrbitPair, all_labels
 from .permgroup import cycle_string
 from .quantum import EIG_TOL, _SPREAD, eigenvalues_direct, max_eigenvalue_sum
 from .representation import validate_block_basis
@@ -196,7 +191,7 @@ def _checks():
         expr = case_exprs[name]
         hist = classical_histogram(expr)
         ref = tables.REF_COEFFICIENT_COUNTS[name]
-        rows_ok = all(hist.counts.get(c, 0) == ref[c - 1] for c in range(1, 21))
+        rows_ok = [hist.counts.get(c, 0) for c in range(1, 21)] == list(ref)
         mass_ok = hist.total() == 3 ** 16 and hist.weighted_total() == len(expr.index) * 3 ** 14
         yield (
             f"case {name}: coefficient histogram",
@@ -293,19 +288,35 @@ def _json_text(value, indent="\n"):
 
 
 def _render_json(record):
-    (table, value), cmax, denom = record.game, record.cmax, N_SETTINGS ** 2
+    pairs, spectrum, (table, value), cmax, hist = record
+    labels, dims, denom = tables.COMPONENT_ORDER, tables.COMPONENT_DIMS, N_SETTINGS ** 2
     report = {
-        "pairs": [format_pair(p) for p in record.pairs],
-        "quantum": record.spectrum.as_dict(),
+        "pairs": [format_pair(p) for p in pairs],
+        "quantum": {
+            "lambda_max": spectrum.lambda_max,
+            "eigenvector": spectrum.eigenvector.tolist(),
+            "spectrum": spectrum.spectrum.tolist(),
+            "component_sums": dict(zip(labels, spectrum.component_sums.tolist())),
+            "per_pair": [[{"label": lab, "dim": dims[lab], "eigenvalue": val}
+                          for lab, val in zip(labels, row)] for row in spectrum.per_pair.tolist()],
+        },
         "classical": {"max_coefficient": cmax},
         "game": {"classical": f"{cmax}/{denom}", "classical_value": cmax / denom,
                  "quantum_value": value.quantum},
-        "winning_table": table.as_dict(),
+        "winning_table": {f"{s},{t}": cell for (s, t), cell in table.rows},
         "violation": {"violated": value.violation, "gap": value.gap},
     }
-    if record.histogram is not None:
-        report["classical"]["histogram"] = record.histogram.as_dict()
+    if hist is not None:
+        report["classical"]["histogram"] = {
+            "counts": {str(c): n for c, n in hist.counts.items()}, "c_max": hist.c_max,
+            "n_terms": hist.n_terms, "total": hist.total()}
     return _json_text(report) + "\n"
+
+
+def _table_text(table):
+    """The winning table's block: a header, then one line "st   ab ab ab" per row, in order."""
+    return "s,t  winning a,b\n" + "".join([f"{s}{t}   {' '.join(cell)}\n"
+                                           for (s, t), cell in table.rows])
 
 
 def _render_text(record):
@@ -328,7 +339,7 @@ def _render_text(record):
         f"game value, quantum:   lambda_max/{denom} = {value.quantum:.4f}",
         f"violation: yes (gap {value.gap:.2f})" if value.violation else "violation: no",
         "",
-        table.render_text(),
+        _table_text(table),
     ]
     if record.histogram is not None:
         counts = record.histogram.counts
@@ -339,8 +350,10 @@ def _render_text(record):
 
 
 def _render_csv(record):
-    if record.histogram is not None:
-        return histogram_csv(record.histogram)
+    hist = record.histogram
+    if hist is not None:  # rows c = 1..20, or up to c_max when that is larger
+        rows = [f"{c},{hist.counts.get(c, 0)}\n" for c in range(1, max(20, hist.c_max) + 1)]
+        return "c,count\n" + "".join(rows)
     lines, dims = ["pair,component,dim,eigenvalue"], tables.COMPONENT_DIMS
     # tolist(): Python floats, as numpy 2 writes the repr of its scalars as np.float64(...)
     for pair, row in zip(record.pairs, record.spectrum.per_pair.tolist()):
@@ -352,7 +365,7 @@ def _render_csv(record):
 
 def _render_game(game):
     table, value = game
-    return (f"{table.render_text()}"
+    return (f"{_table_text(table)}"
             f"classical value: {value.classical} = {float(value.classical):.4f}\n"
             f"quantum value:   {value.quantum:.4f}\n"
             f"violation: {'yes' if value.violation else 'no'}\n")
@@ -408,13 +421,17 @@ def _cmd_scan(args):
 
 def _cmd_orbits(args):
     ctx = standard_context()
+    rows = [(label, point, cycle_string(ctx.group[element])) for label, point, element
+            in zip(all_labels(), ctx.orbit.points.tolist(), ctx.orbit.elements)]
     if args.json:
-        print(orbit_to_json(ctx.orbit))
+        vectors = [{"i": basis, "alpha": outcome, "element": element, "coords": point}
+                   for (basis, outcome), point, element in rows]
+        print(_json_text({"seed": ctx.orbit.seed.tolist(), "vectors": vectors}))
         return 0
     print("label   coordinates" + " " * 27 + "element")
-    for label, point, element in zip(all_labels(), ctx.orbit.points, ctx.orbit.elements):
+    for label, point, element in rows:
         coords = ", ".join(f"{x: .6f}" for x in point)
-        print(f"{format_label(label)}     ({coords})   {cycle_string(ctx.group[element])}")
+        print(f"{format_label(label)}     ({coords})   {element}")
     return 0
 
 

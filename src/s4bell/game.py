@@ -33,7 +33,7 @@ _ANSWER_PAIRS = {f"{a}{b}": (a, b) for a in range(3) for b in range(3)}
 
 @dataclass(frozen=True, eq=False)
 class WinningTable:
-    """Winning answer pairs per settings pair (s, t), as the rows the renderers print."""
+    """Winning answer pairs per settings pair (s, t), as the rows the CLI prints."""
 
     rows: tuple  # ((s, t), ("ab", ...)) per settings pair, pairs and answers sorted
 
@@ -47,14 +47,6 @@ class WinningTable:
         with pairwise distinct a values and pairwise distinct b values."""
         return all(len(cell) == len({a for a, _ in cell}) == len({b for _, b in cell}) == 3
                    for _, cell in self.rows)
-
-    def render_text(self):
-        """Compact rows "st  ab ab ab", sorted by (s, t)."""
-        rows = [f"{s}{t}   {' '.join(cell)}\n" for (s, t), cell in self.rows]
-        return "s,t  winning a,b\n" + "".join(rows)
-
-    def as_dict(self):
-        return {f"{s},{t}": list(cell) for (s, t), cell in self.rows}
 
 
 @lru_cache(maxsize=1)

@@ -17,7 +17,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from . import tables
-from .permgroup import cycle_string, product_table
+from .permgroup import product_table
 from .representation import EPS, Representation
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "match_reference_labels",
     "tetrahedron_orbit",
     "canonical_orbit",
-    "orbit_to_json",
     "all_labels",
 ]
 
@@ -128,26 +127,6 @@ class Orbit:
 
     def element_of(self, basis, outcome):
         return int(self.elements[_row(basis, outcome)])
-
-    def as_dict(self):
-        rows = zip(all_labels(), self.points, self.elements)
-        return {
-            "seed": [float(x) for x in self.seed],
-            "vectors": [
-                {
-                    "i": basis,
-                    "alpha": outcome,
-                    "element": cycle_string(self.group[element]),
-                    "coords": [float(x) for x in point],
-                }
-                for (basis, outcome), point, element in rows
-            ],
-        }
-
-
-def orbit_to_json(orbit: Orbit) -> str:
-    import json  # loaded here, so that building a context does not load it
-    return json.dumps(orbit.as_dict(), sort_keys=True, indent=2)
 
 
 def partition_into_bases(vectors):

@@ -118,10 +118,11 @@ def eigenvalues_isotypic(phi, psi, projectors: np.ndarray) -> np.ndarray:
     Returned as a (4,) array in the order of tables.COMPONENT_ORDER, the
     order of `projectors`.  The scalar component comes out as
     8 (phi . psi)^2 for unit inputs.  ValueError unless `projectors` is a
-    finite (4, 9, 9) array.
+    finite real (4, 9, 9) array.
     """
-    if np.shape(projectors) != (4, 9, 9) or not np.isfinite(projectors).all():
-        raise ValueError("projectors must be a finite (4, 9, 9) array")
+    if (np.shape(projectors) != (4, 9, 9) or np.iscomplexobj(projectors)
+            or not np.isfinite(projectors).all()):
+        raise ValueError("projectors must be a finite real (4, 9, 9) array")
     return _isotypic(_seed_product(phi, psi), projectors)
 
 
@@ -134,17 +135,6 @@ class SumSpectrum:
     spectrum: np.ndarray  # component sums, each repeated by its dimension, descending
     per_pair: np.ndarray  # (pairs, 4) eigenvalues, columns in tables.COMPONENT_ORDER
     component_sums: np.ndarray  # (4,) column sums of per_pair
-
-    def as_dict(self):
-        labels, dims = tables.COMPONENT_ORDER, tables.COMPONENT_DIMS
-        return {
-            "lambda_max": self.lambda_max,
-            "eigenvector": self.eigenvector.tolist(),
-            "spectrum": self.spectrum.tolist(),
-            "component_sums": dict(zip(labels, self.component_sums.tolist())),
-            "per_pair": [[{"label": lab, "dim": dims[lab], "eigenvalue": val}
-                          for lab, val in zip(labels, row)] for row in self.per_pair.tolist()],
-        }
 
 
 class PairModel:

@@ -58,14 +58,16 @@ class Representation:
     """Matrices of a representation, aligned with the rows of the group array.
 
     `matrices` is stored as one read-only (order, d, d) array, so a sum over
-    the group can be a single stacked product.  Non-finite entries raise
-    RepresentationError.
+    the group can be a single stacked product.  Complex or non-finite
+    entries raise RepresentationError.
     """
 
     group: np.ndarray  # (order, degree) one-line images
     matrices: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.matrices):  # checked first: the cast would drop the imaginary part
+            raise RepresentationError("matrix entries must be finite and real")
         mats = np.array(self.matrices, dtype=float)
         mats.setflags(write=False)
         object.__setattr__(self, "matrices", mats)
@@ -176,9 +178,10 @@ def isotypic_projectors(product: Representation, standard: Representation) -> np
 
 
 # Per component, in the order of tables.COMPONENT_ORDER, the 0/1 indicator of its coordinate
-# block under the bundled change of basis.
+# block under the bundled change of basis; and that constant basis's deviation from orthogonality.
 _BLOCK_INDICATORS = np.array([np.diag([float(r in tables.BLOCK_ROWS[label]) for r in range(9)])
                               for label in tables.COMPONENT_ORDER])
+_ORTHOGONALITY = float(np.abs(tables.BLOCK_BASIS @ tables.BLOCK_BASIS.T - np.eye(9)).max())
 
 
 def validate_block_basis(projectors: np.ndarray) -> dict:
@@ -193,7 +196,7 @@ def validate_block_basis(projectors: np.ndarray) -> dict:
     if np.shape(projectors) != (4, 9, 9):
         raise ValueError("projectors must be a (4, 9, 9) array")
     basis = tables.BLOCK_BASIS
-    report = {"orthogonality": float(np.abs(basis @ basis.T - np.eye(9)).max())}
+    report = {"orthogonality": _ORTHOGONALITY}
     deviations = np.abs(basis @ projectors @ basis.T - _BLOCK_INDICATORS).max(axis=(1, 2))
     report.update(zip(tables.COMPONENT_ORDER, deviations.tolist()))
     worst = float(np.max(list(report.values())))  # NaN if any deviation is NaN

@@ -22,7 +22,6 @@ from s4bell.classical import (
     classical_histogram,
     classical_max,
     coefficient,
-    histogram_csv,
     optimal_classical_strategy,
 )
 from s4bell.orbit import OrbitPair, all_labels
@@ -787,13 +786,3 @@ def test_optimal_strategy_matches_full_scan(pairs):
         assume(False)
     assert len(expr._scan[0]) == 306
     assert optimal_classical_strategy(expr) == first_optimal_strategy(expr)
-
-
-def test_histogram_csv_layout(case_exprs):
-    hist = classical_histogram(case_exprs["I"])
-    lines = histogram_csv(hist).strip().splitlines()
-    assert lines[0] == "c,count"
-    assert len(lines) == 21
-    assert lines[1] == "1,12960"
-    assert lines[16] == "16,15876"
-    assert lines[20] == "20,0"

@@ -132,7 +132,7 @@ def test_game_and_analyze_print_one_winning_table_block(name):
     # Each prints the header once, followed by its rows, and no row line elsewhere: the same
     # block, which is the table of the spec's terms.
     row = re.compile(r"[1-8][1-8]   \d\d( \d\d)*")
-    expected = winning_table(cli._expression(SPECS[name])).render_text().splitlines()
+    expected = cli._table_text(winning_table(cli._expression(SPECS[name]))).splitlines()
     for command in ("game", "analyze"):
         code, out = run_cli([command, "--pairs", SPECS[name]])
         lines = out.splitlines()
@@ -224,9 +224,10 @@ def test_analyze_json_roundtrip():
     histogram = report["classical"].pop("histogram")
     assert report == parsed
     expr = classical.bell_terms(parse_pair_spec(spec), standard_context().orbit)
-    assert histogram == classical.classical_histogram(expr).as_dict()
-    counts = [histogram["counts"][str(c)] for c in range(1, 21)]
-    assert counts == list(tables.REF_COEFFICIENT_COUNTS["I"])
+    counts = classical.classical_histogram(expr).counts
+    assert histogram == {"counts": {str(c): n for c, n in counts.items()}, "c_max": 16,
+                         "n_terms": 72, "total": 3 ** 16}
+    assert [counts[c] for c in range(1, 21)] == list(tables.REF_COEFFICIENT_COUNTS["I"])
 
 
 # Keys and strings with non-ASCII characters (one outside the BMP), quotes, backslashes and

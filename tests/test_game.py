@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from compare_cli import COMMANDS
 from s4bell.classical import BellExpression, bell_terms, classical_max, coefficient
-from s4bell.cli import parse_pair_spec
+from s4bell.cli import _table_text, parse_pair_spec
 from s4bell.game import GameValue, game_values, winning_table
 from s4bell.orbit import OrbitPair
 from s4bell.quantum import max_eigenvalue_sum
@@ -112,7 +112,7 @@ def test_violation_is_the_gap_above_the_lambda_scale_tolerance(ctx, case_data):
 
 def test_render_text_matches_reference_rows(case_data):
     _, _, table = case_data["I"]
-    text = table.render_text()
+    text = _table_text(table)
     assert "14   01 10 22" in text
     assert "86   00 11 22" in text
     assert text.splitlines()[0] == "s,t  winning a,b"
@@ -132,7 +132,7 @@ def _pinned_expressions(orbit):
 
 def _assert_one_sorted_view(expr, table):
     """`rows` are the terms grouped by settings pair, pairs and answers sorted; `entries`
-    gives back each pair's answers; `render_text` and `as_dict` list `rows` in order."""
+    gives back each pair's answers; `cli._table_text` prints `rows` in order."""
     grouped = {}
     for s, a, t, b in expr.terms:
         grouped.setdefault((s, t), set()).add((a, b))
@@ -140,10 +140,9 @@ def _assert_one_sorted_view(expr, table):
                      for s, t in sorted(grouped))
     assert table.rows == expected
     assert table.entries == {key: frozenset(answers) for key, answers in grouped.items()}
-    text = table.render_text().splitlines()
+    text = _table_text(table).splitlines()
     assert text[0] == "s,t  winning a,b"
     assert [line.split() for line in text[1:]] == [[f"{s}{t}", *cell] for (s, t), cell in expected]
-    assert list(table.as_dict().items()) == [(f"{s},{t}", list(cell)) for (s, t), cell in expected]
 
 
 def test_text_rows_and_dict_items_are_one_sorted_view(orbit):
@@ -183,10 +182,3 @@ def test_uniform_triple_structure_needs_three_distinct_a_and_b_per_cell(orbit):
         assert winning_table(expr).rows == (((1, 2), tuple(f"{a}{b}" for _, a, _, b in expr.terms)),)
         assert not winning_table(expr).has_uniform_triple_structure()
     assert winning_table(BellExpression([])).has_uniform_triple_structure()
-
-
-def test_table_json_keys(case_data):
-    _, _, table = case_data["I"]
-    data = table.as_dict()
-    assert data["1,4"] == ["01", "10", "22"]
-    assert len(data) == 24

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import run_cli
 from s4bell import tables
 from s4bell.permgroup import cycle_string, product_table
 from s4bell.orbit import (
@@ -12,7 +13,6 @@ from s4bell.orbit import (
     all_labels,
     generate_orbit,
     match_reference_labels,
-    orbit_to_json,
     partition_into_bases,
     tetrahedron_orbit,
 )
@@ -193,8 +193,9 @@ def test_tetrahedron(rep):
 
 
 def test_orbit_json_export(orbit, group):
-    data = json.loads(orbit_to_json(orbit))
-    assert set(data) == {"seed", "vectors"}
+    code, out = run_cli(["orbits", "--json"])
+    data = json.loads(out)
+    assert code == 0 and set(data) == {"seed", "vectors"}
     assert len(data["vectors"]) == 24
     entry = data["vectors"][0]
     assert set(entry) == {"i", "alpha", "element", "coords"}

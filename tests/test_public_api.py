@@ -18,9 +18,9 @@ PUBLIC_NAMES = [
     "build_standard_rep", "build_x_operator", "canonical_orbit", "character",
     "classical_histogram", "classical_max", "coefficient", "conjugacy_classes",
     "cycle_string", "eigenvalues_direct", "eigenvalues_isotypic", "game_values",
-    "generate_orbit", "histogram_csv", "isotypic_projectors", "jacobi_eigh",
+    "generate_orbit", "isotypic_projectors", "jacobi_eigh",
     "match_reference_labels", "max_eigenvalue_sum", "optimal_classical_strategy",
-    "orbit_to_json", "partition_into_bases", "product_table", "sign",
+    "partition_into_bases", "product_table", "sign",
     "standard_context", "symmetric_group", "tensor_product", "tetrahedron_orbit",
     "validate_block_basis", "winning_table",
 ]

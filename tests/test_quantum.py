@@ -383,7 +383,8 @@ def test_isotypic_rejects_non_finite_input(projectors, bad):
     broken = projectors.copy()
     broken[1, 4, 4] = bad
     for phi, psi, proj in (([bad, 0.0, 0.0], x, projectors), (x, [0.0, bad, 0.0], projectors),
-                           (x, y, broken), (x, y, projectors[:3]), (x, y, projectors[:, :3, :3])):
+                           (x, y, broken), (x, y, projectors[:3]), (x, y, projectors[:, :3, :3]),
+                           (x, y, projectors * (1 + 1j))):
         with pytest.raises(ValueError, match="finite"):
             eigenvalues_isotypic(phi, psi, proj)
 

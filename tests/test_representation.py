@@ -231,12 +231,12 @@ def test_validate_block_basis_rejects_nan_projector(projectors, label):
         validate_block_basis(broken)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1j], ids=["nan", "inf", "complex"])
 def test_non_finite_matrix_entry_is_rejected(ctx, bad):
-    # Without the check, a NaN in one product matrix passes the projector
-    # trace test and isotypic_projectors returns four all-NaN projectors.
-    mats = ctx.product.matrices.copy()
-    mats[5, 0, 0] = bad
+    # Without the check, a NaN in one product matrix passes the projector trace test and
+    # isotypic_projectors returns four all-NaN projectors; a complex one lost its imaginary part.
+    mats = ctx.product.matrices.astype(type(bad))
+    mats[5, 0, 0] += bad
     with pytest.raises(RepresentationError, match="finite"):
         isotypic_projectors(Representation(ctx.group, mats), ctx.rep)
 
