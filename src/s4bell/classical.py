@@ -20,16 +20,16 @@ The scan is also symmetry-reduced.  Each element of S4 permutes the
 orbit labels and maps bases onto bases, so it permutes Alice tuples: the
 3**8 tuples fall into 306 orbits.  The 576 label pairs fall into 24 S4
 orbits of 24 pairs, the pair classes (the orbit's `class_of`); each pair
-has its class's eigenvalues.  A term set maps onto itself under every
-element exactly when it is a union of classes (true of every
-`bell_terms` output); then one representative per orbit, weighted by the
-orbit size, stands for all of its tuples, and its tables M are its
-classes' tables summed.  Any other expression scans every tuple.  Bob's
-side reduces too: 72 relabelings of settings, outcomes and parties
-permute the classes and keep every maximum, so one class multiset per
-orbit is summed; lambda_max (S4-invariant, not relabeling-invariant) is
-summed per class multiset.  Expressions read these tables from the
-standard context's `class_tables`, each built on first use.
+has its class's eigenvalues.  Every `bell_terms` output is a union of
+classes, so every element maps it onto itself: one representative per
+orbit, weighted by the orbit size, stands for all of its tuples, and its
+tables M are its classes' tables summed.  A term set that is not a union
+of classes has no scan (ValueError).  Bob's side reduces too: 72
+relabelings of settings, outcomes and parties permute the classes and
+keep every maximum, so one class multiset per orbit is summed; lambda_max
+(S4-invariant, not relabeling-invariant) is summed per class multiset.
+Expressions read these tables from the standard context's
+`class_tables`, each built on first use.
 """
 
 import itertools
@@ -71,27 +71,14 @@ class Term(NamedTuple):
     b: int
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class BellExpression:
-    """An ordered list of distinct probability terms plus its provenance, the orbit pairs.
-    Term (s, a, t, b) is stored in `index` as 24 k + m, for the `all_labels()` rows k of
-    (s, a) and m of (t, b)."""
+    """An ordered list of probability terms plus its provenance, the orbit pairs, as
+    `bell_terms` builds it.  Term (s, a, t, b) is stored in `index` as 24 k + m, for the
+    `all_labels()` rows k of (s, a) and m of (t, b)."""
 
     index: tuple
     pairs: tuple
-
-    def __init__(self, terms, pairs=()):
-        self._set(tuple(map(_term_index, terms)), pairs)
-
-    def _set(self, index, pairs):
-        """Store `index` and `pairs` as a tuple of `OrbitPair`; ValueError for a repeated term."""
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "pairs", tuple(
-            p if isinstance(p, OrbitPair) else OrbitPair(*p) for p in pairs))
-        if len(set(index)) != len(index):
-            seen = set()
-            dup = next(t for t in self.terms if t in seen or seen.add(t))
-            raise ValueError(f"duplicate term {dup}")
 
     @cached_property
     def terms(self):
@@ -100,46 +87,19 @@ class BellExpression:
         return tuple(Term(*labels[i // 24], *labels[i % 24]) for i in self.index)
 
     @cached_property
-    def table(self):
-        """Read-only F[s-1, a, t-1, b] = 1 for each term (s, a, t, b), else 0."""
-        table = np.zeros((N_SETTINGS, N_OUTCOMES) * 2, dtype=np.int16)
-        table.put(self.index, 1)
-        table.setflags(write=False)
-        return table
-
-    @cached_property
     def _scan(self):
-        """Read-only scan state, built on first use: the Alice tuples to scan, the number of
-        tuples each stands for, their tables M and their row maxima.  The term set is
-        S4-invariant exactly when each pair class holds none or all 24 of its terms: then
-        one tuple per S4 orbit, ascending, is scanned, and M is its classes' tables summed.
-        Any other term set scans every tuple."""
-        ctx = standard_context()
-        classes = set(map(ctx.class_tables.flat_class_of.__getitem__, self.index))
-        if len(self.index) == 24 * len(classes):  # distinct terms: at most 24 per class
-            rows, weights = ctx.class_tables.alice_orbits
-            m, maxima = ctx.class_tables.class_scan(list(classes))
-        else:
-            rows = np.arange(N_OUTCOMES ** N_SETTINGS)
-            weights = np.ones(len(rows), dtype=np.int64)
-            m = _per_alice_tables(self.table, rows)
-            maxima = _row_maxima(m)
-        scan = rows, weights, m, maxima
+        """Read-only scan state, built on first use: one Alice tuple per S4 orbit, ascending,
+        the number of tuples each stands for, their tables M (the classes' tables summed) and
+        their row maxima.  ValueError unless the terms are distinct and each pair class holds
+        none or all 24 of them, as in every `bell_terms` output."""
+        class_tables = standard_context().class_tables
+        classes = set(map(class_tables.flat_class_of.__getitem__, self.index))
+        if not len(self.index) == len(set(self.index)) == 24 * len(classes):
+            raise ValueError("the expression's terms are not a union of S4 pair classes")
+        scan = *class_tables.alice_orbits, *class_tables.class_scan(list(classes))
         for arr in scan:
             arr.setflags(write=False)
         return scan
-
-
-def _term_index(entries):
-    """The label-pair index of the term `entries`, four integers (s, a, t, b) in range."""
-    try:
-        s, a, t, b = key = tuple(map(operator.index, entries))
-    except (TypeError, ValueError):
-        raise ValueError(f"term must be four integers, got {entries!r}") from None
-    settings = 1 <= s <= N_SETTINGS and 1 <= t <= N_SETTINGS
-    if not (settings and 0 <= a < N_OUTCOMES and 0 <= b < N_OUTCOMES):
-        raise ValueError(f"{'outcome' if settings else 'setting'} out of range in {Term(*key)}")
-    return 24 * _row(s, a) + _row(t, b)
 
 
 def _expansion(pairs, orbit):
@@ -159,8 +119,12 @@ def bell_terms(pairs, orbit: Orbit) -> BellExpression:
     raise ValueError.  Each pair's 24 terms are its S4 pair class, so the
     expression's scan state is summed from its classes' tables.
     """
-    expr = BellExpression((), pairs)  # no terms yet: checks the pairs
-    expr._set(_expansion(expr.pairs, orbit), expr.pairs)
+    pairs = tuple(p if isinstance(p, OrbitPair) else OrbitPair(*p) for p in pairs)
+    expr = BellExpression(_expansion(pairs, orbit), pairs)
+    if len(set(expr.index)) != len(expr.index):
+        seen = set()
+        dup = next(t for t in expr.terms if t in seen or seen.add(t))
+        raise ValueError(f"duplicate term {dup}")
     return expr
 
 
@@ -255,7 +219,7 @@ def classical_max(expr: BellExpression) -> int:
 
     Uses the separable fast path: per Alice tuple, Bob's settings decouple
     and contribute their per-setting maxima.  Only one Alice tuple per S4
-    orbit is scanned when the expression is invariant.
+    orbit is scanned; ValueError unless the terms are a union of pair classes.
     """
     return int(expr._scan[3].max())
 
@@ -263,8 +227,8 @@ def classical_max(expr: BellExpression) -> int:
 def classical_histogram(expr: BellExpression) -> StrategyHistogram:
     """Coefficient histogram over all deterministic configurations.
 
-    For an invariant expression each S4-orbit representative's counts are
-    weighted by its orbit size; the counts are integer-exact either way.
+    Each S4-orbit representative's counts are weighted by its orbit size;
+    the counts are integer-exact.
     """
     counts, c_max = _histogram_counts(len(expr.index), *expr._scan)
     return StrategyHistogram(dict(enumerate(counts.tolist())), c_max, len(expr.index))
@@ -387,8 +351,8 @@ def optimal_classical_strategy(expr: BellExpression):
     Ties are broken toward the lexicographically smallest
     (a_1..a_S, b_1..b_S): Alice tuples are scanned in lexicographic order
     and the first maximizer wins, then each of Bob's settings takes its
-    smallest maximizing outcome.  The first maximizer of an invariant
-    expression is the smallest tuple of its orbit, so its scan state's rows hold it.
+    smallest maximizing outcome.  The first maximizer is the smallest tuple
+    of its S4 orbit, so the scan state's rows hold it.
     """
     rows, _, m, maxima = expr._scan
     best = int(np.argmax(maxima))

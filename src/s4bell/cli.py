@@ -216,18 +216,17 @@ def _checks():
     )
 
 
-def run_verification(echo=print):
-    """Recompute every bundled reference quantity; echo one line per check as it finishes.
+def run_verification():
+    """Recompute every bundled reference quantity; print one line per check as it finishes.
 
     Returns True when every check passed.
     """
-    record = []
+    results = []
     for name, passed, detail in _checks():
-        record.append((name, passed, detail))
-        echo(f"{'ok  ' if passed else 'FAIL'} {name}" + (f" ({detail})" if detail else ""))
-    passed = sum(ok for _, ok, _ in record)
-    echo(f"{passed}/{len(record)} checks passed")
-    return passed == len(record)
+        results.append(passed)
+        print(f"{'ok  ' if passed else 'FAIL'} {name}" + (f" ({detail})" if detail else ""))
+    print(f"{sum(results)}/{len(results)} checks passed")
+    return all(results)
 
 
 def _cmd_verify(args):

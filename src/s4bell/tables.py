@@ -102,49 +102,47 @@ BLOCK_ROWS = {"D": (0, 1, 2), "Dt": (3, 4, 5), "D2": (6, 7), "D0": (8,)}
 # (basis i in 1..8, outcome alpha in 0..2).
 # ---------------------------------------------------------------------------
 
-_R2, _R3, _R6 = SQRT2, SQRT3, SQRT6
-
 ORBIT_TABLE = {
-    (1, 0): _locked([_R3 / 3, _R3 / 3, -_R3 / 3]),
-    (1, 1): _locked([_R3 / 3, (1 - _R3 / 3) / 2, (1 + _R3 / 3) / 2]),
-    (1, 2): _locked([_R3 / 3, -(1 + _R3 / 3) / 2, -(1 - _R3 / 3) / 2]),
-    (2, 0): _locked([(-3 * _R2 - _R3 - _R6) / 9, (-3 + 5 * _R3 - 2 * _R6) / 18,
-                     (-1 - 2 * _R2 + _R3) / 6]),
-    (2, 1): _locked([(-_R3 + 2 * _R6) / 9, (9 - _R3 - 2 * _R6) / 18,
-                     -(1 + 2 * _R2 + _R3) / 6]),
-    (2, 2): _locked([(3 * _R2 - _R3 - _R6) / 9, -(3 + 2 * _R3 + _R6) / 9,
-                     (1 - _R2) / 3]),
-    (3, 0): _locked([(3 * _R2 - _R3 - _R6) / 9, (3 + 5 * _R3 - 2 * _R6) / 18,
-                     (1 + 2 * _R2 + _R3) / 6]),
-    (3, 1): _locked([(-_R3 + 2 * _R6) / 9, -(9 + _R3 + 2 * _R6) / 18,
-                     (1 + 2 * _R2 - _R3) / 6]),
-    (3, 2): _locked([-(3 * _R2 + _R3 + _R6) / 9, (3 - 2 * _R3 - _R6) / 9,
-                     (-1 + _R2) / 3]),
-    (4, 0): _locked([(3 * _R2 - _R3 - _R6) / 9, (3 - _R3 + 4 * _R6) / 18,
-                     (3 + _R3) / 6]),
-    (4, 1): _locked([(-_R3 + 2 * _R6) / 9, (_R3 + 2 * _R6) / 9, -_R3 / 3]),
-    (4, 2): _locked([-(3 * _R2 + _R3 + _R6) / 9, (-3 - _R3 + 4 * _R6) / 18,
-                     (-3 + _R3) / 6]),
-    (5, 0): _locked([(-_R3 + 2 * _R6) / 9, (9 - _R3 - 2 * _R6) / 18,
-                     (1 + 2 * _R2 + _R3) / 6]),
-    (5, 1): _locked([-(3 * _R2 + _R3 + _R6) / 9, (-3 + 5 * _R3 - 2 * _R6) / 18,
-                     (1 + 2 * _R2 - _R3) / 6]),
-    (5, 2): _locked([(3 * _R2 - _R3 - _R6) / 9, -(3 + 2 * _R3 + _R6) / 9,
-                     (-1 + _R2) / 3]),
-    (6, 0): _locked([-(3 * _R2 + _R3 + _R6) / 9, (-3 - _R3 + 4 * _R6) / 18,
-                     (3 - _R3) / 6]),
-    (6, 1): _locked([(3 * _R2 - _R3 - _R6) / 9, (3 - _R3 + 4 * _R6) / 18,
-                     -(3 + _R3) / 6]),
-    (6, 2): _locked([(-_R3 + 2 * _R6) / 9, (_R3 + 2 * _R6) / 9, _R3 / 3]),
-    (7, 0): _locked([(3 * _R2 - _R3 - _R6) / 9, (3 + 5 * _R3 - 2 * _R6) / 18,
-                     -(1 + 2 * _R2 + _R3) / 6]),
-    (7, 1): _locked([(-_R3 + 2 * _R6) / 9, -(9 + _R3 + 2 * _R6) / 18,
-                     (-1 - 2 * _R2 + _R3) / 6]),
-    (7, 2): _locked([-(3 * _R2 + _R3 + _R6) / 9, (3 - 2 * _R3 - _R6) / 9,
-                     (1 - _R2) / 3]),
-    (8, 0): _locked([_R3 / 3, -(1 + _R3 / 3) / 2, (1 - _R3 / 3) / 2]),
-    (8, 1): _locked([_R3 / 3, (1 - _R3 / 3) / 2, -(1 + _R3 / 3) / 2]),
-    (8, 2): _locked([_R3 / 3, _R3 / 3, _R3 / 3]),
+    (1, 0): _locked([SQRT3 / 3, SQRT3 / 3, -SQRT3 / 3]),
+    (1, 1): _locked([SQRT3 / 3, (1 - SQRT3 / 3) / 2, (1 + SQRT3 / 3) / 2]),
+    (1, 2): _locked([SQRT3 / 3, -(1 + SQRT3 / 3) / 2, -(1 - SQRT3 / 3) / 2]),
+    (2, 0): _locked([(-3 * SQRT2 - SQRT3 - SQRT6) / 9, (-3 + 5 * SQRT3 - 2 * SQRT6) / 18,
+                     (-1 - 2 * SQRT2 + SQRT3) / 6]),
+    (2, 1): _locked([(-SQRT3 + 2 * SQRT6) / 9, (9 - SQRT3 - 2 * SQRT6) / 18,
+                     -(1 + 2 * SQRT2 + SQRT3) / 6]),
+    (2, 2): _locked([(3 * SQRT2 - SQRT3 - SQRT6) / 9, -(3 + 2 * SQRT3 + SQRT6) / 9,
+                     (1 - SQRT2) / 3]),
+    (3, 0): _locked([(3 * SQRT2 - SQRT3 - SQRT6) / 9, (3 + 5 * SQRT3 - 2 * SQRT6) / 18,
+                     (1 + 2 * SQRT2 + SQRT3) / 6]),
+    (3, 1): _locked([(-SQRT3 + 2 * SQRT6) / 9, -(9 + SQRT3 + 2 * SQRT6) / 18,
+                     (1 + 2 * SQRT2 - SQRT3) / 6]),
+    (3, 2): _locked([-(3 * SQRT2 + SQRT3 + SQRT6) / 9, (3 - 2 * SQRT3 - SQRT6) / 9,
+                     (-1 + SQRT2) / 3]),
+    (4, 0): _locked([(3 * SQRT2 - SQRT3 - SQRT6) / 9, (3 - SQRT3 + 4 * SQRT6) / 18,
+                     (3 + SQRT3) / 6]),
+    (4, 1): _locked([(-SQRT3 + 2 * SQRT6) / 9, (SQRT3 + 2 * SQRT6) / 9, -SQRT3 / 3]),
+    (4, 2): _locked([-(3 * SQRT2 + SQRT3 + SQRT6) / 9, (-3 - SQRT3 + 4 * SQRT6) / 18,
+                     (-3 + SQRT3) / 6]),
+    (5, 0): _locked([(-SQRT3 + 2 * SQRT6) / 9, (9 - SQRT3 - 2 * SQRT6) / 18,
+                     (1 + 2 * SQRT2 + SQRT3) / 6]),
+    (5, 1): _locked([-(3 * SQRT2 + SQRT3 + SQRT6) / 9, (-3 + 5 * SQRT3 - 2 * SQRT6) / 18,
+                     (1 + 2 * SQRT2 - SQRT3) / 6]),
+    (5, 2): _locked([(3 * SQRT2 - SQRT3 - SQRT6) / 9, -(3 + 2 * SQRT3 + SQRT6) / 9,
+                     (-1 + SQRT2) / 3]),
+    (6, 0): _locked([-(3 * SQRT2 + SQRT3 + SQRT6) / 9, (-3 - SQRT3 + 4 * SQRT6) / 18,
+                     (3 - SQRT3) / 6]),
+    (6, 1): _locked([(3 * SQRT2 - SQRT3 - SQRT6) / 9, (3 - SQRT3 + 4 * SQRT6) / 18,
+                     -(3 + SQRT3) / 6]),
+    (6, 2): _locked([(-SQRT3 + 2 * SQRT6) / 9, (SQRT3 + 2 * SQRT6) / 9, SQRT3 / 3]),
+    (7, 0): _locked([(3 * SQRT2 - SQRT3 - SQRT6) / 9, (3 + 5 * SQRT3 - 2 * SQRT6) / 18,
+                     -(1 + 2 * SQRT2 + SQRT3) / 6]),
+    (7, 1): _locked([(-SQRT3 + 2 * SQRT6) / 9, -(9 + SQRT3 + 2 * SQRT6) / 18,
+                     (-1 - 2 * SQRT2 + SQRT3) / 6]),
+    (7, 2): _locked([-(3 * SQRT2 + SQRT3 + SQRT6) / 9, (3 - 2 * SQRT3 - SQRT6) / 9,
+                     (1 - SQRT2) / 3]),
+    (8, 0): _locked([SQRT3 / 3, -(1 + SQRT3 / 3) / 2, (1 - SQRT3 / 3) / 2]),
+    (8, 1): _locked([SQRT3 / 3, (1 - SQRT3 / 3) / 2, -(1 + SQRT3 / 3) / 2]),
+    (8, 2): _locked([SQRT3 / 3, SQRT3 / 3, SQRT3 / 3]),
 }
 
 ORBIT_LABELS = tuple(sorted(ORBIT_TABLE))

@@ -63,6 +63,11 @@ def row_of(group, images):
     return group.tolist().index(list(images))
 
 
+def index_of(terms):
+    """The `BellExpression.index` of terms (s, a, t, b): 24 k + m for their label rows k and m."""
+    return tuple(24 * (3 * s + a - 3) + 3 * t + b - 3 for s, a, t, b in terms)
+
+
 def spectrum_of_components(values):
     """Component eigenvalues in tables.COMPONENT_ORDER, each repeated by its dimension, sorted
     descending: the spectrum of an operator that is one scalar on each component."""

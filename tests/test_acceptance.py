@@ -201,12 +201,12 @@ def test_criterion_6_game(ctx, case_pairs):
     report(6, "winning table and game values match", problems)
 
 
-def test_criterion_8_verification_command():
+def test_criterion_8_verification_command(capsys):
     problems = []
-    lines = []
     start = time.perf_counter()
-    ok = run_verification(echo=lines.append)
+    ok = run_verification()
     elapsed = time.perf_counter() - start
+    lines = capsys.readouterr().out.splitlines()
     if elapsed >= 120.0:
         problems.append(f"verification took {elapsed:.0f}s >= 120s")
     checks = [line for line in lines if line.startswith(("ok  ", "FAIL"))]
@@ -223,9 +223,8 @@ def test_criterion_8_verification_command():
     summary = f"{len(checks) - len(expected)}/{len(checks)} checks passed"
     if lines[-1] != summary:
         problems.append(f"summary {lines[-1]!r} != {summary!r}")
-    again = []
-    run_verification(echo=again.append)
-    if again != lines:
+    run_verification()
+    if capsys.readouterr().out.splitlines() != lines:
         problems.append("a second run reported other lines")
     expected_ok = not expected
     if ok is not expected_ok:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import row_of
+from conftest import index_of, row_of
 from s4bell import classical, cli, standard_context, tables
 from s4bell.classical import (
     BellExpression,
@@ -55,6 +55,8 @@ def test_term_order_canonical(case_exprs):
     assert expr.terms[0] == Term(1, 0, 4, 1)
     assert expr.terms[24] == Term(1, 0, 7, 0)
     assert expr.terms[48] == Term(1, 0, 5, 1)
+    assert {type(term) for term in expr.terms} == {Term}
+    assert {type(x) for term in expr.terms for x in term} == {int}
 
 
 def test_diagonal_pair_terms(orbit):
@@ -68,73 +70,45 @@ def test_repeated_pair_raises(orbit):
         bell_terms([pair, pair], orbit)
 
 
-def term_sources():
-    """Valid terms to build on: hand-built ones and a `bell_terms` expansion's."""
-    expanded = bell_terms(tables.CASE_PAIRS["II"], standard_context().orbit)
-    return ((2, 1, 3, 2), (1, 0, 1, 0)), expanded.terms
-
-
 @pytest.mark.parametrize("bad", ["1", 1.5, 1.0])
-def test_non_integer_terms_rejected(bad):
-    for terms in term_sources():
-        for term in ((bad, 0, 1, 0), (1, bad, 1, 0), (1, 0, 1, np.float64(bad))):
-            with pytest.raises(ValueError, match=r"^term must be four integers, got "):
-                BellExpression(terms + (term,))
+def test_non_integer_terms_rejected(orbit, bad):
+    # A term's entries are its pair's label entries, each read as an integer.
+    for pair in (((bad, 0), (1, 0)), ((1, bad), (1, 0)), ((1, 0), (1, np.float64(bad)))):
+        with pytest.raises(ValueError, match=r"^label must be two integers, got "):
+            bell_terms([((2, 1), (3, 2)), pair], orbit)
 
 
-def test_expression_validation():
-    for terms in term_sources():
-        for bad, message in (((9, 0, 1, 0), "setting out of range in Term(s=9, a=0, t=1, b=0)"),
-                             ((1, 0, 0, 0), "setting out of range in Term(s=1, a=0, t=0, b=0)"),
-                             ((1, 3, 1, 0), "outcome out of range in Term(s=1, a=3, t=1, b=0)"),
-                             ((1, 0, 1, -1), "outcome out of range in Term(s=1, a=0, t=1, b=-1)"),
-                             ((1, 0, 1), "term must be four integers, got (1, 0, 1)"),
-                             ((1, 0, 1, 0, 0), "term must be four integers, got (1, 0, 1, 0, 0)"),
-                             (7, "term must be four integers, got 7"),
-                             (terms[1], f"duplicate term {Term(*terms[1])}")):
-            with pytest.raises(ValueError) as excinfo:
-                BellExpression(terms + (bad,))
-            assert str(excinfo.value) == message
+def test_expression_validation(orbit):
+    # `bell_terms` reads each pair as an `OrbitPair`, then rejects a repeated term.
+    good = ((1, 0), (4, 1))
+    for bad, message in ((((9, 0), (1, 0)), "label out of range: basis 9, outcome 0"),
+                         (((1, 0), (0, 0)), "label out of range: basis 0, outcome 0"),
+                         (((1, 3), (1, 0)), "label out of range: basis 1, outcome 3"),
+                         (((1, 0), (1, -1)), "label out of range: basis 1, outcome -1"),
+                         (((1, 0, 1), (1, 0)), "label must be two integers, got (1, 0, 1)"),
+                         ((7, (1, 0)), "label must be two integers, got 7"),
+                         (good, "duplicate term Term(s=1, a=0, t=4, b=1)")):
+        with pytest.raises(ValueError) as excinfo:
+            bell_terms([good, bad], orbit)
+        assert str(excinfo.value) == message
 
 
-def test_every_kind_of_entry_is_read_as_four_integers():
-    expanded = bell_terms(tables.CASE_PAIRS["II"], standard_context().orbit)
-    others = tuple(t for t in expanded.terms if t != (1, 0, 1, 0))
-    for entry in ([1, 0, 1, 0], np.array([1, 0, 1, 0]), (np.int64(1), 0, 1, 0),
-                  (True, False, True, False), Term(np.int64(1), 0, 1, 0)):
-        for terms in ((entry,), (*others, entry)):
-            stored = BellExpression(terms).terms[-1]
-            assert type(stored) is Term and stored == (1, 0, 1, 0)
-            assert [type(x) for x in stored] == [int] * 4
-    for terms in term_sources():
-        mixed = [(np.int64(s), a == 1, np.int8(t), np.uint16(b)) for s, a, t, b in terms
-                 if a < 2]
-        stored = BellExpression(tuple(mixed)).terms
-        assert stored == tuple(Term(s, a, t, b) for s, a, t, b in terms if a < 2)
-        assert {type(x) for term in stored for x in term} == {int}
-        assert all(type(term) is Term for term in stored)
-    for bad, message in (((1.0, 0, 1, 0), "term must be four integers, got (1.0, 0, 1, 0)"),
-                         (Term(1.0, 0, 1, 0),
-                          "term must be four integers, got Term(s=1.0, a=0, t=1, b=0)"),
-                         ([1, 0, 1], "term must be four integers, got [1, 0, 1]"),
-                         ((1, 0, 1, 0, 0), "term must be four integers, got (1, 0, 1, 0, 0)"),
-                         ((0, 0, 1, 0), "setting out of range in Term(s=0, a=0, t=1, b=0)"),
-                         (np.array([1, 0, 9, 0]),
-                          "setting out of range in Term(s=1, a=0, t=9, b=0)"),
-                         ((1, 3, 1, 0), "outcome out of range in Term(s=1, a=3, t=1, b=0)")):
-        for terms in ((bad,), (*expanded.terms, bad)):
-            with pytest.raises(ValueError) as excinfo:
-                BellExpression(terms)
-            assert str(excinfo.value) == message
-
-
-def test_pairs_are_stored_as_orbit_pairs():
-    raw, built = (BellExpression([(1, 0, 1, 0)], pairs)
+def test_pairs_are_stored_as_orbit_pairs(orbit):
+    raw, built = (bell_terms(pairs, orbit)
                   for pairs in ([((1, 0), (1, 0))], (OrbitPair((1, 0), (1, 0)),)))
-    assert raw.pairs == built.pairs and raw == built and hash(raw) == hash(built)
+    assert raw.pairs == built.pairs == (OrbitPair((1, 0), (1, 0)),)
+    assert raw == built and hash(raw) == hash(built)
 
 
 ALL_ROWS = np.arange(3 ** 8)
+ONES = np.ones(3 ** 8, dtype=np.int64)
+
+
+def table_of(index):
+    """Reference: F[s-1, a, t-1, b] = 1 for each term (s, a, t, b) of a term index, else 0."""
+    table = np.zeros((8, 3, 8, 3), np.int16)
+    table.put(index, 1)
+    return table
 
 
 def _max_coefficient(table, rows):
@@ -148,15 +122,15 @@ def histogram_counts(table, rows, weights):
     return _histogram_counts(int(table.sum()), rows, weights, m, _row_maxima(m))[0]
 
 
-def full_counts(expr):
-    """Histogram from the full scan over every Alice tuple, as a list."""
-    return histogram_counts(expr.table, ALL_ROWS, np.ones(3 ** 8, dtype=np.int64)).tolist()
+def full_counts(index):
+    """Histogram of a term index from the full scan over every Alice tuple, as a list."""
+    return histogram_counts(table_of(index), ALL_ROWS, ONES).tolist()
 
 
 def test_histogram_reduced_matches_full(case_exprs):
     for expr in case_exprs.values():
         hist = classical_histogram(expr)
-        assert [hist.counts[c] for c in range(len(hist.counts))] == full_counts(expr)
+        assert [hist.counts[c] for c in range(len(hist.counts))] == full_counts(expr.index)
 
 
 def shift_polynomial_counts(table, rows, weights):
@@ -176,18 +150,20 @@ def shift_polynomial_counts(table, rows, weights):
     return weights @ poly
 
 
-def assert_counts_match_reference(expr, rows=None, weights=None):
-    if rows is None:
-        rows, weights = expr._scan[:2]
-    counts = histogram_counts(expr.table, rows, weights)
+def assert_counts_match_reference(table, rows, weights):
+    counts = histogram_counts(table, rows, weights)
     assert counts.dtype == np.int64
-    assert np.array_equal(counts, shift_polynomial_counts(expr.table, rows, weights))
+    assert np.array_equal(counts, shift_polynomial_counts(table, rows, weights))
+
+
+def assert_scan_counts_match_reference(expr):
+    assert_counts_match_reference(table_of(expr.index), *expr._scan[:2])
 
 
 def test_histogram_kernel_matches_reference_on_cases(case_exprs):
     for expr in case_exprs.values():
         assert len(expr._scan[0]) == 306
-        assert_counts_match_reference(expr)
+        assert_scan_counts_match_reference(expr)
 
 
 @pytest.mark.parametrize("n_pairs", [1, 2, 3, 4, 5, 6])
@@ -202,44 +178,36 @@ def test_histogram_kernel_matches_reference_on_random_unions(orbit, n_pairs, see
         except ValueError:  # two of the pairs expand into the same terms
             continue
         break
-    assert_counts_match_reference(expr)
+    assert_scan_counts_match_reference(expr)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_histogram_kernel_matches_reference_on_non_invariant_subsets(case_exprs, seed):
     rng = np.random.default_rng(seed)
-    terms = case_exprs[tables.CASE_NAMES[seed]].terms
-    keep = rng.choice(len(terms), size=rng.integers(1, len(terms)), replace=False)
-    expr = BellExpression(tuple(terms[k] for k in sorted(keep)))
-    assert len(expr._scan[0]) == 3 ** 8
-    assert_counts_match_reference(expr, ALL_ROWS, np.ones(3 ** 8, dtype=np.int64))
+    index = case_exprs[tables.CASE_NAMES[seed]].index
+    keep = rng.choice(len(index), size=rng.integers(1, len(index)), replace=False)
+    assert_counts_match_reference(table_of([index[k] for k in keep]), ALL_ROWS, ONES)
 
 
-def test_histogram_kernel_matches_reference_on_small_tables():
-    # The empty table is invariant (306 rows), a single term is not (6561 rows).
-    for expr in (BellExpression(()), BellExpression(((3, 2, 6, 1),))):
-        assert_counts_match_reference(expr)
+def test_histogram_kernel_matches_reference_on_small_tables(orbit):
+    # The empty table on the 306 orbit rows, a single term on all 6561 tuples.
+    assert_scan_counts_match_reference(bell_terms((), orbit))
+    assert_counts_match_reference(table_of(index_of([(3, 2, 6, 1)])), ALL_ROWS, ONES)
 
 
 def test_histogram_kernel_matches_reference_on_all_pairs_of_one_alice_label(orbit):
     expr = bell_terms([OrbitPair((1, 0), lab) for lab in all_labels()], orbit)
     assert len(expr.terms) == 576
-    assert_counts_match_reference(expr)
+    assert_scan_counts_match_reference(expr)
 
 
-def test_histogram_kernel_at_its_size_bound(orbit):
-    # Every term but one: M holds 8 almost everywhere, so a half scores up to
-    # 4 * 8 = 32, and the expression is not invariant, so all 6561 rows are
-    # scanned; the int32 bin index reaches its largest, 32 * 6561 + 6560.
-    every = bell_terms([OrbitPair((1, 0), lab) for lab in all_labels()], orbit)
-    expr = BellExpression(every.terms[1:])
-    rows, weights = expr._scan[:2]
-    assert len(rows) == 3 ** 8
-    reference = shift_polynomial_counts(expr.table, rows, weights).tolist()
-    assert histogram_counts(expr.table, rows, weights).tolist() == reference
-    hist = classical_histogram(expr)
-    assert [hist.counts[c] for c in range(len(hist.counts))] == reference
-    assert hist.c_max == 64
+def test_histogram_kernel_at_its_size_bound():
+    # Every term but one, on all 6561 tuples: M holds 8 almost everywhere, so a half scores
+    # up to 4 * 8 = 32; the int32 bin index reaches its largest, 32 * 6561 + 6560.
+    table = table_of(range(1, 576))
+    counts = histogram_counts(table, ALL_ROWS, ONES)
+    assert counts.tolist() == shift_polynomial_counts(table, ALL_ROWS, ONES).tolist()
+    assert np.flatnonzero(counts)[-1] == 64
 
 
 def test_histogram_rejects_a_maximum_it_does_not_reach(case_exprs):
@@ -275,60 +243,55 @@ def test_alice_orbit_table(ctx):
     assert sizes.tolist() == [counts[r] for r in sorted(counts)]
 
 
-def test_non_invariant_expression_scans_every_alice_tuple():
-    friendly = BellExpression(((1, 0, 1, 0), (2, 0, 1, 0), (1, 0, 2, 1)))
-    rows, weights = friendly._scan[:2]
-    assert rows.tolist() == list(range(3 ** 8))
-    assert set(weights.tolist()) == {1}
-
-
 def product_scan(expr):
     """Reference: the tables M and row maxima of `expr`'s scan rows, from the product of its
     own table F.  No class table is read."""
-    m = _per_alice_tables(expr.table, expr._scan[0])
+    m = _per_alice_tables(table_of(expr.index), expr._scan[0])
     return m, _row_maxima(m)
 
 
-def assert_scan_equals_the_product(expr, n_rows):
+def assert_scan_equals_the_product(expr):
     rows, weights, m, maxima = expr._scan
-    assert len(rows) == n_rows and weights.sum() == 3 ** 8
+    assert len(rows) == 306 and weights.sum() == 3 ** 8
     for got, want in zip((m, maxima), product_scan(expr)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+def assert_has_no_scan(expr):
+    for read in (classical_max, classical_histogram, optimal_classical_strategy):
+        with pytest.raises(ValueError, match="^the expression's terms are not a union of S4"):
+            read(expr)
+
+
 def test_several_invariant_expressions_keep_the_reduced_scan(orbit, case_exprs):
-    # An invariance rule that always failed would still give a hand-built
-    # expression the right numbers, only from the 6561-row scan, so the row
-    # count is pinned; the tables summed from the classes must equal the product.
+    # The tables summed from the classes must equal the product of the term table.
     for expr in case_exprs.values():
-        assert_scan_equals_the_product(BellExpression(expr.terms), 306)
+        assert_scan_equals_the_product(BellExpression(expr.index, ()))
     # The 24 single-pair expressions of Alice label x12, one per class, and their union.
-    pool = [bell_terms([OrbitPair((2, 1), lab)], orbit) for lab in all_labels()]
-    for expr in (*pool, BellExpression(sum((e.terms for e in pool), ()))):
-        assert_scan_equals_the_product(expr, 306)
-    friendly = BellExpression(((1, 0, 1, 0), (2, 0, 1, 0), (1, 0, 2, 1)))
-    assert_scan_equals_the_product(friendly, 3 ** 8)
+    pool = [[OrbitPair((2, 1), lab)] for lab in all_labels()]
+    for pairs in (*pool, sum(pool, [])):
+        assert_scan_equals_the_product(bell_terms(pairs, orbit))
 
 
 def test_the_scan_is_reduced_exactly_on_unions_of_pair_classes(orbit, case_exprs):
     # A term set is S4-invariant exactly when each pair class holds none or all 24 of its
-    # terms: then the 306 orbit rows are scanned, else all 6561 tuples.
+    # terms: then the 306 orbit rows are scanned, else there is no scan and no classical bound.
     rng = np.random.default_rng(32)
-    terms = case_exprs["II"].terms
+    index = case_exprs["II"].index
     labels = all_labels()
     # Whole classes with Alice at several labels: x01:x14, x12:x26, x23:x21, x28:x22.
     spread = bell_terms([OrbitPair(labels[k], labels[m]) for k, m in
-                         ((0, 10), (4, 17), (8, 2), (23, 5))], orbit).terms
-    one_class = bell_terms([OrbitPair((2, 1), (5, 0))], orbit).terms
-    firsts = [bell_terms([OrbitPair((1, 0), lab)], orbit).terms[0] for lab in labels]
-    cases = [(terms[::-1], 306), (tuple(terms[k] for k in rng.permutation(72)), 306),
-             ((), 306), (spread, 306), (spread + one_class, 306),
-             (spread + (terms[0],), 3 ** 8),  # one term more than whole classes
-             (tuple(firsts), 3 ** 8),  # 24 terms, one of each class
-             (one_class[:12] + spread[:12], 3 ** 8)]  # 24 terms, half of two classes
-    cases += [(one_class[:k] + one_class[k + 1:], 3 ** 8) for k in (0, 11, 23)]
-    for case, n_rows in cases:
-        assert_scan_equals_the_product(BellExpression(case), n_rows)
+                         ((0, 10), (4, 17), (8, 2), (23, 5))], orbit).index
+    one_class = bell_terms([OrbitPair((2, 1), (5, 0))], orbit).index
+    for case in (index[::-1], tuple(index[k] for k in rng.permutation(72)), (), spread,
+                 spread + one_class):
+        assert_scan_equals_the_product(BellExpression(case, ()))
+    for case in (spread + index[:1],  # one term more than whole classes
+                 tuple(range(24)),  # 24 terms, one of each class
+                 one_class[:12] + spread[:12],  # 24 terms, half of two classes
+                 one_class[:23] + one_class[:1],  # 24 terms of one class, one twice
+                 *(one_class[:k] + one_class[k + 1:] for k in (0, 11, 23))):
+        assert_has_no_scan(BellExpression(case, ()))
 
 
 def gathered_per_alice_tables(table, rows):
@@ -341,16 +304,17 @@ def gathered_per_alice_tables(table, rows):
 
 
 def test_per_alice_tables_match_the_gather_reference(orbit, case_exprs):
-    friendly = BellExpression(((1, 0, 1, 0), (2, 0, 1, 0), (1, 0, 2, 1)))
-    exprs = [*case_exprs.values(), friendly, bell_terms([OrbitPair((2, 1), (5, 0))], orbit)]
-    stacked = np.stack([e.table for e in exprs])
+    friendly = index_of([(1, 0, 1, 0), (2, 0, 1, 0), (1, 0, 2, 1)])
+    indices = [*(e.index for e in case_exprs.values()), friendly,
+               bell_terms([OrbitPair((2, 1), (5, 0))], orbit).index]
+    stacked = np.stack([table_of(index) for index in indices])
     for rows in (standard_context().class_tables.alice_orbits[0], ALL_ROWS):
-        for expr in exprs:
-            m = _per_alice_tables(expr.table, rows)
+        for table in stacked:
+            m = _per_alice_tables(table, rows)
             assert m.dtype == np.int16
-            assert np.array_equal(m, gathered_per_alice_tables(expr.table, rows))
+            assert np.array_equal(m, gathered_per_alice_tables(table, rows))
         m = _per_alice_tables(stacked, rows)
-        assert m.shape == (len(exprs), len(rows), 8, 3)
+        assert m.shape == (len(indices), len(rows), 8, 3)
         reference = [gathered_per_alice_tables(table, rows) for table in stacked]
         assert np.array_equal(m, np.stack(reference))
     # A union table holds entries above one; the product stays exact.
@@ -366,7 +330,7 @@ def brute_row_maxima(m):
 
 
 def test_row_maxima_is_bobs_best_tuple_on_both_layouts(ctx):
-    # A C-order (6561, 8, 3) table, as a non-invariant scan builds, and outcome-major sums
+    # A C-order (6561, 8, 3) table, as the full-scan references build, and outcome-major sums
     # of `class_m`, as `class_scan` builds; each row maximum is an int64.
     table = np.zeros((8, 3, 8, 3), dtype=np.int16)
     table.put(np.random.default_rng(46).choice(576, 200, replace=False), 1)
@@ -396,8 +360,7 @@ def test_invariance_needs_every_generator(ctx, pair):
             break
         positions = grown
     assert len(positions) in (4, 6)
-    terms = tuple(Term(*labels[k], *labels[m]) for k, m in sorted(positions))
-    assert_scan_equals_the_product(BellExpression(terms), 3 ** 8)
+    assert_has_no_scan(BellExpression(tuple(24 * k + m for k, m in sorted(positions)), ()))
 
 
 _LABELS = st.tuples(st.integers(1, 8), st.integers(0, 2))
@@ -411,30 +374,25 @@ def test_reduced_scan_matches_full_on_orbit_pair_unions(pairs):
     except ValueError:  # two of the pairs expand into the same terms
         assume(False)
     assert len(expr._scan[0]) == 306
-    assert classical_max(expr) == _max_coefficient(expr.table, ALL_ROWS)
+    assert classical_max(expr) == _max_coefficient(table_of(expr.index), ALL_ROWS)
     hist = classical_histogram(expr)
-    assert [hist.counts[c] for c in range(len(hist.counts))] == full_counts(expr)
+    assert [hist.counts[c] for c in range(len(hist.counts))] == full_counts(expr.index)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_non_invariant_subset_fails_guard(case_exprs, data):
-    terms = case_exprs[data.draw(st.sampled_from(tables.CASE_NAMES))].terms
+    expr = case_exprs[data.draw(st.sampled_from(tables.CASE_NAMES))]
     # Every term orbit has 24 terms, so a subset whose size is not a
     # multiple of 24 cannot map onto itself.
-    keep = data.draw(
-        st.sets(st.integers(0, len(terms) - 1), min_size=1).filter(lambda k: len(k) % 24)
-    )
-    subset = tuple(terms[k] for k in sorted(keep))
-    assert len(BellExpression(subset)._scan[0]) == 3 ** 8
-    small = tuple(t for t in subset if t.s <= 3 and t.t <= 3)
-    reduced = BellExpression(small)
-    # S4 moves every basis, so no nonempty term set on bases 1..3 is invariant.
-    assert len(reduced._scan[0]) == (3 ** 8 if small else 306)
-    hist = classical_histogram(reduced)
-    expected = literal_histogram(small)
-    assert {c: n for c, n in hist.counts.items() if n} == expected
-    assert classical_max(reduced) == max(expected)
+    keep = sorted(data.draw(
+        st.sets(st.integers(0, len(expr.index) - 1), min_size=1).filter(lambda k: len(k) % 24)
+    ))
+    assert_has_no_scan(BellExpression(tuple(expr.index[k] for k in keep), ()))
+    # Its terms on bases 1..3, on all 6561 tuples, against the literal histogram.
+    small = [t for t in (expr.terms[k] for k in keep) if t.s <= 3 and t.t <= 3]
+    counts = histogram_counts(table_of(index_of(small)), ALL_ROWS, ONES)
+    assert {c: n for c, n in enumerate(counts.tolist()) if n} == literal_histogram(small)
 
 
 def combination_rows(n, size):
@@ -442,11 +400,15 @@ def combination_rows(n, size):
     return [list(c) for c in itertools.combinations_with_replacement(range(n), size)]
 
 
-def x01_pair_expression(m):
-    """The pair x01:m, the pair class m, as a hand-built expression."""
+def x01_pairs(bob):
+    """The pairs x01:m of Bob's label indices m, each the pair class m."""
     labels = all_labels()
-    pair = OrbitPair(labels[0], labels[m])
-    return BellExpression(bell_terms([pair], standard_context().orbit).terms)
+    return [OrbitPair(labels[0], labels[m]) for m in bob]
+
+
+def x01_pair_table(m):
+    """Reference: the term table of the pair x01:m."""
+    return table_of(bell_terms(x01_pairs([m]), standard_context().orbit).index)
 
 
 @functools.lru_cache(maxsize=None)
@@ -454,7 +416,7 @@ def unreduced_class_maxima(size):
     """Reference: per class multiset of `size` in combinations order, the largest row maximum
     of its members' summed tables M, from the product of the 24 pair expressions x01:m's own
     tables.  No class table, relabeling or `class_scan` is read."""
-    f = np.stack([x01_pair_expression(k).table for k in range(24)])
+    f = np.stack([x01_pair_table(k) for k in range(24)])
     m = _per_alice_tables(f, standard_context().class_tables.alice_orbits[0])
     rows = np.array(combination_rows(24, size))
     return np.concatenate([_row_maxima(sum(m[chunk[:, j]] for j in range(size))).max(axis=1)
@@ -486,7 +448,8 @@ def bob_rows(class_of, alice, size):
 
 
 def test_class_maxima_equal_the_unreduced_maxima():
-    assert {len(x01_pair_expression(k)._scan[0]) for k in range(24)} == {306}
+    orbit = standard_context().orbit
+    assert {len(bell_terms(x01_pairs([k]), orbit)._scan[0]) for k in range(24)} == {306}
     for size in (1, 2, 3):
         multisets, maxima, _, _, _ = class_multisets(size)
         assert np.array_equal(maxima[np.argsort(_codes(multisets))], unreduced_class_maxima(size))
@@ -496,24 +459,28 @@ def test_class_maxima_of_set_multisets_equal_the_union_maximum():
     rng = np.random.default_rng(29)
     for size in rng.integers(1, 4, size=40).tolist():
         bob = rng.choice(24, size, replace=False)
-        union = BellExpression(sum((x01_pair_expression(k).terms for k in bob), ()))
+        union = bell_terms(x01_pairs(bob), standard_context().orbit)
         assert class_multisets(size)[1][class_row(bob)] == classical_max(union)
 
 
 @pytest.mark.parametrize("multiset", [[5, 5], [0, 0, 0], [7, 19, 7], [23, 3, 3]])
 def test_class_maxima_of_repeated_classes_equal_the_full_scan(multiset):
-    table = sum(x01_pair_expression(k).table for k in multiset)
+    table = sum(x01_pair_table(k) for k in multiset)
     expected = _max_coefficient(table, ALL_ROWS)
     assert class_multisets(len(multiset))[1][class_row(multiset)] == expected
 
 
 def expanded_term_by_term(pairs, orbit):
     """Reference `bell_terms`: each pair's terms read off the label action, element by
-    element, in a hand-built expression."""
-    labels, action = all_labels(), orbit.label_action
+    element; ValueError at the first repeated term."""
+    labels, action, seen = all_labels(), orbit.label_action, set()
     terms = [Term(*labels[g[labels.index(p.alice)]], *labels[g[labels.index(p.bob)]])
              for p in pairs for g in action]
-    return BellExpression(tuple(terms), tuple(pairs))
+    for term in terms:
+        if term in seen:
+            raise ValueError(f"duplicate term {term}")
+        seen.add(term)
+    return tuple(terms)
 
 
 def test_class_sums_equal_the_term_route(orbit):
@@ -529,15 +496,15 @@ def test_class_sums_equal_the_term_route(orbit):
     specs += [[OrbitPair(labels[a], labels[b]) for a, b in rng.integers(24, size=(n, 2))]
               for n in rng.integers(1, 7, size=200)]
     # Another order of the elements relabels the orbit: its pairs' term sets are not the
-    # standard pair classes, so most of their unions take the full scan.
+    # standard pair classes, so most of their unions have no scan.
     other = dataclasses.replace(orbit, elements=orbit.elements[rng.permutation(24)])
     assert not np.array_equal(other.label_action, orbit.label_action)
-    duplicates, full = 0, (ALL_ROWS, np.ones(3 ** 8, dtype=np.int64))
+    duplicates, rows = 0, standard_context().class_tables.alice_orbits
     action, invariant_others = orbit.label_action.tolist(), 0
     for spec, action_of in itertools.chain(zip(specs, itertools.repeat(orbit)),
                                            zip(specs[-50:], itertools.repeat(other))):
         try:
-            reference = expanded_term_by_term(spec, action_of)
+            terms = expanded_term_by_term(spec, action_of)
         except ValueError as exc:
             duplicates += 1
             with pytest.raises(ValueError) as excinfo:
@@ -545,22 +512,22 @@ def test_class_sums_equal_the_term_route(orbit):
             assert str(excinfo.value) == str(exc)
             continue
         expr = bell_terms(spec, action_of)
-        assert expr == reference == BellExpression(expr.terms, expr.pairs)
-        # Each scan state equals the product of the term table on its rows: the orbit rows
-        # exactly when every element of S4 maps the term set onto itself.
-        pairs = {(labels.index(t[:2]), labels.index(t[2:])) for t in expr.terms}
+        assert expr.index == index_of(terms) and expr.terms == terms and expr.pairs == tuple(spec)
+        # The scan state equals the product of the term table on the orbit rows exactly when
+        # every element of S4 maps the term set onto itself; else there is none.
+        pairs = {(labels.index(t[:2]), labels.index(t[2:])) for t in terms}
         invariant = all({(g[k], g[m]) for k, m in pairs} == pairs for g in action)
-        rows = standard_context().class_tables.alice_orbits if invariant else full
         invariant_others += invariant and action_of is other
-        m = _per_alice_tables(reference.table, rows[0])
-        for e in (expr, reference):
-            for got, want in zip((e.table, *e._scan),
-                                 (reference.table, *rows, m, _row_maxima(m))):
-                assert got.dtype == want.dtype and got.shape == want.shape
-                assert np.array_equal(got, want)
-                assert not got.flags.writeable
+        if not invariant:
+            assert_has_no_scan(expr)
+            continue
+        m = _per_alice_tables(table_of(expr.index), rows[0])
+        for got, want in zip(expr._scan, (*rows, m, _row_maxima(m))):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
     assert 20 < duplicates < 150
-    assert 0 < invariant_others < 40  # the relabeled orbit reaches both scans
+    assert 0 < invariant_others < 40  # the relabeled orbit gives both kinds of term set
 
 
 def test_class_index_names_each_bob_multisets_class_multiset(ctx):
@@ -692,8 +659,8 @@ def test_rank_order_is_built_once_per_size_with_non_decreasing_ties(ctx, monkeyp
             assert tables.multisets(size) is arrays
 
 
-def test_empty_expression():
-    expr = BellExpression(())
+def test_empty_expression(orbit):
+    expr = bell_terms((), orbit)
     assert classical_max(expr) == 0
     hist = classical_histogram(expr)
     assert hist.counts[0] == 3 ** 16
@@ -702,33 +669,29 @@ def test_empty_expression():
 
 
 def test_reduced_instance_oracle(case_exprs):
-    # keep only settings 1..3 on both sides; 3**6 literal configurations
+    # keep only settings 1..3 on both sides, scanned over all 6561 Alice tuples;
+    # 3**6 literal configurations
     for name in ("I", "II"):
         terms = [t for t in case_exprs[name].terms if t.s <= 3 and t.t <= 3]
-        reduced = BellExpression(tuple(terms))
-        hist = classical_histogram(reduced)
-        expected = literal_histogram(terms)
-        observed = {c: n for c, n in hist.counts.items() if n}
-        assert observed == {c: n for c, n in expected.items() if n}
-        assert classical_max(reduced) == max(expected)
+        counts = histogram_counts(table_of(index_of(terms)), ALL_ROWS, ONES)
+        assert {c: n for c, n in enumerate(counts.tolist()) if n} == literal_histogram(terms)
 
 
 def test_bob_relabel_symmetry(case_exprs):
+    # The relabeled terms are no union of pair classes, so they take the full scan.
     relabel = {1: 3, 2: 1, 3: 2, 4: 6, 5: 4, 6: 5, 7: 8, 8: 7}
     expr = case_exprs["I"]
-    permuted = BellExpression(
-        tuple(Term(s, a, relabel[t], b) for s, a, t, b in expr.terms)
-    )
-    assert classical_histogram(permuted).counts == classical_histogram(expr).counts
-    assert classical_max(permuted) == classical_max(expr)
+    permuted = index_of((s, a, relabel[t], b) for s, a, t, b in expr.terms)
+    hist = classical_histogram(expr)
+    assert full_counts(permuted) == [hist.counts[c] for c in range(len(hist.counts))]
 
 
 def test_cmax_at_most_term_count(case_exprs):
     for expr in case_exprs.values():
         assert classical_max(expr) <= len(expr.terms)
-    friendly = BellExpression(((1, 0, 1, 0), (2, 0, 1, 0), (1, 0, 2, 1)))
+    friendly = index_of([(1, 0, 1, 0), (2, 0, 1, 0), (1, 0, 2, 1)])
     # all three terms hold for a_1 = a_2 = 0, b_1 = 0, b_2 = 1
-    assert classical_max(friendly) == 3
+    assert _max_coefficient(table_of(friendly), ALL_ROWS) == 3
 
 
 def test_optimal_strategy_attains_max(case_exprs):
@@ -737,12 +700,13 @@ def test_optimal_strategy_attains_max(case_exprs):
         assert coefficient(expr, f_alice, f_bob) == classical_max(expr)
 
 
-def test_optimal_strategy_lex_tiebreak():
-    expr = BellExpression(((1, 0, 1, 0),))
+def test_optimal_strategy_lex_tiebreak(orbit):
+    # The terms (i, a, i, a): every a_i = b_i configuration scores the maximum 8.
+    expr = bell_terms([OrbitPair((1, 0), (1, 0))], orbit)
     f_alice, f_bob = optimal_classical_strategy(expr)
     assert f_alice == (0,) * 8
     assert f_bob == (0,) * 8
-    assert coefficient(expr, f_alice, f_bob) == 1
+    assert coefficient(expr, f_alice, f_bob) == 8
 
 
 @pytest.mark.parametrize("f_alice, f_bob", [
@@ -755,8 +719,8 @@ def test_optimal_strategy_lex_tiebreak():
 def test_coefficient_rejects_malformed_strategy(f_alice, f_bob):
     # A short tuple used to raise IndexError, a long one was cut to eight
     # entries, an out-of-range outcome silently matched no term, and float
-    # outcomes were counted; outcomes follow BellExpression's integer rule.
-    expr = BellExpression(((1, 0, 1, 0),))
+    # outcomes were counted; outcomes must be integers, as labels are.
+    expr = BellExpression(index_of([(1, 0, 1, 0)]), ())
     with pytest.raises(ValueError, match="8 outcomes in 0..2"):
         coefficient(expr, f_alice, f_bob)
 

@@ -494,17 +494,22 @@ def test_top_k_is_the_head_of_the_full_ranking(orbits, count, phi):
         assert run_cli([*argv, str(k)]) == (0, "\n".join(lines[: 3 + k]) + "\n"), k
 
 
-def test_verify_fails_a_nan_direct_spectrum(monkeypatch):
+def failed_verification_lines(capsys):
+    """The lines `run_verification` prints, once it has returned False."""
+    assert run_verification() is False
+    return capsys.readouterr().out.splitlines()
+
+
+def test_verify_fails_a_nan_direct_spectrum(monkeypatch, capsys):
     monkeypatch.setattr(cli, "eigenvalues_direct",
                         lambda matrix: (np.full(9, np.nan), np.full(9, np.nan)))
-    lines = []
-    assert run_verification(echo=lines.append) is False
+    lines = failed_verification_lines(capsys)
     for name in ("I", "II", "III"):
         line, = [x for x in lines if f"case {name}: componentwise and direct" in x]
         assert line.startswith("FAIL") and "max deviation nan" in line
 
 
-def test_verify_fails_only_the_case_whose_direct_spectrum_moved(monkeypatch):
+def test_verify_fails_only_the_case_whose_direct_spectrum_moved(monkeypatch, capsys):
     # Case II's middle pair is in no other case; its direct spectrum moves by 2e-6, twice EIG_TOL.
     alice, bob = cli.tables.CASE_PAIRS["II"][1]
     moved = standard_context().pair_model.operator(alice, bob)
@@ -515,8 +520,7 @@ def test_verify_fails_only_the_case_whose_direct_spectrum_moved(monkeypatch):
         return (values + 2e-6 if matrix is moved else values), vector
 
     monkeypatch.setattr(cli, "eigenvalues_direct", moved_off)
-    lines = []
-    assert run_verification(echo=lines.append) is False
+    lines = failed_verification_lines(capsys)
     for name in ("I", "II", "III"):
         line, = [x for x in lines if f"case {name}: componentwise and direct" in x]
         if name == "II":
@@ -526,47 +530,43 @@ def test_verify_fails_only_the_case_whose_direct_spectrum_moved(monkeypatch):
             assert line.startswith("ok   ")
 
 
-def test_verify_names_a_failed_block_basis_check_as_a_passed_one(monkeypatch):
+def test_verify_names_a_failed_block_basis_check_as_a_passed_one(monkeypatch, capsys):
     def broken(projectors):
         raise cli.TableMismatchError("block basis is not orthogonal")
 
     monkeypatch.setattr(cli, "validate_block_basis", broken)
-    lines = []
-    assert run_verification(echo=lines.append) is False
+    lines = failed_verification_lines(capsys)
     line, = [x for x in lines if "block basis" in x]
     assert line == ("FAIL block basis is orthogonal and block-diagonalizes the projectors"
                     " (block basis is not orthogonal)")
 
 
-def test_verify_reads_case_i_classical_bound_from_the_reference(monkeypatch):
+def test_verify_reads_case_i_classical_bound_from_the_reference(monkeypatch, capsys):
     monkeypatch.setitem(cli.tables.REF_CLASSICAL_BOUND, "I", 17)
-    lines = []
-    assert run_verification(echo=lines.append) is False
+    lines = failed_verification_lines(capsys)
     for check in ("case I: classical bound", "case I: game values"):
         line, = [x for x in lines if check in x]
         assert line.startswith("FAIL")
 
 
-def test_verify_fails_a_nan_orbit_coordinate_after_the_first_label(monkeypatch):
+def test_verify_fails_a_nan_orbit_coordinate_after_the_first_label(monkeypatch, capsys):
     standard_context()  # built against the unpatched table
     points = cli.tables.ORBIT_POINTS.copy()  # verify's reference, row k label ORBIT_LABELS[k]
     points[1] = [np.nan, 0.0, 0.0]
     monkeypatch.setattr(cli.tables, "ORBIT_POINTS", points)
-    lines = []
-    assert run_verification(echo=lines.append) is False
+    lines = failed_verification_lines(capsys)
     line, = [x for x in lines if "orbit reproduces the reference table" in x]
     assert line.startswith("FAIL") and "max coordinate deviation nan" in line
 
 
-def test_verify_fails_a_nan_orbit_coordinate(monkeypatch):
+def test_verify_fails_a_nan_orbit_coordinate(monkeypatch, capsys):
     # Label x02 is in none of the built-in cases, so every other check runs.
     ctx = standard_context()
     points = ctx.orbit.points.copy()
     points[all_labels().index((2, 0)), 1] = np.nan
     broken = dataclasses.replace(ctx, orbit=dataclasses.replace(ctx.orbit, points=points))
     monkeypatch.setattr(cli, "standard_context", lambda: broken)
-    lines = []
-    assert run_verification(echo=lines.append) is False
+    lines = failed_verification_lines(capsys)
     line, = [x for x in lines if "orbit reproduces the reference table" in x]
     assert line.startswith("FAIL") and "max coordinate deviation nan" in line
     assert sum(x.startswith("FAIL") for x in lines) == 2  # and case III's known mismatch

@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +6,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from compare_cli import COMMANDS
+from conftest import index_of
 from s4bell.classical import BellExpression, bell_terms, classical_max, coefficient
 from s4bell.cli import _table_text, parse_pair_spec
 from s4bell.game import GameValue, game_values, winning_table
@@ -50,10 +50,10 @@ def test_game_values_case2(ctx, case_data):
 
 def test_game_values_rejects_terms_that_are_not_its_pairs_expansion(ctx, case_data):
     pairs, expr, _ = case_data["I"]
-    assert game_values(BellExpression(expr.terms, pairs), ctx) == game_values(expr, ctx)
-    for terms, own in ((expr.terms[:48], pairs[1:2]), ([(1, 0, 1, 0)], [((1, 0), (1, 0))])):
+    assert game_values(BellExpression(expr.index, pairs), ctx) == game_values(expr, ctx)
+    for index, own in ((expr.index[:48], pairs[1:2]), ((0,), (OrbitPair((1, 0), (1, 0)),))):
         with pytest.raises(ValueError, match="^the expression's terms are not the expansion"):
-            game_values(BellExpression(terms, own), ctx)
+            game_values(BellExpression(index, own), ctx)
 
 
 def test_random_strategies_below_optimum(case_data, rng):
@@ -110,7 +110,7 @@ def test_violation_is_the_gap_above_the_lambda_scale_tolerance(ctx, case_data):
     assert game_values(expr, ctx).gap == max_eigenvalue_sum(pairs, ctx).lambda_max - 16
 
 
-def test_render_text_matches_reference_rows(case_data):
+def test_table_text_matches_reference_rows(case_data):
     _, _, table = case_data["I"]
     text = _table_text(table)
     assert "14   01 10 22" in text
@@ -145,17 +145,17 @@ def _assert_one_sorted_view(expr, table):
     assert [line.split() for line in text[1:]] == [[f"{s}{t}", *cell] for (s, t), cell in expected]
 
 
-def test_text_rows_and_dict_items_are_one_sorted_view(orbit):
+def test_table_text_and_rows_are_one_sorted_view(orbit):
     pinned = _pinned_expressions(orbit)
     assert len(pinned) == 8
     # Beyond the contract's specs: the empty expression, every term (64 settings pairs with
     # all nine answers each) and a term set that is not S4-invariant, given out of order.
-    everything = BellExpression(itertools.product(range(1, 9), range(3), range(1, 9), range(3)))
-    order = np.random.default_rng(46).permutation(len(everything.terms))[:150]
-    shuffled = BellExpression([everything.terms[i] for i in order])
+    everything = BellExpression(tuple(range(576)), ())
+    order = np.random.default_rng(46).permutation(576)[:150]
+    shuffled = BellExpression(tuple(order.tolist()), ())
     assert shuffled.index != tuple(sorted(shuffled.index))
     assert len(winning_table(everything).rows) == 64
-    for expr in (*pinned.values(), BellExpression(()), everything, shuffled):
+    for expr in (*pinned.values(), BellExpression((), ()), everything, shuffled):
         _assert_one_sorted_view(expr, winning_table(expr))
 
 
@@ -176,9 +176,9 @@ def test_uniform_triple_structure_needs_three_distinct_a_and_b_per_cell(orbit):
     single = winning_table(bell_terms([OrbitPair((1, 0), (4, 1))], orbit))
     assert {len(cell) for _, cell in single.rows} == {1}
     assert not single.has_uniform_triple_structure()
-    repeated_a = BellExpression([(1, 0, 2, 0), (1, 0, 2, 1), (1, 1, 2, 2)])
-    repeated_b = BellExpression([(1, 0, 2, 0), (1, 1, 2, 0), (1, 2, 2, 1)])
+    repeated_a = BellExpression(index_of([(1, 0, 2, 0), (1, 0, 2, 1), (1, 1, 2, 2)]), ())
+    repeated_b = BellExpression(index_of([(1, 0, 2, 0), (1, 1, 2, 0), (1, 2, 2, 1)]), ())
     for expr in (repeated_a, repeated_b):
         assert winning_table(expr).rows == (((1, 2), tuple(f"{a}{b}" for _, a, _, b in expr.terms)),)
         assert not winning_table(expr).has_uniform_triple_structure()
-    assert winning_table(BellExpression([])).has_uniform_triple_structure()
+    assert winning_table(BellExpression((), ())).has_uniform_triple_structure()

@@ -362,16 +362,20 @@ def _bad_matrix(kind):
         bad[:] = np.nan
     elif kind == "complex":  # its real part is the identity, which passes every other check
         bad = bad + 5j * np.eye(9)
+    elif kind == "nonsquare":
+        bad = bad[:8]
     else:
         bad[0, 0], bad[4, 4] = np.inf, -np.inf
     return bad
 
 
-@pytest.mark.parametrize("kind", ["nonsymmetric", "nan", "inf", "complex"])
+@pytest.mark.parametrize("kind", ["nonsymmetric", "nan", "inf", "complex", "nonsquare"])
 @pytest.mark.parametrize("solve", [jacobi_eigh, eigenvalues_direct],
                          ids=["jacobi_eigh", "eigenvalues_direct"])
 def test_direct_rejects_nonsymmetric(solve, kind):
-    with pytest.raises(ValueError):
+    message = {"nonsymmetric": "matrix must be symmetric", "complex": "matrix must be real",
+               "nonsquare": "square matrix required"}.get(kind, "matrix must be finite")
+    with pytest.raises(ValueError, match=f"^{message}$"):
         solve(_bad_matrix(kind))
 
 

@@ -92,6 +92,10 @@ def test_character_detects_corruption(group, rep):
     corrupt = Representation(group, tuple(mats))
     with pytest.raises(RepresentationError):
         character(corrupt)
+    with pytest.raises(ValueError, match="^one matrix per group element required$"):
+        Representation(group, tuple(mats[1:]))
+    with pytest.raises(RepresentationError, match="^identity element must map to the identity"):
+        Representation(group, tuple(mats[::-1]))
 
 
 def test_tensor_square_characters(group, rep, product):
