@@ -11,16 +11,13 @@ from s4bell import (
     classical_histogram,
     classical_max,
     optimal_classical_strategy,
-    standard_context,
     tables,
 )
 from s4bell.classical import coefficient
 
-ctx = standard_context()
-
 print("Each orbit pair expands into 24 probability terms, one per group element.")
 pairs = [OrbitPair(*p) for p in tables.CASE_PAIRS["I"]]
-expr = bell_terms(pairs, ctx.orbit)
+expr = bell_terms(pairs)
 print(f"case I: {len(expr.terms)} terms; the first few:")
 for term in expr.terms[:4]:
     print(f"  P(a_{term.s} = {term.a}, b_{term.t} = {term.b})")
@@ -28,7 +25,7 @@ for term in expr.terms[:4]:
 print("\nClassical bounds via the separable fast path:")
 for name in tables.CASE_NAMES:
     case_pairs = [OrbitPair(*p) for p in tables.CASE_PAIRS[name]]
-    case_expr = bell_terms(case_pairs, ctx.orbit)
+    case_expr = bell_terms(case_pairs)
     start = time.perf_counter()
     bound = classical_max(case_expr)
     ms = (time.perf_counter() - start) * 1e3

@@ -13,14 +13,12 @@ from s4bell import (
     coefficient,
     game_values,
     optimal_classical_strategy,
-    standard_context,
     tables,
     winning_table,
 )
 
-ctx = standard_context()
 pairs = [OrbitPair(*p) for p in tables.CASE_PAIRS["I"]]
-expr = bell_terms(pairs, ctx.orbit)
+expr = bell_terms(pairs)
 table = winning_table(expr)
 
 print("The referee draws (s, t) uniformly from 64 pairs; the players win when")
@@ -44,7 +42,7 @@ best = Fraction(coefficient(expr, f_alice, f_bob), 64)
 print(f"\nThe optimal deterministic strategy wins {best} = {float(best):.4f},")
 print("and no classical strategy can do better.")
 
-value = game_values(expr, ctx)
+value = game_values(expr)
 print(f"\nSharing the top eigenstate of the summed operator instead wins")
 print(f"  {value.quantum:.6f}  (vs classical {float(value.classical):.6f})")
 gap = value.quantum - float(value.classical)

@@ -1,11 +1,11 @@
 """Classical bounds by exhaustive enumeration of deterministic strategies.
 
-A Bell expression here is a list of probability terms P(a_s = a, b_t = b),
-each stored as its label-pair index 24 k + m (k and m the `all_labels()`
-rows of (s, a) and (t, b)); its `Term`s are built when first read.  Its
-classical bound is the largest number of terms one deterministic
-configuration (a_1..a_8, b_1..b_8) satisfies, found by scanning all 3**16
-configurations.
+A Bell expression here is its labeled orbit pairs.  Each pair stands for
+24 probability terms P(a_s = a, b_t = b), its S4 pair class, read off the
+standard orbit when first needed as label-pair indices 24 k + m (k and m
+the `all_labels()` rows of (s, a) and (t, b)) or `Term`s.  Its classical
+bound is the largest number of terms one deterministic configuration
+(a_1..a_8, b_1..b_8) satisfies, found by scanning all 3**16 configurations.
 
 The scan is separable: once Alice's tuple is fixed, Bob's settings
 decouple.  For every Alice tuple the table M[t][b] counts the terms with
@@ -20,11 +20,10 @@ The scan is also symmetry-reduced.  Each element of S4 permutes the
 orbit labels and maps bases onto bases, so it permutes Alice tuples: the
 3**8 tuples fall into 306 orbits.  The 576 label pairs fall into 24 S4
 orbits of 24 pairs, the pair classes (the orbit's `class_of`); each pair
-has its class's eigenvalues.  Every `bell_terms` output is a union of
-classes, so every element maps it onto itself: one representative per
-orbit, weighted by the orbit size, stands for all of its tuples, and its
-tables M are its classes' tables summed.  A term set that is not a union
-of classes has no scan (ValueError).  Bob's side reduces too: 72
+has its class's eigenvalues.  Every expression is a union of classes, so
+every element maps it onto itself: one representative per orbit,
+weighted by the orbit size, stands for all of its tuples, and its tables
+M are its classes' tables summed.  Bob's side reduces too: 72
 relabelings of settings, outcomes and parties permute the classes and
 keep every maximum, so one class multiset per orbit is summed; lambda_max
 (S4-invariant, not relabeling-invariant) is summed per class multiset.
@@ -41,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .context import standard_context
-from .orbit import N_OUTCOMES, N_SETTINGS, Orbit, OrbitPair, _row, all_labels
+from .orbit import N_OUTCOMES, N_SETTINGS, _orbit_pairs, _row, all_labels
 
 __all__ = [
     "Term",
@@ -73,12 +72,32 @@ class Term(NamedTuple):
 
 @dataclass(frozen=True)
 class BellExpression:
-    """An ordered list of probability terms plus its provenance, the orbit pairs, as
-    `bell_terms` builds it.  Term (s, a, t, b) is stored in `index` as 24 k + m, for the
-    `all_labels()` rows k of (s, a) and m of (t, b)."""
+    """Labeled orbit pairs, each standing for its 24 terms (g.alice, g.bob), one per element
+    g, on the standard orbit: its S4 pair class.  ValueError unless every pair is two valid
+    labels and no two pairs share a class, which would repeat a term."""
 
-    index: tuple
-    pairs: tuple
+    pairs: tuple  # of `OrbitPair`
+
+    def __post_init__(self):
+        object.__setattr__(self, "pairs", _orbit_pairs(self.pairs))
+        classes = self._classes
+        for k, pair in enumerate(self.pairs):
+            if classes[k] in classes[:k]:  # its own term (g = e) is the first that repeats
+                raise ValueError(f"duplicate term {Term(*pair.alice, *pair.bob)}")
+
+    @cached_property
+    def _classes(self):
+        """Each pair's class, `class_of` of its two labels' rows."""
+        class_of = standard_context().orbit.class_of
+        return [int(class_of[_row(*p.alice), _row(*p.bob)]) for p in self.pairs]
+
+    @cached_property
+    def index(self):
+        """Per pair of labels k and m and per element g in order, the index 24 g.k + g.m."""
+        images, index = standard_context().orbit.label_action.T, []  # images[k]: k's images
+        for p in self.pairs:
+            index += (24 * images[_row(*p.alice)] + images[_row(*p.bob)]).tolist()
+        return tuple(index)
 
     @cached_property
     def terms(self):
@@ -90,42 +109,22 @@ class BellExpression:
     def _scan(self):
         """Read-only scan state, built on first use: one Alice tuple per S4 orbit, ascending,
         the number of tuples each stands for, their tables M (the classes' tables summed) and
-        their row maxima.  ValueError unless the terms are distinct and each pair class holds
-        none or all 24 of them, as in every `bell_terms` output."""
+        their row maxima."""
         class_tables = standard_context().class_tables
-        classes = set(map(class_tables.flat_class_of.__getitem__, self.index))
-        if not len(self.index) == len(set(self.index)) == 24 * len(classes):
-            raise ValueError("the expression's terms are not a union of S4 pair classes")
-        scan = *class_tables.alice_orbits, *class_tables.class_scan(list(classes))
+        scan = *class_tables.alice_orbits, *class_tables.class_scan(self._classes)
         for arr in scan:
             arr.setflags(write=False)
         return scan
 
 
-def _expansion(pairs, orbit):
-    """Per `OrbitPair` of labels k and m and per element g in order, the index 24 g.k + g.m."""
-    images, index = orbit.label_action.T, []  # images[k]: label k's images
-    for p in pairs:
-        index += (24 * images[_row(*p.alice)] + images[_row(*p.bob)]).tolist()
-    return tuple(index)
-
-
-def bell_terms(pairs, orbit: Orbit) -> BellExpression:
+def bell_terms(pairs) -> BellExpression:
     """Expand labeled orbit pairs into their probability terms.
 
-    For each pair and each group element g, the images of the two seeds
-    are read from the orbit's label action, giving one term per
-    (pair, element) in canonical order.  Duplicate terms across pairs
-    raise ValueError.  Each pair's 24 terms are its S4 pair class, so the
-    expression's scan state is summed from its classes' tables.
+    The `BellExpression` of the pairs: one term per (pair, group element),
+    read off the standard orbit's label action, in canonical order.  Two
+    pairs of one S4 pair class would repeat a term and raise ValueError.
     """
-    pairs = tuple(p if isinstance(p, OrbitPair) else OrbitPair(*p) for p in pairs)
-    expr = BellExpression(_expansion(pairs, orbit), pairs)
-    if len(set(expr.index)) != len(expr.index):
-        seen = set()
-        dup = next(t for t in expr.terms if t in seen or seen.add(t))
-        raise ValueError(f"duplicate term {dup}")
-    return expr
+    return BellExpression(pairs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,7 +218,7 @@ def classical_max(expr: BellExpression) -> int:
 
     Uses the separable fast path: per Alice tuple, Bob's settings decouple
     and contribute their per-setting maxima.  Only one Alice tuple per S4
-    orbit is scanned; ValueError unless the terms are a union of pair classes.
+    orbit is scanned.
     """
     return int(expr._scan[3].max())
 
@@ -245,10 +244,6 @@ class _ClassTables:
 
     def __init__(self, ctx):
         self._ctx, self._multisets = ctx, {}
-
-    @cached_property
-    def flat_class_of(self):  # class_of[k, m] at term index 24 k + m, as Python ints
-        return self._ctx.orbit.class_of.ravel().tolist()
 
     @cached_property
     def alice_orbits(self):

@@ -114,9 +114,8 @@ def parse_pair_spec(text):
 def _expression(text):
     """Parse a pair spec and expand its terms; either failure is bad input,
     as `bell_terms` rejects parsed (valid) labels only for a repeated term."""
-    orbit = standard_context().orbit
     try:
-        return bell_terms(parse_pair_spec(text), orbit)
+        return bell_terms(parse_pair_spec(text))
     except ValueError as exc:
         raise _UsageError(exc) from exc
 
@@ -182,7 +181,7 @@ def _checks():
         yield (f"case {name}: componentwise and direct eigenvalues agree", worst < EIG_TOL,
                f"max deviation {worst:.1e}")
 
-        expr = case_exprs[name] = bell_terms(pairs, ctx.orbit)
+        expr = case_exprs[name] = bell_terms(pairs)
         cmax, ref_cmax = classical_max(expr), tables.REF_CLASSICAL_BOUND[name]
         yield (f"case {name}: classical bound", cmax == ref_cmax,
                f"computed {cmax} vs reference {ref_cmax}")
@@ -200,7 +199,7 @@ def _checks():
             f"mass checks {'pass' if mass_ok else 'FAIL'}",
         )
 
-    table, value = _game(case_exprs["I"], ctx)
+    table, value = _game(case_exprs["I"])
     yield (
         "case I: winning table",
         table.entries == tables.REF_WINNING_TABLE_I,
@@ -241,14 +240,13 @@ _Game = namedtuple("_Game", "table value")  # the game part of a record
 _Analysis = namedtuple("_Analysis", "pairs spectrum game cmax histogram")  # analyze's record
 
 
-def _game(expr, ctx):
-    return _Game(winning_table(expr), game_values(expr, ctx))
+def _game(expr):
+    return _Game(winning_table(expr), game_values(expr))
 
 
 def _analysis(expr, with_histogram):
-    ctx = standard_context()
-    spectrum = max_eigenvalue_sum(expr.pairs, ctx)
-    game = _game(expr, ctx)
+    spectrum = max_eigenvalue_sum(expr.pairs, standard_context())
+    game = _game(expr)
     hist = classical_histogram(expr) if with_histogram else None
     return _Analysis(expr.pairs, spectrum, game, int(game.value.classical * N_SETTINGS ** 2), hist)
 
@@ -377,7 +375,7 @@ def _cmd_analyze(args):
 
 
 def _cmd_game(args):
-    sys.stdout.write(_render_game(_game(_expression(args.pairs), standard_context())))
+    sys.stdout.write(_render_game(_game(_expression(args.pairs))))
     return 0
 
 

@@ -78,6 +78,14 @@ class OrbitPair:
             object.__setattr__(self, side, (i, alpha))
 
 
+def _orbit_pairs(pairs):
+    """`pairs` as a tuple of `OrbitPair`; ValueError unless each is two valid labels."""
+    try:  # OrbitPair raises ValueError for a bad label, and TypeError unless given two
+        return tuple(p if isinstance(p, OrbitPair) else OrbitPair(*p) for p in pairs)
+    except TypeError:
+        raise ValueError("each pair must be two labels") from None
+
+
 @dataclass(frozen=True, eq=False)
 class Orbit:
     """A labeled orbit as read-only arrays in label order.
@@ -130,7 +138,7 @@ class Orbit:
 
 
 def partition_into_bases(vectors):
-    """Split distinct unit vectors into mutually orthogonal triples.
+    """Split distinct real unit vectors into mutually orthogonal triples.
 
     A vector's triple is itself plus the vectors orthogonal to it (dot
     product below EPS in absolute value); it must have exactly three
@@ -140,13 +148,13 @@ def partition_into_bases(vectors):
 
     Raises PartitionError naming the first vector whose triple fails.
     """
-    arr = np.array([np.asarray(v, dtype=float) for v in vectors])
+    arr = np.array([np.asarray(v) for v in vectors])
     n = len(arr)
     if n == 0 or n % 3:
         raise PartitionError(f"cannot split {n} vectors into triples")
-    norms = np.linalg.norm(arr, axis=1)
-    if not np.abs(norms - 1.0).max() <= 1e-6:
-        raise ValueError("vectors must be unit length")
+    if np.iscomplexobj(arr) or not np.abs(np.linalg.norm(arr, axis=1) - 1.0).max() <= 1e-6:
+        raise ValueError("vectors must be real and of unit length")
+    arr = arr.astype(float)
     coincide = np.argwhere(np.triu(_close(arr[:, None], arr), 1))
     if len(coincide):
         raise ValueError("vectors {} and {} coincide".format(*coincide[0]))
@@ -176,7 +184,7 @@ def _distinct_images(rep: Representation, seed):
 
 
 def generate_orbit(rep: Representation, seed) -> Orbit:
-    """Apply every group element to a unit seed and label the orbit.
+    """Apply every group element to a real unit seed and label the orbit.
 
     Distinct images (within MATCH_TOL) are collected in group-element
     order, so each orbit vector records the smallest element index mapping
@@ -187,9 +195,9 @@ def generate_orbit(rep: Representation, seed) -> Orbit:
     Raises DegenerateOrbitError when the seed has a stabilizer (fewer than
     |G| distinct images) and PartitionError from `partition_into_bases`.
     """
+    if np.iscomplexobj(seed) or not abs(np.linalg.norm(seed) - 1.0) <= 1e-9:
+        raise ValueError("seed must be a real unit vector")
     seed = np.asarray(seed, dtype=float)
-    if not abs(np.linalg.norm(seed) - 1.0) <= 1e-9:
-        raise ValueError("seed must be a unit vector")
     points, elements = _distinct_images(rep, seed)
     if len(points) < len(rep.group):
         raise DegenerateOrbitError(len(points))

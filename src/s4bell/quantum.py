@@ -29,7 +29,7 @@ import numpy as np
 
 from . import tables
 from .context import Context
-from .orbit import OrbitPair, _row
+from .orbit import _orbit_pairs, _row
 from .representation import EPS, Representation
 
 __all__ = [
@@ -82,16 +82,16 @@ def jacobi_eigh(matrix):
 
     The name is historical: a hand-written cyclic Jacobi solver used to run
     here.  Every matrix diagonalized in the package passes here, so this is
-    where input is checked: a matrix that is complex, not square, not finite or
-    not symmetric to within EPS raises ValueError.
+    where input is checked: a matrix that is complex, empty, not square, not finite
+    or not symmetric to within EPS raises ValueError.
 
     Returns (eigenvalues descending, eigenvectors as matching columns).
     """
     if np.iscomplexobj(matrix):
         raise ValueError("matrix must be real")
     a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("square matrix required")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise ValueError("non-empty square matrix required")
     if not np.isfinite(a).all():
         raise ValueError("matrix must be finite")
     if (np.abs(a - a.T) > EPS).any():
@@ -183,8 +183,9 @@ def max_eigenvalue_sum(pairs, ctx: Context) -> SumSpectrum:
     The componentwise sums must reappear in LAPACK's spectrum of the summed matrix (to within
     EIG_TOL); a violation, a NaN sum among them, means the two routes disagree and raises
     RuntimeError, as does a pair whose own eigenvalues are not within CLASS_TOL of its class's.
+    ValueError unless `pairs` holds at least one pair, each of two valid labels.
     """
-    pairs = tuple(p if isinstance(p, OrbitPair) else OrbitPair(*p) for p in pairs)
+    pairs = _orbit_pairs(pairs)
     if not pairs:
         raise ValueError("need at least one orbit pair")
     model = ctx.pair_model

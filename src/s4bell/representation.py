@@ -191,10 +191,10 @@ def validate_block_basis(projectors: np.ndarray) -> dict:
     by it must give the 0/1 indicator of that component's coordinate block
     (rows grouped 3 + 3 + 2 + 1); the four conjugations are one stacked
     product.  Returns the observed deviations; raises TableMismatchError if
-    any exceeds EPS or is NaN, and ValueError unless `projectors` is (4, 9, 9).
+    any exceeds EPS or is NaN, and ValueError unless `projectors` is a real (4, 9, 9) array.
     """
-    if np.shape(projectors) != (4, 9, 9):
-        raise ValueError("projectors must be a (4, 9, 9) array")
+    if np.shape(projectors) != (4, 9, 9) or np.iscomplexobj(projectors):
+        raise ValueError("projectors must be a real (4, 9, 9) array")
     basis = tables.BLOCK_BASIS
     report = {"orthogonality": _ORTHOGONALITY}
     deviations = np.abs(basis @ projectors @ basis.T - _BLOCK_INDICATORS).max(axis=(1, 2))

@@ -122,11 +122,11 @@ def test_criterion_2_quantum_bounds(ctx, case_pairs):
     )
 
 
-def test_criterion_3_classical_bounds(ctx, case_pairs):
+def test_criterion_3_classical_bounds(case_pairs):
     problems = []
     worst = 0.0
     for name, pairs in case_pairs.items():
-        expr = bell_terms(pairs, ctx.orbit)
+        expr = bell_terms(pairs)
         start = time.perf_counter()
         bound = classical_max(expr)
         worst = max(worst, time.perf_counter() - start)
@@ -139,13 +139,13 @@ def test_criterion_3_classical_bounds(ctx, case_pairs):
     report(3, f"classical bounds are 16, 18, 16 (worst {worst * 1e3:.0f} ms)", problems)
 
 
-def test_criterion_4_histograms(ctx, case_pairs):
+def test_criterion_4_histograms(case_pairs):
     problems = []
     spot_rows = {"I": {1: 12960, 16: 15876}, "II": {18: 144, 8: 7822791},
                  "III": {16: 4761}}
     worst = 0.0
     for name, pairs in case_pairs.items():
-        expr = bell_terms(pairs, ctx.orbit)
+        expr = bell_terms(pairs)
         start = time.perf_counter()
         hist = classical_histogram(expr)
         worst = max(worst, time.perf_counter() - start)
@@ -169,10 +169,10 @@ def test_criterion_4_histograms(ctx, case_pairs):
     report(4, f"histograms match the reference exactly (worst {worst * 1e3:.0f} ms)", problems)
 
 
-def test_criterion_5_term_lists(ctx, case_pairs):
+def test_criterion_5_term_lists(case_pairs):
     problems = []
     for name, pairs in case_pairs.items():
-        expr = bell_terms(pairs, ctx.orbit)
+        expr = bell_terms(pairs)
         expected = {tuple(t) for t in CASE_TERMS[name]}
         got = {tuple(t) for t in expr.terms}
         if len(expr.terms) != 72:
@@ -184,16 +184,16 @@ def test_criterion_5_term_lists(ctx, case_pairs):
     report(5, "term lists match the reference expansions", problems)
 
 
-def test_criterion_6_game(ctx, case_pairs):
+def test_criterion_6_game(case_pairs):
     problems = []
     pairs = case_pairs["I"]
-    expr = bell_terms(pairs, ctx.orbit)
+    expr = bell_terms(pairs)
     table = winning_table(expr)
     if table.entries != tables.REF_WINNING_TABLE_I:
         problems.append("winning table differs from the reference")
     if len(table.entries) != 24 or not all(len(v) == 3 for v in table.entries.values()):
         problems.append("winning table shape is not 24 rows of 3 pairs")
-    value = game_values(expr, ctx)
+    value = game_values(expr)
     if value.classical != Fraction(16, 64):
         problems.append(f"classical value {value.classical} != 16/64")
     if abs(value.quantum - 0.2514) > 1e-4:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from conftest import index_of, row_of
 from s4bell import classical, cli, standard_context, tables
 from s4bell.classical import (
-    BellExpression,
     Term,
     _codes,
     _histogram_counts,
@@ -30,7 +29,7 @@ from s4bell.quantum import EIG_TOL, eigenvalues_isotypic, max_eigenvalue_sum
 
 @pytest.fixture(scope="module")
 def case_exprs(orbit, case_pairs):
-    return {name: bell_terms(pairs, orbit) for name, pairs in case_pairs.items()}
+    return {name: bell_terms(pairs) for name, pairs in case_pairs.items()}
 
 
 def literal_histogram(terms):
@@ -59,29 +58,31 @@ def test_term_order_canonical(case_exprs):
     assert {type(x) for term in expr.terms for x in term} == {int}
 
 
-def test_diagonal_pair_terms(orbit):
-    expr = bell_terms([OrbitPair((1, 0), (1, 0))], orbit)
+def test_diagonal_pair_terms():
+    expr = bell_terms([OrbitPair((1, 0), (1, 0))])
     assert set(expr.terms) == {Term(i, a, i, a) for i in range(1, 9) for a in range(3)}
 
 
-def test_repeated_pair_raises(orbit):
+def test_repeated_pair_raises():
     pair = OrbitPair((1, 0), (4, 1))
     with pytest.raises(ValueError, match="duplicate"):
-        bell_terms([pair, pair], orbit)
+        bell_terms([pair, pair])
 
 
 @pytest.mark.parametrize("bad", ["1", 1.5, 1.0])
-def test_non_integer_terms_rejected(orbit, bad):
+def test_non_integer_terms_rejected(bad):
     # A term's entries are its pair's label entries, each read as an integer.
     for pair in (((bad, 0), (1, 0)), ((1, bad), (1, 0)), ((1, 0), (1, np.float64(bad)))):
         with pytest.raises(ValueError, match=r"^label must be two integers, got "):
-            bell_terms([((2, 1), (3, 2)), pair], orbit)
+            bell_terms([((2, 1), (3, 2)), pair])
 
 
-def test_expression_validation(orbit):
-    # `bell_terms` reads each pair as an `OrbitPair`, then rejects a repeated term.
+def test_expression_validation():
+    # `bell_terms` reads each pair as two labels of an `OrbitPair`, then rejects a repeated term.
     good = ((1, 0), (4, 1))
-    for bad, message in ((((9, 0), (1, 0)), "label out of range: basis 9, outcome 0"),
+    for bad, message in ((600, "each pair must be two labels"),
+                         ((good[0],), "each pair must be two labels"),
+                         (((9, 0), (1, 0)), "label out of range: basis 9, outcome 0"),
                          (((1, 0), (0, 0)), "label out of range: basis 0, outcome 0"),
                          (((1, 3), (1, 0)), "label out of range: basis 1, outcome 3"),
                          (((1, 0), (1, -1)), "label out of range: basis 1, outcome -1"),
@@ -89,12 +90,12 @@ def test_expression_validation(orbit):
                          ((7, (1, 0)), "label must be two integers, got 7"),
                          (good, "duplicate term Term(s=1, a=0, t=4, b=1)")):
         with pytest.raises(ValueError) as excinfo:
-            bell_terms([good, bad], orbit)
+            bell_terms([good, bad])
         assert str(excinfo.value) == message
 
 
-def test_pairs_are_stored_as_orbit_pairs(orbit):
-    raw, built = (bell_terms(pairs, orbit)
+def test_pairs_are_stored_as_orbit_pairs():
+    raw, built = (bell_terms(pairs)
                   for pairs in ([((1, 0), (1, 0))], (OrbitPair((1, 0), (1, 0)),)))
     assert raw.pairs == built.pairs == (OrbitPair((1, 0), (1, 0)),)
     assert raw == built and hash(raw) == hash(built)
@@ -168,13 +169,13 @@ def test_histogram_kernel_matches_reference_on_cases(case_exprs):
 
 @pytest.mark.parametrize("n_pairs", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_histogram_kernel_matches_reference_on_random_unions(orbit, n_pairs, seed):
+def test_histogram_kernel_matches_reference_on_random_unions(n_pairs, seed):
     rng = np.random.default_rng(seed)
     labels = all_labels()
     while True:
         picks = rng.choice(len(labels), size=(n_pairs, 2))
         try:
-            expr = bell_terms([OrbitPair(labels[a], labels[b]) for a, b in picks], orbit)
+            expr = bell_terms([OrbitPair(labels[a], labels[b]) for a, b in picks])
         except ValueError:  # two of the pairs expand into the same terms
             continue
         break
@@ -184,19 +185,23 @@ def test_histogram_kernel_matches_reference_on_random_unions(orbit, n_pairs, see
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_histogram_kernel_matches_reference_on_non_invariant_subsets(case_exprs, seed):
     rng = np.random.default_rng(seed)
-    index = case_exprs[tables.CASE_NAMES[seed]].index
-    keep = rng.choice(len(index), size=rng.integers(1, len(index)), replace=False)
-    assert_counts_match_reference(table_of([index[k] for k in keep]), ALL_ROWS, ONES)
+    expr = case_exprs[tables.CASE_NAMES[seed]]
+    keep = rng.choice(len(expr.index), size=rng.integers(1, len(expr.index)), replace=False)
+    assert_counts_match_reference(table_of([expr.index[k] for k in keep]), ALL_ROWS, ONES)
+    # The subset's terms on bases 1..3, on all 6561 tuples, against the literal histogram.
+    small = [t for t in (expr.terms[k] for k in keep) if t.s <= 3 and t.t <= 3]
+    counts = histogram_counts(table_of(index_of(small)), ALL_ROWS, ONES)
+    assert {c: n for c, n in enumerate(counts.tolist()) if n} == literal_histogram(small)
 
 
-def test_histogram_kernel_matches_reference_on_small_tables(orbit):
+def test_histogram_kernel_matches_reference_on_small_tables():
     # The empty table on the 306 orbit rows, a single term on all 6561 tuples.
-    assert_scan_counts_match_reference(bell_terms((), orbit))
+    assert_scan_counts_match_reference(bell_terms(()))
     assert_counts_match_reference(table_of(index_of([(3, 2, 6, 1)])), ALL_ROWS, ONES)
 
 
-def test_histogram_kernel_matches_reference_on_all_pairs_of_one_alice_label(orbit):
-    expr = bell_terms([OrbitPair((1, 0), lab) for lab in all_labels()], orbit)
+def test_histogram_kernel_matches_reference_on_all_pairs_of_one_alice_label():
+    expr = bell_terms([OrbitPair((1, 0), lab) for lab in all_labels()])
     assert len(expr.terms) == 576
     assert_scan_counts_match_reference(expr)
 
@@ -257,41 +262,24 @@ def assert_scan_equals_the_product(expr):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-def assert_has_no_scan(expr):
-    for read in (classical_max, classical_histogram, optimal_classical_strategy):
-        with pytest.raises(ValueError, match="^the expression's terms are not a union of S4"):
-            read(expr)
-
-
-def test_several_invariant_expressions_keep_the_reduced_scan(orbit, case_exprs):
+def test_several_invariant_expressions_keep_the_reduced_scan(case_exprs):
     # The tables summed from the classes must equal the product of the term table.
     for expr in case_exprs.values():
-        assert_scan_equals_the_product(BellExpression(expr.index, ()))
+        assert_scan_equals_the_product(expr)
     # The 24 single-pair expressions of Alice label x12, one per class, and their union.
     pool = [[OrbitPair((2, 1), lab)] for lab in all_labels()]
     for pairs in (*pool, sum(pool, [])):
-        assert_scan_equals_the_product(bell_terms(pairs, orbit))
+        assert_scan_equals_the_product(bell_terms(pairs))
 
 
-def test_the_scan_is_reduced_exactly_on_unions_of_pair_classes(orbit, case_exprs):
-    # A term set is S4-invariant exactly when each pair class holds none or all 24 of its
-    # terms: then the 306 orbit rows are scanned, else there is no scan and no classical bound.
-    rng = np.random.default_rng(32)
-    index = case_exprs["II"].index
+def test_the_scan_is_reduced_exactly_on_unions_of_pair_classes(case_pairs):
+    # Each pair's terms are one whole pair class, so every expression, in any pair order,
+    # scans the 306 orbit rows with the tables of its term table's product.
     labels = all_labels()
     # Whole classes with Alice at several labels: x01:x14, x12:x26, x23:x21, x28:x22.
-    spread = bell_terms([OrbitPair(labels[k], labels[m]) for k, m in
-                         ((0, 10), (4, 17), (8, 2), (23, 5))], orbit).index
-    one_class = bell_terms([OrbitPair((2, 1), (5, 0))], orbit).index
-    for case in (index[::-1], tuple(index[k] for k in rng.permutation(72)), (), spread,
-                 spread + one_class):
-        assert_scan_equals_the_product(BellExpression(case, ()))
-    for case in (spread + index[:1],  # one term more than whole classes
-                 tuple(range(24)),  # 24 terms, one of each class
-                 one_class[:12] + spread[:12],  # 24 terms, half of two classes
-                 one_class[:23] + one_class[:1],  # 24 terms of one class, one twice
-                 *(one_class[:k] + one_class[k + 1:] for k in (0, 11, 23))):
-        assert_has_no_scan(BellExpression(case, ()))
+    spread = [OrbitPair(labels[k], labels[m]) for k, m in ((0, 10), (4, 17), (8, 2), (23, 5))]
+    for pairs in (case_pairs["II"][::-1], (), spread, [*spread, OrbitPair((2, 1), (5, 0))]):
+        assert_scan_equals_the_product(bell_terms(pairs))
 
 
 def gathered_per_alice_tables(table, rows):
@@ -303,10 +291,10 @@ def gathered_per_alice_tables(table, rows):
     return m
 
 
-def test_per_alice_tables_match_the_gather_reference(orbit, case_exprs):
+def test_per_alice_tables_match_the_gather_reference(case_exprs):
     friendly = index_of([(1, 0, 1, 0), (2, 0, 1, 0), (1, 0, 2, 1)])
     indices = [*(e.index for e in case_exprs.values()), friendly,
-               bell_terms([OrbitPair((2, 1), (5, 0))], orbit).index]
+               bell_terms([OrbitPair((2, 1), (5, 0))]).index]
     stacked = np.stack([table_of(index) for index in indices])
     for rows in (standard_context().class_tables.alice_orbits[0], ALL_ROWS):
         for table in stacked:
@@ -349,7 +337,7 @@ def test_row_maxima_is_bobs_best_tuple_on_both_layouts(ctx):
 @pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
 def test_invariance_needs_every_generator(ctx, pair):
     # The orbit of one term under two of the adjacent transpositions (1 2),
-    # (2 3), (3 4) is closed under both, but not under the third.
+    # (2 3), (3 4) is closed under both, but is only part of the term's pair class.
     swaps = ([1, 0, 2, 3], [0, 2, 1, 3], [0, 1, 3, 2])
     actions = [ctx.orbit.label_action[row_of(ctx.group, swaps[i])] for i in pair]
     labels = all_labels()
@@ -360,7 +348,7 @@ def test_invariance_needs_every_generator(ctx, pair):
             break
         positions = grown
     assert len(positions) in (4, 6)
-    assert_has_no_scan(BellExpression(tuple(24 * k + m for k, m in sorted(positions)), ()))
+    assert {24 * k + m for k, m in positions} < set(bell_terms([((1, 0), (4, 1))]).index)
 
 
 _LABELS = st.tuples(st.integers(1, 8), st.integers(0, 2))
@@ -370,29 +358,13 @@ _LABELS = st.tuples(st.integers(1, 8), st.integers(0, 2))
 @given(st.lists(st.builds(OrbitPair, _LABELS, _LABELS), min_size=1, max_size=3, unique=True))
 def test_reduced_scan_matches_full_on_orbit_pair_unions(pairs):
     try:
-        expr = bell_terms(pairs, standard_context().orbit)
+        expr = bell_terms(pairs)
     except ValueError:  # two of the pairs expand into the same terms
         assume(False)
     assert len(expr._scan[0]) == 306
     assert classical_max(expr) == _max_coefficient(table_of(expr.index), ALL_ROWS)
     hist = classical_histogram(expr)
     assert [hist.counts[c] for c in range(len(hist.counts))] == full_counts(expr.index)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.data())
-def test_non_invariant_subset_fails_guard(case_exprs, data):
-    expr = case_exprs[data.draw(st.sampled_from(tables.CASE_NAMES))]
-    # Every term orbit has 24 terms, so a subset whose size is not a
-    # multiple of 24 cannot map onto itself.
-    keep = sorted(data.draw(
-        st.sets(st.integers(0, len(expr.index) - 1), min_size=1).filter(lambda k: len(k) % 24)
-    ))
-    assert_has_no_scan(BellExpression(tuple(expr.index[k] for k in keep), ()))
-    # Its terms on bases 1..3, on all 6561 tuples, against the literal histogram.
-    small = [t for t in (expr.terms[k] for k in keep) if t.s <= 3 and t.t <= 3]
-    counts = histogram_counts(table_of(index_of(small)), ALL_ROWS, ONES)
-    assert {c: n for c, n in enumerate(counts.tolist()) if n} == literal_histogram(small)
 
 
 def combination_rows(n, size):
@@ -408,7 +380,7 @@ def x01_pairs(bob):
 
 def x01_pair_table(m):
     """Reference: the term table of the pair x01:m."""
-    return table_of(bell_terms(x01_pairs([m]), standard_context().orbit).index)
+    return table_of(bell_terms(x01_pairs([m])).index)
 
 
 @functools.lru_cache(maxsize=None)
@@ -449,7 +421,7 @@ def bob_rows(class_of, alice, size):
 
 def test_class_maxima_equal_the_unreduced_maxima():
     orbit = standard_context().orbit
-    assert {len(bell_terms(x01_pairs([k]), orbit)._scan[0]) for k in range(24)} == {306}
+    assert {len(bell_terms(x01_pairs([k]))._scan[0]) for k in range(24)} == {306}
     for size in (1, 2, 3):
         multisets, maxima, _, _, _ = class_multisets(size)
         assert np.array_equal(maxima[np.argsort(_codes(multisets))], unreduced_class_maxima(size))
@@ -459,7 +431,7 @@ def test_class_maxima_of_set_multisets_equal_the_union_maximum():
     rng = np.random.default_rng(29)
     for size in rng.integers(1, 4, size=40).tolist():
         bob = rng.choice(24, size, replace=False)
-        union = bell_terms(x01_pairs(bob), standard_context().orbit)
+        union = bell_terms(x01_pairs(bob))
         assert class_multisets(size)[1][class_row(bob)] == classical_max(union)
 
 
@@ -495,39 +467,29 @@ def test_class_sums_equal_the_term_route(orbit):
     rng = np.random.default_rng(25)
     specs += [[OrbitPair(labels[a], labels[b]) for a, b in rng.integers(24, size=(n, 2))]
               for n in rng.integers(1, 7, size=200)]
-    # Another order of the elements relabels the orbit: its pairs' term sets are not the
-    # standard pair classes, so most of their unions have no scan.
-    other = dataclasses.replace(orbit, elements=orbit.elements[rng.permutation(24)])
-    assert not np.array_equal(other.label_action, orbit.label_action)
     duplicates, rows = 0, standard_context().class_tables.alice_orbits
-    action, invariant_others = orbit.label_action.tolist(), 0
-    for spec, action_of in itertools.chain(zip(specs, itertools.repeat(orbit)),
-                                           zip(specs[-50:], itertools.repeat(other))):
+    action = orbit.label_action.tolist()
+    for spec in specs:
         try:
-            terms = expanded_term_by_term(spec, action_of)
-        except ValueError as exc:
+            terms = expanded_term_by_term(spec, orbit)
+        except ValueError as exc:  # the class route names the same first repeated term
             duplicates += 1
             with pytest.raises(ValueError) as excinfo:
-                bell_terms(spec, action_of)
+                bell_terms(spec)
             assert str(excinfo.value) == str(exc)
             continue
-        expr = bell_terms(spec, action_of)
+        expr = bell_terms(spec)
         assert expr.index == index_of(terms) and expr.terms == terms and expr.pairs == tuple(spec)
-        # The scan state equals the product of the term table on the orbit rows exactly when
-        # every element of S4 maps the term set onto itself; else there is none.
+        # Every element of S4 maps the term set onto itself, and the scan state summed from
+        # its classes equals the product of its term table on the orbit rows.
         pairs = {(labels.index(t[:2]), labels.index(t[2:])) for t in terms}
-        invariant = all({(g[k], g[m]) for k, m in pairs} == pairs for g in action)
-        invariant_others += invariant and action_of is other
-        if not invariant:
-            assert_has_no_scan(expr)
-            continue
+        assert all({(g[k], g[m]) for k, m in pairs} == pairs for g in action)
         m = _per_alice_tables(table_of(expr.index), rows[0])
         for got, want in zip(expr._scan, (*rows, m, _row_maxima(m))):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want)
             assert not got.flags.writeable
     assert 20 < duplicates < 150
-    assert 0 < invariant_others < 40  # the relabeled orbit gives both kinds of term set
 
 
 def test_class_index_names_each_bob_multisets_class_multiset(ctx):
@@ -613,7 +575,6 @@ def test_replaced_context_has_its_own_class_tables(ctx):
         assert np.array_equal(got, want)
         assert not got.flags.writeable and not want.flags.writeable
     assert [own.multisets(size)[4] for size in (1, 2, 3)] == [0, 1, 26]
-    assert own.flat_class_of == tables.flat_class_of == ctx.orbit.class_of.ravel().tolist()
 
 
 @pytest.mark.parametrize("size, count", [(1, 2), (2, 14), (3, 70)])
@@ -659,8 +620,8 @@ def test_rank_order_is_built_once_per_size_with_non_decreasing_ties(ctx, monkeyp
             assert tables.multisets(size) is arrays
 
 
-def test_empty_expression(orbit):
-    expr = bell_terms((), orbit)
+def test_empty_expression():
+    expr = bell_terms(())
     assert classical_max(expr) == 0
     hist = classical_histogram(expr)
     assert hist.counts[0] == 3 ** 16
@@ -678,7 +639,7 @@ def test_reduced_instance_oracle(case_exprs):
 
 
 def test_bob_relabel_symmetry(case_exprs):
-    # The relabeled terms are no union of pair classes, so they take the full scan.
+    # The relabeled terms are no union of pair classes, so the full scan is the reference.
     relabel = {1: 3, 2: 1, 3: 2, 4: 6, 5: 4, 6: 5, 7: 8, 8: 7}
     expr = case_exprs["I"]
     permuted = index_of((s, a, relabel[t], b) for s, a, t, b in expr.terms)
@@ -700,9 +661,9 @@ def test_optimal_strategy_attains_max(case_exprs):
         assert coefficient(expr, f_alice, f_bob) == classical_max(expr)
 
 
-def test_optimal_strategy_lex_tiebreak(orbit):
+def test_optimal_strategy_lex_tiebreak():
     # The terms (i, a, i, a): every a_i = b_i configuration scores the maximum 8.
-    expr = bell_terms([OrbitPair((1, 0), (1, 0))], orbit)
+    expr = bell_terms([OrbitPair((1, 0), (1, 0))])
     f_alice, f_bob = optimal_classical_strategy(expr)
     assert f_alice == (0,) * 8
     assert f_bob == (0,) * 8
@@ -720,7 +681,7 @@ def test_coefficient_rejects_malformed_strategy(f_alice, f_bob):
     # A short tuple used to raise IndexError, a long one was cut to eight
     # entries, an out-of-range outcome silently matched no term, and float
     # outcomes were counted; outcomes must be integers, as labels are.
-    expr = BellExpression(index_of([(1, 0, 1, 0)]), ())
+    expr = bell_terms([OrbitPair((1, 0), (1, 0))])
     with pytest.raises(ValueError, match="8 outcomes in 0..2"):
         coefficient(expr, f_alice, f_bob)
 
@@ -745,7 +706,7 @@ def first_optimal_strategy(expr):
 @example(tables.CASE_PAIRS["III"])
 def test_optimal_strategy_matches_full_scan(pairs):
     try:
-        expr = bell_terms(pairs, standard_context().orbit)
+        expr = bell_terms(pairs)
     except ValueError:  # two of the pairs expand into the same terms
         assume(False)
     assert len(expr._scan[0]) == 306

@@ -223,7 +223,7 @@ def test_analyze_json_roundtrip():
     report = json.loads(out)
     histogram = report["classical"].pop("histogram")
     assert report == parsed
-    expr = classical.bell_terms(parse_pair_spec(spec), standard_context().orbit)
+    expr = classical.bell_terms(parse_pair_spec(spec))
     counts = classical.classical_histogram(expr).counts
     assert histogram == {"counts": {str(c): n for c, n in counts.items()}, "c_max": 16,
                          "n_terms": 72, "total": 3 ** 16}
@@ -598,8 +598,8 @@ def test_top_k_keeps_a_tie_class_that_chains_past_the_cut(monkeypatch, fresh_cla
     # every --top.  The class rows are patched directly.
     ctx, labels = standard_context(), all_labels()
     model = ctx.pair_model
-    cmaxes = np.array([classical.classical_max(classical.bell_terms(
-        [OrbitPair(labels[0], label)], ctx.orbit)) for label in labels])
+    cmaxes = np.array([classical.classical_max(classical.bell_terms([OrbitPair(labels[0], label)]))
+                       for label in labels])
     gaps = np.full(24, -1.0)
     gaps[[5, 6, 0]] = 1.0, 1 - 0.8e-9, 1 - 1.6e-9
     row = np.repeat((cmaxes + gaps)[:, None], 4, axis=1)

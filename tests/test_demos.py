@@ -1,5 +1,5 @@
 """Each demo script, and the README's Python quick start, runs to completion
-against the source tree.
+against the source tree, with warnings as errors and nothing on stderr.
 
 The stdout of demos 01, 02 and 04 is held to tests/golden/demo_<name>.txt byte
 for byte: demo 01 forms its Gram matrices by `np.einsum`, not BLAS, and what
@@ -27,7 +27,8 @@ NAMES = [d.stem for d in DEMOS] + ["readme_quick_start"]
 
 @pytest.mark.parametrize("name, script", zip(NAMES, SCRIPTS), ids=NAMES)
 def test_demo_runs(name, script):
-    result = fresh_python(script, cwd=ROOT, capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
+    result = fresh_python(["-W", "error", *script], cwd=ROOT, capture_output=True, text=True,
+                          timeout=120)
+    assert result.returncode == 0 and result.stderr == "", result.stderr
     if name in PINNED:
         assert result.stdout == (GOLDEN / f"demo_{name}.txt").read_text()

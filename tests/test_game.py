@@ -6,19 +6,18 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from compare_cli import COMMANDS
-from conftest import index_of
-from s4bell.classical import BellExpression, bell_terms, classical_max, coefficient
+from s4bell.classical import bell_terms, classical_max, coefficient
 from s4bell.cli import _table_text, parse_pair_spec
-from s4bell.game import GameValue, game_values, winning_table
-from s4bell.orbit import OrbitPair
+from s4bell.game import GameValue, WinningTable, game_values, winning_table
+from s4bell.orbit import OrbitPair, all_labels
 from s4bell.quantum import max_eigenvalue_sum
 
 
 @pytest.fixture(scope="module")
-def case_data(orbit, case_pairs):
+def case_data(case_pairs):
     out = {}
     for name, pairs in case_pairs.items():
-        expr = bell_terms(pairs, orbit)
+        expr = bell_terms(pairs)
         out[name] = (pairs, expr, winning_table(expr))
     return out
 
@@ -41,19 +40,11 @@ def test_uniform_triple_structure_reported(case_data):
 
 def test_game_values_case2(ctx, case_data):
     pairs, expr, _ = case_data["II"]
-    value = game_values(expr, ctx)
+    value = game_values(expr)
     spectrum = max_eigenvalue_sum(pairs, ctx)
     assert value.classical == Fraction(18, 64)
     assert value.quantum == spectrum.lambda_max / 64
     assert abs(value.quantum - 18.5138 / 64) < 1e-4
-
-
-def test_game_values_rejects_terms_that_are_not_its_pairs_expansion(ctx, case_data):
-    pairs, expr, _ = case_data["I"]
-    assert game_values(BellExpression(expr.index, pairs), ctx) == game_values(expr, ctx)
-    for index, own in ((expr.index[:48], pairs[1:2]), ((0,), (OrbitPair((1, 0), (1, 0)),))):
-        with pytest.raises(ValueError, match="^the expression's terms are not the expansion"):
-            game_values(BellExpression(index, own), ctx)
 
 
 def test_random_strategies_below_optimum(case_data, rng):
@@ -107,7 +98,7 @@ def test_violation_is_the_gap_above_the_lambda_scale_tolerance(ctx, case_data):
     assert value.violation
     assert value.gap == pytest.approx(5e-9, rel=1e-6)
     pairs, expr, _ = case_data["I"]
-    assert game_values(expr, ctx).gap == max_eigenvalue_sum(pairs, ctx).lambda_max - 16
+    assert game_values(expr).gap == max_eigenvalue_sum(pairs, ctx).lambda_max - 16
 
 
 def test_table_text_matches_reference_rows(case_data):
@@ -118,13 +109,13 @@ def test_table_text_matches_reference_rows(case_data):
     assert text.splitlines()[0] == "s,t  winning a,b"
 
 
-def _pinned_expressions(orbit):
+def _pinned_expressions():
     """The expression of every `analyze` and `game` spec of the CLI contract that expands."""
     specs = {argv[argv.index("--pairs") + 1] for argv in COMMANDS if argv[0] in ("analyze", "game")}
     out = {}
     for spec in sorted(specs):
         try:
-            out[spec] = bell_terms(parse_pair_spec(spec), orbit)
+            out[spec] = bell_terms(parse_pair_spec(spec))
         except ValueError:  # the contract's rejected specs
             continue
     return out
@@ -145,17 +136,17 @@ def _assert_one_sorted_view(expr, table):
     assert [line.split() for line in text[1:]] == [[f"{s}{t}", *cell] for (s, t), cell in expected]
 
 
-def test_table_text_and_rows_are_one_sorted_view(orbit):
-    pinned = _pinned_expressions(orbit)
+def test_table_text_and_rows_are_one_sorted_view():
+    pinned = _pinned_expressions()
     assert len(pinned) == 8
     # Beyond the contract's specs: the empty expression, every term (64 settings pairs with
-    # all nine answers each) and a term set that is not S4-invariant, given out of order.
-    everything = BellExpression(tuple(range(576)), ())
-    order = np.random.default_rng(46).permutation(576)[:150]
-    shuffled = BellExpression(tuple(order.tolist()), ())
+    # all nine answers each, x01 paired with every label) and six classes in shuffled order.
+    labels = [all_labels()[k] for k in np.random.default_rng(46).permutation(24)]
+    everything, shuffled = (bell_terms([OrbitPair((1, 0), lab) for lab in labels[:n]])
+                            for n in (24, 6))
     assert shuffled.index != tuple(sorted(shuffled.index))
     assert len(winning_table(everything).rows) == 64
-    for expr in (*pinned.values(), BellExpression((), ()), everything, shuffled):
+    for expr in (*pinned.values(), bell_terms(()), everything, shuffled):
         _assert_one_sorted_view(expr, winning_table(expr))
 
 
@@ -164,21 +155,19 @@ _LABELS = st.tuples(st.integers(1, 8), st.integers(0, 2))
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.lists(st.builds(OrbitPair, _LABELS, _LABELS), min_size=1, max_size=3, unique=True))
-def test_rows_are_the_sorted_grouping_of_the_terms(orbit, pairs):
+def test_rows_are_the_sorted_grouping_of_the_terms(pairs):
     try:
-        expr = bell_terms(pairs, orbit)
+        expr = bell_terms(pairs)
     except ValueError:  # two of the pairs expand into the same terms
         reject()
     _assert_one_sorted_view(expr, winning_table(expr))
 
 
-def test_uniform_triple_structure_needs_three_distinct_a_and_b_per_cell(orbit):
-    single = winning_table(bell_terms([OrbitPair((1, 0), (4, 1))], orbit))
+def test_uniform_triple_structure_needs_three_distinct_a_and_b_per_cell():
+    single = winning_table(bell_terms([OrbitPair((1, 0), (4, 1))]))
     assert {len(cell) for _, cell in single.rows} == {1}
     assert not single.has_uniform_triple_structure()
-    repeated_a = BellExpression(index_of([(1, 0, 2, 0), (1, 0, 2, 1), (1, 1, 2, 2)]), ())
-    repeated_b = BellExpression(index_of([(1, 0, 2, 0), (1, 1, 2, 0), (1, 2, 2, 1)]), ())
-    for expr in (repeated_a, repeated_b):
-        assert winning_table(expr).rows == (((1, 2), tuple(f"{a}{b}" for _, a, _, b in expr.terms)),)
-        assert not winning_table(expr).has_uniform_triple_structure()
-    assert winning_table(BellExpression((), ())).has_uniform_triple_structure()
+    for cell in (("00", "01", "12"), ("00", "10", "21")):  # a repeated a, a repeated b
+        assert not WinningTable((((1, 2), cell),)).has_uniform_triple_structure()
+    assert WinningTable((((1, 2), ("00", "11", "22")),)).has_uniform_triple_structure()
+    assert winning_table(bell_terms(())).has_uniform_triple_structure()

@@ -115,7 +115,9 @@ def test_degenerate_seed_raises(rep):
 
 
 def test_non_unit_seed_rejected(rep):
-    for seed in ([1.0, 1.0, 0.0], [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]):
+    # A complex seed whose real part is the canonical seed used to give its real part's orbit.
+    for seed in ([1.0, 1.0, 0.0], [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0],
+                 tables.CANONICAL_SEED + [0.5j, 0, 0]):
         with pytest.raises(ValueError, match="unit"):
             generate_orbit(rep, np.array(seed))
 
@@ -176,7 +178,7 @@ def test_partition_rejects_bad_input():
     with pytest.raises(ValueError, match="vectors 0 and 1 coincide"):
         partition_into_bases([np.array([1.0, 0, 0]), np.array([1.0, 0, 0]),
                               np.array([0.0, 1, 0])])
-    for bad in (2.0, np.nan, np.inf):
+    for bad in (2.0, np.nan, np.inf, 1 + 1e-9j):  # the complex one's real part would pass
         with pytest.raises(ValueError, match="unit"):
             partition_into_bases([np.array([bad, 0, 0]), np.array([0.0, 1, 0]),
                                   np.array([0.0, 0, 1])])

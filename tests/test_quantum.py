@@ -197,7 +197,7 @@ def test_jacobi_spectrum_on_random_pair_sums(ctx, rng):
             [OrbitPair(labels[int(i)], labels[int(j)]) for i, j in picks], ctx)
 
 
-@pytest.mark.parametrize("n", range(13))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_jacobi_properties_on_random_symmetric(n, rng):
     for _ in range(5):
         a = rng.standard_normal((n, n))
@@ -364,17 +364,20 @@ def _bad_matrix(kind):
         bad = bad + 5j * np.eye(9)
     elif kind == "nonsquare":
         bad = bad[:8]
+    elif kind == "empty":
+        bad = bad[:0, :0]
     else:
         bad[0, 0], bad[4, 4] = np.inf, -np.inf
     return bad
 
 
-@pytest.mark.parametrize("kind", ["nonsymmetric", "nan", "inf", "complex", "nonsquare"])
+@pytest.mark.parametrize("kind", ["nonsymmetric", "nan", "inf", "complex", "nonsquare", "empty"])
 @pytest.mark.parametrize("solve", [jacobi_eigh, eigenvalues_direct],
                          ids=["jacobi_eigh", "eigenvalues_direct"])
 def test_direct_rejects_nonsymmetric(solve, kind):
     message = {"nonsymmetric": "matrix must be symmetric", "complex": "matrix must be real",
-               "nonsquare": "square matrix required"}.get(kind, "matrix must be finite")
+               "nonsquare": "non-empty square matrix required",
+               "empty": "non-empty square matrix required"}.get(kind, "matrix must be finite")
     with pytest.raises(ValueError, match=f"^{message}$"):
         solve(_bad_matrix(kind))
 
@@ -448,8 +451,11 @@ def test_sum_names_the_first_component_no_eigenvalue_matches(ctx, case_pairs, mo
 
 
 def test_sum_requires_pairs(ctx):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^need at least one orbit pair$"):
         max_eigenvalue_sum((), ctx)
+    for bad in ([600], [((1, 0),)]):  # each used to raise TypeError
+        with pytest.raises(ValueError, match="^each pair must be two labels$"):
+            max_eigenvalue_sum(bad, ctx)
 
 
 def test_component_sums_equal_direct_maximum(ctx, rng):

@@ -211,11 +211,14 @@ def test_validate_block_basis_reports_each_projectors_deviation(projectors):
     assert list(report.items()) == list(expected.items())
 
 
-@pytest.mark.parametrize("shape", [(1, 9, 9), (3, 9, 9), (4, 8, 8)])
-def test_validate_block_basis_rejects_a_misshapen_stack(shape):
-    # A (1, 9, 9) stack would otherwise broadcast against all four block indicators.
-    with pytest.raises(ValueError, match=r"\(4, 9, 9\)"):
-        validate_block_basis(np.zeros(shape))
+@pytest.mark.parametrize("shape, offset", [((1, 9, 9), 0), ((3, 9, 9), 0), ((4, 8, 8), 0),
+                                           ((4, 9, 9), 1e-12j)],
+                         ids=["shape0", "shape1", "shape2", "complex"])
+def test_validate_block_basis_rejects_a_misshapen_stack(projectors, shape, offset):
+    # A (1, 9, 9) stack would otherwise broadcast against all four block indicators, and a
+    # complex one passed on its real part.
+    with pytest.raises(ValueError, match=r"^projectors must be a real \(4, 9, 9\) array$"):
+        validate_block_basis(np.resize(projectors, shape) + offset)
 
 
 def test_validate_block_basis_detects_swap(projectors):
@@ -262,7 +265,7 @@ def test_array_holders_hash_and_compare_by_identity(ctx, case_pairs):
     # compare and hash by identity rather than field by field.
     assert hash(standard_context()) == hash(ctx)
     spectrum = max_eigenvalue_sum(case_pairs["I"], ctx)
-    expr = bell_terms(case_pairs["I"], ctx.orbit)
+    expr = bell_terms(case_pairs["I"])
     holders = (winning_table(expr), classical_histogram(expr))
     for obj in (ctx.rep, ctx.orbit, ctx, spectrum, *holders):
         hash(obj)
